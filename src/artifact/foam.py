@@ -1303,7 +1303,7 @@ class FoamMovie:
     """A start web and a sequence of moves; the presented cobordism goes
     from the start web to the final web."""
 
-    __slots__ = ("start", "moves", "_states", "_instrs", "_reflect")
+    __slots__ = ("start", "moves", "_states", "_instrs", "_reflect", "_degree")
 
     def __init__(self, start: Web, moves: Sequence[Move] = ()) -> None:
         self.start = start
@@ -1311,6 +1311,7 @@ class FoamMovie:
         self._states: Optional[list[Web]] = None
         self._instrs: Optional[tuple] = None
         self._reflect: Optional["FoamMovie"] = None
+        self._degree: Optional[int] = None
 
     def states(self) -> list[Web]:
         """All web slices, from the start web to the final web."""
@@ -1340,7 +1341,10 @@ class FoamMovie:
         return self.states()[-1]
 
     def degree(self) -> int:
-        return sum(move_degree(m) for m in self.moves)
+        """The sum of the move degrees, computed once."""
+        if self._degree is None:
+            self._degree = sum(move_degree(m) for m in self.moves)
+        return self._degree
 
     def compose(self, then: "FoamMovie") -> "FoamMovie":
         """This movie followed by ``then`` (ends must match exactly)."""
@@ -1350,6 +1354,8 @@ class FoamMovie:
         out._states = self.states() + then.states()[1:]
         if self._instrs is not None and then._instrs is not None:
             out._instrs = self._instrs + then._instrs
+        if self._degree is not None and then._degree is not None:
+            out._degree = self._degree + then._degree
         return out
 
     def reflect(self) -> "FoamMovie":

@@ -9,11 +9,15 @@ face contributes the plain and dotted lifts through that face (degrees
 branches of both rewirings (degree 0).
 
 The closed-surface evaluation pairs two preparations to an integer.  The
-resulting Gram matrix is unimodular, which makes the state space's
-linear algebra exact: the matrix induced by any movie between webs is
-obtained by pairing the movie's action on the source basis against the
-target basis and solving the integer system, with any non-integrality
-treated as a hard error rather than rounded away.
+pairing has degree zero, so it vanishes unless the two degrees cancel
+and the Gram matrix is block anti-diagonal by degree: for each degree
+``d`` only the square block between the basis elements of degree ``d``
+and those of degree ``-d`` is nonzero.  Each such block is unimodular
+and is inverted exactly once per web.  The matrix induced by any movie
+between webs is then obtained by pairing the movie's action on the
+source basis against the degree-matched target basis elements and
+multiplying by the inverse block: an integer product.  A singular or
+non-unimodular block is a hard error, never rounded away.
 """
 
 from __future__ import annotations
@@ -101,8 +105,10 @@ def mat_power(a: IntMatrix, n: int) -> IntMatrix:
 def _solve_unimodular(
     gram: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
 ) -> IntMatrix:
-    """Solve gram @ X = rhs exactly.  The Gram matrix must be
-    unimodular and the solution integral; anything else raises."""
+    """Solve gram @ X = rhs exactly; with the identity as ``rhs`` this
+    is the inverse.  The Gram matrix must be unimodular and the solution
+    integral; anything else raises.  This is the only place that leaves
+    integer arithmetic."""
     n = len(gram)
     m = len(rhs[0]) if rhs and rhs[0] is not None else 0
     if len(rhs) != n:
@@ -136,7 +142,7 @@ def _solve_unimodular(
             x = aug[i][n + j]
             if x.denominator != 1:
                 raise StateSpaceError(
-                    f"non-integral coefficient {x} in induced map; convention bug"
+                    f"non-integral coefficient {x} in exact solve; convention bug"
                 )
             row.append(int(x))
         out.append(row)
@@ -148,16 +154,57 @@ def _solve_unimodular(
 # ==========================================================================
 
 
+def _degree_index(degrees: Sequence[int]) -> Dict[int, Tuple[int, ...]]:
+    """The basis indices of each degree, in increasing order."""
+    index: Dict[int, List[int]] = {}
+    for i, d in enumerate(degrees):
+        index.setdefault(d, []).append(i)
+    return {d: tuple(ix) for d, ix in index.items()}
+
+
+def _inverse_blocks(
+    degrees: Sequence[int], gram: Sequence[Sequence[int]]
+) -> Dict[int, IntMatrix]:
+    """For each degree ``d``, the exact inverse of the Gram block whose
+    rows are the basis elements of degree ``d`` and whose columns are
+    those of degree ``-d``.  A block that is not square, is singular or
+    has determinant other than ±1 raises.  The Gram matrix is symmetric,
+    so the block of ``-d`` is the transpose of that of ``d``, and so is
+    its inverse."""
+    index = _degree_index(degrees)
+    out: Dict[int, IntMatrix] = {}
+    for d, rows in index.items():
+        cols = index.get(-d, ())
+        if len(cols) != len(rows):
+            raise StateSpaceError(
+                f"pairing matrix is singular: {len(rows)} basis elements of "
+                f"degree {d} against {len(cols)} of degree {-d}"
+            )
+        if -d in out:
+            out[d] = tuple(zip(*out[-d]))
+            continue
+        block = [[gram[r][c] for c in cols] for r in rows]
+        out[d] = _solve_unimodular(block, identity_matrix(len(rows)))
+    return out
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """The graded state space of a closed web with its preparation
-    basis, basis degrees, reduction trace and pairing matrix."""
+    basis, basis degrees, reduction trace and pairing matrix.
+
+    ``index[d]`` lists the basis indices of degree ``d``; ``inverse[d]``
+    is the exact inverse of the Gram block ``gram[index[d]][index[-d]]``,
+    the only nonzero block in those rows.  Together they solve
+    ``gram @ X = R`` as ``X[index[-d]] = inverse[d] @ R[index[d]]``."""
 
     web: Web
     basis: Tuple[FoamMovie, ...]
     degrees: Tuple[int, ...]
     trace: Trace
     gram: IntMatrix
+    index: Dict[int, Tuple[int, ...]] = field(compare=False, repr=False)
+    inverse: Dict[int, IntMatrix] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -250,16 +297,25 @@ def state_space(web: Web) -> StateSpace:
         return _SPACES[key]
     basis, trace = _preparations(web)
     degrees = tuple(b.degree() for b in basis)
+    index = _degree_index(degrees)
     n = len(basis)
     gram_rows = [[0] * n for _ in range(n)]
     for j in range(n):
-        for k in range(j, n):
-            val = pair_movies(basis[j], basis[k])
-            gram_rows[j][k] = val
-            gram_rows[k][j] = val
+        for k in index.get(-degrees[j], ()):
+            if k >= j:
+                val = pair_movies(basis[j], basis[k])
+                gram_rows[j][k] = val
+                gram_rows[k][j] = val
     gram = matrix_rows(gram_rows)
-    _solve_unimodular(gram, [[] for _ in range(n)])  # unimodularity check
-    space = StateSpace(web=web, basis=basis, degrees=degrees, trace=trace, gram=gram)
+    space = StateSpace(
+        web=web,
+        basis=basis,
+        degrees=degrees,
+        trace=trace,
+        gram=gram,
+        index=index,
+        inverse=_inverse_blocks(degrees, gram),
+    )
     _SPACES[key] = space
     return space
 
@@ -278,13 +334,21 @@ def induced_matrix(movie: FoamMovie) -> IntMatrix:
     dst = state_space(movie.end)
     shift = movie.degree()
     movie.instruction_stream()
-    rhs = [[0] * src.dim for _ in range(dst.dim)]
+    cols = [[0] * dst.dim for _ in range(src.dim)]
     for j, u in enumerate(src.basis):
+        # the pushed element has degree e, so it pairs only with the
+        # target basis of degree -e, and its image lies in degree e
+        e = src.degrees[j] + shift
+        rows = dst.index.get(-e, ())
+        if not rows:
+            continue
         u.instruction_stream()
         pushed = u.compose(movie)
-        for k, v in enumerate(dst.basis):
-            rhs[k][j] = pair_movies(pushed, v)
-    out = _solve_unimodular(dst.gram, rhs)
+        rhs = [pair_movies(pushed, dst.basis[k]) for k in rows]
+        inv = dst.inverse[-e]
+        for k, inv_row in zip(dst.index[e], inv):
+            cols[j][k] = sum(x * y for x, y in zip(inv_row, rhs))
+    out = tuple(tuple(col[k] for col in cols) for k in range(dst.dim))
     for k in range(dst.dim):
         for j in range(src.dim):
             if out[k][j] and dst.degrees[k] != src.degrees[j] + shift:
@@ -300,6 +364,12 @@ def edge_dot_action(web: Web, site: int) -> IntMatrix:
     """The degree-2 endomorphism placing one dot on the sheet swept by
     ``site`` (a dart of an edge, or a negative free-loop id)."""
     return induced_matrix(dot_movie(web, site))
+
+
+def edge_sites(web: Web) -> List[int]:
+    """One dot site per edge (its smaller dart) and per free loop, in
+    increasing order."""
+    return sorted({min(d, web.alpha[d]) for d in web.out_darts} | set(web.loops))
 
 
 def graded_dimension(web: Web) -> LaurentPoly:
@@ -350,8 +420,7 @@ def check_edge_ring(web: Web) -> None:
                 raise StateSpaceError(
                     f"symmetric relation e{name} fails at vertex {orbit}"
                 )
-    sites = [min(d, web.alpha[d]) for d in web.out_darts] + list(web.loops)
-    for site in sorted(set(sites)):
+    for site in edge_sites(web):
         x = edge_dot_action(web, site)
         if mat_power(x, 3) != zero:
             raise StateSpaceError(f"dot action at {site} is not nilpotent of order 3")

@@ -7,6 +7,7 @@ with their region on the left, and each component names its outer face.
 
 from __future__ import annotations
 
+from artifact.corpus import fixture_diagrams
 from artifact.web import Web
 
 
@@ -118,3 +119,16 @@ def cube_web() -> Web:
         parent={2: None},
         outer_face={2: 4},
     )
+
+
+def fixture_webs():
+    """Every flattening of every corpus diagram, deduplicated, as
+    ``(label, web)`` pairs."""
+    webs = {}
+    for name, d in sorted(fixture_diagrams().items()):
+        n = d.n_crossings
+        for mask in range(1 << n):
+            bits = tuple((mask >> k) & 1 for k in range(n))
+            web = d.flatten(bits)
+            webs.setdefault(web.exact_key(), (f"{name}:{bits}", web))
+    return list(webs.values())

@@ -48,6 +48,8 @@ from artifact.selftest import (
 from artifact.web import kuperberg_bracket, link_bracket
 from artifact.webhom import state_space
 
+from .helpers import fixture_webs
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -72,18 +74,6 @@ class _Budget:
                 f"{elapsed:.2f}s >= {self.seconds}s"
             )
         return False
-
-
-def _all_fixture_webs():
-    """Every flattening of every corpus diagram, deduplicated."""
-    webs = {}
-    for name, d in sorted(fixture_diagrams().items()):
-        n = d.n_crossings
-        for mask in range(1 << n):
-            bits = tuple((mask >> k) & 1 for k in range(n))
-            web = d.flatten(bits)
-            webs.setdefault(web.exact_key(), (f"{name}:{bits}", web))
-    return list(webs.values())
 
 
 def test_criterion_01_triple_disc_table():
@@ -147,7 +137,7 @@ def test_criterion_04_digon_and_square_identities():
 
 def test_criterion_05_graded_ranks_and_gram_unimodularity():
     with _Budget(5, "graded ranks match brackets; Gram forms unimodular", 300.0):
-        webs = _all_fixture_webs()
+        webs = fixture_webs()
         assert webs
         for label, web in webs:
             sp = state_space(web)
@@ -160,7 +150,7 @@ def test_criterion_05_graded_ranks_and_gram_unimodularity():
 
 def test_criterion_06_edge_ring_relations():
     with _Budget(6, "edge ring relations at vertices and loops", 120.0):
-        webs = [web for _label, web in _all_fixture_webs()]
+        webs = [web for _label, web in fixture_webs()]
         col = _Collector()
         check_edge_rings(webs=webs, col=col)
         report = col.report()

@@ -7,6 +7,8 @@ import itertools
 import pytest
 
 from artifact.algebra import FrobeniusElement, LaurentPoly, quantum_integer
+from artifact.corpus import fixture_diagrams
+from artifact.diagram import resolution_edge_movie
 from artifact.foam import (
     FoamMovie,
     digon_movies,
@@ -18,9 +20,11 @@ from artifact.foam import (
 from artifact.web import Web, kuperberg_bracket
 from artifact.webhom import (
     StateSpaceError,
+    _inverse_blocks,
     _solve_unimodular,
     check_edge_ring,
     edge_dot_action,
+    edge_sites,
     graded_dimension,
     gram_matrix,
     identity_matrix,
@@ -40,6 +44,7 @@ from artifact.webhom import (
 from .helpers import (
     cube_web,
     digon_chain_web,
+    fixture_webs,
     nested_loops_web,
     theta_web,
     theta_with_loop_inside,
@@ -52,6 +57,24 @@ def circle_web(ccw: bool = True) -> Web:
 
 def two_loops_side_by_side() -> Web:
     return Web(loop_ccw={-1: True, -2: True}, parent={-1: None, -2: None})
+
+
+def _hand_webs():
+    return [
+        Web(),
+        circle_web(),
+        circle_web(ccw=False),
+        nested_loops_web(),
+        two_loops_side_by_side(),
+        theta_web(),
+        theta_with_loop_inside(),
+        digon_chain_web(),
+        cube_web(),
+    ]
+
+
+def _all_webs():
+    return _hand_webs() + [web for _label, web in fixture_webs()]
 
 
 # --------------------------------------------------------------------------
@@ -79,6 +102,21 @@ def test_solve_unimodular_rejects_bad_pairings():
     with pytest.raises(StateSpaceError, match="determinant"):
         _solve_unimodular(((2,),), ((2,),))
     assert _solve_unimodular(((0, -1), (-1, 0)), ((3,), (5,))) == ((-5,), (-3,))
+
+
+def test_inverse_blocks_reject_bad_pairings():
+    # two basis elements of degree 1 against one of degree -1
+    with pytest.raises(StateSpaceError, match="singular"):
+        _inverse_blocks((1, 1, -1), ((0, 0, 1), (0, 0, 1), (1, 1, 0)))
+    with pytest.raises(StateSpaceError, match="singular"):
+        _inverse_blocks((2,), ((0,),))
+    with pytest.raises(StateSpaceError, match="determinant"):
+        _inverse_blocks((-1, 0, 1), ((0, 0, 1), (0, 2, 0), (1, 0, 0)))
+    assert _inverse_blocks((-1, 0, 1), ((0, 0, 1), (0, -1, 0), (1, 0, 0))) == {
+        -1: ((1,),),
+        0: ((-1,),),
+        1: ((1,),),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -126,18 +164,7 @@ def test_theta_space():
 
 
 def test_graded_dimension_matches_bracket():
-    webs = [
-        Web(),
-        circle_web(),
-        circle_web(ccw=False),
-        nested_loops_web(),
-        two_loops_side_by_side(),
-        theta_web(),
-        theta_with_loop_inside(),
-        digon_chain_web(),
-        cube_web(),
-    ]
-    for w in webs:
+    for w in _hand_webs():
         assert graded_dimension(w) == kuperberg_bracket(w)
 
 
@@ -186,6 +213,18 @@ def test_gram_matrices_are_unimodular():
         assert len(gram_matrix(w)) == n
 
 
+def test_inverse_blocks_invert_the_gram_blocks():
+    for w in _all_webs():
+        sp = state_space(w)
+        assert sorted(sp.inverse) == sorted(sp.index)
+        assert sorted(i for ix in sp.index.values() for i in ix) == list(range(sp.dim))
+        for d, inv in sp.inverse.items():
+            rows, cols = sp.index[d], sp.index[-d]
+            block = tuple(tuple(sp.gram[r][c] for c in cols) for r in rows)
+            assert mat_mul(inv, block) == identity_matrix(len(cols))
+            assert mat_mul(block, inv) == identity_matrix(len(rows))
+
+
 # --------------------------------------------------------------------------
 # induced matrices
 # --------------------------------------------------------------------------
@@ -229,6 +268,35 @@ def test_induced_matrices_are_degree_homogeneous():
         for j in range(sp.dim):
             if x[k][j]:
                 assert sp.degrees[k] == sp.degrees[j] + 2
+
+
+def _assert_solves_gram_system(movie: FoamMovie) -> None:
+    """gram(end) @ induced_matrix(movie) equals the pairing of the
+    movie's action on the source basis against the target basis,
+    computed entry by entry."""
+    src, dst = state_space(movie.start), state_space(movie.end)
+    pushed = [u.compose(movie) for u in src.basis]
+    rhs = tuple(tuple(pair_movies(p, v) for p in pushed) for v in dst.basis)
+    assert mat_mul(dst.gram, induced_matrix(movie)) == rhs
+
+
+def test_induced_matrices_solve_the_gram_system_on_cube_edges():
+    checked = 0
+    for d in fixture_diagrams().values():
+        n = d.n_crossings
+        for mask in range(1 << n):
+            bits = tuple((mask >> k) & 1 for k in range(n))
+            for c in range(n):
+                if bits[c] == 0:
+                    _assert_solves_gram_system(resolution_edge_movie(d, bits, c))
+                    checked += 1
+    assert checked > 100
+
+
+def test_dot_actions_solve_the_gram_system():
+    for w in _all_webs():
+        for site in edge_sites(w):
+            _assert_solves_gram_system(dot_movie(w, site))
 
 
 def test_functoriality_of_induced_matrices():
