@@ -38,6 +38,18 @@ exact integer using the three-sheet circle rule and the closed-surface
 values of the algebra module, and ``evaluate_bruteforce`` recomputes it
 by brute force over all local weight assignments as a cross-check.
 
+*Half foams.*  A movie from the empty web to a web ``W`` is swept once
+(``FoamMovie.half``) and its end state reduced to a ``HalfFoam``: its
+facets with twice their Euler characteristic (less one per edge of
+``W`` on them) and their dots, the facet of every dart and loop of
+``W``, the circles already closed, and at every vertex of ``W`` the
+open seam arc ending there with its three strips.  ``glue(a, b)`` joins
+two halves along ``W`` - one union-find over facets per dart and loop,
+one over seam arcs per vertex, each cycle of arcs a singular circle -
+and gives the ``PreFoam`` of ``a`` followed by the reflection of ``b``
+without replaying either movie.  ``glue`` and ``extract_prefoam`` build
+it with the same canonicalisation.
+
 Grading: a movie has a degree (birth/death -2, dot +2, zip/unzip +1,
 cup/cap -1, saddle +2, frame 0); a closed movie of nonzero degree always
 evaluates to zero.
@@ -49,7 +61,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import closed_surface_value, theta_symbol
 from .web import Region, Web, _component_split, _face_orbits
@@ -1303,7 +1315,16 @@ class FoamMovie:
     """A start web and a sequence of moves; the presented cobordism goes
     from the start web to the final web."""
 
-    __slots__ = ("start", "moves", "_states", "_instrs", "_reflect", "_degree")
+    __slots__ = (
+        "start",
+        "moves",
+        "_states",
+        "_instrs",
+        "_reflect",
+        "_degree",
+        "_half",
+        "_hash",
+    )
 
     def __init__(self, start: Web, moves: Sequence[Move] = ()) -> None:
         self.start = start
@@ -1312,28 +1333,34 @@ class FoamMovie:
         self._instrs: Optional[tuple] = None
         self._reflect: Optional["FoamMovie"] = None
         self._degree: Optional[int] = None
+        self._half: Optional["HalfFoam"] = None
+        self._hash: Optional[int] = None
+
+    def _run(self) -> None:
+        webs = [self.start]
+        instrs = []
+        for mv in self.moves:
+            web, ins = apply_move(webs[-1], mv)
+            webs.append(web)
+            instrs.append(ins)
+        self._states = webs
+        self._instrs = tuple(instrs)
 
     def states(self) -> list[Web]:
         """All web slices, from the start web to the final web."""
         if self._states is None:
-            webs = [self.start]
-            for mv in self.moves:
-                webs.append(apply_move(webs[-1], mv)[0])
-            self._states = webs
+            self._run()
         return self._states
 
     def instruction_stream(self) -> tuple:
         """The facet-tracking instruction list of each move, in order.
 
-        ``apply_move`` is deterministic, so the stream is computed once
-        and reused; ``compose`` concatenates the streams of its factors
-        when both are already known.
+        ``apply_move`` is deterministic and yields both the next web
+        slice and these instructions, so slices and stream are computed
+        together, once; ``compose`` concatenates those of its factors.
         """
         if self._instrs is None:
-            webs = self.states()
-            self._instrs = tuple(
-                apply_move(webs[i], mv)[1] for i, mv in enumerate(self.moves)
-            )
+            self._run()
         return self._instrs
 
     @property
@@ -1346,14 +1373,20 @@ class FoamMovie:
             self._degree = sum(move_degree(m) for m in self.moves)
         return self._degree
 
+    def half(self) -> "HalfFoam":
+        """The boundary summary of this movie, swept once from the empty
+        web to its end web and cached; see ``HalfFoam``."""
+        if self._half is None:
+            self._half = _half_foam(self)
+        return self._half
+
     def compose(self, then: "FoamMovie") -> "FoamMovie":
         """This movie followed by ``then`` (ends must match exactly)."""
         if self.end != then.start:
             raise MalformedMovie("movies do not compose: end and start webs differ")
         out = FoamMovie(self.start, self.moves + then.moves)
         out._states = self.states() + then.states()[1:]
-        if self._instrs is not None and then._instrs is not None:
-            out._instrs = self._instrs + then._instrs
+        out._instrs = self.instruction_stream() + then.instruction_stream()
         if self._degree is not None and then._degree is not None:
             out._degree = self._degree + then._degree
         return out
@@ -1379,7 +1412,9 @@ class FoamMovie:
         return self.start == other.start and self.moves == other.moves
 
     def __hash__(self) -> int:
-        return hash((self.start.exact_key(), self.moves))
+        if self._hash is None:
+            self._hash = hash((self.start.exact_key(), self.moves))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<FoamMovie {len(self.moves)} moves>"
@@ -1646,8 +1681,7 @@ class FoamState:
             self.vertex_darts.pop(token, None)
 
     def _close_circle(self, v_sink: int) -> None:
-        cycle = self.vertex_darts[v_sink]
-        order = tuple(reversed(cycle)) if SINK_ORDER_REVERSED else cycle
+        order = _sink_reading(self.vertex_darts[v_sink])
         strips = [self.strips.find(self.strip_at[(v_sink, d)]) for d in order]
         if len(set(strips)) != 3:
             raise MalformedMovie(
@@ -1674,6 +1708,58 @@ class FoamState:
         self.strip_at = {(v, md(d)): s for (v, d), s in self.strip_at.items()}
 
 
+def _sink_reading(cycle: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The darts of a sink vertex in the order its three strips are read
+    into a singular circle (see ``SINK_ORDER_REVERSED``)."""
+    return (cycle[2], cycle[1], cycle[0]) if SINK_ORDER_REVERSED else cycle
+
+
+def _sweep(movie: FoamMovie) -> FoamState:
+    """Run the instruction stream of a movie that starts at the empty web."""
+    state = FoamState()
+    for instrs in movie.instruction_stream():
+        state.apply(instrs)
+    return state
+
+
+def _canonical_prefoam(
+    chi: Mapping[int, int],
+    dots: Mapping[int, int],
+    circles: Sequence[tuple[int, int, int]],
+) -> PreFoam:
+    """The ``PreFoam`` of closed facets keyed by ints, with Euler
+    characteristic ``chi`` and ``dots`` each, and singular circles given
+    as facet triples.  Facets are numbered by first appearance in the
+    circles, then in increasing key order; each circle is rotated to its
+    smallest form and the circles are sorted.  A facet whose Euler
+    characteristic and boundary slots do not make a closed orientable
+    sheet raises."""
+    slots = dict.fromkeys(chi, 0)
+    index: dict[int, int] = {}
+    for tri in circles:
+        for key in tri:
+            slots[key] += 1
+            if key not in index:
+                index[key] = len(index)
+    for key in sorted(chi):
+        if key not in index:
+            index[key] = len(index)
+    facets: list[tuple[int, int]] = [(0, 0)] * len(index)
+    for key, i in index.items():
+        double_genus = 2 - chi[key] - slots[key]
+        if double_genus % 2 or double_genus < 0:
+            raise MalformedMovie(
+                f"facet with Euler characteristic {chi[key]} and "
+                f"{slots[key]} boundary slots is not a closed orientable sheet"
+            )
+        facets[i] = (double_genus // 2, dots[key])
+    out = []
+    for x, y, z in circles:
+        x, y, z = index[x], index[y], index[z]
+        out.append(min((x, y, z), (y, z, x), (z, x, y)))
+    return PreFoam(tuple(facets), tuple(sorted(out)))
+
+
 def extract_prefoam(movie: FoamMovie) -> PreFoam:
     """Run the movie and return its facet/circle shadow.
 
@@ -1682,45 +1768,184 @@ def extract_prefoam(movie: FoamMovie) -> PreFoam:
     """
     if not movie.start.is_empty():
         raise MalformedMovie("a closed movie must start at the empty web")
-    state = FoamState()
-    for instrs in movie.instruction_stream():
-        state.apply(instrs)
+    state = _sweep(movie)
     if not movie.end.is_empty():
         raise MalformedMovie("a closed movie must end at the empty web")
     if state.arc_of_vertex:
         raise MalformedMovie("the movie ends with unfinished seam arcs")
+    find = state.facets.find
+    return _canonical_prefoam(
+        state.chi,
+        state.dots,
+        [(find(a), find(b), find(c)) for a, b, c in state.circles],
+    )
 
+
+# ==========================================================================
+# half foams and gluing
+# ==========================================================================
+
+
+class HalfFoam(NamedTuple):
+    """The boundary summary of a movie from the empty web to ``web``:
+    what gluing it to the reflection of another such movie needs.
+
+    Facets are numbered ``0 .. n-1``.  ``facets[i]`` is ``(2 chi - e,
+    dots)``, where ``chi`` is the Euler characteristic swept so far and
+    ``e`` the number of edges of ``web`` on the facet, so that the two
+    halves of a closed foam add up to twice its Euler characteristic.
+    ``keys`` is the facet of each dart, then of each loop, of ``web`` in
+    increasing order.  ``circles`` are the singular circles already
+    closed, as facet triples.
+
+    The other fields run over the vertices of ``web`` in
+    ``web.vertices()`` order: ``arcs`` is the open seam arc ending at
+    each, ``sinks`` whether it is a sink, and ``strips`` its three strips,
+    in ``_sink_reading`` order at a sink and in rotation order at a
+    source, three entries per vertex.  ``strip_facets[s]`` is the facet
+    of strip ``s``.  Arcs and strips are numbered by first appearance."""
+
+    web: Web
+    facets: tuple[tuple[int, int], ...]
+    keys: tuple[int, ...]
+    circles: tuple[tuple[int, int, int], ...]
+    arcs: tuple[int, ...]
+    sinks: tuple[bool, ...]
+    strips: tuple[int, ...]
+    strip_facets: tuple[int, ...]
+
+
+def _half_foam(movie: FoamMovie) -> HalfFoam:
+    """Sweep the movie once and reduce its end state to a ``HalfFoam``."""
+    if not movie.start.is_empty():
+        raise MalformedMovie("a half foam must start at the empty web")
+    state = _sweep(movie)
+    web = movie.end
+    find = state.facets.find
     roots = sorted(state.chi)
-    slots = {r: 0 for r in roots}
-    circle_roots: list[tuple[int, ...]] = []
-    for tri in state.circles:
-        rtri = tuple(state.facets.find(n) for n in tri)
-        circle_roots.append(rtri)
-        for rt in rtri:
-            slots[rt] += 1
+    index = {r: i for i, r in enumerate(roots)}
 
-    index: dict[int, int] = {}
-    for tri in circle_roots:
-        for rt in tri:
-            if rt not in index:
-                index[rt] = len(index)
-    for rt in roots:
-        if rt not in index:
-            index[rt] = len(index)
-    facets: list[tuple[int, int]] = [(0, 0)] * len(index)
-    for rt, i in index.items():
-        double_genus = 2 - state.chi[rt] - slots[rt]
-        if double_genus % 2 or double_genus < 0:
-            raise MalformedMovie(
-                f"facet with Euler characteristic {state.chi[rt]} and "
-                f"{slots[rt]} boundary slots is not a closed orientable sheet"
-            )
-        facets[i] = (double_genus // 2, state.dots[rt])
-    circles = []
-    for tri in circle_roots:
-        itri = tuple(index[rt] for rt in tri)
-        circles.append(min(itri[k:] + itri[:k] for k in range(3)))
-    return PreFoam(tuple(facets), tuple(sorted(circles)))
+    def facet(key: tuple[str, int]) -> int:
+        return index[find(state._node(key))]
+
+    dart_facet = {d: facet(_k_dart(d)) for d in web.darts}
+    keys = tuple(dart_facet.values()) + tuple(facet(_k_loop(l)) for l in web.loops)
+    twice_chi = [2 * state.chi[r] for r in roots]
+    for t in web.out_darts:
+        f = dart_facet[t]
+        if f != dart_facet[web.alpha[t]]:
+            raise MalformedMovie(f"the edge of dart {t} lies on two sheets")
+        twice_chi[f] -= 1
+
+    if len(state.arc_of_vertex) * 3 != len(web.sigma):
+        raise MalformedMovie("the movie ends with seam endpoints off its end web")
+    arc_ids: dict[int, int] = {}
+    strip_ids: dict[int, int] = {}
+    arcs, sinks, strips, strip_facets = [], [], [], []
+    for cycle in web.vertices():
+        token = state.vertex_of_dart.get(cycle[0])
+        if token is None or any(state.vertex_of_dart.get(d) != token for d in cycle):
+            raise MalformedMovie(f"vertex {cycle} of the end web is not a seam endpoint")
+        sink = state.vertex_sink[token]
+        if sink == (cycle[0] in web.out_darts):
+            raise MalformedMovie(f"seam endpoint {cycle} disagrees with the web's orientation")
+        arc = state.arcs.find(state.arc_of_vertex[token])
+        arcs.append(arc_ids.setdefault(arc, len(arc_ids)))
+        sinks.append(sink)
+        for d in _sink_reading(cycle) if sink else cycle:
+            s = state.strips.find(state.strip_at[(token, d)])
+            if s not in strip_ids:
+                strip_ids[s] = len(strip_ids)
+                strip_facets.append(index[find(state.strip_facet[s])])
+            strips.append(strip_ids[s])
+
+    return HalfFoam(
+        web=web,
+        facets=tuple(zip(twice_chi, (state.dots[r] for r in roots))),
+        keys=keys,
+        circles=tuple(tuple(index[find(n)] for n in tri) for tri in state.circles),
+        arcs=tuple(arcs),
+        sinks=tuple(sinks),
+        strips=tuple(strips),
+        strip_facets=tuple(strip_facets),
+    )
+
+
+def _join(n: int, pairs: Iterable[tuple[int, int]], shift: int) -> list[int]:
+    """The classes of ``0 .. n-1`` under the unions of ``x`` with ``y +
+    shift`` for each ``(x, y)`` in ``pairs``: entry ``i`` is the smallest
+    member of the class of ``i``."""
+    parent = list(range(n))
+    for x, y in pairs:
+        y += shift
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+    # every link points to a smaller index, so one ascending pass flattens
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+    return parent
+
+
+def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
+    """The closed foam made of ``a`` followed by the reflection of ``b``,
+    glued along their shared end web.
+
+    The facets of both halves are joined along every dart and loop of
+    the web, their strips and open seam arcs at every vertex; each
+    resulting cycle of arcs is one singular circle, read at its first
+    sink vertex.  Mismatched end webs or seam endpoints, a strip glued
+    off its sheet, a circle with fewer than three distinct strips and a
+    facet that is not a closed orientable sheet all raise
+    ``MalformedMovie``."""
+    if a.web is not b.web and a.web.exact_key() != b.web.exact_key():
+        raise MalformedMovie("half foams do not glue: their end webs differ")
+    if a.sinks != b.sinks:
+        raise MalformedMovie("half foams do not glue: seam endpoints disagree")
+    nf = len(a.facets)
+    facet = _join(nf + len(b.facets), set(zip(a.keys, b.keys)), nf)
+    ns = len(a.strip_facets)
+    strip_facet = [facet[f] for f in a.strip_facets]
+    strip_facet += [facet[nf + f] for f in b.strip_facets]
+    if [strip_facet[s] for s in a.strips] != [strip_facet[ns + s] for s in b.strips]:
+        raise MalformedMovie(
+            "seam strips on different sheets were glued; the foam is "
+            "geometrically inconsistent"
+        )
+    strip = _join(len(strip_facet), zip(a.strips, b.strips), ns)
+    nv = len(a.arcs)
+    arc = _join(2 * nv, zip(a.arcs, b.arcs), nv)
+
+    circles = [(facet[x], facet[y], facet[z]) for x, y, z in a.circles]
+    circles += [(facet[nf + x], facet[nf + y], facet[nf + z]) for x, y, z in b.circles]
+    read: set[int] = set()
+    for i, sink in enumerate(a.sinks):
+        if sink and arc[a.arcs[i]] not in read:
+            read.add(arc[a.arcs[i]])
+            x, y, z = a.strips[3 * i : 3 * i + 3]
+            if len({strip[x], strip[y], strip[z]}) != 3:
+                raise MalformedMovie(
+                    "a singular circle closed with fewer than three distinct strips"
+                )
+            circles.append((strip_facet[x], strip_facet[y], strip_facet[z]))
+    if len(read) != len({arc[x] for x in a.arcs}):
+        raise MalformedMovie("half foams do not glue: a seam cycle has no sink")
+
+    chi: dict[int, int] = {}
+    dots: dict[int, int] = {}
+    for root, (c, d) in zip(facet, a.facets + b.facets):
+        chi[root] = chi.get(root, 0) + c
+        dots[root] = dots.get(root, 0) + d
+    for root, c in chi.items():
+        if c % 2:
+            raise MalformedMovie(f"glued facet has odd Euler characteristic {c}/2")
+        chi[root] = c // 2
+    return _canonical_prefoam(chi, dots, circles)
 
 
 # ==========================================================================

@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import closed_surface_value, theta_symbol
 from .foam import PreFoam, digon_movies, evaluate, square_split_movies
-from .web import Web, kuperberg_bracket
+from .web import Web
 from .webhom import (
     StateSpaceError,
     check_edge_ring,
@@ -420,18 +420,6 @@ def check_disc_removal(closures: int = 120, seed: int = 4, col: Optional[_Collec
     return col.report()
 
 
-def check_local_relations(closures: int = 120, seed: int = 0) -> SelfTestReport:
-    """All five randomized local-relation families in one report."""
-
-    col = _Collector()
-    check_surgery(closures, seed, col)
-    check_genus_reduction(closures, seed + 1, col)
-    check_circle_dot_relations(closures, seed + 2, col)
-    check_bubble_bursting(closures, seed + 3, col)
-    check_disc_removal(closures, seed + 4, col)
-    return col.report()
-
-
 # --------------------------------------------------------------------------
 # matrix identity suites
 # --------------------------------------------------------------------------
@@ -551,23 +539,6 @@ def check_edge_rings(
             check_edge_ring(web)
         except StateSpaceError as exc:
             col.failures.append(f"edge ring on {label}: {exc}")
-    return col.report()
-
-
-def check_graded_ranks(
-    webs: Iterable[Web], col: Optional[_Collector] = None
-) -> SelfTestReport:
-    """Graded dimension of each web's state space equals its bracket
-    polynomial (the free-rank theorem, checked web by web)."""
-
-    col = col or _Collector()
-    for web in webs:
-        space = state_space(web)
-        col.expect(
-            space.graded_dimension(),
-            kuperberg_bracket(web),
-            f"graded rank of web with key {web.exact_key()[:40]}...",
-        )
     return col.report()
 
 

@@ -8,8 +8,11 @@ face contributes the plain and dotted lifts through that face (degrees
 -1, +1); a bounded four-edge face contributes the reflected split
 branches of both rewirings (degree 0).
 
-The closed-surface evaluation pairs two preparations to an integer.  The
-pairing has degree zero, so it vanishes unless the two degrees cancel
+The closed-surface evaluation pairs two preparations to an integer:
+``pair_movies`` sweeps each preparation once into its half foam and
+glues the two halves along the shared web (``foam.glue``), instead of
+replaying the closed movie of one followed by the reflection of the
+other.  The pairing has degree zero, so it vanishes unless the two degrees cancel
 and the Gram matrix is block anti-diagonal by degree: for each degree
 ``d`` only the square block between the basis elements of degree ``d``
 and those of degree ``-d`` is nonzero.  Each such block is unimodular
@@ -35,7 +38,8 @@ from .foam import (
     apply_move,
     digon_movies,
     dot_movie,
-    evaluate_closed,
+    evaluate,
+    glue,
     identity_movie,
     square_split_movies,
 )
@@ -218,13 +222,11 @@ class StateSpace:
 
 
 _SPACES: Dict[str, StateSpace] = {}
-_PAIRS: Dict[Tuple[FoamMovie, FoamMovie], int] = {}
 _INDUCED: Dict[FoamMovie, IntMatrix] = {}
 
 
 def clear_state_space_cache() -> None:
     _SPACES.clear()
-    _PAIRS.clear()
     _INDUCED.clear()
 
 
@@ -277,18 +279,13 @@ def _preparations(web: Web) -> Tuple[Tuple[FoamMovie, ...], Trace]:
 
 def pair_movies(u: FoamMovie, v: FoamMovie) -> int:
     """The closed evaluation of u glued to the reflection of v.  Both
-    movies must start at the empty web and end at the same web.  The
-    value vanishes unless the degrees cancel."""
+    movies must start at the empty web and end at the same web; end webs
+    that differ raise ``MalformedMovie``.  The value vanishes unless the
+    degrees cancel.  Each movie is swept once into its half foam, and a
+    pairing glues the two halves along the shared web."""
     if u.degree() + v.degree() != 0:
         return 0
-    key = (u, v)
-    if key not in _PAIRS:
-        ref = v.reflect()
-        u.instruction_stream()
-        ref.instruction_stream()
-        _PAIRS[key] = evaluate_closed(u.compose(ref))
-        _PAIRS[(v, u)] = _PAIRS[key]
-    return _PAIRS[key]
+    return evaluate(glue(u.half(), v.half()))
 
 
 def state_space(web: Web) -> StateSpace:
@@ -333,7 +330,6 @@ def induced_matrix(movie: FoamMovie) -> IntMatrix:
     src = state_space(movie.start)
     dst = state_space(movie.end)
     shift = movie.degree()
-    movie.instruction_stream()
     cols = [[0] * dst.dim for _ in range(src.dim)]
     for j, u in enumerate(src.basis):
         # the pushed element has degree e, so it pairs only with the
@@ -342,7 +338,6 @@ def induced_matrix(movie: FoamMovie) -> IntMatrix:
         rows = dst.index.get(-e, ())
         if not rows:
             continue
-        u.instruction_stream()
         pushed = u.compose(movie)
         rhs = [pair_movies(pushed, dst.basis[k]) for k in rows]
         inv = dst.inverse[-e]

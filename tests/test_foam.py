@@ -32,6 +32,7 @@ from artifact.foam import (
     evaluate_bruteforce,
     evaluate_closed,
     extract_prefoam,
+    glue,
     identity_movie,
     inverse_move,
     move_degree,
@@ -262,6 +263,108 @@ def test_lens_reflect_roundtrip():
     assert [w.exact_key() for w in rr.states()] == [
         w.exact_key() for w in m.states()
     ]
+
+
+# --------------------------------------------------------------------------
+# half foams: sweep once, glue along the shared web
+# --------------------------------------------------------------------------
+
+
+def lens_half(a: int, b: int, c: int) -> FoamMovie:
+    """The lens movie up to its fin: the empty web to a theta web with
+    dots ``a`` and ``b`` on the two loop sheets and ``c`` on the fin."""
+    moves: list = [Birth(-1, None, True), Birth(-2, None, False)]
+    moves += [Dot(-1)] * a + [Dot(-2)] * b
+    moves += [Zip(-1, -2, None, (1, 2, 3, 4, 5, 6))]
+    moves += [Dot(1)] * c
+    return FoamMovie(Web.empty(), moves)
+
+
+def _closed_samples() -> list[FoamMovie]:
+    return [
+        sphere_movie(2),
+        torus_movie(0),
+        torus_movie(1, nested=True),
+        bubble_movie(1, 0, 2),
+        lens_movie(0, 1, 2),
+        lens_half(2, 0, 1).compose(lens_half(0, 1, 0).reflect()),
+    ]
+
+
+def test_glue_with_the_empty_half_is_extract_prefoam():
+    empty = identity_movie(Web.empty()).half()
+    for m in _closed_samples():
+        assert glue(m.half(), empty) == extract_prefoam(m)
+        assert glue(empty, m.half()) == extract_prefoam(m)
+
+
+def test_half_is_swept_once_and_cached():
+    m = lens_half(1, 0, 0)
+    h = m.half()
+    assert m.half() is h
+    assert h.web == m.end
+    assert len(h.arcs) == len(h.sinks) == 2
+    assert len(h.strips) == 6
+    assert list(h.sinks) == [v[0] not in m.end.out_darts for v in m.end.vertices()]
+
+
+def test_glued_lens_matches_replay_and_theta_table():
+    for a, b, c in itertools.product(range(3), repeat=3):
+        u = lens_half(a, b, c)
+        v = lens_half(0, 0, 0)
+        pre = glue(u.half(), v.half())
+        assert evaluate(pre) == evaluate_closed(u.compose(v.reflect()))
+        assert evaluate(pre) == theta_symbol(b, a, c)
+        # dots move freely between the halves
+        w = lens_half(0, b, 0)
+        assert evaluate(glue(lens_half(a, 0, c).half(), w.half())) == theta_symbol(
+            b, a, c
+        )
+
+
+def test_glue_rejects_different_end_webs():
+    ccw = FoamMovie(Web.empty(), (Birth(-1, None, True),))
+    cw = FoamMovie(Web.empty(), (Birth(-1, None, False),))
+    with pytest.raises(MalformedMovie):
+        glue(ccw.half(), cw.half())
+    with pytest.raises(MalformedMovie):
+        glue(lens_half(0, 0, 0).half(), ccw.half())
+
+
+def test_half_requires_the_empty_start():
+    with pytest.raises(MalformedMovie):
+        identity_movie(theta_web()).half()
+
+
+def test_glue_rejects_malformed_seams():
+    h = lens_half(0, 0, 0).half()
+    # seam endpoints that disagree about which end is the sink
+    flipped = h._replace(sinks=(not h.sinks[0],) + h.sinks[1:])
+    with pytest.raises(MalformedMovie, match="disagree"):
+        glue(h, flipped)
+    # a strip glued onto another sheet
+    s = h.strips
+    off_sheet = h._replace(strips=(s[1], s[0]) + s[2:])
+    with pytest.raises(MalformedMovie, match="different sheets"):
+        glue(h, off_sheet)
+    # all strips on one sheet, twisted at one end: the circle closes with
+    # a single strip
+    one_sheet = h._replace(strip_facets=(0, 0, 0))
+    twisted = one_sheet._replace(strips=s[:3] + (s[4], s[5], s[3]))
+    with pytest.raises(MalformedMovie, match="three distinct strips"):
+        glue(one_sheet, twisted)
+    # a seam cycle without a sink vertex to read its circle at
+    sinkless = h._replace(sinks=(False, False))
+    with pytest.raises(MalformedMovie, match="no sink"):
+        glue(sinkless, sinkless)
+
+
+def test_glue_rejects_odd_euler_characteristic():
+    h = lens_half(0, 0, 0).half()
+    (twice_chi, dots), *rest = h.facets
+    odd = h._replace(facets=((twice_chi + 1, dots), *rest))
+    with pytest.raises(MalformedMovie, match="odd Euler characteristic"):
+        glue(h, odd)
 
 
 # --------------------------------------------------------------------------

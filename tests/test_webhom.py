@@ -10,7 +10,10 @@ from artifact.algebra import FrobeniusElement, LaurentPoly, quantum_integer
 from artifact.corpus import fixture_diagrams
 from artifact.diagram import resolution_edge_movie
 from artifact.foam import (
+    Birth,
+    Dot,
     FoamMovie,
+    MalformedMovie,
     digon_movies,
     dot_movie,
     evaluate_closed,
@@ -202,6 +205,52 @@ def test_pairing_is_symmetric_and_degree_sparse():
             direct = evaluate_closed(sp.basis[j].compose(sp.basis[k].reflect()))
             assert direct == 0
             assert sp.gram[j][k] == 0
+
+
+def _replayed(u: FoamMovie, v: FoamMovie) -> int:
+    """The pairing by the independent route: replay the closed movie u
+    followed by the reflection of v from the empty web."""
+    return evaluate_closed(u.compose(v.reflect()))
+
+
+def test_glued_pairings_match_the_replayed_closed_movies():
+    checked = 0
+    for label, w in fixture_webs():
+        sp = state_space(w)
+        for j in range(sp.dim):
+            for k in sp.index.get(-sp.degrees[j], ()):
+                u, v = sp.basis[j], sp.basis[k]
+                assert pair_movies(u, v) == _replayed(u, v), (label, j, k)
+                checked += 1
+    assert checked > 10000
+
+
+def test_glued_pushed_pairings_match_the_replayed_closed_movies():
+    checked = 0
+    for d in fixture_diagrams().values():
+        n = d.n_crossings
+        for mask in range(1 << n):
+            bits = tuple((mask >> k) & 1 for k in range(n))
+            for c in range(n):
+                if bits[c]:
+                    continue
+                movie = resolution_edge_movie(d, bits, c)
+                src, dst = state_space(movie.start), state_space(movie.end)
+                for u in src.basis:
+                    pushed = u.compose(movie)
+                    for k in dst.index.get(-pushed.degree(), ()):
+                        v = dst.basis[k]
+                        assert pair_movies(pushed, v) == _replayed(pushed, v)
+                        checked += 1
+    assert checked > 1000
+
+
+def test_pairing_rejects_different_end_webs():
+    ccw = FoamMovie(Web.empty(), (Birth(-1, None, True), Dot(-1), Dot(-1)))
+    cw = FoamMovie(Web.empty(), (Birth(-1, None, False),))
+    assert ccw.degree() + cw.degree() == 0
+    with pytest.raises(MalformedMovie):
+        pair_movies(ccw, cw)
 
 
 def test_gram_matrices_are_unimodular():
