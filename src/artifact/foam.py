@@ -33,22 +33,25 @@ empty web) therefore determines:
   up move by move, a dot count, and boundary slots on singular circles;
 * its singular circles: each a cyclic triple of facets.
 
-``extract_prefoam`` computes that data; ``evaluate`` turns it into an
-exact integer using the three-sheet circle rule and the closed-surface
-values of the algebra module, and ``evaluate_bruteforce`` recomputes it
-by brute force over all local weight assignments as a cross-check.
+``extract_prefoam`` computes that data, and ``evaluate`` turns it into
+an exact integer using the three-sheet circle rule and the closed-surface
+values of the algebra module.
 
 *Half foams.*  A movie from the empty web to a web ``W`` is swept once
-(``FoamMovie.half``) and its end state reduced to a ``HalfFoam``: its
-facets with twice their Euler characteristic (less one per edge of
-``W`` on them) and their dots, the facet of every dart and loop of
-``W``, the circles already closed, and at every vertex of ``W`` the
-open seam arc ending there with its three strips.  ``glue(a, b)`` joins
-two halves along ``W`` - one union-find over facets per dart and loop,
-one over seam arcs per vertex, each cycle of arcs a singular circle -
-and gives the ``PreFoam`` of ``a`` followed by the reflection of ``b``
-without replaying either movie.  ``glue`` and ``extract_prefoam`` build
-it with the same canonicalisation.
+(``FoamMovie.half``) and its end state reduced to a ``HalfFoam``, split
+into a shape and labels.  The shape (``HalfShape``) is the facet count,
+the facet of every dart and loop of ``W``, the circles already closed,
+and at every vertex of ``W`` the open seam arc ending there with its
+three strips.  The labels are each facet's twice Euler characteristic
+(less one per edge of ``W`` on it) and its dots.  ``glue(a, b)`` gives
+the ``PreFoam`` of ``a`` followed by the reflection of ``b`` without
+replaying either movie.  Everything that reads no label - one
+union-find over facets per dart and loop, one over seam arcs per
+vertex, each cycle of arcs a singular circle, the seam checks and the
+canonical numbering of the result - is a *glue plan*, built once per
+pair of shapes and kept in ``_GLUE_PLANS``; each call only adds the two
+halves' labels through it and checks the resulting facets.  ``glue``
+and ``extract_prefoam`` share one canonical numbering.
 
 Grading: a movie has a degree (birth/death -2, dot +2, zip/unzip +1,
 cup/cap -1, saddle +2, frame 0); a closed movie of nonzero degree always
@@ -58,7 +61,6 @@ evaluates to zero.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -1722,42 +1724,51 @@ def _sweep(movie: FoamMovie) -> FoamState:
     return state
 
 
-def _canonical_prefoam(
-    chi: Mapping[int, int],
-    dots: Mapping[int, int],
-    circles: Sequence[tuple[int, int, int]],
-) -> PreFoam:
-    """The ``PreFoam`` of closed facets keyed by ints, with Euler
-    characteristic ``chi`` and ``dots`` each, and singular circles given
-    as facet triples.  Facets are numbered by first appearance in the
-    circles, then in increasing key order; each circle is rotated to its
-    smallest form and the circles are sorted.  A facet whose Euler
-    characteristic and boundary slots do not make a closed orientable
-    sheet raises."""
-    slots = dict.fromkeys(chi, 0)
+def _canonical_numbering(
+    roots: Iterable[int], circles: Sequence[tuple[int, int, int]]
+) -> tuple[dict[int, int], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """The canonical numbering of a closed foam's facets, which reads no
+    facet label.  ``roots`` are the facets' int keys and ``circles`` the
+    singular circles as key triples.  Facets are numbered by first
+    appearance in the circles, then in increasing key order.  Returns
+    the number of each key, the boundary-slot count of each numbered
+    facet, and the circles in those numbers, each rotated to its
+    smallest form and all sorted."""
     index: dict[int, int] = {}
     for tri in circles:
         for key in tri:
-            slots[key] += 1
             if key not in index:
                 index[key] = len(index)
-    for key in sorted(chi):
+    for key in sorted(roots):
         if key not in index:
             index[key] = len(index)
-    facets: list[tuple[int, int]] = [(0, 0)] * len(index)
-    for key, i in index.items():
-        double_genus = 2 - chi[key] - slots[key]
-        if double_genus % 2 or double_genus < 0:
-            raise MalformedMovie(
-                f"facet with Euler characteristic {chi[key]} and "
-                f"{slots[key]} boundary slots is not a closed orientable sheet"
-            )
-        facets[i] = (double_genus // 2, dots[key])
+    slots = [0] * len(index)
     out = []
     for x, y, z in circles:
         x, y, z = index[x], index[y], index[z]
+        slots[x] += 1
+        slots[y] += 1
+        slots[z] += 1
         out.append(min((x, y, z), (y, z, x), (z, x, y)))
-    return PreFoam(tuple(facets), tuple(sorted(out)))
+    return index, tuple(slots), tuple(sorted(out))
+
+
+def _facet_genera(
+    chi: Sequence[int], dots: Sequence[int], slots: Sequence[int]
+) -> tuple[tuple[int, int], ...]:
+    """The ``(genus, dots)`` of each numbered facet of a closed foam from
+    its Euler characteristic, dots and boundary slots.  A facet that is
+    not a closed orientable sheet raises."""
+    out = []
+    for c, d, s in zip(chi, dots, slots):
+        double_genus = 2 - c - s
+        if double_genus % 2 or double_genus < 0:
+            raise MalformedMovie(
+                f"facet with Euler characteristic {c} and "
+                f"{s} boundary slots is not a closed orientable sheet"
+            )
+        out.append((double_genus // 2, d))
+    return tuple(out)
 
 
 def extract_prefoam(movie: FoamMovie) -> PreFoam:
@@ -1774,11 +1785,15 @@ def extract_prefoam(movie: FoamMovie) -> PreFoam:
     if state.arc_of_vertex:
         raise MalformedMovie("the movie ends with unfinished seam arcs")
     find = state.facets.find
-    return _canonical_prefoam(
-        state.chi,
-        state.dots,
-        [(find(a), find(b), find(c)) for a, b, c in state.circles],
+    index, slots, circles = _canonical_numbering(
+        state.chi, [(find(a), find(b), find(c)) for a, b, c in state.circles]
     )
+    chi = [0] * len(index)
+    dots = [0] * len(index)
+    for root, i in index.items():
+        chi[i] = state.chi[root]
+        dots[i] = state.dots[root]
+    return PreFoam(_facet_genera(chi, dots, slots), circles)
 
 
 # ==========================================================================
@@ -1786,33 +1801,46 @@ def extract_prefoam(movie: FoamMovie) -> PreFoam:
 # ==========================================================================
 
 
-class HalfFoam(NamedTuple):
-    """The boundary summary of a movie from the empty web to ``web``:
-    what gluing it to the reflection of another such movie needs.
+class HalfShape(NamedTuple):
+    """The combinatorial shape of a half foam: everything gluing reads
+    except the facets' labels.
 
-    Facets are numbered ``0 .. n-1``.  ``facets[i]`` is ``(2 chi - e,
-    dots)``, where ``chi`` is the Euler characteristic swept so far and
-    ``e`` the number of edges of ``web`` on the facet, so that the two
-    halves of a closed foam add up to twice its Euler characteristic.
-    ``keys`` is the facet of each dart, then of each loop, of ``web`` in
-    increasing order.  ``circles`` are the singular circles already
-    closed, as facet triples.
-
-    The other fields run over the vertices of ``web`` in
+    Facets are numbered ``0 .. size-1``.  ``keys`` is the facet of each
+    dart, then of each loop, of the end web in increasing order.
+    ``circles`` are the singular circles already closed, as facet
+    triples.  The other fields run over the vertices of the end web in
     ``web.vertices()`` order: ``arcs`` is the open seam arc ending at
-    each, ``sinks`` whether it is a sink, and ``strips`` its three strips,
-    in ``_sink_reading`` order at a sink and in rotation order at a
-    source, three entries per vertex.  ``strip_facets[s]`` is the facet
-    of strip ``s``.  Arcs and strips are numbered by first appearance."""
+    each, ``sinks`` whether it is a sink, and ``strips`` its three
+    strips, in ``_sink_reading`` order at a sink and in rotation order
+    at a source, three entries per vertex.  ``strip_facets[s]`` is the
+    facet of strip ``s``.  Arcs and strips are numbered by first
+    appearance."""
 
-    web: Web
-    facets: tuple[tuple[int, int], ...]
+    size: int
     keys: tuple[int, ...]
     circles: tuple[tuple[int, int, int], ...]
     arcs: tuple[int, ...]
     sinks: tuple[bool, ...]
     strips: tuple[int, ...]
     strip_facets: tuple[int, ...]
+
+
+class HalfFoam(NamedTuple):
+    """The boundary summary of a movie from the empty web to ``web``:
+    what gluing it to the reflection of another such movie needs.
+
+    It is split into a ``shape`` (a ``HalfShape``: facet count, the
+    facet of each end-web dart and loop, closed circles, open seam arcs
+    and strips) and the facets' labels: ``facets[i]`` is ``(2 chi - e,
+    dots)``, where ``chi`` is the Euler characteristic of facet ``i``
+    swept so far and ``e`` the number of edges of ``web`` on it, so that
+    the two halves of a closed foam add up to twice its Euler
+    characteristic.  Many halves share a shape and differ only in their
+    labels, so ``glue`` plans the joining once per pair of shapes."""
+
+    web: Web
+    shape: HalfShape
+    facets: tuple[tuple[int, int], ...]
 
 
 def _half_foam(movie: FoamMovie) -> HalfFoam:
@@ -1859,9 +1887,8 @@ def _half_foam(movie: FoamMovie) -> HalfFoam:
                 strip_facets.append(index[find(state.strip_facet[s])])
             strips.append(strip_ids[s])
 
-    return HalfFoam(
-        web=web,
-        facets=tuple(zip(twice_chi, (state.dots[r] for r in roots))),
+    shape = HalfShape(
+        size=len(roots),
         keys=keys,
         circles=tuple(tuple(index[find(n)] for n in tri) for tri in state.circles),
         arcs=tuple(arcs),
@@ -1869,6 +1896,7 @@ def _half_foam(movie: FoamMovie) -> HalfFoam:
         strips=tuple(strips),
         strip_facets=tuple(strip_facets),
     )
+    return HalfFoam(web, shape, tuple(zip(twice_chi, (state.dots[r] for r in roots))))
 
 
 def _join(n: int, pairs: Iterable[tuple[int, int]], shift: int) -> list[int]:
@@ -1892,23 +1920,30 @@ def _join(n: int, pairs: Iterable[tuple[int, int]], shift: int) -> list[int]:
     return parent
 
 
-def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
-    """The closed foam made of ``a`` followed by the reflection of ``b``,
-    glued along their shared end web.
+class _GluePlan(NamedTuple):
+    """How two half shapes glue, whatever their labels: the output facet
+    of each input facet (those of the first half, then of the second),
+    the boundary-slot count of each output facet, and the canonical
+    singular circles."""
+
+    facet_map: tuple[int, ...]
+    slots: tuple[int, ...]
+    circles: tuple[tuple[int, int, int], ...]
+
+
+def _glue_plan(a: HalfShape, b: HalfShape) -> _GluePlan:
+    """Every step of gluing two half foams that reads no facet label.
 
     The facets of both halves are joined along every dart and loop of
     the web, their strips and open seam arcs at every vertex; each
     resulting cycle of arcs is one singular circle, read at its first
-    sink vertex.  Mismatched end webs or seam endpoints, a strip glued
-    off its sheet, a circle with fewer than three distinct strips and a
-    facet that is not a closed orientable sheet all raise
-    ``MalformedMovie``."""
-    if a.web is not b.web and a.web.exact_key() != b.web.exact_key():
-        raise MalformedMovie("half foams do not glue: their end webs differ")
+    sink vertex.  Mismatched seam endpoints, a strip glued off its
+    sheet, a circle with fewer than three distinct strips and a seam
+    cycle without a sink raise ``MalformedMovie``."""
     if a.sinks != b.sinks:
         raise MalformedMovie("half foams do not glue: seam endpoints disagree")
-    nf = len(a.facets)
-    facet = _join(nf + len(b.facets), set(zip(a.keys, b.keys)), nf)
+    nf = a.size
+    facet = _join(nf + b.size, set(zip(a.keys, b.keys)), nf)
     ns = len(a.strip_facets)
     strip_facet = [facet[f] for f in a.strip_facets]
     strip_facet += [facet[nf + f] for f in b.strip_facets]
@@ -1936,16 +1971,37 @@ def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
     if len(read) != len({arc[x] for x in a.arcs}):
         raise MalformedMovie("half foams do not glue: a seam cycle has no sink")
 
-    chi: dict[int, int] = {}
-    dots: dict[int, int] = {}
-    for root, (c, d) in zip(facet, a.facets + b.facets):
-        chi[root] = chi.get(root, 0) + c
-        dots[root] = dots.get(root, 0) + d
-    for root, c in chi.items():
+    index, slots, out = _canonical_numbering(set(facet), circles)
+    return _GluePlan(tuple(index[r] for r in facet), slots, out)
+
+
+def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
+    """The closed foam made of ``a`` followed by the reflection of ``b``,
+    glued along their shared end web.
+
+    The joining is planned once per pair of shapes (``_glue_plan``,
+    kept in ``_GLUE_PLANS``; a plan whose build raises is not kept); each
+    call then only adds the two halves' facet labels through the plan.
+    Mismatched end webs, every seam error of ``_glue_plan``, and a facet
+    that is not a closed orientable sheet raise ``MalformedMovie`` on
+    every offending call."""
+    if a.web is not b.web and a.web.exact_key() != b.web.exact_key():
+        raise MalformedMovie("half foams do not glue: their end webs differ")
+    key = (a.shape, b.shape)
+    plan = _GLUE_PLANS.get(key)
+    if plan is None:
+        plan = _GLUE_PLANS[key] = _glue_plan(a.shape, b.shape)
+    n = len(plan.slots)
+    twice_chi = [0] * n
+    dots = [0] * n
+    for i, (c, d) in zip(plan.facet_map, a.facets + b.facets):
+        twice_chi[i] += c
+        dots[i] += d
+    for c in twice_chi:
         if c % 2:
             raise MalformedMovie(f"glued facet has odd Euler characteristic {c}/2")
-        chi[root] = c // 2
-    return _canonical_prefoam(chi, dots, circles)
+    chi = [c // 2 for c in twice_chi]
+    return PreFoam(_facet_genera(chi, dots, plan.slots), plan.circles)
 
 
 # ==========================================================================
@@ -1953,10 +2009,16 @@ def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
 # ==========================================================================
 
 _EVAL_MEMO: dict[PreFoam, int] = {}
+#: One glue plan per (first, second) pair of half shapes glued so far.
+#: Threads that miss together each store an equal plan, so no lock is
+#: needed.
+_GLUE_PLANS: dict[tuple[HalfShape, HalfShape], _GluePlan] = {}
 
 
 def clear_evaluation_cache() -> None:
+    """Empty the evaluation memo and the glue plans."""
     _EVAL_MEMO.clear()
+    _GLUE_PLANS.clear()
 
 
 def evaluate(prefoam: PreFoam) -> int:
@@ -2044,34 +2106,6 @@ def _evaluate_inner(
         return total
 
     return sign * base * rec(0, ())
-
-
-def evaluate_bruteforce(prefoam: PreFoam) -> int:
-    """Independent evaluation looping over all 27 weight assignments per
-    circle with no pruning or factoring; used as a cross-check."""
-    facets = prefoam.facets
-    circles = prefoam.circles
-    sign = -1 if len(circles) % 2 else 1
-    total = 0
-    for assignment in itertools.product(
-        itertools.product(range(3), repeat=3), repeat=len(circles)
-    ):
-        factor = 1
-        extra = [0] * len(facets)
-        for tri, weights in zip(circles, assignment):
-            factor *= theta_symbol(*weights)
-            if factor == 0:
-                break
-            for f, w in zip(tri, weights):
-                extra[f] += 2 - w
-        if factor == 0:
-            continue
-        for i, (g, d) in enumerate(facets):
-            factor *= closed_surface_value(g, d + extra[i])
-            if factor == 0:
-                break
-        total += factor
-    return sign * total
 
 
 def evaluate_closed(movie: FoamMovie) -> int:
@@ -2187,89 +2221,3 @@ def square_split_movies(web: Web, face: int) -> tuple[FoamMovie, FoamMovie]:
         return FoamMovie(web, tuple(moves))
 
     return branch(0), branch(1)
-
-
-def auto_zip(web: Web, site_a: int, site_b: int, region: Region = None) -> FoamMovie:
-    """A single seam-creating move between two strand sites, with labels
-    and the shared region inferred.  Raises ``MoveError`` when no
-    placement works or several inequivalent ones do (pass an explicit
-    ``Zip`` in that case)."""
-    labels = _fresh_darts(web, 6)
-    if region is not None:
-        return FoamMovie(web, (Zip(site_a, site_b, region, labels),))
-    shared = [
-        r
-        for r in _site_region_candidates(web, site_a)
-        if r in _site_region_candidates(web, site_b)
-    ]
-    found: list[tuple[Web, Move]] = []
-    last: Optional[MoveError] = None
-    for r in shared:
-        for ceiling in (None, "sink", "source"):
-            mv = Zip(site_a, site_b, r, labels, frozenset(), ceiling, None)
-            try:
-                end, _ = apply_move(web, mv)
-            except MoveError as exc:
-                last = exc
-                continue
-            if not any(end == w for w, _ in found):
-                found.append((end, mv))
-    if not found:
-        raise last or MoveError(f"sites {site_a}, {site_b} share no region")
-    if len(found) > 1:
-        raise MoveError(
-            f"seam between {site_a} and {site_b} is ambiguous; give the region"
-        )
-    return FoamMovie(web, (found[0][1],))
-
-
-def auto_unzip(web: Web, seam: int) -> FoamMovie:
-    """Collapse the seam edge containing dart ``seam``, with fresh ids
-    supplied for any loops the collapse closes."""
-    lid = _fresh_loop_id(web)
-    return FoamMovie(web, (Unzip(seam, loop_id_aligned=lid, loop_id_anti=lid - 1),))
-
-
-def standard_foam(kind: str, web: Web, site: int = 0, **kw) -> FoamMovie:
-    """Build a named small cobordism.
-
-    Kinds starting at ``web``: 'identity'; 'dot' (site = dart or loop
-    id); 'birth' (site = fresh loop id, with region=..., ccw=...);
-    'death' (site = loop id); 'cup' / 'cup_dotted' (site with side=...);
-    'cap' / 'cap_dotted' and 'drop' / 'drop_dotted' (site = two-edge
-    face key); 'square_first' / 'square_second' (site = four-edge face
-    key); 'zip' (site with other=..., optionally region=...); 'unzip'
-    (site = seam dart).
-
-    Kinds *ending* at ``web``: 'lift' / 'lift_dotted' (site = two-edge
-    face key; the degree -1 / +1 movies from the face's reduced web back
-    into ``web``) and 'square_join_first' / 'square_join_second' (the
-    reflected square splits)."""
-    if kind == "identity":
-        return identity_movie(web)
-    if kind == "dot":
-        return dot_movie(web, site)
-    if kind == "birth":
-        return FoamMovie(web, (Birth(site, kw.get("region"), kw.get("ccw", True)),))
-    if kind == "death":
-        return FoamMovie(web, (Death(site),))
-    if kind in ("cup", "cup_dotted"):
-        plain, dotted = cup_movies(web, site, kw.get("side", "left"))
-        return plain if kind == "cup" else dotted
-    if kind in ("cap", "cap_dotted", "drop", "drop_dotted"):
-        dotted, plain = cap_movies(web, site, kw.get("loop_id"))
-        return plain if kind in ("cap", "drop") else dotted
-    if kind in ("lift", "lift_dotted"):
-        lift_plain, lift_dotted, _, _ = digon_movies(web, site, kw.get("loop_id"))
-        return lift_plain if kind == "lift" else lift_dotted
-    if kind in ("square_first", "square_second"):
-        first, second = square_split_movies(web, site)
-        return first if kind == "square_first" else second
-    if kind in ("square_join_first", "square_join_second"):
-        first, second = square_split_movies(web, site)
-        return (first if kind == "square_join_first" else second).reflect()
-    if kind == "zip":
-        return auto_zip(web, site, kw["other"], kw.get("region"))
-    if kind == "unzip":
-        return auto_unzip(web, site)
-    raise ValueError(f"unknown standard foam kind {kind!r}")

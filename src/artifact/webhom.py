@@ -19,14 +19,15 @@ and those of degree ``-d`` is nonzero.  Each such block is unimodular
 and is inverted exactly once per web.  The matrix induced by any movie
 between webs is then obtained by pairing the movie's action on the
 source basis against the degree-matched target basis elements and
-multiplying by the inverse block: an integer product.  A singular or
-non-unimodular block is a hard error, never rounded away.
+multiplying by the inverse block: an integer product.  The blocks are
+inverted by fraction-free elimination, so the whole path stays in
+integer arithmetic.  A singular or non-unimodular block, or a division
+that leaves a remainder, is a hard error, never rounded away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import LaurentPoly
@@ -54,8 +55,8 @@ Trace = tuple
 
 class StateSpaceError(Exception):
     """Raised when state-space linear algebra loses exactness: a
-    singular or non-unimodular pairing, a non-integral solution, or an
-    induced matrix that fails degree homogeneity."""
+    singular or non-unimodular pairing, an inexact division in the
+    integer solve, or an induced matrix that fails degree homogeneity."""
 
 
 # ==========================================================================
@@ -110,47 +111,54 @@ def _solve_unimodular(
     gram: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
 ) -> IntMatrix:
     """Solve gram @ X = rhs exactly; with the identity as ``rhs`` this
-    is the inverse.  The Gram matrix must be unimodular and the solution
-    integral; anything else raises.  This is the only place that leaves
-    integer arithmetic."""
+    is the inverse.  The Gram matrix must be unimodular; anything else
+    raises.
+
+    Bareiss's fraction-free Gauss-Jordan elimination on ``[gram | rhs]``
+    in integers only: step ``k`` replaces every other row by ``(p_k *
+    row - row[k] * pivot_row) / p_(k-1)``, where ``p_k`` is the pivot, a
+    division that is exact in theory and checked to be so.  At the end
+    the left block is ``p * I`` with ``p = ±det(gram)`` and the right
+    block is ``p * X``."""
     n = len(gram)
     m = len(rhs[0]) if rhs and rhs[0] is not None else 0
     if len(rhs) != n:
         raise ValueError("right-hand side has wrong height")
-    aug = [
-        [Fraction(gram[i][j]) for j in range(n)]
-        + [Fraction(rhs[i][j]) for j in range(m)]
-        for i in range(n)
-    ]
-    det = Fraction(1)
+    aug = [[int(x) for x in gram[i]] + [int(x) for x in rhs[i][:m]] for i in range(n)]
+    sign = 1
+    prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
             raise StateSpaceError("pairing matrix is singular")
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+            sign = -sign
+        top = aug[col]
+        p = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+            if r == col:
+                continue
+            row = aug[r]
+            f = row[col]
+            if prev == 1 or prev == -1:
+                aug[r] = [(p * x - f * y) * prev for x, y in zip(row, top)]
+                continue
+            new = []
+            for x, y in zip(row, top):
+                q, rem = divmod(p * x - f * y, prev)
+                if rem:
+                    raise StateSpaceError(
+                        f"inexact division by {prev} in fraction-free solve"
+                    )
+                new.append(q)
+            aug[r] = new
+        prev = p
+    det = sign * prev
     if det != 1 and det != -1:
         raise StateSpaceError(f"pairing matrix has determinant {det}, not ±1")
-    out: List[List[int]] = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            x = aug[i][n + j]
-            if x.denominator != 1:
-                raise StateSpaceError(
-                    f"non-integral coefficient {x} in exact solve; convention bug"
-                )
-            row.append(int(x))
-        out.append(row)
-    return matrix_rows(out)
+    # the left block is prev * I with prev = ±1, so X = prev * right block
+    return tuple(tuple(prev * x for x in row[n:]) for row in aug)
 
 
 # ==========================================================================

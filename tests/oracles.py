@@ -20,10 +20,26 @@ with free Z-basis ``{x1^i * x2^j : 0 <= i <= 2, 0 <= j <= 1}``.  The trace
 of the top class is normalised by ``Tr(x1^2 * x2) = -1`` (equivalently
 ``Tr(x1 * x2^2) = +1``); all other basis monomials have trace 0.  The
 three-sheet circle evaluation equals ``Tr(x1^a * x2^b * x3^c)``.
+
+Closed-surface oracle
+---------------------
+A closed sheet is evaluated in the Frobenius algebra ``Z[X] / (X^3)`` with
+trace ``Tr(X^2) = -1`` and ``Tr(1) = Tr(X) = 0``.  Its comultiplication
+sends ``1`` to ``-(1 (x) X^2 + X (x) X + X^2 (x) 1)``, so a handle
+multiplies by ``m(Delta(1)) = -3 X^2``, and a genus ``g`` sheet with ``d``
+dots has the value ``Tr((-3 X^2)^g X^d)``.
+
+Exact solve oracle
+------------------
+``fraction_solve`` solves ``G @ X = R`` by Gauss-Jordan elimination over
+the rationals (``fractions.Fraction``), the reference for the package's
+integer-only solve.
 """
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
 from math import comb
 
 # A polynomial in Z[x1, x2] is a dict {(i, j): coefficient} for x1^i * x2^j.
@@ -117,3 +133,86 @@ def count_edge_3_colorings(edges: list[tuple[int, int]]) -> int:
         return total
 
     return count_from(0)
+
+
+def surface_value(genus: int, dots: int) -> int:
+    """``Tr((-3 X^2)^genus X^dots)`` in ``Z[X] / (X^3)`` with
+    ``Tr(X^2) = -1``: the value of a closed dotted sheet of that genus."""
+    power = 2 * genus + dots
+    if power != 2:
+        return 0  # X^3 = 0, and only X^2 has nonzero trace
+    return -((-3) ** genus)
+
+
+def evaluate_bruteforce(prefoam) -> int:
+    """Value of a closed foam given by ``prefoam.facets`` (``(genus,
+    dots)`` per facet) and ``prefoam.circles`` (cyclic facet triples),
+    by looping over all 27 weight assignments per circle with no pruning
+    or factoring: each circle contributes the flag trace of its weights
+    and hands each of its sheets ``2 - weight`` extra dots, each facet
+    contributes its closed-surface value, and each circle a sign -1."""
+    facets = prefoam.facets
+    circles = prefoam.circles
+    sign = -1 if len(circles) % 2 else 1
+    total = 0
+    for assignment in itertools.product(
+        itertools.product(range(3), repeat=3), repeat=len(circles)
+    ):
+        factor = 1
+        extra = [0] * len(facets)
+        for tri, weights in zip(circles, assignment):
+            factor *= flag_theta(*weights)
+            if factor == 0:
+                break
+            for f, w in zip(tri, weights):
+                extra[f] += 2 - w
+        if factor == 0:
+            continue
+        for i, (g, d) in enumerate(facets):
+            factor *= surface_value(g, d + extra[i])
+            if factor == 0:
+                break
+        total += factor
+    return sign * total
+
+
+def fraction_solve(gram, rhs) -> tuple[tuple[int, ...], ...]:
+    """Solve ``gram @ X = rhs`` by Gauss-Jordan elimination over the
+    rationals.  A singular ``gram``, a determinant other than +-1 or a
+    non-integral solution raises ``ArithmeticError``."""
+    n = len(gram)
+    m = len(rhs[0]) if rhs and rhs[0] is not None else 0
+    if len(rhs) != n:
+        raise ValueError("right-hand side has wrong height")
+    aug = [
+        [Fraction(gram[i][j]) for j in range(n)]
+        + [Fraction(rhs[i][j]) for j in range(m)]
+        for i in range(n)
+    ]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ArithmeticError("pairing matrix is singular")
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    if det != 1 and det != -1:
+        raise ArithmeticError(f"pairing matrix has determinant {det}, not ±1")
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            x = aug[i][n + j]
+            if x.denominator != 1:
+                raise ArithmeticError(f"non-integral coefficient {x} in exact solve")
+            row.append(int(x))
+        out.append(tuple(row))
+    return tuple(out)

@@ -17,6 +17,7 @@ from artifact.foam import (
     Dot,
     FoamMovie,
     Frame,
+    HalfFoam,
     MalformedMovie,
     MoveError,
     PreFoam,
@@ -24,12 +25,13 @@ from artifact.foam import (
     SaddleSplit,
     Unzip,
     Zip,
+    _GLUE_PLANS,
     apply_move,
     cap_movies,
+    clear_evaluation_cache,
     cup_movies,
     dot_movie,
     evaluate,
-    evaluate_bruteforce,
     evaluate_closed,
     extract_prefoam,
     glue,
@@ -39,11 +41,10 @@ from artifact.foam import (
     move_from_json,
     move_to_json,
     square_split_movies,
-    standard_foam,
 )
 from artifact.web import Web, kuperberg_bracket
 from .helpers import cube_web, nested_loops_web, theta_web, theta_with_loop_inside
-from .oracles import flag_theta
+from .oracles import evaluate_bruteforce, flag_theta
 
 # --------------------------------------------------------------------------
 # degree bookkeeping
@@ -303,9 +304,12 @@ def test_half_is_swept_once_and_cached():
     h = m.half()
     assert m.half() is h
     assert h.web == m.end
-    assert len(h.arcs) == len(h.sinks) == 2
-    assert len(h.strips) == 6
-    assert list(h.sinks) == [v[0] not in m.end.out_darts for v in m.end.vertices()]
+    assert len(h.shape.arcs) == len(h.shape.sinks) == 2
+    assert len(h.shape.strips) == 6
+    assert h.shape.size == len(h.facets)
+    assert list(h.shape.sinks) == [
+        v[0] not in m.end.out_darts for v in m.end.vertices()
+    ]
 
 
 def test_glued_lens_matches_replay_and_theta_table():
@@ -336,35 +340,86 @@ def test_half_requires_the_empty_start():
         identity_movie(theta_web()).half()
 
 
+def _reshaped(h: HalfFoam, **fields) -> HalfFoam:
+    """``h`` with the given fields of its shape replaced."""
+    return h._replace(shape=h.shape._replace(**fields))
+
+
+def _relabelled(h: HalfFoam, facet: int, twice_chi_shift: int) -> HalfFoam:
+    """``h`` with ``twice_chi_shift`` added to the first label of one facet."""
+    facets = list(h.facets)
+    twice_chi, dots = facets[facet]
+    facets[facet] = (twice_chi + twice_chi_shift, dots)
+    return h._replace(facets=tuple(facets))
+
+
 def test_glue_rejects_malformed_seams():
     h = lens_half(0, 0, 0).half()
+    sinks, s = h.shape.sinks, h.shape.strips
     # seam endpoints that disagree about which end is the sink
-    flipped = h._replace(sinks=(not h.sinks[0],) + h.sinks[1:])
+    flipped = _reshaped(h, sinks=(not sinks[0],) + sinks[1:])
     with pytest.raises(MalformedMovie, match="disagree"):
         glue(h, flipped)
     # a strip glued onto another sheet
-    s = h.strips
-    off_sheet = h._replace(strips=(s[1], s[0]) + s[2:])
+    off_sheet = _reshaped(h, strips=(s[1], s[0]) + s[2:])
     with pytest.raises(MalformedMovie, match="different sheets"):
         glue(h, off_sheet)
     # all strips on one sheet, twisted at one end: the circle closes with
     # a single strip
-    one_sheet = h._replace(strip_facets=(0, 0, 0))
-    twisted = one_sheet._replace(strips=s[:3] + (s[4], s[5], s[3]))
+    one_sheet = _reshaped(h, strip_facets=(0, 0, 0))
+    twisted = _reshaped(one_sheet, strips=s[:3] + (s[4], s[5], s[3]))
     with pytest.raises(MalformedMovie, match="three distinct strips"):
         glue(one_sheet, twisted)
     # a seam cycle without a sink vertex to read its circle at
-    sinkless = h._replace(sinks=(False, False))
+    sinkless = _reshaped(h, sinks=(False, False))
     with pytest.raises(MalformedMovie, match="no sink"):
         glue(sinkless, sinkless)
 
 
 def test_glue_rejects_odd_euler_characteristic():
     h = lens_half(0, 0, 0).half()
-    (twice_chi, dots), *rest = h.facets
-    odd = h._replace(facets=((twice_chi + 1, dots), *rest))
+    odd = _relabelled(h, 0, 1)
     with pytest.raises(MalformedMovie, match="odd Euler characteristic"):
         glue(h, odd)
+
+
+def test_glue_plan_does_not_skip_label_checks():
+    h = lens_half(0, 0, 0).half()
+    assert evaluate(glue(h, h)) == theta_symbol(0, 0, 0)
+    assert (h.shape, h.shape) in _GLUE_PLANS
+    # same shapes as the glue above, so these reuse its plan
+    with pytest.raises(MalformedMovie, match="odd Euler characteristic"):
+        glue(h, _relabelled(h, 0, 1))
+    # two more units of Euler characteristic make a sheet of genus -1
+    with pytest.raises(MalformedMovie, match="closed orientable sheet"):
+        glue(h, _relabelled(h, 0, 4))
+    with pytest.raises(MalformedMovie, match="closed orientable sheet"):
+        glue(_relabelled(h, 0, 4), h)
+    assert glue(h, h) == glue(h, h)
+
+
+def test_malformed_shape_raises_on_every_call():
+    h = lens_half(0, 0, 0).half()
+    sinks = h.shape.sinks
+    flipped = _reshaped(h, sinks=(not sinks[0],) + sinks[1:])
+    sinkless = _reshaped(h, sinks=(False, False))
+    for _ in range(3):
+        with pytest.raises(MalformedMovie, match="disagree"):
+            glue(h, flipped)
+        with pytest.raises(MalformedMovie, match="no sink"):
+            glue(sinkless, sinkless)
+    assert (h.shape, flipped.shape) not in _GLUE_PLANS
+    assert (sinkless.shape, sinkless.shape) not in _GLUE_PLANS
+
+
+def test_clear_evaluation_cache_empties_glue_plans():
+    h = lens_half(1, 0, 2).half()
+    before = glue(h, h)
+    assert (h.shape, h.shape) in _GLUE_PLANS
+    clear_evaluation_cache()
+    assert not _GLUE_PLANS
+    assert glue(h, h) == before
+    assert (h.shape, h.shape) in _GLUE_PLANS
 
 
 # --------------------------------------------------------------------------
@@ -817,30 +872,6 @@ def test_move_json_roundtrip():
         assert move_from_json(move_to_json(mv)) == mv
     data = json.loads(json.dumps([move_to_json(mv) for mv in moves]))
     assert [move_from_json(d) for d in data] == moves
-
-
-# --------------------------------------------------------------------------
-# standard foam dispatcher
-# --------------------------------------------------------------------------
-
-
-def test_standard_foam_dispatch():
-    w = theta_web()
-    assert standard_foam("identity", w).moves == ()
-    assert standard_foam("dot", w, 1) == dot_movie(w, 1)
-    b = standard_foam("birth", Web.empty(), -1, ccw=False)
-    assert b.end.loop_ccw == {-1: False}
-    assert standard_foam("death", b.end, -1).end.is_empty()
-    assert standard_foam("cup", w, 1, side="left").degree() == -1
-    assert standard_foam("cup_dotted", w, 1, side="left").degree() == 1
-    assert standard_foam("cap", w, 1, loop_id=-5).degree() == -1
-    assert standard_foam("cap_dotted", w, 1, loop_id=-5).degree() == 1
-    cw = cube_web()
-    f = _bounded_square_faces(cw)[0]
-    assert standard_foam("square_first", cw, f).degree() == 0
-    assert standard_foam("square_second", cw, f).degree() == 0
-    with pytest.raises(ValueError):
-        standard_foam("mystery", w)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@ the two-edge-face and four-edge-face identity suites, and the edge-ring
 relations."""
 
 import itertools
+import random
 
 import pytest
 
@@ -37,6 +38,7 @@ from artifact.webhom import (
     mat_neg,
     mat_power,
     mat_sub,
+    matrix_rows,
     pair_movies,
     state_space,
     vertex_orbits,
@@ -52,6 +54,7 @@ from .helpers import (
     theta_web,
     theta_with_loop_inside,
 )
+from .oracles import fraction_solve
 
 
 def circle_web(ccw: bool = True) -> Web:
@@ -105,6 +108,52 @@ def test_solve_unimodular_rejects_bad_pairings():
     with pytest.raises(StateSpaceError, match="determinant"):
         _solve_unimodular(((2,),), ((2,),))
     assert _solve_unimodular(((0, -1), (-1, 0)), ((3,), (5,))) == ((-5,), (-3,))
+
+
+def _random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """A product of elementary integer row operations and sign flips."""
+    m = [list(row) for row in identity_matrix(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    for i in range(n):
+        if rng.random() < 0.5:
+            m[i] = [-x for x in m[i]]
+    return m
+
+
+def test_integer_solve_matches_fraction_oracle():
+    rng = random.Random(20260304)
+    for n in range(1, 13):
+        for _ in range(4):
+            gram = _random_unimodular(rng, n)
+            cols = rng.randint(1, 4)
+            rhs = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(n)]
+            x = _solve_unimodular(gram, rhs)
+            assert x == fraction_solve(gram, rhs)
+            assert mat_mul(matrix_rows(gram), x) == matrix_rows(rhs)
+            inverse = _solve_unimodular(gram, identity_matrix(n))
+            assert inverse == fraction_solve(gram, identity_matrix(n))
+
+
+def test_integer_solve_rejects_singular_and_non_unimodular():
+    rng = random.Random(20260305)
+    for n in range(1, 9):
+        for middle, match in ((0, "singular"), (2, "determinant"), (3, "determinant")):
+            for sign in (1, -1):
+                k = rng.randrange(n)
+                diag = [
+                    [(sign * middle if i == k else 1) if i == j else 0 for j in range(n)]
+                    for i in range(n)
+                ]
+                left, right = _random_unimodular(rng, n), _random_unimodular(rng, n)
+                gram = mat_mul(mat_mul(matrix_rows(left), matrix_rows(diag)), right)
+                rhs = identity_matrix(n)
+                with pytest.raises(StateSpaceError, match=match):
+                    _solve_unimodular(gram, rhs)
+                with pytest.raises(ArithmeticError, match=match):
+                    fraction_solve(gram, rhs)
 
 
 def test_inverse_blocks_reject_bad_pairings():
