@@ -49,9 +49,11 @@ replaying either movie.  Everything that reads no label - one
 union-find over facets per dart and loop, one over seam arcs per
 vertex, each cycle of arcs a singular circle, the seam checks and the
 canonical numbering of the result - is a *glue plan*, built once per
-pair of shapes and kept in ``_GLUE_PLANS``; each call only adds the two
-halves' labels through it and checks the resulting facets.  ``glue``
-and ``extract_prefoam`` share one canonical numbering.
+pair of shapes and kept in ``_GLUE_PLANS`` under the two shapes' small
+ids (``_intern_shape``, given once when a half is built), so finding a
+plan hashes no shape; each call only adds the two halves' labels
+through it and checks the resulting facets.  ``glue`` and
+``extract_prefoam`` share one canonical numbering.
 
 Grading: a movie has a degree (birth/death -2, dot +2, zip/unzip +1,
 cup/cap -1, saddle +2, frame 0); a closed movie of nonzero degree always
@@ -61,6 +63,7 @@ evaluates to zero.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -1836,10 +1839,12 @@ class HalfFoam(NamedTuple):
     swept so far and ``e`` the number of edges of ``web`` on it, so that
     the two halves of a closed foam add up to twice its Euler
     characteristic.  Many halves share a shape and differ only in their
-    labels, so ``glue`` plans the joining once per pair of shapes."""
+    labels, so ``glue`` plans the joining once per pair of shapes, found
+    by ``shape_id`` (``_intern_shape(shape)``)."""
 
     web: Web
     shape: HalfShape
+    shape_id: int
     facets: tuple[tuple[int, int], ...]
 
 
@@ -1896,7 +1901,19 @@ def _half_foam(movie: FoamMovie) -> HalfFoam:
         strips=tuple(strips),
         strip_facets=tuple(strip_facets),
     )
-    return HalfFoam(web, shape, tuple(zip(twice_chi, (state.dots[r] for r in roots))))
+    labels = tuple(zip(twice_chi, (state.dots[r] for r in roots)))
+    return HalfFoam(web, shape, _intern_shape(shape), labels)
+
+
+def _intern_shape(shape: HalfShape) -> int:
+    """The id of ``shape``: equal shapes get one id until
+    ``clear_evaluation_cache()``, and an id is never given to another
+    shape, even after a clear."""
+    sid = _SHAPE_IDS.get(shape)
+    if sid is None:
+        # threads that miss together agree on the id setdefault keeps
+        sid = _SHAPE_IDS.setdefault(shape, next(_SHAPE_COUNTER))
+    return sid
 
 
 def _join(n: int, pairs: Iterable[tuple[int, int]], shift: int) -> list[int]:
@@ -1980,14 +1997,15 @@ def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
     glued along their shared end web.
 
     The joining is planned once per pair of shapes (``_glue_plan``,
-    kept in ``_GLUE_PLANS``; a plan whose build raises is not kept); each
-    call then only adds the two halves' facet labels through the plan.
+    kept in ``_GLUE_PLANS`` by shape id; a plan whose build raises is
+    not kept); each call then only adds the two halves' facet labels
+    through the plan.
     Mismatched end webs, every seam error of ``_glue_plan``, and a facet
     that is not a closed orientable sheet raise ``MalformedMovie`` on
     every offending call."""
     if a.web is not b.web and a.web.exact_key() != b.web.exact_key():
         raise MalformedMovie("half foams do not glue: their end webs differ")
-    key = (a.shape, b.shape)
+    key = (a.shape_id, b.shape_id)
     plan = _GLUE_PLANS.get(key)
     if plan is None:
         plan = _GLUE_PLANS[key] = _glue_plan(a.shape, b.shape)
@@ -2009,16 +2027,23 @@ def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
 # ==========================================================================
 
 _EVAL_MEMO: dict[PreFoam, int] = {}
-#: One glue plan per (first, second) pair of half shapes glued so far.
+#: One glue plan per (first, second) pair of half shape ids glued so far.
 #: Threads that miss together each store an equal plan, so no lock is
 #: needed.
-_GLUE_PLANS: dict[tuple[HalfShape, HalfShape], _GluePlan] = {}
+_GLUE_PLANS: dict[tuple[int, int], _GluePlan] = {}
+#: The id of every half shape built since the last clear.  Ids come from
+#: a counter that never restarts, so a half cached before a clear keeps
+#: an id no later shape has: its glues can miss, never find another
+#: shape's plan.
+_SHAPE_IDS: dict[HalfShape, int] = {}
+_SHAPE_COUNTER = itertools.count()
 
 
 def clear_evaluation_cache() -> None:
-    """Empty the evaluation memo and the glue plans."""
+    """Empty the evaluation memo, the glue plans and the shape ids."""
     _EVAL_MEMO.clear()
     _GLUE_PLANS.clear()
+    _SHAPE_IDS.clear()
 
 
 def evaluate(prefoam: PreFoam) -> int:

@@ -132,3 +132,9 @@ def fixture_webs():
             web = d.flatten(bits)
             webs.setdefault(web.exact_key(), (f"{name}:{bits}", web))
     return list(webs.values())
+
+
+def cube_data(cx):
+    """A built cube as plain data for the dense oracles in ``oracles``:
+    the shifted quantum degrees by choice vector, and the edge maps."""
+    return {bits: v.q_degrees for bits, v in cx.vertices.items()}, cx.edge_maps

@@ -34,6 +34,18 @@ Exact solve oracle
 ``fraction_solve`` solves ``G @ X = R`` by Gauss-Jordan elimination over
 the rationals (``fractions.Fraction``), the reference for the package's
 integer-only solve.
+
+Dense cube oracle
+-----------------
+A resolution cube is given as plain data: ``q_degrees`` maps each choice
+vector ``bits`` to the shifted quantum degrees of its basis, and
+``edge_maps`` maps ``(bits, c)`` (``bits[c] == 0``) to the integer
+matrix of the edge that switches crossing ``c``, rows indexed by the
+target's basis.  The edge is signed ``(-1)**(bits[0] + ... + bits[c-1])``
+here, independently of the package.  ``dense_differential`` assembles
+the full matrix between two weights (optionally one quantum degree of
+it), with generators ordered by ``bits`` then basis index;
+``d_squared_is_zero`` and ``squares_anticommute`` multiply them densely.
 """
 
 from __future__ import annotations
@@ -216,3 +228,87 @@ def fraction_solve(gram, rhs) -> tuple[tuple[int, ...], ...]:
             row.append(int(x))
         out.append(tuple(row))
     return tuple(out)
+
+
+Bits = tuple[int, ...]
+
+
+def _edge_sign(bits: Bits, c: int) -> int:
+    return -1 if sum(bits[:c]) % 2 else 1
+
+
+def _switched(bits: Bits, c: int) -> Bits:
+    return bits[:c] + (1,) + bits[c + 1 :]
+
+
+def _dense_mul(a, b) -> list[list[int]]:
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [
+        [sum(row[t] * b[t][c] for t in range(inner)) for c in range(cols)]
+        for row in a
+    ]
+
+
+def cube_generators(q_degrees, weight: int, q=None) -> list[tuple[Bits, int]]:
+    """The generators ``(bits, k)`` with ``weight`` choice-1 crossings (of
+    quantum degree ``q`` when given), by ``bits`` then ``k``."""
+    return [
+        (bits, k)
+        for bits in sorted(q_degrees)
+        if sum(bits) == weight
+        for k, deg in enumerate(q_degrees[bits])
+        if q is None or deg == q
+    ]
+
+
+def dense_differential(q_degrees, edge_maps, weight: int, q=None) -> list[list[int]]:
+    """The signed cube differential from ``weight`` to ``weight + 1`` as a
+    dense list of rows (restricted to quantum degree ``q`` when given)."""
+    src = cube_generators(q_degrees, weight, q)
+    dst = {g: r for r, g in enumerate(cube_generators(q_degrees, weight + 1, q))}
+    rows = [[0] * len(src) for _ in dst]
+    for col, (bits, k) in enumerate(src):
+        for c, bit in enumerate(bits):
+            if bit:
+                continue
+            target = _switched(bits, c)
+            mat = edge_maps[(bits, c)]
+            for r, row in enumerate(mat):
+                if row[k] and (target, r) in dst:
+                    rows[dst[(target, r)]][col] += _edge_sign(bits, c) * row[k]
+    return rows
+
+
+def d_squared_is_zero(q_degrees, edge_maps) -> bool:
+    """Every composite of two consecutive full differentials is zero."""
+    n = len(next(iter(q_degrees)))
+    for w in range(n - 1):
+        prod = _dense_mul(
+            dense_differential(q_degrees, edge_maps, w + 1),
+            dense_differential(q_degrees, edge_maps, w),
+        )
+        if any(x for row in prod for x in row):
+            return False
+    return True
+
+
+def squares_anticommute(edge_maps) -> bool:
+    """Around every square face of the cube the two signed composites
+    sum to zero."""
+    for bits, b in edge_maps:
+        for c in range(b + 1, len(bits)):
+            if bits[c]:
+                continue
+            via_b, via_c = _switched(bits, b), _switched(bits, c)
+            first = _dense_mul(edge_maps[(via_b, c)], edge_maps[(bits, b)])
+            second = _dense_mul(edge_maps[(via_c, b)], edge_maps[(bits, c)])
+            s1 = _edge_sign(via_b, c) * _edge_sign(bits, b)
+            s2 = _edge_sign(via_c, b) * _edge_sign(bits, c)
+            if any(
+                s1 * f + s2 * g
+                for frow, grow in zip(first, second)
+                for f, g in zip(frow, grow)
+            ):
+                return False
+    return True

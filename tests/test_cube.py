@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import corpus
+from artifact import corpus, cube
 from artifact.algebra import LaurentPoly, quantum_integer
 from artifact.cube import (
     BigradedHomology,
@@ -16,14 +17,19 @@ from artifact.cube import (
     GradedChainComplex,
     build_complex,
     check_invariance,
+    differential_blocks,
     euler_characteristic,
     homology,
     homology_json,
     link_homology,
     smith_diagonal,
+    sparse_smith_diagonal,
 )
 from artifact.diagram import parse_pd
 from artifact.web import link_bracket
+
+from .helpers import cube_data
+from .oracles import d_squared_is_zero, dense_differential, squares_anticommute
 
 
 # ==========================================================================
@@ -109,6 +115,124 @@ def test_smith_first_entry_is_gcd_of_entries(mat):
 
 
 # ==========================================================================
+# sparse Smith normal form: unit pivots first, then the dense remainder
+# ==========================================================================
+
+
+def _columns(mat, n_cols=None):
+    """The sparse columns ``{row: value}`` of a dense matrix (``n_cols``
+    is needed when it has no rows)."""
+    if n_cols is None:
+        n_cols = len(mat[0]) if mat else 0
+    return [{r: row[c] for r, row in enumerate(mat) if row[c]} for c in range(n_cols)]
+
+
+def _unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1: a permutation
+    with random signs, then random elementary row operations."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    u = [[0] * n for _ in range(n)]
+    for r in range(n):
+        u[r][perm[r]] = rng.choice((1, -1))
+    for _ in range(2 * n if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        f = rng.randint(-2, 2)
+        u[a] = [x + f * y for x, y in zip(u[a], u[b])]
+    return u
+
+
+def _mul(a, b):
+    cols = range(len(b[0]))
+    return [[sum(x * b[t][c] for t, x in enumerate(row)) for c in cols] for row in a]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_smith_matches_dense_on_planted_torsion(seed):
+    rng = random.Random(seed)
+    n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+    # a divisor chain with planted torsion, then possibly zeros
+    chain, d = [], 1
+    for _ in range(rng.randint(0, min(n_rows, n_cols))):
+        d *= rng.choice((1, 1, 2, 3, 3))
+        chain.append(d)
+    diag = [[0] * n_cols for _ in range(n_rows)]
+    for t, x in enumerate(chain):
+        diag[t][t] = x
+    mat = _mul(_mul(_unimodular(rng, n_rows), diag), _unimodular(rng, n_cols))
+    cols = _columns(mat)
+    before = [dict(c) for c in cols]
+    assert sparse_smith_diagonal(cols) == smith_diagonal(mat) == chain
+    assert cols == before
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_smith_matches_dense_on_random_matrices(seed):
+    rng = random.Random(1000 + seed)
+    n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 9)
+    entries = (0, 0, 0, 1, -1, 2, -2, 3, 6, 9)
+    mat = [[rng.choice(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+    assert sparse_smith_diagonal(_columns(mat)) == smith_diagonal(mat)
+
+
+def _recording_smith(monkeypatch):
+    calls = []
+
+    def record(mat):
+        calls.append([list(row) for row in mat])
+        return smith_diagonal(mat)
+
+    monkeypatch.setattr(cube, "smith_diagonal", record)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sparse_smith_without_units_is_the_dense_path(seed, monkeypatch):
+    rng = random.Random(2000 + seed)
+    n = rng.randint(1, 6)
+    mat = [[2 * rng.randint(-4, 4) for _ in range(n + 1)] for _ in range(n)]
+    mat[0][0] = 6
+    calls = _recording_smith(monkeypatch)
+    assert sparse_smith_diagonal(_columns(mat)) == smith_diagonal(mat)
+    # one dense call, on every nonzero entry of the matrix
+    assert len(calls) == 1
+    assert _nonzero(calls[0]) == _nonzero(mat)
+
+
+def _nonzero(mat):
+    return sorted(x for row in mat for x in row if x)
+
+
+def test_sparse_smith_known_small_cases(monkeypatch):
+    calls = _recording_smith(monkeypatch)
+    assert sparse_smith_diagonal(_columns([[2, 3], [4, 5]])) == [1, 2]
+    assert calls == [[[2, 3], [4, 5]]]
+    calls.clear()
+    assert sparse_smith_diagonal(_columns([[1, 1], [1, -1]])) == [1, 2]
+    assert calls == [[[-2]]]
+    calls.clear()
+    identity = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
+    assert sparse_smith_diagonal(_columns(identity)) == [1, 1, 1]
+    assert sparse_smith_diagonal([]) == []
+    assert sparse_smith_diagonal([{}, {}]) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(corpus.fixture_diagrams()))
+def test_sparse_blocks_match_dense_oracle(name):
+    cx = build_complex(corpus.fixture_diagrams()[name])
+    q_degrees, edge_maps = cube_data(cx)
+    dims, blocks = differential_blocks(cx)
+    assert sum(dims.values()) == sum(len(q) for q in q_degrees.values())
+    for (i, j), cols in blocks.items():
+        dense = dense_differential(q_degrees, edge_maps, i + cx.p_minus, j)
+        assert len(cols) == dims[(i, j)]
+        assert len(dense) == dims.get((i + 1, j), 0)
+        assert _columns(dense, len(cols)) == cols, (i, j)
+        assert sparse_smith_diagonal(cols) == smith_diagonal(dense), (i, j)
+
+
+# ==========================================================================
 # cube structure
 # ==========================================================================
 
@@ -183,8 +307,9 @@ def test_graded_group_dimension_of_kink():
 )
 def test_squares_anticommute_and_d_squared_zero(name):
     cx = build_complex(corpus.fixture_diagrams()[name])
-    assert cx.squares_anticommute()
-    assert cx.d_squared_is_zero()
+    q_degrees, edge_maps = cube_data(cx)
+    assert squares_anticommute(edge_maps)
+    assert d_squared_is_zero(q_degrees, edge_maps)
 
 
 def test_chain_euler_equals_homology_euler():
@@ -193,10 +318,34 @@ def test_chain_euler_equals_homology_euler():
 
 
 def test_threaded_build_matches_serial():
+    # the vertices and edge maps determine every differential
     serial = build_complex(corpus.HOPF, threads=1)
     threaded = build_complex(corpus.HOPF, threads=3)
-    for i in range(*serial.hom_range()):
-        assert serial.differential(i) == threaded.differential(i)
+    assert serial.vertices == threaded.vertices
+    assert serial.edge_maps == threaded.edge_maps
+    assert list(serial.edge_maps) == list(threaded.edge_maps)
+
+
+def test_broken_edge_map_fails_the_d_squared_check():
+    cx = build_complex(corpus.TREFOIL)
+    q_degrees, edge_maps = cube_data(cx)
+    for key in sorted(edge_maps):
+        mat = edge_maps[key]
+        for r, row in enumerate(mat):
+            for k, entry in enumerate(row):
+                if not entry:
+                    continue
+                broken = dict(edge_maps)
+                broken[key] = tuple(
+                    tuple(-x if (rr, kk) == (r, k) else x for kk, x in enumerate(rw))
+                    for rr, rw in enumerate(mat)
+                )
+                if not d_squared_is_zero(q_degrees, broken):
+                    cx.edge_maps = broken
+                    with pytest.raises(ComplexError, match="does not square to zero"):
+                        homology(cx)
+                    return
+    pytest.fail("no single negated entry breaks d*d = 0")
 
 
 # ==========================================================================
@@ -283,6 +432,19 @@ def test_mirror_homology_transposes_free_ranks():
         h = link_homology(d)
         hm = link_homology(d.mirror())
         assert {(-i, -j): r for (i, j), r in h.free_ranks().items()} == hm.free_ranks()
+
+
+TORUS_5_1 = "X(1,6,2,7) X(3,8,4,9) X(5,10,6,1) X(7,2,8,3) X(9,4,10,5)"
+
+
+def test_torus_knot_5_1_euler_and_torsion():
+    d = parse_pd(TORUS_5_1)
+    h = link_homology(d)
+    assert euler_characteristic(h) == link_bracket(d)
+    assert {(i, j): t for i, j, _r, t in h.entries if t} == {
+        (3, -14): (3,),
+        (5, -18): (3,),
+    }
 
 
 def test_figure_eight_free_ranks_are_self_transpose():

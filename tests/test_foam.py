@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from artifact import foam
 from artifact.algebra import quantum_integer, theta_symbol
 from artifact.foam import (
     Birth,
@@ -26,6 +27,8 @@ from artifact.foam import (
     Unzip,
     Zip,
     _GLUE_PLANS,
+    _SHAPE_IDS,
+    _intern_shape,
     apply_move,
     cap_movies,
     clear_evaluation_cache,
@@ -341,8 +344,10 @@ def test_half_requires_the_empty_start():
 
 
 def _reshaped(h: HalfFoam, **fields) -> HalfFoam:
-    """``h`` with the given fields of its shape replaced."""
-    return h._replace(shape=h.shape._replace(**fields))
+    """``h`` with the given fields of its shape replaced (and the new
+    shape's id)."""
+    shape = h.shape._replace(**fields)
+    return h._replace(shape=shape, shape_id=_intern_shape(shape))
 
 
 def _relabelled(h: HalfFoam, facet: int, twice_chi_shift: int) -> HalfFoam:
@@ -386,7 +391,7 @@ def test_glue_rejects_odd_euler_characteristic():
 def test_glue_plan_does_not_skip_label_checks():
     h = lens_half(0, 0, 0).half()
     assert evaluate(glue(h, h)) == theta_symbol(0, 0, 0)
-    assert (h.shape, h.shape) in _GLUE_PLANS
+    assert (h.shape_id, h.shape_id) in _GLUE_PLANS
     # same shapes as the glue above, so these reuse its plan
     with pytest.raises(MalformedMovie, match="odd Euler characteristic"):
         glue(h, _relabelled(h, 0, 1))
@@ -408,18 +413,50 @@ def test_malformed_shape_raises_on_every_call():
             glue(h, flipped)
         with pytest.raises(MalformedMovie, match="no sink"):
             glue(sinkless, sinkless)
-    assert (h.shape, flipped.shape) not in _GLUE_PLANS
-    assert (sinkless.shape, sinkless.shape) not in _GLUE_PLANS
+    assert (h.shape_id, flipped.shape_id) not in _GLUE_PLANS
+    assert (sinkless.shape_id, sinkless.shape_id) not in _GLUE_PLANS
 
 
 def test_clear_evaluation_cache_empties_glue_plans():
     h = lens_half(1, 0, 2).half()
     before = glue(h, h)
-    assert (h.shape, h.shape) in _GLUE_PLANS
+    assert (h.shape_id, h.shape_id) in _GLUE_PLANS
     clear_evaluation_cache()
     assert not _GLUE_PLANS
+    assert not _SHAPE_IDS
     assert glue(h, h) == before
-    assert (h.shape, h.shape) in _GLUE_PLANS
+    assert (h.shape_id, h.shape_id) in _GLUE_PLANS
+
+
+def _glue_unplanned(a: HalfFoam, b: HalfFoam):
+    """``glue(a, b)`` through a freshly built plan, with no stored one."""
+    saved = foam._GLUE_PLANS
+    foam._GLUE_PLANS = {}
+    try:
+        return glue(a, b)
+    finally:
+        foam._GLUE_PLANS = saved
+
+
+def test_shape_ids_are_equal_for_equal_shapes():
+    a, b = lens_half(1, 0, 2).half(), lens_half(0, 2, 0).half()
+    assert a.shape == b.shape and a.shape_id == b.shape_id
+    loop = FoamMovie(Web.empty(), (Birth(-1, None, True),)).half()
+    assert loop.shape != a.shape and loop.shape_id != a.shape_id
+
+
+def test_half_cached_before_a_clear_never_finds_another_shapes_plan():
+    clear_evaluation_cache()
+    old = lens_half(1, 0, 2).half()
+    assert glue(old, old) == _glue_unplanned(old, old)
+    clear_evaluation_cache()
+    # the first shape interned after the clear: a restarted counter
+    # would give it the id ``old`` still carries
+    new = FoamMovie(Web.empty(), (Birth(-1, None, True),)).half()
+    assert new.shape != old.shape and new.shape_id != old.shape_id
+    assert glue(old, old) == _glue_unplanned(old, old)
+    assert glue(new, new) == _glue_unplanned(new, new)
+    assert glue(old, old) == _glue_unplanned(old, old)
 
 
 # --------------------------------------------------------------------------
