@@ -42,6 +42,7 @@ from .diagram import (
     diagram_from_json,
     parse_pd,
     resolution_edge_movie,
+    resolutions,
 )
 from .foam import MalformedMovie, MoveError
 from .selftest import run_selftest
@@ -82,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         help="output format (json output is byte-deterministic)",
     )
-    p.add_argument("--threads", type=int, default=1, help="worker threads (>= 1)")
     p.add_argument(
         "--cache-dir",
         default=None,
@@ -221,9 +221,22 @@ def _resolve_cache(args: argparse.Namespace) -> _Cache:
     return _Cache(directory)
 
 
-def _homology_key(d: LinkDiagram) -> str:
-    canonical = json.dumps(d.to_json_dict(), sort_keys=True, separators=(",", ":"))
+def _homology_key(diagram: dict) -> str:
+    canonical = json.dumps(diagram, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(f"homology|v1|{canonical}".encode()).hexdigest()
+
+
+_HOMOLOGY_FIELDS = {"diagram", "bracket", "homology", "euler_check"}
+
+
+def _is_homology_payload(payload, diagram: dict) -> bool:
+    """Whether a cache entry is a homology report of ``diagram``; any
+    other entry (damaged, or another diagram's) is a miss."""
+    return (
+        isinstance(payload, dict)
+        and _HOMOLOGY_FIELDS <= payload.keys()
+        and payload["diagram"] == diagram
+    )
 
 
 # --------------------------------------------------------------------------
@@ -266,8 +279,7 @@ def _mode_webs(args, out) -> int:
     d = _load_diagram(args)
     n = d.n_crossings
     entries = []
-    for mask in range(1 << n):
-        bits = tuple((mask >> k) & 1 for k in range(n))
+    for bits in resolutions(n):
         web = d.flatten(bits)
         entry = {
             "resolution": list(bits),
@@ -279,8 +291,7 @@ def _mode_webs(args, out) -> int:
     payload = {"diagram": d.to_json_dict(), "webs": entries}
     if args.dump_foams:
         edges = []
-        for mask in range(1 << n):
-            bits = tuple((mask >> k) & 1 for k in range(n))
+        for bits in resolutions(n):
             for c in range(n):
                 if bits[c] == 0:
                     movie = resolution_edge_movie(d, bits, c)
@@ -304,10 +315,11 @@ def _mode_webs(args, out) -> int:
 def _mode_homology(args, out) -> int:
     d = _load_diagram(args)
     cache = _resolve_cache(args)
-    key = _homology_key(d)
+    diagram = d.to_json_dict()
+    key = _homology_key(diagram)
     payload = cache.get(key)
-    if payload is None:
-        payload = homology_json(d, threads=args.threads)
+    if not _is_homology_payload(payload, diagram):
+        payload = homology_json(d)
         cache.put(key, payload)
     if args.format == "json":
         _emit_json(payload, out)
@@ -321,7 +333,7 @@ def _mode_invariance(args, out) -> int:
     results = []
     all_passed = True
     for name, d1, d2 in pairs:
-        report = check_invariance(d1, d2, threads=args.threads)
+        report = check_invariance(d1, d2)
         all_passed = all_passed and report.passed
         results.append((name, report))
     if args.format == "json":
@@ -380,8 +392,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = sys.stdout
     try:
         args = build_parser().parse_args(argv)
-        if args.threads < 1:
-            raise _UsageError("--threads must be at least 1")
         if args.closures < 1:
             raise _UsageError("--closures must be at least 1")
         return _MODES[args.mode](args, out)

@@ -12,10 +12,11 @@ the cube anticommute, so the column sums form a differential with
 
 Homology is computed exactly over the integers: the complex is split by
 quantum degree, each block of the differential built sparse (a
-``{row: value}`` dict per column) in one walk over the edge maps, and
-``d*d = 0`` checked on every block and every column as a sparse product,
-a hard error.  Each block's Smith normal form yields free ranks and
-torsion orders; it is found by cancelling unit pivots first (the
+``{row: value}`` dict per column) in one walk over the edge maps that
+also checks every entry preserves the shifted degree, and ``d*d = 0``
+checked on every block and every column as a sparse product; either
+failure is a hard error.  Each block's Smith normal form yields free
+ranks and torsion orders; it is found by cancelling unit pivots first (the
 Gaussian elimination of Bar-Natan's "Fast Khovanov homology
 computations", smallest Markowitz cost first), which leaves a small
 remainder for the dense ``smith_diagonal``.  The graded Euler
@@ -28,12 +29,11 @@ diagrams.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .algebra import LaurentPoly
-from .diagram import LinkDiagram, resolution_edge_movie
+from .diagram import LinkDiagram, resolution_edge_movie, resolutions
 from .web import link_bracket
 from .webhom import IntMatrix, induced_matrix, state_space
 
@@ -226,75 +226,35 @@ class CubeVertex:
 class GradedChainComplex:
     """The totalized, signed resolution cube of a diagram.
 
-    Generators at homological degree ``i`` are pairs ``(bits, k)`` —
-    a flattening with ``i + p_minus`` choice-1 crossings and a basis
-    index of its state space — ordered by ``bits`` then ``k``.  The
-    integer differential acts between consecutive degrees and preserves
-    the shifted quantum degree.
+    The generators at homological degree ``i`` are the basis elements of
+    the state spaces of the flattenings with ``i + p_minus`` choice-1
+    crossings.  ``differential_blocks`` numbers them and assembles the
+    integer differential, which acts between consecutive degrees and
+    preserves the shifted quantum degree.
     """
 
-    def __init__(self, diagram: LinkDiagram, threads: int = 1) -> None:
+    def __init__(self, diagram: LinkDiagram) -> None:
         self.diagram = diagram
         n = diagram.n_crossings
         self.p_plus = diagram.positive_count
         self.p_minus = diagram.negative_count
         self.vertices: Dict[Tuple[int, ...], CubeVertex] = {}
-        for weight in range(n + 1):
-            for bits in _bit_vectors(n, weight):
-                shift = 3 * self.p_minus - 2 * self.p_plus - weight
-                space = state_space(diagram.flatten(bits))
-                self.vertices[bits] = CubeVertex(
-                    bits=bits,
-                    shift=shift,
-                    hom_degree=weight - self.p_minus,
-                    q_degrees=tuple(d + shift for d in space.degrees),
-                )
-        edge_keys = [
-            (bits, c)
+        for bits in sorted(resolutions(n), key=sum):
+            weight = sum(bits)
+            shift = 3 * self.p_minus - 2 * self.p_plus - weight
+            space = state_space(diagram.flatten(bits))
+            self.vertices[bits] = CubeVertex(
+                bits=bits,
+                shift=shift,
+                hom_degree=weight - self.p_minus,
+                q_degrees=tuple(d + shift for d in space.degrees),
+            )
+        self.edge_maps: Dict[Tuple[Tuple[int, ...], int], IntMatrix] = {
+            (bits, c): induced_matrix(resolution_edge_movie(diagram, bits, c))
             for bits in self.vertices
             for c in range(n)
             if bits[c] == 0
-        ]
-        self.edge_maps: Dict[Tuple[Tuple[int, ...], int], IntMatrix] = {}
-        if threads > 1 and len(edge_keys) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for key, mat in zip(
-                    edge_keys, pool.map(self._edge_matrix, edge_keys)
-                ):
-                    self.edge_maps[key] = mat
-        else:
-            for key in edge_keys:
-                self.edge_maps[key] = self._edge_matrix(key)
-        self._check_degrees()
-        self._generators: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {
-            i: [] for i in range(-self.p_minus, self.p_plus + 1)
         }
-        for bits in sorted(self.vertices):
-            v = self.vertices[bits]
-            self._generators[v.hom_degree].extend(
-                (bits, k) for k in range(len(v.q_degrees))
-            )
-
-    def _check_degrees(self) -> None:
-        """Every nonzero edge-map entry must connect generators of equal
-        shifted quantum degree, else per-degree splitting would be lossy."""
-
-        for (bits, c), mat in self.edge_maps.items():
-            src = self.vertices[bits]
-            dst = self.vertices[
-                tuple(1 if a == c else b for a, b in enumerate(bits))
-            ]
-            for r, row in enumerate(mat):
-                for k, entry in enumerate(row):
-                    if entry and dst.q_degrees[r] != src.q_degrees[k]:
-                        raise ComplexError(
-                            "edge map does not preserve shifted degree at "
-                            f"bits={bits}, crossing={c}"
-                        )
-
-    def _edge_matrix(self, key: Tuple[Tuple[int, ...], int]) -> IntMatrix:
-        bits, c = key
-        return induced_matrix(resolution_edge_movie(self.diagram, bits, c))
 
     # -- structure ---------------------------------------------------------
 
@@ -305,52 +265,11 @@ class GradedChainComplex:
     def hom_range(self) -> Tuple[int, int]:
         return (-self.p_minus, self.p_plus)
 
-    def generators(self, i: int) -> List[Tuple[Tuple[int, ...], int]]:
-        return list(self._generators.get(i, []))
 
-    def generator_q_degree(self, gen: Tuple[Tuple[int, ...], int]) -> int:
-        bits, k = gen
-        return self.vertices[bits].q_degrees[k]
-
-    def group_dimension(self, i: int) -> int:
-        return len(self._generators.get(i, []))
-
-    def graded_group_dimension(self, i: int) -> LaurentPoly:
-        total = LaurentPoly.zero()
-        for g in self._generators.get(i, []):
-            total = total + LaurentPoly.monomial(self.generator_q_degree(g))
-        return total
-
-    def graded_euler_characteristic(self) -> LaurentPoly:
-        """Alternating sum of graded group dimensions (no homology)."""
-
-        total = LaurentPoly.zero()
-        lo, hi = self.hom_range()
-        for i in range(lo, hi + 1):
-            term = self.graded_group_dimension(i)
-            total = total + (term if i % 2 == 0 else -term)
-        return total
-
-
-def _bit_vectors(n: int, weight: int):
-    if n == 0:
-        if weight == 0:
-            yield ()
-        return
-    for bits in _all_bits(n):
-        if sum(bits) == weight:
-            yield bits
-
-
-def _all_bits(n: int):
-    for mask in range(1 << n):
-        yield tuple((mask >> k) & 1 for k in range(n))
-
-
-def build_complex(d: LinkDiagram, threads: int = 1) -> GradedChainComplex:
+def build_complex(d: LinkDiagram) -> GradedChainComplex:
     """Assemble the signed resolution cube of a diagram."""
 
-    return GradedChainComplex(d, threads=threads)
+    return GradedChainComplex(d)
 
 
 # --------------------------------------------------------------------------
@@ -399,12 +318,14 @@ def differential_blocks(
 ) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple[int, int], List[SparseColumn]]]:
     """The per-quantum-degree differentials of the cube, sparse.
 
-    Generators of bidegree ``(i, j)`` are numbered ``0, 1, ...`` in
-    ``generators(i)`` order (by ``bits``, then basis index).  Returns
-    the number of generators of each bidegree and, for each, the
-    columns of ``d_i`` restricted to quantum degree ``j``: column ``c``
-    maps the rows (generators of ``(i + 1, j)``) it reaches to their
-    signed edge-map entries.  Built in one walk over the edge maps.
+    Generators of bidegree ``(i, j)`` are numbered ``0, 1, ...`` by
+    ``bits``, then basis index.  Returns the number of generators of
+    each bidegree and, for each, the columns of ``d_i`` restricted to
+    quantum degree ``j``: column ``c`` maps the rows (generators of
+    ``(i + 1, j)``) it reaches to their signed edge-map entries.  Built
+    in one walk over the edge maps, which raises ``ComplexError`` if a
+    nonzero entry joins generators of different shifted quantum degree
+    (splitting by degree would lose it).
     """
 
     dims: Dict[Tuple[int, int], int] = {}
@@ -423,12 +344,19 @@ def differential_blocks(
         src = [
             blocks[(v.hom_degree, q)][n] for q, n in zip(v.q_degrees, number[bits])
         ]
-        dst = number[bits[:c] + (1,) + bits[c + 1 :]]
+        target = bits[:c] + (1,) + bits[c + 1 :]
+        dst = number[target]
+        src_q, dst_q = v.q_degrees, cx.vertices[target].q_degrees
         # each (source, target) generator pair lies on exactly one edge,
         # so every entry is written once
         for r, row in enumerate(mat):
             for k, entry in enumerate(row):
                 if entry:
+                    if dst_q[r] != src_q[k]:
+                        raise ComplexError(
+                            "edge map does not preserve shifted degree at "
+                            f"bits={bits}, crossing={c}"
+                        )
                     src[k][dst[r]] = sign * entry
     return dims, blocks
 
@@ -437,7 +365,9 @@ def homology(cx: GradedChainComplex) -> BigradedHomology:
     """Exact integer homology of the cube complex, split by quantum
     degree.
 
-    The per-q differentials are built sparse (``differential_blocks``).
+    The per-q differentials are built sparse (``differential_blocks``,
+    whose walk also checks that every edge map preserves the shifted
+    degree).
     ``d_{i+1} d_i = 0`` is checked on every block and every column, as
     a sparse product, before anything else reads them; a nonzero entry
     raises ``ComplexError``.  Each block is then diagonalized by
@@ -474,8 +404,8 @@ def homology(cx: GradedChainComplex) -> BigradedHomology:
     return BigradedHomology(entries=tuple(entries))
 
 
-def link_homology(d: LinkDiagram, threads: int = 1) -> BigradedHomology:
-    return homology(build_complex(d, threads=threads))
+def link_homology(d: LinkDiagram) -> BigradedHomology:
+    return homology(build_complex(d))
 
 
 def euler_characteristic(h: BigradedHomology) -> LaurentPoly:
@@ -517,13 +447,13 @@ class InvarianceReport:
         }
 
 
-def check_invariance(d1: LinkDiagram, d2: LinkDiagram, threads: int = 1) -> InvarianceReport:
+def check_invariance(d1: LinkDiagram, d2: LinkDiagram) -> InvarianceReport:
     """Compare the bigraded homology tables of two diagrams; they agree
     exactly (ranks and torsion per bidegree) when the diagrams present
     the same link."""
 
-    h1 = link_homology(d1, threads=threads)
-    h2 = link_homology(d2, threads=threads)
+    h1 = link_homology(d1)
+    h2 = link_homology(d2)
     keys = {(i, j) for i, j, _r, _t in h1.entries}
     keys |= {(i, j) for i, j, _r, _t in h2.entries}
     diffs = []
@@ -537,12 +467,12 @@ def check_invariance(d1: LinkDiagram, d2: LinkDiagram, threads: int = 1) -> Inva
     )
 
 
-def homology_json(d: LinkDiagram, threads: int = 1) -> dict:
+def homology_json(d: LinkDiagram) -> dict:
     """The diagram's homology report in the interchange shape:
     diagram, bracket text, homology table, and the Euler-characteristic
     cross-check flag."""
 
-    h = link_homology(d, threads=threads)
+    h = link_homology(d)
     bracket = link_bracket(d)
     return {
         "diagram": d.to_json_dict(),

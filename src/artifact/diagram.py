@@ -510,6 +510,12 @@ def _check_planarity(xs, occ) -> None:
 # --------------------------------------------------------------------------
 
 
+def resolutions(n: int) -> list[tuple[int, ...]]:
+    """Every choice vector over ``n`` crossings, in mask order: entry
+    ``k`` of the vector for ``mask`` is bit ``k`` of ``mask``."""
+    return [tuple((mask >> k) & 1 for k in range(n)) for mask in range(1 << n)]
+
+
 @dataclass(frozen=True)
 class Flattening:
     """A resolution choice: the set of crossings resolved at choice 1."""

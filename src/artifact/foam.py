@@ -33,9 +33,9 @@ empty web) therefore determines:
   up move by move, a dot count, and boundary slots on singular circles;
 * its singular circles: each a cyclic triple of facets.
 
-``extract_prefoam`` computes that data, and ``evaluate`` turns it into
-an exact integer using the three-sheet circle rule and the closed-surface
-values of the algebra module.
+That data is a ``PreFoam``; ``evaluate`` turns it into an exact integer
+using the three-sheet circle rule and the closed-surface values of the
+algebra module.
 
 *Half foams.*  A movie from the empty web to a web ``W`` is swept once
 (``FoamMovie.half``) and its end state reduced to a ``HalfFoam``, split
@@ -52,8 +52,7 @@ canonical numbering of the result - is a *glue plan*, built once per
 pair of shapes and kept in ``_GLUE_PLANS`` under the two shapes' small
 ids (``_intern_shape``, given once when a half is built), so finding a
 plan hashes no shape; each call only adds the two halves' labels
-through it and checks the resulting facets.  ``glue`` and
-``extract_prefoam`` share one canonical numbering.
+through it and checks the resulting facets.
 
 Grading: a movie has a degree (birth/death -2, dot +2, zip/unzip +1,
 cup/cap -1, saddle +2, frame 0); a closed movie of nonzero degree always
@@ -1774,31 +1773,6 @@ def _facet_genera(
     return tuple(out)
 
 
-def extract_prefoam(movie: FoamMovie) -> PreFoam:
-    """Run the movie and return its facet/circle shadow.
-
-    The movie must be closed: it must start and end at the empty web and
-    leave no unfinished seam arcs.
-    """
-    if not movie.start.is_empty():
-        raise MalformedMovie("a closed movie must start at the empty web")
-    state = _sweep(movie)
-    if not movie.end.is_empty():
-        raise MalformedMovie("a closed movie must end at the empty web")
-    if state.arc_of_vertex:
-        raise MalformedMovie("the movie ends with unfinished seam arcs")
-    find = state.facets.find
-    index, slots, circles = _canonical_numbering(
-        state.chi, [(find(a), find(b), find(c)) for a, b, c in state.circles]
-    )
-    chi = [0] * len(index)
-    dots = [0] * len(index)
-    for root, i in index.items():
-        chi[i] = state.chi[root]
-        dots[i] = state.dots[root]
-    return PreFoam(_facet_genera(chi, dots, slots), circles)
-
-
 # ==========================================================================
 # half foams and gluing
 # ==========================================================================
@@ -1911,8 +1885,7 @@ def _intern_shape(shape: HalfShape) -> int:
     shape, even after a clear."""
     sid = _SHAPE_IDS.get(shape)
     if sid is None:
-        # threads that miss together agree on the id setdefault keeps
-        sid = _SHAPE_IDS.setdefault(shape, next(_SHAPE_COUNTER))
+        sid = _SHAPE_IDS[shape] = next(_SHAPE_COUNTER)
     return sid
 
 
@@ -2028,8 +2001,6 @@ def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
 
 _EVAL_MEMO: dict[PreFoam, int] = {}
 #: One glue plan per (first, second) pair of half shape ids glued so far.
-#: Threads that miss together each store an equal plan, so no lock is
-#: needed.
 _GLUE_PLANS: dict[tuple[int, int], _GluePlan] = {}
 #: The id of every half shape built since the last clear.  Ids come from
 #: a counter that never restarts, so a half cached before a clear keeps
@@ -2131,11 +2102,6 @@ def _evaluate_inner(
         return total
 
     return sign * base * rec(0, ())
-
-
-def evaluate_closed(movie: FoamMovie) -> int:
-    """Exact value of a closed movie (empty web to empty web)."""
-    return evaluate(extract_prefoam(movie))
 
 
 # ==========================================================================

@@ -76,7 +76,13 @@ class _Collector:
 
 def theta_web() -> Web:
     """Two vertices joined by three parallel edges (two bounded two-edge
-    faces)."""
+    faces).
+
+    Drawn with the source vertex on the left, the sink on the right and
+    the three edges (top, center, bottom) all running left to right.
+    Darts: 1/2 top edge (sink/source side), 3/4 center, 5/6 bottom.
+    Faces: (1,4) upper, (3,6) lower, (2,5) outer.
+    """
 
     return Web(
         sigma={1: 3, 3: 5, 5: 1, 4: 2, 2: 6, 6: 4},
@@ -89,7 +95,14 @@ def theta_web() -> Web:
 
 def digon_chain_web() -> Web:
     """Four vertices around a square whose top and bottom sides are
-    doubled, giving two two-edge faces flanking one four-edge face."""
+    doubled, giving two two-edge faces flanking one four-edge face.
+
+    Sources A (top left) and C (bottom right), sinks B (top right) and
+    D (bottom left).  Edges: A->B twice (darts 1/4 outer, 2/5 inner),
+    A->D (3/10), C->B (7/6), C->D twice (8/11 inner, 9/12 outer).
+    Faces: (2,4) top digon, (3,5,7,11) central square, (8,12) bottom
+    digon, (1,6,9,10) outer.
+    """
 
     return Web(
         sigma={
@@ -119,12 +132,14 @@ _CUBE_NEIGHBORS = {
     7: (6, 3, 4),
 }
 
+#: source vertices of the cube web (one bipartition class)
 _CUBE_SOURCES = {0, 2, 5, 7}
 
 
 def cube_web() -> Web:
     """The planar cube graph, edges oriented from one bipartition class
-    to the other; every face is four-sided."""
+    to the other; every face is four-sided.  The dart at vertex ``v``
+    toward its neighbor ``w`` is ``8*v + w + 1``."""
 
     sigma: dict = {}
     alpha: dict = {}

@@ -96,10 +96,6 @@ def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return mat_add(a, mat_neg(b))
 
 
-def mat_scale(c: int, a: IntMatrix) -> IntMatrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mat_power(a: IntMatrix, n: int) -> IntMatrix:
     out = identity_matrix(len(a))
     for _ in range(n):

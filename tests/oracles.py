@@ -1,8 +1,8 @@
 """Independent oracles used to fix expected values in the test suite.
 
-These helpers deliberately avoid importing the package under test; they
-recompute target quantities from first principles so the tests compare two
-independent routes.
+These helpers recompute target quantities by a second route so the tests
+compare two independent ones.  All but the replay oracle avoid importing
+the package under test.
 
 Flag-variety trace oracle
 -------------------------
@@ -35,6 +35,14 @@ Exact solve oracle
 the rationals (``fractions.Fraction``), the reference for the package's
 integer-only solve.
 
+Replay oracle
+-------------
+``extract_prefoam`` runs a whole closed movie (empty web to empty web)
+through the package's sweep and reads its facets and singular circles
+off the final state, numbered by the same canonical numbering as
+``foam.glue``; ``evaluate_closed`` evaluates that.  Gluing two once-swept
+halves must give exactly what replaying their composite gives.
+
 Dense cube oracle
 -----------------
 A resolution cube is given as plain data: ``q_degrees`` maps each choice
@@ -53,6 +61,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
+
+from artifact.foam import (
+    FoamMovie,
+    MalformedMovie,
+    PreFoam,
+    _canonical_numbering,
+    _facet_genera,
+    _sweep,
+    evaluate,
+)
 
 # A polynomial in Z[x1, x2] is a dict {(i, j): coefficient} for x1^i * x2^j.
 FlagPoly = dict[tuple[int, int], int]
@@ -228,6 +246,36 @@ def fraction_solve(gram, rhs) -> tuple[tuple[int, ...], ...]:
             row.append(int(x))
         out.append(tuple(row))
     return tuple(out)
+
+
+def extract_prefoam(movie: FoamMovie) -> PreFoam:
+    """Run the movie and return its facet/circle shadow.
+
+    The movie must be closed: it must start and end at the empty web and
+    leave no unfinished seam arcs.
+    """
+    if not movie.start.is_empty():
+        raise MalformedMovie("a closed movie must start at the empty web")
+    state = _sweep(movie)
+    if not movie.end.is_empty():
+        raise MalformedMovie("a closed movie must end at the empty web")
+    if state.arc_of_vertex:
+        raise MalformedMovie("the movie ends with unfinished seam arcs")
+    find = state.facets.find
+    index, slots, circles = _canonical_numbering(
+        state.chi, [(find(a), find(b), find(c)) for a, b, c in state.circles]
+    )
+    chi = [0] * len(index)
+    dots = [0] * len(index)
+    for root, i in index.items():
+        chi[i] = state.chi[root]
+        dots[i] = state.dots[root]
+    return PreFoam(_facet_genera(chi, dots, slots), circles)
+
+
+def evaluate_closed(movie: FoamMovie) -> int:
+    """Exact value of a closed movie (empty web to empty web), by replay."""
+    return evaluate(extract_prefoam(movie))
 
 
 Bits = tuple[int, ...]

@@ -248,27 +248,26 @@ def test_homology_corrupt_cache_entry_is_recomputed(capsys, tmp_path):
     assert out2 == out1
 
 
-def test_homology_threads_flag(capsys):
-    code1, out1, _ = run_cli(
-        capsys,
-        ["--pd", TREFOIL_PD, "--mode", "homology", "--format", "json", "--no-cache"],
-    )
-    code2, out2, _ = run_cli(
-        capsys,
-        [
-            "--pd",
-            TREFOIL_PD,
-            "--mode",
-            "homology",
-            "--format",
-            "json",
-            "--no-cache",
-            "--threads",
-            "3",
-        ],
-    )
-    assert code1 == code2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize("entry_kind", ["empty-object", "json-list", "other-diagram"])
+def test_homology_malformed_cache_entry_is_recomputed(capsys, tmp_path, entry_kind):
+    cache_dir = tmp_path / "cache"
+    argv = ["--pd", TREFOIL_PD, "--mode", "homology", "--cache-dir", str(cache_dir)]
+    code1, out1, _ = run_cli(capsys, argv)
+    assert code1 == 0
+    (entry,) = cache_dir.iterdir()
+    good = entry.read_text(encoding="utf-8")
+    if entry_kind == "other-diagram":
+        other_dir = tmp_path / "other"
+        run_cli(capsys, ["--pd", KINK_PD, "--mode", "homology", "--cache-dir", str(other_dir)])
+        (other,) = other_dir.iterdir()
+        bad = other.read_text(encoding="utf-8")
+    else:
+        bad = {"empty-object": "{}", "json-list": "[1, 2, 3]"}[entry_kind]
+    entry.write_text(bad, encoding="utf-8")
+    code2, out2, err2 = run_cli(capsys, argv)
+    assert (code2, out2, err2) == (0, out1, "")
+    # the bad entry is overwritten with the recomputed report
+    assert entry.read_text(encoding="utf-8") == good
 
 
 # --------------------------------------------------------------------------
@@ -407,12 +406,13 @@ def test_bad_json_input_exits_1(capsys, tmp_path):
     assert code == 1
 
 
-def test_threads_must_be_positive(capsys):
-    code, _out, err = run_cli(
-        capsys, ["--pd", "", "--mode", "homology", "--threads", "0", "--no-cache"]
+def test_threads_flag_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, ["--pd", "", "--mode", "homology", "--threads", "2", "--no-cache"]
     )
     assert code == 1
-    assert "threads" in err
+    assert out == ""
+    assert "--threads" in err
 
 
 def test_pd_and_input_are_exclusive(capsys, tmp_path):
@@ -427,7 +427,7 @@ def test_pd_and_input_are_exclusive(capsys, tmp_path):
 def test_internal_error_exits_2(capsys, monkeypatch):
     from artifact.cube import ComplexError
 
-    def boom(d, threads):
+    def boom(d):
         raise ComplexError("synthetic failure")
 
     monkeypatch.setattr(cli, "homology_json", boom)

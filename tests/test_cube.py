@@ -29,7 +29,12 @@ from artifact.diagram import parse_pd
 from artifact.web import link_bracket
 
 from .helpers import cube_data
-from .oracles import d_squared_is_zero, dense_differential, squares_anticommute
+from .oracles import (
+    cube_generators,
+    d_squared_is_zero,
+    dense_differential,
+    squares_anticommute,
+)
 
 
 # ==========================================================================
@@ -237,11 +242,22 @@ def test_sparse_blocks_match_dense_oracle(name):
 # ==========================================================================
 
 
+def _graded_dimensions(cx):
+    """The graded dimension of each chain group, read off the generator
+    counts of ``differential_blocks``."""
+    dims, _blocks = differential_blocks(cx)
+    out = {}
+    for (i, j), n in dims.items():
+        out[i] = out.get(i, LaurentPoly.zero()) + LaurentPoly.monomial(j, n)
+    return out
+
+
 def test_positive_kink_chain_groups():
     cx = build_complex(corpus.UNKNOT_KINK_POS)
     assert cx.hom_range() == (0, 1)
-    assert cx.group_dimension(0) == 9
-    assert cx.group_dimension(1) == 6
+    graded = _graded_dimensions(cx)
+    assert graded[0].evaluate_at_one() == 9
+    assert graded[1].evaluate_at_one() == 6
     assert cx.vertices[(0,)].shift == -2
     assert cx.vertices[(1,)].shift == -3
     assert sorted(cx.vertices[(0,)].q_degrees) == [-6, -4, -4, -2, -2, -2, 0, 0, 2]
@@ -251,8 +267,9 @@ def test_positive_kink_chain_groups():
 def test_negative_kink_chain_groups():
     cx = build_complex(corpus.UNKNOT_KINK_NEG)
     assert cx.hom_range() == (-1, 0)
-    assert cx.group_dimension(-1) == 6
-    assert cx.group_dimension(0) == 9
+    graded = _graded_dimensions(cx)
+    assert graded[-1].evaluate_at_one() == 6
+    assert graded[0].evaluate_at_one() == 9
     assert cx.vertices[(0,)].shift == 3
     assert cx.vertices[(1,)].shift == 2
 
@@ -273,19 +290,26 @@ def test_edge_sign_counts_earlier_chosen_crossings():
 
 
 def test_generators_are_ordered_by_bits_then_index():
+    # the blocks number generators as the dense oracle does, by bits then
+    # basis index; the cube's vertices are in weight order instead
     cx = build_complex(corpus.HOPF)
-    gens = cx.generators(1)
+    q_degrees, edge_maps = cube_data(cx)
+    gens = cube_generators(q_degrees, 1)
     assert gens == sorted(gens)
-    bits_seen = [g[0] for g in gens]
-    assert bits_seen == sorted(bits_seen)
+    assert list(cx.vertices) != sorted(cx.vertices)
+    _dims, blocks = differential_blocks(cx)
+    for (i, j), cols in blocks.items():
+        dense = dense_differential(q_degrees, edge_maps, i + cx.p_minus, j)
+        assert _columns(dense, len(cols)) == cols, (i, j)
 
 
 def test_graded_group_dimension_of_kink():
     cx = build_complex(corpus.UNKNOT_KINK_POS)
     two_circles = quantum_integer(3) * quantum_integer(3)
     theta = quantum_integer(2) * quantum_integer(3)
-    assert cx.graded_group_dimension(0) == two_circles.shift(-2)
-    assert cx.graded_group_dimension(1) == theta.shift(-3)
+    graded = _graded_dimensions(cx)
+    assert graded[0] == two_circles.shift(-2)
+    assert graded[1] == theta.shift(-3)
 
 
 @pytest.mark.parametrize(
@@ -314,16 +338,10 @@ def test_squares_anticommute_and_d_squared_zero(name):
 
 def test_chain_euler_equals_homology_euler():
     cx = build_complex(corpus.TREFOIL)
-    assert cx.graded_euler_characteristic() == euler_characteristic(homology(cx))
-
-
-def test_threaded_build_matches_serial():
-    # the vertices and edge maps determine every differential
-    serial = build_complex(corpus.HOPF, threads=1)
-    threaded = build_complex(corpus.HOPF, threads=3)
-    assert serial.vertices == threaded.vertices
-    assert serial.edge_maps == threaded.edge_maps
-    assert list(serial.edge_maps) == list(threaded.edge_maps)
+    chain_euler = LaurentPoly.zero()
+    for i, term in _graded_dimensions(cx).items():
+        chain_euler = chain_euler + (term if i % 2 == 0 else -term)
+    assert chain_euler == euler_characteristic(homology(cx))
 
 
 def test_broken_edge_map_fails_the_d_squared_check():
@@ -537,7 +555,7 @@ def test_homology_json_reports_torsion():
 
 
 # ==========================================================================
-# degree bookkeeping is validated at build time
+# degree bookkeeping is validated by the walk that builds the blocks
 # ==========================================================================
 
 
@@ -550,6 +568,27 @@ def test_build_checks_degree_preservation():
             for k, entry in enumerate(row):
                 if entry:
                     assert dst.q_degrees[r] == src.q_degrees[k]
+
+
+def test_edge_map_entry_off_degree_fails_the_degree_check():
+    cx = build_complex(corpus.TREFOIL)
+    for (bits, c), mat in sorted(cx.edge_maps.items()):
+        src = cx.vertices[bits].q_degrees
+        dst = cx.vertices[bits[:c] + (1,) + bits[c + 1 :]].q_degrees
+        for r, row in enumerate(mat):
+            for k, entry in enumerate(row):
+                off = [r2 for r2, q in enumerate(dst) if q != src[k]]
+                if not (entry and off):
+                    continue
+                # move the entry to a row of another shifted degree (that
+                # row's entry is zero, as the map preserves degree)
+                moved = [list(rw) for rw in mat]
+                moved[r][k], moved[off[0]][k] = 0, entry
+                cx.edge_maps[(bits, c)] = tuple(map(tuple, moved))
+                with pytest.raises(ComplexError, match="does not preserve"):
+                    homology(cx)
+                return
+    pytest.fail("no edge-map entry can move to a row of another degree")
 
 
 def test_homology_accessors_default_to_trivial():

@@ -35,8 +35,6 @@ from artifact.foam import (
     cup_movies,
     dot_movie,
     evaluate,
-    evaluate_closed,
-    extract_prefoam,
     glue,
     identity_movie,
     inverse_move,
@@ -47,7 +45,7 @@ from artifact.foam import (
 )
 from artifact.web import Web, kuperberg_bracket
 from .helpers import cube_web, nested_loops_web, theta_web, theta_with_loop_inside
-from .oracles import evaluate_bruteforce, flag_theta
+from .oracles import evaluate_bruteforce, evaluate_closed, extract_prefoam, flag_theta
 
 # --------------------------------------------------------------------------
 # degree bookkeeping

@@ -9,7 +9,7 @@ import pytest
 
 from artifact.algebra import FrobeniusElement, LaurentPoly, quantum_integer
 from artifact.corpus import fixture_diagrams
-from artifact.diagram import resolution_edge_movie
+from artifact.diagram import resolution_edge_movie, resolutions
 from artifact.foam import (
     Birth,
     Dot,
@@ -17,7 +17,6 @@ from artifact.foam import (
     MalformedMovie,
     digon_movies,
     dot_movie,
-    evaluate_closed,
     identity_movie,
     square_split_movies,
 )
@@ -54,7 +53,7 @@ from .helpers import (
     theta_web,
     theta_with_loop_inside,
 )
-from .oracles import fraction_solve
+from .oracles import evaluate_closed, fraction_solve
 
 
 def circle_web(ccw: bool = True) -> Web:
@@ -278,8 +277,7 @@ def test_glued_pushed_pairings_match_the_replayed_closed_movies():
     checked = 0
     for d in fixture_diagrams().values():
         n = d.n_crossings
-        for mask in range(1 << n):
-            bits = tuple((mask >> k) & 1 for k in range(n))
+        for bits in resolutions(n):
             for c in range(n):
                 if bits[c]:
                     continue
@@ -382,8 +380,7 @@ def test_induced_matrices_solve_the_gram_system_on_cube_edges():
     checked = 0
     for d in fixture_diagrams().values():
         n = d.n_crossings
-        for mask in range(1 << n):
-            bits = tuple((mask >> k) & 1 for k in range(n))
+        for bits in resolutions(n):
             for c in range(n):
                 if bits[c] == 0:
                     _assert_solves_gram_system(resolution_edge_movie(d, bits, c))
