@@ -227,15 +227,39 @@ def _homology_key(diagram: dict) -> str:
 
 
 _HOMOLOGY_FIELDS = {"diagram", "bracket", "homology", "euler_check"}
+_ROW_FIELDS = {"i", "j", "rank", "torsion"}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_homology_row(row) -> bool:
+    return (
+        isinstance(row, dict)
+        and row.keys() == _ROW_FIELDS
+        and _is_int(row["i"])
+        and _is_int(row["j"])
+        and _is_int(row["rank"])
+        and row["rank"] >= 0
+        and isinstance(row["torsion"], list)
+        and all(_is_int(t) and t > 1 for t in row["torsion"])
+    )
 
 
 def _is_homology_payload(payload, diagram: dict) -> bool:
-    """Whether a cache entry is a homology report of ``diagram``; any
+    """Whether a cache entry is a homology report of ``diagram``: the
+    four report keys and no other, a bracket string, a boolean Euler
+    check and a list of ``i``/``j``/``rank``/``torsion`` rows.  Any
     other entry (damaged, or another diagram's) is a miss."""
     return (
         isinstance(payload, dict)
-        and _HOMOLOGY_FIELDS <= payload.keys()
+        and payload.keys() == _HOMOLOGY_FIELDS
         and payload["diagram"] == diagram
+        and isinstance(payload["bracket"], str)
+        and isinstance(payload["euler_check"], bool)
+        and isinstance(payload["homology"], list)
+        and all(_is_homology_row(row) for row in payload["homology"])
     )
 
 

@@ -12,7 +12,7 @@ the over-strand's direction, negative otherwise; equivalently, the
 over-strand of a positive crossing enters at the second tuple position
 and that of a negative crossing at the fourth.
 
-Flattening replaces every crossing with one of its two local pictures:
+A flattening replaces every crossing with one of its two local pictures:
 
 * the oriented smoothing -- two disjoint arcs following the strand
   orientations; or
@@ -72,10 +72,6 @@ _OUT_SLOTS = {1: (2, 3), -1: (1, 2)}
 #: arcs of a positive smoothing hug the southwest and northeast corners;
 #: those of a negative smoothing hug the southeast and northwest corners.
 _SMOOTH_EXIT = {1: {0: 3, 1: 2}, -1: {0: 1, 3: 2}}
-
-#: Quadrant of the disk between slot k and slot k+1 (counterclockwise).
-#: Quadrant indices double as region atoms: 4*c + k.
-_QUADRANTS = 4
 
 
 def _port(c: int, s: int) -> int:
@@ -178,7 +174,11 @@ class LinkDiagram:
         """
 
         xs = _check_tuples(crossings)
-        if not isinstance(free_loops, int) or free_loops < 0:
+        if (
+            not isinstance(free_loops, int)
+            or isinstance(free_loops, bool)
+            or free_loops < 0
+        ):
             raise MalformedDiagram("free_loops must be a non-negative integer")
         occ = _occurrences(xs)
         signs = _derive_signs(xs, occ, over_in)
@@ -190,11 +190,6 @@ class LinkDiagram:
     @property
     def n_crossings(self) -> int:
         return len(self.crossings)
-
-    def crossing_signs(self) -> list[int]:
-        """Signs of the crossings, +1 or -1, in crossing order."""
-
-        return list(self.signs)
 
     @property
     def positive_count(self) -> int:
@@ -246,14 +241,12 @@ class LinkDiagram:
 
     def flatten(self, resolution) -> Web:
         """The closed web obtained by resolving every crossing according
-        to ``resolution`` (a :class:`Flattening` or a 0/1 vector)."""
+        to ``resolution``, a vector with one 0 or 1 per crossing."""
 
         bits = self._bits_of(resolution)
         return _flatten_state(self, bits).web
 
     def _bits_of(self, resolution) -> tuple[int, ...]:
-        if isinstance(resolution, Flattening):
-            return resolution.bits(self.n_crossings)
         bits = tuple(resolution)
         if len(bits) != self.n_crossings or any(b not in (0, 1) for b in bits):
             raise MalformedDiagram(
@@ -326,13 +319,15 @@ def diagram_from_json(data) -> LinkDiagram:
     return LinkDiagram.from_crossings(crossings, over_in=over_in, free_loops=free_loops)
 
 
-def diagram_to_json(d: LinkDiagram) -> dict:
-    return d.to_json_dict()
-
-
 def _check_tuples(crossings) -> tuple[tuple[int, int, int, int], ...]:
+    if not isinstance(crossings, (list, tuple)):
+        raise MalformedDiagram(f"crossings must be a list, got {crossings!r}")
     xs = []
     for x in crossings:
+        if not isinstance(x, (list, tuple)):
+            raise MalformedDiagram(
+                f"crossing {x!r} must be a sequence of 4 arc labels"
+            )
         t = tuple(x)
         if len(t) != 4:
             raise MalformedDiagram(
@@ -391,14 +386,15 @@ def _derive_signs(xs, occ, over_in) -> tuple[int, ...]:
 
     n = len(xs)
     if over_in is not None:
-        over_in = list(over_in)
+        if not isinstance(over_in, (list, tuple)):
+            raise MalformedDiagram(f"over_in must be a list, got {over_in!r}")
         if len(over_in) != n:
             raise MalformedDiagram(
                 f"over_in must list one entry per crossing ({n}), got "
                 f"{len(over_in)}"
             )
         for v in over_in:
-            if v not in (None, 1, 3):
+            if isinstance(v, bool) or v not in (None, 1, 3):
                 raise MalformedDiagram(
                     f"over_in entries must be 1, 3 or null, got {v!r}"
                 )
@@ -514,39 +510,6 @@ def resolutions(n: int) -> list[tuple[int, ...]]:
     """Every choice vector over ``n`` crossings, in mask order: entry
     ``k`` of the vector for ``mask`` is bit ``k`` of ``mask``."""
     return [tuple((mask >> k) & 1 for k in range(n)) for mask in range(1 << n)]
-
-
-@dataclass(frozen=True)
-class Flattening:
-    """A resolution choice: the set of crossings resolved at choice 1."""
-
-    crossings: frozenset[int]
-
-    @classmethod
-    def of(cls, items) -> "Flattening":
-        return cls(frozenset(items))
-
-    @classmethod
-    def from_bits(cls, bits) -> "Flattening":
-        return cls(frozenset(i for i, b in enumerate(bits) if b))
-
-    def bits(self, n: int) -> tuple[int, ...]:
-        if self.crossings and not all(
-            isinstance(c, int) and 0 <= c < n for c in self.crossings
-        ):
-            raise MalformedDiagram(
-                f"flattening names crossings outside 0..{n - 1}: "
-                f"{sorted(self.crossings)!r}"
-            )
-        return tuple(1 if i in self.crossings else 0 for i in range(n))
-
-
-def crossing_signs(d: LinkDiagram) -> list[int]:
-    return d.crossing_signs()
-
-
-def flatten(d: LinkDiagram, resolution) -> Web:
-    return d.flatten(resolution)
 
 
 @dataclass(frozen=True)
@@ -769,7 +732,7 @@ def _flatten_state(d: LinkDiagram, bits: tuple[int, ...]) -> _FlatState:
 
 
 def resolution_edge_move(d: LinkDiagram, bits, crossing: int) -> Move:
-    """The single move carrying ``flatten(d, bits)`` to the flattening
+    """The single move carrying ``d.flatten(bits)`` to the flattening
     with ``crossing`` switched from choice 0 to choice 1.
 
     Positive crossings bridge under the switch: the move is a ``Zip``
@@ -897,7 +860,7 @@ def _negative_edge_unzip(crossing, state, state2, m1) -> Unzip:
 
 def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
     """The one-move cobordism presentation of :func:`resolution_edge_move`,
-    starting from ``flatten(d, bits)``."""
+    starting from ``d.flatten(bits)``."""
 
     bits_t = d._bits_of(bits)
     move = resolution_edge_move(d, bits_t, crossing)

@@ -17,8 +17,6 @@ piece of surface:
   strand (two new disk sheets: an inner "chord" and an outer "bulge");
 * ``DigonCap``                 -- collapses a two-edge face to a point,
   fusing the two external strands;
-* ``SaddleMerge`` / ``SaddleSplit`` -- an ordinary (non-singular) saddle
-  between free loops;
 * ``Frame``                    -- renames darts/loops without touching
   the surface.
 
@@ -55,7 +53,7 @@ plan hashes no shape; each call only adds the two halves' labels
 through it and checks the resulting facets.
 
 Grading: a movie has a degree (birth/death -2, dot +2, zip/unzip +1,
-cup/cap -1, saddle +2, frame 0); a closed movie of nonzero degree always
+cup/cap -1, frame 0); a closed movie of nonzero degree always
 evaluates to zero.
 """
 
@@ -63,27 +61,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import closed_surface_value, theta_symbol
 from .web import Region, Web, _component_split, _face_orbits
-
-#: Around a seam endpoint the three sheet strips are read in the vertex's
-#: counterclockwise dart order at source vertices and in the reversed
-#: (clockwise) order at sink vertices.  This global convention fixes the
-#: cyclic orientation of every closed singular circle; it is pinned by
-#: the two-edge-face identity tests.
-SINK_ORDER_REVERSED = True
-
-#: Which bubble sheet carries the dot of the degree +1 lift through a
-#: two-edge face: True puts it on the outer ("bulge") sheet, False on the
-#: inner ("chord") sheet.  The degree +1 projection always dots the
-#: opposite sheet.  Pinned by the two-edge-face identity tests: with the
-#: cyclic-order convention above, only this setting makes the composite
-#: "plain lift then dotted projection" induce plus the identity.
-DIGON_DOT_ON_BULGE = False
 
 
 class MoveError(Exception):
@@ -198,39 +180,6 @@ class DigonCap:
 
 
 @dataclass(frozen=True)
-class SaddleMerge:
-    """Ordinary saddle joining two free loops into one (id ``loop_id``).
-
-    The loops must bound a common region with equal alignment: two
-    same-orientation loops side by side, or nested loops of opposite
-    orientation."""
-
-    loop_a: int
-    loop_b: int
-    loop_id: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class SaddleSplit:
-    """Ordinary saddle splitting one free loop in two.
-
-    ``through_inside`` True: the band crosses the loop's interior,
-    leaving two side-by-side loops of the same orientation;
-    ``children_to_first`` lists interior items landing inside the first.
-    ``through_inside`` False: the band runs through the exterior region,
-    leaving a nested pair - the outer loop keeps the orientation, the
-    inner ("lens") loop reverses it, and ``lens_children`` lists
-    exterior items captured inside the lens."""
-
-    loop: int
-    through_inside: bool
-    loop_id_first: Optional[int] = None
-    loop_id_second: Optional[int] = None
-    children_to_first: frozenset = frozenset()
-    lens_children: frozenset = frozenset()
-
-
-@dataclass(frozen=True)
 class Frame:
     """Rename darts and loop ids by bijections; no surface is swept."""
 
@@ -246,8 +195,6 @@ Move = (
     | Unzip
     | DigonCup
     | DigonCap
-    | SaddleMerge
-    | SaddleSplit
     | Frame
 )
 
@@ -259,8 +206,6 @@ _MOVE_DEGREE = {
     Unzip: 1,
     DigonCup: -1,
     DigonCap: -1,
-    SaddleMerge: 2,
-    SaddleSplit: 2,
     Frame: 0,
 }
 
@@ -1040,109 +985,6 @@ def _apply_digon_cap(web: Web, mv: DigonCap) -> tuple[Web, list]:
     return new_web, instrs
 
 
-def _apply_saddle_merge(web: Web, mv: SaddleMerge) -> tuple[Web, list]:
-    la, lb = mv.loop_a, mv.loop_b
-    for l in (la, lb):
-        if l not in web.loop_ccw:
-            raise MoveError(f"saddle: loop {l} does not exist")
-    if la == lb:
-        raise MoveError("saddle merge needs two distinct loops")
-    if web.parent[la] == web.parent[lb]:
-        region: Region = web.parent[la]
-        nested: Optional[tuple[int, int]] = None
-    elif web.parent[lb] == ("inside", la):
-        region = ("inside", la)
-        nested = (la, lb)
-    elif web.parent[la] == ("inside", lb):
-        region = ("inside", lb)
-        nested = (lb, la)
-    else:
-        raise MoveError("saddle loops do not bound a common region")
-    if _site_aligned(web, la, region) != _site_aligned(web, lb, region):
-        raise MoveError("saddle loops have incompatible orientations")
-    lid = mv.loop_id if mv.loop_id is not None else _fresh_loop_id(web)
-    if lid >= 0 or lid in web.loop_ccw:
-        raise MoveError(f"saddle: loop id {lid} is not a fresh negative id")
-
-    loop_ccw = dict(web.loop_ccw)
-    parent = dict(web.parent)
-    del loop_ccw[la], loop_ccw[lb]
-    del parent[la], parent[lb]
-    if nested is None:
-        loop_ccw[lid] = web.loop_ccw[la]
-        parent[lid] = region
-        for item, reg in list(parent.items()):
-            if reg in (("inside", la), ("inside", lb)):
-                parent[item] = ("inside", lid)
-    else:
-        outer, inner = nested
-        loop_ccw[lid] = web.loop_ccw[outer]
-        parent[lid] = web.parent[outer]
-        for item, reg in list(parent.items()):
-            if reg == ("inside", outer):
-                parent[item] = ("inside", lid)
-            elif reg == ("inside", inner):
-                parent[item] = web.parent[outer]
-    new_web = Web(web.sigma, web.alpha, web.out_darts, loop_ccw, parent, web.outer_face)
-    instrs = [
-        ("fuse", _k_loop(la), _k_loop(lb)),
-        ("bind", _k_loop(lid), _k_loop(la)),
-        ("unbind", _k_loop(la)),
-        ("unbind", _k_loop(lb)),
-    ]
-    return new_web, instrs
-
-
-def _apply_saddle_split(web: Web, mv: SaddleSplit) -> tuple[Web, list]:
-    l = mv.loop
-    if l not in web.loop_ccw:
-        raise MoveError(f"saddle: loop {l} does not exist")
-    l1 = mv.loop_id_first if mv.loop_id_first is not None else _fresh_loop_id(web)
-    l2 = (
-        mv.loop_id_second
-        if mv.loop_id_second is not None
-        else _fresh_loop_id(web, [l1])
-    )
-    if l1 == l2 or any(x >= 0 or x in web.loop_ccw for x in (l1, l2)):
-        raise MoveError(f"saddle: loop ids {(l1, l2)} are not fresh negative ids")
-    loop_ccw = dict(web.loop_ccw)
-    parent = dict(web.parent)
-    ccw = loop_ccw.pop(l)
-    del parent[l]
-    if mv.through_inside:
-        interior = set(web.children_of(("inside", l)))
-        if not mv.children_to_first <= interior:
-            raise MoveError("children_to_first must be nested in the split loop")
-        loop_ccw[l1] = ccw
-        loop_ccw[l2] = ccw
-        parent[l1] = web.parent[l]
-        parent[l2] = web.parent[l]
-        for item in interior:
-            parent[item] = (
-                ("inside", l1) if item in mv.children_to_first else ("inside", l2)
-            )
-    else:
-        siblings = set(web.children_of(web.parent[l])) - {l}
-        if not mv.lens_children <= siblings:
-            raise MoveError("lens_children must be siblings of the split loop")
-        loop_ccw[l1] = ccw  # the big loop keeps the orientation
-        loop_ccw[l2] = not ccw  # the lens reverses it
-        parent[l1] = web.parent[l]
-        parent[l2] = ("inside", l1)
-        for item in web.children_of(("inside", l)):
-            parent[item] = ("inside", l1)
-        for item in mv.lens_children:
-            parent[item] = ("inside", l2)
-    new_web = Web(web.sigma, web.alpha, web.out_darts, loop_ccw, parent, web.outer_face)
-    instrs = [
-        ("bind", _k_loop(l1), _k_loop(l)),
-        ("bind", _k_loop(l2), _k_loop(l)),
-        ("unbind", _k_loop(l)),
-        ("fuse", _k_loop(l1), _k_loop(l2)),
-    ]
-    return new_web, instrs
-
-
 _APPLIERS = {
     Birth: _apply_birth,
     Death: _apply_death,
@@ -1151,8 +993,6 @@ _APPLIERS = {
     Unzip: _apply_unzip,
     DigonCup: _apply_digon_cup,
     DigonCap: _apply_digon_cap,
-    SaddleMerge: _apply_saddle_merge,
-    SaddleSplit: _apply_saddle_split,
     Frame: _apply_frame,
 }
 
@@ -1266,32 +1106,6 @@ def inverse_move(move: Move, before: Web, after: Web) -> Move:
             side = "inside" if after.loop_ccw[lid] else "outside"
             return DigonCup(site=lid, side=side, labels=labels)
         return DigonCup(site=before.alpha[x1], side="left", labels=labels)
-    if isinstance(move, SaddleMerge):
-        lid = move.loop_id
-        if lid is None:
-            lid = next(l for l in after.loop_ccw if l not in before.loop_ccw)
-        la, lb = move.loop_a, move.loop_b
-        if before.parent[la] == before.parent[lb]:
-            return SaddleSplit(
-                loop=lid,
-                through_inside=True,
-                loop_id_first=la,
-                loop_id_second=lb,
-                children_to_first=frozenset(before.children_of(("inside", la))),
-            )
-        outer, inner = (la, lb) if before.parent[lb] == ("inside", la) else (lb, la)
-        return SaddleSplit(
-            loop=lid,
-            through_inside=False,
-            loop_id_first=outer,
-            loop_id_second=inner,
-            lens_children=frozenset(before.children_of(("inside", inner))),
-        )
-    if isinstance(move, SaddleSplit):
-        fresh = sorted(l for l in after.loop_ccw if l not in before.loop_ccw)
-        l1 = move.loop_id_first if move.loop_id_first is not None else fresh[-1]
-        l2 = move.loop_id_second if move.loop_id_second is not None else fresh[0]
-        return SaddleMerge(loop_a=l1, loop_b=l2, loop_id=move.loop)
     raise MoveError(f"cannot invert move {move!r}")
 
 
@@ -1434,86 +1248,19 @@ class FoamMovie:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "FoamMovie":
-        movie = cls(
-            Web.from_json_dict(data["start"]),
-            tuple(move_from_json(m) for m in data["moves"]),
-        )
-        sums = data.get("frame_checksums")
-        if sums is not None:
-            got = [
-                hashlib.md5(w.exact_key().encode()).hexdigest()
-                for w in movie.states()
-            ]
-            if got != list(sums):
-                raise MalformedMovie("movie frame checksums do not match")
-        return movie
-
-    @classmethod
-    def from_json(cls, text: str) -> "FoamMovie":
-        return cls.from_json_dict(json.loads(text))
-
-
-def _region_to_json(r: Region):
-    return None if r is None else [r[0], r[1]]
-
-
-def _region_from_json(r) -> Region:
-    return None if r is None else (str(r[0]), int(r[1]))
-
 
 def move_to_json(m: Move) -> dict:
     d: dict = {"type": type(m).__name__}
     for name in m.__dataclass_fields__:  # type: ignore[union-attr]
         v = getattr(m, name)
         if name == "region":
-            v = _region_to_json(v)
+            v = None if v is None else [v[0], v[1]]
         elif isinstance(v, frozenset):
             v = sorted(v)
         elif isinstance(v, tuple):
             v = [list(x) if isinstance(x, tuple) else x for x in v]
         d[name] = v
     return d
-
-
-_MOVE_TYPES = {
-    t.__name__: t
-    for t in (
-        Birth,
-        Death,
-        Dot,
-        Zip,
-        Unzip,
-        DigonCup,
-        DigonCap,
-        SaddleMerge,
-        SaddleSplit,
-        Frame,
-    )
-}
-
-
-def move_from_json(d: Mapping) -> Move:
-    t = _MOVE_TYPES[d["type"]]
-    kwargs = {}
-    for name in t.__dataclass_fields__:  # type: ignore[attr-defined]
-        if name not in d:
-            continue
-        v = d[name]
-        if name == "region":
-            v = _region_from_json(v)
-        elif name in ("children_to_sink", "lens_children", "children_to_first"):
-            v = frozenset(v)
-        elif name == "labels" and v is not None:
-            v = tuple(v)
-        elif name in ("dart_map", "loop_map"):
-            v = tuple(tuple(x) for x in v)
-        kwargs[name] = v
-    return t(**kwargs)
 
 
 # ==========================================================================
@@ -1714,8 +1461,14 @@ class FoamState:
 
 def _sink_reading(cycle: tuple[int, int, int]) -> tuple[int, int, int]:
     """The darts of a sink vertex in the order its three strips are read
-    into a singular circle (see ``SINK_ORDER_REVERSED``)."""
-    return (cycle[2], cycle[1], cycle[0]) if SINK_ORDER_REVERSED else cycle
+    into a singular circle.
+
+    Around a seam endpoint the three sheet strips are read in the
+    vertex's counterclockwise dart order at source vertices and in the
+    reversed (clockwise) order at sink vertices.  This global convention
+    fixes the cyclic orientation of every closed singular circle; it is
+    pinned by the two-edge-face identity tests."""
+    return (cycle[2], cycle[1], cycle[0])
 
 
 def _sweep(movie: FoamMovie) -> FoamState:
@@ -2117,38 +1870,20 @@ def dot_movie(web: Web, site: int) -> FoamMovie:
     return FoamMovie(web, (Dot(site),))
 
 
-def cup_movies(web: Web, site: int, side: str) -> tuple[FoamMovie, FoamMovie]:
-    """The two lifts through a two-edge bubble pushed out of ``site``:
-    (plain cup, degree -1; dotted cup, degree +1).  The dotted cup marks
-    the bubble sheet fixed by ``DIGON_DOT_ON_BULGE``, identified - like
-    the lifts of ``digon_movies`` - through the sink-side dart of the
-    bubble's bounded face, so left- and right-handed bubbles dot
-    mirror-image sheets."""
-    labels = _fresh_darts(web, 6)
-    cup = DigonCup(site, side, labels)
-    plain = FoamMovie(web, (cup,))
-    end = plain.end
-    bubble_darts = set(labels[2:])
-    orbits = [
-        o for o in end.faces().values() if len(o) == 2 and set(o) <= bubble_darts
-    ]
-    if len(orbits) != 1:
-        raise MalformedMovie(f"bubble at {site} has no unique bounded face")
-    p, q = orbits[0]
-    d_a = p if p not in end.out_darts else q
-    dot_site = end.sigma[d_a] if DIGON_DOT_ON_BULGE else d_a
-    dotted = FoamMovie(web, (cup, Dot(dot_site)))
-    return plain, dotted
-
-
 def cap_movies(
     web: Web, face: int, loop_id: Optional[int] = None
 ) -> tuple[FoamMovie, FoamMovie]:
     """The two projections collapsing the two-edge face ``face``:
-    (dotted cap, degree +1; plain cap, degree -1).  The dotted cap marks
-    the bubble sheet opposite the one ``cup_movies`` dots."""
-    d_a, d_b, x1, x2 = _cap_digon_data(web, face)
-    dot_site = d_a if DIGON_DOT_ON_BULGE else web.sigma[d_a]
+    (dotted cap, degree +1; plain cap, degree -1).
+
+    The dotted cap marks the outer ("bulge") bubble sheet, at ``sigma``
+    of the face's sink-side dart; the dotted lift of ``digon_movies``
+    marks the inner ("chord") sheet, at that dart itself.  Pinned by the
+    two-edge-face identity tests: with the cyclic order of
+    ``_sink_reading``, only this choice makes the composite "plain lift
+    then dotted projection" induce plus the identity."""
+    d_a = _cap_digon_data(web, face)[0]
+    dot_site = web.sigma[d_a]
     cap = DigonCap(face, loop_id)
     dotted = FoamMovie(web, (Dot(dot_site), cap))
     plain = FoamMovie(web, (cap,))
@@ -2164,15 +1899,15 @@ def digon_movies(
     The two drops collapse the face onto the reduced web (they are
     exactly ``cap_movies``); the two lifts run from the reduced web back
     into ``web``.  The plain lift is the reflection of the plain drop;
-    the dotted lift adds one dot on the bubble sheet *opposite* the one
-    the dotted drop marks, so that the four satisfy the two-edge-face
-    identities (plain lift then dotted drop = identity, and so on)."""
+    the dotted lift adds one dot on the inner ("chord") bubble sheet,
+    the face's sink-side dart, *opposite* the sheet the dotted drop
+    marks, so that the four satisfy the two-edge-face identities (plain
+    lift then dotted drop = identity, and so on)."""
     drop_dotted, drop_plain = cap_movies(web, face, loop_id)
     p, q = web.faces()[face]
     d_a = p if p not in web.out_darts else q
-    lift_dot_site = web.sigma[d_a] if DIGON_DOT_ON_BULGE else d_a
     lift_plain = drop_plain.reflect()
-    lift_dotted = lift_plain.compose(dot_movie(web, lift_dot_site))
+    lift_dotted = lift_plain.compose(dot_movie(web, d_a))
     return lift_plain, lift_dotted, drop_dotted, drop_plain
 
 

@@ -359,14 +359,6 @@ class Web:
 
     # -- serialization -----------------------------------------------------
 
-    @staticmethod
-    def _region_to_json(r: Region):
-        return None if r is None else [r[0], r[1]]
-
-    @staticmethod
-    def _region_from_json(r) -> Region:
-        return None if r is None else (str(r[0]), int(r[1]))
-
     def to_json_dict(self) -> dict:
         return {
             "rotations": [list(v) for v in self.vertices()],
@@ -376,44 +368,18 @@ class Web:
                 {"id": l, "ccw": self.loop_ccw[l]} for l in sorted(self.loop_ccw)
             ],
             "nesting": {
-                str(k): self._region_to_json(r)
+                str(k): None if r is None else [r[0], r[1]]
                 for k, r in sorted(self.parent.items())
             },
             "outer_faces": {str(c): f for c, f in sorted(self.outer_face.items())},
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Web":
-        sigma: dict[int, int] = {}
-        for cyc in data["rotations"]:
-            a, b, c = (int(x) for x in cyc)
-            sigma[a], sigma[b], sigma[c] = b, c, a
-        alpha: dict[int, int] = {}
-        for pair in data["pairings"]:
-            a, b = (int(x) for x in pair)
-            alpha[a], alpha[b] = b, a
-        return cls(
-            sigma=sigma,
-            alpha=alpha,
-            out_darts={int(d) for d in data["orientations"]},
-            loop_ccw={int(l["id"]): bool(l["ccw"]) for l in data["loops"]},
-            parent={
-                int(k): cls._region_from_json(r) for k, r in data["nesting"].items()
-            },
-            outer_face={int(c): int(f) for c, f in data["outer_faces"].items()},
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Web":
-        return cls.from_json_dict(json.loads(text))
-
     def exact_key(self) -> str:
         """Deterministic serialization of the web, usable as a cache key."""
         if self._key is None:
-            self._key = self.to_json()
+            self._key = json.dumps(
+                self.to_json_dict(), sort_keys=True, separators=(",", ":")
+            )
         return self._key
 
     # -- relabeling --------------------------------------------------------
@@ -770,7 +736,7 @@ def link_bracket(diagram) -> LaurentPoly:
     ``diagram.flatten(J)``.  The result is invariant under the three
     Reidemeister moves.
     """
-    signs = diagram.crossing_signs()
+    signs = diagram.signs
     total = LaurentPoly.zero()
     for bits in itertools.product((0, 1), repeat=len(signs)):
         weight = LaurentPoly.one()

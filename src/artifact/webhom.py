@@ -28,7 +28,7 @@ that leaves a remainder, is a hard error, never rounded away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .algebra import LaurentPoly
 from .foam import (
@@ -321,10 +321,6 @@ def state_space(web: Web) -> StateSpace:
     return space
 
 
-def gram_matrix(web: Web) -> IntMatrix:
-    return state_space(web).gram
-
-
 def induced_matrix(movie: FoamMovie) -> IntMatrix:
     """The integer matrix of the movie's action, from the preparation
     basis of its start web to that of its end web.  Homogeneous of the
@@ -369,10 +365,6 @@ def edge_sites(web: Web) -> List[int]:
     """One dot site per edge (its smaller dart) and per free loop, in
     increasing order."""
     return sorted({min(d, web.alpha[d]) for d in web.out_darts} | set(web.loops))
-
-
-def graded_dimension(web: Web) -> LaurentPoly:
-    return state_space(web).graded_dimension()
 
 
 # ==========================================================================

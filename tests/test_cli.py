@@ -111,6 +111,26 @@ def test_webs_json_with_dumps(capsys):
     assert "frame_checksums" in movie
 
 
+def test_webs_dump_matches_golden(capsys):
+    # pins the --dump-webs / --dump-foams format byte for byte
+    code, out, _err = run_cli(
+        capsys,
+        [
+            "--pd",
+            TREFOIL_PD,
+            "--mode",
+            "webs",
+            "--format",
+            "json",
+            "--dump-webs",
+            "--dump-foams",
+        ],
+    )
+    assert code == 0
+    golden = REPO_ROOT / "tests" / "golden" / "trefoil_webs.json"
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
 def test_webs_json_without_dumps_is_lean(capsys):
     code, out, _err = run_cli(
         capsys, ["--pd", KINK_PD, "--mode", "webs", "--format", "json"]
@@ -270,6 +290,42 @@ def test_homology_malformed_cache_entry_is_recomputed(capsys, tmp_path, entry_ki
     assert entry.read_text(encoding="utf-8") == good
 
 
+_DAMAGED_VALUES = {
+    "homology-not-a-list": {"homology": 5},
+    "row-with-bad-values": {
+        "homology": [{"i": 0, "j": "x", "rank": -4, "torsion": []}]
+    },
+    "row-with-extra-key": {
+        "homology": [{"i": 0, "j": 0, "rank": 1, "torsion": [], "x": 1}]
+    },
+    "bool-rank": {"homology": [{"i": 0, "j": 0, "rank": True, "torsion": []}]},
+    "torsion-of-one": {"homology": [{"i": 0, "j": 0, "rank": 0, "torsion": [1]}]},
+    "bracket-not-a-string": {"bracket": 3},
+    "euler-check-not-a-bool": {"euler_check": 1},
+    "extra-report-key": {"note": "stale"},
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("damage", sorted(_DAMAGED_VALUES))
+def test_homology_cache_entry_with_damaged_values_is_recomputed(
+    capsys, tmp_path, fmt, damage
+):
+    cache_dir = tmp_path / "cache"
+    argv = ["--pd", KINK_PD, "--mode", "homology", "--format", fmt]
+    clean = run_cli(capsys, [*argv, "--no-cache"])
+    assert clean[0] == 0
+    argv += ["--cache-dir", str(cache_dir)]
+    assert run_cli(capsys, argv) == clean
+    (entry,) = cache_dir.iterdir()
+    good = entry.read_text(encoding="utf-8")
+    damaged = {**json.loads(good), **_DAMAGED_VALUES[damage]}
+    entry.write_text(json.dumps(damaged), encoding="utf-8")
+    assert run_cli(capsys, argv) == clean
+    # the damaged entry is overwritten with the recomputed report
+    assert entry.read_text(encoding="utf-8") == good
+
+
 # --------------------------------------------------------------------------
 # invariance mode
 # --------------------------------------------------------------------------
@@ -404,6 +460,26 @@ def test_bad_json_input_exits_1(capsys, tmp_path):
     path.write_text("{broken", encoding="utf-8")
     code, _out, _err = run_cli(capsys, ["--mode", "bracket", "--input", str(path)])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"crossings": 5}',
+        '{"crossings": [5]}',
+        '{"crossings": [], "free_loops": true}',
+        '{"crossings": [[1, 2, 2, 1]], "over_in": [true]}',
+    ],
+)
+def test_malformed_diagram_json_exits_1(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    for mode in ("bracket", "homology"):
+        code, out, err = run_cli(
+            capsys, ["--mode", mode, "--input", str(path), "--no-cache"]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("sl3web: error: ")
 
 
 def test_threads_flag_is_a_usage_error(capsys):

@@ -6,14 +6,10 @@ import pytest
 
 from artifact.algebra import quantum_integer
 from artifact.diagram import (
-    Flattening,
     LinkDiagram,
     MalformedDiagram,
     clear_flatten_cache,
-    crossing_signs,
     diagram_from_json,
-    diagram_to_json,
-    flatten,
     parse_pd,
     resolution_edge_move,
     resolution_edge_movie,
@@ -65,7 +61,6 @@ def test_trefoil_parses_with_three_positive_crossings():
     d = parse_pd(TREFOIL_R)
     assert d.n_crossings == 3
     assert d.signs == (1, 1, 1)
-    assert crossing_signs(d) == [1, 1, 1]
     assert d.writhe == 3
     assert d.positive_count == 3 and d.negative_count == 0
     assert d.arcs() == (1, 2, 3, 4, 5, 6)
@@ -195,8 +190,6 @@ def test_bad_resolution_vectors_are_rejected():
         d.flatten((0, 1))
     with pytest.raises(MalformedDiagram):
         d.flatten((2,))
-    with pytest.raises(MalformedDiagram, match="outside"):
-        Flattening.of({5}).bits(1)
 
 
 # --------------------------------------------------------------------------
@@ -254,15 +247,6 @@ def test_split_kinks_flatten_side_by_side():
     assert set(w2.components()) == {1, 5}
     assert w2.parent == {1: None, 5: None}
     assert w2.outer_face == {1: 1, 5: 5}
-
-
-def test_flattening_subset_interface_matches_bit_vectors():
-    d = parse_pd(HOPF_POS)
-    assert d.flatten(Flattening.of({0})) == d.flatten((1, 0))
-    assert d.flatten(Flattening.from_bits((0, 1))) == d.flatten((0, 1))
-    assert flatten(d, Flattening.of(())) == d.flatten((0, 0))
-    assert Flattening.of({0, 2}).bits(3) == (1, 0, 1)
-    assert Flattening.from_bits((1, 0, 1)).crossings == frozenset({0, 2})
 
 
 def test_every_flattening_of_every_fixture_is_a_valid_web():
@@ -388,9 +372,9 @@ def test_edge_move_argument_errors():
 def test_json_roundtrip():
     for pd in (TREFOIL_R, UNLINK2_R2, KINK_NEG):
         d = parse_pd(pd)
-        assert diagram_from_json(diagram_to_json(d)) == d
+        assert diagram_from_json(d.to_json_dict()) == d
     loops = LinkDiagram.from_crossings([], free_loops=3)
-    assert diagram_from_json(diagram_to_json(loops)) == loops
+    assert diagram_from_json(loops.to_json_dict()) == loops
 
 
 def test_json_accepts_bare_crossing_lists():
@@ -403,3 +387,21 @@ def test_json_rejects_unknown_keys():
         diagram_from_json({"crossings": [], "spin": 7})
     with pytest.raises(MalformedDiagram):
         diagram_from_json("X(1,2,2,1)")
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ({"crossings": 5}, "crossings must be a list"),
+        ({"crossings": None}, "crossings must be a list"),
+        ({"crossings": [5]}, "must be a sequence"),
+        ({"crossings": ["1221"]}, "must be a sequence"),
+        ([5], "must be a sequence"),
+        ({"crossings": [], "free_loops": True}, "free_loops"),
+        ({"crossings": [[1, 2, 2, 1]], "over_in": [True]}, "over_in entries"),
+        ({"crossings": [[1, 2, 2, 1]], "over_in": 1}, "over_in must be a list"),
+    ],
+)
+def test_json_rejects_malformed_values(data, match):
+    with pytest.raises(MalformedDiagram, match=match):
+        diagram_from_json(data)

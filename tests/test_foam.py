@@ -4,7 +4,6 @@ the exact evaluation of closed dotted singular surfaces."""
 from __future__ import annotations
 
 import itertools
-import json
 
 import pytest
 
@@ -22,8 +21,6 @@ from artifact.foam import (
     MalformedMovie,
     MoveError,
     PreFoam,
-    SaddleMerge,
-    SaddleSplit,
     Unzip,
     Zip,
     _GLUE_PLANS,
@@ -32,15 +29,12 @@ from artifact.foam import (
     apply_move,
     cap_movies,
     clear_evaluation_cache,
-    cup_movies,
     dot_movie,
     evaluate,
     glue,
     identity_movie,
     inverse_move,
     move_degree,
-    move_from_json,
-    move_to_json,
     square_split_movies,
 )
 from artifact.web import Web, kuperberg_bracket
@@ -60,8 +54,6 @@ def test_move_degrees():
     assert move_degree(Unzip(1)) == 1
     assert move_degree(DigonCup(1, "left")) == -1
     assert move_degree(DigonCap(1)) == -1
-    assert move_degree(SaddleMerge(-1, -2)) == 2
-    assert move_degree(SaddleSplit(-1, True)) == 2
     assert move_degree(Frame()) == 0
 
 
@@ -85,41 +77,16 @@ def test_sphere_values():
         assert evaluate_bruteforce(pre) == expected
 
 
-def torus_movie(dots: int = 0, nested: bool = False) -> FoamMovie:
-    moves: list = [Birth(-1, None, True)]
-    moves += [Dot(-1)] * dots
-    moves += [
-        SaddleSplit(-1, through_inside=not nested, loop_id_first=-2, loop_id_second=-3),
-        SaddleMerge(-2, -3, loop_id=-4),
-        Death(-4),
-    ]
-    return FoamMovie(Web.empty(), moves)
-
-
 def test_torus_value():
-    for nested in (False, True):
-        m = torus_movie(0, nested)
-        assert m.degree() == 0
-        pre = extract_prefoam(m)
-        assert pre == PreFoam(((1, 0),), ())
-        assert evaluate(pre) == 3
-        assert evaluate_bruteforce(pre) == 3
-    assert evaluate_closed(torus_movie(1)) == 0
-    assert evaluate_closed(torus_movie(2)) == 0
+    # the torus is 3 undotted and 0 with one or two dots
+    for dots, expected in [(0, 3), (1, 0), (2, 0)]:
+        pre = PreFoam(((1, dots),), ())
+        assert evaluate(pre) == expected
+        assert evaluate_bruteforce(pre) == expected
 
 
 def test_genus_two_vanishes():
-    moves = [
-        Birth(-1, None, True),
-        SaddleSplit(-1, True, -2, -3),
-        SaddleMerge(-2, -3, -4),
-        SaddleSplit(-4, True, -5, -6),
-        SaddleMerge(-5, -6, -7),
-        Death(-7),
-    ]
-    m = FoamMovie(Web.empty(), moves)
-    pre = extract_prefoam(m)
-    assert pre == PreFoam(((2, 0),), ())
+    pre = PreFoam(((2, 0),), ())
     assert evaluate(pre) == 0
     assert evaluate_bruteforce(pre) == 0
 
@@ -285,8 +252,6 @@ def lens_half(a: int, b: int, c: int) -> FoamMovie:
 def _closed_samples() -> list[FoamMovie]:
     return [
         sphere_movie(2),
-        torus_movie(0),
-        torus_movie(1, nested=True),
         bubble_movie(1, 0, 2),
         lens_movie(0, 1, 2),
         lens_half(2, 0, 1).compose(lens_half(0, 1, 0).reflect()),
@@ -537,7 +502,9 @@ def test_zip_loop_to_edge():
 def test_cup_movies_on_edge():
     w = theta_web()
     for site, side in itertools.product((1, 2, 3), ("left", "right")):
-        plain, dotted = cup_movies(w, site, side)
+        cup = DigonCup(site, side, (7, 8, 9, 10, 11, 12))
+        plain = FoamMovie(w, (cup,))
+        dotted = FoamMovie(w, (cup, Dot(9)))
         assert plain.degree() == -1
         assert dotted.degree() == 1
         end = plain.end
@@ -616,25 +583,8 @@ def test_unzip_merges_on_cube():
 
 
 # --------------------------------------------------------------------------
-# tube between two loops: zip then cap, versus the saddle
+# the fin: zip two loops, then collapse a digon
 # --------------------------------------------------------------------------
-
-
-def test_saddle_merge_sphere():
-    # two same-turning loops merge into one; the swept surface closes
-    # into a sphere, nonzero exactly when it carries two dots
-    def via_saddle(extra: int) -> int:
-        moves: list = [
-            Birth(-1, None, True),
-            Birth(-2, None, True),
-            SaddleMerge(-1, -2, loop_id=-3),
-        ]
-        moves += [Dot(-3)] * extra
-        moves += [Death(-3)]
-        return evaluate_closed(FoamMovie(Web.empty(), moves))
-
-    for extra in range(4):
-        assert via_saddle(extra) == (-1 if extra == 2 else 0)
 
 
 def test_fin_collapse_table():
@@ -771,28 +721,6 @@ def test_cap_validation():
         apply_move(theta_web(), DigonCap(9))
 
 
-def test_saddle_validation():
-    w = Web(loop_ccw={-1: True, -2: True}, parent={-1: None, -2: None})
-    after, _ = apply_move(w, SaddleMerge(-1, -2, loop_id=-3))
-    assert after.loop_ccw == {-3: True}
-    with pytest.raises(MoveError):
-        apply_move(w, SaddleMerge(-1, -1))
-    with pytest.raises(MoveError):
-        apply_move(w, SaddleMerge(-1, -9))
-    opposite = Web(loop_ccw={-1: True, -2: False}, parent={-1: None, -2: None})
-    with pytest.raises(MoveError):
-        apply_move(opposite, SaddleMerge(-1, -2))  # anti-parallel at the gap
-    nested_same = Web(
-        loop_ccw={-1: True, -2: True}, parent={-1: None, -2: ("inside", -1)}
-    )
-    with pytest.raises(MoveError):
-        apply_move(nested_same, SaddleMerge(-1, -2))
-    with pytest.raises(MoveError):
-        apply_move(w, SaddleSplit(-9, True))
-    with pytest.raises(MoveError):
-        apply_move(w, SaddleSplit(-1, True, -2, -4))  # id -2 taken
-
-
 def test_frame_validation():
     with pytest.raises(MoveError):
         apply_move(theta_web(), Frame(dart_map=((9, 10),)))
@@ -815,98 +743,6 @@ def test_extract_requires_closed():
         extract_prefoam(identity_movie(theta_web()))
     with pytest.raises(MalformedMovie):
         extract_prefoam(FoamMovie(Web.empty(), (Birth(-1, None, True),)))
-
-
-# --------------------------------------------------------------------------
-# saddle nesting bookkeeping
-# --------------------------------------------------------------------------
-
-
-def test_saddle_split_nested_shape():
-    w = Web(loop_ccw={-1: True}, parent={-1: None})
-    after, _ = apply_move(w, SaddleSplit(-1, False, -2, -3))
-    assert after.loop_ccw == {-2: True, -3: False}
-    assert after.parent == {-2: None, -3: ("inside", -2)}
-    back, _ = apply_move(after, SaddleMerge(-2, -3, loop_id=-1))
-    assert back == w
-
-
-def test_saddle_split_children_routing():
-    w = Web(
-        loop_ccw={-1: True, -7: True, -8: True},
-        parent={-1: None, -7: ("inside", -1), -8: ("inside", -1)},
-    )
-    after, _ = apply_move(
-        w, SaddleSplit(-1, True, -2, -3, children_to_first=frozenset({-7}))
-    )
-    assert after.parent[-7] == ("inside", -2)
-    assert after.parent[-8] == ("inside", -3)
-    m = FoamMovie(w, (SaddleSplit(-1, True, -2, -3, frozenset({-7})),))
-    assert m.reflect().end == w
-
-
-def test_saddle_lens_children():
-    w = Web(
-        loop_ccw={-1: True, -7: False},
-        parent={-1: None, -7: None},
-    )
-    after, _ = apply_move(
-        w, SaddleSplit(-1, False, -2, -3, lens_children=frozenset({-7}))
-    )
-    assert after.parent[-7] == ("inside", -3)
-    m = FoamMovie(w, (SaddleSplit(-1, False, -2, -3, lens_children=frozenset({-7})),))
-    assert m.reflect().end == w
-
-
-# --------------------------------------------------------------------------
-# serialization
-# --------------------------------------------------------------------------
-
-
-def _sample_movies() -> list[FoamMovie]:
-    w = cube_web()
-    return [
-        bubble_movie(1, 1, 1),
-        lens_movie(0, 1, 2),
-        torus_movie(0),
-        square_split_movies(w, _bounded_square_faces(w)[0])[0],
-        FoamMovie(theta_web(), (Frame(dart_map=((1, 7), (2, 8))),)),
-    ]
-
-
-def test_movie_json_roundtrip():
-    for m in _sample_movies():
-        m2 = FoamMovie.from_json(m.to_json())
-        assert m2 == m
-        assert m2.end == m.end
-
-
-def test_movie_json_checksum_rejects_tampering():
-    m = bubble_movie(1, 1, 1)
-    data = json.loads(m.to_json())
-    data["frame_checksums"][0] = "0" * 32
-    with pytest.raises(MalformedMovie):
-        FoamMovie.from_json_dict(data)
-
-
-def test_move_json_roundtrip():
-    moves = [
-        Birth(-1, ("face", 1), False),
-        Death(-2),
-        Dot(5),
-        Zip(-1, 4, ("face", 1), (11, 12, 13, 14, 15, 16), frozenset({-3}), "sink"),
-        Zip(1, 2, None, middle="aligned_first"),
-        Unzip(3, loop_id_aligned=-10),
-        DigonCup(-1, "inside", (1, 2, 3, 4, 5, 6)),
-        DigonCap(3, loop_id=-2),
-        SaddleMerge(-1, -2, -3),
-        SaddleSplit(-1, False, -2, -3, frozenset(), frozenset({-7})),
-        Frame(dart_map=((1, 7),), loop_map=((-1, -5),)),
-    ]
-    for mv in moves:
-        assert move_from_json(move_to_json(mv)) == mv
-    data = json.loads(json.dumps([move_to_json(mv) for mv in moves]))
-    assert [move_from_json(d) for d in data] == moves
 
 
 # --------------------------------------------------------------------------

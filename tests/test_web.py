@@ -247,13 +247,6 @@ def test_canonical_component_key_is_label_invariant():
 # --------------------------------------------------------------------------
 
 
-def test_json_roundtrip():
-    for w in (Web.empty(), theta_web(), theta_with_loop_inside(), nested_loops_web(), cube_web()):
-        back = Web.from_json(w.to_json())
-        assert back == w
-        assert back.exact_key() == w.exact_key()
-
-
 def test_relabeled_loops_and_regions():
     w = theta_with_loop_inside().relabeled(
         dart_map={d: d + 10 for d in range(1, 7)}, loop_map={-1: -9}
@@ -281,9 +274,7 @@ class _FakeKink:
 
     def __init__(self, sign: int):
         self.sign = sign
-
-    def crossing_signs(self):
-        return [self.sign]
+        self.signs = (sign,)
 
     def flatten(self, bits):
         two_loops = Web(loop_ccw={-1: True, -2: True})

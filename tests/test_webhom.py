@@ -28,8 +28,6 @@ from artifact.webhom import (
     check_edge_ring,
     edge_dot_action,
     edge_sites,
-    graded_dimension,
-    gram_matrix,
     identity_matrix,
     induced_matrix,
     mat_add,
@@ -190,7 +188,7 @@ def test_circle_space():
     assert sp.degrees == (-2, 0, 2)
     assert sp.gram == ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
     assert sp.trace == ("loop", -1, ("empty",))
-    assert graded_dimension(circle_web()) == quantum_integer(3)
+    assert state_space(circle_web()).graded_dimension() == quantum_integer(3)
 
 
 def test_circle_space_clockwise():
@@ -216,16 +214,18 @@ def test_theta_space():
 
 def test_graded_dimension_matches_bracket():
     for w in _hand_webs():
-        assert graded_dimension(w) == kuperberg_bracket(w)
+        assert state_space(w).graded_dimension() == kuperberg_bracket(w)
 
 
 def test_disjoint_union_dimensions_multiply():
     three = quantum_integer(3)
-    assert graded_dimension(two_loops_side_by_side()) == three * three
-    assert graded_dimension(nested_loops_web()) == three * three
-    assert graded_dimension(theta_with_loop_inside()) == three * graded_dimension(
-        theta_web()
-    )
+
+    def graded(w):
+        return state_space(w).graded_dimension()
+
+    assert graded(two_loops_side_by_side()) == three * three
+    assert graded(nested_loops_web()) == three * three
+    assert graded(theta_with_loop_inside()) == three * graded(theta_web())
 
 
 def test_basis_movies_end_at_their_web():
@@ -304,9 +304,9 @@ def test_gram_matrices_are_unimodular():
     # state_space itself raises when a Gram determinant is not ±1; building
     # these spaces is the check.
     for w in (theta_web(), digon_chain_web(), cube_web()):
-        n = state_space(w).dim
-        assert gram_matrix(w) == tuple(map(tuple, gram_matrix(w)))
-        assert len(gram_matrix(w)) == n
+        sp = state_space(w)
+        assert sp.gram == tuple(map(tuple, sp.gram))
+        assert len(sp.gram) == sp.dim
 
 
 def test_inverse_blocks_invert_the_gram_blocks():
