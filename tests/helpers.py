@@ -10,10 +10,82 @@ with their region on the left, and each component names its outer face.
 
 from __future__ import annotations
 
+import hashlib
+
+from artifact import foam
 from artifact.corpus import fixture_diagrams
 from artifact.diagram import resolutions
 from artifact.selftest import cube_web, digon_chain_web, theta_web  # noqa: F401
 from artifact.web import Web
+
+
+def web_from_json_dict(data) -> Web:
+    """Read back the dict ``Web.to_json_dict`` writes.
+
+    The package only writes this format (``--dump-webs``); this reader
+    lets tests check that the written form determines the web."""
+    sigma: dict[int, int] = {}
+    for a, b, c in data["rotations"]:
+        sigma[a], sigma[b], sigma[c] = b, c, a
+    alpha: dict[int, int] = {}
+    for a, b in data["pairings"]:
+        alpha[a], alpha[b] = b, a
+    return Web(
+        sigma=sigma,
+        alpha=alpha,
+        out_darts=set(data["orientations"]),
+        loop_ccw={l["id"]: l["ccw"] for l in data["loops"]},
+        parent={
+            int(k): None if r is None else (r[0], r[1])
+            for k, r in data["nesting"].items()
+        },
+        outer_face={int(c): f for c, f in data["outer_faces"].items()},
+    )
+
+
+_MOVE_TYPES = {
+    t.__name__: t
+    for t in (
+        foam.Birth,
+        foam.Death,
+        foam.Dot,
+        foam.Zip,
+        foam.Unzip,
+        foam.DigonCup,
+        foam.DigonCap,
+        foam.Frame,
+    )
+}
+
+
+def move_from_json_dict(data) -> foam.Move:
+    """Read back the dict ``foam.move_to_json`` writes."""
+    t = _MOVE_TYPES[data["type"]]
+    kwargs = {}
+    for name in t.__dataclass_fields__:
+        v = data[name]
+        if name == "region":
+            v = None if v is None else (v[0], v[1])
+        elif name == "children_to_sink":
+            v = frozenset(v)
+        elif name == "labels" and v is not None:
+            v = tuple(v)
+        elif name in ("dart_map", "loop_map"):
+            v = tuple(tuple(x) for x in v)
+        kwargs[name] = v
+    return t(**kwargs)
+
+
+def movie_from_json_dict(data) -> foam.FoamMovie:
+    """Read back the dict ``FoamMovie.to_json_dict`` writes (the
+    ``--dump-foams`` entries), checking its frame checksums."""
+    movie = foam.FoamMovie(
+        web_from_json_dict(data["start"]),
+        tuple(move_from_json_dict(m) for m in data["moves"]),
+    )
+    sums = [hashlib.md5(w.exact_key().encode()).hexdigest() for w in movie.states()]
+    assert sums == data["frame_checksums"], "movie frame checksums do not match"
+    return movie
 
 
 def theta_with_loop_inside() -> Web:

@@ -4,6 +4,7 @@ the exact evaluation of closed dotted singular surfaces."""
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
@@ -38,7 +39,13 @@ from artifact.foam import (
     square_split_movies,
 )
 from artifact.web import Web, kuperberg_bracket
-from .helpers import cube_web, nested_loops_web, theta_web, theta_with_loop_inside
+from .helpers import (
+    cube_web,
+    movie_from_json_dict,
+    nested_loops_web,
+    theta_web,
+    theta_with_loop_inside,
+)
 from .oracles import evaluate_bruteforce, evaluate_closed, extract_prefoam, flag_theta
 
 # --------------------------------------------------------------------------
@@ -642,6 +649,34 @@ def test_frame_roundtrip():
     m = FoamMovie(w, (fr,))
     assert m.end == w.relabeled(dart_map={1: 7, 2: 8})
     assert m.reflect().end == w
+
+
+# --------------------------------------------------------------------------
+# serialization
+# --------------------------------------------------------------------------
+
+
+def _sample_movies() -> list[FoamMovie]:
+    w = cube_web()
+    return [
+        bubble_movie(1, 1, 1),
+        lens_movie(0, 1, 2),
+        cap_movies(theta_web(), 1, loop_id=-5)[0],
+        square_split_movies(w, _bounded_square_faces(w)[0])[0],
+        FoamMovie(
+            theta_with_loop_inside(),
+            (Zip(-1, 4, ("face", 1), (11, 12, 13, 14, 15, 16)),),
+        ),
+        FoamMovie(theta_web(), (Frame(dart_map=((1, 7), (2, 8))),)),
+    ]
+
+
+def test_movie_json_roundtrip():
+    """The written movie form (``--dump-foams``) determines the movie."""
+    for m in _sample_movies():
+        m2 = movie_from_json_dict(json.loads(json.dumps(m.to_json_dict())))
+        assert m2 == m
+        assert m2.end == m.end
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,8 @@ search, serialization, and the bracket recursion."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from artifact.algebra import LaurentPoly, quantum_integer
@@ -27,6 +29,7 @@ from .helpers import (
     nested_loops_web,
     theta_web,
     theta_with_loop_inside,
+    web_from_json_dict,
 )
 from .oracles import count_edge_3_colorings
 
@@ -245,6 +248,14 @@ def test_canonical_component_key_is_label_invariant():
 # --------------------------------------------------------------------------
 # serialization and relabeling
 # --------------------------------------------------------------------------
+
+
+def test_json_roundtrip():
+    """The written web form (``--dump-webs``) determines the web."""
+    for w in (Web.empty(), theta_web(), theta_with_loop_inside(), nested_loops_web(), cube_web()):
+        back = web_from_json_dict(json.loads(w.exact_key()))
+        assert back == w
+        assert back.exact_key() == w.exact_key()
 
 
 def test_relabeled_loops_and_regions():
