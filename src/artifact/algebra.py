@@ -86,27 +86,9 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def min_exponent(self) -> int:
-        if not self._coeffs:
-            raise ValueError("the zero polynomial has no exponents")
-        return min(self._coeffs)
-
-    def max_exponent(self) -> int:
-        if not self._coeffs:
-            raise ValueError("the zero polynomial has no exponents")
-        return max(self._coeffs)
-
-    def evaluate_at_one(self) -> int:
-        """Sum of all coefficients (the specialisation ``q = 1``)."""
-        return sum(self._coeffs.values())
-
     def mirror(self) -> "LaurentPoly":
         """The image under ``q -> q**-1`` (all exponents negated)."""
         return LaurentPoly({-e: c for e, c in self._coeffs.items()})
-
-    def is_palindromic(self) -> bool:
-        """True when the polynomial is fixed by ``q -> q**-1``."""
-        return self == self.mirror()
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiplication by ``q**k``."""
@@ -331,14 +313,6 @@ class FrobeniusElement:
         return f"FrobeniusElement{self._c!r}"
 
 
-#: Grading of the basis element ``X**i``.
-def basis_degree(i: int) -> int:
-    """Degree of ``X**i`` in the grading where the algebra spans -2, 0, 2."""
-    if i not in (0, 1, 2):
-        raise ValueError("basis exponent must be 0, 1 or 2")
-    return 2 * i - 2
-
-
 def multiply(a: FrobeniusElement, b: FrobeniusElement) -> FrobeniusElement:
     """Ring product in ``Z[X]/(X^3)``."""
     return a * b
@@ -375,16 +349,6 @@ def comultiply(a: FrobeniusElement) -> dict[tuple[int, int], int]:
             elif key in out:
                 del out[key]
     return out
-
-
-def dual_basis() -> list[tuple[FrobeniusElement, FrobeniusElement]]:
-    """Pairs ``(b, b_hat)`` with ``trace(b * b_hat) = 1`` and mixed pairs 0.
-
-    Concretely ``X^i`` is dual to ``-X^(2-i)``.
-    """
-    return [
-        (FrobeniusElement.basis(i), -FrobeniusElement.basis(2 - i)) for i in range(3)
-    ]
 
 
 def handle_operator(a: FrobeniusElement) -> FrobeniusElement:

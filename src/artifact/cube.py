@@ -262,9 +262,6 @@ class GradedChainComplex:
     def edge_sign(bits: Tuple[int, ...], c: int) -> int:
         return -1 if sum(bits[:c]) % 2 else 1
 
-    def hom_range(self) -> Tuple[int, int]:
-        return (-self.p_minus, self.p_plus)
-
 
 def build_complex(d: LinkDiagram) -> GradedChainComplex:
     """Assemble the signed resolution cube of a diagram."""
@@ -296,15 +293,6 @@ class BigradedHomology:
             if (ei, ej) == (i, j):
                 return t
         return ()
-
-    def free_ranks(self) -> Dict[Tuple[int, int], int]:
-        return {(i, j): r for i, j, r, _t in self.entries if r}
-
-    def total_rank(self) -> int:
-        return sum(r for _i, _j, r, _t in self.entries)
-
-    def has_torsion(self) -> bool:
-        return any(t for _i, _j, _r, t in self.entries)
 
     def to_json_list(self) -> list:
         return [

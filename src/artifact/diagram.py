@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .foam import FoamMovie, MalformedMovie, Move, Unzip, Zip, _DSU, apply_move
+from .foam import FoamMovie, MalformedMovie, Move, Unzip, Zip, _DSU
 from .web import Region, Web, _component_split, _face_orbits
 
 
@@ -199,33 +199,10 @@ class LinkDiagram:
     def negative_count(self) -> int:
         return sum(1 for s in self.signs if s == -1)
 
-    @property
-    def writhe(self) -> int:
-        return sum(self.signs)
-
     def arcs(self) -> tuple[int, ...]:
         """Sorted arc labels."""
 
         return tuple(sorted({lab for x in self.crossings for lab in x}))
-
-    def component_count(self) -> int:
-        """Number of link components, counting crossing-free circles."""
-
-        occ = _occurrences(self.crossings)
-        seen: set[tuple[int, int]] = set()
-        count = 0
-        for c in range(self.n_crossings):
-            for s in _IN_SLOTS[self.signs[c]]:
-                if (c, s) in seen:
-                    continue
-                count += 1
-                cur = (c, s)
-                while cur not in seen:
-                    seen.add(cur)
-                    cc, ss = cur
-                    out_slot = _strand_exit(self.signs[cc], ss)
-                    cur = _arc_other(self.crossings, occ, cc, out_slot)
-        return count + self.free_loops
 
     def mirror(self) -> "LinkDiagram":
         """The diagram with every crossing's over- and under-strand
@@ -364,14 +341,6 @@ def _arc_other(xs, occ, c: int, s: int) -> tuple[int, int]:
 
     o1, o2 = occ[xs[c][s]]
     return o2 if o1 == (c, s) else o1
-
-
-def _strand_exit(sign: int, in_slot: int) -> int:
-    """Where the strand entering a crossing at ``in_slot`` leaves it."""
-
-    if in_slot == 0:
-        return 2
-    return {1: {1: 3}, -1: {3: 1}}[sign][in_slot]
 
 
 def _derive_signs(xs, occ, over_in) -> tuple[int, ...]:
@@ -742,33 +711,7 @@ def resolution_edge_move(d: LinkDiagram, bits, crossing: int) -> Move:
     verified to reproduce the target flattening label-for-label.
     """
 
-    bits = d._bits_of(bits)
-    n = d.n_crossings
-    if not 0 <= crossing < n:
-        raise MalformedDiagram(f"no crossing {crossing} in a {n}-crossing diagram")
-    if bits[crossing] != 0:
-        raise MalformedDiagram(
-            f"crossing {crossing} already sits at choice 1 in {bits!r}"
-        )
-    target = tuple(1 if i == crossing else b for i, b in enumerate(bits))
-    state = _flatten_state(d, bits)
-    state2 = _flatten_state(d, target)
-    sign = d.signs[crossing]
-    ports = tuple(_port(crossing, s) for s in range(4))
-    m1, m2 = _bridge_darts(n, crossing)
-
-    if sign == 1:
-        move = _positive_edge_zip(d, crossing, state, state2, ports, m1, m2)
-    else:
-        move = _negative_edge_unzip(crossing, state, state2, m1)
-
-    applied, _foam = apply_move(state.web, move)
-    if applied != state2.web:
-        raise MalformedMovie(
-            f"internal: resolution move at crossing {crossing} of {bits!r} "
-            f"failed to reproduce the target flattening"
-        )
-    return move
+    return resolution_edge_movie(d, bits, crossing).moves[0]
 
 
 def _site_of(passage: _Passage, end: str) -> int:
@@ -860,11 +803,37 @@ def _negative_edge_unzip(crossing, state, state2, m1) -> Unzip:
 
 def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
     """The one-move cobordism presentation of :func:`resolution_edge_move`,
-    starting from ``d.flatten(bits)``."""
+    starting from ``d.flatten(bits)``.  The move is applied once, to
+    check that the movie ends at the target flattening; the movie keeps
+    that run for every later use."""
 
-    bits_t = d._bits_of(bits)
-    move = resolution_edge_move(d, bits_t, crossing)
-    return FoamMovie(_flatten_state(d, bits_t).web, (move,))
+    bits = d._bits_of(bits)
+    n = d.n_crossings
+    if not 0 <= crossing < n:
+        raise MalformedDiagram(f"no crossing {crossing} in a {n}-crossing diagram")
+    if bits[crossing] != 0:
+        raise MalformedDiagram(
+            f"crossing {crossing} already sits at choice 1 in {bits!r}"
+        )
+    target = tuple(1 if i == crossing else b for i, b in enumerate(bits))
+    state = _flatten_state(d, bits)
+    state2 = _flatten_state(d, target)
+    sign = d.signs[crossing]
+    ports = tuple(_port(crossing, s) for s in range(4))
+    m1, m2 = _bridge_darts(n, crossing)
+
+    if sign == 1:
+        move = _positive_edge_zip(d, crossing, state, state2, ports, m1, m2)
+    else:
+        move = _negative_edge_unzip(crossing, state, state2, m1)
+
+    movie = FoamMovie(state.web, (move,))
+    if movie.end != state2.web:
+        raise MalformedMovie(
+            f"internal: resolution move at crossing {crossing} of {bits!r} "
+            f"failed to reproduce the target flattening"
+        )
+    return movie
 
 
 def clear_flatten_cache() -> None:

@@ -12,20 +12,19 @@ piece of surface:
   creating two trivalent vertices joined by a new edge (a "fin" sheet
   attached along a new singular arc);
 * ``Unzip``                    -- the inverse: the fin collapses, its two
-  vertices annihilate, and the four arm strands fuse in pairs;
-* ``DigonCup``                 -- pushes a two-edge bubble out of a
-  strand (two new disk sheets: an inner "chord" and an outer "bulge");
-* ``DigonCap``                 -- collapses a two-edge face to a point,
-  fusing the two external strands;
-* ``Frame``                    -- renames darts/loops without touching
-  the surface.
+  vertices annihilate, and the four arm strands fuse in pairs.
+
+The pipeline needs nothing else: collapsing a two-edge face is an unzip
+of one of its edges followed by the death of the circle its other edge
+closes into (``cap_movies``), and a four-edge face splits by two unzips
+and a death (``square_split_movies``).
 
 Vertices of the web slice are the endpoints of singular arcs in progress.
-``Zip`` and ``DigonCup`` create a vertex pair (one arc); ``Unzip`` and
-``DigonCap`` annihilate a vertex pair, joining arc ends.  When an arc's
-two ends turn out to belong to the same arc, a singular circle closes;
-exactly three sheet strips run along it.  A closed movie (empty web to
-empty web) therefore determines:
+``Zip`` creates a vertex pair (one arc); ``Unzip`` annihilates a vertex
+pair, joining arc ends.  When an arc's two ends turn out to belong to
+the same arc, a singular circle closes; exactly three sheet strips run
+along it.  A closed movie (empty web to empty web) therefore
+determines:
 
 * its facets (maximal sheets): each with an Euler characteristic built
   up move by move, a dot count, and boundary slots on singular circles;
@@ -52,9 +51,8 @@ ids (``_intern_shape``, given once when a half is built), so finding a
 plan hashes no shape; each call only adds the two halves' labels
 through it and checks the resulting facets.
 
-Grading: a movie has a degree (birth/death -2, dot +2, zip/unzip +1,
-cup/cap -1, frame 0); a closed movie of nonzero degree always
-evaluates to zero.
+Grading: a movie has a degree (birth/death -2, dot +2, zip/unzip +1);
+a closed movie of nonzero degree always evaluates to zero.
 """
 
 from __future__ import annotations
@@ -153,50 +151,7 @@ class Unzip:
     loop_id_anti: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class DigonCup:
-    """Push a two-edge bubble out of a strand site.
-
-    For an edge site (``site`` = a dart), ``side`` is 'left' or 'right'
-    of the edge's flow; for a loop site (``site`` = a negative id),
-    ``side`` is 'inside' or 'outside'.  ``labels`` fixes the six new
-    darts ``(p1, p2, c1, c2, u1, u2)``: the cut strand ends at ``p1``
-    and restarts at ``p2``, the inner bubble edge (chord) is
-    ``c2 -> c1``, the outer one (bulge) is ``u2 -> u1``."""
-
-    site: int
-    side: str
-    labels: Optional[tuple[int, int, int, int, int, int]] = None
-
-
-@dataclass(frozen=True)
-class DigonCap:
-    """Collapse the bounded, empty two-edge face ``face`` to a point,
-    fusing the two external strands.  If they are the same edge the
-    component closes into a free loop with id ``loop_id``."""
-
-    face: int
-    loop_id: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Rename darts and loop ids by bijections; no surface is swept."""
-
-    dart_map: tuple[tuple[int, int], ...] = ()
-    loop_map: tuple[tuple[int, int], ...] = ()
-
-
-Move = (
-    Birth
-    | Death
-    | Dot
-    | Zip
-    | Unzip
-    | DigonCup
-    | DigonCap
-    | Frame
-)
+Move = Birth | Death | Dot | Zip | Unzip
 
 _MOVE_DEGREE = {
     Birth: -2,
@@ -204,9 +159,6 @@ _MOVE_DEGREE = {
     Dot: 2,
     Zip: 1,
     Unzip: 1,
-    DigonCup: -1,
-    DigonCap: -1,
-    Frame: 0,
 }
 
 
@@ -346,19 +298,6 @@ def _apply_dot(web: Web, mv: Dot) -> tuple[Web, list]:
             raise MoveError(f"dot: dart {mv.site} does not exist")
         key = _k_dart(mv.site)
     return web, [("dot", key)]
-
-
-def _apply_frame(web: Web, mv: Frame) -> tuple[Web, list]:
-    dart_map = dict(mv.dart_map)
-    loop_map = dict(mv.loop_map)
-    for d in dart_map:
-        if d not in web.sigma:
-            raise MoveError(f"frame: dart {d} does not exist")
-    for l in loop_map:
-        if l not in web.loop_ccw:
-            raise MoveError(f"frame: loop {l} does not exist")
-    new_web = web.relabeled(dart_map=dart_map, loop_map=loop_map)
-    return new_web, [("rekey", dart_map, loop_map)]
 
 
 def _apply_zip(web: Web, mv: Zip) -> tuple[Web, list]:
@@ -777,223 +716,12 @@ def _apply_unzip(web: Web, mv: Unzip) -> tuple[Web, list]:
     return new_web, instrs
 
 
-def _apply_digon_cup(web: Web, mv: DigonCup) -> tuple[Web, list]:
-    labels = mv.labels if mv.labels is not None else _fresh_darts(web, 6)
-    p1, p2, c1, c2, u1, u2 = labels
-    if len(set(labels)) != 6 or any(d in web.sigma or d <= 0 for d in labels):
-        raise MoveError(f"cup labels {labels} must be six fresh positive darts")
-
-    sigma = dict(web.sigma)
-    alpha = dict(web.alpha)
-    out = set(web.out_darts)
-    loop_ccw = dict(web.loop_ccw)
-
-    if mv.site < 0:
-        lid = mv.site
-        if lid not in web.loop_ccw:
-            raise MoveError(f"cup: loop {lid} does not exist")
-        if mv.side not in ("inside", "outside"):
-            raise MoveError("cup on a loop needs side='inside' or 'outside'")
-        side_left = (mv.side == "inside") == web.loop_ccw[lid]
-        alpha[p1] = p2
-        alpha[p2] = p1
-        del loop_ccw[lid]
-        loop_site: Optional[int] = lid
-    else:
-        d = mv.site
-        if d not in web.sigma:
-            raise MoveError(f"cup: dart {d} does not exist")
-        if mv.side not in ("left", "right"):
-            raise MoveError("cup on an edge needs side='left' or 'right'")
-        t, h = web.edge_of(d)
-        side_left = mv.side == "left"
-        alpha[t] = p1
-        alpha[p1] = t
-        alpha[p2] = h
-        alpha[h] = p2
-        loop_site = None
-    alpha[c1] = c2
-    alpha[c2] = c1
-    alpha[u1] = u2
-    alpha[u2] = u1
-    out |= {p2, c2, u2}
-    if side_left:
-        sigma[c1], sigma[u1], sigma[p1] = u1, p1, c1
-        sigma[p2], sigma[u2], sigma[c2] = u2, c2, p2
-    else:
-        sigma[c1], sigma[p1], sigma[u1] = p1, u1, c1
-        sigma[p2], sigma[c2], sigma[u2] = c2, u2, p2
-
-    new_faces = _face_orbits(sigma, alpha)
-    new_face_of = {d: f for f, orbit in new_faces.items() for d in orbit}
-    new_comps = _component_split(sigma, alpha)
-    new_comp_of = {d: c for c, comp in new_comps.items() for d in comp}
-    carry = _carry_faces(web, new_face_of)
-
-    parent: dict[int, Region] = {}
-    outer_face: dict[int, int] = {}
-    override: dict[Region, Region] = {}
-    skip_comp = None if loop_site is not None else web.component_of(mv.site)
-    for c, f in web.outer_face.items():
-        if c != skip_comp:
-            parent[c] = web.parent[c]
-            outer_face[c] = carry[f]
-    for l in loop_ccw:
-        parent[l] = web.parent[l]
-
-    new_comp_id = new_comp_of[p1]
-    if loop_site is not None:
-        ccw = web.loop_ccw[loop_site]
-        interior_face = new_face_of[p2] if ccw else new_face_of[p1]
-        exterior_face = new_face_of[p1] if ccw else new_face_of[p2]
-        parent[new_comp_id] = web.parent[loop_site]
-        outer_face[new_comp_id] = exterior_face
-        override[("inside", loop_site)] = ("newface", interior_face)
-    else:
-        c_old = web.component_of(mv.site)
-        parent[new_comp_id] = web.parent[c_old]
-        outer_face[new_comp_id] = carry[web.outer_face[c_old]]
-
-    rename = _make_renamer(carry, override, new_comp_of, outer_face, parent)
-    final_parent = {item: rename(r) for item, r in parent.items()}
-    new_web = Web(sigma, alpha, out, loop_ccw, final_parent, outer_face)
-
-    like = _k_loop(loop_site) if loop_site is not None else _k_dart(mv.site)
-    instrs: list = [
-        ("bind", _k_dart(p1), like),
-        ("bind", _k_dart(p2), like),
-        ("new_class", _k_dart(c1)),
-        ("chi", _k_dart(c1), 1),
-        ("bind", _k_dart(c2), _k_dart(c1)),
-        ("new_class", _k_dart(u1)),
-        ("chi", _k_dart(u1), 1),
-        ("bind", _k_dart(u2), _k_dart(u1)),
-    ]
-    if loop_site is not None:
-        instrs.append(("unbind", _k_loop(loop_site)))
-    if side_left:
-        sink_cycle = (c1, u1, p1)
-        source_cycle = (p2, u2, c2)
-    else:
-        sink_cycle = (c1, p1, u1)
-        source_cycle = (p2, c2, u2)
-    instrs.append(
-        ("seam_create", sink_cycle, source_cycle, [(p1, p2), (c1, c2), (u1, u2)])
-    )
-    return new_web, instrs
-
-
-def _cap_digon_data(web: Web, face: int) -> tuple[int, int, int, int]:
-    """For a two-sided face: (d_a, d_b, x1, x2) with d_a the face dart at
-    the sink vertex and x1/x2 the external darts at sink/source."""
-    faces = web.faces()
-    if face not in faces:
-        raise MoveError(f"cap: no face with key {face}")
-    orbit = faces[face]
-    if len(orbit) != 2:
-        raise MoveError(f"cap: face {face} is not two-sided")
-    d_a, d_b = orbit
-    if d_a in web.out_darts:
-        d_a, d_b = d_b, d_a
-    x1 = web.sigma[web.sigma[d_a]]
-    x2 = web.sigma[web.sigma[d_b]]
-    return d_a, d_b, x1, x2
-
-
-def _apply_digon_cap(web: Web, mv: DigonCap) -> tuple[Web, list]:
-    d_a, d_b, x1, x2 = _cap_digon_data(web, mv.face)
-    comp = web.component_of(d_a)
-    if mv.face == web.outer_face[comp]:
-        raise MoveError("cap: the face must be bounded")
-    if web.children_of(("face", mv.face)):
-        raise MoveError("cap: the face must have an empty interior")
-    faces = web.faces()
-    deleted = {d_a, web.sigma[d_a], x1, d_b, web.sigma[d_b], x2}
-    sf1 = web.face_of(x1)  # side face at the sink
-    sf2 = web.face_of(web.sigma[d_a])  # side face at the source
-
-    sigma = {d: v for d, v in web.sigma.items() if d not in deleted}
-    alpha = {d: v for d, v in web.alpha.items() if d not in deleted}
-    out = {d for d in web.out_darts if d not in deleted}
-    loop_ccw = dict(web.loop_ccw)
-
-    closes = web.alpha[x1] == x2
-    new_loop: Optional[int] = None
-    if closes:
-        lid = mv.loop_id if mv.loop_id is not None else _fresh_loop_id(web)
-        if lid >= 0 or lid in web.loop_ccw:
-            raise MoveError(f"cap: loop id {lid} is not a fresh negative id")
-        if sf1 == sf2:
-            raise MalformedMovie("cap: degenerate side faces")
-        tail = x1 if x1 in web.out_darts else x2
-        interior = sf2 if sf1 == web.outer_face[comp] else sf1
-        loop_ccw[lid] = tail in faces[interior]
-        new_loop = lid
-    else:
-        y1, y2 = web.alpha[x1], web.alpha[x2]
-        alpha[y1] = y2
-        alpha[y2] = y1
-
-    new_faces = _face_orbits(sigma, alpha) if sigma else {}
-    new_face_of = {d: f for f, orbit2 in new_faces.items() for d in orbit2}
-    new_comps = _component_split(sigma, alpha) if sigma else {}
-    new_comp_of = {d: c for c, comp2 in new_comps.items() for d in comp2}
-    carry = _carry_faces(web, new_face_of)
-
-    parent: dict[int, Region] = {}
-    outer_face: dict[int, int] = {}
-    override: dict[Region, Region] = {}
-    for c, f in web.outer_face.items():
-        if c != comp:
-            parent[c] = web.parent[c]
-            outer_face[c] = carry[f]
-    for l in web.loop_ccw:
-        parent[l] = web.parent[l]
-
-    if closes:
-        assert new_loop is not None
-        parent[new_loop] = web.parent[comp]
-        interior = sf2 if sf1 == web.outer_face[comp] else sf1
-        override[("face", interior)] = ("inside", new_loop)
-    else:
-        c_new = new_comp_of[min(web.components()[comp] - deleted)]
-        parent[c_new] = web.parent[comp]
-        outer_face[c_new] = carry[web.outer_face[comp]]
-
-    rename = _make_renamer(carry, override, new_comp_of, outer_face, parent)
-    final_parent = {item: rename(r) for item, r in parent.items()}
-    new_web = Web(sigma, alpha, out, loop_ccw, final_parent, outer_face)
-
-    instrs: list = []
-    if closes:
-        instrs.append(("bind", _k_loop(new_loop), _k_dart(x1)))
-    instrs.append(("fuse", _k_dart(x1), _k_dart(x2)))
-    instrs.append(
-        (
-            "seam_join",
-            (d_a, web.sigma[d_a], x1),
-            (d_b, web.sigma[d_b], x2),
-            [
-                (d_a, web.sigma[d_b]),  # bubble edge containing d_a
-                (web.sigma[d_a], d_b),  # the other bubble edge
-                (x1, x2),
-            ],
-        )
-    )
-    for d in sorted(deleted):
-        instrs.append(("unbind", _k_dart(d)))
-    return new_web, instrs
-
-
 _APPLIERS = {
     Birth: _apply_birth,
     Death: _apply_death,
     Dot: _apply_dot,
     Zip: _apply_zip,
     Unzip: _apply_unzip,
-    DigonCup: _apply_digon_cup,
-    DigonCap: _apply_digon_cap,
-    Frame: _apply_frame,
 }
 
 
@@ -1017,11 +745,6 @@ def inverse_move(move: Move, before: Web, after: Web) -> Move:
         )
     if isinstance(move, Dot):
         return Dot(move.site)
-    if isinstance(move, Frame):
-        return Frame(
-            tuple(sorted((b, a) for a, b in move.dart_map)),
-            tuple(sorted((b, a) for a, b in move.loop_map)),
-        )
     if isinstance(move, Zip):
         labels = move.labels if move.labels is not None else _fresh_darts(before, 6)
         al_a = _site_aligned(before, move.site_a, move.region)
@@ -1079,33 +802,6 @@ def inverse_move(move: Move, before: Web, after: Web) -> Move:
             ceiling_side=ceiling,
             middle=middle,
         )
-    if isinstance(move, DigonCup):
-        labels = move.labels if move.labels is not None else _fresh_darts(before, 6)
-        p1, p2, c1, c2, u1, u2 = labels
-        side_left = after.sigma[c1] == u1
-        return DigonCap(
-            face=min(u2, c1) if side_left else min(u1, c2),
-            loop_id=move.site if move.site < 0 else None,
-        )
-    if isinstance(move, DigonCap):
-        d_a, d_b, x1, x2 = _cap_digon_data(before, move.face)
-        chord1 = before.sigma[x1]  # = d_a: the bubble edge on the face walk
-        bulge1 = before.sigma[chord1]
-        labels = (
-            x1,
-            x2,
-            chord1,
-            before.alpha[chord1],
-            bulge1,
-            before.alpha[bulge1],
-        )
-        if before.alpha[x1] == x2:
-            lid = move.loop_id
-            if lid is None:
-                lid = next(l for l in after.loop_ccw if l not in before.loop_ccw)
-            side = "inside" if after.loop_ccw[lid] else "outside"
-            return DigonCup(site=lid, side=side, labels=labels)
-        return DigonCup(site=before.alpha[x1], side="left", labels=labels)
     raise MoveError(f"cannot invert move {move!r}")
 
 
@@ -1258,7 +954,7 @@ def move_to_json(m: Move) -> dict:
         elif isinstance(v, frozenset):
             v = sorted(v)
         elif isinstance(v, tuple):
-            v = [list(x) if isinstance(x, tuple) else x for x in v]
+            v = list(v)
         d[name] = v
     return d
 
@@ -1358,8 +1054,6 @@ class FoamState:
                 self._seam_create(ins[1], ins[2], ins[3])
             elif op == "seam_join":
                 self._seam_join(ins[1], ins[2], ins[3])
-            elif op == "rekey":
-                self._rekey(ins[1], ins[2])
             else:
                 raise MalformedMovie(f"unknown tracking instruction {op!r}")
 
@@ -1439,25 +1133,6 @@ class FoamState:
                 "a singular circle closed with fewer than three distinct strips"
             )
         self.circles.append(tuple(self.strip_facet[s] for s in strips))
-
-    def _rekey(self, dart_map: Mapping[int, int], loop_map: Mapping[int, int]) -> None:
-        def md(d: int) -> int:
-            return dart_map.get(d, d)
-
-        self.class_of = {
-            (
-                ("dart", md(k[1]))
-                if k[0] == "dart"
-                else ("loop", loop_map.get(k[1], k[1]))
-            ): v
-            for k, v in self.class_of.items()
-        }
-        self.vertex_of_dart = {md(d): v for d, v in self.vertex_of_dart.items()}
-        self.vertex_darts = {
-            v: tuple(md(d) for d in cyc) for v, cyc in self.vertex_darts.items()
-        }
-        self.strip_at = {(v, md(d)): s for (v, d), s in self.strip_at.items()}
-
 
 def _sink_reading(cycle: tuple[int, int, int]) -> tuple[int, int, int]:
     """The darts of a sink vertex in the order its three strips are read
@@ -1873,21 +1548,42 @@ def dot_movie(web: Web, site: int) -> FoamMovie:
 def cap_movies(
     web: Web, face: int, loop_id: Optional[int] = None
 ) -> tuple[FoamMovie, FoamMovie]:
-    """The two projections collapsing the two-edge face ``face``:
-    (dotted cap, degree +1; plain cap, degree -1).
+    """The two projections collapsing the bounded, empty two-edge face
+    ``face``: (dotted cap, degree +1; plain cap, degree -1).
 
-    The dotted cap marks the outer ("bulge") bubble sheet, at ``sigma``
-    of the face's sink-side dart; the dotted lift of ``digon_movies``
-    marks the inner ("chord") sheet, at that dart itself.  Pinned by the
-    two-edge-face identity tests: with the cyclic order of
-    ``_sink_reading``, only this choice makes the composite "plain lift
-    then dotted projection" induce plus the identity."""
-    d_a = _cap_digon_data(web, face)[0]
-    dot_site = web.sigma[d_a]
-    cap = DigonCap(face, loop_id)
-    dotted = FoamMovie(web, (Dot(dot_site), cap))
-    plain = FoamMovie(web, (cap,))
-    return dotted, plain
+    Both unzip the face's edge at ``d_a``, the face's dart at its sink
+    vertex (the inner "chord" sheet).  The face's other edge (the outer
+    "bulge", dart ``sigma(d_a)``) then closes into a circle around the
+    emptied face, and that circle dies.  The two external strands fuse;
+    when they are one edge (a theta-like web) they close into a free
+    loop with id ``loop_id`` and the bulge circle takes the next fresh
+    id, otherwise the bulge circle takes ``loop_id``.
+
+    The dotted cap puts its dot on the bulge sheet, before the unzip,
+    while the dotted lift of ``digon_movies`` marks the chord sheet.
+    With the cyclic order of ``_sink_reading`` only this choice makes
+    "plain lift then dotted cap" induce plus the identity; the
+    two-edge-face identity tests pin it.  A face that is missing, not
+    two-sided, a component's outer face or not empty raises
+    ``MoveError``."""
+    orbit = web.faces().get(face)
+    if orbit is None:
+        raise MoveError(f"cap: no face with key {face}")
+    if len(orbit) != 2:
+        raise MoveError(f"cap: face {face} is not two-sided")
+    d_a = orbit[0] if orbit[0] not in web.out_darts else orbit[1]
+    if face == web.outer_face[web.component_of(d_a)]:
+        raise MoveError("cap: the face must be bounded")
+    if web.children_of(("face", face)):
+        raise MoveError("cap: the face must have an empty interior")
+    bulge = web.sigma[d_a]
+    lid = loop_id if loop_id is not None else _fresh_loop_id(web)
+    outer = None
+    # the external darts at the sink and at the source share an edge
+    if web.alpha[web.sigma[bulge]] == web.sigma[web.alpha[d_a]]:
+        outer, lid = lid, _fresh_loop_id(web, (lid,))
+    cap = (Unzip(d_a, loop_id_aligned=outer, loop_id_anti=lid), Death(lid))
+    return FoamMovie(web, (Dot(bulge),) + cap), FoamMovie(web, cap)
 
 
 def digon_movies(
@@ -1897,12 +1593,14 @@ def digon_movies(
     ``web``: ``(lift_plain, lift_dotted, drop_dotted, drop_plain)``.
 
     The two drops collapse the face onto the reduced web (they are
-    exactly ``cap_movies``); the two lifts run from the reduced web back
-    into ``web``.  The plain lift is the reflection of the plain drop;
-    the dotted lift adds one dot on the inner ("chord") bubble sheet,
-    the face's sink-side dart, *opposite* the sheet the dotted drop
-    marks, so that the four satisfy the two-edge-face identities (plain
-    lift then dotted drop = identity, and so on)."""
+    exactly ``cap_movies``: unzip the chord edge at the face's sink-side
+    dart, then the death of the bulge circle).  The plain lift is the
+    reflection of the plain drop: the birth of the bulge circle, then
+    the zip that restores the chord edge.  The dotted lift adds one dot
+    on the chord sheet, at the face's sink-side dart, *opposite* the
+    bulge sheet the dotted drop marks, so that the four satisfy the
+    two-edge-face identities (plain lift then dotted drop = identity,
+    and so on)."""
     drop_dotted, drop_plain = cap_movies(web, face, loop_id)
     p, q = web.faces()[face]
     d_a = p if p not in web.out_darts else q

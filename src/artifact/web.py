@@ -166,10 +166,6 @@ class Web:
     def empty(cls) -> "Web":
         return cls()
 
-    @classmethod
-    def single_loop(cls, loop_id: int = -1, ccw: bool = True) -> "Web":
-        return cls(loop_ccw={loop_id: ccw})
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -219,11 +215,6 @@ class Web:
                 seen.update(v)
                 out.append(v)
         return tuple(out)
-
-    def is_source_dart(self, dart: int) -> bool:
-        """True when the edge of ``dart`` points away from ``dart``'s
-        vertex (the dart is a tail)."""
-        return dart in self.out_darts
 
     def edge_of(self, dart: int) -> tuple[int, int]:
         """The edge through ``dart`` as a ``(tail, head)`` pair."""

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import LaurentPoly
 from .foam import (
     Birth,
     Death,
@@ -218,20 +217,8 @@ class StateSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def graded_dimension(self) -> LaurentPoly:
-        total = LaurentPoly.zero()
-        for d in self.degrees:
-            total = total + LaurentPoly.monomial(d)
-        return total
-
 
 _SPACES: Dict[str, StateSpace] = {}
-_INDUCED: Dict[FoamMovie, IntMatrix] = {}
-
-
-def clear_state_space_cache() -> None:
-    _SPACES.clear()
-    _INDUCED.clear()
 
 
 def _fresh_loop_id(web: Web) -> int:
@@ -325,8 +312,6 @@ def induced_matrix(movie: FoamMovie) -> IntMatrix:
     """The integer matrix of the movie's action, from the preparation
     basis of its start web to that of its end web.  Homogeneous of the
     movie's degree; columns index the source basis."""
-    if movie in _INDUCED:
-        return _INDUCED[movie]
     src = state_space(movie.start)
     dst = state_space(movie.end)
     shift = movie.degree()
@@ -351,7 +336,6 @@ def induced_matrix(movie: FoamMovie) -> IntMatrix:
                     f"induced matrix entry ({k}, {j}) breaks degree "
                     f"homogeneity: {dst.degrees[k]} != {src.degrees[j]} + {shift}"
                 )
-    _INDUCED[movie] = out
     return out
 
 
@@ -387,11 +371,11 @@ def vertex_orbits(web: Web) -> Tuple[Tuple[int, int, int], ...]:
 
 
 def vertex_symmetric_actions(
-    web: Web, orbit: Sequence[int]
+    x1: IntMatrix, x2: IntMatrix, x3: IntMatrix
 ) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """The three elementary symmetric polynomials in the dot actions of
-    the three edges at one vertex.  All three vanish on the state space."""
-    x1, x2, x3 = (edge_dot_action(web, d) for d in orbit)
+    """The three elementary symmetric polynomials in the dot actions
+    ``x1, x2, x3`` of the three edges at one vertex.  All three vanish
+    on the state space."""
     e1 = mat_add(mat_add(x1, x2), x3)
     x2x3 = mat_mul(x2, x3)
     e2 = mat_add(mat_mul(x1, mat_add(x2, x3)), x2x3)
@@ -402,16 +386,18 @@ def vertex_symmetric_actions(
 def check_edge_ring(web: Web) -> None:
     """Verify the edge-ring relations on the state space: at every
     vertex the elementary symmetric sums of the three incident dot
-    actions vanish, and every dot action cubes to zero."""
+    actions vanish, and every dot action cubes to zero.  Each edge's
+    dot action is computed once."""
     n = state_space(web).dim
     zero = zero_matrix(n, n)
+    actions = {site: edge_dot_action(web, site) for site in edge_sites(web)}
     for orbit in vertex_orbits(web):
-        for name, mat in zip("123", vertex_symmetric_actions(web, orbit)):
+        xs = (actions[min(d, web.alpha[d])] for d in orbit)
+        for name, mat in zip("123", vertex_symmetric_actions(*xs)):
             if mat != zero:
                 raise StateSpaceError(
                     f"symmetric relation e{name} fails at vertex {orbit}"
                 )
-    for site in edge_sites(web):
-        x = edge_dot_action(web, site)
+    for site, x in actions.items():
         if mat_power(x, 3) != zero:
             raise StateSpaceError(f"dot action at {site} is not nilpotent of order 3")

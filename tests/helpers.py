@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 
 from artifact import foam
+from artifact.algebra import LaurentPoly
 from artifact.corpus import fixture_diagrams
 from artifact.diagram import resolutions
 from artifact.selftest import cube_web, digon_chain_web, theta_web  # noqa: F401
@@ -44,17 +45,7 @@ def web_from_json_dict(data) -> Web:
 
 
 _MOVE_TYPES = {
-    t.__name__: t
-    for t in (
-        foam.Birth,
-        foam.Death,
-        foam.Dot,
-        foam.Zip,
-        foam.Unzip,
-        foam.DigonCup,
-        foam.DigonCap,
-        foam.Frame,
-    )
+    t.__name__: t for t in (foam.Birth, foam.Death, foam.Dot, foam.Zip, foam.Unzip)
 }
 
 
@@ -70,8 +61,6 @@ def move_from_json_dict(data) -> foam.Move:
             v = frozenset(v)
         elif name == "labels" and v is not None:
             v = tuple(v)
-        elif name in ("dart_map", "loop_map"):
-            v = tuple(tuple(x) for x in v)
         kwargs[name] = v
     return t(**kwargs)
 
@@ -117,6 +106,43 @@ CUBE_EDGES = [
     (5, 1), (5, 4), (5, 6),
     (7, 3), (7, 4), (7, 6),
 ]
+
+
+def at_one(p) -> int:
+    """A Laurent polynomial at ``q = 1``: the sum of its coefficients."""
+    return sum(c for _, c in p.items())
+
+
+def component_count(d) -> int:
+    """The number of link components of a diagram, free loops included.
+
+    Read straight off the PD code: at ``X(a, b, c, d)`` arcs ``a`` and
+    ``c`` are one strand, and so are ``b`` and ``d``."""
+    parent = {a: a for x in d.crossings for a in x}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b, c, e in d.crossings:
+        parent[find(a)] = find(c)
+        parent[find(b)] = find(e)
+    return len({find(a) for a in parent}) + d.free_loops
+
+
+def graded_dimension(space) -> LaurentPoly:
+    """The graded rank of a state space: one ``q^d`` per basis element
+    of degree ``d``."""
+    total = LaurentPoly.zero()
+    for deg in space.degrees:
+        total = total + LaurentPoly.monomial(deg)
+    return total
+
+
+def free_ranks(h) -> dict:
+    """The nonzero free ranks of a homology table, by bidegree."""
+    return {(i, j): r for i, j, r, _t in h.entries if r}
 
 
 def fixture_webs():

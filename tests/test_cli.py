@@ -3,6 +3,7 @@ exit codes, the disk cache, and input handling."""
 
 import json
 import os
+import shlex
 from pathlib import Path
 
 import pytest
@@ -540,3 +541,62 @@ def test_console_script_entry_point(tmp_path, monkeypatch):
     eps = importlib.metadata.entry_points(group="console_scripts")
     names = {ep.name: ep.value for ep in eps}
     assert names.get("sl3web") == "artifact.cli:main"
+
+
+# --------------------------------------------------------------------------
+# the README examples
+# --------------------------------------------------------------------------
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block under the README's ``## heading``."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_line_examples(capsys, monkeypatch, tmp_path):
+    """Every ``sl3web`` line of the README runs through ``main`` and
+    prints each output line the README shows right under it."""
+    monkeypatch.setenv("SL3WEB_CACHE_DIR", str(tmp_path))
+    runs: list = []
+    current = None
+    for line in _readme_block("Command line", "sh").splitlines():
+        if line.startswith("sl3web "):
+            current = (shlex.split(line)[1:], [])
+            runs.append(current)
+        elif current is not None and line.startswith("# "):
+            if line != "# ...":
+                current[1].append(line[2:])
+        else:
+            current = None
+    shown = {line for _argv, lines in runs for line in lines}
+    assert {
+        TREFOIL_BRACKET,
+        "i=3 j=-10 rank=0 torsion=3",
+        "euler check: ok",
+        "selftest passed: 2761 checks",
+    } <= shown
+    for argv, lines in runs:
+        code, out, _err = run_cli(capsys, argv)
+        assert code == 0, argv
+        for line in lines:
+            assert line in out.splitlines(), (argv, line)
+
+
+def test_readme_library_snippet(capsys):
+    """The README's Library snippet prints what its comments show (up to
+    a `` — `` remark)."""
+    snippet = _readme_block("Library", "python")
+    shown = [
+        line.split("# ", 1)[1].split(" — ")[0]
+        for line in snippet.splitlines()
+        if line.startswith("print(")
+    ]
+    assert shown == [TREFOIL_BRACKET, "1", "(3,)", "False"]
+    namespace: dict = {}
+    exec(snippet, namespace)
+    assert capsys.readouterr().out.splitlines() == shown
+    assert namespace["h"].rank(3, -12) == 1
+    assert namespace["h"].torsion(3, -10) == (3,)
+    assert namespace["report"].passed is False

@@ -13,11 +13,8 @@ from artifact.algebra import quantum_integer, theta_symbol
 from artifact.foam import (
     Birth,
     Death,
-    DigonCap,
-    DigonCup,
     Dot,
     FoamMovie,
-    Frame,
     HalfFoam,
     MalformedMovie,
     MoveError,
@@ -30,6 +27,7 @@ from artifact.foam import (
     apply_move,
     cap_movies,
     clear_evaluation_cache,
+    digon_movies,
     dot_movie,
     evaluate,
     glue,
@@ -41,6 +39,7 @@ from artifact.foam import (
 from artifact.web import Web, kuperberg_bracket
 from .helpers import (
     cube_web,
+    digon_chain_web,
     movie_from_json_dict,
     nested_loops_web,
     theta_web,
@@ -59,9 +58,6 @@ def test_move_degrees():
     assert move_degree(Dot(1)) == 2
     assert move_degree(Zip(1, 2, None)) == 1
     assert move_degree(Unzip(1)) == 1
-    assert move_degree(DigonCup(1, "left")) == -1
-    assert move_degree(DigonCap(1)) == -1
-    assert move_degree(Frame()) == 0
 
 
 # --------------------------------------------------------------------------
@@ -113,30 +109,45 @@ def test_two_spheres_multiply():
 
 
 # --------------------------------------------------------------------------
-# the bubble sphere: cup then cap, dots on its three sheets
+# the bubble sphere: zip a bubble onto a loop, then cap it off
 # --------------------------------------------------------------------------
 
 
-def bubble_movie(a: int, b: int, c: int) -> FoamMovie:
+def bubble_movie(a: int, b: int, c: int, outside: bool = False) -> FoamMovie:
     """Dots: ``a`` on the main sheet, ``b`` on the bulge, ``c`` on the
-    chord; the bubble is pushed inside a counterclockwise loop."""
-    moves: list = [Birth(-1, None, True), DigonCup(-1, "inside", (1, 2, 3, 4, 5, 6))]
-    moves += [Dot(1)] * a + [Dot(5)] * b + [Dot(3)] * c
-    moves += [DigonCap(3, loop_id=-2), Death(-2)]
+    chord.  A counterclockwise main loop is born, then a bulge loop
+    inside it (or beside it, turning the other way, when ``outside``);
+    the two are zipped along the chord edge ``2 -> 1``.  The cap unzips
+    the chord, the bulge circle dies, then the main loop."""
+    region = None if outside else ("inside", -1)
+    moves: list = [
+        Birth(-1, None, True),
+        Birth(-2, region, not outside),
+        Zip(-1, -2, region, (1, 2, 3, 4, 5, 6)),
+    ]
+    # the zip cuts the loop aligned with the region's walk at darts 3/4
+    # and the other at 5/6; the main loop is the aligned one from inside
+    aligned, anti = (-2, -1) if outside else (-1, -2)
+    main, bulge = (3, 5) if aligned == -1 else (5, 3)
+    moves += [Dot(main)] * a + [Dot(bulge)] * b + [Dot(1)] * c
+    moves += [Unzip(1, loop_id_aligned=aligned, loop_id_anti=anti)]
+    moves += [Death(-2), Death(-1)]
     return FoamMovie(Web.empty(), moves)
 
 
 def test_bubble_movie_states():
     m = bubble_movie(0, 0, 0)
     states = m.states()
-    w = states[2]  # after the cup
-    assert w.faces() == {1: (1, 4), 2: (2, 5), 3: (3, 6)}
-    assert w.outer_face == {1: 1}
+    w = states[3]  # after the zip
+    assert w.faces() == {1: (1, 6), 2: (2, 3), 4: (4, 5)}
+    assert w.outer_face == {1: 2}
     assert w.parent == {1: None}
     assert kuperberg_bracket(w) == quantum_integer(2) * quantum_integer(3)
-    after_cap = states[3]
-    assert after_cap.loop_ccw == {-2: True}
-    assert after_cap.parent == {-2: None}
+    # the unzip gives both loops back, nested as they were born
+    assert states[4] == states[2]
+    after_cap = states[5]
+    assert after_cap.loop_ccw == {-1: True}
+    assert after_cap.parent == {-1: None}
     assert m.end.is_empty()
 
 
@@ -158,16 +169,10 @@ def test_bubble_prefoam_order():
 
 
 def test_bubble_outside_is_reversed():
-    # pushing the bubble out of the loop reverses the circle's cyclic order
+    # zipping the bubble on from outside the loop reverses the circle's
+    # cyclic order
     for a, b, c in itertools.product(range(3), repeat=3):
-        moves: list = [
-            Birth(-1, None, True),
-            DigonCup(-1, "outside", (1, 2, 3, 4, 5, 6)),
-        ]
-        moves += [Dot(1)] * a + [Dot(5)] * b + [Dot(3)] * c
-        moves += [DigonCap(4, loop_id=-2), Death(-2)]
-        m = FoamMovie(Web.empty(), moves)
-        got = evaluate_closed(m)
+        got = evaluate_closed(bubble_movie(a, b, c, outside=True))
         assert got == theta_symbol(b, a, c)
         assert got == flag_theta(b, a, c)
 
@@ -502,23 +507,26 @@ def test_zip_loop_to_edge():
 
 
 # --------------------------------------------------------------------------
-# cups and caps on the three-edge web
+# cups and caps on two-edge faces
 # --------------------------------------------------------------------------
 
 
 def test_cup_movies_on_edge():
-    w = theta_web()
-    for site, side in itertools.product((1, 2, 3), ("left", "right")):
-        cup = DigonCup(site, side, (7, 8, 9, 10, 11, 12))
-        plain = FoamMovie(w, (cup,))
-        dotted = FoamMovie(w, (cup, Dot(9)))
+    # the lifts through a digon whose external strands are two edges: a
+    # bubble is born beside an edge and zipped onto it
+    w = digon_chain_web()
+    for face in (2, 8):
+        plain, dotted, _, _ = digon_movies(w, face)
+        assert [type(m) for m in plain.moves] == [Birth, Zip]
         assert plain.degree() == -1
         assert dotted.degree() == 1
-        end = plain.end
-        assert len(end.sigma) == 12
-        assert kuperberg_bracket(end) == quantum_integer(2) * kuperberg_bracket(w)
-        assert plain.reflect().end == w
-        assert dotted.reflect().end == w
+        assert plain.end == dotted.end == w
+        assert len(plain.start.sigma) == 6
+        assert kuperberg_bracket(w) == quantum_integer(2) * kuperberg_bracket(
+            plain.start
+        )
+        assert plain.reflect().end == plain.start
+        assert dotted.reflect().end == plain.start
 
 
 def test_cap_movies_on_theta():
@@ -595,60 +603,23 @@ def test_unzip_merges_on_cube():
 
 
 def test_fin_collapse_table():
-    # zip two loops and collapse the flank digon containing the seam:
+    # zip two loops and collapse either flank digon containing the seam:
     # the surviving loop carries the fused sheet; closing everything up
-    # sweeps the same three-sheet sphere as the cup/cap route
-    def via_fin(a: int, b: int, c: int) -> int:
+    # sweeps the same three-sheet sphere as the bubble route
+    def via_fin(a: int, b: int, c: int, face: int) -> int:
         moves: list = [Birth(-1, None, True), Birth(-2, None, False)]
         moves += [Dot(-1)] * a + [Dot(-2)] * b
         moves += [Zip(-1, -2, None, (1, 2, 3, 4, 5, 6))]
         moves += [Dot(1)] * c
-        moves += [DigonCap(1, loop_id=-3), Death(-3)]
+        fin = FoamMovie(Web.empty(), moves)
+        cap = cap_movies(fin.end, face, loop_id=-3)[1]
+        assert [type(m) for m in cap.moves] == [Unzip, Death]
+        moves += [*cap.moves, Death(-3)]
         return evaluate_closed(FoamMovie(Web.empty(), moves))
 
-    for a, b, c in itertools.product(range(3), repeat=3):
-        assert via_fin(a, b, c) == theta_symbol(b, a, c)
-
-
-# --------------------------------------------------------------------------
-# frames
-# --------------------------------------------------------------------------
-
-
-def test_frame_rekey_loops():
-    moves = [
-        Birth(-1, None, True),
-        Dot(-1),
-        Frame(loop_map=((-1, -5),)),
-        Dot(-5),
-        Death(-5),
-    ]
-    assert evaluate_closed(FoamMovie(Web.empty(), moves)) == -1
-
-
-def test_frame_rekey_darts():
-    shift = tuple((d, d + 10) for d in range(1, 7))
-    moves = [
-        Birth(-1, None, True),
-        DigonCup(-1, "inside", (1, 2, 3, 4, 5, 6)),
-        Frame(dart_map=shift),
-        Dot(15),
-        Dot(15),
-        Dot(11),
-        DigonCap(13, loop_id=-2),
-        Death(-2),
-    ]
-    m = FoamMovie(Web.empty(), moves)
-    assert m.degree() == 0
-    assert evaluate_closed(m) == theta_symbol(1, 2, 0)
-
-
-def test_frame_roundtrip():
-    w = theta_web()
-    fr = Frame(dart_map=((1, 7), (2, 8)), loop_map=())
-    m = FoamMovie(w, (fr,))
-    assert m.end == w.relabeled(dart_map={1: 7, 2: 8})
-    assert m.reflect().end == w
+    for face in (1, 2):
+        for a, b, c in itertools.product(range(3), repeat=3):
+            assert via_fin(a, b, c, face) == theta_symbol(b, a, c)
 
 
 # --------------------------------------------------------------------------
@@ -667,7 +638,6 @@ def _sample_movies() -> list[FoamMovie]:
             theta_with_loop_inside(),
             (Zip(-1, 4, ("face", 1), (11, 12, 13, 14, 15, 16)),),
         ),
-        FoamMovie(theta_web(), (Frame(dart_map=((1, 7), (2, 8))),)),
     ]
 
 
@@ -733,34 +703,29 @@ def test_unzip_validation():
 
 
 def test_cup_validation():
-    w = theta_web()
+    # the lifts (cups) of ``digon_movies`` reflect the caps, so they
+    # refuse the same faces
     with pytest.raises(MoveError):
-        apply_move(w, DigonCup(9, "left"))
+        digon_movies(theta_with_loop_inside(), 1)
     with pytest.raises(MoveError):
-        apply_move(w, DigonCup(1, "inside"))  # loop side word on an edge
+        digon_movies(theta_web(), 2)
     with pytest.raises(MoveError):
-        apply_move(w, DigonCup(-1, "left"))
+        digon_movies(cube_web(), 1)
+    with pytest.raises(MoveError):
+        digon_movies(theta_web(), 9)
 
 
 def test_cap_validation():
-    w = theta_with_loop_inside()
     with pytest.raises(MoveError):
-        apply_move(w, DigonCap(1))  # face has an interior item
+        cap_movies(theta_with_loop_inside(), 1)  # face has an interior item
     with pytest.raises(MoveError):
-        apply_move(theta_web(), DigonCap(2))  # outer face
+        cap_movies(theta_web(), 2)  # outer face
     with pytest.raises(MoveError):
-        apply_move(cube_web(), DigonCap(1))  # not two-sided
+        cap_movies(cube_web(), 1)  # not two-sided
     with pytest.raises(MoveError):
-        apply_move(theta_web(), DigonCap(1, loop_id=-0))  # zero id
+        cap_movies(theta_web(), 9)  # no such face
     with pytest.raises(MoveError):
-        apply_move(theta_web(), DigonCap(9))
-
-
-def test_frame_validation():
-    with pytest.raises(MoveError):
-        apply_move(theta_web(), Frame(dart_map=((9, 10),)))
-    with pytest.raises(MoveError):
-        apply_move(theta_web(), Frame(loop_map=((-1, -2),)))
+        cap_movies(theta_web(), 1, loop_id=0)[1].end  # not a negative id
 
 
 def test_square_split_validation():
