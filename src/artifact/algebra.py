@@ -8,7 +8,7 @@ Contents
     home of graded dimensions.
 ``quantum_integer``
     The symmetric q-integer ``[n] = q^(n-1) + q^(n-3) + ... + q^(1-n)``.
-``FrobeniusElement`` with ``multiply`` / ``comultiply`` / ``trace``
+``FrobeniusElement`` with ``*`` / ``comultiply`` / ``trace``
     The rank-3 graded Frobenius algebra ``Z[X]/(X^3)`` with counit
     ``trace(X^2) = -1``, ``trace(1) = trace(X) = 0``.  A dot on a surface
     sheet acts as multiplication by ``X``; the basis element ``X^i`` is
@@ -313,11 +313,6 @@ class FrobeniusElement:
         return f"FrobeniusElement{self._c!r}"
 
 
-def multiply(a: FrobeniusElement, b: FrobeniusElement) -> FrobeniusElement:
-    """Ring product in ``Z[X]/(X^3)``."""
-    return a * b
-
-
 def trace(a: FrobeniusElement) -> int:
     """The counit: coefficient of ``X^2``, negated."""
     return -a.coefficients[2]
@@ -333,7 +328,7 @@ def comultiply(a: FrobeniusElement) -> dict[tuple[int, int], int]:
     * ``X   -> -(X (x) X^2) - (X^2 (x) X)``
     * ``X^2 -> -(X^2 (x) X^2)``
 
-    This is the unique coproduct dual to ``multiply`` under ``trace``:
+    This is the unique coproduct dual to the product under ``trace``:
     it satisfies ``comultiply(a*b) = (a (x) 1) . comultiply(b)``.
     """
     out: dict[tuple[int, int], int] = {}

@@ -30,10 +30,12 @@ is minus the smallest port dart it passes.  Region nesting and loop
 winding flags are derived combinatorially from the crossing quadrants,
 so equal inputs always produce identical webs.
 
-``resolution_edge_move`` returns, for any choice vector and any crossing
-sitting at choice 0, the single cobordism move (a ``Zip`` for positive
-crossings, an ``Unzip`` for negative ones) that carries the choice-0
-flattening to the choice-1 flattening with exactly matching labels.
+``resolution_edge_movie`` returns, for any choice vector and any
+crossing sitting at choice 0, the one-move cobordism that carries the
+choice-0 flattening to the choice-1 flattening with exactly matching
+labels.  Both signs start from the unzip of the crossing's bridge in the
+flattening that bridges it: a negative crossing's edge is that
+``Unzip``, and a positive crossing's edge is its reflection, a ``Zip``.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .foam import FoamMovie, MalformedMovie, Move, Unzip, Zip, _DSU
+from .foam import FoamMovie, MalformedMovie, Unzip, _DSU, _unzip_arms
 from .web import Region, Web, _component_split, _face_orbits
 
 
@@ -198,11 +200,6 @@ class LinkDiagram:
     @property
     def negative_count(self) -> int:
         return sum(1 for s in self.signs if s == -1)
-
-    def arcs(self) -> tuple[int, ...]:
-        """Sorted arc labels."""
-
-        return tuple(sorted({lab for x in self.crossings for lab in x}))
 
     def mirror(self) -> "LinkDiagram":
         """The diagram with every crossing's over- and under-strand
@@ -481,31 +478,12 @@ def resolutions(n: int) -> list[tuple[int, ...]]:
     return [tuple((mask >> k) & 1 for k in range(n)) for mask in range(1 << n)]
 
 
-@dataclass(frozen=True)
-class _Passage:
-    """One transit of a strand through a smoothed crossing."""
+class _FlatState(NamedTuple):
+    """A flattened web, and the id of the free loop through each
+    smoothed crossing's inflow port, keyed ``(crossing, slot)``."""
 
-    kind: str  # "edge" or "loop"
-    carrier: tuple  # ("edge", tail, head) or ("loop", id)
-    order: int  # position along the carrier's traversal
-
-
-class _FlatState:
-    """A flattened web together with the transit records and region
-    atoms needed to build resolution-edge moves."""
-
-    __slots__ = ("web", "passages", "_atom_dsu", "_region_of_class")
-
-    def __init__(self, web, passages, atom_dsu, region_of_class) -> None:
-        self.web = web
-        self.passages = passages
-        self._atom_dsu = atom_dsu
-        self._region_of_class = region_of_class
-
-    def region_of_atom(self, c: int, k: int) -> Region:
-        """The web region containing the quadrant ``k`` of crossing ``c``."""
-
-        return self._region_of_class[self._atom_dsu.find(4 * c + k)]
+    web: Web
+    loop_at: dict[tuple[int, int], int]
 
 
 @lru_cache(maxsize=None)
@@ -518,31 +496,27 @@ def _flatten_state(d: LinkDiagram, bits: tuple[int, ...]) -> _FlatState:
     smoothed_set = set(smoothed)
 
     # ---- strands ---------------------------------------------------------
-    passages: dict[int, dict[int, _Passage]] = {c: {} for c in smoothed}
-    edge_routes: list[tuple[int, int, list[tuple[int, int]]]] = []
+    edge_routes: list[tuple[int, int]] = []
     loop_routes: list[tuple[int, list[tuple[int, int]]]] = []
     entered: set[tuple[int, int]] = set()
 
     def _trace_to_vertex(c: int, s: int):
         """Follow the strand leaving port (c, s) of a bridged crossing
-        until it reaches a bridged crossing's inflow port; records the
-        smoothed transits on the way."""
+        until it reaches a bridged crossing's inflow port; marks the
+        smoothed transits on the way as entered."""
 
-        route: list[tuple[int, int]] = []
         c2, s2 = _arc_other(xs, occ, c, s)
         while c2 in smoothed_set:
             assert s2 in _IN_SLOTS[d.signs[c2]], (c2, s2)
             entered.add((c2, s2))
-            route.append((c2, s2))
             s3 = _SMOOTH_EXIT[d.signs[c2]][s2]
             c2, s2 = _arc_other(xs, occ, c2, s3)
         assert s2 in _IN_SLOTS[d.signs[c2]], (c2, s2)
-        return _port(c2, s2), route
+        return _port(c2, s2)
 
     for c in bridged:
         for s in _OUT_SLOTS[d.signs[c]]:
-            head, route = _trace_to_vertex(c, s)
-            edge_routes.append((_port(c, s), head, route))
+            edge_routes.append((_port(c, s), _trace_to_vertex(c, s)))
     for c in smoothed:
         for s in _IN_SLOTS[d.signs[c]]:
             if (c, s) in entered:
@@ -560,12 +534,7 @@ def _flatten_state(d: LinkDiagram, bits: tuple[int, ...]) -> _FlatState:
                 assert cur[0] in smoothed_set
             assert cur == (c, s)
             loop_routes.append((-min(ports), route))
-    for (tail, head, route) in edge_routes:
-        for i, (cc, ss) in enumerate(route):
-            passages[cc][ss] = _Passage("edge", ("edge", tail, head), i)
-    for (lid, route) in loop_routes:
-        for i, (cc, ss) in enumerate(route):
-            passages[cc][ss] = _Passage("loop", ("loop", lid), i)
+    loop_at = {cs: lid for lid, route in loop_routes for cs in route}
 
     # ---- permutations ----------------------------------------------------
     sigma: dict[int, int] = {}
@@ -583,7 +552,7 @@ def _flatten_state(d: LinkDiagram, bits: tuple[int, ...]) -> _FlatState:
         out_darts.update(out)
         for dart, k in quadrant.items():
             dart_quadrant[dart] = 4 * c + k
-    for (tail, head, _route) in edge_routes:
+    for (tail, head) in edge_routes:
         alpha[tail], alpha[head] = head, tail
 
     # ---- region atoms ----------------------------------------------------
@@ -692,7 +661,7 @@ def _flatten_state(d: LinkDiagram, bits: tuple[int, ...]) -> _FlatState:
         parent[lid] = None
 
     web = Web(sigma, alpha, frozenset(out_darts), loop_ccw, parent, outer_face)
-    return _FlatState(web, passages, atoms, designator)
+    return _FlatState(web, loop_at)
 
 
 # --------------------------------------------------------------------------
@@ -700,112 +669,45 @@ def _flatten_state(d: LinkDiagram, bits: tuple[int, ...]) -> _FlatState:
 # --------------------------------------------------------------------------
 
 
-def resolution_edge_move(d: LinkDiagram, bits, crossing: int) -> Move:
-    """The single move carrying ``d.flatten(bits)`` to the flattening
-    with ``crossing`` switched from choice 0 to choice 1.
+def _bridge_unzip(
+    crossing: int, bridged: _FlatState, smoothed: _FlatState, n: int
+) -> Unzip:
+    """The ``Unzip`` of ``crossing``'s bridge dart ``m1`` in the
+    flattening that bridges it.  An arm pair whose two darts already
+    share an edge closes into a free loop; its id is that of the loop
+    through the pair's inflow port in the flattening that smooths the
+    crossing."""
 
-    Positive crossings bridge under the switch: the move is a ``Zip``
-    whose new vertices and bridge reuse exactly the port and bridge dart
-    labels of the target flattening.  Negative crossings smooth under
-    the switch: the move is an ``Unzip`` of their bridge.  The result is
-    verified to reproduce the target flattening label-for-label.
-    """
+    m1, _ = _bridge_darts(n, crossing)
+    web = bridged.web
+    _, _, p, q, r, s = _unzip_arms(web, m1)
 
-    return resolution_edge_movie(d, bits, crossing).moves[0]
+    def closing_loop(inflow: int, outflow: int) -> Optional[int]:
+        if web.alpha[inflow] != outflow:
+            return None
+        return smoothed.loop_at[(crossing, (inflow - 1) % 4)]
 
-
-def _site_of(passage: _Passage, end: str) -> int:
-    """The move site of a transit: the carrying edge's tail or head
-    dart, or the loop id."""
-
-    if passage.kind == "loop":
-        return passage.carrier[1]
-    _, tail, head = passage.carrier
-    return tail if end == "tail" else head
-
-
-def _positive_edge_zip(d, crossing, state, state2, ports, m1, m2) -> Zip:
-    a0, a1, a2, a3 = ports
-    over = state.passages[crossing][1]
-    under = state.passages[crossing][0]
-    site_plus = _site_of(over, "tail")
-    site_minus = _site_of(under, "head")
-    middle = None
-    if site_plus == site_minus:
-        raise MalformedMovie(
-            f"crossing {crossing}: one free loop makes both transits; "
-            f"this flattening edge is not a single zip"
-        )
-    if (
-        over.kind == "edge"
-        and under.kind == "edge"
-        and over.carrier == under.carrier
-    ):
-        middle = "aligned_first" if over.order < under.order else "anti_first"
-    region = state.region_of_atom(crossing, 0)
-
-    children: frozenset[int] = frozenset()
-    ceiling: Optional[str] = None
-    webJ, web2 = state.web, state2.web
-    if (
-        site_plus > 0
-        and site_minus > 0
-        and webJ.component_of(site_plus) == webJ.component_of(site_minus)
-        and webJ.face_of(site_plus) == webJ.face_of(site_minus)
-    ):
-        # The region pinches into a pocket at the new sink and one at the
-        # new source; route the region's other occupants to their side.
-        sink_region = state2.region_of_atom(crossing, 0)
-        consumed = {webJ.component_of(s) for s in (site_plus, site_minus)}
-        children = frozenset(
-            k
-            for k in webJ.children_of(region)
-            if k not in consumed and web2.parent[k] == sink_region
-        )
-        comp = webJ.component_of(site_plus)
-        if webJ.face_of(site_plus) == webJ.outer_face[comp]:
-            comp2 = web2.component_of(m1)
-            outer2 = web2.outer_face[comp2]
-            if outer2 == web2.face_of(a0):
-                ceiling = "sink"
-            elif outer2 == web2.face_of(a2):
-                ceiling = "source"
-            else:
-                raise MalformedMovie(
-                    f"crossing {crossing}: cannot infer which pinched pocket "
-                    f"keeps the outer walk"
-                )
-    return Zip(
-        site_a=site_plus,
-        site_b=site_minus,
-        region=region,
-        labels=(m1, m2, a1, a2, a0, a3),
-        middle=middle,
-        children_to_sink=children,
-        ceiling_side=ceiling,
+    return Unzip(
+        seam=m1,
+        loop_id_aligned=closing_loop(q, r),
+        loop_id_anti=closing_loop(p, s),
     )
 
 
-def _negative_edge_unzip(crossing, state, state2, m1) -> Unzip:
-    a0, a1, a2, a3 = (_port(crossing, s) for s in range(4))
-    web = state.web
-    lid_aligned = lid_anti = None
-    if web.alpha[a0] == a1:
-        p = state2.passages[crossing][0]
-        assert p.kind == "loop"
-        lid_aligned = p.carrier[1]
-    if web.alpha[a3] == a2:
-        p = state2.passages[crossing][3]
-        assert p.kind == "loop"
-        lid_anti = p.carrier[1]
-    return Unzip(seam=m1, loop_id_aligned=lid_aligned, loop_id_anti=lid_anti)
-
-
 def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
-    """The one-move cobordism presentation of :func:`resolution_edge_move`,
-    starting from ``d.flatten(bits)``.  The move is applied once, to
-    check that the movie ends at the target flattening; the movie keeps
-    that run for every later use."""
+    """The one-move cobordism from ``d.flatten(bits)`` to the flattening
+    with ``crossing`` switched from choice 0 to choice 1, with exactly
+    matching labels.
+
+    Both edges of a crossing are built from the unzip of its bridge
+    (:func:`_bridge_unzip`).  A negative crossing smooths under the
+    switch, so its edge is that unzip, applied to the source flattening.
+    A positive crossing bridges under the switch, so its edge is the
+    reflection of the unzip applied to the target flattening: a ``Zip``
+    whose new vertices and bridge reuse the target's port and bridge
+    darts.  Each move is run once, to check that the movie starts at the
+    source flattening and ends at the target; the movie keeps its run
+    for every later use."""
 
     bits = d._bits_of(bits)
     n = d.n_crossings
@@ -816,19 +718,15 @@ def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
             f"crossing {crossing} already sits at choice 1 in {bits!r}"
         )
     target = tuple(1 if i == crossing else b for i, b in enumerate(bits))
-    state = _flatten_state(d, bits)
-    state2 = _flatten_state(d, target)
-    sign = d.signs[crossing]
-    ports = tuple(_port(crossing, s) for s in range(4))
-    m1, m2 = _bridge_darts(n, crossing)
-
-    if sign == 1:
-        move = _positive_edge_zip(d, crossing, state, state2, ports, m1, m2)
+    source_state = _flatten_state(d, bits)
+    target_state = _flatten_state(d, target)
+    if d.signs[crossing] == 1:
+        unzip = _bridge_unzip(crossing, target_state, source_state, n)
+        movie = FoamMovie(target_state.web, (unzip,)).reflect()
     else:
-        move = _negative_edge_unzip(crossing, state, state2, m1)
-
-    movie = FoamMovie(state.web, (move,))
-    if movie.end != state2.web:
+        unzip = _bridge_unzip(crossing, source_state, target_state, n)
+        movie = FoamMovie(source_state.web, (unzip,))
+    if movie.start != source_state.web or movie.end != target_state.web:
         raise MalformedMovie(
             f"internal: resolution move at crossing {crossing} of {bits!r} "
             f"failed to reproduce the target flattening"

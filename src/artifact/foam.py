@@ -131,7 +131,7 @@ class Zip:
     site_a: int
     site_b: int
     region: Region
-    labels: Optional[tuple[int, int, int, int, int, int]] = None
+    labels: tuple[int, int, int, int, int, int]
     children_to_sink: frozenset = frozenset()
     ceiling_side: Optional[str] = None
     middle: Optional[str] = None
@@ -177,11 +177,6 @@ def _fresh_loop_id(web: Web, taken: Iterable[int] = ()) -> int:
     while lid in used:
         lid -= 1
     return lid
-
-
-def _fresh_darts(web: Web, count: int) -> tuple[int, ...]:
-    base = max(web.sigma, default=0)
-    return tuple(range(base + 1, base + 1 + count))
 
 
 def _site_region_candidates(web: Web, site: int) -> tuple[Region, ...]:
@@ -261,7 +256,7 @@ def _k_loop(l: int) -> tuple[str, int]:
 
 
 def _apply_birth(web: Web, mv: Birth) -> tuple[Web, list]:
-    lid = mv.loop_id if mv.loop_id is not None else _fresh_loop_id(web)
+    lid = mv.loop_id
     if lid >= 0 or lid in web.loop_ccw:
         raise MoveError(f"birth needs a fresh negative loop id, got {lid}")
     if mv.region not in web.regions():
@@ -318,7 +313,7 @@ def _apply_zip(web: Web, mv: Zip) -> tuple[Web, list]:
         )
     s_plus, s_minus = (mv.site_a, mv.site_b) if al_a else (mv.site_b, mv.site_a)
 
-    labels = mv.labels if mv.labels is not None else _fresh_darts(web, 6)
+    labels = mv.labels
     m1, m2, in_p, out_p, in_m, out_m = labels
     if len(set(labels)) != 6 or any(d in web.sigma or d <= 0 for d in labels):
         raise MoveError(f"zip labels {labels} must be six fresh positive darts")
@@ -521,21 +516,16 @@ def _unzip_arms(web: Web, seam: int) -> tuple[int, int, int, int, int, int]:
 def _unzip_new_loop_ids(
     web: Web, mv: Unzip, closes_aligned: bool, closes_anti: bool
 ) -> tuple[Optional[int], Optional[int]]:
-    taken: list[int] = []
-    lid_a = lid_b = None
-    if closes_aligned:
-        lid_a = (
-            mv.loop_id_aligned
-            if mv.loop_id_aligned is not None
-            else _fresh_loop_id(web, taken)
-        )
-        taken.append(lid_a)
-    if closes_anti:
-        lid_b = (
-            mv.loop_id_anti
-            if mv.loop_id_anti is not None
-            else _fresh_loop_id(web, taken)
-        )
+    """The ids of the loops the unzip closes (``None`` for a side that
+    does not close); each must be a fresh negative id."""
+    lid_a = mv.loop_id_aligned if closes_aligned else None
+    lid_b = mv.loop_id_anti if closes_anti else None
+    if closes_aligned and (lid_a is None or lid_a >= 0 or lid_a in web.loop_ccw):
+        raise MoveError(f"unzip: loop id {lid_a} is not a fresh negative id")
+    if closes_anti and (
+        lid_b is None or lid_b >= 0 or lid_b in web.loop_ccw or lid_b == lid_a
+    ):
+        raise MoveError(f"unzip: loop id {lid_b} is not a fresh negative id")
     return lid_a, lid_b
 
 
@@ -588,13 +578,9 @@ def _apply_unzip(web: Web, mv: Unzip) -> tuple[Web, list]:
         return in_flank if flank != old_outer else not in_flank
 
     if closes_aligned:
-        if lid_a is None or lid_a >= 0 or lid_a in web.loop_ccw:
-            raise MoveError(f"unzip: loop id {lid_a} is not a fresh negative id")
         loop_ccw[lid_a] = loop_ccw_flag((q, r), fl_aligned)
         new_loops.append((lid_a, fl_aligned))
     if closes_anti:
-        if lid_b is None or lid_b >= 0 or lid_b in web.loop_ccw or lid_b == lid_a:
-            raise MoveError(f"unzip: loop id {lid_b} is not a fresh negative id")
         loop_ccw[lid_b] = loop_ccw_flag((p, s), fl_anti)
         new_loops.append((lid_b, fl_anti))
 
@@ -746,13 +732,12 @@ def inverse_move(move: Move, before: Web, after: Web) -> Move:
     if isinstance(move, Dot):
         return Dot(move.site)
     if isinstance(move, Zip):
-        labels = move.labels if move.labels is not None else _fresh_darts(before, 6)
         al_a = _site_aligned(before, move.site_a, move.region)
         s_plus, s_minus = (
             (move.site_a, move.site_b) if al_a else (move.site_b, move.site_a)
         )
         return Unzip(
-            seam=labels[0],
+            seam=move.labels[0],
             loop_id_aligned=s_plus if s_plus < 0 else None,
             loop_id_anti=s_minus if s_minus < 0 else None,
         )
@@ -773,20 +758,23 @@ def inverse_move(move: Move, before: Web, after: Web) -> Move:
         site_plus = lid_a if closes_aligned else exit_from(q)
         site_minus = lid_b if closes_anti else exit_from(s)
         region = _seam_region_after_unzip(after, site_plus, site_minus)
-        sink_region_before = before.region_of_face(before.face_of(p))
-        c_old = before.component_of(m1)
-        cts = frozenset(
-            item
-            for item, reg in before.parent.items()
-            if reg == sink_region_before and item != c_old
-        )
-        old_outer = before.outer_face[c_old]
-        if before.face_of(p) == old_outer:
-            ceiling: Optional[str] = "sink"
-        elif before.face_of(r) == old_outer:
-            ceiling = "source"
-        else:
-            ceiling = None
+        cts: frozenset = frozenset()
+        ceiling: Optional[str] = None
+        if before.face_of(p) != before.face_of(r):
+            # the zip splits a face: route the nested items and the
+            # surrounding region to the sink or the source pocket
+            sink_region_before = before.region_of_face(before.face_of(p))
+            c_old = before.component_of(m1)
+            cts = frozenset(
+                item
+                for item, reg in before.parent.items()
+                if reg == sink_region_before and item != c_old
+            )
+            old_outer = before.outer_face[c_old]
+            if before.face_of(p) == old_outer:
+                ceiling = "sink"
+            elif before.face_of(r) == old_outer:
+                ceiling = "source"
         if before.alpha[r] == p:
             middle: Optional[str] = "aligned_first"
         elif before.alpha[s] == q:
@@ -837,7 +825,6 @@ class FoamMovie:
         "_reflect",
         "_degree",
         "_half",
-        "_hash",
     )
 
     def __init__(self, start: Web, moves: Sequence[Move] = ()) -> None:
@@ -848,7 +835,6 @@ class FoamMovie:
         self._reflect: Optional["FoamMovie"] = None
         self._degree: Optional[int] = None
         self._half: Optional["HalfFoam"] = None
-        self._hash: Optional[int] = None
 
     def _run(self) -> None:
         webs = [self.start]
@@ -924,11 +910,6 @@ class FoamMovie:
         if not isinstance(other, FoamMovie):
             return NotImplemented
         return self.start == other.start and self.moves == other.moves
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.start.exact_key(), self.moves))
-        return self._hash
 
     def __repr__(self) -> str:
         return f"<FoamMovie {len(self.moves)} moves>"
@@ -1545,9 +1526,7 @@ def dot_movie(web: Web, site: int) -> FoamMovie:
     return FoamMovie(web, (Dot(site),))
 
 
-def cap_movies(
-    web: Web, face: int, loop_id: Optional[int] = None
-) -> tuple[FoamMovie, FoamMovie]:
+def cap_movies(web: Web, face: int) -> tuple[FoamMovie, FoamMovie]:
     """The two projections collapsing the bounded, empty two-edge face
     ``face``: (dotted cap, degree +1; plain cap, degree -1).
 
@@ -1556,8 +1535,9 @@ def cap_movies(
     "bulge", dart ``sigma(d_a)``) then closes into a circle around the
     emptied face, and that circle dies.  The two external strands fuse;
     when they are one edge (a theta-like web) they close into a free
-    loop with id ``loop_id`` and the bulge circle takes the next fresh
-    id, otherwise the bulge circle takes ``loop_id``.
+    loop with the web's first fresh loop id (``_fresh_loop_id``) and
+    the bulge circle takes the next one, otherwise the bulge circle
+    takes the first.
 
     The dotted cap puts its dot on the bulge sheet, before the unzip,
     while the dotted lift of ``digon_movies`` marks the chord sheet.
@@ -1577,7 +1557,7 @@ def cap_movies(
     if web.children_of(("face", face)):
         raise MoveError("cap: the face must have an empty interior")
     bulge = web.sigma[d_a]
-    lid = loop_id if loop_id is not None else _fresh_loop_id(web)
+    lid = _fresh_loop_id(web)
     outer = None
     # the external darts at the sink and at the source share an edge
     if web.alpha[web.sigma[bulge]] == web.sigma[web.alpha[d_a]]:
@@ -1587,7 +1567,7 @@ def cap_movies(
 
 
 def digon_movies(
-    web: Web, face: int, loop_id: Optional[int] = None
+    web: Web, face: int
 ) -> tuple[FoamMovie, FoamMovie, FoamMovie, FoamMovie]:
     """The four canonical movies around the two-edge face ``face`` of
     ``web``: ``(lift_plain, lift_dotted, drop_dotted, drop_plain)``.
@@ -1601,7 +1581,7 @@ def digon_movies(
     bulge sheet the dotted drop marks, so that the four satisfy the
     two-edge-face identities (plain lift then dotted drop = identity,
     and so on)."""
-    drop_dotted, drop_plain = cap_movies(web, face, loop_id)
+    drop_dotted, drop_plain = cap_movies(web, face)
     p, q = web.faces()[face]
     d_a = p if p not in web.out_darts else q
     lift_plain = drop_plain.reflect()

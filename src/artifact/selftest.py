@@ -463,9 +463,7 @@ def check_digon_identities(col: Optional[_Collector] = None) -> SelfTestReport:
 
     col = col or _Collector()
     for web, face in digon_identity_sites():
-        lift_plain, lift_dotted, drop_dotted, drop_plain = digon_movies(
-            web, face, loop_id=-1
-        )
+        lift_plain, lift_dotted, drop_dotted, drop_plain = digon_movies(web, face)
         small = identity_matrix(state_space(lift_plain.start).dim)
         zero = zero_matrix(len(small), len(small))
         big = identity_matrix(state_space(web).dim)

@@ -138,7 +138,6 @@ class Web:
         loop_ccw: Mapping[int, bool] = (),
         parent: Optional[Mapping[int, Region]] = None,
         outer_face: Optional[Mapping[int, int]] = None,
-        check: bool = True,
     ) -> None:
         self.sigma = dict(sigma)
         self.alpha = dict(alpha)
@@ -157,8 +156,7 @@ class Web:
             self.parent = {c: None for c in self._comps}
             self.parent.update({l: None for l in self.loop_ccw})
         self._key: Optional[str] = None
-        if check:
-            self.validate()
+        self.validate()
 
     # -- constructors ------------------------------------------------------
 

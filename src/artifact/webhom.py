@@ -221,10 +221,6 @@ class StateSpace:
 _SPACES: Dict[str, StateSpace] = {}
 
 
-def _fresh_loop_id(web: Web) -> int:
-    return min((0, *web.loop_ccw)) - 1
-
-
 def _preparations(web: Web) -> Tuple[Tuple[FoamMovie, ...], Trace]:
     reduction = find_reduction(web)
     if isinstance(reduction, Empty):
@@ -245,9 +241,7 @@ def _preparations(web: Web) -> Tuple[Tuple[FoamMovie, ...], Trace]:
         return tuple(out), ("loop", lid, sub.trace)
     if isinstance(reduction, DigonFace):
         face = reduction.face
-        lift_plain, lift_dotted, _, _ = digon_movies(
-            web, face, loop_id=_fresh_loop_id(web)
-        )
+        lift_plain, lift_dotted, _, _ = digon_movies(web, face)
         sub = state_space(lift_plain.start)
         out = []
         for b in sub.basis:
@@ -356,20 +350,6 @@ def edge_sites(web: Web) -> List[int]:
 # ==========================================================================
 
 
-def vertex_orbits(web: Web) -> Tuple[Tuple[int, int, int], ...]:
-    """The trivalent vertices of the web as rotation orbits, each
-    starting from its smallest dart."""
-    seen: set[int] = set()
-    out = []
-    for d in sorted(web.sigma):
-        if d in seen:
-            continue
-        orbit = (d, web.sigma[d], web.sigma[web.sigma[d]])
-        seen.update(orbit)
-        out.append(orbit)
-    return tuple(out)
-
-
 def vertex_symmetric_actions(
     x1: IntMatrix, x2: IntMatrix, x3: IntMatrix
 ) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -391,7 +371,7 @@ def check_edge_ring(web: Web) -> None:
     n = state_space(web).dim
     zero = zero_matrix(n, n)
     actions = {site: edge_dot_action(web, site) for site in edge_sites(web)}
-    for orbit in vertex_orbits(web):
+    for orbit in web.vertices():
         xs = (actions[min(d, web.alpha[d])] for d in orbit)
         for name, mat in zip("123", vertex_symmetric_actions(*xs)):
             if mat != zero:

@@ -59,7 +59,7 @@ def move_from_json_dict(data) -> foam.Move:
             v = None if v is None else (v[0], v[1])
         elif name == "children_to_sink":
             v = frozenset(v)
-        elif name == "labels" and v is not None:
+        elif name == "labels":
             v = tuple(v)
         kwargs[name] = v
     return t(**kwargs)

@@ -14,7 +14,6 @@ from artifact.algebra import (
     closed_surface_value,
     comultiply,
     handle_operator,
-    multiply,
     quantum_integer,
     theta_symbol,
     trace,

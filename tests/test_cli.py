@@ -16,6 +16,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 KINK_PD = "X(1,2,2,1)"
+FIGURE_EIGHT_PD = "X(7,5,1,2) X(2,3,4,8) X(3,1,5,6) X(6,7,8,4)"
+TREFOIL_KINKED_PD = "X(8,4,2,5) X(3,6,4,1) X(5,2,6,3) X(1,7,7,8)"
 
 TREFOIL_BRACKET = "-q^-14 - q^-12 + q^-8 + 2*q^-6 + q^-4 + q^-2"
 
@@ -113,23 +115,30 @@ def test_webs_json_with_dumps(capsys):
 
 
 def test_webs_dump_matches_golden(capsys):
-    # pins the --dump-webs / --dump-foams format byte for byte
-    code, out, _err = run_cli(
-        capsys,
-        [
-            "--pd",
-            TREFOIL_PD,
-            "--mode",
-            "webs",
-            "--format",
-            "json",
-            "--dump-webs",
-            "--dump-foams",
-        ],
-    )
-    assert code == 0
-    golden = REPO_ROOT / "tests" / "golden" / "trefoil_webs.json"
-    assert out.encode("utf-8") == golden.read_bytes()
+    # pins the --dump-webs / --dump-foams format byte for byte; the
+    # figure-eight has zips and unzips, and the kinked trefoil has zips
+    # that route nested items and name a ceiling side
+    for pd, name in [
+        (TREFOIL_PD, "trefoil_webs.json"),
+        (FIGURE_EIGHT_PD, "figure_eight_webs.json"),
+        (TREFOIL_KINKED_PD, "trefoil_kinked_webs.json"),
+    ]:
+        code, out, _err = run_cli(
+            capsys,
+            [
+                "--pd",
+                pd,
+                "--mode",
+                "webs",
+                "--format",
+                "json",
+                "--dump-webs",
+                "--dump-foams",
+            ],
+        )
+        assert code == 0
+        golden = REPO_ROOT / "tests" / "golden" / name
+        assert out.encode("utf-8") == golden.read_bytes(), name
 
 
 def test_webs_json_without_dumps_is_lean(capsys):

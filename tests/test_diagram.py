@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from artifact import diagram
 from artifact.algebra import quantum_integer
 from artifact.diagram import (
     LinkDiagram,
@@ -11,7 +12,6 @@ from artifact.diagram import (
     clear_flatten_cache,
     diagram_from_json,
     parse_pd,
-    resolution_edge_move,
     resolution_edge_movie,
 )
 from artifact.foam import MalformedMovie, Unzip, Zip
@@ -33,6 +33,12 @@ S_CURL = "X(1,2,2,3) X(3,1,4,4)"  # unknot with a +1 and a -1 curl
 DOUBLE_KINK = "X(1,2,2,3) X(3,4,4,1)"  # unknot with two +1 curls
 UNLINK2_R2 = "X(1,2,3,4) X(3,2,1,4)"  # two circles crossing in a push-through
 TWO_KINKS_APART = "X(1,2,2,1) X(3,4,4,3)"  # split pair of curled circles
+TORUS_5_1 = "X(1,6,2,7) X(3,8,4,9) X(5,10,6,1) X(7,2,8,3) X(9,4,10,5)"
+KNOT_6_1 = "X(1,7,2,6) X(3,10,4,11) X(5,3,6,2) X(7,1,8,12) X(9,4,10,5) X(11,9,12,8)"
+TORUS_7_1 = (
+    "X(1,8,2,9) X(3,10,4,11) X(5,12,6,13) X(7,14,8,1) X(9,2,10,3) "
+    "X(11,4,12,5) X(13,6,14,7)"
+)
 
 ALL_PDS = [
     KINK_POS,
@@ -65,7 +71,6 @@ def test_trefoil_parses_with_three_positive_crossings():
     assert d.signs == (1, 1, 1)
     assert sum(d.signs) == 3
     assert d.positive_count == 3 and d.negative_count == 0
-    assert d.arcs() == (1, 2, 3, 4, 5, 6)
     assert component_count(d) == 1
 
 
@@ -323,27 +328,29 @@ def test_bracket_at_one_counts_three_per_component():
 
 def test_positive_kink_edge_is_a_zip_with_pinned_labels():
     d = parse_pd(KINK_POS)
-    mv = resolution_edge_move(d, (0,), 0)
+    movie = resolution_edge_movie(d, (0,), 0)
+    (mv,) = movie.moves
     assert isinstance(mv, Zip)
     assert mv.labels == (5, 6, 2, 3, 1, 4)
     assert mv.site_a == -2 and mv.site_b == -1
     assert mv.region is None
-    movie = resolution_edge_movie(d, (0,), 0)
     assert movie.states()[-1] == d.flatten((1,))
 
 
 def test_negative_kink_edge_is_an_unzip_closing_two_loops():
     d = parse_pd(KINK_NEG)
-    mv = resolution_edge_move(d, (0,), 0)
+    movie = resolution_edge_movie(d, (0,), 0)
+    (mv,) = movie.moves
     assert isinstance(mv, Unzip)
     assert mv.seam == 5
     assert mv.loop_id_aligned == -1 and mv.loop_id_anti == -3
-    movie = resolution_edge_movie(d, (0,), 0)
     assert movie.states()[-1] == d.flatten((1,))
 
 
 def test_every_fixture_edge_reproduces_its_target_flattening():
-    for pd in ALL_PDS:
+    # 5_1, 6_1 and 7_1 add every edge of larger cubes; 6_1 mixes signs
+    assert set(parse_pd(KNOT_6_1).signs) == {1, -1}
+    for pd in ALL_PDS + [TORUS_5_1, KNOT_6_1, TORUS_7_1]:
         d = parse_pd(pd)
         n = d.n_crossings
         for bits in all_bits(n):
@@ -358,12 +365,27 @@ def test_every_fixture_edge_reproduces_its_target_flattening():
                 assert isinstance(mv, Zip if sign == 1 else Unzip)
 
 
+def test_edge_movie_rejects_an_unzip_that_misses_its_flattening(monkeypatch):
+    # swapping the two loop ids of the bridge unzip ends the negative
+    # edge, and starts the reflected positive edge, at the wrong web
+    real = diagram._bridge_unzip
+
+    def swapped(*args):
+        mv = real(*args)
+        return Unzip(mv.seam, mv.loop_id_anti, mv.loop_id_aligned)
+
+    monkeypatch.setattr(diagram, "_bridge_unzip", swapped)
+    for pd in (KINK_POS, KINK_NEG):
+        with pytest.raises(MalformedMovie, match="target flattening"):
+            resolution_edge_movie(parse_pd(pd), (0,), 0)
+
+
 def test_edge_move_argument_errors():
     d = parse_pd(KINK_POS)
     with pytest.raises(MalformedDiagram, match="no crossing"):
-        resolution_edge_move(d, (0,), 1)
+        resolution_edge_movie(d, (0,), 1)
     with pytest.raises(MalformedDiagram, match="choice 1"):
-        resolution_edge_move(d, (1,), 0)
+        resolution_edge_movie(d, (1,), 0)
 
 
 # --------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_move_degrees():
     assert move_degree(Birth(-1, None, True)) == -2
     assert move_degree(Death(-1)) == -2
     assert move_degree(Dot(1)) == 2
-    assert move_degree(Zip(1, 2, None)) == 1
+    assert move_degree(Zip(1, 2, None, (3, 4, 5, 6, 7, 8))) == 1
     assert move_degree(Unzip(1)) == 1
 
 
@@ -478,10 +478,12 @@ def test_zip_self_parallel_rejected():
         parent={-1: None, -2: None},
     )
     with pytest.raises(MoveError):
-        apply_move(w, Zip(-1, -2, None))
+        apply_move(w, Zip(-1, -2, None, (1, 2, 3, 4, 5, 6)))
     # nested loops of opposite turning likewise
     with pytest.raises(MoveError):
-        apply_move(nested_loops_web(), Zip(-1, -2, ("inside", -1)))
+        apply_move(
+            nested_loops_web(), Zip(-1, -2, ("inside", -1), (1, 2, 3, 4, 5, 6))
+        )
 
 
 def test_zip_nested_same_turning():
@@ -532,21 +534,21 @@ def test_cup_movies_on_edge():
 def test_cap_movies_on_theta():
     w = theta_web()
     # capping the upper face leaves the bottom circle, turning ccw
-    dotted, plain = cap_movies(w, 1, loop_id=-5)
+    dotted, plain = cap_movies(w, 1)
     assert plain.degree() == -1
     assert dotted.degree() == 1
-    assert plain.end.loop_ccw == {-5: True}
+    assert plain.end.loop_ccw == {-1: True}
     assert plain.reflect().end == w
     assert dotted.reflect().end == w
     # capping the lower face leaves the top circle, turning clockwise
-    _, plain2 = cap_movies(w, 3, loop_id=-6)
-    assert plain2.end.loop_ccw == {-6: False}
+    _, plain2 = cap_movies(w, 3)
+    assert plain2.end.loop_ccw == {-1: False}
     assert plain2.reflect().end == w
 
 
 def test_bracket_digon_relation_via_cap():
     w = theta_web()
-    _, plain = cap_movies(w, 1, loop_id=-5)
+    _, plain = cap_movies(w, 1)
     assert kuperberg_bracket(w) == quantum_integer(2) * kuperberg_bracket(plain.end)
 
 
@@ -612,9 +614,10 @@ def test_fin_collapse_table():
         moves += [Zip(-1, -2, None, (1, 2, 3, 4, 5, 6))]
         moves += [Dot(1)] * c
         fin = FoamMovie(Web.empty(), moves)
-        cap = cap_movies(fin.end, face, loop_id=-3)[1]
+        cap = cap_movies(fin.end, face)[1]
         assert [type(m) for m in cap.moves] == [Unzip, Death]
-        moves += [*cap.moves, Death(-3)]
+        (survivor,) = cap.end.loop_ccw
+        moves += [*cap.moves, Death(survivor)]
         return evaluate_closed(FoamMovie(Web.empty(), moves))
 
     for face in (1, 2):
@@ -632,7 +635,7 @@ def _sample_movies() -> list[FoamMovie]:
     return [
         bubble_movie(1, 1, 1),
         lens_movie(0, 1, 2),
-        cap_movies(theta_web(), 1, loop_id=-5)[0],
+        cap_movies(theta_web(), 1)[0],
         square_split_movies(w, _bounded_square_faces(w)[0])[0],
         FoamMovie(
             theta_with_loop_inside(),
@@ -683,14 +686,15 @@ def test_dot_validation():
 
 def test_zip_validation():
     w = theta_with_loop_inside()
+    fresh = (11, 12, 13, 14, 15, 16)
     with pytest.raises(MoveError):
-        apply_move(w, Zip(-1, -1, ("face", 1)))  # sites not distinct
+        apply_move(w, Zip(-1, -1, ("face", 1), fresh))  # sites not distinct
     with pytest.raises(MoveError):
-        apply_move(w, Zip(-1, 2, ("face", 1)))  # site 2 not on that face
+        apply_move(w, Zip(-1, 2, ("face", 1), fresh))  # site 2 not on that face
     with pytest.raises(MoveError):
-        apply_move(w, Zip(-1, 1, ("face", 1)))  # both sites anti-aligned
+        apply_move(w, Zip(-1, 1, ("face", 1), fresh))  # both sites anti-aligned
     with pytest.raises(MoveError):
-        apply_move(w, Zip(-1, 4, ("face", 3)))  # region not shared
+        apply_move(w, Zip(-1, 4, ("face", 3), fresh))  # region not shared
     with pytest.raises(MoveError):  # labels collide with existing darts
         apply_move(w, Zip(-1, 4, ("face", 1), (1, 12, 13, 14, 15, 16)))
 
@@ -700,6 +704,8 @@ def test_unzip_validation():
         apply_move(theta_web(), Unzip(9))
     with pytest.raises(MoveError):
         apply_move(theta_web(), Unzip(1, loop_id_aligned=-1, loop_id_anti=-1))
+    with pytest.raises(MoveError):  # both sides close, and neither has an id
+        apply_move(theta_web(), Unzip(1))
 
 
 def test_cup_validation():
@@ -724,8 +730,6 @@ def test_cap_validation():
         cap_movies(cube_web(), 1)  # not two-sided
     with pytest.raises(MoveError):
         cap_movies(theta_web(), 9)  # no such face
-    with pytest.raises(MoveError):
-        cap_movies(theta_web(), 1, loop_id=0)[1].end  # not a negative id
 
 
 def test_square_split_validation():
@@ -795,3 +799,17 @@ def test_inverse_move_pairs():
     assert inverse_move(back, w2, th) == Unzip(
         3, loop_id_aligned=-10, loop_id_anti=-11
     )
+
+
+def test_inverse_of_a_splitting_unzip_routes_nothing():
+    # these unzips split the web in two, so the zip that undoes them
+    # joins two parts and splits no face: it routes no nested item to
+    # the sink pocket and names no ceiling side
+    w = theta_with_loop_inside()
+    for seam in (3, 5):
+        mv = Unzip(seam, loop_id_aligned=-20, loop_id_anti=-21)
+        after, _ = apply_move(w, mv)
+        back = inverse_move(mv, w, after)
+        assert back.children_to_sink == frozenset()
+        assert back.ceiling_side is None
+        assert apply_move(after, back)[0] == w

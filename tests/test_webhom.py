@@ -38,7 +38,6 @@ from artifact.webhom import (
     matrix_rows,
     pair_movies,
     state_space,
-    vertex_orbits,
     vertex_symmetric_actions,
     zero_matrix,
 )
@@ -399,7 +398,7 @@ def test_functoriality_of_induced_matrices():
     )
 
     w = theta_web()
-    lift_plain, lift_dotted, drop_dotted, drop_plain = digon_movies(w, 1, loop_id=-1)
+    lift_plain, lift_dotted, drop_dotted, drop_plain = digon_movies(w, 1)
     for a, b in [
         (lift_plain, drop_dotted),
         (lift_dotted, drop_plain),
@@ -424,10 +423,8 @@ DIGON_SITES = [
 ]
 
 
-def _assert_digon_identities(w: Web, face: int, loop_id=None) -> None:
-    lift_plain, lift_dotted, drop_dotted, drop_plain = digon_movies(
-        w, face, loop_id=loop_id
-    )
+def _assert_digon_identities(w: Web, face: int) -> None:
+    lift_plain, lift_dotted, drop_dotted, drop_plain = digon_movies(w, face)
     reduced = lift_plain.start
     n = state_space(reduced).dim
     eye = identity_matrix(n)
@@ -447,7 +444,7 @@ def _assert_digon_identities(w: Web, face: int, loop_id=None) -> None:
 
 @pytest.mark.parametrize("make_web,face", DIGON_SITES)
 def test_digon_identities(make_web, face):
-    _assert_digon_identities(make_web(), face, loop_id=-1)
+    _assert_digon_identities(make_web(), face)
 
 
 def test_digon_identities_on_every_corpus_digon():
@@ -536,14 +533,14 @@ def test_square_joins_and_negated_splits_are_mutually_inverse():
 
 
 def test_vertex_orbits_on_theta():
-    assert vertex_orbits(theta_web()) == ((1, 3, 5), (2, 6, 4))
+    assert theta_web().vertices() == ((1, 3, 5), (2, 6, 4))
 
 
 def test_vertex_symmetric_actions_vanish():
     for w in (theta_web(), digon_chain_web()):
         n = state_space(w).dim
         zero = zero_matrix(n, n)
-        for orbit in vertex_orbits(w):
+        for orbit in w.vertices():
             xs = (edge_dot_action(w, d) for d in orbit)
             e1, e2, e3 = vertex_symmetric_actions(*xs)
             assert e1 == zero
