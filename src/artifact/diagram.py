@@ -35,7 +35,7 @@ crossing sitting at choice 0, the one-move cobordism that carries the
 choice-0 flattening to the choice-1 flattening with exactly matching
 labels.  Both signs start from the unzip of the crossing's bridge in the
 flattening that bridges it: a negative crossing's edge is that
-``Unzip``, and a positive crossing's edge is its reflection, a ``Zip``.
+``Unzip``, and a positive crossing's edge is its inverse, a ``Zip``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .foam import FoamMovie, MalformedMovie, Unzip, _DSU, _unzip_arms
+from .foam import FoamMovie, MalformedMovie, Unzip, _DSU, _unzip_arms, inverse_move
 from .web import Region, Web, _component_split, _face_orbits
 
 
@@ -703,11 +703,12 @@ def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
     (:func:`_bridge_unzip`).  A negative crossing smooths under the
     switch, so its edge is that unzip, applied to the source flattening.
     A positive crossing bridges under the switch, so its edge is the
-    reflection of the unzip applied to the target flattening: a ``Zip``
-    whose new vertices and bridge reuse the target's port and bridge
-    darts.  Each move is run once, to check that the movie starts at the
-    source flattening and ends at the target; the movie keeps its run
-    for every later use."""
+    inverse of the unzip that takes the target flattening to the source
+    flattening: a ``Zip`` whose new vertices and bridge reuse the
+    target's port and bridge darts.  Either move is run once, on the
+    source flattening, to check that the movie ends at the target, and a
+    ``Zip`` must invert back to its unzip; the movie keeps its run for
+    every later use."""
 
     bits = d._bits_of(bits)
     n = d.n_crossings
@@ -722,11 +723,13 @@ def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
     target_state = _flatten_state(d, target)
     if d.signs[crossing] == 1:
         unzip = _bridge_unzip(crossing, target_state, source_state, n)
-        movie = FoamMovie(target_state.web, (unzip,)).reflect()
+        move = inverse_move(unzip, target_state.web, source_state.web)
+        undone = inverse_move(move, source_state.web, target_state.web) == unzip
     else:
-        unzip = _bridge_unzip(crossing, source_state, target_state, n)
-        movie = FoamMovie(source_state.web, (unzip,))
-    if movie.start != source_state.web or movie.end != target_state.web:
+        move = _bridge_unzip(crossing, source_state, target_state, n)
+        undone = True
+    movie = FoamMovie(source_state.web, (move,))
+    if not undone or movie.end != target_state.web:
         raise MalformedMovie(
             f"internal: resolution move at crossing {crossing} of {bits!r} "
             f"failed to reproduce the target flattening"

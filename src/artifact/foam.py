@@ -60,7 +60,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import closed_surface_value, theta_symbol
 from .web import Region, Web, _component_split, _face_orbits
@@ -697,7 +697,7 @@ def _apply_unzip(web: Web, mv: Unzip) -> tuple[Web, list]:
     instrs.append(("fuse", _k_dart(q), _k_dart(r)))
     instrs.append(("fuse", _k_dart(p), _k_dart(s)))
     instrs.append(("seam_join", (m1, p, q), (m2, r, s), [(m1, m2), (p, s), (q, r)]))
-    for d in sorted(deleted):
+    for d in (m1, m2, p, q, r, s):
         instrs.append(("unbind", _k_dart(d)))
     return new_web, instrs
 
@@ -825,6 +825,8 @@ class FoamMovie:
         "_reflect",
         "_degree",
         "_half",
+        "_end",
+        "_pending",
     )
 
     def __init__(self, start: Web, moves: Sequence[Move] = ()) -> None:
@@ -835,6 +837,10 @@ class FoamMovie:
         self._reflect: Optional["FoamMovie"] = None
         self._degree: Optional[int] = None
         self._half: Optional["HalfFoam"] = None
+        self._end: Optional[Web] = None
+        # a relabeled movie's source slices and their renaming, used when
+        # its slices are first asked for
+        self._pending: Optional[tuple[list[Web], Callable[[Web], Web]]] = None
 
     def _run(self) -> None:
         webs = [self.start]
@@ -849,7 +855,12 @@ class FoamMovie:
     def states(self) -> list[Web]:
         """All web slices, from the start web to the final web."""
         if self._states is None:
-            self._run()
+            if self._pending is not None:
+                source, rename = self._pending
+                self._states = [rename(w) for w in source]
+                self._pending = None
+            else:
+                self._run()
         return self._states
 
     def instruction_stream(self) -> tuple:
@@ -865,7 +876,13 @@ class FoamMovie:
 
     @property
     def end(self) -> Web:
-        return self.states()[-1]
+        if self._end is None:
+            if self._pending is not None:
+                source, rename = self._pending
+                self._end = rename(source[-1])
+            else:
+                self._end = self.states()[-1]
+        return self._end
 
     def degree(self) -> int:
         """The sum of the move degrees, computed once."""
@@ -906,6 +923,57 @@ class FoamMovie:
             self._reflect = FoamMovie(self.end, tuple(reversed(inv)))
         return self._reflect
 
+    def relabeled(
+        self,
+        dart_map: Mapping[int, int],
+        loop_map: Mapping[int, int],
+        memo: Optional[dict] = None,
+    ) -> "FoamMovie":
+        """This movie with its darts and loop ids renamed.
+
+        Every slice is renamed by ``Web.relabeled``, so ids absent from
+        a map are kept and a map that sends two ids of one slice to one
+        raises.  A move's face-keyed regions and component keys are
+        renamed in the slice the move starts from, and the tracking
+        instructions are renamed with the slices, so the result is the
+        movie that running the renamed moves would build, without
+        running them.  ``memo``, when given, is a dict shared by calls
+        with the same maps: it keeps each renamed slice, move and
+        instruction list, with its source, under the ids of its sources,
+        so what several movies share (the prefix of composed movies) is
+        renamed once.  The slices after the start are renamed when
+        first asked for."""
+        dmap = lambda d: dart_map.get(d, d)
+        lmap = lambda l: loop_map.get(l, l)
+        if memo is None:
+            memo = {}
+
+        def renamed(key, source, rename):
+            # the source is kept with its copy, so that its id stays taken
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = (source, rename())
+            return hit[1]
+
+        def rename_slice(w: Web) -> Web:
+            return renamed(id(w), w, lambda: w.relabeled(dart_map, loop_map))
+
+        states = self.states()
+        moves = tuple(
+            renamed(
+                (id(mv), id(w)), (mv, w), lambda: _relabel_move(mv, w, dmap, lmap)
+            )
+            for mv, w in zip(self.moves, states)
+        )
+        out = FoamMovie(rename_slice(states[0]), moves)
+        out._pending = (states, rename_slice)
+        out._instrs = tuple(
+            renamed(id(ins), ins, lambda: _relabel_instructions(ins, dmap, lmap))
+            for ins in self.instruction_stream()
+        )
+        out._degree = self._degree
+        return out
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FoamMovie):
             return NotImplemented
@@ -924,6 +992,82 @@ class FoamMovie:
                 hashlib.md5(w.exact_key().encode()).hexdigest() for w in self.states()
             ],
         }
+
+
+def new_ids(move: Move) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The darts and the loop ids a move creates, in field order."""
+    if isinstance(move, Zip):
+        return move.labels, ()
+    if isinstance(move, Birth):
+        return (), (move.loop_id,)
+    if isinstance(move, Unzip):
+        return (), tuple(
+            l for l in (move.loop_id_aligned, move.loop_id_anti) if l is not None
+        )
+    return (), ()
+
+
+def _relabel_move(move: Move, before: Web, dmap, lmap) -> Move:
+    """``move`` with darts renamed by ``dmap`` and loops by ``lmap``;
+    its regions and component keys are read in ``before``, the slice
+    it starts from."""
+
+    def site(x: int) -> int:
+        return lmap(x) if x < 0 else dmap(x)
+
+    if isinstance(move, Birth):
+        return Birth(
+            lmap(move.loop_id), before.relabel_region(move.region, dmap, lmap), move.ccw
+        )
+    if isinstance(move, Death):
+        return Death(lmap(move.loop_id))
+    if isinstance(move, Dot):
+        return Dot(site(move.site))
+    if isinstance(move, Zip):
+        return Zip(
+            site_a=site(move.site_a),
+            site_b=site(move.site_b),
+            region=before.relabel_region(move.region, dmap, lmap),
+            labels=tuple(dmap(d) for d in move.labels),
+            children_to_sink=frozenset(
+                before.relabel_item(k, dmap, lmap) for k in move.children_to_sink
+            ),
+            ceiling_side=move.ceiling_side,
+            middle=move.middle,
+        )
+    if isinstance(move, Unzip):
+        return Unzip(
+            dmap(move.seam),
+            None if move.loop_id_aligned is None else lmap(move.loop_id_aligned),
+            None if move.loop_id_anti is None else lmap(move.loop_id_anti),
+        )
+    raise MoveError(f"cannot relabel move {move!r}")
+
+
+def _relabel_instructions(instrs: list, dmap, lmap) -> list:
+    """One move's tracking instructions with darts renamed by ``dmap``
+    and loops by ``lmap``."""
+
+    def key(k: tuple[str, int]) -> tuple[str, int]:
+        return (k[0], dmap(k[1]) if k[0] == "dart" else lmap(k[1]))
+
+    out: list = []
+    for ins in instrs:
+        op = ins[0]
+        if op == "seam_create" or op == "seam_join":
+            out.append(
+                (
+                    op,
+                    tuple(dmap(d) for d in ins[1]),
+                    tuple(dmap(d) for d in ins[2]),
+                    [(dmap(a), dmap(b)) for a, b in ins[3]],
+                )
+            )
+        elif op == "chi":
+            out.append((op, key(ins[1]), ins[2]))
+        else:
+            out.append((op,) + tuple(key(k) for k in ins[1:]))
+    return out
 
 
 def move_to_json(m: Move) -> dict:

@@ -30,6 +30,12 @@ bounded.  Regions are written in the normal form
 
 and the parent assignment forms a forest rooted at ``None``.
 
+``Web.relabeled`` renames darts and loop ids.  ``Web.canonical`` gives
+the canonical web of a web's relabeling class and the maps onto it: two
+webs are relabelings of one another exactly when their canonical webs
+are equal.  It is built on the breadth-first component key that also
+keys the bracket memo.
+
 The bracket of a web is the Laurent polynomial fixed by: empty web
 ``1``; disjoint circle ``[3]``; collapsing a two-edge (digon) face
 ``[2]``; a four-edge (square) face splits as the sum of its two planar
@@ -111,7 +117,8 @@ def _component_split(sigma: Mapping[int, int], alpha: Mapping[int, int]) -> dict
 class Web:
     """A closed oriented trivalent plane graph with free loops and nesting.
 
-    Instances validate on construction and should be treated as immutable;
+    Instances validate on construction (a ``relabeled`` copy of a valid
+    web is valid by construction) and should be treated as immutable;
     operations that change a web build a new instance.
     """
 
@@ -128,6 +135,7 @@ class Web:
         "_comp_of",
         "_sigma_inv",
         "_key",
+        "_canon",
     )
 
     def __init__(
@@ -138,6 +146,18 @@ class Web:
         loop_ccw: Mapping[int, bool] = (),
         parent: Optional[Mapping[int, Region]] = None,
         outer_face: Optional[Mapping[int, int]] = None,
+    ) -> None:
+        self._build(sigma, alpha, out_darts, loop_ccw, parent, outer_face)
+        self.validate()
+
+    def _build(
+        self,
+        sigma: Mapping[int, int],
+        alpha: Mapping[int, int],
+        out_darts: Iterable[int],
+        loop_ccw: Mapping[int, bool],
+        parent: Optional[Mapping[int, Region]],
+        outer_face: Optional[Mapping[int, int]],
     ) -> None:
         self.sigma = dict(sigma)
         self.alpha = dict(alpha)
@@ -156,7 +176,7 @@ class Web:
             self.parent = {c: None for c in self._comps}
             self.parent.update({l: None for l in self.loop_ccw})
         self._key: Optional[str] = None
-        self.validate()
+        self._canon: Optional[tuple[Web, dict[int, int], dict[int, int]]] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -380,8 +400,11 @@ class Web:
     ) -> "Web":
         """A copy with darts and/or loop ids renamed by the given bijections.
 
-        Ids absent from a map are kept.  Face keys, component keys and
-        nesting references are recomputed consistently.
+        Ids absent from a map are kept; maps that send two ids to one,
+        a dart to a non-positive id or a loop to a non-negative one raise
+        ``MalformedWeb``.  Face keys, component keys and nesting
+        references are recomputed consistently.  A one-to-one renaming
+        of a valid web is valid, so the copy skips ``validate``.
         """
         dmap: Callable[[int], int] = lambda d: dart_map.get(d, d) if dart_map else d
         lmap: Callable[[int], int] = lambda l: loop_map.get(l, l) if loop_map else l
@@ -389,34 +412,55 @@ class Web:
         new_alpha = {dmap(d): dmap(a) for d, a in self.alpha.items()}
         new_out = {dmap(d) for d in self.out_darts}
         new_loop_ccw = {lmap(l): c for l, c in self.loop_ccw.items()}
-
-        def map_face_key(f: int) -> int:
-            return min(dmap(d) for d in self._faces[f])
-
-        def map_owner(k: int) -> int:
-            if k < 0:
-                return lmap(k)
-            return min(dmap(d) for d in self._comps[k])
-
-        def map_region(r: Region) -> Region:
-            if r is None:
-                return None
-            if r[0] == "face":
-                return ("face", map_face_key(r[1]))
-            return ("inside", lmap(r[1]))
-
-        new_parent = {map_owner(k): map_region(r) for k, r in self.parent.items()}
-        new_outer = {
-            map_owner(c): map_face_key(f) for c, f in self.outer_face.items()
+        if len(new_sigma) != len(self.sigma) or len(new_loop_ccw) != len(self.loop_ccw):
+            raise MalformedWeb("a relabeling must not send two ids to one")
+        if any(d <= 0 for d in new_sigma) or any(l >= 0 for l in new_loop_ccw):
+            raise MalformedWeb("a relabeling must keep darts positive and loop ids negative")
+        new_parent = {
+            self.relabel_item(k, dmap, lmap): self.relabel_region(r, dmap, lmap)
+            for k, r in self.parent.items()
         }
-        return Web(
-            sigma=new_sigma,
-            alpha=new_alpha,
-            out_darts=new_out,
-            loop_ccw=new_loop_ccw,
-            parent=new_parent,
-            outer_face=new_outer,
-        )
+        new_outer = {
+            self.relabel_item(c, dmap, lmap): min(dmap(d) for d in self._faces[f])
+            for c, f in self.outer_face.items()
+        }
+        out = Web.__new__(Web)
+        out._build(new_sigma, new_alpha, new_out, new_loop_ccw, new_parent, new_outer)
+        return out
+
+    def relabel_item(
+        self, item: int, dmap: Callable[[int], int], lmap: Callable[[int], int]
+    ) -> int:
+        """The key, after renaming darts by ``dmap`` and loops by
+        ``lmap``, of a component (its smallest dart) or a loop of this
+        web."""
+        if item < 0:
+            return lmap(item)
+        return min(dmap(d) for d in self._comps[item])
+
+    def relabel_region(
+        self, region: Region, dmap: Callable[[int], int], lmap: Callable[[int], int]
+    ) -> Region:
+        """The name, after renaming darts by ``dmap`` and loops by
+        ``lmap``, of a region of this web: a face is keyed anew by the
+        smallest renamed dart of its walk."""
+        if region is None:
+            return None
+        if region[0] == "face":
+            return ("face", min(dmap(d) for d in self._faces[region[1]]))
+        return ("inside", lmap(region[1]))
+
+    def canonical(self) -> tuple["Web", dict[int, int], dict[int, int]]:
+        """The canonical web of this web's relabeling class, with the
+        dart map and the loop map that ``relabeled`` takes onto it.
+
+        Two webs have equal canonical webs exactly when one is a
+        relabeling of the other: the form covers every component, outer
+        face, loop orientation and the nesting of components and loops
+        in regions.  Computed once per web."""
+        if self._canon is None:
+            self._canon = _canonical_form(self)
+        return self._canon
 
 
 # --------------------------------------------------------------------------
@@ -499,20 +543,27 @@ def clear_bracket_cache() -> None:
     _BRACKET_MEMO.clear()
 
 
-def _canonical_component_key(
+def _component_bfs(
     sigma: Mapping[int, int],
     alpha: Mapping[int, int],
     out: frozenset[int] | set[int],
     darts: Iterable[int],
-) -> tuple:
-    """Relabeling-invariant key for one connected dart component.
+) -> tuple[tuple, list[list[int]]]:
+    """Relabeling-invariant key of one connected dart component, with
+    every dart order that attains it.
 
     For each possible start dart, darts are renamed in breadth-first
     discovery order (children visited sigma first, then alpha) and the
-    structure serialized; the smallest serialization wins.
+    structure serialized; the smallest serialization wins.  Starts that
+    tie with it differ by an automorphism of the component's map; their
+    discovery orders are returned too, so that the full canonical form
+    (``Web.canonical``) can break the tie by outer face and nesting.
     """
     best: Optional[tuple] = None
-    for start in sorted(darts):
+    orders: list[list[int]] = []
+    # a start's first entry is (1, 2, start in out), so only head darts
+    # can attain the smallest serialization
+    for start in sorted(d for d in darts if d not in out):
         label = {start: 0}
         order = [start]
         i = 0
@@ -528,8 +579,101 @@ def _canonical_component_key(
         )
         if best is None or key < best:
             best = key
+            orders = [order]
+        elif key == best:
+            orders.append(order)
     assert best is not None
-    return best
+    return best, orders
+
+
+def _canonical_component_key(
+    sigma: Mapping[int, int],
+    alpha: Mapping[int, int],
+    out: frozenset[int] | set[int],
+    darts: Iterable[int],
+) -> tuple:
+    """Relabeling-invariant key for one connected dart component (the
+    bracket memo's key); see ``_component_bfs``."""
+    return _component_bfs(sigma, alpha, out, darts)[0]
+
+
+def _canonical_form(web: "Web") -> tuple["Web", dict[int, int], dict[int, int]]:
+    """The canonical web of ``web`` and the dart and loop maps onto it.
+
+    Every nested item gets a code: a free loop its orientation and the
+    sorted codes of what it encloses; a dart component its
+    ``_component_bfs`` key, then - minimized over the tied discovery
+    orders - the position of its outer face, negated so that the bounded
+    faces come first, and, per bounded face that holds something, the
+    face's position and the sorted codes of what it holds.  A face's
+    position is the least discovery index of its darts.
+    Two webs are relabelings of one another exactly when the sorted codes
+    of their top-level items agree.  Items are then numbered in code
+    order, depth first: the darts of a component count up in its chosen
+    discovery order after those already placed, and loops count down
+    from -1."""
+    faces = web._faces
+    children: dict[Region, list[int]] = {}
+    for item, region in sorted(web.parent.items()):
+        children.setdefault(region, []).append(item)
+    faces_of: dict[int, list[int]] = {}
+    for f in faces:
+        faces_of.setdefault(web._comp_of[f], []).append(f)
+    codes: dict[int, tuple] = {}
+    chosen: dict[int, list[int]] = {}
+
+    def code(item: int) -> tuple:
+        if item not in codes:
+            codes[item] = item_code(item)
+        return codes[item]
+
+    def kid_codes(region: Region) -> tuple:
+        return tuple(sorted(code(k) for k in children.get(region, ())))
+
+    def item_code(item: int) -> tuple:
+        if item < 0:
+            return ("loop", web.loop_ccw[item], kid_codes(("inside", item)))
+        key, orders = _component_bfs(
+            web.sigma, web.alpha, web.out_darts, web._comps[item]
+        )
+        outer = faces[web.outer_face[item]]
+        # parents name bounded faces only
+        held = [
+            (faces[f], kid_codes(("face", f)))
+            for f in faces_of[item]
+            if ("face", f) in children
+        ]
+        best: Optional[tuple] = None
+        for order in orders:
+            label = {d: i for i, d in enumerate(order)}
+            tail = (
+                -min(label[d] for d in outer),
+                tuple(sorted((min(label[d] for d in walk), kids) for walk, kids in held)),
+            )
+            if best is None or tail < best:
+                best = tail
+                chosen[item] = order
+        return ("comp", key, best)
+
+    dart_map: dict[int, int] = {}
+    loop_map: dict[int, int] = {}
+
+    def place(region: Region) -> None:
+        for item in sorted(children.get(region, ()), key=code):
+            if item < 0:
+                loop_map[item] = -1 - len(loop_map)
+                place(("inside", item))
+                continue
+            base = len(dart_map) + 1
+            for i, d in enumerate(chosen[item]):
+                dart_map[d] = base + i
+            held = [f for f in faces_of[item] if ("face", f) in children]
+            held.sort(key=lambda f: min(dart_map[d] for d in faces[f]))
+            for f in held:
+                place(("face", f))
+
+    place(None)
+    return web.relabeled(dart_map, loop_map), dart_map, loop_map
 
 
 def _rewire(

@@ -8,18 +8,29 @@ face contributes the plain and dotted lifts through that face (degrees
 -1, +1); a bounded four-edge face contributes the reflected split
 branches of both rewirings (degree 0).
 
+A state space depends on its web only up to relabeling, so it is
+computed once per relabeling class (``ClassSpace``), on the class's
+canonical web (``Web.canonical``), and kept in ``_SPACES`` by that web.
+The basis of any other web of the class is the class basis renamed by
+the inverse of the web's canonical relabeling (``FoamMovie.relabeled``),
+element by element, so it shares the class's degrees, Gram matrix and
+inverse blocks.  Sub-webs met while reducing are themselves looked up
+by class.
+
 The closed-surface evaluation pairs two preparations to an integer:
 ``pair_movies`` sweeps each preparation once into its half foam and
 glues the two halves along the shared web (``foam.glue``), instead of
 replaying the closed movie of one followed by the reflection of the
-other.  The pairing has degree zero, so it vanishes unless the two degrees cancel
-and the Gram matrix is block anti-diagonal by degree: for each degree
-``d`` only the square block between the basis elements of degree ``d``
-and those of degree ``-d`` is nonzero.  Each such block is unimodular
-and is inverted exactly once per web.  The matrix induced by any movie
-between webs is then obtained by pairing the movie's action on the
-source basis against the degree-matched target basis elements and
-multiplying by the inverse block: an integer product.  The blocks are
+other.  The pairing has degree zero, so it vanishes unless the two
+degrees cancel and the Gram matrix is block anti-diagonal by degree:
+for each degree ``d`` only the square block between the basis elements
+of degree ``d`` and those of degree ``-d`` is nonzero.  Each such block
+is unimodular and is inverted exactly once per class.  The matrix
+induced by any movie between webs is then obtained by pairing the
+movie's action on the source basis against the degree-matched target
+basis elements and multiplying by the inverse block: an integer
+product.  It too is computed once per class of movies and kept in
+``_INDUCED``; see ``induced_matrix`` for the key.  The blocks are
 inverted by fraction-free elimination, so the whole path stays in
 integer arithmetic.  A singular or non-unimodular block, or a division
 that leaves a remainder, is a hard error, never rounded away.
@@ -28,7 +39,7 @@ that leaves a remainder, is a hard error, never rounded away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .foam import (
     Birth,
@@ -41,6 +52,7 @@ from .foam import (
     evaluate,
     glue,
     identity_movie,
+    new_ids,
     square_split_movies,
 )
 from .web import DigonFace, Empty, FreeLoop, SquareFace, Web, find_reduction
@@ -196,14 +208,20 @@ def _inverse_blocks(
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """The graded state space of a closed web with its preparation
-    basis, basis degrees, reduction trace and pairing matrix.
+class ClassSpace:
+    """The state space of one relabeling class of webs, on the class's
+    canonical web (``Web.canonical``): the preparation basis, basis
+    degrees, reduction trace and pairing matrix.
 
     ``index[d]`` lists the basis indices of degree ``d``; ``inverse[d]``
     is the exact inverse of the Gram block ``gram[index[d]][index[-d]]``,
     the only nonzero block in those rows.  Together they solve
-    ``gram @ X = R`` as ``X[index[-d]] = inverse[d] @ R[index[d]]``."""
+    ``gram @ X = R`` as ``X[index[-d]] = inverse[d] @ R[index[d]]``.
+    The trace names each reduction site in the canonical labels of the
+    class it reduces.  ``loops`` are the loop ids some basis movie uses,
+    the web's own and those it births and zips away, so that a
+    relabeling can send the latter clear of the web.  (Basis movies
+    never delete a dart, so their darts are the web's.)"""
 
     web: Web
     basis: Tuple[FoamMovie, ...]
@@ -212,13 +230,97 @@ class StateSpace:
     gram: IntMatrix
     index: Dict[int, Tuple[int, ...]] = field(compare=False, repr=False)
     inverse: Dict[int, IntMatrix] = field(compare=False, repr=False)
+    loops: FrozenSet[int] = field(compare=False, repr=False)
+
+
+class StateSpace:
+    """The graded state space of a closed web: the space of its
+    relabeling class, with the class basis moved onto the web.
+
+    Degrees, trace, Gram matrix and inverse blocks are the class's.
+    The basis is the class basis renamed, element by element and in the
+    same order, by the inverse of the web's canonical relabeling; it is
+    built on first use."""
+
+    __slots__ = ("web", "space", "_basis")
+
+    def __init__(self, web: Web, space: ClassSpace) -> None:
+        self.web = web
+        self.space = space
+        self._basis: Optional[Tuple[FoamMovie, ...]] = None
+
+    @property
+    def basis(self) -> Tuple[FoamMovie, ...]:
+        if self._basis is None:
+            _, dart_map, loop_map = self.web.canonical()
+            to_darts = {c: d for d, c in dart_map.items()}
+            to_loops = _extended(
+                {c: l for l, c in loop_map.items()},
+                sorted(self.space.loops, reverse=True),
+                -1,
+            )
+            memo: dict = {}
+            self._basis = tuple(
+                b.relabeled(to_darts, to_loops, memo) for b in self.space.basis
+            )
+        return self._basis
+
+    @property
+    def degrees(self) -> Tuple[int, ...]:
+        return self.space.degrees
+
+    @property
+    def trace(self) -> Trace:
+        return self.space.trace
+
+    @property
+    def gram(self) -> IntMatrix:
+        return self.space.gram
+
+    @property
+    def index(self) -> Dict[int, Tuple[int, ...]]:
+        return self.space.index
+
+    @property
+    def inverse(self) -> Dict[int, IntMatrix]:
+        return self.space.inverse
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.space.degrees)
 
 
-_SPACES: Dict[str, StateSpace] = {}
+#: One state space per relabeling class, by canonical web.
+_SPACES: Dict[str, ClassSpace] = {}
+#: One induced matrix per class of movies; see ``induced_matrix``.
+_INDUCED: Dict[tuple, IntMatrix] = {}
+
+
+def _extended(mapping: Dict[int, int], ids: Iterable[int], step: int) -> Dict[int, int]:
+    """``mapping`` extended to ``ids``: each id it leaves out, in the
+    given order, goes to the next id past all of its values, counting up
+    for ``step`` 1 (darts) and down for ``step`` -1 (loops)."""
+    out = dict(mapping)
+    edge = max((step * v for v in out.values()), default=0)
+    for x in ids:
+        if x not in out:
+            edge += 1
+            out[x] = step * edge
+    return out
+
+
+def _movie_ids(movies: Iterable[FoamMovie]) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    """Every dart and every loop id on some slice of the movies."""
+    darts: set = set()
+    loops: set = set()
+    seen: set = set()
+    for m in movies:
+        for w in m.states():
+            if id(w) not in seen:
+                seen.add(id(w))
+                darts.update(w.sigma)
+                loops.update(w.loop_ccw)
+    return frozenset(darts), frozenset(loops)
 
 
 def _preparations(web: Web) -> Tuple[Tuple[FoamMovie, ...], Trace]:
@@ -273,10 +375,8 @@ def pair_movies(u: FoamMovie, v: FoamMovie) -> int:
     return evaluate(glue(u.half(), v.half()))
 
 
-def state_space(web: Web) -> StateSpace:
-    key = web.exact_key()
-    if key in _SPACES:
-        return _SPACES[key]
+def _class_space(web: Web) -> ClassSpace:
+    """The state space of a canonical web, computed from scratch."""
     basis, trace = _preparations(web)
     degrees = tuple(b.degree() for b in basis)
     index = _degree_index(degrees)
@@ -289,7 +389,7 @@ def state_space(web: Web) -> StateSpace:
                 gram_rows[j][k] = val
                 gram_rows[k][j] = val
     gram = matrix_rows(gram_rows)
-    space = StateSpace(
+    return ClassSpace(
         web=web,
         basis=basis,
         degrees=degrees,
@@ -297,19 +397,76 @@ def state_space(web: Web) -> StateSpace:
         gram=gram,
         index=index,
         inverse=_inverse_blocks(degrees, gram),
+        loops=_movie_ids(basis)[1],
     )
-    _SPACES[key] = space
+
+
+def _class_of(web: Web) -> ClassSpace:
+    canonical = web.canonical()[0]
+    key = canonical.exact_key()
+    space = _SPACES.get(key)
+    if space is None:
+        space = _SPACES[key] = _class_space(canonical)
     return space
+
+
+def state_space(web: Web) -> StateSpace:
+    """The state space of a closed web; see ``StateSpace``."""
+    return StateSpace(web, _class_of(web))
 
 
 def induced_matrix(movie: FoamMovie) -> IntMatrix:
     """The integer matrix of the movie's action, from the preparation
     basis of its start web to that of its end web.  Homogeneous of the
-    movie's degree; columns index the source basis."""
-    src = state_space(movie.start)
-    dst = state_space(movie.end)
+    movie's degree; columns index the source basis.
+
+    The matrix is computed once per key: the start web's canonical
+    web, the movie carried into its canonical labels (the ids the moves
+    create numbered on past them, in the order the moves create them),
+    and the relative relabeling of the carried end web onto its own
+    canonical web.  The last part keeps apart movies whose end bases
+    differ by an automorphism of the end web."""
+    canonical, dart_map, loop_map = movie.start.canonical()
+    created = [new_ids(mv) for mv in movie.moves]
+    to_darts = _extended(dart_map, (d for darts, _ in created for d in darts), 1)
+    to_loops = _extended(loop_map, (l for _, loops in created for l in loops), -1)
+    carried = movie.relabeled(to_darts, to_loops)
+    _, end_darts, end_loops = movie.end.canonical()
+    rel_darts = {to_darts[d]: c for d, c in end_darts.items()}
+    rel_loops = {to_loops[l]: c for l, c in end_loops.items()}
+    key = (
+        canonical.exact_key(),
+        carried.moves,
+        tuple(sorted(rel_darts.items())),
+        tuple(sorted(rel_loops.items())),
+    )
+    out = _INDUCED.get(key)
+    if out is None:
+        out = _INDUCED[key] = _class_matrix(
+            carried, _class_of(movie.start), _class_of(movie.end), rel_darts, rel_loops
+        )
+    return out
+
+
+def _class_matrix(
+    movie: FoamMovie,
+    src: ClassSpace,
+    dst: ClassSpace,
+    rel_darts: Dict[int, int],
+    rel_loops: Dict[int, int],
+) -> IntMatrix:
+    """The matrix of ``movie``, which starts at the canonical web of
+    ``src``, computed from scratch: each source basis element is pushed
+    through the movie, renamed by the relative relabeling onto the
+    canonical web of ``dst``, paired against the degree-matched target
+    basis and multiplied by the inverse Gram block."""
+    # the pushed movies use the ids of the source basis and of the movie
+    darts, loops = _movie_ids((movie,))
+    to_darts = _extended(rel_darts, sorted(darts), 1)
+    to_loops = _extended(rel_loops, sorted(src.loops | loops, reverse=True), -1)
+    memo: dict = {}
     shift = movie.degree()
-    cols = [[0] * dst.dim for _ in range(src.dim)]
+    cols = [[0] * len(dst.basis) for _ in src.basis]
     for j, u in enumerate(src.basis):
         # the pushed element has degree e, so it pairs only with the
         # target basis of degree -e, and its image lies in degree e
@@ -317,15 +474,15 @@ def induced_matrix(movie: FoamMovie) -> IntMatrix:
         rows = dst.index.get(-e, ())
         if not rows:
             continue
-        pushed = u.compose(movie)
+        pushed = u.compose(movie).relabeled(to_darts, to_loops, memo)
         rhs = [pair_movies(pushed, dst.basis[k]) for k in rows]
         inv = dst.inverse[-e]
         for k, inv_row in zip(dst.index[e], inv):
             cols[j][k] = sum(x * y for x, y in zip(inv_row, rhs))
-    out = tuple(tuple(col[k] for col in cols) for k in range(dst.dim))
-    for k in range(dst.dim):
-        for j in range(src.dim):
-            if out[k][j] and dst.degrees[k] != src.degrees[j] + shift:
+    out = tuple(tuple(col[k] for col in cols) for k in range(len(dst.basis)))
+    for k, row in enumerate(out):
+        for j, x in enumerate(row):
+            if x and dst.degrees[k] != src.degrees[j] + shift:
                 raise StateSpaceError(
                     f"induced matrix entry ({k}, {j}) breaks degree "
                     f"homogeneity: {dst.degrees[k]} != {src.degrees[j]} + {shift}"

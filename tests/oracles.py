@@ -1,8 +1,8 @@
 """Independent oracles used to fix expected values in the test suite.
 
 These helpers recompute target quantities by a second route so the tests
-compare two independent ones.  All but the replay oracle avoid importing
-the package under test.
+compare two independent ones.  All but the replay and state-space oracles
+avoid importing the package under test.
 
 Flag-variety trace oracle
 -------------------------
@@ -54,6 +54,16 @@ here, independently of the package.  ``dense_differential`` assembles
 the full matrix between two weights (optionally one quantum degree of
 it), with generators ordered by ``bits`` then basis index;
 ``d_squared_is_zero`` and ``squares_anticommute`` multiply them densely.
+
+State-space oracles
+-------------------
+``scratch_matrix`` computes the matrix of a movie between two given
+bases from nothing but the package's ``pair_movies``: the Gram matrix
+of the target basis, the pairings of the pushed source basis against
+it, and ``fraction_solve`` on each degree block.  ``label_basis`` is the
+label-keyed reference for the package's class-shared bases: the
+preparation basis built on a web's own labels and reduction sites, kept
+by the web's exact key, with nothing shared between relabelings.
 """
 
 from __future__ import annotations
@@ -63,14 +73,23 @@ from fractions import Fraction
 from math import comb
 
 from artifact.foam import (
+    Birth,
+    Death,
+    Dot,
     FoamMovie,
     MalformedMovie,
     PreFoam,
     _canonical_numbering,
     _facet_genera,
     _sweep,
+    apply_move,
+    digon_movies,
     evaluate,
+    identity_movie,
+    square_split_movies,
 )
+from artifact.web import DigonFace, Empty, FreeLoop, SquareFace, Web, find_reduction
+from artifact.webhom import pair_movies
 
 # A polynomial in Z[x1, x2] is a dict {(i, j): coefficient} for x1^i * x2^j.
 FlagPoly = dict[tuple[int, int], int]
@@ -360,3 +379,74 @@ def squares_anticommute(edge_maps) -> bool:
             ):
                 return False
     return True
+
+
+# --------------------------------------------------------------------------
+# state-space oracles
+# --------------------------------------------------------------------------
+
+
+def scratch_matrix(movie: FoamMovie, source, target) -> tuple[tuple, tuple]:
+    """``(gram, matrix)``: the Gram matrix of the ``target`` basis and
+    the matrix of ``movie`` from the ``source`` basis to it, both from
+    plain pairings.  The Gram matrix pairs degree ``d`` only with degree
+    ``-d``, so ``gram @ X = R`` is solved one degree block at a time."""
+    gram = tuple(
+        tuple(pair_movies(v, w) if v.degree() + w.degree() == 0 else 0 for w in target)
+        for v in target
+    )
+    pushed = [u.compose(movie) for u in source]
+    by_degree: dict[int, list[int]] = {}
+    for k, v in enumerate(target):
+        by_degree.setdefault(v.degree(), []).append(k)
+    out = [[0] * len(source) for _ in target]
+    for d, rows in by_degree.items():
+        cols = by_degree.get(-d, [])
+        block = [[gram[r][c] for c in cols] for r in rows]
+        rhs = [[pair_movies(p, target[r]) for p in pushed] for r in rows]
+        for c, row in zip(cols, fraction_solve(block, rhs)):
+            out[c] = list(row)
+    return gram, tuple(tuple(row) for row in out)
+
+
+_LABEL_BASES: dict[str, tuple[FoamMovie, ...]] = {}
+
+
+def label_basis(web: Web) -> tuple[FoamMovie, ...]:
+    """The preparation basis of ``web`` on its own labels: reduce at
+    ``find_reduction(web)`` and build on the label-keyed bases of the
+    smaller webs."""
+    key = web.exact_key()
+    if key not in _LABEL_BASES:
+        _LABEL_BASES[key] = _label_preparations(web)
+    return _LABEL_BASES[key]
+
+
+def _label_preparations(web: Web) -> tuple[FoamMovie, ...]:
+    reduction = find_reduction(web)
+    if isinstance(reduction, Empty):
+        return (identity_movie(web),)
+    if isinstance(reduction, FreeLoop):
+        lid = reduction.loop_id
+        smaller, _ = apply_move(web, Death(lid))
+        births = [
+            FoamMovie(
+                smaller,
+                (Birth(lid, web.parent[lid], web.loop_ccw[lid]),) + (Dot(lid),) * dots,
+            )
+            for dots in range(3)
+        ]
+        return tuple(b.compose(g) for b in label_basis(smaller) for g in births)
+    if isinstance(reduction, DigonFace):
+        lift_plain, lift_dotted, _, _ = digon_movies(web, reduction.face)
+        return tuple(
+            b.compose(lift)
+            for b in label_basis(lift_plain.start)
+            for lift in (lift_plain, lift_dotted)
+        )
+    assert isinstance(reduction, SquareFace)
+    out: list[FoamMovie] = []
+    for branch in square_split_movies(web, reduction.face):
+        back = branch.reflect()
+        out.extend(b.compose(back) for b in label_basis(branch.end))
+    return tuple(out)

@@ -20,9 +20,6 @@ ALLOWED = {
     "clear_bracket_cache",
     "clear_evaluation_cache",
     "clear_flatten_cache",
-    # Web.relabeled: the relabeling that one-state-space-per-class
-    # (ROADMAP item 3) transports bases along
-    "relabeled",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.algebra import LaurentPoly, quantum_integer
 from artifact.web import (
@@ -27,6 +29,8 @@ from .helpers import (
     at_one,
     CUBE_EDGES,
     cube_web,
+    digon_chain_web,
+    fixture_webs,
     nested_loops_web,
     theta_web,
     theta_with_loop_inside,
@@ -266,6 +270,100 @@ def test_relabeled_loops_and_regions():
     assert w.loops == (-9,)
     assert w.parent[-9] == ("face", 11)
     assert w.outer_face == {11: 12}
+
+
+def test_relabeled_rejects_maps_that_merge_ids():
+    with pytest.raises(MalformedWeb, match="two ids to one"):
+        theta_web().relabeled(dart_map={1: 2})
+    with pytest.raises(MalformedWeb, match="two ids to one"):
+        nested_loops_web().relabeled(loop_map={-1: -2})
+    with pytest.raises(MalformedWeb, match="positive"):
+        theta_web().relabeled(dart_map={1: -7})
+
+
+# --------------------------------------------------------------------------
+# the canonical form
+# --------------------------------------------------------------------------
+
+#: Every corpus flattening and the hand-built webs, loops and nesting included.
+CANONICAL_WEBS = [web for _label, web in fixture_webs()] + [
+    Web.empty(),
+    theta_web(),
+    theta_with_loop_inside(),
+    nested_loops_web(),
+    digon_chain_web(),
+    cube_web(),
+]
+
+
+def _with_loop(web: Web, region, ccw: bool) -> Web:
+    """``web`` with one more free loop in ``region``."""
+    lid = min(web.loops, default=0) - 1
+    return Web(
+        web.sigma,
+        web.alpha,
+        web.out_darts,
+        {**web.loop_ccw, lid: ccw},
+        {**web.parent, lid: region},
+        web.outer_face,
+    )
+
+
+@st.composite
+def relabelings(draw):
+    """A web of ``CANONICAL_WEBS`` and random dart and loop bijections
+    onto fresh ids."""
+    web = draw(st.sampled_from(CANONICAL_WEBS))
+    darts = draw(st.permutations(range(1, 2 * len(web.sigma) + 2)))
+    loops = draw(st.permutations(range(-2 * len(web.loop_ccw) - 1, 0)))
+    return (
+        web,
+        dict(zip(web.darts, darts)),
+        dict(zip(web.loops, loops)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelings())
+def test_canonical_form_is_relabeling_invariant(case):
+    web, dart_map, loop_map = case
+    moved = web.relabeled(dart_map, loop_map)
+    canonical, _, _ = web.canonical()
+    again, to_darts, to_loops = moved.canonical()
+    assert again == canonical
+    assert again.exact_key() == canonical.exact_key()
+    assert moved.relabeled(to_darts, to_loops) == again
+    assert again.canonical()[0] == again
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonical_form_tells_nesting_and_orientation_apart(data):
+    web = data.draw(st.sampled_from(CANONICAL_WEBS))
+    region = data.draw(st.sampled_from(web.regions()[1:] or [None]))
+    ccw = data.draw(st.booleans())
+    here = _with_loop(web, region, ccw)
+
+    def key(w: Web) -> str:
+        return w.canonical()[0].exact_key()
+
+    # one loop's orientation
+    assert key(here) != key(_with_loop(web, region, not ccw))
+    # one loop's nesting: a bounded region against the unbounded one
+    if region is not None:
+        assert key(here) != key(_with_loop(web, None, ccw))
+
+
+def test_canonical_form_tells_nested_loops_from_side_by_side():
+    side_by_side = Web(loop_ccw={-1: True, -2: False})
+    assert nested_loops_web().canonical()[0] != side_by_side.canonical()[0]
+    inside, outside = theta_with_loop_inside(), _with_loop(theta_web(), None, True)
+    assert inside.canonical()[0] != outside.canonical()[0]
+    # the loop in the theta web's other bounded face: no symmetry of the
+    # oriented theta web fixes its outer face, so this is another web
+    other = _with_loop(theta_web(), ("face", 3), True)
+    assert theta_web().region_of_face(3) == ("face", 3)
+    assert other.canonical()[0] != inside.canonical()[0]
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,9 @@ import pytest
 
 from artifact.algebra import FrobeniusElement, LaurentPoly, quantum_integer
 from artifact.corpus import fixture_diagrams
-from artifact.diagram import resolution_edge_movie, resolutions
+from artifact import webhom
+from artifact.cube import build_complex
+from artifact.diagram import clear_flatten_cache, parse_pd, resolution_edge_movie, resolutions
 from artifact.foam import (
     Birth,
     Dot,
@@ -51,7 +53,7 @@ from .helpers import (
     theta_web,
     theta_with_loop_inside,
 )
-from .oracles import evaluate_closed, fraction_solve
+from .oracles import evaluate_closed, fraction_solve, label_basis, scratch_matrix
 
 
 def circle_web(ccw: bool = True) -> Web:
@@ -78,6 +80,20 @@ def _hand_webs():
 
 def _all_webs():
     return _hand_webs() + [web for _label, web in fixture_webs()]
+
+
+def _spaces():
+    """``state_space`` kept by exact key, so that each moved basis is
+    built, and its movies swept, once."""
+    kept = {}
+
+    def space(web: Web):
+        key = web.exact_key()
+        if key not in kept:
+            kept[key] = state_space(web)
+        return kept[key]
+
+    return space
 
 
 # --------------------------------------------------------------------------
@@ -274,6 +290,7 @@ def test_glued_pairings_match_the_replayed_closed_movies():
 
 
 def test_glued_pushed_pairings_match_the_replayed_closed_movies():
+    space = _spaces()
     checked = 0
     for d in fixture_diagrams().values():
         n = d.n_crossings
@@ -282,7 +299,7 @@ def test_glued_pushed_pairings_match_the_replayed_closed_movies():
                 if bits[c]:
                     continue
                 movie = resolution_edge_movie(d, bits, c)
-                src, dst = state_space(movie.start), state_space(movie.end)
+                src, dst = space(movie.start), space(movie.end)
                 for u in src.basis:
                     pushed = u.compose(movie)
                     for k in dst.index.get(-pushed.degree(), ()):
@@ -361,32 +378,34 @@ def test_induced_matrices_are_degree_homogeneous():
                 assert sp.degrees[k] == sp.degrees[j] + 2
 
 
-def _assert_solves_gram_system(movie: FoamMovie) -> None:
+def _assert_solves_gram_system(movie: FoamMovie, space=state_space) -> None:
     """gram(end) @ induced_matrix(movie) equals the pairing of the
     movie's action on the source basis against the target basis,
     computed entry by entry."""
-    src, dst = state_space(movie.start), state_space(movie.end)
+    src, dst = space(movie.start), space(movie.end)
     pushed = [u.compose(movie) for u in src.basis]
     rhs = tuple(tuple(pair_movies(p, v) for p in pushed) for v in dst.basis)
     assert mat_mul(dst.gram, induced_matrix(movie)) == rhs
 
 
 def test_induced_matrices_solve_the_gram_system_on_cube_edges():
+    space = _spaces()
     checked = 0
     for d in fixture_diagrams().values():
         n = d.n_crossings
         for bits in resolutions(n):
             for c in range(n):
                 if bits[c] == 0:
-                    _assert_solves_gram_system(resolution_edge_movie(d, bits, c))
+                    _assert_solves_gram_system(resolution_edge_movie(d, bits, c), space)
                     checked += 1
     assert checked > 100
 
 
 def test_dot_actions_solve_the_gram_system():
+    space = _spaces()
     for w in _all_webs():
         for site in edge_sites(w):
-            _assert_solves_gram_system(dot_movie(w, site))
+            _assert_solves_gram_system(dot_movie(w, site), space)
 
 
 def test_functoriality_of_induced_matrices():
@@ -553,3 +572,100 @@ def test_check_edge_ring_passes():
     check_edge_ring(theta_web())
     check_edge_ring(digon_chain_web())
     check_edge_ring(theta_with_loop_inside())
+
+
+# --------------------------------------------------------------------------
+# one state space and one induced matrix per relabeling class
+# --------------------------------------------------------------------------
+
+TORUS_5_1 = "X(1,6,2,7) X(3,8,4,9) X(5,10,6,1) X(7,2,8,3) X(9,4,10,5)"
+
+
+def _cube_edges(d):
+    for bits in resolutions(d.n_crossings):
+        for c in range(d.n_crossings):
+            if bits[c] == 0:
+                yield bits, c, resolution_edge_movie(d, bits, c)
+
+
+def test_served_gram_matrices_match_the_moved_bases():
+    for w in _all_webs():
+        sp = state_space(w)
+        assert all(b.start.is_empty() and b.end == w for b in sp.basis)
+        assert tuple(b.degree() for b in sp.basis) == sp.degrees
+        gram, identity = scratch_matrix(identity_movie(w), sp.basis, sp.basis)
+        assert gram == sp.gram
+        assert identity == identity_matrix(sp.dim)
+
+
+def _check_served_edges(diagrams) -> int:
+    """Compare every cube edge's served matrix with the one computed
+    from scratch on the moved bases of its ends."""
+    space = _spaces()
+    checked = 0
+    for d in diagrams:
+        for bits, c, movie in _cube_edges(d):
+            src, dst = space(movie.start), space(movie.end)
+            gram, matrix = scratch_matrix(movie, src.basis, dst.basis)
+            assert gram == dst.gram, (bits, c)
+            assert induced_matrix(movie) == matrix, (bits, c)
+            checked += 1
+    return checked
+
+
+def test_served_corpus_edge_matrices_match_the_moved_bases():
+    assert _check_served_edges(fixture_diagrams().values()) > 100
+
+
+def test_served_torus_edge_matrices_match_the_moved_bases():
+    # 5_1's rotation symmetry makes 80 edges share 15 matrices, and its
+    # two-loop resolution has automorphisms the key must keep apart
+    assert _check_served_edges([parse_pd(TORUS_5_1)]) == 80
+
+
+def test_label_keyed_reference_agrees_up_to_a_unimodular_change_of_basis():
+    space = _spaces()
+    changes = {}
+
+    def change(web: Web):
+        """The served basis written in the label-keyed one."""
+        key = web.exact_key()
+        if key not in changes:
+            served, label = space(web).basis, label_basis(web)
+            _, to_label = scratch_matrix(identity_movie(web), served, label)
+            _, to_served = scratch_matrix(identity_movie(web), label, served)
+            assert mat_mul(to_label, to_served) == identity_matrix(len(served))
+            changes[key] = to_label
+        return changes[key]
+
+    checked = 0
+    for d in fixture_diagrams().values():
+        for bits, c, movie in _cube_edges(d):
+            _, by_label = scratch_matrix(
+                movie, label_basis(movie.start), label_basis(movie.end)
+            )
+            assert mat_mul(by_label, change(movie.start)) == mat_mul(
+                change(movie.end), induced_matrix(movie)
+            ), (bits, c)
+            checked += 1
+    assert checked > 100
+
+
+def test_cold_torus_build_computes_one_space_and_one_matrix_per_class(monkeypatch):
+    monkeypatch.setattr(webhom, "_SPACES", {})
+    monkeypatch.setattr(webhom, "_INDUCED", {})
+    clear_flatten_cache()
+    counts = {"_class_space": 0, "_class_matrix": 0}
+    for name in counts:
+        real = getattr(webhom, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(webhom, name, counted)
+    cx = build_complex(parse_pd(TORUS_5_1))
+    assert len(cx.edge_maps) == 80
+    # 63 webs (32 flattenings and their reductions) and 80 edges
+    assert counts["_class_space"] <= 15
+    assert counts["_class_matrix"] <= 20
