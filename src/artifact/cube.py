@@ -32,7 +32,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .algebra import LaurentPoly
+from .algebra import LaurentPoly, smith_form
 from .diagram import LinkDiagram, resolution_edge_movie, resolutions
 from .web import link_bracket
 from .webhom import IntMatrix, induced_matrix, state_space
@@ -48,73 +48,11 @@ class ComplexError(Exception):
 
 
 def smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero diagonal of the Smith normal form of an integer matrix.
+    """Nonzero diagonal of the Smith normal form of an integer matrix
+    (``algebra.smith_form`` without its transforms): positive entries,
+    each dividing the next, as many as the rank."""
 
-    Entries are positive and each divides the next; their count is the
-    rank.  Only the diagonal is computed, not the transforms.
-    """
-
-    a = [list(row) for row in mat]
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    diag: list[int] = []
-    t = 0
-    while t < min(n_rows, n_cols):
-
-        def repivot() -> bool:
-            best = None
-            for i in range(t, n_rows):
-                for j in range(t, n_cols):
-                    v = a[i][j]
-                    if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                return False
-            i0, j0 = best
-            a[t], a[i0] = a[i0], a[t]
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            return True
-
-        if not repivot():
-            break
-        while True:
-            p = a[t][t]
-            clean = True
-            for i in range(t + 1, n_rows):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        clean = False
-            for j in range(t + 1, n_cols):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        clean = False
-            if not clean:
-                repivot()
-                continue
-            offender = None
-            for i in range(t + 1, n_rows):
-                for j in range(t + 1, n_cols):
-                    if a[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-        diag.append(a[t][t])
-        t += 1
-    return diag
+    return smith_form(mat)[0]
 
 
 #: A sparse integer column: its nonzero entries by row index.

@@ -708,7 +708,7 @@ def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
     target's port and bridge darts.  Either move is run once, on the
     source flattening, to check that the movie ends at the target, and a
     ``Zip`` must invert back to its unzip; the movie keeps its run for
-    every later use."""
+    every later use, and its end slice is the cached target flattening."""
 
     bits = d._bits_of(bits)
     n = d.n_crossings
@@ -729,11 +729,15 @@ def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
         move = _bridge_unzip(crossing, source_state, target_state, n)
         undone = True
     movie = FoamMovie(source_state.web, (move,))
-    if not undone or movie.end != target_state.web:
+    states = movie.states()
+    if not undone or states[-1] != target_state.web:
         raise MalformedMovie(
             f"internal: resolution move at crossing {crossing} of {bits!r} "
             f"failed to reproduce the target flattening"
         )
+    # end at the cached flattening itself, whose canonical form is then
+    # computed once for all the edges that reach it
+    states[-1] = target_state.web
     return movie
 
 

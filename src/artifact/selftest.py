@@ -27,19 +27,9 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import closed_surface_value, theta_symbol
-from .foam import PreFoam, digon_movies, evaluate, square_split_movies
+from .foam import PreFoam, digon_movies, dot_movie, evaluate, square_split_movies
 from .web import Web
-from .webhom import (
-    StateSpaceError,
-    check_edge_ring,
-    identity_matrix,
-    induced_matrix,
-    mat_add,
-    mat_neg,
-    mat_sub,
-    state_space,
-    zero_matrix,
-)
+from .webhom import IntMatrix, StateSpaceError, induced_matrix, state_space
 
 
 @dataclass(frozen=True)
@@ -67,6 +57,46 @@ class _Collector:
 
     def report(self) -> SelfTestReport:
         return SelfTestReport(checks=self.checks, failures=tuple(self.failures))
+
+
+# --------------------------------------------------------------------------
+# dense integer matrices
+# --------------------------------------------------------------------------
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def zero_matrix(rows: int, cols: int) -> IntMatrix:
+    return tuple((0,) * cols for _ in range(rows))
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
+    )
+
+
+def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_neg(a: IntMatrix) -> IntMatrix:
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return mat_add(a, mat_neg(b))
+
+
+def mat_power(a: IntMatrix, n: int) -> IntMatrix:
+    out = identity_matrix(len(a))
+    for _ in range(n):
+        out = mat_mul(out, a)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -533,6 +563,51 @@ def check_square_identities(col: Optional[_Collector] = None) -> SelfTestReport:
             f"{where}: join.split sum = -1",
         )
     return col.report()
+
+
+def edge_dot_action(web: Web, site: int) -> IntMatrix:
+    """The degree-2 endomorphism placing one dot on the sheet swept by
+    ``site`` (a dart of an edge, or a negative free-loop id)."""
+    return induced_matrix(dot_movie(web, site))
+
+
+def edge_sites(web: Web) -> List[int]:
+    """One dot site per edge (its smaller dart) and per free loop, in
+    increasing order."""
+    return sorted({min(d, web.alpha[d]) for d in web.out_darts} | set(web.loops))
+
+
+def vertex_symmetric_actions(
+    x1: IntMatrix, x2: IntMatrix, x3: IntMatrix
+) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """The three elementary symmetric polynomials in the dot actions
+    ``x1, x2, x3`` of the three edges at one vertex.  All three vanish
+    on the state space."""
+    e1 = mat_add(mat_add(x1, x2), x3)
+    x2x3 = mat_mul(x2, x3)
+    e2 = mat_add(mat_mul(x1, mat_add(x2, x3)), x2x3)
+    e3 = mat_mul(x1, x2x3)
+    return e1, e2, e3
+
+
+def check_edge_ring(web: Web) -> None:
+    """Verify the edge-ring relations on the state space: at every
+    vertex the elementary symmetric sums of the three incident dot
+    actions vanish, and every dot action cubes to zero.  Each edge's
+    dot action is computed once."""
+    n = state_space(web).dim
+    zero = zero_matrix(n, n)
+    actions = {site: edge_dot_action(web, site) for site in edge_sites(web)}
+    for orbit in web.vertices():
+        xs = (actions[min(d, web.alpha[d])] for d in orbit)
+        for name, mat in zip("123", vertex_symmetric_actions(*xs)):
+            if mat != zero:
+                raise StateSpaceError(
+                    f"symmetric relation e{name} fails at vertex {orbit}"
+                )
+    for site, x in actions.items():
+        if mat_power(x, 3) != zero:
+            raise StateSpaceError(f"dot action at {site} is not nilpotent of order 3")
 
 
 def check_edge_rings(

@@ -31,16 +31,19 @@ movie's action on the source basis against the degree-matched target
 basis elements and multiplying by the inverse block: an integer
 product.  It too is computed once per class of movies and kept in
 ``_INDUCED``; see ``induced_matrix`` for the key.  The blocks are
-inverted by fraction-free elimination, so the whole path stays in
-integer arithmetic.  A singular or non-unimodular block, or a division
-that leaves a remainder, is a hard error, never rounded away.
+inverted through their Smith normal form (``algebra.smith_form``), so
+the whole path stays in integer arithmetic.  A singular or
+non-unimodular block is a hard error, never rounded away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
+from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from .algebra import smith_form
 from .foam import (
     Birth,
     Death,
@@ -48,7 +51,6 @@ from .foam import (
     FoamMovie,
     apply_move,
     digon_movies,
-    dot_movie,
     evaluate,
     glue,
     identity_movie,
@@ -66,106 +68,8 @@ Trace = tuple
 
 class StateSpaceError(Exception):
     """Raised when state-space linear algebra loses exactness: a
-    singular or non-unimodular pairing, an inexact division in the
-    integer solve, or an induced matrix that fails degree homogeneity."""
-
-
-# ==========================================================================
-# exact integer matrices
-# ==========================================================================
-
-
-def matrix_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zero_matrix(rows: int, cols: int) -> IntMatrix:
-    return tuple((0,) * cols for _ in range(rows))
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
-    )
-
-
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a: IntMatrix) -> IntMatrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return mat_add(a, mat_neg(b))
-
-
-def mat_power(a: IntMatrix, n: int) -> IntMatrix:
-    out = identity_matrix(len(a))
-    for _ in range(n):
-        out = mat_mul(out, a)
-    return out
-
-
-def _solve_unimodular(
-    gram: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
-) -> IntMatrix:
-    """Solve gram @ X = rhs exactly; with the identity as ``rhs`` this
-    is the inverse.  The Gram matrix must be unimodular; anything else
-    raises.
-
-    Bareiss's fraction-free Gauss-Jordan elimination on ``[gram | rhs]``
-    in integers only: step ``k`` replaces every other row by ``(p_k *
-    row - row[k] * pivot_row) / p_(k-1)``, where ``p_k`` is the pivot, a
-    division that is exact in theory and checked to be so.  At the end
-    the left block is ``p * I`` with ``p = ±det(gram)`` and the right
-    block is ``p * X``."""
-    n = len(gram)
-    m = len(rhs[0]) if rhs and rhs[0] is not None else 0
-    if len(rhs) != n:
-        raise ValueError("right-hand side has wrong height")
-    aug = [[int(x) for x in gram[i]] + [int(x) for x in rhs[i][:m]] for i in range(n)]
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise StateSpaceError("pairing matrix is singular")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            sign = -sign
-        top = aug[col]
-        p = top[col]
-        for r in range(n):
-            if r == col:
-                continue
-            row = aug[r]
-            f = row[col]
-            if prev == 1 or prev == -1:
-                aug[r] = [(p * x - f * y) * prev for x, y in zip(row, top)]
-                continue
-            new = []
-            for x, y in zip(row, top):
-                q, rem = divmod(p * x - f * y, prev)
-                if rem:
-                    raise StateSpaceError(
-                        f"inexact division by {prev} in fraction-free solve"
-                    )
-                new.append(q)
-            aug[r] = new
-        prev = p
-    det = sign * prev
-    if det != 1 and det != -1:
-        raise StateSpaceError(f"pairing matrix has determinant {det}, not ±1")
-    # the left block is prev * I with prev = ±1, so X = prev * right block
-    return tuple(tuple(prev * x for x in row[n:]) for row in aug)
+    singular or non-unimodular pairing, or an induced matrix that fails
+    degree homogeneity."""
 
 
 # ==========================================================================
@@ -189,7 +93,8 @@ def _inverse_blocks(
     those of degree ``-d``.  A block that is not square, is singular or
     has determinant other than ±1 raises.  The Gram matrix is symmetric,
     so the block of ``-d`` is the transpose of that of ``d``, and so is
-    its inverse."""
+    its inverse.  Each block is inverted through its Smith normal form
+    (``algebra.smith_form``)."""
     index = _degree_index(degrees)
     out: Dict[int, IntMatrix] = {}
     for d, rows in index.items():
@@ -203,7 +108,16 @@ def _inverse_blocks(
             out[d] = tuple(zip(*out[-d]))
             continue
         block = [[gram[r][c] for c in cols] for r in rows]
-        out[d] = _solve_unimodular(block, identity_matrix(len(rows)))
+        # p @ block @ q is diagonal; unimodular means that diagonal is
+        # the identity, and then the inverse is q @ p
+        diag, p, q = smith_form(block)
+        if len(diag) < len(rows):
+            raise StateSpaceError("pairing matrix is singular")
+        if diag[-1] != 1:
+            raise StateSpaceError(
+                f"pairing matrix has determinant ±{prod(diag)}, not ±1"
+            )
+        out[d] = tuple(tuple(sum(map(mul, row, col)) for col in zip(*p)) for row in q)
     return out
 
 
@@ -388,7 +302,7 @@ def _class_space(web: Web) -> ClassSpace:
                 val = pair_movies(basis[j], basis[k])
                 gram_rows[j][k] = val
                 gram_rows[k][j] = val
-    gram = matrix_rows(gram_rows)
+    gram = tuple(map(tuple, gram_rows))
     return ClassSpace(
         web=web,
         basis=basis,
@@ -478,7 +392,7 @@ def _class_matrix(
         rhs = [pair_movies(pushed, dst.basis[k]) for k in rows]
         inv = dst.inverse[-e]
         for k, inv_row in zip(dst.index[e], inv):
-            cols[j][k] = sum(x * y for x, y in zip(inv_row, rhs))
+            cols[j][k] = sum(map(mul, inv_row, rhs))
     out = tuple(tuple(col[k] for col in cols) for k in range(len(dst.basis)))
     for k, row in enumerate(out):
         for j, x in enumerate(row):
@@ -488,53 +402,3 @@ def _class_matrix(
                     f"homogeneity: {dst.degrees[k]} != {src.degrees[j]} + {shift}"
                 )
     return out
-
-
-def edge_dot_action(web: Web, site: int) -> IntMatrix:
-    """The degree-2 endomorphism placing one dot on the sheet swept by
-    ``site`` (a dart of an edge, or a negative free-loop id)."""
-    return induced_matrix(dot_movie(web, site))
-
-
-def edge_sites(web: Web) -> List[int]:
-    """One dot site per edge (its smaller dart) and per free loop, in
-    increasing order."""
-    return sorted({min(d, web.alpha[d]) for d in web.out_darts} | set(web.loops))
-
-
-# ==========================================================================
-# edge-ring relations
-# ==========================================================================
-
-
-def vertex_symmetric_actions(
-    x1: IntMatrix, x2: IntMatrix, x3: IntMatrix
-) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """The three elementary symmetric polynomials in the dot actions
-    ``x1, x2, x3`` of the three edges at one vertex.  All three vanish
-    on the state space."""
-    e1 = mat_add(mat_add(x1, x2), x3)
-    x2x3 = mat_mul(x2, x3)
-    e2 = mat_add(mat_mul(x1, mat_add(x2, x3)), x2x3)
-    e3 = mat_mul(x1, x2x3)
-    return e1, e2, e3
-
-
-def check_edge_ring(web: Web) -> None:
-    """Verify the edge-ring relations on the state space: at every
-    vertex the elementary symmetric sums of the three incident dot
-    actions vanish, and every dot action cubes to zero.  Each edge's
-    dot action is computed once."""
-    n = state_space(web).dim
-    zero = zero_matrix(n, n)
-    actions = {site: edge_dot_action(web, site) for site in edge_sites(web)}
-    for orbit in web.vertices():
-        xs = (actions[min(d, web.alpha[d])] for d in orbit)
-        for name, mat in zip("123", vertex_symmetric_actions(*xs)):
-            if mat != zero:
-                raise StateSpaceError(
-                    f"symmetric relation e{name} fails at vertex {orbit}"
-                )
-    for site, x in actions.items():
-        if mat_power(x, 3) != zero:
-            raise StateSpaceError(f"dot action at {site} is not nilpotent of order 3")

@@ -27,13 +27,16 @@ A closed sheet is evaluated in the Frobenius algebra ``Z[X] / (X^3)`` with
 trace ``Tr(X^2) = -1`` and ``Tr(1) = Tr(X) = 0``.  Its comultiplication
 sends ``1`` to ``-(1 (x) X^2 + X (x) X + X^2 (x) 1)``, so a handle
 multiplies by ``m(Delta(1)) = -3 X^2``, and a genus ``g`` sheet with ``d``
-dots has the value ``Tr((-3 X^2)^g X^d)``.
+dots has the value ``Tr((-3 X^2)^g X^d)``: ``surface_value`` in closed
+form, and ``FrobeniusElement`` with ``comultiply``, ``handle_operator``
+and ``trace`` as the algebra itself, which the package's table of
+closed-surface values is checked against.
 
 Exact solve oracle
 ------------------
 ``fraction_solve`` solves ``G @ X = R`` by Gauss-Jordan elimination over
 the rationals (``fractions.Fraction``), the reference for the package's
-integer-only solve.
+Gram-block inverses, which go through the integer Smith normal form.
 
 Replay oracle
 -------------
@@ -191,6 +194,140 @@ def surface_value(genus: int, dots: int) -> int:
     if power != 2:
         return 0  # X^3 = 0, and only X^2 has nonzero trace
     return -((-3) ** genus)
+
+
+class FrobeniusElement:
+    """An element ``c0 + c1*X + c2*X^2`` of ``Z[X]/(X^3)``.
+
+    The grading puts ``X^i`` in degree ``2*i - 2``; the counit (``trace``)
+    sends ``X^2`` to ``-1`` and ``1, X`` to ``0``.
+    """
+
+    __slots__ = ("_c",)
+
+    def __init__(self, c0: int = 0, c1: int = 0, c2: int = 0) -> None:
+        for c in (c0, c1, c2):
+            if not isinstance(c, int):
+                raise TypeError("coefficients must be ints")
+        self._c = (c0, c1, c2)
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> "FrobeniusElement":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "FrobeniusElement":
+        return cls(1, 0, 0)
+
+    @classmethod
+    def basis(cls, i: int) -> "FrobeniusElement":
+        """``X**i``, which is zero for ``i >= 3``."""
+        if not isinstance(i, int) or i < 0:
+            raise ValueError("basis exponent must be a nonnegative int")
+        if i >= 3:
+            return cls()
+        coeffs = [0, 0, 0]
+        coeffs[i] = 1
+        return cls(*coeffs)
+
+    # -- inspection --------------------------------------------------------
+
+    @property
+    def coefficients(self) -> tuple[int, int, int]:
+        return self._c
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other: "FrobeniusElement") -> "FrobeniusElement":
+        if not isinstance(other, FrobeniusElement):
+            return NotImplemented
+        a, b = self._c, other._c
+        return FrobeniusElement(a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+    def __sub__(self, other: "FrobeniusElement") -> "FrobeniusElement":
+        if not isinstance(other, FrobeniusElement):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self) -> "FrobeniusElement":
+        a = self._c
+        return FrobeniusElement(-a[0], -a[1], -a[2])
+
+    def __mul__(self, other: "FrobeniusElement | int") -> "FrobeniusElement":
+        if isinstance(other, int):
+            a = self._c
+            return FrobeniusElement(a[0] * other, a[1] * other, a[2] * other)
+        if not isinstance(other, FrobeniusElement):
+            return NotImplemented
+        a, b = self._c, other._c
+        out = [0, 0, 0]
+        for i in range(3):
+            for j in range(3):
+                if i + j < 3:
+                    out[i + j] += a[i] * b[j]
+        return FrobeniusElement(*out)
+
+    def __rmul__(self, other: int) -> "FrobeniusElement":
+        if isinstance(other, int):
+            return self * other
+        return NotImplemented
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrobeniusElement):
+            return NotImplemented
+        return self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash(self._c)
+
+    def __repr__(self) -> str:
+        return f"FrobeniusElement{self._c!r}"
+
+
+def trace(a: FrobeniusElement) -> int:
+    """The counit: coefficient of ``X^2``, negated."""
+    return -a.coefficients[2]
+
+
+def comultiply(a: FrobeniusElement) -> dict[tuple[int, int], int]:
+    """Coproduct as a tensor written in the basis ``X^i (x) X^j``.
+
+    Returns a mapping ``(i, j) -> coefficient`` with zero entries omitted.
+    On basis elements:
+
+    * ``1   -> -(1 (x) X^2) - (X (x) X) - (X^2 (x) 1)``
+    * ``X   -> -(X (x) X^2) - (X^2 (x) X)``
+    * ``X^2 -> -(X^2 (x) X^2)``
+
+    This is the unique coproduct dual to the product under ``trace``:
+    it satisfies ``comultiply(a*b) = (a (x) 1) . comultiply(b)``.
+    """
+    out: dict[tuple[int, int], int] = {}
+    for k, ck in enumerate(a.coefficients):
+        if not ck:
+            continue
+        # Coproduct of X^k: -sum of X^(k+i) (x) X^(2-i) over i with k+i <= 2.
+        for i in range(0, 3 - k):
+            key = (k + i, 2 - i)
+            s = out.get(key, 0) - ck
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
+def handle_operator(a: FrobeniusElement) -> FrobeniusElement:
+    """Multiplication composed with comultiplication (adds one handle).
+
+    ``1 -> -3*X^2``, ``X -> 0``, ``X^2 -> 0``.
+    """
+    out = FrobeniusElement.zero()
+    for (i, j), c in comultiply(a).items():
+        out = out + c * (FrobeniusElement.basis(i) * FrobeniusElement.basis(j))
+    return out
 
 
 def evaluate_bruteforce(prefoam) -> int:

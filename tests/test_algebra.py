@@ -1,5 +1,6 @@
 """Tests for the exact algebra layer: Laurent polynomials, the rank-3
-Frobenius algebra, the three-sheet circle evaluation and closed surfaces."""
+Frobenius algebra oracle, the three-sheet circle evaluation, the table
+of closed surfaces and the Smith normal form with its transforms."""
 
 from __future__ import annotations
 
@@ -8,18 +9,25 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from artifact.algebra import (
-    FrobeniusElement,
     LaurentPoly,
     closed_surface_value,
-    comultiply,
-    handle_operator,
     quantum_integer,
+    smith_form,
     theta_symbol,
+)
+from artifact.selftest import identity_matrix, mat_mul
+from .helpers import at_one
+from .oracles import (
+    FrobeniusElement,
+    comultiply,
+    flag_theta,
+    fraction_solve,
+    handle_operator,
     trace,
 )
-from .helpers import at_one
-from .oracles import flag_theta
 
 # --------------------------------------------------------------------------
 # strategies
@@ -281,11 +289,18 @@ def test_handle_operator_values():
 
 def test_closed_surface_value_table():
     expected_nonzero = {(0, 2): -1, (1, 0): 3}
-    for genus in range(4):
+    for genus in range(6):
         for dots in range(6):
             got = closed_surface_value(genus, dots)
             want = expected_nonzero.get((genus, dots), 0)
             assert got == want, f"genus {genus} with {dots} dots gave {got}, want {want}"
+            a = FrobeniusElement.basis(dots) if dots < 3 else FrobeniusElement.zero()
+            for _ in range(genus):
+                a = handle_operator(a)
+            assert got == trace(a), f"genus {genus} with {dots} dots"
+    for genus, dots in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            closed_surface_value(genus, dots)
 
 
 # --------------------------------------------------------------------------
@@ -312,3 +327,49 @@ def test_theta_symbol_known_values():
     assert theta_symbol(1, 1, 1) == 0
     assert theta_symbol(0, 0, 0) == 0
     assert theta_symbol(0, 1, 3) == 0
+
+
+# --------------------------------------------------------------------------
+# Smith normal form with transforms
+# --------------------------------------------------------------------------
+
+
+def _check_smith_form(mat):
+    diag, p, q = smith_form(mat)
+    n_rows, n_cols = len(mat), len(mat[0]) if mat else 0
+    assert len(p) == n_rows and len(q) == n_cols
+    want = tuple(
+        tuple(diag[i] if i == j and i < len(diag) else 0 for j in range(n_cols))
+        for i in range(n_rows)
+    )
+    if n_rows and n_cols:
+        assert mat_mul(mat_mul(p, mat), q) == want
+    assert all(x > 0 for x in diag)
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    # both transforms are unimodular: the rational oracle inverts them
+    for t in (p, q):
+        if t:
+            fraction_solve(t, identity_matrix(len(t)))
+    return diag
+
+
+def test_smith_form_transforms_on_small_matrices():
+    assert _check_smith_form([[2, 0], [0, 3]]) == [1, 6]
+    assert _check_smith_form([[2, 4], [6, 8]]) == [2, 4]
+    assert _check_smith_form([[6, 10, 15]]) == [1]
+    assert _check_smith_form([[2, 0], [0, 2], [0, 0]]) == [2, 2]
+    assert _check_smith_form([[0, 0], [0, 0]]) == []
+    assert _check_smith_form([[2, 3], [3, 5]]) == [1, 1]
+    assert smith_form([]) == ([], [], [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda r: st.lists(
+            st.lists(small_int, min_size=r, max_size=r), min_size=1, max_size=5
+        )
+    )
+)
+def test_smith_form_transforms_on_random_matrices(mat):
+    _check_smith_form(mat)

@@ -6,6 +6,10 @@ attribute, an imported name, or a dotted string such as the traced
 paths of ``perfbench/spans.py``.  Code that only tests reach belongs in
 ``tests/`` as an oracle, or nowhere; this check keeps it from growing
 back.  Dunder methods are reached by the language and are skipped.
+
+The package's arithmetic is also exact: no file in ``src/artifact``
+divides with ``/``, calls ``float`` or imports ``fractions`` or
+``decimal``.
 """
 
 import ast
@@ -71,3 +75,61 @@ def test_every_definition_is_named_by_program_code():
 def test_allowlist_names_existing_definitions():
     defined, _ = _definitions_and_names()
     assert ALLOWED <= set(defined)
+
+
+def _inexact_uses(path: Path) -> list[str]:
+    """Every true division, ``float(`` call and import of ``fractions``
+    or ``decimal`` in one file, as ``file:line: what``, in line order."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = []
+    for node in ast.walk(tree):
+        what = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            what = "true division"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            what = "float() call"
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] in ("fractions", "decimal") for a in node.names):
+                what = "import of fractions or decimal"
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] in ("fractions", "decimal"):
+                what = "import of fractions or decimal"
+        if what:
+            found.append((node.lineno, f"{path.name}:{node.lineno}: {what}"))
+    return [use for _, use in sorted(found)]
+
+
+def test_package_arithmetic_is_exact():
+    # no floats or rationals in the package's arithmetic: every quantity
+    # is an exact integer, and a result that is not one raises instead
+    # of rounding
+    found = [
+        use
+        for path in sorted((REPO_ROOT / "src" / "artifact").glob("*.py"))
+        for use in _inexact_uses(path)
+    ]
+    assert not found, "inexact arithmetic in src/artifact: " + ", ".join(found)
+
+
+def test_exactness_check_sees_each_inexact_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import fractions\n"
+        "from decimal import Decimal\n"
+        "x = 1 / 2\n"
+        "x /= 3\n"
+        "y = float(4)\n"
+        "w = 7 // 2\n",
+        encoding="utf-8",
+    )
+    assert [use.split(": ", 1)[1] for use in _inexact_uses(sample)] == [
+        "import of fractions or decimal",
+        "import of fractions or decimal",
+        "true division",
+        "true division",
+        "float() call",
+    ]

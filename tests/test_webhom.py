@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from artifact.algebra import FrobeniusElement, LaurentPoly, quantum_integer
+from artifact.algebra import LaurentPoly, quantum_integer
 from artifact.corpus import fixture_diagrams
 from artifact import webhom
 from artifact.cube import build_complex
@@ -23,25 +23,25 @@ from artifact.foam import (
     square_split_movies,
 )
 from artifact.web import Web, kuperberg_bracket
-from artifact.webhom import (
-    StateSpaceError,
-    _inverse_blocks,
-    _solve_unimodular,
+from artifact.selftest import (
     check_edge_ring,
     edge_dot_action,
     edge_sites,
     identity_matrix,
-    induced_matrix,
     mat_add,
     mat_mul,
     mat_neg,
     mat_power,
     mat_sub,
-    matrix_rows,
-    pair_movies,
-    state_space,
     vertex_symmetric_actions,
     zero_matrix,
+)
+from artifact.webhom import (
+    StateSpaceError,
+    _inverse_blocks,
+    induced_matrix,
+    pair_movies,
+    state_space,
 )
 
 from .helpers import (
@@ -53,7 +53,13 @@ from .helpers import (
     theta_web,
     theta_with_loop_inside,
 )
-from .oracles import evaluate_closed, fraction_solve, label_basis, scratch_matrix
+from .oracles import (
+    FrobeniusElement,
+    evaluate_closed,
+    fraction_solve,
+    label_basis,
+    scratch_matrix,
+)
 
 
 def circle_web(ccw: bool = True) -> Web:
@@ -115,12 +121,31 @@ def test_matrix_helpers():
         mat_mul(a, ((1, 2, 3),))
 
 
+def _rows(m):
+    return tuple(tuple(row) for row in m)
+
+
+def _inverse(gram):
+    """The served inverse of a square ``gram``: its only block when
+    every basis element has degree 0."""
+    return _inverse_blocks((0,) * len(gram), gram)[0]
+
+
+def _solve(gram, rhs):
+    """``gram @ X = rhs`` through the served inverse."""
+    return mat_mul(_inverse(gram), _rows(rhs))
+
+
 def test_solve_unimodular_rejects_bad_pairings():
     with pytest.raises(StateSpaceError, match="singular"):
-        _solve_unimodular(((1, 1), (1, 1)), ((1,), (0,)))
+        _solve(((1, 1), (1, 1)), ((1,), (0,)))
     with pytest.raises(StateSpaceError, match="determinant"):
-        _solve_unimodular(((2,),), ((2,),))
-    assert _solve_unimodular(((0, -1), (-1, 0)), ((3,), (5,))) == ((-5,), (-3,))
+        _solve(((2,),), ((2,),))
+    assert _solve(((0, -1), (-1, 0)), ((3,), (5,))) == ((-5,), (-3,))
+    # unimodular with no unit entry, so no unit pivot to start from
+    assert _solve(((2, 3), (3, 5)), ((1,), (0,))) == ((5,), (-3,))
+    no_unit = ((2, 3), (3, 5))
+    assert _inverse(no_unit) == fraction_solve(no_unit, identity_matrix(2))
 
 
 def _random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
@@ -143,10 +168,10 @@ def test_integer_solve_matches_fraction_oracle():
             gram = _random_unimodular(rng, n)
             cols = rng.randint(1, 4)
             rhs = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(n)]
-            x = _solve_unimodular(gram, rhs)
+            x = _solve(gram, rhs)
             assert x == fraction_solve(gram, rhs)
-            assert mat_mul(matrix_rows(gram), x) == matrix_rows(rhs)
-            inverse = _solve_unimodular(gram, identity_matrix(n))
+            assert mat_mul(_rows(gram), x) == _rows(rhs)
+            inverse = _inverse(gram)
             assert inverse == fraction_solve(gram, identity_matrix(n))
 
 
@@ -161,10 +186,10 @@ def test_integer_solve_rejects_singular_and_non_unimodular():
                     for i in range(n)
                 ]
                 left, right = _random_unimodular(rng, n), _random_unimodular(rng, n)
-                gram = mat_mul(mat_mul(matrix_rows(left), matrix_rows(diag)), right)
+                gram = mat_mul(mat_mul(_rows(left), _rows(diag)), right)
                 rhs = identity_matrix(n)
                 with pytest.raises(StateSpaceError, match=match):
-                    _solve_unimodular(gram, rhs)
+                    _solve(gram, rhs)
                 with pytest.raises(ArithmeticError, match=match):
                     fraction_solve(gram, rhs)
 
