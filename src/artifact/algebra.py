@@ -76,9 +76,6 @@ class LaurentPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def coefficient(self, exponent: int) -> int:
-        return self._coeffs.get(exponent, 0)
-
     def items(self) -> tuple[tuple[int, int], ...]:
         """Terms as ``(exponent, coefficient)`` pairs, ascending exponent."""
         return tuple(sorted(self._coeffs.items()))
@@ -86,12 +83,6 @@ class LaurentPoly:
     def mirror(self) -> "LaurentPoly":
         """The image under ``q -> q**-1`` (all exponents negated)."""
         return LaurentPoly({-e: c for e, c in self._coeffs.items()})
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiplication by ``q**k``."""
-        if not isinstance(k, int):
-            raise TypeError("shift amount must be an int")
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
 
     # -- arithmetic --------------------------------------------------------
 

@@ -26,9 +26,15 @@ deterministic labels: crossing ``c`` owns port darts ``4c+1..4c+4`` (one
 per tuple slot) and bridge darts ``4n+2c+1`` (sink end) and ``4n+2c+2``
 (source end); a strand between two bridged crossings keeps exactly its
 two end-port darts; a strand that closes up becomes a free loop whose id
-is minus the smallest port dart it passes.  Region nesting and loop
-winding flags are derived combinatorially from the crossing quadrants,
-so equal inputs always produce identical webs.
+is minus the smallest port dart it passes.
+
+Every flattening is built from the one that bridges every crossing, by
+unzipping the bridge of each smoothed crossing in turn: the flattening
+at a choice vector is the unzip of its last smoothed crossing's bridge
+in the (cached) flattening that bridges that crossing.  So the nesting,
+outer faces and loop winding flags of a flattening come from the same
+``Unzip`` surgery as the cube edges, and equal inputs always produce
+identical webs.
 
 ``resolution_edge_movie`` returns, for any choice vector and any
 crossing sitting at choice 0, the one-move cobordism that carries the
@@ -41,13 +47,20 @@ flattening that bridges it: a negative crossing's edge is that
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .foam import FoamMovie, MalformedMovie, Unzip, _DSU, _unzip_arms, inverse_move
-from .web import Region, Web, _component_split, _face_orbits
+from .foam import (
+    FoamMovie,
+    MalformedMovie,
+    Unzip,
+    _DSU,
+    _unzip_arms,
+    apply_move,
+    inverse_move,
+)
+from .web import Web, _component_split
 
 
 class MalformedDiagram(Exception):
@@ -66,9 +79,6 @@ class MalformedDiagram(Exception):
 
 #: Slots where the strands flow into the disk, per sign.
 _IN_SLOTS = {1: (0, 1), -1: (0, 3)}
-
-#: Slots where the strands flow out of the disk, per sign.
-_OUT_SLOTS = {1: (2, 3), -1: (1, 2)}
 
 #: Oriented smoothing inside the disk: entry slot -> exit slot.  The two
 #: arcs of a positive smoothing hug the southwest and northeast corners;
@@ -89,27 +99,20 @@ def _bridge_darts(n: int, c: int) -> tuple[int, int]:
 
 
 def _bridge_tables(sign: int, a: tuple[int, int, int, int], m1: int, m2: int):
-    """Vertex cycles, outflow darts and dart->quadrant table of the
-    bridge picture of a crossing with the given sign.
+    """Counterclockwise (sink, source) vertex cycles of the bridge
+    picture of a crossing with the given sign.
 
-    ``a`` lists the four port darts by slot.  Counterclockwise vertex
-    cycles are fixed by the disk geometry: the sink vertex sits between
-    the two inflow ports and also carries the bridge's sink end; the
-    source vertex likewise.
+    ``a`` lists the four port darts by slot.  The cycles are fixed by
+    the disk geometry: the sink vertex sits between the two inflow ports
+    and also carries the bridge's sink end ``m1``; the source vertex
+    sits between the two outflow ports and carries the source end
+    ``m2``.  The source cycle's darts are the outflow darts.
     """
 
     a0, a1, a2, a3 = a
     if sign == 1:
-        sink = (a0, a1, m1)
-        source = (a2, a3, m2)
-        out = (a2, a3, m2)
-        quadrant = {a0: 0, a1: 1, m1: 3, a2: 2, a3: 3, m2: 1}
-    else:
-        sink = (m1, a3, a0)
-        source = (a1, a2, m2)
-        out = (a1, a2, m2)
-        quadrant = {a0: 0, a1: 1, a2: 2, a3: 3, m1: 2, m2: 0}
-    return sink, source, out, quadrant
+        return (a0, a1, m1), (a2, a3, m2)
+    return (m1, a3, a0), (a1, a2, m2)
 
 
 class _ParityUnionFind:
@@ -486,182 +489,74 @@ class _FlatState(NamedTuple):
     loop_at: dict[tuple[int, int], int]
 
 
-@lru_cache(maxsize=None)
-def _flatten_state(d: LinkDiagram, bits: tuple[int, ...]) -> _FlatState:
+def _bridged_web(d: LinkDiagram) -> Web:
+    """The flattening that bridges every crossing, with the diagram's
+    free loops side by side.
+
+    Every piece of the diagram is one component in the root region.  A
+    piece's smallest dart is the slot-0 port of its smallest crossing,
+    so that dart keys both the component and the face through it, and
+    that face is the component's outer face."""
+
+    n = d.n_crossings
+    sigma: dict[int, int] = {}
+    alpha: dict[int, int] = {}
+    out_darts: set[int] = set()
+    for c, sign in enumerate(d.signs):
+        m1, m2 = _bridge_darts(n, c)
+        sink, source = _bridge_tables(sign, tuple(_port(c, s) for s in range(4)), m1, m2)
+        for cyc in (sink, source):
+            for i, dart in enumerate(cyc):
+                sigma[dart] = cyc[(i + 1) % 3]
+        alpha[m1], alpha[m2] = m2, m1
+        out_darts.update(source)
+    for (c1, s1), (c2, s2) in _occurrences(d.crossings).values():
+        alpha[_port(c1, s1)], alpha[_port(c2, s2)] = _port(c2, s2), _port(c1, s1)
+    pieces = _component_split(sigma, alpha)
+    loop_ccw = {-(6 * n + j + 1): True for j in range(d.free_loops)}
+    return Web(sigma, alpha, out_darts, loop_ccw, None, {k: k for k in pieces})
+
+
+def _smoothed_loops(d: LinkDiagram, smoothed: set[int]) -> dict[tuple[int, int], int]:
+    """The id of the free loop through each smoothed crossing's inflow
+    port, keyed ``(crossing, slot)``: minus the smallest port dart the
+    loop passes.  Strands that reach a bridged crossing are not loops."""
+
     xs = d.crossings
-    n = len(xs)
     occ = _occurrences(xs)
-    bridged = [c for c in range(n) if (bits[c] == 1) == (d.signs[c] == 1)]
-    smoothed = [c for c in range(n) if c not in set(bridged)]
-    smoothed_set = set(smoothed)
-
-    # ---- strands ---------------------------------------------------------
-    edge_routes: list[tuple[int, int]] = []
-    loop_routes: list[tuple[int, list[tuple[int, int]]]] = []
-    entered: set[tuple[int, int]] = set()
-
-    def _trace_to_vertex(c: int, s: int):
-        """Follow the strand leaving port (c, s) of a bridged crossing
-        until it reaches a bridged crossing's inflow port; marks the
-        smoothed transits on the way as entered."""
-
-        c2, s2 = _arc_other(xs, occ, c, s)
-        while c2 in smoothed_set:
-            assert s2 in _IN_SLOTS[d.signs[c2]], (c2, s2)
-            entered.add((c2, s2))
-            s3 = _SMOOTH_EXIT[d.signs[c2]][s2]
-            c2, s2 = _arc_other(xs, occ, c2, s3)
-        assert s2 in _IN_SLOTS[d.signs[c2]], (c2, s2)
-        return _port(c2, s2)
-
-    for c in bridged:
-        for s in _OUT_SLOTS[d.signs[c]]:
-            edge_routes.append((_port(c, s), _trace_to_vertex(c, s)))
+    loop_at: dict[tuple[int, int], int] = {}
+    seen: set[tuple[int, int]] = set()
     for c in smoothed:
         for s in _IN_SLOTS[d.signs[c]]:
-            if (c, s) in entered:
-                continue
-            route = []
+            route: list[tuple[int, int]] = []
             ports: list[int] = []
             cur = (c, s)
-            while cur not in entered:
-                entered.add(cur)
+            while cur[0] in smoothed and cur not in seen:
+                seen.add(cur)
                 route.append(cur)
                 cc, ss = cur
                 exit_slot = _SMOOTH_EXIT[d.signs[cc]][ss]
                 ports.extend([_port(cc, ss), _port(cc, exit_slot)])
                 cur = _arc_other(xs, occ, cc, exit_slot)
-                assert cur[0] in smoothed_set
-            assert cur == (c, s)
-            loop_routes.append((-min(ports), route))
-    loop_at = {cs: lid for lid, route in loop_routes for cs in route}
+            if route and cur == (c, s):
+                loop_at.update(dict.fromkeys(route, -min(ports)))
+    return loop_at
 
-    # ---- permutations ----------------------------------------------------
-    sigma: dict[int, int] = {}
-    alpha: dict[int, int] = {}
-    out_darts: set[int] = set()
-    dart_quadrant: dict[int, int] = {}
-    for c in bridged:
-        ports = tuple(_port(c, s) for s in range(4))
-        m1, m2 = _bridge_darts(n, c)
-        sink, source, out, quadrant = _bridge_tables(d.signs[c], ports, m1, m2)
-        for cyc in (sink, source):
-            for i, dart in enumerate(cyc):
-                sigma[dart] = cyc[(i + 1) % 3]
-        alpha[m1], alpha[m2] = m2, m1
-        out_darts.update(out)
-        for dart, k in quadrant.items():
-            dart_quadrant[dart] = 4 * c + k
-    for (tail, head) in edge_routes:
-        alpha[tail], alpha[head] = head, tail
 
-    # ---- region atoms ----------------------------------------------------
-    atoms = _DSU()
-    for _ in range(4 * n):
-        atoms.make()
-    for lab in occ:
-        (c1, s1), (c2, s2) = occ[lab]
-        atoms.union(4 * c1 + s1, 4 * c2 + (s2 - 1) % 4)
-        atoms.union(4 * c1 + (s1 - 1) % 4, 4 * c2 + s2)
-    for c in smoothed:
-        if d.signs[c] == 1:
-            atoms.union(4 * c + 0, 4 * c + 2)
-        else:
-            atoms.union(4 * c + 1, 4 * c + 3)
+@lru_cache(maxsize=None)
+def _flatten_state(d: LinkDiagram, bits: tuple[int, ...]) -> _FlatState:
+    """The flattening at ``bits``: the all-bridged web when no crossing
+    is smoothed, else the unzip of the last smoothed crossing's bridge
+    in the cached flattening that bridges it."""
 
-    faces = _face_orbits(sigma, alpha) if sigma else {}
-    comps = _component_split(sigma, alpha) if sigma else {}
-    comp_of_dart = {dart: comp for comp, ds in comps.items() for dart in ds}
-    face_class: dict[int, int] = {}
-    comp_faces: dict[int, list[int]] = {comp: [] for comp in comps}
-    class_comp_face: dict[tuple[int, int], int] = {}
-    for f, orbit in faces.items():
-        classes = {atoms.find(dart_quadrant[dart]) for dart in orbit}
-        assert len(classes) == 1, f"face {f} spans region classes {classes}"
-        g = classes.pop()
-        face_class[f] = g
-        comp = comp_of_dart[f]
-        comp_faces[comp].append(f)
-        assert (g, comp) not in class_comp_face
-        class_comp_face[(g, comp)] = f
-    loop_sides: dict[int, tuple[int, int]] = {}
-    for lid, route in loop_routes:
-        lefts = {atoms.find(4 * cc + (ss - 1) % 4) for (cc, ss) in route}
-        rights = {atoms.find(4 * cc + ss) for (cc, ss) in route}
-        assert len(lefts) == 1 and len(rights) == 1, (lid, lefts, rights)
-        left, right = lefts.pop(), rights.pop()
-        assert left != right, f"loop {lid} fails to separate its sides"
-        loop_sides[lid] = (left, right)
-
-    # ---- nesting ---------------------------------------------------------
-    class_items: dict[int, list[tuple[str, int]]] = {}
-    for f, g in face_class.items():
-        comp = comp_of_dart[f]
-        item = ("comp", comp)
-        class_items.setdefault(g, [])
-        if item not in class_items[g]:
-            class_items[g].append(item)
-    for lid, (left, right) in loop_sides.items():
-        for g in (left, right):
-            class_items.setdefault(g, []).append(("loop", lid))
-
-    pieces = _DSU()
-    for _ in range(n):
-        pieces.make()
-    for lab in occ:
-        (c1, _), (c2, _) = occ[lab]
-        pieces.union(c1, c2)
-    piece_min: dict[int, int] = {}
-    for c in range(n):
-        root = pieces.find(c)
-        piece_min.setdefault(root, c)
-
-    parent: dict[int, Region] = {}
-    outer_face: dict[int, int] = {}
-    loop_ccw: dict[int, bool] = {}
-    designator: dict[int, Region] = {}
-    placed: set[tuple[str, int]] = set()
-    for root in sorted(piece_min.values()):
-        start = atoms.find(4 * root + 0)
-        if start in designator:
-            continue
-        designator[start] = None
-        queue = deque([start])
-        while queue:
-            g = queue.popleft()
-            region = designator[g]
-            for item in sorted(class_items.get(g, [])):
-                if item in placed:
-                    continue
-                placed.add(item)
-                kind, ident = item
-                parent[ident] = region
-                if kind == "comp":
-                    outer_face[ident] = class_comp_face[(g, ident)]
-                    for f in comp_faces[ident]:
-                        cf = face_class[f]
-                        if cf == g:
-                            continue
-                        inner_region: Region = ("face", f)
-                        assert cf not in designator
-                        designator[cf] = inner_region
-                        queue.append(cf)
-                else:
-                    left, right = loop_sides[ident]
-                    assert (left == g) != (right == g), (ident, g)
-                    inner = right if left == g else left
-                    loop_ccw[ident] = inner == left
-                    assert inner not in designator
-                    designator[inner] = ("inside", ident)
-                    queue.append(inner)
-    assert len(placed) == len(comps) + len(loop_routes)
-    for j in range(d.free_loops):
-        lid = -(6 * n + j + 1)
-        loop_ccw[lid] = True
-        parent[lid] = None
-
-    web = Web(sigma, alpha, frozenset(out_darts), loop_ccw, parent, outer_face)
-    return _FlatState(web, loop_at)
+    smoothed = [c for c, b in enumerate(bits) if (b == 1) != (d.signs[c] == 1)]
+    loop_at = _smoothed_loops(d, set(smoothed))
+    if not smoothed:
+        return _FlatState(_bridged_web(d), loop_at)
+    c = smoothed[-1]
+    bridged = _flatten_state(d, bits[:c] + (1 - bits[c],) + bits[c + 1 :])
+    unzip = _bridge_unzip(c, bridged.web, loop_at, d.n_crossings)
+    return _FlatState(apply_move(bridged.web, unzip)[0], loop_at)
 
 
 # --------------------------------------------------------------------------
@@ -670,22 +565,21 @@ def _flatten_state(d: LinkDiagram, bits: tuple[int, ...]) -> _FlatState:
 
 
 def _bridge_unzip(
-    crossing: int, bridged: _FlatState, smoothed: _FlatState, n: int
+    crossing: int, web: Web, loop_at: dict[tuple[int, int], int], n: int
 ) -> Unzip:
-    """The ``Unzip`` of ``crossing``'s bridge dart ``m1`` in the
+    """The ``Unzip`` of ``crossing``'s bridge dart ``m1`` in ``web``, a
     flattening that bridges it.  An arm pair whose two darts already
-    share an edge closes into a free loop; its id is that of the loop
-    through the pair's inflow port in the flattening that smooths the
-    crossing."""
+    share an edge closes into a free loop; its id is the one ``loop_at``
+    (the loop ids of the flattening that smooths the crossing) gives the
+    pair's inflow port."""
 
     m1, _ = _bridge_darts(n, crossing)
-    web = bridged.web
     _, _, p, q, r, s = _unzip_arms(web, m1)
 
     def closing_loop(inflow: int, outflow: int) -> Optional[int]:
         if web.alpha[inflow] != outflow:
             return None
-        return smoothed.loop_at[(crossing, (inflow - 1) % 4)]
+        return loop_at[(crossing, (inflow - 1) % 4)]
 
     return Unzip(
         seam=m1,
@@ -707,8 +601,12 @@ def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
     flattening: a ``Zip`` whose new vertices and bridge reuse the
     target's port and bridge darts.  Either move is run once, on the
     source flattening, to check that the movie ends at the target, and a
-    ``Zip`` must invert back to its unzip; the movie keeps its run for
-    every later use, and its end slice is the cached target flattening."""
+    ``Zip`` must invert back to its unzip.  The end of the edge that
+    smooths ``crossing`` was itself flattened by a last unzip at another
+    crossing whenever ``crossing`` is not its last smoothed one, so the
+    check also sees that unzips at different crossings commute.  The movie keeps its run
+    for every later use, and its end slice is the cached target
+    flattening."""
 
     bits = d._bits_of(bits)
     n = d.n_crossings
@@ -722,11 +620,11 @@ def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
     source_state = _flatten_state(d, bits)
     target_state = _flatten_state(d, target)
     if d.signs[crossing] == 1:
-        unzip = _bridge_unzip(crossing, target_state, source_state, n)
+        unzip = _bridge_unzip(crossing, target_state.web, source_state.loop_at, n)
         move = inverse_move(unzip, target_state.web, source_state.web)
         undone = inverse_move(move, source_state.web, target_state.web) == unzip
     else:
-        move = _bridge_unzip(crossing, source_state, target_state, n)
+        move = _bridge_unzip(crossing, source_state.web, target_state.loop_at, n)
         undone = True
     movie = FoamMovie(source_state.web, (move,))
     states = movie.states()

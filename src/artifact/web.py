@@ -133,7 +133,6 @@ class Web:
         "_face_of",
         "_comps",
         "_comp_of",
-        "_sigma_inv",
         "_key",
         "_canon",
     )
@@ -163,7 +162,6 @@ class Web:
         self.alpha = dict(alpha)
         self.out_darts = frozenset(out_darts)
         self.loop_ccw = dict(loop_ccw)
-        self._sigma_inv = {v: k for k, v in self.sigma.items()}
         self._faces = _face_orbits(self.sigma, self.alpha) if self.sigma else {}
         self._face_of = {d: f for f, orbit in self._faces.items() for d in orbit}
         self._comps = _component_split(self.sigma, self.alpha) if self.sigma else {}
@@ -209,9 +207,6 @@ class Web:
 
     def component_of(self, dart: int) -> int:
         return self._comp_of[dart]
-
-    def sigma_inv(self, dart: int) -> int:
-        return self._sigma_inv[dart]
 
     def vertex_of(self, dart: int) -> tuple[int, int, int]:
         """The sigma cycle through ``dart``, rotated to start at its
@@ -586,17 +581,6 @@ def _component_bfs(
     return best, orders
 
 
-def _canonical_component_key(
-    sigma: Mapping[int, int],
-    alpha: Mapping[int, int],
-    out: frozenset[int] | set[int],
-    darts: Iterable[int],
-) -> tuple:
-    """Relabeling-invariant key for one connected dart component (the
-    bracket memo's key); see ``_component_bfs``."""
-    return _component_bfs(sigma, alpha, out, darts)[0]
-
-
 def _canonical_form(web: "Web") -> tuple["Web", dict[int, int], dict[int, int]]:
     """The canonical web of ``web`` and the dart and loop maps onto it.
 
@@ -803,7 +787,7 @@ def _bracket_component(
     Any two-edge or four-edge face may be used (on the sphere the choice
     does not matter); the smallest face key is taken for determinism.
     """
-    key = _canonical_component_key(sigma, alpha, out, sigma.keys())
+    key = _component_bfs(sigma, alpha, out, sigma.keys())[0]
     cached = _BRACKET_MEMO.get(key)
     if cached is not None:
         return cached

@@ -1,8 +1,8 @@
 """Independent oracles used to fix expected values in the test suite.
 
 These helpers recompute target quantities by a second route so the tests
-compare two independent ones.  All but the replay and state-space oracles
-avoid importing the package under test.
+compare two independent ones.  All but the replay, state-space and
+flattening oracles avoid importing the package under test.
 
 Flag-variety trace oracle
 -------------------------
@@ -67,14 +67,34 @@ it, and ``fraction_solve`` on each degree block.  ``label_basis`` is the
 label-keyed reference for the package's class-shared bases: the
 preparation basis built on a web's own labels and reduction sites, kept
 by the web's exact key, with nothing shared between relabelings.
+
+Flattening oracle
+-----------------
+``region_flatten`` flattens a diagram without any move: it traces every
+strand of the resolved diagram, and derives the nesting, the outer faces
+and the loop orientations from the crossing quadrants.  The four
+quadrants of every crossing are the region atoms; the PD arcs and the
+smoothings glue them into region classes, and a breadth-first search
+from each piece's quadrant 0 places every component and loop.  The
+package builds the same webs by unzipping bridges one crossing at a
+time, and must agree with this on every flattening.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 from math import comb
 
+from artifact.diagram import (
+    _IN_SLOTS,
+    _SMOOTH_EXIT,
+    _arc_other,
+    _bridge_darts,
+    _occurrences,
+    _port,
+)
 from artifact.foam import (
     Birth,
     Death,
@@ -82,6 +102,7 @@ from artifact.foam import (
     FoamMovie,
     MalformedMovie,
     PreFoam,
+    _DSU,
     _canonical_numbering,
     _facet_genera,
     _sweep,
@@ -91,7 +112,17 @@ from artifact.foam import (
     identity_movie,
     square_split_movies,
 )
-from artifact.web import DigonFace, Empty, FreeLoop, SquareFace, Web, find_reduction
+from artifact.web import (
+    DigonFace,
+    Empty,
+    FreeLoop,
+    Region,
+    SquareFace,
+    Web,
+    _component_split,
+    _face_orbits,
+    find_reduction,
+)
 from artifact.webhom import pair_movies
 
 # A polynomial in Z[x1, x2] is a dict {(i, j): coefficient} for x1^i * x2^j.
@@ -587,3 +618,215 @@ def _label_preparations(web: Web) -> tuple[FoamMovie, ...]:
         back = branch.reflect()
         out.extend(b.compose(back) for b in label_basis(branch.end))
     return tuple(out)
+
+
+# --------------------------------------------------------------------------
+# flattening oracle
+# --------------------------------------------------------------------------
+
+#: Slots where the strands flow out of a crossing's disk, per sign.
+_OUT_SLOTS = {1: (2, 3), -1: (1, 2)}
+
+
+def _bridge_tables(sign: int, a: tuple[int, int, int, int], m1: int, m2: int):
+    """Vertex cycles, outflow darts and dart->quadrant table of the
+    bridge picture of a crossing with the given sign.
+
+    ``a`` lists the four port darts by slot.  Counterclockwise vertex
+    cycles are fixed by the disk geometry: the sink vertex sits between
+    the two inflow ports and also carries the bridge's sink end; the
+    source vertex likewise.
+    """
+
+    a0, a1, a2, a3 = a
+    if sign == 1:
+        sink = (a0, a1, m1)
+        source = (a2, a3, m2)
+        out = (a2, a3, m2)
+        quadrant = {a0: 0, a1: 1, m1: 3, a2: 2, a3: 3, m2: 1}
+    else:
+        sink = (m1, a3, a0)
+        source = (a1, a2, m2)
+        out = (a1, a2, m2)
+        quadrant = {a0: 0, a1: 1, a2: 2, a3: 3, m1: 2, m2: 0}
+    return sink, source, out, quadrant
+
+
+def region_flatten(d, bits: Bits) -> tuple[Web, dict[tuple[int, int], int]]:
+    """The flattening of ``d`` at ``bits`` and the id of the free loop
+    through each smoothed crossing's inflow port, keyed ``(crossing,
+    slot)``, from region atoms (see the module docstring)."""
+    xs = d.crossings
+    n = len(xs)
+    occ = _occurrences(xs)
+    bridged = [c for c in range(n) if (bits[c] == 1) == (d.signs[c] == 1)]
+    smoothed = [c for c in range(n) if c not in set(bridged)]
+    smoothed_set = set(smoothed)
+
+    # ---- strands ---------------------------------------------------------
+    edge_routes: list[tuple[int, int]] = []
+    loop_routes: list[tuple[int, list[tuple[int, int]]]] = []
+    entered: set[tuple[int, int]] = set()
+
+    def _trace_to_vertex(c: int, s: int):
+        """Follow the strand leaving port (c, s) of a bridged crossing
+        until it reaches a bridged crossing's inflow port; marks the
+        smoothed transits on the way as entered."""
+
+        c2, s2 = _arc_other(xs, occ, c, s)
+        while c2 in smoothed_set:
+            assert s2 in _IN_SLOTS[d.signs[c2]], (c2, s2)
+            entered.add((c2, s2))
+            s3 = _SMOOTH_EXIT[d.signs[c2]][s2]
+            c2, s2 = _arc_other(xs, occ, c2, s3)
+        assert s2 in _IN_SLOTS[d.signs[c2]], (c2, s2)
+        return _port(c2, s2)
+
+    for c in bridged:
+        for s in _OUT_SLOTS[d.signs[c]]:
+            edge_routes.append((_port(c, s), _trace_to_vertex(c, s)))
+    for c in smoothed:
+        for s in _IN_SLOTS[d.signs[c]]:
+            if (c, s) in entered:
+                continue
+            route = []
+            ports: list[int] = []
+            cur = (c, s)
+            while cur not in entered:
+                entered.add(cur)
+                route.append(cur)
+                cc, ss = cur
+                exit_slot = _SMOOTH_EXIT[d.signs[cc]][ss]
+                ports.extend([_port(cc, ss), _port(cc, exit_slot)])
+                cur = _arc_other(xs, occ, cc, exit_slot)
+                assert cur[0] in smoothed_set
+            assert cur == (c, s)
+            loop_routes.append((-min(ports), route))
+    loop_at = {cs: lid for lid, route in loop_routes for cs in route}
+
+    # ---- permutations ----------------------------------------------------
+    sigma: dict[int, int] = {}
+    alpha: dict[int, int] = {}
+    out_darts: set[int] = set()
+    dart_quadrant: dict[int, int] = {}
+    for c in bridged:
+        ports = tuple(_port(c, s) for s in range(4))
+        m1, m2 = _bridge_darts(n, c)
+        sink, source, out, quadrant = _bridge_tables(d.signs[c], ports, m1, m2)
+        for cyc in (sink, source):
+            for i, dart in enumerate(cyc):
+                sigma[dart] = cyc[(i + 1) % 3]
+        alpha[m1], alpha[m2] = m2, m1
+        out_darts.update(out)
+        for dart, k in quadrant.items():
+            dart_quadrant[dart] = 4 * c + k
+    for (tail, head) in edge_routes:
+        alpha[tail], alpha[head] = head, tail
+
+    # ---- region atoms ----------------------------------------------------
+    atoms = _DSU()
+    for _ in range(4 * n):
+        atoms.make()
+    for lab in occ:
+        (c1, s1), (c2, s2) = occ[lab]
+        atoms.union(4 * c1 + s1, 4 * c2 + (s2 - 1) % 4)
+        atoms.union(4 * c1 + (s1 - 1) % 4, 4 * c2 + s2)
+    for c in smoothed:
+        if d.signs[c] == 1:
+            atoms.union(4 * c + 0, 4 * c + 2)
+        else:
+            atoms.union(4 * c + 1, 4 * c + 3)
+
+    faces = _face_orbits(sigma, alpha) if sigma else {}
+    comps = _component_split(sigma, alpha) if sigma else {}
+    comp_of_dart = {dart: comp for comp, ds in comps.items() for dart in ds}
+    face_class: dict[int, int] = {}
+    comp_faces: dict[int, list[int]] = {comp: [] for comp in comps}
+    class_comp_face: dict[tuple[int, int], int] = {}
+    for f, orbit in faces.items():
+        classes = {atoms.find(dart_quadrant[dart]) for dart in orbit}
+        assert len(classes) == 1, f"face {f} spans region classes {classes}"
+        g = classes.pop()
+        face_class[f] = g
+        comp = comp_of_dart[f]
+        comp_faces[comp].append(f)
+        assert (g, comp) not in class_comp_face
+        class_comp_face[(g, comp)] = f
+    loop_sides: dict[int, tuple[int, int]] = {}
+    for lid, route in loop_routes:
+        lefts = {atoms.find(4 * cc + (ss - 1) % 4) for (cc, ss) in route}
+        rights = {atoms.find(4 * cc + ss) for (cc, ss) in route}
+        assert len(lefts) == 1 and len(rights) == 1, (lid, lefts, rights)
+        left, right = lefts.pop(), rights.pop()
+        assert left != right, f"loop {lid} fails to separate its sides"
+        loop_sides[lid] = (left, right)
+
+    # ---- nesting ---------------------------------------------------------
+    class_items: dict[int, list[tuple[str, int]]] = {}
+    for f, g in face_class.items():
+        comp = comp_of_dart[f]
+        item = ("comp", comp)
+        class_items.setdefault(g, [])
+        if item not in class_items[g]:
+            class_items[g].append(item)
+    for lid, (left, right) in loop_sides.items():
+        for g in (left, right):
+            class_items.setdefault(g, []).append(("loop", lid))
+
+    pieces = _DSU()
+    for _ in range(n):
+        pieces.make()
+    for lab in occ:
+        (c1, _), (c2, _) = occ[lab]
+        pieces.union(c1, c2)
+    piece_min: dict[int, int] = {}
+    for c in range(n):
+        root = pieces.find(c)
+        piece_min.setdefault(root, c)
+
+    parent: dict[int, Region] = {}
+    outer_face: dict[int, int] = {}
+    loop_ccw: dict[int, bool] = {}
+    designator: dict[int, Region] = {}
+    placed: set[tuple[str, int]] = set()
+    for root in sorted(piece_min.values()):
+        start = atoms.find(4 * root + 0)
+        if start in designator:
+            continue
+        designator[start] = None
+        queue = deque([start])
+        while queue:
+            g = queue.popleft()
+            region = designator[g]
+            for item in sorted(class_items.get(g, [])):
+                if item in placed:
+                    continue
+                placed.add(item)
+                kind, ident = item
+                parent[ident] = region
+                if kind == "comp":
+                    outer_face[ident] = class_comp_face[(g, ident)]
+                    for f in comp_faces[ident]:
+                        cf = face_class[f]
+                        if cf == g:
+                            continue
+                        inner_region: Region = ("face", f)
+                        assert cf not in designator
+                        designator[cf] = inner_region
+                        queue.append(cf)
+                else:
+                    left, right = loop_sides[ident]
+                    assert (left == g) != (right == g), (ident, g)
+                    inner = right if left == g else left
+                    loop_ccw[ident] = inner == left
+                    assert inner not in designator
+                    designator[inner] = ("inside", ident)
+                    queue.append(inner)
+    assert len(placed) == len(comps) + len(loop_routes)
+    for j in range(d.free_loops):
+        lid = -(6 * n + j + 1)
+        loop_ccw[lid] = True
+        parent[lid] = None
+
+    web = Web(sigma, alpha, frozenset(out_darts), loop_ccw, parent, outer_face)
+    return web, loop_at

@@ -102,10 +102,10 @@ def test_laurent_text_form_golden():
 
 def test_laurent_monomial_and_accessors():
     p = LaurentPoly.monomial(-2, 5)
-    assert p.coefficient(-2) == 5
-    assert p.coefficient(0) == 0
+    assert dict(p.items()).get(-2, 0) == 5
+    assert dict(p.items()).get(0, 0) == 0
     assert p.items() == ((-2, 5),)
-    assert p.shift(3).items() == ((1, 5),)
+    assert (p * LaurentPoly.monomial(3)).items() == ((1, 5),)
     assert at_one(p) == 5
 
 

@@ -1,6 +1,7 @@
 """PD parsing, sign derivation, flattenings, and resolution-edge moves."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,11 +14,14 @@ from artifact.diagram import (
     diagram_from_json,
     parse_pd,
     resolution_edge_movie,
+    resolutions,
 )
+from artifact.corpus import fixture_diagrams
 from artifact.foam import MalformedMovie, Unzip, Zip
 from artifact.web import Web, kuperberg_bracket, link_bracket
 
 from .helpers import at_one, component_count
+from .oracles import region_flatten
 
 TREFOIL_R = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 HOPF_POS = "X(1,2,3,4) X(4,3,2,1)"
@@ -368,9 +372,46 @@ def test_every_fixture_edge_reproduces_its_target_flattening():
                 assert isinstance(mv, Zip if sign == 1 else Unzip)
 
 
-def test_edge_movie_rejects_an_unzip_that_misses_its_flattening(monkeypatch):
-    # swapping the two loop ids of the bridge unzip ends the negative
-    # edge, and starts the reflected positive edge, at the wrong web
+def _relabeled(d, rng, free_loops):
+    """``d`` with its crossings reordered and its arcs renamed at random,
+    and ``free_loops`` crossing-free circles."""
+    order = list(range(d.n_crossings))
+    rng.shuffle(order)
+    labels = sorted({lab for x in d.crossings for lab in x})
+    rename = dict(zip(labels, rng.sample(range(1, 10 * len(labels) + 2), len(labels))))
+    return LinkDiagram.from_crossings(
+        [tuple(rename[lab] for lab in d.crossings[c]) for c in order],
+        over_in=[1 if d.signs[c] == 1 else 3 for c in order],
+        free_loops=free_loops,
+    )
+
+
+def test_every_flattening_matches_the_region_atom_reference():
+    # the corpus, 5_1, 6_1 and 7_1, their mirrors, and four relabelings
+    # of each (one with two free loops): the unzipped webs and loop ids
+    # equal those derived from region atoms
+    rng = random.Random(13)
+    diagrams = []
+    for d in list(fixture_diagrams().values()) + [
+        parse_pd(pd) for pd in (TORUS_5_1, KNOT_6_1, TORUS_7_1)
+    ]:
+        for base in (d, d.mirror()):
+            diagrams.append(base)
+            for k in range(4):
+                diagrams.append(_relabeled(base, rng, 2 if k == 0 else base.free_loops))
+    count = 0
+    for d in diagrams:
+        for bits in resolutions(d.n_crossings):
+            web, loop_at = region_flatten(d, bits)
+            state = diagram._flatten_state(d, bits)
+            assert state.web.exact_key() == web.exact_key(), (d, bits)
+            assert state.loop_at == loop_at, (d, bits)
+            count += 1
+    assert len(diagrams) == 210 and count == 3420
+
+
+def _swapped_loop_ids(monkeypatch):
+    """Patch the bridge unzip to swap the ids of the loops it closes."""
     real = diagram._bridge_unzip
 
     def swapped(*args):
@@ -378,9 +419,33 @@ def test_edge_movie_rejects_an_unzip_that_misses_its_flattening(monkeypatch):
         return Unzip(mv.seam, mv.loop_id_anti, mv.loop_id_aligned)
 
     monkeypatch.setattr(diagram, "_bridge_unzip", swapped)
+
+
+def test_edge_movie_rejects_an_unzip_that_misses_its_flattening(monkeypatch):
+    # swapping the two loop ids of the bridge unzip ends the negative
+    # edge, and starts the reflected positive edge, at the wrong web; the
+    # true flattenings are built first, since the patched unzip would
+    # also build the target
+    for pd in (KINK_POS, KINK_NEG):
+        for bits in ((0,), (1,)):
+            parse_pd(pd).flatten(bits)
+    _swapped_loop_ids(monkeypatch)
     for pd in (KINK_POS, KINK_NEG):
         with pytest.raises(MalformedMovie, match="target flattening"):
             resolution_edge_movie(parse_pd(pd), (0,), 0)
+
+
+def test_a_swapped_unzip_flattens_away_from_the_reference(monkeypatch):
+    _swapped_loop_ids(monkeypatch)
+    clear_flatten_cache()
+    try:
+        # each kink's smoothing closes two loops in one unzip
+        for pd, smoothing in ((KINK_POS, (0,)), (KINK_NEG, (1,))):
+            d = parse_pd(pd)
+            web, loop_at = region_flatten(d, smoothing)
+            assert d.flatten(smoothing).exact_key() != web.exact_key()
+    finally:
+        clear_flatten_cache()
 
 
 def test_edge_move_argument_errors():

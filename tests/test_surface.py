@@ -1,11 +1,14 @@
 """Every function and class of the package is reached by the program.
 
 A definition in ``src/artifact`` counts as reached when some code in
-``src/artifact`` or ``perfbench`` names it: as a bare name, an
-attribute, an imported name, or a dotted string such as the traced
-paths of ``perfbench/spans.py``.  Code that only tests reach belongs in
-``tests/`` as an oracle, or nowhere; this check keeps it from growing
-back.  Dunder methods are reached by the language and are skipped.
+``src/artifact`` or ``perfbench`` names it: as an attribute, an
+imported name, or a dotted string such as the traced paths of
+``perfbench/spans.py``.  A module-level function or class also counts
+as reached through a bare name; a method defined in a class does not,
+since a bare name can only be a local or a module-level name, never the
+method.  Code that only tests reach belongs in ``tests/`` as an oracle,
+or nowhere; this check keeps it from growing back.  Dunder methods are
+reached by the language and are skipped.
 
 The package's arithmetic is also exact: no file in ``src/artifact``
 divides with ``/``, calls ``float`` or imports ``fractions`` or
@@ -15,6 +18,7 @@ divides with ``/``, calls ``float`` or imports ``fractions`` or
 import ast
 import re
 from pathlib import Path
+from typing import Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,33 +33,52 @@ ALLOWED = {
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _program_files() -> list[Path]:
-    return sorted((REPO_ROOT / "src" / "artifact").glob("*.py")) + sorted(
-        (REPO_ROOT / "perfbench").glob("*.py")
+def _program_files() -> tuple[list[Path], list[Path]]:
+    """The package's files, and the other program files (``perfbench``)."""
+    return (
+        sorted((REPO_ROOT / "src" / "artifact").glob("*.py")),
+        sorted((REPO_ROOT / "perfbench").glob("*.py")),
     )
 
 
-def _definitions_and_names() -> tuple[dict[str, str], set[str]]:
-    defined: dict[str, str] = {}
-    named: set[str] = set()
-    for path in _program_files():
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _unreached(package: list[Path], others: list[Path]) -> list[str]:
+    """Every non-dunder definition in the ``package`` files that no
+    package or ``others`` file names, as ``file: name`` (``file:
+    Class.name`` for a method), sorted."""
+    defined: set[tuple[str, Optional[str], str]] = set()  # (file, class, name)
+    bare: set[str] = set()
+    qualified: set[str] = set()
+    for path in package + others:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        in_package = path.parent.name == "artifact"
+        owner = {
+            item: node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, _DEFS)
+        }
         for node in ast.walk(tree):
-            if in_package and isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                defined.setdefault(node.name, path.name)
+            if path in package and isinstance(node, _DEFS):
+                defined.add((path.name, owner.get(node), node.name))
             elif isinstance(node, ast.Name):
-                named.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                qualified.add(node.attr)
             elif isinstance(node, ast.alias):
-                named.add(node.name.rsplit(".", 1)[-1])
+                qualified.add(node.name.rsplit(".", 1)[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if _DOTTED.fullmatch(node.value):
-                    named.update(node.value.split("."))
-    return defined, named
+                    qualified.update(node.value.split("."))
+    return sorted(
+        f"{where}: {cls + '.' if cls else ''}{name}"
+        for where, cls, name in defined
+        if name not in qualified
+        and (cls is not None or name not in bare)
+        and not _is_dunder(name)
+    )
 
 
 def _is_dunder(name: str) -> bool:
@@ -63,18 +86,57 @@ def _is_dunder(name: str) -> bool:
 
 
 def test_every_definition_is_named_by_program_code():
-    defined, named = _definitions_and_names()
-    unreached = sorted(
-        f"{where}: {name}"
-        for name, where in defined.items()
-        if name not in named and name not in ALLOWED and not _is_dunder(name)
-    )
+    package, others = _program_files()
+    unreached = [
+        use for use in _unreached(package, others) if use.split(": ", 1)[1] not in ALLOWED
+    ]
     assert not unreached, "defined but named only by tests: " + ", ".join(unreached)
 
 
+def test_reach_check_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def by_attribute(self):\n"
+        "        pass\n"
+        "    def by_dotted_string(self):\n"
+        "        pass\n"
+        "    def by_bare_name(self):\n"
+        "        pass\n"
+        "def by_import():\n"
+        "    pass\n"
+        "def by_local_call():\n"
+        "    pass\n"
+        "def unnamed():\n"
+        "    pass\n"
+        "def walk():\n"
+        "    by_bare_name = by_local_call()\n"
+        "    return by_bare_name, 'sample.Box.by_dotted_string'\n"
+        "walk()\n",
+        encoding="utf-8",
+    )
+    user = tmp_path / "user.py"
+    user.write_text(
+        "from sample import Box, by_import\nBox().by_attribute()\n",
+        encoding="utf-8",
+    )
+    assert _unreached([sample], [user]) == [
+        "sample.py: Box.by_bare_name",
+        "sample.py: unnamed",
+    ]
+
+
 def test_allowlist_names_existing_definitions():
-    defined, _ = _definitions_and_names()
-    assert ALLOWED <= set(defined)
+    package, _ = _program_files()
+    defined = {
+        node.name
+        for path in package
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, _DEFS)
+    }
+    assert ALLOWED <= defined
 
 
 def _inexact_uses(path: Path) -> list[str]:

@@ -17,7 +17,7 @@ from artifact.web import (
     MalformedWeb,
     SquareFace,
     Web,
-    _canonical_component_key,
+    _component_bfs,
     _reduce_digon,
     clear_bracket_cache,
     crossing_weight,
@@ -241,10 +241,10 @@ def test_digon_reduction_of_theta_leaves_one_loop():
 def test_canonical_component_key_is_label_invariant():
     w1 = theta_web()
     w2 = w1.relabeled(dart_map={1: 9, 2: 14, 3: 21, 4: 3, 5: 77, 6: 50})
-    k1 = _canonical_component_key(w1.sigma, w1.alpha, w1.out_darts, w1.darts)
-    k2 = _canonical_component_key(w2.sigma, w2.alpha, w2.out_darts, w2.darts)
+    k1, _ = _component_bfs(w1.sigma, w1.alpha, w1.out_darts, w1.darts)
+    k2, _ = _component_bfs(w2.sigma, w2.alpha, w2.out_darts, w2.darts)
     assert k1 == k2
-    kc = _canonical_component_key(
+    kc, _ = _component_bfs(
         cube_web().sigma, cube_web().alpha, cube_web().out_darts, cube_web().darts
     )
     assert kc != k1
