@@ -34,9 +34,11 @@ That data is a ``PreFoam``; ``evaluate`` turns it into an exact integer
 using the three-sheet circle rule and the closed-surface values of the
 algebra module.
 
-*Half foams.*  A movie from the empty web to a web ``W`` is swept once
-(``FoamMovie.half``) and its end state reduced to a ``HalfFoam``, split
-into a shape and labels.  The shape (``HalfShape``) is the facet count,
+*Half foams.*  A movie from the empty web to a web ``W`` has a
+``HalfFoam`` (``FoamMovie.half``): its swept end state, reduced and
+split into a shape and labels; ``extend_halves`` extends halves through
+one more movie, sweeping it once per shape from a seeded state.  The
+shape (``HalfShape``) is the facet count,
 the facet of every dart and loop of ``W``, the circles already closed,
 and at every vertex of ``W`` the open seam arc ending there with its
 three strips.  The labels are each facet's twice Euler characteristic
@@ -891,17 +893,19 @@ class FoamMovie:
         return self._degree
 
     def half(self) -> "HalfFoam":
-        """The boundary summary of this movie, swept once from the empty
-        web to its end web and cached; see ``HalfFoam``."""
+        """The boundary summary of this movie, given to ``compose`` or
+        swept once from the empty web, and cached; see ``HalfFoam``."""
         if self._half is None:
             self._half = _half_foam(self)
         return self._half
 
-    def compose(self, then: "FoamMovie") -> "FoamMovie":
-        """This movie followed by ``then`` (ends must match exactly)."""
+    def compose(self, then: FoamMovie, half: Optional[HalfFoam] = None) -> FoamMovie:
+        """This movie followed by ``then`` (ends must match exactly);
+        ``half``, when given, is the result's half (``extend_halves``)."""
         if self.end != then.start:
             raise MalformedMovie("movies do not compose: end and start webs differ")
         out = FoamMovie(self.start, self.moves + then.moves)
+        out._half = half
         out._states = self.states() + then.states()[1:]
         out._instrs = self.instruction_stream() + then.instruction_stream()
         if self._degree is not None and then._degree is not None:
@@ -1113,10 +1117,10 @@ class _DSU:
         return min(ra, rb)
 
 
-@dataclass(frozen=True)
-class PreFoam:
+class PreFoam(NamedTuple):
     """The evaluation-relevant shadow of a closed movie: facets with
-    their (genus, dots), and singular circles as cyclic facet triples."""
+    their (genus, dots), and singular circles as cyclic facet triples.
+    A named tuple, so that the evaluation memo hashes it in C."""
 
     facets: tuple[tuple[int, int], ...]
     circles: tuple[tuple[int, int, int], ...]
@@ -1137,7 +1141,6 @@ class FoamState:
         self.strip_at: dict[tuple[int, int], int] = {}  # (vertex token, dart)
         self.vertex_of_dart: dict[int, int] = {}
         self.vertex_sink: dict[int, bool] = {}
-        self.vertex_darts: dict[int, tuple[int, int, int]] = {}
         self.arcs = _DSU()
         self.arc_of_vertex: dict[int, int] = {}
         self.circles: list[tuple[int, int, int]] = []
@@ -1188,7 +1191,6 @@ class FoamState:
         token = self._next_vertex
         self._next_vertex += 1
         self.vertex_sink[token] = sink
-        self.vertex_darts[token] = cycle
         for d in cycle:
             self.vertex_of_dart[d] = token
             strip = self.strips.make()
@@ -1239,7 +1241,7 @@ class FoamState:
         a1 = self.arcs.find(self.arc_of_vertex[v1])
         a2 = self.arcs.find(self.arc_of_vertex[v2])
         if a1 == a2:
-            self._close_circle(v1)
+            self._close_circle(v1, sink_cycle)
         else:
             self.arcs.union(a1, a2)
         for token, cycle in ((v1, sink_cycle), (v2, source_cycle)):
@@ -1248,10 +1250,10 @@ class FoamState:
                 self.strip_at.pop((token, d), None)
             self.arc_of_vertex.pop(token, None)
             self.vertex_sink.pop(token, None)
-            self.vertex_darts.pop(token, None)
 
-    def _close_circle(self, v_sink: int) -> None:
-        order = _sink_reading(self.vertex_darts[v_sink])
+    def _close_circle(self, v_sink: int, cycle: tuple[int, int, int]) -> None:
+        """Read in the joining move's ``cycle``, as a seeded sweep can."""
+        order = _sink_reading(cycle)
         strips = [self.strips.find(self.strip_at[(v_sink, d)]) for d in order]
         if len(set(strips)) != 3:
             raise MalformedMovie(
@@ -1271,9 +1273,11 @@ def _sink_reading(cycle: tuple[int, int, int]) -> tuple[int, int, int]:
     return (cycle[2], cycle[1], cycle[0])
 
 
-def _sweep(movie: FoamMovie) -> FoamState:
-    """Run the instruction stream of a movie that starts at the empty web."""
-    state = FoamState()
+def _sweep(movie: FoamMovie, state: Optional[FoamState] = None) -> FoamState:
+    """Run a movie's instruction stream into ``state``, seeded at its
+    start web, or into a fresh state for a movie from the empty web."""
+    if state is None:
+        state = FoamState()
     for instrs in movie.instruction_stream():
         state.apply(instrs)
     return state
@@ -1379,17 +1383,23 @@ def _half_foam(movie: FoamMovie) -> HalfFoam:
     """Sweep the movie once and reduce its end state to a ``HalfFoam``."""
     if not movie.start.is_empty():
         raise MalformedMovie("a half foam must start at the empty web")
-    state = _sweep(movie)
-    web = movie.end
+    return _reduce(_sweep(movie), movie.end)[0]
+
+
+def _reduce(state: FoamState, web: Web) -> tuple[HalfFoam, Callable[[int], int]]:
+    """The ``HalfFoam`` of a swept state that ends at ``web``, and the
+    facet number of each facet node of the state."""
     find = state.facets.find
     roots = sorted(state.chi)
     index = {r: i for i, r in enumerate(roots)}
 
-    def facet(key: tuple[str, int]) -> int:
-        return index[find(state._node(key))]
+    def facet_of(node: int) -> int:
+        return index[find(node)]
 
-    dart_facet = {d: facet(_k_dart(d)) for d in web.darts}
-    keys = tuple(dart_facet.values()) + tuple(facet(_k_loop(l)) for l in web.loops)
+    dart_facet = {d: facet_of(state._node(_k_dart(d))) for d in web.darts}
+    keys = tuple(dart_facet.values()) + tuple(
+        facet_of(state._node(_k_loop(l))) for l in web.loops
+    )
     twice_chi = [2 * state.chi[r] for r in roots]
     for t in web.out_darts:
         f = dart_facet[t]
@@ -1416,20 +1426,98 @@ def _half_foam(movie: FoamMovie) -> HalfFoam:
             s = state.strips.find(state.strip_at[(token, d)])
             if s not in strip_ids:
                 strip_ids[s] = len(strip_ids)
-                strip_facets.append(index[find(state.strip_facet[s])])
+                strip_facets.append(facet_of(state.strip_facet[s]))
             strips.append(strip_ids[s])
 
     shape = HalfShape(
         size=len(roots),
         keys=keys,
-        circles=tuple(tuple(index[find(n)] for n in tri) for tri in state.circles),
+        circles=tuple(tuple(facet_of(n) for n in tri) for tri in state.circles),
         arcs=tuple(arcs),
         sinks=tuple(sinks),
         strips=tuple(strips),
         strip_facets=tuple(strip_facets),
     )
     labels = tuple(zip(twice_chi, (state.dots[r] for r in roots)))
-    return HalfFoam(web, shape, _intern_shape(shape), labels)
+    return HalfFoam(web, shape, _intern_shape(shape), labels), facet_of
+
+
+def _seeded_state(
+    half: HalfFoam, dart_map: Mapping[int, int], loop_map: Mapping[int, int]
+) -> FoamState:
+    """A sweep state at the end of ``half`` with every label zero and the
+    darts and loops of its web renamed by the maps: facet ``i`` of the
+    shape is facet node ``i``, and each strip and open seam arc a node."""
+    shape, web = half.shape, half.web
+    n = len(web.sigma)
+    if len(shape.keys) != n + len(web.loop_ccw) or 3 * len(shape.sinks) != n:
+        raise MalformedMovie("the half's shape does not fit its web")
+    state = FoamState()
+    for node in range(shape.size):
+        state.facets.make()
+        state.chi[node] = state.dots[node] = 0
+    keys = [_k_dart(dart_map.get(d, d)) for d in web.darts]
+    keys += [_k_loop(loop_map.get(l, l)) for l in web.loops]
+    state.class_of = dict(zip(keys, shape.keys))
+    for f in shape.strip_facets:
+        state.strip_facet[state.strips.make()] = f
+    state.arcs.parent = {a: a for a in shape.arcs}
+    for token, cycle in enumerate(web.vertices()):
+        state.vertex_sink[token] = sink = shape.sinks[token]
+        state.arc_of_vertex[token] = shape.arcs[token]
+        reading = _sink_reading(cycle) if sink else cycle
+        for d, s in zip(reading, shape.strips[3 * token : 3 * token + 3]):
+            state.vertex_of_dart[dart_map.get(d, d)] = token
+            state.strip_at[(token, dart_map.get(d, d))] = s
+    state._next_vertex = len(shape.sinks)
+    state.circles = list(shape.circles)
+    return state
+
+
+def extend_halves(
+    halves: Iterable[HalfFoam],
+    movie: FoamMovie,
+    dart_map: Mapping[int, int],
+    loop_map: Mapping[int, int],
+) -> list[HalfFoam]:
+    """The half of each movie whose half is given, renamed by the maps
+    and followed by ``movie``, with no sweep from the empty web.
+
+    Labels only add up along a sweep, so ``movie`` is swept once per
+    shape from a seeded state, giving the extension of an all-zero half
+    and the new facet of each old one.  An old label ``2 chi - e`` left
+    out the old web's ``e`` edges on the facet, now inner curves, so the
+    zero half counts them back in.  A renamed web other than the movie's
+    start, and every check of a plan's sweep, raise ``MalformedMovie``
+    for each half of the failing shape: plans live for one call."""
+    plans: dict[int, tuple[Web, HalfFoam, tuple[int, ...]]] = {}
+    out = []
+    for half in halves:
+        plan = plans.get(half.shape_id)
+        if plan is None:
+            renamed = half.web.relabeled(dart_map, loop_map)
+            if renamed.exact_key() != movie.start.exact_key():
+                raise MalformedMovie("a half extends only through a movie from its web")
+            state = _sweep(movie, _seeded_state(half, dart_map, loop_map))
+            base, facet_of = _reduce(state, movie.end)
+            facet_map = tuple(map(facet_of, range(half.shape.size)))
+            twice_chi = [c for c, _ in base.facets]
+            dart_facet = dict(zip(half.web.darts, half.shape.keys))
+            for t in half.web.out_darts:
+                twice_chi[facet_map[dart_facet[t]]] += 1
+            dots = [d for _, d in base.facets]
+            base = base._replace(facets=tuple(zip(twice_chi, dots)))
+            plan = plans[half.shape_id] = (half.web, base, facet_map)
+        web, base, facet_map = plan
+        if half.web is not web and half.web.exact_key() != web.exact_key():
+            raise MalformedMovie("a half extends only through a movie from its web")
+        twice_chi = [c for c, _ in base.facets]
+        dots = [d for _, d in base.facets]
+        for f, (c, d) in zip(facet_map, half.facets):
+            twice_chi[f] += c
+            dots[f] += d
+        out.append(base._replace(facets=tuple(zip(twice_chi, dots))))
+    return out
 
 
 def _intern_shape(shape: HalfShape) -> int:

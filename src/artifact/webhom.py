@@ -17,11 +17,13 @@ element by element, so it shares the class's degrees, Gram matrix and
 inverse blocks.  Sub-webs met while reducing are themselves looked up
 by class.
 
-The closed-surface evaluation pairs two preparations to an integer:
-``pair_movies`` sweeps each preparation once into its half foam and
-glues the two halves along the shared web (``foam.glue``), instead of
+The closed-surface evaluation pairs two preparations to an integer: it
+glues their half foams along the shared web (``foam.glue``), instead of
 replaying the closed movie of one followed by the reflection of the
-other.  The pairing has degree zero, so it vanishes unless the two
+other.  A preparation is a sub-class element followed by one movie, so
+its half is that element's half, renamed onto the sub-web and extended
+through the movie (``foam.extend_halves``), which sweeps the movie once
+per shape.  The pairing has degree zero, so it vanishes unless the two
 degrees cancel and the Gram matrix is block anti-diagonal by degree:
 for each degree ``d`` only the square block between the basis elements
 of degree ``d`` and those of degree ``-d`` is nonzero.  Each such block
@@ -29,7 +31,8 @@ is unimodular and is inverted exactly once per class.  The matrix
 induced by any movie between webs is then obtained by pairing the
 movie's action on the source basis against the degree-matched target
 basis elements and multiplying by the inverse block: an integer
-product.  It too is computed once per class of movies and kept in
+product; a pushed element is only its half, extended the same way.  The
+matrix too is computed once per class of movies and kept in
 ``_INDUCED``; see ``induced_matrix`` for the key.  The blocks are
 inverted through their Smith normal form (``algebra.smith_form``), so
 the whole path stays in integer arithmetic.  A singular or
@@ -52,6 +55,7 @@ from .foam import (
     apply_move,
     digon_movies,
     evaluate,
+    extend_halves,
     glue,
     identity_movie,
     new_ids,
@@ -163,16 +167,21 @@ class StateSpace:
         self.space = space
         self._basis: Optional[Tuple[FoamMovie, ...]] = None
 
+    def renaming(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """The dart and loop maps that move the class basis onto this
+        web; loops the web lacks go past its own."""
+        _, dart_map, loop_map = self.web.canonical()
+        to_loops = _extended(
+            {c: l for l, c in loop_map.items()},
+            sorted(self.space.loops, reverse=True),
+            -1,
+        )
+        return {c: d for d, c in dart_map.items()}, to_loops
+
     @property
     def basis(self) -> Tuple[FoamMovie, ...]:
         if self._basis is None:
-            _, dart_map, loop_map = self.web.canonical()
-            to_darts = {c: d for d, c in dart_map.items()}
-            to_loops = _extended(
-                {c: l for l, c in loop_map.items()},
-                sorted(self.space.loops, reverse=True),
-                -1,
-            )
+            to_darts, to_loops = self.renaming()
             memo: dict = {}
             self._basis = tuple(
                 b.relabeled(to_darts, to_loops, memo) for b in self.space.basis
@@ -237,6 +246,18 @@ def _movie_ids(movies: Iterable[FoamMovie]) -> Tuple[FrozenSet[int], FrozenSet[i
     return frozenset(darts), frozenset(loops)
 
 
+def _extended_basis(sub: StateSpace, *thens: FoamMovie) -> List[FoamMovie]:
+    """Each basis element of ``sub`` followed by each of ``thens``, with
+    its half extended from the class basis element's, renamed onto the
+    web of ``sub``: no preparation is swept from the empty web."""
+    grown = []
+    halves, maps = [b.half() for b in sub.space.basis], sub.renaming()
+    for then in thens:
+        extended = extend_halves(halves, then, *maps)
+        grown.append([b.compose(then, h) for b, h in zip(sub.basis, extended)])
+    return [m for ms in zip(*grown) for m in ms]
+
+
 def _preparations(web: Web) -> Tuple[Tuple[FoamMovie, ...], Trace]:
     reduction = find_reduction(web)
     if isinstance(reduction, Empty):
@@ -247,22 +268,14 @@ def _preparations(web: Web) -> Tuple[Tuple[FoamMovie, ...], Trace]:
         ccw = web.loop_ccw[lid]
         smaller, _ = apply_move(web, Death(lid))
         sub = state_space(smaller)
-        out = []
-        for b in sub.basis:
-            for dots in range(3):
-                grow = FoamMovie(
-                    smaller, (Birth(lid, region, ccw),) + (Dot(lid),) * dots
-                )
-                out.append(b.compose(grow))
+        grow = [(Birth(lid, region, ccw),) + (Dot(lid),) * dots for dots in range(3)]
+        out = _extended_basis(sub, *(FoamMovie(smaller, moves) for moves in grow))
         return tuple(out), ("loop", lid, sub.trace)
     if isinstance(reduction, DigonFace):
         face = reduction.face
         lift_plain, lift_dotted, _, _ = digon_movies(web, face)
         sub = state_space(lift_plain.start)
-        out = []
-        for b in sub.basis:
-            out.append(b.compose(lift_plain))
-            out.append(b.compose(lift_dotted))
+        out = _extended_basis(sub, lift_plain, lift_dotted)
         return tuple(out), ("digon", face, sub.trace)
     if isinstance(reduction, SquareFace):
         face = reduction.face
@@ -270,10 +283,9 @@ def _preparations(web: Web) -> Tuple[Tuple[FoamMovie, ...], Trace]:
         traces = []
         out = []
         for branch in (first, second):
-            back = branch.reflect()
             sub = state_space(branch.end)
             traces.append(sub.trace)
-            out.extend(b.compose(back) for b in sub.basis)
+            out.extend(_extended_basis(sub, branch.reflect()))
         return tuple(out), ("square", face, traces[0], traces[1])
     raise StateSpaceError(f"unhandled reduction {reduction!r}")
 
@@ -282,8 +294,8 @@ def pair_movies(u: FoamMovie, v: FoamMovie) -> int:
     """The closed evaluation of u glued to the reflection of v.  Both
     movies must start at the empty web and end at the same web; end webs
     that differ raise ``MalformedMovie``.  The value vanishes unless the
-    degrees cancel.  Each movie is swept once into its half foam, and a
-    pairing glues the two halves along the shared web."""
+    degrees cancel.  It glues the two movies' halves along the shared
+    web; a class basis movie's half is extended, any other swept once."""
     if u.degree() + v.degree() != 0:
         return 0
     return evaluate(glue(u.half(), v.half()))
@@ -373,23 +385,23 @@ def _class_matrix(
     ``src``, computed from scratch: each source basis element is pushed
     through the movie, renamed by the relative relabeling onto the
     canonical web of ``dst``, paired against the degree-matched target
-    basis and multiplied by the inverse Gram block."""
-    # the pushed movies use the ids of the source basis and of the movie
+    basis and multiplied by the inverse Gram block.  A pushed element is
+    only its half, extended through the renamed movie."""
+    # the pushed elements use the ids of the source basis and of the movie
     darts, loops = _movie_ids((movie,))
     to_darts = _extended(rel_darts, sorted(darts), 1)
     to_loops = _extended(rel_loops, sorted(src.loops | loops, reverse=True), -1)
-    memo: dict = {}
     shift = movie.degree()
+    # the pushed element has degree e, so it pairs only with the target
+    # basis of degree -e, and its image lies in degree e
+    pushed = [j for j, d in enumerate(src.degrees) if -(d + shift) in dst.index]
+    carried = movie.relabeled(to_darts, to_loops)
+    halves = [src.basis[j].half() for j in pushed]
+    halves = extend_halves(halves, carried, to_darts, to_loops)
     cols = [[0] * len(dst.basis) for _ in src.basis]
-    for j, u in enumerate(src.basis):
-        # the pushed element has degree e, so it pairs only with the
-        # target basis of degree -e, and its image lies in degree e
+    for j, half in zip(pushed, halves):
         e = src.degrees[j] + shift
-        rows = dst.index.get(-e, ())
-        if not rows:
-            continue
-        pushed = u.compose(movie).relabeled(to_darts, to_loops, memo)
-        rhs = [pair_movies(pushed, dst.basis[k]) for k in rows]
+        rhs = [evaluate(glue(half, dst.basis[k].half())) for k in dst.index[-e]]
         inv = dst.inverse[-e]
         for k, inv_row in zip(dst.index[e], inv):
             cols[j][k] = sum(map(mul, inv_row, rhs))

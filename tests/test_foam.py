@@ -30,6 +30,7 @@ from artifact.foam import (
     digon_movies,
     dot_movie,
     evaluate,
+    extend_halves,
     glue,
     identity_movie,
     inverse_move,
@@ -432,6 +433,93 @@ def test_half_cached_before_a_clear_never_finds_another_shapes_plan():
     assert glue(old, old) == _glue_unplanned(old, old)
     assert glue(new, new) == _glue_unplanned(new, new)
     assert glue(old, old) == _glue_unplanned(old, old)
+
+
+# --------------------------------------------------------------------------
+# extending halves: one seeded sweep per shape
+# --------------------------------------------------------------------------
+
+
+def _counted_sweeps(monkeypatch) -> list:
+    """Count every sweep, from the empty web or seeded, made from now on."""
+    calls = []
+    real = foam._sweep
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(foam, "_sweep", counted)
+    return calls
+
+
+def _same_half(a: HalfFoam, b: HalfFoam) -> bool:
+    return (a.shape, a.facets, a.web.exact_key()) == (
+        b.shape,
+        b.facets,
+        b.web.exact_key(),
+    )
+
+
+def test_extended_halves_equal_swept_halves(monkeypatch):
+    prefixes = [lens_half(a, b, c) for a, b, c in itertools.product(range(3), repeat=3)]
+    for p in prefixes:
+        p.half()
+    theta = lens_half(0, 0, 0)
+    darts = {d: d + 10 for d in theta.end.sigma}
+    loops = {-1: -5, -2: -6}
+    movies = [
+        dot_movie(theta.end, 1).relabeled(darts, loops),
+        dot_movie(theta.end, 4).relabeled(darts, loops),
+        # the fin unzips: its seam arc closes into a circle through the
+        # seeded vertices, and both loops die
+        theta.reflect().relabeled(darts, loops),
+        lens_half(1, 2, 1).reflect().relabeled(darts, loops),
+    ]
+    sweeps = _counted_sweeps(monkeypatch)
+    for movie in movies:
+        extended = extend_halves((p.half() for p in prefixes), movie, darts, loops)
+        for p, x in zip(prefixes, extended):
+            assert _same_half(x, p.relabeled(darts, loops).compose(movie).half())
+    # one seeded sweep per movie (the lens halves share one shape), then
+    # one sweep from the empty web per composed movie above
+    assert len(sweeps) == len(movies) * (1 + len(prefixes))
+
+
+def test_extension_rejects_a_movie_from_another_web():
+    h = lens_half(0, 0, 0).half()
+    loop = FoamMovie(Web.empty(), (Birth(-1, None, True),))
+    with pytest.raises(MalformedMovie, match="from its web"):
+        extend_halves([h], dot_movie(loop.end, -1), {}, {})
+    # a renaming that does not carry the half's web onto the movie's start
+    with pytest.raises(MalformedMovie, match="from its web"):
+        extend_halves([h], dot_movie(h.web, 1), {1: 11}, {})
+    # a second half of the first one's shape, on another web
+    other = FoamMovie(Web.empty(), (Birth(-2, None, True),)).half()
+    assert other.shape_id == loop.half().shape_id
+    with pytest.raises(MalformedMovie, match="from its web"):
+        extend_halves([loop.half(), other], dot_movie(loop.end, -1), {}, {})
+
+
+def test_extension_plan_faults_raise_for_every_half(monkeypatch):
+    a, b = lens_half(0, 0, 0).half(), lens_half(1, 2, 0).half()
+    sinks, s = a.shape.sinks, a.shape.strips
+    flipped = [_reshaped(h, sinks=(not sinks[0],) + sinks[1:]) for h in (a, b)]
+    off_sheet = [_reshaped(h, strips=(s[1], s[0]) + s[2:]) for h in (a, b)]
+    unfit = [_reshaped(h, keys=h.shape.keys[1:]) for h in (a, b)]
+    cases = [
+        (flipped, dot_movie(a.web, 1), "disagrees"),
+        (off_sheet, lens_half(0, 0, 0).reflect(), "different sheets"),
+        (unfit, dot_movie(a.web, 1), "does not fit"),
+    ]
+    sweeps = _counted_sweeps(monkeypatch)
+    for halves, movie, message in cases:
+        assert halves[0].shape_id == halves[1].shape_id
+        for h in halves:
+            with pytest.raises(MalformedMovie, match=message):
+                extend_halves([h], movie, {}, {})
+    # every failing call planned anew: no failed plan was kept
+    assert len(sweeps) == 4
 
 
 # --------------------------------------------------------------------------

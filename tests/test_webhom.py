@@ -9,7 +9,7 @@ import pytest
 
 from artifact.algebra import LaurentPoly, quantum_integer
 from artifact.corpus import fixture_diagrams
-from artifact import webhom
+from artifact import foam, webhom
 from artifact.cube import build_complex
 from artifact.diagram import clear_flatten_cache, parse_pd, resolution_edge_movie, resolutions
 from artifact.foam import (
@@ -17,6 +17,7 @@ from artifact.foam import (
     Dot,
     FoamMovie,
     MalformedMovie,
+    _half_foam,
     digon_movies,
     dot_movie,
     identity_movie,
@@ -694,3 +695,79 @@ def test_cold_torus_build_computes_one_space_and_one_matrix_per_class(monkeypatc
     # 63 webs (32 flattenings and their reductions) and 80 edges
     assert counts["_class_space"] <= 15
     assert counts["_class_matrix"] <= 20
+
+
+# --------------------------------------------------------------------------
+# halves by extension
+# --------------------------------------------------------------------------
+
+
+def _cold(monkeypatch) -> None:
+    monkeypatch.setattr(webhom, "_SPACES", {})
+    monkeypatch.setattr(webhom, "_INDUCED", {})
+    clear_flatten_cache()
+
+
+def _recorded_extensions(monkeypatch) -> list:
+    """Record every ``extend_halves`` call of ``webhom`` from now on, as
+    (halves, movie, dart map, loop map, extended halves)."""
+    calls = []
+    real = webhom.extend_halves
+
+    def recorded(halves, movie, darts, loops):
+        halves = list(halves)
+        out = real(halves, movie, darts, loops)
+        calls.append((halves, movie, darts, loops, out))
+        return out
+
+    monkeypatch.setattr(webhom, "extend_halves", recorded)
+    return calls
+
+
+def _check_extensions(calls) -> int:
+    """Each extended half equals the sweep, from the empty web, of its
+    prefix renamed by the call's maps and followed by the call's movie.
+    Every extended prefix is a class basis element."""
+    prefix = {
+        id(b.half()): b for space in webhom._SPACES.values() for b in space.basis
+    }
+    checked = 0
+    for halves, movie, darts, loops, out in calls:
+        assert len(out) == len(halves)
+        for h, x in zip(halves, out):
+            swept = _half_foam(prefix[id(h)].relabeled(darts, loops).compose(movie))
+            assert (x.shape, x.facets, x.web.exact_key()) == (
+                swept.shape,
+                swept.facets,
+                swept.web.exact_key(),
+            )
+            checked += 1
+    return checked
+
+
+def test_extended_halves_equal_swept_halves_on_cube_edges(monkeypatch):
+    _cold(monkeypatch)
+    calls = _recorded_extensions(monkeypatch)
+    diagrams = list(fixture_diagrams().values()) + [parse_pd(TORUS_5_1)]
+    edges = [movie for d in diagrams for _, _, movie in _cube_edges(d)]
+    for movie in edges:
+        induced_matrix(movie)
+    # every class basis element and every pushed element was extended
+    assert _check_extensions(calls) > 1000
+    assert len(edges) > 180
+
+
+def test_cold_torus_build_sweeps_once_per_half_shape(monkeypatch):
+    _cold(monkeypatch)
+    sweeps = []
+    real = foam._sweep
+
+    def counted(*args):
+        sweeps.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(foam, "_sweep", counted)
+    build_complex(parse_pd(TORUS_5_1))
+    # one sweep per (half shape, movie) pair, seeded or from the empty
+    # web; sweeping every half from the empty web takes 594
+    assert len(sweeps) <= 40
