@@ -50,8 +50,18 @@ vertex, each cycle of arcs a singular circle, the seam checks and the
 canonical numbering of the result - is a *glue plan*, built once per
 pair of shapes and kept in ``_GLUE_PLANS`` under the two shapes' small
 ids (``_intern_shape``, given once when a half is built), so finding a
-plan hashes no shape; each call only adds the two halves' labels
-through it and checks the resulting facets.
+plan hashes no shape; ``glue`` only adds the two halves' labels through
+it and checks the resulting facets.
+
+A closed foam's value depends only on its plan and its summed labels,
+and the pairings of a Gram block or an induced matrix repeat few of
+them.  ``pair_halves(lefts, rights)`` evaluates every pair of two lists
+of halves: it adds each half's labels through each plan it meets once
+per call (``_project``), and each pair only adds its two projections
+and looks the sum up in the plan's table of values.  A sum the table
+lacks is glued and evaluated, every check of ``glue`` included; one
+whose checks raise is never stored.  The tables live in the plans, so
+``clear_evaluation_cache`` empties them; ``evaluate`` keeps no memo.
 
 Grading: a movie has a degree (birth/death -2, dot +2, zip/unzip +1);
 a closed movie of nonzero degree always evaluates to zero.
@@ -62,6 +72,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import closed_surface_value, theta_symbol
@@ -1554,12 +1565,14 @@ def _join(n: int, pairs: Iterable[tuple[int, int]], shift: int) -> list[int]:
 class _GluePlan(NamedTuple):
     """How two half shapes glue, whatever their labels: the output facet
     of each input facet (those of the first half, then of the second),
-    the boundary-slot count of each output facet, and the canonical
-    singular circles."""
+    the boundary-slot count of each output facet, the canonical
+    singular circles, and the value of every glued label vector met so
+    far (see ``_project``)."""
 
     facet_map: tuple[int, ...]
     slots: tuple[int, ...]
     circles: tuple[tuple[int, int, int], ...]
+    values: dict[tuple[int, ...], int]
 
 
 def _glue_plan(a: HalfShape, b: HalfShape) -> _GluePlan:
@@ -1603,45 +1616,108 @@ def _glue_plan(a: HalfShape, b: HalfShape) -> _GluePlan:
         raise MalformedMovie("half foams do not glue: a seam cycle has no sink")
 
     index, slots, out = _canonical_numbering(set(facet), circles)
-    return _GluePlan(tuple(index[r] for r in facet), slots, out)
+    return _GluePlan(tuple(index[r] for r in facet), slots, out, {})
+
+
+def _check_webs(a: HalfFoam, b: HalfFoam) -> None:
+    """Raise ``MalformedMovie`` unless the two halves end at one web."""
+    if a.web is not b.web and a.web.exact_key() != b.web.exact_key():
+        raise MalformedMovie("half foams do not glue: their end webs differ")
+
+
+def _plan_of(a: HalfFoam, b: HalfFoam) -> _GluePlan:
+    """The glue plan of the two halves' shapes, built on first use and
+    kept in ``_GLUE_PLANS`` by shape ids; a plan whose build raises is
+    not kept."""
+    key = (a.shape_id, b.shape_id)
+    plan = _GLUE_PLANS.get(key)
+    if plan is None:
+        plan = _GLUE_PLANS[key] = _glue_plan(a.shape, b.shape)
+    return plan
+
+
+def _project(
+    plan: _GluePlan, facets: Sequence[tuple[int, int]], offset: int
+) -> tuple[int, ...]:
+    """One half's labels added through the plan, as input facets
+    ``offset, offset + 1, ...``: entry ``2 f`` is the twice Euler
+    characteristic and entry ``2 f + 1`` the dots it gives output facet
+    ``f``.  A closed foam's labels are the sum of its two halves'."""
+    out = [0] * (2 * len(plan.slots))
+    for f, (c, d) in zip(plan.facet_map[offset:], facets):
+        out[2 * f] += c
+        out[2 * f + 1] += d
+    return tuple(out)
 
 
 def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
     """The closed foam made of ``a`` followed by the reflection of ``b``,
     glued along their shared end web.
 
-    The joining is planned once per pair of shapes (``_glue_plan``,
-    kept in ``_GLUE_PLANS`` by shape id; a plan whose build raises is
-    not kept); each call then only adds the two halves' facet labels
-    through the plan.
+    The joining is planned once per pair of shapes (``_plan_of``); each
+    call then only adds the two halves' facet labels through the plan.
     Mismatched end webs, every seam error of ``_glue_plan``, and a facet
     that is not a closed orientable sheet raise ``MalformedMovie`` on
     every offending call."""
-    if a.web is not b.web and a.web.exact_key() != b.web.exact_key():
-        raise MalformedMovie("half foams do not glue: their end webs differ")
-    key = (a.shape_id, b.shape_id)
-    plan = _GLUE_PLANS.get(key)
-    if plan is None:
-        plan = _GLUE_PLANS[key] = _glue_plan(a.shape, b.shape)
-    n = len(plan.slots)
-    twice_chi = [0] * n
-    dots = [0] * n
-    for i, (c, d) in zip(plan.facet_map, a.facets + b.facets):
-        twice_chi[i] += c
-        dots[i] += d
+    _check_webs(a, b)
+    plan = _plan_of(a, b)
+    x, y = _project(plan, a.facets, 0), _project(plan, b.facets, a.shape.size)
+    labels = list(map(add, x, y))
+    twice_chi = labels[::2]
     for c in twice_chi:
         if c % 2:
             raise MalformedMovie(f"glued facet has odd Euler characteristic {c}/2")
     chi = [c // 2 for c in twice_chi]
-    return PreFoam(_facet_genera(chi, dots, plan.slots), plan.circles)
+    return PreFoam(_facet_genera(chi, labels[1::2], plan.slots), plan.circles)
+
+
+def pair_halves(
+    lefts: Sequence[HalfFoam], rights: Sequence[HalfFoam]
+) -> list[list[int]]:
+    """``evaluate(glue(a, b))`` for every ``a`` in ``lefts`` (the rows)
+    and every ``b`` in ``rights`` (the columns).
+
+    A closed foam's value depends only on its glue plan and its summed
+    labels, so within a call each half's labels are projected through
+    each plan it meets once (``_project``), and a pair only adds its two
+    projections and looks the sum up in the plan's value table.  A sum
+    the table lacks is glued and evaluated, so every check of ``glue``
+    runs on it; a sum whose checks raise is never stored and raises for
+    every pair that makes it.  End webs are compared first, once per
+    pair of web objects."""
+    right_webs = {id(b.web): b for b in rights}
+    for a in {id(a.web): a for a in lefts}.values():
+        for b in right_webs.values():
+            _check_webs(a, b)
+    right_seen: list[dict[int, tuple[int, ...]]] = [{} for _ in rights]
+    out = []
+    for a in lefts:
+        planned: dict[int, tuple[_GluePlan, tuple[int, ...]]] = {}
+        row = []
+        for b, seen in zip(rights, right_seen):
+            hit = planned.get(b.shape_id)
+            if hit is None:
+                plan = _plan_of(a, b)
+                hit = planned[b.shape_id] = (plan, _project(plan, a.facets, 0))
+            plan, x = hit
+            y = seen.get(a.shape_id)
+            if y is None:
+                y = seen[a.shape_id] = _project(plan, b.facets, a.shape.size)
+            labels = tuple(map(add, x, y))
+            value = plan.values.get(labels)
+            if value is None:
+                value = plan.values[labels] = evaluate(glue(a, b))
+            row.append(value)
+        out.append(row)
+    return out
 
 
 # ==========================================================================
 # evaluation
 # ==========================================================================
 
-_EVAL_MEMO: dict[PreFoam, int] = {}
-#: One glue plan per (first, second) pair of half shape ids glued so far.
+#: One glue plan per (first, second) pair of half shape ids glued so
+#: far, each with the values of the closed foams it has made.
 _GLUE_PLANS: dict[tuple[int, int], _GluePlan] = {}
 #: The id of every half shape built since the last clear.  Ids come from
 #: a counter that never restarts, so a half cached before a clear keeps
@@ -1652,10 +1728,17 @@ _SHAPE_COUNTER = itertools.count()
 
 
 def clear_evaluation_cache() -> None:
-    """Empty the evaluation memo, the glue plans and the shape ids."""
-    _EVAL_MEMO.clear()
+    """Empty the glue plans, with their value tables, and the shape ids."""
     _GLUE_PLANS.clear()
     _SHAPE_IDS.clear()
+
+
+#: Each way of giving the weights (0, 1, 2) to a circle's three sheets,
+#: with its sign.
+_SIGNED_PERMS = tuple(
+    (theta_symbol(*perm), perm)
+    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0), (1, 0, 2), (0, 2, 1))
+)
 
 
 def evaluate(prefoam: PreFoam) -> int:
@@ -1668,19 +1751,7 @@ def evaluate(prefoam: PreFoam) -> int:
     complementary weight (2 - i) per boundary slot, with a global sign
     (-1) per circle.
     """
-    cached = _EVAL_MEMO.get(prefoam)
-    if cached is None:
-        cached = _evaluate_inner(prefoam.facets, prefoam.circles)
-        _EVAL_MEMO[prefoam] = cached
-    return cached
-
-
-_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0), (1, 0, 2), (0, 2, 1))
-
-
-def _evaluate_inner(
-    facets: tuple[tuple[int, int], ...], circles: tuple[tuple[int, int, int], ...]
-) -> int:
+    facets, circles = prefoam
     n = len(facets)
     slots = [0] * n
     for tri in circles:
@@ -1716,15 +1787,15 @@ def _evaluate_inner(
         if hit is not None:
             return hit
         tri = circles[idx]
+        sheets = set(tri)
         total = 0
-        for perm in _PERMS:
-            sgn = theta_symbol(*perm)
+        for sgn, perm in _SIGNED_PERMS:
             nxt = dict(acc)
             for f, w in zip(tri, perm):
                 nxt[f] = nxt.get(f, 0) + (2 - w)
             factor = sgn
             dead = False
-            for f in set(tri):
+            for f in sheets:
                 g, d = facets[f]
                 tot = d + nxt[f]
                 if close_at[f] == idx:

@@ -18,12 +18,14 @@ inverse blocks.  Sub-webs met while reducing are themselves looked up
 by class.
 
 The closed-surface evaluation pairs two preparations to an integer: it
-glues their half foams along the shared web (``foam.glue``), instead of
-replaying the closed movie of one followed by the reflection of the
-other.  A preparation is a sub-class element followed by one movie, so
-its half is that element's half, renamed onto the sub-web and extended
-through the movie (``foam.extend_halves``), which sweeps the movie once
-per shape.  The pairing has degree zero, so it vanishes unless the two
+glues their half foams along the shared web, instead of replaying the
+closed movie of one followed by the reflection of the other.  Pairings
+are made in batches (``foam.pair_halves``): one call per Gram block,
+and one per pushed degree of an induced matrix, evaluates one closed
+foam per distinct glued label vector, not one per pair.  A preparation
+is a sub-class element followed by one movie, so its half is that
+element's half, renamed onto the sub-web and extended through the movie
+(``foam.extend_halves``), which sweeps the movie once per shape.  The pairing has degree zero, so it vanishes unless the two
 degrees cancel and the Gram matrix is block anti-diagonal by degree:
 for each degree ``d`` only the square block between the basis elements
 of degree ``d`` and those of degree ``-d`` is nonzero.  Each such block
@@ -54,11 +56,10 @@ from .foam import (
     FoamMovie,
     apply_move,
     digon_movies,
-    evaluate,
     extend_halves,
-    glue,
     identity_movie,
     new_ids,
+    pair_halves,
     square_split_movies,
 )
 from .web import DigonFace, Empty, FreeLoop, SquareFace, Web, find_reduction
@@ -294,11 +295,12 @@ def pair_movies(u: FoamMovie, v: FoamMovie) -> int:
     """The closed evaluation of u glued to the reflection of v.  Both
     movies must start at the empty web and end at the same web; end webs
     that differ raise ``MalformedMovie``.  The value vanishes unless the
-    degrees cancel.  It glues the two movies' halves along the shared
-    web; a class basis movie's half is extended, any other swept once."""
+    degrees cancel.  It is the one-by-one case of ``foam.pair_halves``
+    on the two movies' halves; a class basis movie's half is extended,
+    any other swept once."""
     if u.degree() + v.degree() != 0:
         return 0
-    return evaluate(glue(u.half(), v.half()))
+    return pair_halves([u.half()], [v.half()])[0][0]
 
 
 def _class_space(web: Web) -> ClassSpace:
@@ -307,13 +309,16 @@ def _class_space(web: Web) -> ClassSpace:
     degrees = tuple(b.degree() for b in basis)
     index = _degree_index(degrees)
     n = len(basis)
+    halves = [b.half() for b in basis]
     gram_rows = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for k in index.get(-degrees[j], ()):
-            if k >= j:
-                val = pair_movies(basis[j], basis[k])
-                gram_rows[j][k] = val
-                gram_rows[k][j] = val
+    for d, rows in index.items():
+        if d > 0:
+            continue
+        cols = index.get(-d, ())
+        block = pair_halves([halves[j] for j in rows], [halves[k] for k in cols])
+        for j, values in zip(rows, block):
+            for k, val in zip(cols, values):
+                gram_rows[j][k] = gram_rows[k][j] = val
     gram = tuple(map(tuple, gram_rows))
     return ClassSpace(
         web=web,
@@ -398,13 +403,16 @@ def _class_matrix(
     carried = movie.relabeled(to_darts, to_loops)
     halves = [src.basis[j].half() for j in pushed]
     halves = extend_halves(halves, carried, to_darts, to_loops)
-    cols = [[0] * len(dst.basis) for _ in src.basis]
+    by_degree: Dict[int, list] = {}
     for j, half in zip(pushed, halves):
-        e = src.degrees[j] + shift
-        rhs = [evaluate(glue(half, dst.basis[k].half())) for k in dst.index[-e]]
-        inv = dst.inverse[-e]
-        for k, inv_row in zip(dst.index[e], inv):
-            cols[j][k] = sum(map(mul, inv_row, rhs))
+        by_degree.setdefault(src.degrees[j] + shift, []).append((j, half))
+    cols = [[0] * len(dst.basis) for _ in src.basis]
+    for e, group in by_degree.items():
+        targets = [dst.basis[k].half() for k in dst.index[-e]]
+        block = pair_halves([half for _, half in group], targets)
+        for (j, _), rhs in zip(group, block):
+            for k, inv_row in zip(dst.index[e], dst.inverse[-e]):
+                cols[j][k] = sum(map(mul, inv_row, rhs))
     out = tuple(tuple(col[k] for col in cols) for k in range(len(dst.basis)))
     for k, row in enumerate(out):
         for j, x in enumerate(row):

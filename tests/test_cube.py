@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import json
 import random
+import re
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -449,14 +451,92 @@ def test_trefoil_homology_table_including_torsion():
     assert sum(r for _i, _j, r, _t in h.entries) == 7
 
 
+def _torsion(h) -> dict:
+    """The nonzero torsion of a homology table, by bidegree."""
+    return {(i, j): t for i, j, _r, t in h.entries if t}
+
+
 def test_mirror_homology_transposes_free_ranks():
-    for d in (corpus.TREFOIL, corpus.HOPF):
+    diagrams = [*corpus.fixture_diagrams().values(), parse_pd(TORUS_5_1)]
+    for d in diagrams:
         h = link_homology(d)
         hm = link_homology(d.mirror())
         assert {(-i, -j): r for (i, j), r in free_ranks(h).items()} == free_ranks(hm)
+        # universal coefficients move torsion one homological degree up
+        assert {(1 - i, -j): t for (i, j), t in _torsion(h).items()} == _torsion(hm)
+    # the 3-torsion of 5_1 and of its mirror
+    assert _torsion(link_homology(diagrams[-1].mirror())) == {
+        (-2, 14): (3,),
+        (-4, 18): (3,),
+    }
 
 
 TORUS_5_1 = "X(1,6,2,7) X(3,8,4,9) X(5,10,6,1) X(7,2,8,3) X(9,4,10,5)"
+
+
+def _prime_powers(orders) -> list:
+    """The cyclic groups of prime-power order whose sum is the sum of
+    cyclic groups of the given orders, as a sorted list of orders."""
+    out = []
+    for n in orders:
+        p = 2
+        while n > 1:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+def _kunneth(h1, h2) -> dict:
+    """The homology of a split union over the integers from the tables
+    of its parts, as ``(rank, prime-power torsion)`` by bidegree: the sum
+    of ``H^{p,j1} ⊗ H^{q,j2}`` at ``(p + q, j1 + j2)`` and of
+    ``Tor(H^{p,j1}, H^{q,j2})`` at ``(p + q - 1, j1 + j2)``."""
+    ranks: dict = {}
+    torsion: dict = {}
+    for p, j1, r1, t1 in h1.entries:
+        for q, j2, r2, t2 in h2.entries:
+            at = (p + q, j1 + j2)
+            ranks[at] = ranks.get(at, 0) + r1 * r2
+            cross = [gcd(s, t) for s in t1 for t in t2]
+            torsion.setdefault(at, []).extend(list(t1) * r2 + list(t2) * r1 + cross)
+            torsion.setdefault((p + q - 1, j1 + j2), []).extend(cross)
+    out = {}
+    for at in ranks.keys() | torsion.keys():
+        group = (ranks.get(at, 0), _prime_powers(torsion.get(at, ())))
+        if group != (0, []):
+            out[at] = group
+    return out
+
+
+def _split_union(pd1: str, pd2: str):
+    """The split union of two PD codes: the second's labels shifted past
+    the first's."""
+    shift = max(int(x) for x in re.findall(r"\d+", pd1))
+    shifted = re.sub(r"\d+", lambda m: str(int(m.group()) + shift), pd2)
+    return parse_pd(f"{pd1} {shifted}")
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "X(1,2,3,4) X(4,3,2,1)"),
+        ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"),
+    ],
+    ids=["trefoil-hopf", "trefoil-trefoil"],
+)
+def test_split_union_homology_satisfies_kunneth(first, second):
+    h = link_homology(_split_union(first, second))
+    table = {(i, j): (r, _prime_powers(t)) for i, j, r, t in h.entries}
+    assert table == _kunneth(link_homology(parse_pd(first)), link_homology(parse_pd(second)))
+    if first == second:
+        # no tensor term has torsion here: it is Tor of the trefoil's
+        # 3-torsion at (3, -10) with itself
+        assert h.torsion(5, -20) == (3,)
 
 
 def test_torus_knot_5_1_euler_and_torsion():

@@ -35,6 +35,7 @@ from artifact.foam import (
     identity_movie,
     inverse_move,
     move_degree,
+    pair_halves,
     square_split_movies,
 )
 from artifact.web import Web, kuperberg_bracket
@@ -433,6 +434,88 @@ def test_half_cached_before_a_clear_never_finds_another_shapes_plan():
     assert glue(old, old) == _glue_unplanned(old, old)
     assert glue(new, new) == _glue_unplanned(new, new)
     assert glue(old, old) == _glue_unplanned(old, old)
+
+
+# --------------------------------------------------------------------------
+# the batched pairing kernel
+# --------------------------------------------------------------------------
+
+
+def _loop_halves() -> list[HalfFoam]:
+    births = [(Birth(-1, None, True),) + (Dot(-1),) * k for k in range(3)]
+    return [FoamMovie(Web.empty(), moves).half() for moves in births]
+
+
+def _lens_halves() -> list[HalfFoam]:
+    return [lens_half(*dots).half() for dots in itertools.product(range(3), repeat=3)]
+
+
+def test_pair_halves_is_evaluate_of_glue_on_every_pair():
+    for halves in (_loop_halves(), _lens_halves()):
+        expected = [[evaluate(glue(a, b)) for b in halves] for a in halves]
+        assert pair_halves(halves, halves) == expected
+        # a second call is served by the plans' value tables
+        assert pair_halves(halves, halves) == expected
+        assert pair_halves(halves[:1], halves) == expected[:1]
+        assert pair_halves(halves, []) == [[] for _ in halves]
+        assert pair_halves([], halves) == []
+
+
+def test_pair_halves_stores_one_value_per_glued_label_vector():
+    clear_evaluation_cache()
+    halves = _lens_halves()
+    pair_halves(halves, halves)
+    h = halves[0]
+    assert all(x.shape_id == h.shape_id for x in halves)
+    assert list(_GLUE_PLANS) == [(h.shape_id, h.shape_id)]
+    # 729 pairs of one shape, whose glued foams differ only in the dots
+    # on their three sheets: 0 to 4 on each
+    assert len(_GLUE_PLANS[(h.shape_id, h.shape_id)].values) == 5**3
+
+
+def test_pair_halves_label_faults_raise_on_every_call_and_are_never_stored():
+    h = lens_half(0, 0, 0).half()
+    assert pair_halves([h], [h]) == [[theta_symbol(0, 0, 0)]]
+    plan = _GLUE_PLANS[(h.shape_id, h.shape_id)]
+    warm = dict(plan.values)
+    odd, negative_genus = _relabelled(h, 0, 1), _relabelled(h, 0, 4)
+    for _ in range(3):
+        with pytest.raises(MalformedMovie, match="odd Euler characteristic"):
+            pair_halves([h], [h, odd])
+        with pytest.raises(MalformedMovie, match="odd Euler characteristic"):
+            pair_halves([odd], [h])
+        with pytest.raises(MalformedMovie, match="closed orientable sheet"):
+            pair_halves([h, negative_genus], [h])
+        with pytest.raises(MalformedMovie, match="closed orientable sheet"):
+            pair_halves([h], [negative_genus])
+        assert plan.values == warm
+    assert pair_halves([h], [h]) == [[theta_symbol(0, 0, 0)]]
+
+
+def test_pair_halves_seam_faults_raise_on_every_call():
+    h = lens_half(0, 0, 0).half()
+    sinks = h.shape.sinks
+    flipped = _reshaped(h, sinks=(not sinks[0],) + sinks[1:])
+    for _ in range(3):
+        with pytest.raises(MalformedMovie, match="disagree"):
+            pair_halves([h], [h, flipped])
+    assert (h.shape_id, flipped.shape_id) not in _GLUE_PLANS
+
+
+def test_pair_halves_rejects_different_end_webs():
+    ccw = FoamMovie(Web.empty(), (Birth(-1, None, True), Dot(-1), Dot(-1))).half()
+    plain = FoamMovie(Web.empty(), (Birth(-1, None, True),)).half()
+    cw = FoamMovie(Web.empty(), (Birth(-1, None, False),)).half()
+    # equal end webs held by different objects pair
+    assert plain.web is not ccw.web
+    assert pair_halves([plain], [ccw]) == [[evaluate(glue(plain, ccw))]]
+    for _ in range(2):
+        with pytest.raises(MalformedMovie, match="end webs differ"):
+            pair_halves([ccw], [cw])
+        with pytest.raises(MalformedMovie, match="end webs differ"):
+            pair_halves([plain], [ccw, cw])
+        with pytest.raises(MalformedMovie, match="end webs differ"):
+            pair_halves([lens_half(0, 0, 0).half()], [plain])
 
 
 # --------------------------------------------------------------------------

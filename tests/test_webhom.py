@@ -771,3 +771,50 @@ def test_cold_torus_build_sweeps_once_per_half_shape(monkeypatch):
     # one sweep per (half shape, movie) pair, seeded or from the empty
     # web; sweeping every half from the empty web takes 594
     assert len(sweeps) <= 40
+
+
+# --------------------------------------------------------------------------
+# pairings in batches per glue plan
+# --------------------------------------------------------------------------
+
+
+def test_batched_pairings_equal_glued_evaluations_on_cube_edges(monkeypatch):
+    _cold(monkeypatch)
+    calls = []
+    real = webhom.pair_halves
+
+    def recorded(lefts, rights):
+        out = real(lefts, rights)
+        calls.append((lefts, rights, out))
+        return out
+
+    monkeypatch.setattr(webhom, "pair_halves", recorded)
+    diagrams = list(fixture_diagrams().values()) + [parse_pd(TORUS_5_1)]
+    edges = [movie for d in diagrams for _, _, movie in _cube_edges(d)]
+    for movie in edges:
+        induced_matrix(movie)
+    # every Gram block of every class space built, and every pairing row
+    # of every class matrix
+    checked = 0
+    for lefts, rights, out in calls:
+        assert out == [[foam.evaluate(foam.glue(a, b)) for b in rights] for a in lefts]
+        checked += len(lefts) * len(rights)
+    assert checked > 20000
+    assert len(edges) > 180
+
+
+def test_cold_torus_build_evaluates_once_per_glued_label_vector(monkeypatch):
+    _cold(monkeypatch)
+    monkeypatch.setattr(foam, "_GLUE_PLANS", {})
+    closed = []
+    real = foam._facet_genera
+
+    def counted(*args):
+        closed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(foam, "_facet_genera", counted)
+    build_complex(parse_pd(TORUS_5_1))
+    # one glued foam per distinct (glue plan, label vector) pair; gluing
+    # every pairing takes 7,094
+    assert len(closed) <= 1000
