@@ -202,14 +202,18 @@ class _Cache:
         path = self._path(key)
         if path is None:
             return
+        tmp = f"{path}.tmp.{os.getpid()}"
         try:
             os.makedirs(self.directory, exist_ok=True)
-            tmp = f"{path}.tmp.{os.getpid()}"
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
             os.replace(tmp, path)
         except OSError:
-            pass
+            # a failed write leaves no partial file behind
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
 
 
 def _resolve_cache(args: argparse.Namespace) -> _Cache:

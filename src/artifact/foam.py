@@ -904,19 +904,17 @@ class FoamMovie:
         return self._degree
 
     def half(self) -> "HalfFoam":
-        """The boundary summary of this movie, given to ``compose`` or
-        swept once from the empty web, and cached; see ``HalfFoam``."""
+        """The boundary summary of this movie, swept once from the empty
+        web and cached; see ``HalfFoam``."""
         if self._half is None:
             self._half = _half_foam(self)
         return self._half
 
-    def compose(self, then: FoamMovie, half: Optional[HalfFoam] = None) -> FoamMovie:
-        """This movie followed by ``then`` (ends must match exactly);
-        ``half``, when given, is the result's half (``extend_halves``)."""
+    def compose(self, then: FoamMovie) -> FoamMovie:
+        """This movie followed by ``then`` (ends must match exactly)."""
         if self.end != then.start:
             raise MalformedMovie("movies do not compose: end and start webs differ")
         out = FoamMovie(self.start, self.moves + then.moves)
-        out._half = half
         out._states = self.states() + then.states()[1:]
         out._instrs = self.instruction_stream() + then.instruction_stream()
         if self._degree is not None and then._degree is not None:
@@ -939,10 +937,7 @@ class FoamMovie:
         return self._reflect
 
     def relabeled(
-        self,
-        dart_map: Mapping[int, int],
-        loop_map: Mapping[int, int],
-        memo: Optional[dict] = None,
+        self, dart_map: Mapping[int, int], loop_map: Mapping[int, int]
     ) -> "FoamMovie":
         """This movie with its darts and loop ids renamed.
 
@@ -952,39 +947,26 @@ class FoamMovie:
         renamed in the slice the move starts from, and the tracking
         instructions are renamed with the slices, so the result is the
         movie that running the renamed moves would build, without
-        running them.  ``memo``, when given, is a dict shared by calls
-        with the same maps: it keeps each renamed slice, move and
-        instruction list, with its source, under the ids of its sources,
-        so what several movies share (the prefix of composed movies) is
-        renamed once.  The slices after the start are renamed when
+        running them.  The slices after the start are renamed when
         first asked for."""
         dmap = lambda d: dart_map.get(d, d)
         lmap = lambda l: loop_map.get(l, l)
-        if memo is None:
-            memo = {}
-
-        def renamed(key, source, rename):
-            # the source is kept with its copy, so that its id stays taken
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = (source, rename())
-            return hit[1]
+        renamed: dict[int, Web] = {}
 
         def rename_slice(w: Web) -> Web:
-            return renamed(id(w), w, lambda: w.relabeled(dart_map, loop_map))
+            # by id, so that a slice asked for twice is renamed once
+            if id(w) not in renamed:
+                renamed[id(w)] = w.relabeled(dart_map, loop_map)
+            return renamed[id(w)]
 
         states = self.states()
         moves = tuple(
-            renamed(
-                (id(mv), id(w)), (mv, w), lambda: _relabel_move(mv, w, dmap, lmap)
-            )
-            for mv, w in zip(self.moves, states)
+            _relabel_move(mv, w, dmap, lmap) for mv, w in zip(self.moves, states)
         )
         out = FoamMovie(rename_slice(states[0]), moves)
         out._pending = (states, rename_slice)
         out._instrs = tuple(
-            renamed(id(ins), ins, lambda: _relabel_instructions(ins, dmap, lmap))
-            for ins in self.instruction_stream()
+            _relabel_instructions(ins, dmap, lmap) for ins in self.instruction_stream()
         )
         out._degree = self._degree
         return out

@@ -1,21 +1,20 @@
 """State spaces of closed webs and the maps cobordism movies induce.
 
 Every closed web carries a free graded abelian group - its state space -
-with an explicit basis of "preparation" movies from the empty web.  The
-basis follows the web's reduction tree: a free loop contributes a birth
-carrying zero, one or two dots (degrees -2, 0, +2); a bounded two-edge
-face contributes the plain and dotted lifts through that face (degrees
--1, +1); a bounded four-edge face contributes the reflected split
-branches of both rewirings (degree 0).
+spanned by "preparation" movies from the empty web.  The basis follows
+the web's reduction tree: a free loop contributes a birth carrying zero,
+one or two dots (degrees -2, 0, +2); a bounded two-edge face contributes
+the plain and dotted lifts through that face (degrees -1, +1); a bounded
+four-edge face contributes the reflected split branches of both
+rewirings (degree 0).
 
 A state space depends on its web only up to relabeling, so it is
-computed once per relabeling class (``ClassSpace``), on the class's
-canonical web (``Web.canonical``), and kept in ``_SPACES`` by that web.
-The basis of any other web of the class is the class basis renamed by
-the inverse of the web's canonical relabeling (``FoamMovie.relabeled``),
-element by element, so it shares the class's degrees, Gram matrix and
-inverse blocks.  Sub-webs met while reducing are themselves looked up
-by class.
+computed once per relabeling class (``StateSpace``), on the class's
+canonical web (``Web.canonical``), and kept in ``_SPACES`` by that web;
+every web of the class is served that space.  A preparation is read
+only through the closed-foam pairing, so the space keeps each one as
+its half foam (``foam.HalfFoam``) and its degree, not as a movie.
+Sub-webs met while reducing are themselves looked up by class.
 
 The closed-surface evaluation pairs two preparations to an integer: it
 glues their half foams along the shared web, instead of replaying the
@@ -24,21 +23,23 @@ are made in batches (``foam.pair_halves``): one call per Gram block,
 and one per pushed degree of an induced matrix, evaluates one closed
 foam per distinct glued label vector, not one per pair.  A preparation
 is a sub-class element followed by one movie, so its half is that
-element's half, renamed onto the sub-web and extended through the movie
-(``foam.extend_halves``), which sweeps the movie once per shape.  The pairing has degree zero, so it vanishes unless the two
-degrees cancel and the Gram matrix is block anti-diagonal by degree:
-for each degree ``d`` only the square block between the basis elements
-of degree ``d`` and those of degree ``-d`` is nonzero.  Each such block
-is unimodular and is inverted exactly once per class.  The matrix
-induced by any movie between webs is then obtained by pairing the
-movie's action on the source basis against the degree-matched target
-basis elements and multiplying by the inverse block: an integer
-product; a pushed element is only its half, extended the same way.  The
-matrix too is computed once per class of movies and kept in
-``_INDUCED``; see ``induced_matrix`` for the key.  The blocks are
-inverted through their Smith normal form (``algebra.smith_form``), so
-the whole path stays in integer arithmetic.  A singular or
-non-unimodular block is a hard error, never rounded away.
+element's half, renamed onto the sub-web by the inverse of the sub-web's
+canonical relabeling and extended through the movie
+(``foam.extend_halves``), which sweeps the movie once per shape.  The
+pairing has degree zero, so it vanishes unless the two degrees cancel
+and the Gram matrix is block anti-diagonal by degree: for each degree
+``d`` only the square block between the basis elements of degree ``d``
+and those of degree ``-d`` is nonzero.  Each such block is unimodular
+and is inverted exactly once per class.  The matrix induced by any
+movie between webs is then obtained by pairing the movie's action on
+the source basis against the degree-matched target basis elements and
+multiplying by the inverse block: an integer product; a pushed element
+is only its half, extended the same way.  The matrix too is computed
+once per class of movies and kept in ``_INDUCED``; see
+``induced_matrix`` for the key.  The blocks are inverted through their
+Smith normal form (``algebra.smith_form``), so the whole path stays in
+integer arithmetic.  A singular or non-unimodular block is a hard
+error, never rounded away.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .algebra import smith_form
 from .foam import (
@@ -54,6 +55,7 @@ from .foam import (
     Death,
     Dot,
     FoamMovie,
+    HalfFoam,
     apply_move,
     digon_movies,
     extend_halves,
@@ -127,95 +129,34 @@ def _inverse_blocks(
 
 
 @dataclass(frozen=True)
-class ClassSpace:
-    """The state space of one relabeling class of webs, on the class's
-    canonical web (``Web.canonical``): the preparation basis, basis
-    degrees, reduction trace and pairing matrix.
+class StateSpace:
+    """The graded state space of one relabeling class of closed webs, on
+    the class's canonical web (``Web.canonical``): the half foam and the
+    degree of each preparation, the reduction trace and the pairing
+    matrix.  A preparation is read only through its half, so no movie is
+    kept.
 
     ``index[d]`` lists the basis indices of degree ``d``; ``inverse[d]``
     is the exact inverse of the Gram block ``gram[index[d]][index[-d]]``,
     the only nonzero block in those rows.  Together they solve
     ``gram @ X = R`` as ``X[index[-d]] = inverse[d] @ R[index[d]]``.
     The trace names each reduction site in the canonical labels of the
-    class it reduces.  ``loops`` are the loop ids some basis movie uses,
-    the web's own and those it births and zips away, so that a
-    relabeling can send the latter clear of the web.  (Basis movies
-    never delete a dart, so their darts are the web's.)"""
+    class it reduces."""
 
-    web: Web
-    basis: Tuple[FoamMovie, ...]
+    halves: Tuple[HalfFoam, ...]
     degrees: Tuple[int, ...]
     trace: Trace
     gram: IntMatrix
     index: Dict[int, Tuple[int, ...]] = field(compare=False, repr=False)
     inverse: Dict[int, IntMatrix] = field(compare=False, repr=False)
-    loops: FrozenSet[int] = field(compare=False, repr=False)
-
-
-class StateSpace:
-    """The graded state space of a closed web: the space of its
-    relabeling class, with the class basis moved onto the web.
-
-    Degrees, trace, Gram matrix and inverse blocks are the class's.
-    The basis is the class basis renamed, element by element and in the
-    same order, by the inverse of the web's canonical relabeling; it is
-    built on first use."""
-
-    __slots__ = ("web", "space", "_basis")
-
-    def __init__(self, web: Web, space: ClassSpace) -> None:
-        self.web = web
-        self.space = space
-        self._basis: Optional[Tuple[FoamMovie, ...]] = None
-
-    def renaming(self) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """The dart and loop maps that move the class basis onto this
-        web; loops the web lacks go past its own."""
-        _, dart_map, loop_map = self.web.canonical()
-        to_loops = _extended(
-            {c: l for l, c in loop_map.items()},
-            sorted(self.space.loops, reverse=True),
-            -1,
-        )
-        return {c: d for d, c in dart_map.items()}, to_loops
-
-    @property
-    def basis(self) -> Tuple[FoamMovie, ...]:
-        if self._basis is None:
-            to_darts, to_loops = self.renaming()
-            memo: dict = {}
-            self._basis = tuple(
-                b.relabeled(to_darts, to_loops, memo) for b in self.space.basis
-            )
-        return self._basis
-
-    @property
-    def degrees(self) -> Tuple[int, ...]:
-        return self.space.degrees
-
-    @property
-    def trace(self) -> Trace:
-        return self.space.trace
-
-    @property
-    def gram(self) -> IntMatrix:
-        return self.space.gram
-
-    @property
-    def index(self) -> Dict[int, Tuple[int, ...]]:
-        return self.space.index
-
-    @property
-    def inverse(self) -> Dict[int, IntMatrix]:
-        return self.space.inverse
 
     @property
     def dim(self) -> int:
-        return len(self.space.degrees)
+        return len(self.degrees)
 
 
 #: One state space per relabeling class, by canonical web.
-_SPACES: Dict[str, ClassSpace] = {}
+_SPACES: Dict[str, StateSpace] = {}
 #: One induced matrix per class of movies; see ``induced_matrix``.
 _INDUCED: Dict[tuple, IntMatrix] = {}
 
@@ -233,61 +174,51 @@ def _extended(mapping: Dict[int, int], ids: Iterable[int], step: int) -> Dict[in
     return out
 
 
-def _movie_ids(movies: Iterable[FoamMovie]) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-    """Every dart and every loop id on some slice of the movies."""
-    darts: set = set()
-    loops: set = set()
-    seen: set = set()
-    for m in movies:
-        for w in m.states():
-            if id(w) not in seen:
-                seen.add(id(w))
-                darts.update(w.sigma)
-                loops.update(w.loop_ccw)
-    return frozenset(darts), frozenset(loops)
+def _extended_basis(
+    sub_web: Web, *thens: FoamMovie
+) -> Tuple[List[HalfFoam], List[int], Trace]:
+    """The halves and degrees of each basis element of ``sub_web``
+    followed by each of ``thens``, and the trace of ``sub_web``: the
+    class halves, renamed onto ``sub_web``, are extended through each
+    movie, so no preparation is swept from the empty web."""
+    sub = state_space(sub_web)
+    _, dart_map, loop_map = sub_web.canonical()
+    to_darts = {c: d for d, c in dart_map.items()}
+    to_loops = {c: l for l, c in loop_map.items()}
+    grown = [extend_halves(sub.halves, then, to_darts, to_loops) for then in thens]
+    halves = [h for hs in zip(*grown) for h in hs]
+    degrees = [d + then.degree() for d in sub.degrees for then in thens]
+    return halves, degrees, sub.trace
 
 
-def _extended_basis(sub: StateSpace, *thens: FoamMovie) -> List[FoamMovie]:
-    """Each basis element of ``sub`` followed by each of ``thens``, with
-    its half extended from the class basis element's, renamed onto the
-    web of ``sub``: no preparation is swept from the empty web."""
-    grown = []
-    halves, maps = [b.half() for b in sub.space.basis], sub.renaming()
-    for then in thens:
-        extended = extend_halves(halves, then, *maps)
-        grown.append([b.compose(then, h) for b, h in zip(sub.basis, extended)])
-    return [m for ms in zip(*grown) for m in ms]
-
-
-def _preparations(web: Web) -> Tuple[Tuple[FoamMovie, ...], Trace]:
+def _preparations(web: Web) -> Tuple[List[HalfFoam], List[int], Trace]:
     reduction = find_reduction(web)
     if isinstance(reduction, Empty):
-        return (identity_movie(web),), ("empty",)
+        return [identity_movie(web).half()], [0], ("empty",)
     if isinstance(reduction, FreeLoop):
         lid = reduction.loop_id
         region = web.parent[lid]
         ccw = web.loop_ccw[lid]
         smaller, _ = apply_move(web, Death(lid))
-        sub = state_space(smaller)
         grow = [(Birth(lid, region, ccw),) + (Dot(lid),) * dots for dots in range(3)]
-        out = _extended_basis(sub, *(FoamMovie(smaller, moves) for moves in grow))
-        return tuple(out), ("loop", lid, sub.trace)
+        halves, degrees, sub = _extended_basis(
+            smaller, *(FoamMovie(smaller, moves) for moves in grow)
+        )
+        return halves, degrees, ("loop", lid, sub)
     if isinstance(reduction, DigonFace):
         face = reduction.face
         lift_plain, lift_dotted, _, _ = digon_movies(web, face)
-        sub = state_space(lift_plain.start)
-        out = _extended_basis(sub, lift_plain, lift_dotted)
-        return tuple(out), ("digon", face, sub.trace)
+        halves, degrees, sub = _extended_basis(lift_plain.start, lift_plain, lift_dotted)
+        return halves, degrees, ("digon", face, sub)
     if isinstance(reduction, SquareFace):
         face = reduction.face
-        first, second = square_split_movies(web, face)
-        traces = []
-        out = []
-        for branch in (first, second):
-            sub = state_space(branch.end)
-            traces.append(sub.trace)
-            out.extend(_extended_basis(sub, branch.reflect()))
-        return tuple(out), ("square", face, traces[0], traces[1])
+        halves, degrees, traces = [], [], []
+        for branch in square_split_movies(web, face):
+            more, shifted, sub = _extended_basis(branch.end, branch.reflect())
+            halves += more
+            degrees += shifted
+            traces.append(sub)
+        return halves, degrees, ("square", face, traces[0], traces[1])
     raise StateSpaceError(f"unhandled reduction {reduction!r}")
 
 
@@ -296,20 +227,17 @@ def pair_movies(u: FoamMovie, v: FoamMovie) -> int:
     movies must start at the empty web and end at the same web; end webs
     that differ raise ``MalformedMovie``.  The value vanishes unless the
     degrees cancel.  It is the one-by-one case of ``foam.pair_halves``
-    on the two movies' halves; a class basis movie's half is extended,
-    any other swept once."""
+    on the two movies' halves, each swept once and kept on its movie."""
     if u.degree() + v.degree() != 0:
         return 0
     return pair_halves([u.half()], [v.half()])[0][0]
 
 
-def _class_space(web: Web) -> ClassSpace:
+def _class_space(web: Web) -> StateSpace:
     """The state space of a canonical web, computed from scratch."""
-    basis, trace = _preparations(web)
-    degrees = tuple(b.degree() for b in basis)
+    halves, degrees, trace = _preparations(web)
     index = _degree_index(degrees)
-    n = len(basis)
-    halves = [b.half() for b in basis]
+    n = len(halves)
     gram_rows = [[0] * n for _ in range(n)]
     for d, rows in index.items():
         if d > 0:
@@ -320,30 +248,25 @@ def _class_space(web: Web) -> ClassSpace:
             for k, val in zip(cols, values):
                 gram_rows[j][k] = gram_rows[k][j] = val
     gram = tuple(map(tuple, gram_rows))
-    return ClassSpace(
-        web=web,
-        basis=basis,
-        degrees=degrees,
+    return StateSpace(
+        halves=tuple(halves),
+        degrees=tuple(degrees),
         trace=trace,
         gram=gram,
         index=index,
         inverse=_inverse_blocks(degrees, gram),
-        loops=_movie_ids(basis)[1],
     )
 
 
-def _class_of(web: Web) -> ClassSpace:
+def state_space(web: Web) -> StateSpace:
+    """The state space of a closed web: that of its relabeling class,
+    computed once, on the class's canonical web; see ``StateSpace``."""
     canonical = web.canonical()[0]
     key = canonical.exact_key()
     space = _SPACES.get(key)
     if space is None:
         space = _SPACES[key] = _class_space(canonical)
     return space
-
-
-def state_space(web: Web) -> StateSpace:
-    """The state space of a closed web; see ``StateSpace``."""
-    return StateSpace(web, _class_of(web))
 
 
 def induced_matrix(movie: FoamMovie) -> IntMatrix:
@@ -374,15 +297,15 @@ def induced_matrix(movie: FoamMovie) -> IntMatrix:
     out = _INDUCED.get(key)
     if out is None:
         out = _INDUCED[key] = _class_matrix(
-            carried, _class_of(movie.start), _class_of(movie.end), rel_darts, rel_loops
+            carried, state_space(movie.start), state_space(movie.end), rel_darts, rel_loops
         )
     return out
 
 
 def _class_matrix(
     movie: FoamMovie,
-    src: ClassSpace,
-    dst: ClassSpace,
+    src: StateSpace,
+    dst: StateSpace,
     rel_darts: Dict[int, int],
     rel_loops: Dict[int, int],
 ) -> IntMatrix:
@@ -392,28 +315,30 @@ def _class_matrix(
     canonical web of ``dst``, paired against the degree-matched target
     basis and multiplied by the inverse Gram block.  A pushed element is
     only its half, extended through the renamed movie."""
-    # the pushed elements use the ids of the source basis and of the movie
-    darts, loops = _movie_ids((movie,))
-    to_darts = _extended(rel_darts, sorted(darts), 1)
-    to_loops = _extended(rel_loops, sorted(src.loops | loops, reverse=True), -1)
+    # every id on some slice of the movie, its start web's included
+    states = movie.states()
+    darts = sorted({d for w in states for d in w.sigma})
+    loops = sorted({l for w in states for l in w.loop_ccw}, reverse=True)
+    to_darts = _extended(rel_darts, darts, 1)
+    to_loops = _extended(rel_loops, loops, -1)
     shift = movie.degree()
     # the pushed element has degree e, so it pairs only with the target
     # basis of degree -e, and its image lies in degree e
     pushed = [j for j, d in enumerate(src.degrees) if -(d + shift) in dst.index]
     carried = movie.relabeled(to_darts, to_loops)
-    halves = [src.basis[j].half() for j in pushed]
+    halves = [src.halves[j] for j in pushed]
     halves = extend_halves(halves, carried, to_darts, to_loops)
     by_degree: Dict[int, list] = {}
     for j, half in zip(pushed, halves):
         by_degree.setdefault(src.degrees[j] + shift, []).append((j, half))
-    cols = [[0] * len(dst.basis) for _ in src.basis]
+    cols = [[0] * dst.dim for _ in range(src.dim)]
     for e, group in by_degree.items():
-        targets = [dst.basis[k].half() for k in dst.index[-e]]
+        targets = [dst.halves[k] for k in dst.index[-e]]
         block = pair_halves([half for _, half in group], targets)
         for (j, _), rhs in zip(group, block):
             for k, inv_row in zip(dst.index[e], dst.inverse[-e]):
                 cols[j][k] = sum(map(mul, inv_row, rhs))
-    out = tuple(tuple(col[k] for col in cols) for k in range(len(dst.basis)))
+    out = tuple(tuple(col[k] for col in cols) for k in range(dst.dim))
     for k, row in enumerate(out):
         for j, x in enumerate(row):
             if x and dst.degrees[k] != src.degrees[j] + shift:

@@ -67,6 +67,10 @@ it, and ``fraction_solve`` on each degree block.  ``label_basis`` is the
 label-keyed reference for the package's class-shared bases: the
 preparation basis built on a web's own labels and reduction sites, kept
 by the web's exact key, with nothing shared between relabelings.
+``class_basis`` is the basis the package keeps for a relabeling class,
+as movies: the preparations of the class's canonical web, built on the
+served bases of the smaller webs; ``served_basis`` renames it onto a
+web of the class.  The package keeps only their halves and degrees.
 
 Flattening oracle
 -----------------
@@ -123,7 +127,7 @@ from artifact.web import (
     _face_orbits,
     find_reduction,
 )
-from artifact.webhom import pair_movies
+from artifact.webhom import _extended, pair_movies
 
 # A polynomial in Z[x1, x2] is a dict {(i, j): coefficient} for x1^i * x2^j.
 FlagPoly = dict[tuple[int, int], int]
@@ -578,6 +582,8 @@ def scratch_matrix(movie: FoamMovie, source, target) -> tuple[tuple, tuple]:
 
 
 _LABEL_BASES: dict[str, tuple[FoamMovie, ...]] = {}
+_CLASS_BASES: dict[str, tuple[FoamMovie, ...]] = {}
+_SERVED_BASES: dict[str, tuple[FoamMovie, ...]] = {}
 
 
 def label_basis(web: Web) -> tuple[FoamMovie, ...]:
@@ -586,11 +592,43 @@ def label_basis(web: Web) -> tuple[FoamMovie, ...]:
     smaller webs."""
     key = web.exact_key()
     if key not in _LABEL_BASES:
-        _LABEL_BASES[key] = _label_preparations(web)
+        _LABEL_BASES[key] = _preparations(web, label_basis)
     return _LABEL_BASES[key]
 
 
-def _label_preparations(web: Web) -> tuple[FoamMovie, ...]:
+def class_basis(web: Web) -> tuple[FoamMovie, ...]:
+    """The basis of ``web``'s relabeling class, as movies: the
+    preparations of its canonical web, built on the served bases of the
+    smaller webs, kept by the canonical web's exact key."""
+    canonical = web.canonical()[0]
+    key = canonical.exact_key()
+    if key not in _CLASS_BASES:
+        _CLASS_BASES[key] = _preparations(canonical, served_basis)
+    return _CLASS_BASES[key]
+
+
+def served_basis(web: Web) -> tuple[FoamMovie, ...]:
+    """The basis ``state_space(web)`` serves, as movies in its order:
+    the class basis renamed onto ``web`` by the inverse of
+    ``web.canonical()``'s maps, kept by the web's exact key.  The loop
+    ids the movies birth and zip away go past the web's own; no movie
+    deletes a dart."""
+    key = web.exact_key()
+    if key not in _SERVED_BASES:
+        _, dart_map, loop_map = web.canonical()
+        basis = class_basis(web)
+        born = {l for b in basis for w in b.states() for l in w.loop_ccw}
+        to_darts = {c: d for d, c in dart_map.items()}
+        to_loops = _extended(
+            {c: l for l, c in loop_map.items()}, sorted(born, reverse=True), -1
+        )
+        _SERVED_BASES[key] = tuple(b.relabeled(to_darts, to_loops) for b in basis)
+    return _SERVED_BASES[key]
+
+
+def _preparations(web: Web, basis) -> tuple[FoamMovie, ...]:
+    """The preparation basis of ``web`` at ``find_reduction(web)``, on
+    ``basis`` of each smaller web."""
     reduction = find_reduction(web)
     if isinstance(reduction, Empty):
         return (identity_movie(web),)
@@ -604,19 +642,19 @@ def _label_preparations(web: Web) -> tuple[FoamMovie, ...]:
             )
             for dots in range(3)
         ]
-        return tuple(b.compose(g) for b in label_basis(smaller) for g in births)
+        return tuple(b.compose(g) for b in basis(smaller) for g in births)
     if isinstance(reduction, DigonFace):
         lift_plain, lift_dotted, _, _ = digon_movies(web, reduction.face)
         return tuple(
             b.compose(lift)
-            for b in label_basis(lift_plain.start)
+            for b in basis(lift_plain.start)
             for lift in (lift_plain, lift_dotted)
         )
     assert isinstance(reduction, SquareFace)
     out: list[FoamMovie] = []
     for branch in square_split_movies(web, reduction.face):
         back = branch.reflect()
-        out.extend(b.compose(back) for b in label_basis(branch.end))
+        out.extend(b.compose(back) for b in basis(branch.end))
     return tuple(out)
 
 

@@ -336,6 +336,35 @@ def test_homology_cache_entry_with_damaged_values_is_recomputed(
     assert entry.read_text(encoding="utf-8") == good
 
 
+@pytest.mark.parametrize("failing", ["replace", "write"])
+def test_homology_failed_cache_write_leaves_no_temp_file(
+    capsys, tmp_path, monkeypatch, failing
+):
+    argv = ["--pd", TREFOIL_PD, "--mode", "homology"]
+    clean = run_cli(capsys, [*argv, "--no-cache"])
+    assert clean[0] == 0
+
+    def fail(*_args, **_kwargs):
+        raise OSError("disk full")
+
+    if failing == "replace":
+        monkeypatch.setattr(cli.os, "replace", fail)
+    else:
+        real_dump = json.dump
+
+        def dump(obj, fh, **kwargs):
+            if ".tmp." in getattr(fh, "name", ""):
+                fail()
+            real_dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dump", dump)
+    cache_dir = tmp_path / "cache"
+    assert run_cli(capsys, [*argv, "--cache-dir", str(cache_dir)]) == clean
+    assert "i=3 j=-10 rank=0 torsion=3" in clean[1]
+    assert list(cache_dir.glob("*.tmp.*")) == []
+    assert list(cache_dir.iterdir()) == []
+
+
 # --------------------------------------------------------------------------
 # invariance mode
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 the two-edge-face and four-edge-face identity suites, and the edge-ring
 relations."""
 
+import dataclasses
 import itertools
 import random
 
@@ -56,10 +57,12 @@ from .helpers import (
 )
 from .oracles import (
     FrobeniusElement,
+    class_basis,
     evaluate_closed,
     fraction_solve,
     label_basis,
     scratch_matrix,
+    served_basis,
 )
 
 
@@ -87,20 +90,6 @@ def _hand_webs():
 
 def _all_webs():
     return _hand_webs() + [web for _label, web in fixture_webs()]
-
-
-def _spaces():
-    """``state_space`` kept by exact key, so that each moved basis is
-    built, and its movies swept, once."""
-    kept = {}
-
-    def space(web: Web):
-        key = web.exact_key()
-        if key not in kept:
-            kept[key] = state_space(web)
-        return kept[key]
-
-    return space
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +210,7 @@ def test_empty_web_space():
     assert sp.degrees == (0,)
     assert sp.gram == ((1,),)
     assert sp.trace == ("empty",)
-    assert sp.basis[0].moves == ()
+    assert served_basis(Web())[0].moves == ()
 
 
 def test_circle_space():
@@ -273,7 +262,9 @@ def test_disjoint_union_dimensions_multiply():
 def test_basis_movies_end_at_their_web():
     for w in (theta_web(), digon_chain_web()):
         sp = state_space(w)
-        for b in sp.basis:
+        basis = served_basis(w)
+        assert len(basis) == sp.dim
+        for b in basis:
             assert b.start.is_empty()
             assert b.end == w
             assert b.degree() in sp.degrees
@@ -286,13 +277,12 @@ def test_basis_movies_end_at_their_web():
 
 def test_pairing_is_symmetric_and_degree_sparse():
     sp = state_space(theta_web())
+    basis = served_basis(theta_web())
     for j, k in itertools.combinations(range(sp.dim), 2):
-        assert pair_movies(sp.basis[j], sp.basis[k]) == pair_movies(
-            sp.basis[k], sp.basis[j]
-        )
+        assert pair_movies(basis[j], basis[k]) == pair_movies(basis[k], basis[j])
         if sp.degrees[j] + sp.degrees[k] != 0:
             # the shortcut result agrees with the full evaluation
-            direct = evaluate_closed(sp.basis[j].compose(sp.basis[k].reflect()))
+            direct = evaluate_closed(basis[j].compose(basis[k].reflect()))
             assert direct == 0
             assert sp.gram[j][k] == 0
 
@@ -306,17 +296,16 @@ def _replayed(u: FoamMovie, v: FoamMovie) -> int:
 def test_glued_pairings_match_the_replayed_closed_movies():
     checked = 0
     for label, w in fixture_webs():
-        sp = state_space(w)
+        sp, basis = state_space(w), served_basis(w)
         for j in range(sp.dim):
             for k in sp.index.get(-sp.degrees[j], ()):
-                u, v = sp.basis[j], sp.basis[k]
+                u, v = basis[j], basis[k]
                 assert pair_movies(u, v) == _replayed(u, v), (label, j, k)
                 checked += 1
     assert checked > 10000
 
 
 def test_glued_pushed_pairings_match_the_replayed_closed_movies():
-    space = _spaces()
     checked = 0
     for d in fixture_diagrams().values():
         n = d.n_crossings
@@ -325,11 +314,11 @@ def test_glued_pushed_pairings_match_the_replayed_closed_movies():
                 if bits[c]:
                     continue
                 movie = resolution_edge_movie(d, bits, c)
-                src, dst = space(movie.start), space(movie.end)
-                for u in src.basis:
+                dst, targets = state_space(movie.end), served_basis(movie.end)
+                for u in served_basis(movie.start):
                     pushed = u.compose(movie)
                     for k in dst.index.get(-pushed.degree(), ()):
-                        v = dst.basis[k]
+                        v = targets[k]
                         assert pair_movies(pushed, v) == _replayed(pushed, v)
                         checked += 1
     assert checked > 1000
@@ -404,34 +393,33 @@ def test_induced_matrices_are_degree_homogeneous():
                 assert sp.degrees[k] == sp.degrees[j] + 2
 
 
-def _assert_solves_gram_system(movie: FoamMovie, space=state_space) -> None:
+def _assert_solves_gram_system(movie: FoamMovie) -> None:
     """gram(end) @ induced_matrix(movie) equals the pairing of the
     movie's action on the source basis against the target basis,
     computed entry by entry."""
-    src, dst = space(movie.start), space(movie.end)
-    pushed = [u.compose(movie) for u in src.basis]
-    rhs = tuple(tuple(pair_movies(p, v) for p in pushed) for v in dst.basis)
-    assert mat_mul(dst.gram, induced_matrix(movie)) == rhs
+    pushed = [u.compose(movie) for u in served_basis(movie.start)]
+    rhs = tuple(
+        tuple(pair_movies(p, v) for p in pushed) for v in served_basis(movie.end)
+    )
+    assert mat_mul(state_space(movie.end).gram, induced_matrix(movie)) == rhs
 
 
 def test_induced_matrices_solve_the_gram_system_on_cube_edges():
-    space = _spaces()
     checked = 0
     for d in fixture_diagrams().values():
         n = d.n_crossings
         for bits in resolutions(n):
             for c in range(n):
                 if bits[c] == 0:
-                    _assert_solves_gram_system(resolution_edge_movie(d, bits, c), space)
+                    _assert_solves_gram_system(resolution_edge_movie(d, bits, c))
                     checked += 1
     assert checked > 100
 
 
 def test_dot_actions_solve_the_gram_system():
-    space = _spaces()
     for w in _all_webs():
         for site in edge_sites(w):
-            _assert_solves_gram_system(dot_movie(w, site), space)
+            _assert_solves_gram_system(dot_movie(w, site))
 
 
 def test_functoriality_of_induced_matrices():
@@ -616,10 +604,10 @@ def _cube_edges(d):
 
 def test_served_gram_matrices_match_the_moved_bases():
     for w in _all_webs():
-        sp = state_space(w)
-        assert all(b.start.is_empty() and b.end == w for b in sp.basis)
-        assert tuple(b.degree() for b in sp.basis) == sp.degrees
-        gram, identity = scratch_matrix(identity_movie(w), sp.basis, sp.basis)
+        sp, basis = state_space(w), served_basis(w)
+        assert all(b.start.is_empty() and b.end == w for b in basis)
+        assert tuple(b.degree() for b in basis) == sp.degrees
+        gram, identity = scratch_matrix(identity_movie(w), basis, basis)
         assert gram == sp.gram
         assert identity == identity_matrix(sp.dim)
 
@@ -627,13 +615,13 @@ def test_served_gram_matrices_match_the_moved_bases():
 def _check_served_edges(diagrams) -> int:
     """Compare every cube edge's served matrix with the one computed
     from scratch on the moved bases of its ends."""
-    space = _spaces()
     checked = 0
     for d in diagrams:
         for bits, c, movie in _cube_edges(d):
-            src, dst = space(movie.start), space(movie.end)
-            gram, matrix = scratch_matrix(movie, src.basis, dst.basis)
-            assert gram == dst.gram, (bits, c)
+            gram, matrix = scratch_matrix(
+                movie, served_basis(movie.start), served_basis(movie.end)
+            )
+            assert gram == state_space(movie.end).gram, (bits, c)
             assert induced_matrix(movie) == matrix, (bits, c)
             checked += 1
     return checked
@@ -650,14 +638,13 @@ def test_served_torus_edge_matrices_match_the_moved_bases():
 
 
 def test_label_keyed_reference_agrees_up_to_a_unimodular_change_of_basis():
-    space = _spaces()
     changes = {}
 
     def change(web: Web):
         """The served basis written in the label-keyed one."""
         key = web.exact_key()
         if key not in changes:
-            served, label = space(web).basis, label_basis(web)
+            served, label = served_basis(web), label_basis(web)
             _, to_label = scratch_matrix(identity_movie(web), served, label)
             _, to_served = scratch_matrix(identity_movie(web), label, served)
             assert mat_mul(to_label, to_served) == identity_matrix(len(served))
@@ -727,15 +714,22 @@ def _recorded_extensions(monkeypatch) -> list:
 def _check_extensions(calls) -> int:
     """Each extended half equals the sweep, from the empty web, of its
     prefix renamed by the call's maps and followed by the call's movie.
-    Every extended prefix is a class basis element."""
+    Every extended prefix is a class basis element, on its class's
+    canonical web; the loop ids it births and zips away go past the
+    values of the call's loop map."""
     prefix = {
-        id(b.half()): b for space in webhom._SPACES.values() for b in space.basis
+        id(h): b
+        for space in webhom._SPACES.values()
+        for h, b in zip(space.halves, class_basis(space.halves[0].web))
     }
     checked = 0
     for halves, movie, darts, loops, out in calls:
         assert len(out) == len(halves)
         for h, x in zip(halves, out):
-            swept = _half_foam(prefix[id(h)].relabeled(darts, loops).compose(movie))
+            b = prefix[id(h)]
+            born = sorted({l for w in b.states() for l in w.loop_ccw}, reverse=True)
+            renamed = b.relabeled(darts, webhom._extended(loops, born, -1))
+            swept = _half_foam(renamed.compose(movie))
             assert (x.shape, x.facets, x.web.exact_key()) == (
                 swept.shape,
                 swept.facets,
@@ -755,6 +749,46 @@ def test_extended_halves_equal_swept_halves_on_cube_edges(monkeypatch):
     # every class basis element and every pushed element was extended
     assert _check_extensions(calls) > 1000
     assert len(edges) > 180
+
+
+def test_served_halves_are_the_halves_of_the_class_movies():
+    webs = [w for _label, w in fixture_webs()]
+    webs += [w for _, _, m in _cube_edges(parse_pd(TORUS_5_1)) for w in (m.start, m.end)]
+    webs = {w.exact_key(): w for w in webs}
+    checked = 0
+    for w in webs.values():
+        sp, basis = state_space(w), class_basis(w)
+        assert len(basis) == sp.dim
+        for h, b in zip(sp.halves, basis):
+            swept = _half_foam(b)
+            assert (h.shape, h.facets, h.web.exact_key()) == (
+                swept.shape,
+                swept.facets,
+                swept.web.exact_key(),
+            )
+            checked += 1
+    assert checked > 1000
+
+
+def _movies_in(x) -> bool:
+    """Whether ``x`` is a ``FoamMovie`` or holds one in its tuples,
+    lists and dicts."""
+    if isinstance(x, FoamMovie):
+        return True
+    if isinstance(x, dict):
+        return any(_movies_in(k) or _movies_in(v) for k, v in x.items())
+    if isinstance(x, (tuple, list)):
+        return any(map(_movies_in, x))
+    return False
+
+
+def test_cold_torus_state_spaces_hold_no_movies(monkeypatch):
+    _cold(monkeypatch)
+    build_complex(parse_pd(TORUS_5_1))
+    assert webhom._SPACES
+    for space in webhom._SPACES.values():
+        for f in dataclasses.fields(space):
+            assert not _movies_in(getattr(space, f.name)), f.name
 
 
 def test_cold_torus_build_sweeps_once_per_half_shape(monkeypatch):
