@@ -35,10 +35,10 @@ using the three-sheet circle rule and the closed-surface values of the
 algebra module.
 
 *Half foams.*  A movie from the empty web to a web ``W`` has a
-``HalfFoam`` (``FoamMovie.half``): its swept end state, reduced and
-split into a shape and labels; ``extend_halves`` extends halves through
-one more movie, sweeping it once per shape from a seeded state.  The
-shape (``HalfShape``) is the facet count,
+``HalfFoam`` (``half_foam``, one sweep): its swept end state, reduced
+and split into a shape and labels; ``extend_halves`` extends halves
+through one more movie, sweeping it once per shape from a seeded
+state.  The shape (``HalfShape``) is the facet count,
 the facet of every dart and loop of ``W``, the circles already closed,
 and at every vertex of ``W`` the open seam arc ending there with its
 three strips.  The labels are each facet's twice Euler characteristic
@@ -828,32 +828,16 @@ def _seam_region_after_unzip(after: Web, site_plus: int, site_minus: int) -> Reg
 
 class FoamMovie:
     """A start web and a sequence of moves; the presented cobordism goes
-    from the start web to the final web."""
+    from the start web to the final web.  The slices and the tracking
+    instructions are computed together, once, when first asked for."""
 
-    __slots__ = (
-        "start",
-        "moves",
-        "_states",
-        "_instrs",
-        "_reflect",
-        "_degree",
-        "_half",
-        "_end",
-        "_pending",
-    )
+    __slots__ = ("start", "moves", "_states", "_instrs")
 
     def __init__(self, start: Web, moves: Sequence[Move] = ()) -> None:
         self.start = start
         self.moves = tuple(moves)
         self._states: Optional[list[Web]] = None
         self._instrs: Optional[tuple] = None
-        self._reflect: Optional["FoamMovie"] = None
-        self._degree: Optional[int] = None
-        self._half: Optional["HalfFoam"] = None
-        self._end: Optional[Web] = None
-        # a relabeled movie's source slices and their renaming, used when
-        # its slices are first asked for
-        self._pending: Optional[tuple[list[Web], Callable[[Web], Web]]] = None
 
     def _run(self) -> None:
         webs = [self.start]
@@ -868,12 +852,7 @@ class FoamMovie:
     def states(self) -> list[Web]:
         """All web slices, from the start web to the final web."""
         if self._states is None:
-            if self._pending is not None:
-                source, rename = self._pending
-                self._states = [rename(w) for w in source]
-                self._pending = None
-            else:
-                self._run()
+            self._run()
         return self._states
 
     def instruction_stream(self) -> tuple:
@@ -889,26 +868,11 @@ class FoamMovie:
 
     @property
     def end(self) -> Web:
-        if self._end is None:
-            if self._pending is not None:
-                source, rename = self._pending
-                self._end = rename(source[-1])
-            else:
-                self._end = self.states()[-1]
-        return self._end
+        return self.states()[-1]
 
     def degree(self) -> int:
-        """The sum of the move degrees, computed once."""
-        if self._degree is None:
-            self._degree = sum(move_degree(m) for m in self.moves)
-        return self._degree
-
-    def half(self) -> "HalfFoam":
-        """The boundary summary of this movie, swept once from the empty
-        web and cached; see ``HalfFoam``."""
-        if self._half is None:
-            self._half = _half_foam(self)
-        return self._half
+        """The sum of the move degrees."""
+        return sum(move_degree(m) for m in self.moves)
 
     def compose(self, then: FoamMovie) -> FoamMovie:
         """This movie followed by ``then`` (ends must match exactly)."""
@@ -917,59 +881,16 @@ class FoamMovie:
         out = FoamMovie(self.start, self.moves + then.moves)
         out._states = self.states() + then.states()[1:]
         out._instrs = self.instruction_stream() + then.instruction_stream()
-        if self._degree is not None and then._degree is not None:
-            out._degree = self._degree + then._degree
         return out
 
     def reflect(self) -> "FoamMovie":
-        """The time-reversed movie, with each move exactly inverted.
-
-        The result is cached on the movie, so repeated reflections of
-        the same preparation are free.
-        """
-        if self._reflect is None:
-            states = self.states()
-            inv = [
-                inverse_move(mv, states[i], states[i + 1])
-                for i, mv in enumerate(self.moves)
-            ]
-            self._reflect = FoamMovie(self.end, tuple(reversed(inv)))
-        return self._reflect
-
-    def relabeled(
-        self, dart_map: Mapping[int, int], loop_map: Mapping[int, int]
-    ) -> "FoamMovie":
-        """This movie with its darts and loop ids renamed.
-
-        Every slice is renamed by ``Web.relabeled``, so ids absent from
-        a map are kept and a map that sends two ids of one slice to one
-        raises.  A move's face-keyed regions and component keys are
-        renamed in the slice the move starts from, and the tracking
-        instructions are renamed with the slices, so the result is the
-        movie that running the renamed moves would build, without
-        running them.  The slices after the start are renamed when
-        first asked for."""
-        dmap = lambda d: dart_map.get(d, d)
-        lmap = lambda l: loop_map.get(l, l)
-        renamed: dict[int, Web] = {}
-
-        def rename_slice(w: Web) -> Web:
-            # by id, so that a slice asked for twice is renamed once
-            if id(w) not in renamed:
-                renamed[id(w)] = w.relabeled(dart_map, loop_map)
-            return renamed[id(w)]
-
+        """The time-reversed movie, with each move exactly inverted."""
         states = self.states()
-        moves = tuple(
-            _relabel_move(mv, w, dmap, lmap) for mv, w in zip(self.moves, states)
-        )
-        out = FoamMovie(rename_slice(states[0]), moves)
-        out._pending = (states, rename_slice)
-        out._instrs = tuple(
-            _relabel_instructions(ins, dmap, lmap) for ins in self.instruction_stream()
-        )
-        out._degree = self._degree
-        return out
+        inv = [
+            inverse_move(mv, states[i], states[i + 1])
+            for i, mv in enumerate(self.moves)
+        ]
+        return FoamMovie(self.end, tuple(reversed(inv)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FoamMovie):
@@ -1039,32 +960,6 @@ def _relabel_move(move: Move, before: Web, dmap, lmap) -> Move:
             None if move.loop_id_anti is None else lmap(move.loop_id_anti),
         )
     raise MoveError(f"cannot relabel move {move!r}")
-
-
-def _relabel_instructions(instrs: list, dmap, lmap) -> list:
-    """One move's tracking instructions with darts renamed by ``dmap``
-    and loops by ``lmap``."""
-
-    def key(k: tuple[str, int]) -> tuple[str, int]:
-        return (k[0], dmap(k[1]) if k[0] == "dart" else lmap(k[1]))
-
-    out: list = []
-    for ins in instrs:
-        op = ins[0]
-        if op == "seam_create" or op == "seam_join":
-            out.append(
-                (
-                    op,
-                    tuple(dmap(d) for d in ins[1]),
-                    tuple(dmap(d) for d in ins[2]),
-                    [(dmap(a), dmap(b)) for a, b in ins[3]],
-                )
-            )
-        elif op == "chi":
-            out.append((op, key(ins[1]), ins[2]))
-        else:
-            out.append((op,) + tuple(key(k) for k in ins[1:]))
-    return out
 
 
 def move_to_json(m: Move) -> dict:
@@ -1372,7 +1267,7 @@ class HalfFoam(NamedTuple):
     facets: tuple[tuple[int, int], ...]
 
 
-def _half_foam(movie: FoamMovie) -> HalfFoam:
+def half_foam(movie: FoamMovie) -> HalfFoam:
     """Sweep the movie once and reduce its end state to a ``HalfFoam``."""
     if not movie.start.is_empty():
         raise MalformedMovie("a half foam must start at the empty web")

@@ -176,12 +176,6 @@ class Web:
         self._key: Optional[str] = None
         self._canon: Optional[tuple[Web, dict[int, int], dict[int, int]]] = None
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def empty(cls) -> "Web":
-        return cls()
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -228,16 +222,6 @@ class Web:
                 seen.update(v)
                 out.append(v)
         return tuple(out)
-
-    def edge_of(self, dart: int) -> tuple[int, int]:
-        """The edge through ``dart`` as a ``(tail, head)`` pair."""
-        other = self.alpha[dart]
-        return (dart, other) if dart in self.out_darts else (other, dart)
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            sorted(self.edge_of(d) for d in self.out_darts)
-        )
 
     # -- regions -----------------------------------------------------------
 

@@ -35,11 +35,14 @@ movie between webs is then obtained by pairing the movie's action on
 the source basis against the degree-matched target basis elements and
 multiplying by the inverse block: an integer product; a pushed element
 is only its half, extended the same way.  The matrix too is computed
-once per class of movies and kept in ``_INDUCED``; see
-``induced_matrix`` for the key.  The blocks are inverted through their
-Smith normal form (``algebra.smith_form``), so the whole path stays in
-integer arithmetic.  A singular or non-unimodular block is a hard
-error, never rounded away.
+once per class of movies and kept in ``_INDUCED``; its key is read off
+the movie's moves renamed into canonical labels, so a cached matrix is
+found without building a movie (see ``induced_matrix``).  On a miss the
+movie is run once, relabeled so that it ends on its end web's canonical
+web, and the source halves are extended through that run.  The blocks
+are inverted through their Smith normal form (``algebra.smith_form``),
+so the whole path stays in integer arithmetic.  A singular or
+non-unimodular block is a hard error, never rounded away.
 """
 
 from __future__ import annotations
@@ -56,9 +59,11 @@ from .foam import (
     Dot,
     FoamMovie,
     HalfFoam,
+    _relabel_move,
     apply_move,
     digon_movies,
     extend_halves,
+    half_foam,
     identity_movie,
     new_ids,
     pair_halves,
@@ -194,7 +199,7 @@ def _extended_basis(
 def _preparations(web: Web) -> Tuple[List[HalfFoam], List[int], Trace]:
     reduction = find_reduction(web)
     if isinstance(reduction, Empty):
-        return [identity_movie(web).half()], [0], ("empty",)
+        return [half_foam(identity_movie(web))], [0], ("empty",)
     if isinstance(reduction, FreeLoop):
         lid = reduction.loop_id
         region = web.parent[lid]
@@ -227,10 +232,11 @@ def pair_movies(u: FoamMovie, v: FoamMovie) -> int:
     movies must start at the empty web and end at the same web; end webs
     that differ raise ``MalformedMovie``.  The value vanishes unless the
     degrees cancel.  It is the one-by-one case of ``foam.pair_halves``
-    on the two movies' halves, each swept once and kept on its movie."""
+    on the two movies' halves, each swept once from the empty web
+    (``foam.half_foam``)."""
     if u.degree() + v.degree() != 0:
         return 0
-    return pair_halves([u.half()], [v.half()])[0][0]
+    return pair_halves([half_foam(u)], [half_foam(v)])[0][0]
 
 
 def _class_space(web: Web) -> StateSpace:
@@ -269,65 +275,88 @@ def state_space(web: Web) -> StateSpace:
     return space
 
 
+def _renamed_moves(
+    movie: FoamMovie, darts: Dict[int, int], loops: Dict[int, int]
+) -> tuple:
+    """The moves of ``movie`` with darts renamed by ``darts`` and loops
+    by ``loops``, ids absent from a map kept; each move's regions and
+    component keys are read in the slice it starts from."""
+    dmap = lambda d: darts.get(d, d)
+    lmap = lambda l: loops.get(l, l)
+    return tuple(
+        _relabel_move(mv, w, dmap, lmap) for mv, w in zip(movie.moves, movie.states())
+    )
+
+
 def induced_matrix(movie: FoamMovie) -> IntMatrix:
     """The integer matrix of the movie's action, from the preparation
     basis of its start web to that of its end web.  Homogeneous of the
     movie's degree; columns index the source basis.
 
     The matrix is computed once per key: the start web's canonical
-    web, the movie carried into its canonical labels (the ids the moves
+    web, the moves renamed into its canonical labels (the ids the moves
     create numbered on past them, in the order the moves create them),
-    and the relative relabeling of the carried end web onto its own
+    and the relative relabeling of the renamed end web onto its own
     canonical web.  The last part keeps apart movies whose end bases
-    differ by an automorphism of the end web."""
+    differ by an automorphism of the end web.  The key is read off the
+    movie's moves and slices, so a hit builds no movie and renames no
+    web.  On a miss the movie is run once more on labels that send its
+    end web to its canonical web (``_class_matrix``)."""
     canonical, dart_map, loop_map = movie.start.canonical()
     created = [new_ids(mv) for mv in movie.moves]
     to_darts = _extended(dart_map, (d for darts, _ in created for d in darts), 1)
     to_loops = _extended(loop_map, (l for _, loops in created for l in loops), -1)
-    carried = movie.relabeled(to_darts, to_loops)
     _, end_darts, end_loops = movie.end.canonical()
     rel_darts = {to_darts[d]: c for d, c in end_darts.items()}
     rel_loops = {to_loops[l]: c for l, c in end_loops.items()}
     key = (
         canonical.exact_key(),
-        carried.moves,
+        _renamed_moves(movie, to_darts, to_loops),
         tuple(sorted(rel_darts.items())),
         tuple(sorted(rel_loops.items())),
     )
     out = _INDUCED.get(key)
     if out is None:
+        # every id on some slice of the movie, its start web's included,
+        # renamed so that the end web's ids go to its canonical ones
+        states = movie.states()
+        darts = sorted({d for w in states for d in w.sigma})
+        loops = sorted({l for w in states for l in w.loop_ccw}, reverse=True)
+        darts = _extended(end_darts, darts, 1)
+        loops = _extended(end_loops, loops, -1)
+        run = FoamMovie(
+            movie.start.relabeled(darts, loops), _renamed_moves(movie, darts, loops)
+        )
         out = _INDUCED[key] = _class_matrix(
-            carried, state_space(movie.start), state_space(movie.end), rel_darts, rel_loops
+            run,
+            state_space(movie.start),
+            state_space(movie.end),
+            {c: darts[d] for d, c in dart_map.items()},
+            {c: loops[l] for l, c in loop_map.items()},
         )
     return out
 
 
 def _class_matrix(
-    movie: FoamMovie,
+    run: FoamMovie,
     src: StateSpace,
     dst: StateSpace,
-    rel_darts: Dict[int, int],
-    rel_loops: Dict[int, int],
+    start_darts: Dict[int, int],
+    start_loops: Dict[int, int],
 ) -> IntMatrix:
-    """The matrix of ``movie``, which starts at the canonical web of
-    ``src``, computed from scratch: each source basis element is pushed
-    through the movie, renamed by the relative relabeling onto the
-    canonical web of ``dst``, paired against the degree-matched target
-    basis and multiplied by the inverse Gram block.  A pushed element is
-    only its half, extended through the renamed movie."""
-    # every id on some slice of the movie, its start web's included
-    states = movie.states()
-    darts = sorted({d for w in states for d in w.sigma})
-    loops = sorted({l for w in states for l in w.loop_ccw}, reverse=True)
-    to_darts = _extended(rel_darts, darts, 1)
-    to_loops = _extended(rel_loops, loops, -1)
-    shift = movie.degree()
+    """The matrix of ``run``, a movie from a relabeling of the canonical
+    web of ``src`` to the canonical web of ``dst``, computed from
+    scratch: each source basis element is pushed through the movie,
+    paired against the degree-matched target basis and multiplied by
+    the inverse Gram block.  A pushed element is only its half: the
+    source half, renamed onto the run's start web by ``start_darts``
+    and ``start_loops``, extended through the run."""
+    shift = run.degree()
     # the pushed element has degree e, so it pairs only with the target
     # basis of degree -e, and its image lies in degree e
     pushed = [j for j, d in enumerate(src.degrees) if -(d + shift) in dst.index]
-    carried = movie.relabeled(to_darts, to_loops)
     halves = [src.halves[j] for j in pushed]
-    halves = extend_halves(halves, carried, to_darts, to_loops)
+    halves = extend_halves(halves, run, start_darts, start_loops)
     by_degree: Dict[int, list] = {}
     for j, half in zip(pushed, halves):
         by_degree.setdefault(src.degrees[j] + shift, []).append((j, half))

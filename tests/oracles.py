@@ -70,7 +70,9 @@ by the web's exact key, with nothing shared between relabelings.
 ``class_basis`` is the basis the package keeps for a relabeling class,
 as movies: the preparations of the class's canonical web, built on the
 served bases of the smaller webs; ``served_basis`` renames it onto a
-web of the class.  The package keeps only their halves and degrees.
+web of the class with ``relabeled_movie``, which renames a movie's start
+web and moves and runs the renamed moves anew.  The package keeps only
+their halves and degrees.
 
 Flattening oracle
 -----------------
@@ -109,6 +111,7 @@ from artifact.foam import (
     _DSU,
     _canonical_numbering,
     _facet_genera,
+    _relabel_move,
     _sweep,
     apply_move,
     digon_movies,
@@ -622,8 +625,22 @@ def served_basis(web: Web) -> tuple[FoamMovie, ...]:
         to_loops = _extended(
             {c: l for l, c in loop_map.items()}, sorted(born, reverse=True), -1
         )
-        _SERVED_BASES[key] = tuple(b.relabeled(to_darts, to_loops) for b in basis)
+        _SERVED_BASES[key] = tuple(relabeled_movie(b, to_darts, to_loops) for b in basis)
     return _SERVED_BASES[key]
+
+
+def relabeled_movie(movie: FoamMovie, darts, loops) -> FoamMovie:
+    """``movie`` with its darts renamed by ``darts`` and its loop ids by
+    ``loops`` (ids absent from a map kept): its start web and each move
+    renamed, each move's regions and component keys read in the slice
+    it starts from, and the renamed moves run anew from the renamed
+    start web."""
+    dmap = lambda d: darts.get(d, d)
+    lmap = lambda l: loops.get(l, l)
+    moves = [
+        _relabel_move(mv, w, dmap, lmap) for mv, w in zip(movie.moves, movie.states())
+    ]
+    return FoamMovie(movie.start.relabeled(darts, loops), moves)
 
 
 def _preparations(web: Web, basis) -> tuple[FoamMovie, ...]:

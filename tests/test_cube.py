@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import hashlib
 import json
 import random
 import re
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -537,6 +539,25 @@ def test_split_union_homology_satisfies_kunneth(first, second):
         # no tensor term has torsion here: it is Tor of the trefoil's
         # 3-torsion at (3, -10) with itself
         assert h.torsion(5, -20) == (3,)
+
+
+def _digest(matrix) -> str:
+    """The sha256 of a matrix written as compact JSON."""
+    return hashlib.sha256(json.dumps(matrix, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_torus_knot_5_1_edge_maps_match_golden_digests():
+    # every edge matrix of 5_1, keyed "bits:crossing", against digests
+    # written from an earlier build: the edge maps stay byte-identical
+    golden = Path(__file__).parent / "golden" / "torus_5_1_edge_maps.json"
+    expected = json.loads(golden.read_text(encoding="utf-8"))
+    cx = build_complex(parse_pd(TORUS_5_1))
+    digests = {
+        "".join(map(str, bits)) + f":{c}": _digest(matrix)
+        for (bits, c), matrix in cx.edge_maps.items()
+    }
+    assert len(digests) == 80
+    assert digests == expected
 
 
 def test_torus_knot_5_1_euler_and_torsion():

@@ -95,7 +95,7 @@ def test_empty_pd_gives_empty_diagram():
     d = parse_pd("")
     assert d.n_crossings == 0
     assert component_count(d) == 0
-    assert d.flatten(()) == Web.empty()
+    assert d.flatten(()) == Web()
     assert link_bracket(d) == quantum_integer(3) ** 0
 
 

@@ -32,6 +32,7 @@ from artifact.foam import (
     evaluate,
     extend_halves,
     glue,
+    half_foam,
     identity_movie,
     inverse_move,
     move_degree,
@@ -47,7 +48,13 @@ from .helpers import (
     theta_web,
     theta_with_loop_inside,
 )
-from .oracles import evaluate_bruteforce, evaluate_closed, extract_prefoam, flag_theta
+from .oracles import (
+    evaluate_bruteforce,
+    evaluate_closed,
+    extract_prefoam,
+    flag_theta,
+    relabeled_movie,
+)
 
 # --------------------------------------------------------------------------
 # degree bookkeeping
@@ -69,7 +76,7 @@ def test_move_degrees():
 
 def sphere_movie(dots: int) -> FoamMovie:
     moves = [Birth(-1, None, True)] + [Dot(-1)] * dots + [Death(-1)]
-    return FoamMovie(Web.empty(), moves)
+    return FoamMovie(Web(), moves)
 
 
 def test_sphere_values():
@@ -103,7 +110,7 @@ def test_two_spheres_multiply():
         + [Dot(-2)] * 2
         + [Death(-1), Death(-2)]
     )
-    m = FoamMovie(Web.empty(), moves)
+    m = FoamMovie(Web(), moves)
     pre = extract_prefoam(m)
     assert pre == PreFoam(((0, 2), (0, 2)), ())
     assert evaluate(pre) == 1  # (-1) * (-1)
@@ -134,7 +141,7 @@ def bubble_movie(a: int, b: int, c: int, outside: bool = False) -> FoamMovie:
     moves += [Dot(main)] * a + [Dot(bulge)] * b + [Dot(1)] * c
     moves += [Unzip(1, loop_id_aligned=aligned, loop_id_anti=anti)]
     moves += [Death(-2), Death(-1)]
-    return FoamMovie(Web.empty(), moves)
+    return FoamMovie(Web(), moves)
 
 
 def test_bubble_movie_states():
@@ -208,7 +215,7 @@ def lens_movie(a: int, b: int, c: int) -> FoamMovie:
     moves += [Zip(-1, -2, None, (1, 2, 3, 4, 5, 6))]
     moves += [Dot(1)] * c
     moves += [Unzip(1, loop_id_aligned=-2, loop_id_anti=-1), Death(-1), Death(-2)]
-    return FoamMovie(Web.empty(), moves)
+    return FoamMovie(Web(), moves)
 
 
 def test_lens_zip_web_structure():
@@ -260,7 +267,7 @@ def lens_half(a: int, b: int, c: int) -> FoamMovie:
     moves += [Dot(-1)] * a + [Dot(-2)] * b
     moves += [Zip(-1, -2, None, (1, 2, 3, 4, 5, 6))]
     moves += [Dot(1)] * c
-    return FoamMovie(Web.empty(), moves)
+    return FoamMovie(Web(), moves)
 
 
 def _closed_samples() -> list[FoamMovie]:
@@ -273,16 +280,15 @@ def _closed_samples() -> list[FoamMovie]:
 
 
 def test_glue_with_the_empty_half_is_extract_prefoam():
-    empty = identity_movie(Web.empty()).half()
+    empty = half_foam(identity_movie(Web()))
     for m in _closed_samples():
-        assert glue(m.half(), empty) == extract_prefoam(m)
-        assert glue(empty, m.half()) == extract_prefoam(m)
+        assert glue(half_foam(m), empty) == extract_prefoam(m)
+        assert glue(empty, half_foam(m)) == extract_prefoam(m)
 
 
 def test_half_is_swept_once_and_cached():
     m = lens_half(1, 0, 0)
-    h = m.half()
-    assert m.half() is h
+    h = half_foam(m)
     assert h.web == m.end
     assert len(h.shape.arcs) == len(h.shape.sinks) == 2
     assert len(h.shape.strips) == 6
@@ -296,28 +302,27 @@ def test_glued_lens_matches_replay_and_theta_table():
     for a, b, c in itertools.product(range(3), repeat=3):
         u = lens_half(a, b, c)
         v = lens_half(0, 0, 0)
-        pre = glue(u.half(), v.half())
+        pre = glue(half_foam(u), half_foam(v))
         assert evaluate(pre) == evaluate_closed(u.compose(v.reflect()))
         assert evaluate(pre) == theta_symbol(b, a, c)
         # dots move freely between the halves
         w = lens_half(0, b, 0)
-        assert evaluate(glue(lens_half(a, 0, c).half(), w.half())) == theta_symbol(
-            b, a, c
-        )
+        pre = glue(half_foam(lens_half(a, 0, c)), half_foam(w))
+        assert evaluate(pre) == theta_symbol(b, a, c)
 
 
 def test_glue_rejects_different_end_webs():
-    ccw = FoamMovie(Web.empty(), (Birth(-1, None, True),))
-    cw = FoamMovie(Web.empty(), (Birth(-1, None, False),))
+    ccw = FoamMovie(Web(), (Birth(-1, None, True),))
+    cw = FoamMovie(Web(), (Birth(-1, None, False),))
     with pytest.raises(MalformedMovie):
-        glue(ccw.half(), cw.half())
+        glue(half_foam(ccw), half_foam(cw))
     with pytest.raises(MalformedMovie):
-        glue(lens_half(0, 0, 0).half(), ccw.half())
+        glue(half_foam(lens_half(0, 0, 0)), half_foam(ccw))
 
 
 def test_half_requires_the_empty_start():
     with pytest.raises(MalformedMovie):
-        identity_movie(theta_web()).half()
+        half_foam(identity_movie(theta_web()))
 
 
 def _reshaped(h: HalfFoam, **fields) -> HalfFoam:
@@ -336,7 +341,7 @@ def _relabelled(h: HalfFoam, facet: int, twice_chi_shift: int) -> HalfFoam:
 
 
 def test_glue_rejects_malformed_seams():
-    h = lens_half(0, 0, 0).half()
+    h = half_foam(lens_half(0, 0, 0))
     sinks, s = h.shape.sinks, h.shape.strips
     # seam endpoints that disagree about which end is the sink
     flipped = _reshaped(h, sinks=(not sinks[0],) + sinks[1:])
@@ -359,14 +364,14 @@ def test_glue_rejects_malformed_seams():
 
 
 def test_glue_rejects_odd_euler_characteristic():
-    h = lens_half(0, 0, 0).half()
+    h = half_foam(lens_half(0, 0, 0))
     odd = _relabelled(h, 0, 1)
     with pytest.raises(MalformedMovie, match="odd Euler characteristic"):
         glue(h, odd)
 
 
 def test_glue_plan_does_not_skip_label_checks():
-    h = lens_half(0, 0, 0).half()
+    h = half_foam(lens_half(0, 0, 0))
     assert evaluate(glue(h, h)) == theta_symbol(0, 0, 0)
     assert (h.shape_id, h.shape_id) in _GLUE_PLANS
     # same shapes as the glue above, so these reuse its plan
@@ -381,7 +386,7 @@ def test_glue_plan_does_not_skip_label_checks():
 
 
 def test_malformed_shape_raises_on_every_call():
-    h = lens_half(0, 0, 0).half()
+    h = half_foam(lens_half(0, 0, 0))
     sinks = h.shape.sinks
     flipped = _reshaped(h, sinks=(not sinks[0],) + sinks[1:])
     sinkless = _reshaped(h, sinks=(False, False))
@@ -395,7 +400,7 @@ def test_malformed_shape_raises_on_every_call():
 
 
 def test_clear_evaluation_cache_empties_glue_plans():
-    h = lens_half(1, 0, 2).half()
+    h = half_foam(lens_half(1, 0, 2))
     before = glue(h, h)
     assert (h.shape_id, h.shape_id) in _GLUE_PLANS
     clear_evaluation_cache()
@@ -416,20 +421,20 @@ def _glue_unplanned(a: HalfFoam, b: HalfFoam):
 
 
 def test_shape_ids_are_equal_for_equal_shapes():
-    a, b = lens_half(1, 0, 2).half(), lens_half(0, 2, 0).half()
+    a, b = half_foam(lens_half(1, 0, 2)), half_foam(lens_half(0, 2, 0))
     assert a.shape == b.shape and a.shape_id == b.shape_id
-    loop = FoamMovie(Web.empty(), (Birth(-1, None, True),)).half()
+    loop = half_foam(FoamMovie(Web(), (Birth(-1, None, True),)))
     assert loop.shape != a.shape and loop.shape_id != a.shape_id
 
 
 def test_half_cached_before_a_clear_never_finds_another_shapes_plan():
     clear_evaluation_cache()
-    old = lens_half(1, 0, 2).half()
+    old = half_foam(lens_half(1, 0, 2))
     assert glue(old, old) == _glue_unplanned(old, old)
     clear_evaluation_cache()
     # the first shape interned after the clear: a restarted counter
     # would give it the id ``old`` still carries
-    new = FoamMovie(Web.empty(), (Birth(-1, None, True),)).half()
+    new = half_foam(FoamMovie(Web(), (Birth(-1, None, True),)))
     assert new.shape != old.shape and new.shape_id != old.shape_id
     assert glue(old, old) == _glue_unplanned(old, old)
     assert glue(new, new) == _glue_unplanned(new, new)
@@ -443,11 +448,11 @@ def test_half_cached_before_a_clear_never_finds_another_shapes_plan():
 
 def _loop_halves() -> list[HalfFoam]:
     births = [(Birth(-1, None, True),) + (Dot(-1),) * k for k in range(3)]
-    return [FoamMovie(Web.empty(), moves).half() for moves in births]
+    return [half_foam(FoamMovie(Web(), moves)) for moves in births]
 
 
 def _lens_halves() -> list[HalfFoam]:
-    return [lens_half(*dots).half() for dots in itertools.product(range(3), repeat=3)]
+    return [half_foam(lens_half(*dots)) for dots in itertools.product(range(3), repeat=3)]
 
 
 def test_pair_halves_is_evaluate_of_glue_on_every_pair():
@@ -474,7 +479,7 @@ def test_pair_halves_stores_one_value_per_glued_label_vector():
 
 
 def test_pair_halves_label_faults_raise_on_every_call_and_are_never_stored():
-    h = lens_half(0, 0, 0).half()
+    h = half_foam(lens_half(0, 0, 0))
     assert pair_halves([h], [h]) == [[theta_symbol(0, 0, 0)]]
     plan = _GLUE_PLANS[(h.shape_id, h.shape_id)]
     warm = dict(plan.values)
@@ -493,7 +498,7 @@ def test_pair_halves_label_faults_raise_on_every_call_and_are_never_stored():
 
 
 def test_pair_halves_seam_faults_raise_on_every_call():
-    h = lens_half(0, 0, 0).half()
+    h = half_foam(lens_half(0, 0, 0))
     sinks = h.shape.sinks
     flipped = _reshaped(h, sinks=(not sinks[0],) + sinks[1:])
     for _ in range(3):
@@ -503,9 +508,9 @@ def test_pair_halves_seam_faults_raise_on_every_call():
 
 
 def test_pair_halves_rejects_different_end_webs():
-    ccw = FoamMovie(Web.empty(), (Birth(-1, None, True), Dot(-1), Dot(-1))).half()
-    plain = FoamMovie(Web.empty(), (Birth(-1, None, True),)).half()
-    cw = FoamMovie(Web.empty(), (Birth(-1, None, False),)).half()
+    ccw = half_foam(FoamMovie(Web(), (Birth(-1, None, True), Dot(-1), Dot(-1))))
+    plain = half_foam(FoamMovie(Web(), (Birth(-1, None, True),)))
+    cw = half_foam(FoamMovie(Web(), (Birth(-1, None, False),)))
     # equal end webs held by different objects pair
     assert plain.web is not ccw.web
     assert pair_halves([plain], [ccw]) == [[evaluate(glue(plain, ccw))]]
@@ -515,7 +520,7 @@ def test_pair_halves_rejects_different_end_webs():
         with pytest.raises(MalformedMovie, match="end webs differ"):
             pair_halves([plain], [ccw, cw])
         with pytest.raises(MalformedMovie, match="end webs differ"):
-            pair_halves([lens_half(0, 0, 0).half()], [plain])
+            pair_halves([half_foam(lens_half(0, 0, 0))], [plain])
 
 
 # --------------------------------------------------------------------------
@@ -546,46 +551,46 @@ def _same_half(a: HalfFoam, b: HalfFoam) -> bool:
 
 def test_extended_halves_equal_swept_halves(monkeypatch):
     prefixes = [lens_half(a, b, c) for a, b, c in itertools.product(range(3), repeat=3)]
-    for p in prefixes:
-        p.half()
+    halves = [half_foam(p) for p in prefixes]
     theta = lens_half(0, 0, 0)
     darts = {d: d + 10 for d in theta.end.sigma}
     loops = {-1: -5, -2: -6}
     movies = [
-        dot_movie(theta.end, 1).relabeled(darts, loops),
-        dot_movie(theta.end, 4).relabeled(darts, loops),
+        relabeled_movie(dot_movie(theta.end, 1), darts, loops),
+        relabeled_movie(dot_movie(theta.end, 4), darts, loops),
         # the fin unzips: its seam arc closes into a circle through the
         # seeded vertices, and both loops die
-        theta.reflect().relabeled(darts, loops),
-        lens_half(1, 2, 1).reflect().relabeled(darts, loops),
+        relabeled_movie(theta.reflect(), darts, loops),
+        relabeled_movie(lens_half(1, 2, 1).reflect(), darts, loops),
     ]
     sweeps = _counted_sweeps(monkeypatch)
     for movie in movies:
-        extended = extend_halves((p.half() for p in prefixes), movie, darts, loops)
+        extended = extend_halves(halves, movie, darts, loops)
         for p, x in zip(prefixes, extended):
-            assert _same_half(x, p.relabeled(darts, loops).compose(movie).half())
+            swept = half_foam(relabeled_movie(p, darts, loops).compose(movie))
+            assert _same_half(x, swept)
     # one seeded sweep per movie (the lens halves share one shape), then
     # one sweep from the empty web per composed movie above
     assert len(sweeps) == len(movies) * (1 + len(prefixes))
 
 
 def test_extension_rejects_a_movie_from_another_web():
-    h = lens_half(0, 0, 0).half()
-    loop = FoamMovie(Web.empty(), (Birth(-1, None, True),))
+    h = half_foam(lens_half(0, 0, 0))
+    loop = FoamMovie(Web(), (Birth(-1, None, True),))
     with pytest.raises(MalformedMovie, match="from its web"):
         extend_halves([h], dot_movie(loop.end, -1), {}, {})
     # a renaming that does not carry the half's web onto the movie's start
     with pytest.raises(MalformedMovie, match="from its web"):
         extend_halves([h], dot_movie(h.web, 1), {1: 11}, {})
     # a second half of the first one's shape, on another web
-    other = FoamMovie(Web.empty(), (Birth(-2, None, True),)).half()
-    assert other.shape_id == loop.half().shape_id
+    other = half_foam(FoamMovie(Web(), (Birth(-2, None, True),)))
+    assert other.shape_id == half_foam(loop).shape_id
     with pytest.raises(MalformedMovie, match="from its web"):
-        extend_halves([loop.half(), other], dot_movie(loop.end, -1), {}, {})
+        extend_halves([half_foam(loop), other], dot_movie(loop.end, -1), {}, {})
 
 
 def test_extension_plan_faults_raise_for_every_half(monkeypatch):
-    a, b = lens_half(0, 0, 0).half(), lens_half(1, 2, 0).half()
+    a, b = half_foam(lens_half(0, 0, 0)), half_foam(lens_half(1, 2, 0))
     sinks, s = a.shape.sinks, a.shape.strips
     flipped = [_reshaped(h, sinks=(not sinks[0],) + sinks[1:]) for h in (a, b)]
     off_sheet = [_reshaped(h, strips=(s[1], s[0]) + s[2:]) for h in (a, b)]
@@ -761,10 +766,10 @@ def test_square_split_reflect_roundtrip():
 
 def test_unzip_merges_on_cube():
     w = cube_web()
-    for tail, head in sorted(w.edges()):
+    for tail in sorted(w.out_darts):
         after, _ = apply_move(w, Unzip(tail))
         assert len(after.sigma) == 18
-        assert len(after.edges()) == 9
+        assert len(after.out_darts) == 9
         assert len(after.faces()) == 5
         m = FoamMovie(w, (Unzip(tail),))
         assert m.reflect().end == w
@@ -784,12 +789,12 @@ def test_fin_collapse_table():
         moves += [Dot(-1)] * a + [Dot(-2)] * b
         moves += [Zip(-1, -2, None, (1, 2, 3, 4, 5, 6))]
         moves += [Dot(1)] * c
-        fin = FoamMovie(Web.empty(), moves)
+        fin = FoamMovie(Web(), moves)
         cap = cap_movies(fin.end, face)[1]
         assert [type(m) for m in cap.moves] == [Unzip, Death]
         (survivor,) = cap.end.loop_ccw
         moves += [*cap.moves, Death(survivor)]
-        return evaluate_closed(FoamMovie(Web.empty(), moves))
+        return evaluate_closed(FoamMovie(Web(), moves))
 
     for face in (1, 2):
         for a, b, c in itertools.product(range(3), repeat=3):
@@ -917,7 +922,7 @@ def test_extract_requires_closed():
     with pytest.raises(MalformedMovie):
         extract_prefoam(identity_movie(theta_web()))
     with pytest.raises(MalformedMovie):
-        extract_prefoam(FoamMovie(Web.empty(), (Birth(-1, None, True),)))
+        extract_prefoam(FoamMovie(Web(), (Birth(-1, None, True),)))
 
 
 # --------------------------------------------------------------------------
@@ -954,7 +959,7 @@ def test_evaluation_cache_stable():
 
 
 def test_inverse_move_pairs():
-    w0 = Web.empty()
+    w0 = Web()
     mv = Birth(-1, None, True)
     w1, _ = apply_move(w0, mv)
     assert inverse_move(mv, w0, w1) == Death(-1)

@@ -3,10 +3,12 @@
 A definition in ``src/artifact`` counts as reached when some code in
 ``src/artifact`` or ``perfbench`` names it: as an attribute, an
 imported name, or a dotted string such as the traced paths of
-``perfbench/spans.py``.  A module-level function or class also counts
-as reached through a bare name; a method defined in a class does not,
-since a bare name can only be a local or a module-level name, never the
-method.  Code that only tests reach belongs in ``tests/`` as an oracle,
+``perfbench/spans.py``.  A string that is a bare word counts only in a
+``perfbench`` file: in the package such a string is a tag or a JSON key
+(``"empty"``, ``"edges"``), not a use.  A module-level function or
+class also counts as reached through a bare name; a method defined in a
+class does not, since a bare name can only be a local or a module-level
+name, never the method.  Code that only tests reach belongs in ``tests/`` as an oracle,
 or nowhere; this check keeps it from growing back.  Dunder methods are
 reached by the language and are skipped.
 
@@ -70,7 +72,8 @@ def _unreached(package: list[Path], others: list[Path]) -> list[str]:
             elif isinstance(node, ast.alias):
                 qualified.add(node.name.rsplit(".", 1)[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if _DOTTED.fullmatch(node.value):
+                dotted = "." in node.value or path in others
+                if dotted and _DOTTED.fullmatch(node.value):
                     qualified.update(node.value.split("."))
     return sorted(
         f"{where}: {cls + '.' if cls else ''}{name}"
@@ -105,6 +108,10 @@ def test_reach_check_sees_each_form(tmp_path):
         "        pass\n"
         "    def by_bare_name(self):\n"
         "        pass\n"
+        "    def by_bare_string(self):\n"
+        "        pass\n"
+        "    def by_other_string(self):\n"
+        "        pass\n"
         "def by_import():\n"
         "    pass\n"
         "def by_local_call():\n"
@@ -113,17 +120,20 @@ def test_reach_check_sees_each_form(tmp_path):
         "    pass\n"
         "def walk():\n"
         "    by_bare_name = by_local_call()\n"
-        "    return by_bare_name, 'sample.Box.by_dotted_string'\n"
+        "    return by_bare_name, 'sample.Box.by_dotted_string', 'by_bare_string'\n"
         "walk()\n",
         encoding="utf-8",
     )
     user = tmp_path / "user.py"
     user.write_text(
-        "from sample import Box, by_import\nBox().by_attribute()\n",
+        "from sample import Box, by_import\n"
+        "Box().by_attribute()\n"
+        "TAG = 'by_other_string'\n",
         encoding="utf-8",
     )
     assert _unreached([sample], [user]) == [
         "sample.py: Box.by_bare_name",
+        "sample.py: Box.by_bare_string",
         "sample.py: unnamed",
     ]
 

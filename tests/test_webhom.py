@@ -18,9 +18,9 @@ from artifact.foam import (
     Dot,
     FoamMovie,
     MalformedMovie,
-    _half_foam,
     digon_movies,
     dot_movie,
+    half_foam,
     identity_movie,
     square_split_movies,
 )
@@ -61,6 +61,7 @@ from .oracles import (
     evaluate_closed,
     fraction_solve,
     label_basis,
+    relabeled_movie,
     scratch_matrix,
     served_basis,
 )
@@ -325,8 +326,8 @@ def test_glued_pushed_pairings_match_the_replayed_closed_movies():
 
 
 def test_pairing_rejects_different_end_webs():
-    ccw = FoamMovie(Web.empty(), (Birth(-1, None, True), Dot(-1), Dot(-1)))
-    cw = FoamMovie(Web.empty(), (Birth(-1, None, False),))
+    ccw = FoamMovie(Web(), (Birth(-1, None, True), Dot(-1), Dot(-1)))
+    cw = FoamMovie(Web(), (Birth(-1, None, False),))
     assert ccw.degree() + cw.degree() == 0
     with pytest.raises(MalformedMovie):
         pair_movies(ccw, cw)
@@ -684,6 +685,24 @@ def test_cold_torus_build_computes_one_space_and_one_matrix_per_class(monkeypatc
     assert counts["_class_matrix"] <= 20
 
 
+def test_warm_induced_matrices_rename_no_web(monkeypatch):
+    edges = [movie for _, _, movie in _cube_edges(parse_pd(TORUS_5_1))]
+    first = [induced_matrix(movie) for movie in edges]
+    renamed = []
+    real = Web.relabeled
+
+    def counted(self, *args, **kwargs):
+        renamed.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Web, "relabeled", counted)
+    assert [induced_matrix(movie) for movie in edges] == first
+    assert len(edges) == 80
+    # a hit reads its key off the movie's moves and slices: it builds no
+    # movie and renames no web
+    assert renamed == []
+
+
 # --------------------------------------------------------------------------
 # halves by extension
 # --------------------------------------------------------------------------
@@ -728,8 +747,8 @@ def _check_extensions(calls) -> int:
         for h, x in zip(halves, out):
             b = prefix[id(h)]
             born = sorted({l for w in b.states() for l in w.loop_ccw}, reverse=True)
-            renamed = b.relabeled(darts, webhom._extended(loops, born, -1))
-            swept = _half_foam(renamed.compose(movie))
+            renamed = relabeled_movie(b, darts, webhom._extended(loops, born, -1))
+            swept = half_foam(renamed.compose(movie))
             assert (x.shape, x.facets, x.web.exact_key()) == (
                 swept.shape,
                 swept.facets,
@@ -760,7 +779,7 @@ def test_served_halves_are_the_halves_of_the_class_movies():
         sp, basis = state_space(w), class_basis(w)
         assert len(basis) == sp.dim
         for h, b in zip(sp.halves, basis):
-            swept = _half_foam(b)
+            swept = half_foam(b)
             assert (h.shape, h.facets, h.web.exact_key()) == (
                 swept.shape,
                 swept.facets,
@@ -793,6 +812,7 @@ def test_cold_torus_state_spaces_hold_no_movies(monkeypatch):
 
 def test_cold_torus_build_sweeps_once_per_half_shape(monkeypatch):
     _cold(monkeypatch)
+    monkeypatch.setattr(foam, "_SHAPE_IDS", {})
     sweeps = []
     real = foam._sweep
 
@@ -805,6 +825,9 @@ def test_cold_torus_build_sweeps_once_per_half_shape(monkeypatch):
     # one sweep per (half shape, movie) pair, seeded or from the empty
     # web; sweeping every half from the empty web takes 594
     assert len(sweeps) <= 40
+    # 23 distinct half shapes; extending pushed halves through renamed
+    # copies of the edge movies would add more
+    assert len(foam._SHAPE_IDS) <= 25
 
 
 # --------------------------------------------------------------------------
