@@ -46,7 +46,7 @@ from .diagram import (
 )
 from .foam import MalformedMovie, MoveError
 from .selftest import run_selftest
-from .web import kuperberg_bracket, link_bracket
+from .web import MalformedWeb, kuperberg_bracket, link_bracket
 from .webhom import StateSpaceError
 
 EXIT_OK = 0
@@ -431,7 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ComplexError,
         MoveError,
         MalformedMovie,
-        AssertionError,
+        MalformedWeb,
     ) as exc:
         print(f"sl3web: internal assertion failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

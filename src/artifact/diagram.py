@@ -42,6 +42,10 @@ choice-0 flattening to the choice-1 flattening with exactly matching
 labels.  Both signs start from the unzip of the crossing's bridge in the
 flattening that bridges it: a negative crossing's edge is that
 ``Unzip``, and a positive crossing's edge is its inverse, a ``Zip``.
+Either way the unzip is run once, as a check that it carries the
+flattening that bridges the crossing to the one that smooths it, and
+the movie is given the two cached flattenings as its slices: no zip is
+ever run by surgery.
 """
 
 from __future__ import annotations
@@ -594,19 +598,19 @@ def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
     matching labels.
 
     Both edges of a crossing are built from the unzip of its bridge
-    (:func:`_bridge_unzip`).  A negative crossing smooths under the
-    switch, so its edge is that unzip, applied to the source flattening.
-    A positive crossing bridges under the switch, so its edge is the
-    inverse of the unzip that takes the target flattening to the source
-    flattening: a ``Zip`` whose new vertices and bridge reuse the
-    target's port and bridge darts.  Either move is run once, on the
-    source flattening, to check that the movie ends at the target, and a
-    ``Zip`` must invert back to its unzip.  The end of the edge that
-    smooths ``crossing`` was itself flattened by a last unzip at another
-    crossing whenever ``crossing`` is not its last smoothed one, so the
-    check also sees that unzips at different crossings commute.  The movie keeps its run
-    for every later use, and its end slice is the cached target
-    flattening."""
+    (:func:`_bridge_unzip`) in the flattening that bridges it.  A
+    negative crossing smooths under the switch, so its edge is that
+    unzip, run on the source flattening, which must give the target
+    flattening.  A positive crossing bridges under the switch, so its
+    edge is the inverse of the unzip: a ``Zip`` whose new vertices and
+    bridge reuse the target's port and bridge darts.  Its unzip is run
+    on the target flattening, which must give the source flattening,
+    and the ``Zip`` must invert back to that unzip.  The flattening that
+    smooths ``crossing`` was itself built by a last unzip at another
+    crossing whenever ``crossing`` is not its last smoothed one, so
+    either check also sees that unzips at different crossings commute.
+    The movie's slices are the two cached flattenings, so the target's
+    canonical form is computed once for all the edges that reach it."""
 
     bits = d._bits_of(bits)
     n = d.n_crossings
@@ -622,21 +626,19 @@ def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
     if d.signs[crossing] == 1:
         unzip = _bridge_unzip(crossing, target_state.web, source_state.loop_at, n)
         move = inverse_move(unzip, target_state.web, source_state.web)
-        undone = inverse_move(move, source_state.web, target_state.web) == unzip
+        exact = (
+            apply_move(target_state.web, unzip)[0] == source_state.web
+            and inverse_move(move, source_state.web, target_state.web) == unzip
+        )
     else:
         move = _bridge_unzip(crossing, source_state.web, target_state.loop_at, n)
-        undone = True
-    movie = FoamMovie(source_state.web, (move,))
-    states = movie.states()
-    if not undone or states[-1] != target_state.web:
+        exact = apply_move(source_state.web, move)[0] == target_state.web
+    if not exact:
         raise MalformedMovie(
             f"internal: resolution move at crossing {crossing} of {bits!r} "
             f"failed to reproduce the target flattening"
         )
-    # end at the cached flattening itself, whose canonical form is then
-    # computed once for all the edges that reach it
-    states[-1] = target_state.web
-    return movie
+    return FoamMovie(source_state.web, (move,), (source_state.web, target_state.web))
 
 
 def clear_flatten_cache() -> None:

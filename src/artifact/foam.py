@@ -17,7 +17,12 @@ piece of surface:
 The pipeline needs nothing else: collapsing a two-edge face is an unzip
 of one of its edges followed by the death of the circle its other edge
 closes into (``cap_movies``), and a four-edge face splits by two unzips
-and a death (``square_split_movies``).
+and a death (``square_split_movies``).  Every zip is an unzip read
+backwards (``inverse_move``), met in a reflected movie or on a positive
+cube edge, where its end slice is already known; so it runs only in a
+movie given its slices, and the unzip is the only surgery that rewires
+strands.  Tracking instructions read only the slice before a move
+(``move_instructions``).
 
 Vertices of the web slice are the endpoints of singular arcs in progress.
 ``Zip`` creates a vertex pair (one arc); ``Unzip`` annihilates a vertex
@@ -139,6 +144,12 @@ class Zip:
     on the *same edge* (site_b = the head partner of site_a),
     ``middle`` ('aligned_first' or 'anti_first') orders the two cut
     points along the edge's flow.
+
+    Every zip is made by ``inverse_move`` from an unzip (or renamed from
+    one) and runs only in a movie given its slices: the package does no
+    zip surgery.  Its tracking reads the sites, their alignment and the
+    labels; the other fields pin the surgery the slices stand for, and
+    are written by ``--dump-foams`` and keyed on by ``induced_matrix``.
     """
 
     site_a: int
@@ -190,16 +201,6 @@ def _fresh_loop_id(web: Web, taken: Iterable[int] = ()) -> int:
     while lid in used:
         lid -= 1
     return lid
-
-
-def _site_region_candidates(web: Web, site: int) -> tuple[Region, ...]:
-    if site < 0:
-        if site not in web.loop_ccw:
-            raise MoveError(f"loop {site} does not exist")
-        return (web.parent[site], ("inside", site))
-    if site not in web.sigma:
-        raise MoveError(f"dart {site} does not exist")
-    return (web.region_of_face(web.face_of(site)),)
 
 
 def _site_aligned(web: Web, site: int, region: Region) -> bool:
@@ -268,7 +269,7 @@ def _k_loop(l: int) -> tuple[str, int]:
 # ==========================================================================
 
 
-def _apply_birth(web: Web, mv: Birth) -> tuple[Web, list]:
+def _apply_birth(web: Web, mv: Birth) -> Web:
     lid = mv.loop_id
     if lid >= 0 or lid in web.loop_ccw:
         raise MoveError(f"birth needs a fresh negative loop id, got {lid}")
@@ -278,11 +279,10 @@ def _apply_birth(web: Web, mv: Birth) -> tuple[Web, list]:
     loop_ccw[lid] = mv.ccw
     parent = dict(web.parent)
     parent[lid] = mv.region
-    new_web = Web(web.sigma, web.alpha, web.out_darts, loop_ccw, parent, web.outer_face)
-    return new_web, [("new_class", _k_loop(lid)), ("chi", _k_loop(lid), 1)]
+    return Web(web.sigma, web.alpha, web.out_darts, loop_ccw, parent, web.outer_face)
 
 
-def _apply_death(web: Web, mv: Death) -> tuple[Web, list]:
+def _apply_death(web: Web, mv: Death) -> Web:
     lid = mv.loop_id
     if lid not in web.loop_ccw:
         raise MoveError(f"death: loop {lid} does not exist")
@@ -292,223 +292,16 @@ def _apply_death(web: Web, mv: Death) -> tuple[Web, list]:
     del loop_ccw[lid]
     parent = dict(web.parent)
     del parent[lid]
-    new_web = Web(web.sigma, web.alpha, web.out_darts, loop_ccw, parent, web.outer_face)
-    return new_web, [("chi", _k_loop(lid), 1), ("unbind", _k_loop(lid))]
+    return Web(web.sigma, web.alpha, web.out_darts, loop_ccw, parent, web.outer_face)
 
 
-def _apply_dot(web: Web, mv: Dot) -> tuple[Web, list]:
+def _apply_dot(web: Web, mv: Dot) -> Web:
     if mv.site < 0:
         if mv.site not in web.loop_ccw:
             raise MoveError(f"dot: loop {mv.site} does not exist")
-        key = _k_loop(mv.site)
-    else:
-        if mv.site not in web.sigma:
-            raise MoveError(f"dot: dart {mv.site} does not exist")
-        key = _k_dart(mv.site)
-    return web, [("dot", key)]
-
-
-def _apply_zip(web: Web, mv: Zip) -> tuple[Web, list]:
-    region = mv.region
-    if region is not None and region not in web.regions():
-        raise MoveError(f"zip region {region!r} does not exist")
-    if mv.site_a == mv.site_b:
-        raise MoveError("zip sites must be distinct")
-    for site in (mv.site_a, mv.site_b):
-        if region not in _site_region_candidates(web, site):
-            raise MoveError(f"zip site {site} is not adjacent to region {region!r}")
-    al_a = _site_aligned(web, mv.site_a, region)
-    al_b = _site_aligned(web, mv.site_b, region)
-    if al_a == al_b:
-        raise MoveError(
-            "zip needs exactly one aligned site (a consistently oriented pair "
-            "cannot be zipped from this region)"
-        )
-    s_plus, s_minus = (mv.site_a, mv.site_b) if al_a else (mv.site_b, mv.site_a)
-
-    labels = mv.labels
-    m1, m2, in_p, out_p, in_m, out_m = labels
-    if len(set(labels)) != 6 or any(d in web.sigma or d <= 0 for d in labels):
-        raise MoveError(f"zip labels {labels} must be six fresh positive darts")
-
-    same_edge = s_plus > 0 and s_minus > 0 and web.alpha[s_plus] == s_minus
-
-    # ---- surgery on sigma/alpha/out -------------------------------------
-    sigma = dict(web.sigma)
-    alpha = dict(web.alpha)
-    out = set(web.out_darts)
-    loop_ccw = dict(web.loop_ccw)
-    consumed_loops: list[int] = []
-
-    if same_edge:
-        t, h = s_plus, s_minus
-        if mv.middle == "aligned_first":
-            pieces = [(t, in_p), (out_p, in_m), (out_m, h)]
-        elif mv.middle == "anti_first":
-            pieces = [(t, in_m), (out_m, in_p), (out_p, h)]
-        else:
-            raise MoveError(
-                "zip with both sites on one edge needs middle="
-                "'aligned_first' or 'anti_first'"
-            )
-        for a, b in pieces:
-            alpha[a] = b
-            alpha[b] = a
-    else:
-        if s_plus > 0:
-            t = s_plus
-            old_head = web.alpha[t]
-            alpha[t] = in_p
-            alpha[in_p] = t
-            alpha[out_p] = old_head
-            alpha[old_head] = out_p
-        else:
-            alpha[out_p] = in_p
-            alpha[in_p] = out_p
-            consumed_loops.append(s_plus)
-        if s_minus > 0:
-            h = s_minus
-            old_tail = web.alpha[h]
-            alpha[old_tail] = in_m
-            alpha[in_m] = old_tail
-            alpha[out_m] = h
-            alpha[h] = out_m
-        else:
-            alpha[out_m] = in_m
-            alpha[in_m] = out_m
-            consumed_loops.append(s_minus)
-    # new vertices: sink (m1, in_minus, in_plus), source (m2, out_plus, out_minus)
-    sigma[m1], sigma[in_m], sigma[in_p] = in_m, in_p, m1
-    sigma[m2], sigma[out_p], sigma[out_m] = out_p, out_m, m2
-    alpha[m1] = m2
-    alpha[m2] = m1
-    out |= {m2, out_p, out_m}
-    for lid in consumed_loops:
-        del loop_ccw[lid]
-
-    # ---- faces, components ----------------------------------------------
-    new_faces = _face_orbits(sigma, alpha)
-    new_face_of = {d: f for f, orbit in new_faces.items() for d in orbit}
-    new_comps = _component_split(sigma, alpha)
-    new_comp_of = {d: c for c, comp in new_comps.items() for d in comp}
-    carry = _carry_faces(web, new_face_of)
-
-    sink_face = new_face_of[in_m]  # pocket between the two tail pieces
-    source_face = new_face_of[out_p]  # pocket between the two head pieces
-    split = sink_face != source_face
-
-    old_comp_ids = {web.component_of(s) for s in (s_plus, s_minus) if s > 0}
-    new_comp_id = new_comp_of[m1]
-
-    parent: dict[int, Region] = {}
-    outer_face: dict[int, int] = {}
-    for c, f in web.outer_face.items():
-        if c not in old_comp_ids:
-            parent[c] = web.parent[c]
-            outer_face[c] = carry[f]
-    for l in loop_ccw:
-        parent[l] = web.parent[l]
-
-    if split:
-        # both sites lie on one face walk of one dart component
-        if len(old_comp_ids) != 1:
-            raise MalformedMovie("zip: a splitting walk must lie on one component")
-        c_old = next(iter(old_comp_ids))
-        c_parent = web.parent[c_old]
-        site_faces = {web.face_of(s) for s in (s_plus, s_minus) if s > 0}
-        face_was_outer = web.outer_face[c_old] in site_faces
-        parent[new_comp_id] = c_parent
-        if face_was_outer:
-            if mv.ceiling_side not in ("sink", "source"):
-                raise MoveError(
-                    "zip splitting a component's outer walk needs "
-                    "ceiling_side='sink' or 'source'"
-                )
-            if mv.ceiling_side == "sink":
-                outer_face[new_comp_id] = sink_face
-                pocket_face = source_face
-            else:
-                outer_face[new_comp_id] = source_face
-                pocket_face = sink_face
-            sink_region: Region = (
-                c_parent if mv.ceiling_side == "sink" else ("newface", pocket_face)
-            )
-            source_region: Region = (
-                c_parent if mv.ceiling_side == "source" else ("newface", pocket_face)
-            )
-        else:
-            outer_face[new_comp_id] = carry[web.outer_face[c_old]]
-            sink_region = ("newface", sink_face)
-            source_region = ("newface", source_face)
-        for item in list(parent):
-            if item != new_comp_id and parent[item] == region:
-                parent[item] = (
-                    sink_region if item in mv.children_to_sink else source_region
-                )
-    else:
-        # the two site walks merge into one; the region keeps its name
-        def encloses(site: int) -> bool:
-            if site < 0:
-                return region == ("inside", site)
-            return web.face_of(site) != web.outer_face[web.component_of(site)]
-
-        enc_plus = encloses(s_plus)
-        enc_minus = encloses(s_minus)
-        if enc_plus and enc_minus:
-            raise MalformedMovie("zip sites cannot both enclose the shared region")
-        if enc_plus or enc_minus:
-            enclosing = s_plus if enc_plus else s_minus
-            if enclosing > 0:
-                c_old = web.component_of(enclosing)
-                parent[new_comp_id] = web.parent[c_old]
-                outer_face[new_comp_id] = carry[web.outer_face[c_old]]
-            else:
-                far_dart = m2 if enclosing == s_plus else m1
-                parent[new_comp_id] = web.parent[enclosing]
-                outer_face[new_comp_id] = new_face_of[far_dart]
-        else:
-            parent[new_comp_id] = region
-            outer_face[new_comp_id] = sink_face
-
-    # interiors of consumed loops
-    override: dict[Region, Region] = {}
-    for lid in consumed_loops:
-        if region == ("inside", lid):
-            override[("inside", lid)] = ("newface", sink_face)
-        else:
-            if lid == s_plus:
-                interior_dart = out_p if web.loop_ccw[lid] else in_p
-            else:
-                interior_dart = out_m if web.loop_ccw[lid] else in_m
-            override[("inside", lid)] = ("newface", new_face_of[interior_dart])
-
-    rename = _make_renamer(carry, override, new_comp_of, outer_face, parent)
-    final_parent = {item: rename(r) for item, r in parent.items()}
-    new_web = Web(sigma, alpha, out, loop_ccw, final_parent, outer_face)
-
-    # ---- tracking --------------------------------------------------------
-    like_p = _k_dart(s_plus) if s_plus > 0 else _k_loop(s_plus)
-    like_m = _k_dart(s_minus) if s_minus > 0 else _k_loop(s_minus)
-    instrs: list = [
-        ("new_class", _k_dart(m1)),
-        ("chi", _k_dart(m1), 1),
-        ("bind", _k_dart(m2), _k_dart(m1)),
-        ("bind", _k_dart(in_p), like_p),
-        ("bind", _k_dart(out_p), like_p),
-        ("bind", _k_dart(in_m), like_m),
-        ("bind", _k_dart(out_m), like_m),
-    ]
-    for lid in consumed_loops:
-        instrs.append(("unbind", _k_loop(lid)))
-    instrs.append(
-        (
-            "seam_create",
-            (m1, in_m, in_p),
-            (m2, out_p, out_m),
-            [(in_p, out_p), (in_m, out_m), (m1, m2)],
-        )
-    )
-    return new_web, instrs
+    elif mv.site not in web.sigma:
+        raise MoveError(f"dot: dart {mv.site} does not exist")
+    return web
 
 
 def _unzip_arms(web: Web, seam: int) -> tuple[int, int, int, int, int, int]:
@@ -542,7 +335,7 @@ def _unzip_new_loop_ids(
     return lid_a, lid_b
 
 
-def _apply_unzip(web: Web, mv: Unzip) -> tuple[Web, list]:
+def _apply_unzip(web: Web, mv: Unzip) -> Web:
     m1, m2, p, q, r, s = _unzip_arms(web, mv.seam)
     deleted = {m1, m2, p, q, r, s}
     if len(deleted) != 6:
@@ -699,34 +492,79 @@ def _apply_unzip(web: Web, mv: Unzip) -> tuple[Web, list]:
 
     rename = _make_renamer(carry, override, new_comp_of, outer_face, parent)
     final_parent = {item: rename(r) for item, r in parent.items()}
-    new_web = Web(sigma, alpha, out, loop_ccw, final_parent, outer_face)
-
-    # ---- tracking --------------------------------------------------------
-    instrs: list = []
-    if closes_aligned:
-        instrs.append(("bind", _k_loop(lid_a), _k_dart(q)))
-    if closes_anti:
-        instrs.append(("bind", _k_loop(lid_b), _k_dart(p)))
-    instrs.append(("fuse", _k_dart(q), _k_dart(r)))
-    instrs.append(("fuse", _k_dart(p), _k_dart(s)))
-    instrs.append(("seam_join", (m1, p, q), (m2, r, s), [(m1, m2), (p, s), (q, r)]))
-    for d in (m1, m2, p, q, r, s):
-        instrs.append(("unbind", _k_dart(d)))
-    return new_web, instrs
+    return Web(sigma, alpha, out, loop_ccw, final_parent, outer_face)
 
 
+#: Web surgery per move type.  A zip has none: every zip is the inverse
+#: of an unzip, so its end slice is always known where it runs.
 _APPLIERS = {
     Birth: _apply_birth,
     Death: _apply_death,
     Dot: _apply_dot,
-    Zip: _apply_zip,
     Unzip: _apply_unzip,
 }
 
 
 def apply_move(web: Web, move: Move) -> tuple[Web, list]:
-    """Apply one move; returns the new web and tracking instructions."""
-    return _APPLIERS[type(move)](web, move)
+    """Apply one move by web surgery; returns the new web and tracking
+    instructions.  A ``Zip`` has no surgery and raises ``MoveError``: it
+    runs only in a ``FoamMovie`` given its slices."""
+    applier = _APPLIERS.get(type(move))
+    if applier is None:
+        raise MoveError(
+            f"no web surgery for {type(move).__name__}: a zip runs only in "
+            "a movie given its slices"
+        )
+    return applier(web, move), move_instructions(web, move)
+
+
+def move_instructions(web: Web, mv: Move) -> list:
+    """The tracking instructions of ``mv`` run from the slice ``web``.
+
+    They read only the slice before the move, so a movie whose slices
+    are given sweeps with no surgery."""
+    if isinstance(mv, Birth):
+        return [("new_class", _k_loop(mv.loop_id)), ("chi", _k_loop(mv.loop_id), 1)]
+    if isinstance(mv, Death):
+        return [("chi", _k_loop(mv.loop_id), 1), ("unbind", _k_loop(mv.loop_id))]
+    if isinstance(mv, Dot):
+        return [("dot", _k_loop(mv.site) if mv.site < 0 else _k_dart(mv.site))]
+    if isinstance(mv, Zip):
+        al_a = _site_aligned(web, mv.site_a, mv.region)
+        s_plus, s_minus = (mv.site_a, mv.site_b) if al_a else (mv.site_b, mv.site_a)
+        m1, m2, in_p, out_p, in_m, out_m = mv.labels
+        like_p = _k_dart(s_plus) if s_plus > 0 else _k_loop(s_plus)
+        like_m = _k_dart(s_minus) if s_minus > 0 else _k_loop(s_minus)
+        instrs: list = [
+            ("new_class", _k_dart(m1)),
+            ("chi", _k_dart(m1), 1),
+            ("bind", _k_dart(m2), _k_dart(m1)),
+            ("bind", _k_dart(in_p), like_p),
+            ("bind", _k_dart(out_p), like_p),
+            ("bind", _k_dart(in_m), like_m),
+            ("bind", _k_dart(out_m), like_m),
+        ]
+        # a loop site is cut open into the new edges
+        instrs += [("unbind", _k_loop(l)) for l in (s_plus, s_minus) if l < 0]
+        seam = [(in_p, out_p), (in_m, out_m), (m1, m2)]
+        instrs.append(("seam_create", (m1, in_m, in_p), (m2, out_p, out_m), seam))
+        return instrs
+    if isinstance(mv, Unzip):
+        m1, m2, p, q, r, s = _unzip_arms(web, mv.seam)
+        lid_a, lid_b = _unzip_new_loop_ids(
+            web, mv, web.alpha[q] == r, web.alpha[p] == s
+        )
+        instrs = []
+        if lid_a is not None:
+            instrs.append(("bind", _k_loop(lid_a), _k_dart(q)))
+        if lid_b is not None:
+            instrs.append(("bind", _k_loop(lid_b), _k_dart(p)))
+        instrs.append(("fuse", _k_dart(q), _k_dart(r)))
+        instrs.append(("fuse", _k_dart(p), _k_dart(s)))
+        instrs.append(("seam_join", (m1, p, q), (m2, r, s), [(m1, m2), (p, s), (q, r)]))
+        instrs += [("unbind", _k_dart(d)) for d in (m1, m2, p, q, r, s)]
+        return instrs
+    raise MoveError(f"cannot track move {mv!r}")
 
 
 # ==========================================================================
@@ -828,42 +666,48 @@ def _seam_region_after_unzip(after: Web, site_plus: int, site_minus: int) -> Reg
 
 class FoamMovie:
     """A start web and a sequence of moves; the presented cobordism goes
-    from the start web to the final web.  The slices and the tracking
-    instructions are computed together, once, when first asked for."""
+    from the start web to the final web.
+
+    ``slices``, when given, are the web slices from the start web to the
+    final web, one more than the moves, and are kept as the movie's
+    slices: the caller knows them, so no surgery runs.  A zip is only
+    ever run that way (``apply_move`` has no zip surgery).  Otherwise
+    the slices come from running each move by surgery, once, when first
+    asked for."""
 
     __slots__ = ("start", "moves", "_states", "_instrs")
 
-    def __init__(self, start: Web, moves: Sequence[Move] = ()) -> None:
+    def __init__(
+        self,
+        start: Web,
+        moves: Sequence[Move] = (),
+        slices: Optional[Sequence[Web]] = None,
+    ) -> None:
         self.start = start
         self.moves = tuple(moves)
         self._states: Optional[list[Web]] = None
         self._instrs: Optional[tuple] = None
-
-    def _run(self) -> None:
-        webs = [self.start]
-        instrs = []
-        for mv in self.moves:
-            web, ins = apply_move(webs[-1], mv)
-            webs.append(web)
-            instrs.append(ins)
-        self._states = webs
-        self._instrs = tuple(instrs)
+        if slices is not None:
+            if len(slices) != len(self.moves) + 1 or slices[0] is not start:
+                raise MalformedMovie(
+                    "a movie's slices run from its start web, one per move after it"
+                )
+            self._states = list(slices)
 
     def states(self) -> list[Web]:
         """All web slices, from the start web to the final web."""
         if self._states is None:
-            self._run()
+            webs = [self.start]
+            for mv in self.moves:
+                webs.append(apply_move(webs[-1], mv)[0])
+            self._states = webs
         return self._states
 
     def instruction_stream(self) -> tuple:
-        """The facet-tracking instruction list of each move, in order.
-
-        ``apply_move`` is deterministic and yields both the next web
-        slice and these instructions, so slices and stream are computed
-        together, once; ``compose`` concatenates those of its factors.
-        """
+        """The facet-tracking instruction list of each move, in order,
+        read off the slice before it (``move_instructions``)."""
         if self._instrs is None:
-            self._run()
+            self._instrs = tuple(map(move_instructions, self.states(), self.moves))
         return self._instrs
 
     @property
@@ -878,19 +722,19 @@ class FoamMovie:
         """This movie followed by ``then`` (ends must match exactly)."""
         if self.end != then.start:
             raise MalformedMovie("movies do not compose: end and start webs differ")
-        out = FoamMovie(self.start, self.moves + then.moves)
-        out._states = self.states() + then.states()[1:]
-        out._instrs = self.instruction_stream() + then.instruction_stream()
-        return out
+        return FoamMovie(
+            self.start, self.moves + then.moves, self.states() + then.states()[1:]
+        )
 
     def reflect(self) -> "FoamMovie":
-        """The time-reversed movie, with each move exactly inverted."""
+        """The time-reversed movie, with each move exactly inverted; its
+        slices are this movie's reversed, so no move of it is run."""
         states = self.states()
         inv = [
             inverse_move(mv, states[i], states[i + 1])
             for i, mv in enumerate(self.moves)
         ]
-        return FoamMovie(self.end, tuple(reversed(inv)))
+        return FoamMovie(self.end, tuple(reversed(inv)), states[::-1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FoamMovie):

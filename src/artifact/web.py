@@ -561,7 +561,8 @@ def _component_bfs(
             orders = [order]
         elif key == best:
             orders.append(order)
-    assert best is not None
+    if best is None:
+        raise MalformedWeb("a dart component has no head dart")
     return best, orders
 
 
@@ -661,7 +662,8 @@ def _rewire(
     the number of such loops is returned.
     """
     for a, b in wires.items():
-        assert a in deleted and b in deleted, "wires must pair deleted darts"
+        if a not in deleted or b not in deleted:
+            raise MalformedWeb("wires must pair deleted darts")
     new_sigma = {d: s for d, s in sigma.items() if d not in deleted}
     new_alpha: dict[int, int] = {}
     visited: set[int] = set()
@@ -672,7 +674,8 @@ def _rewire(
             continue
         cur = a
         while True:
-            assert cur in wires, f"strand enters deleted zone at unwired dart {cur}"
+            if cur not in wires:
+                raise MalformedWeb(f"strand enters deleted zone at unwired dart {cur}")
             visited.add(cur)
             nxt = wires[cur]
             visited.add(nxt)
@@ -684,9 +687,8 @@ def _rewire(
         new_alpha[y] = out_dart
     new_out = {d for d in out if d not in deleted}
     for y, z in new_alpha.items():
-        assert (y in new_out) != (z in new_out), (
-            f"rewired edge ({y},{z}) does not have exactly one tail"
-        )
+        if (y in new_out) == (z in new_out):
+            raise MalformedWeb(f"rewired edge ({y},{z}) does not have exactly one tail")
     loops = 0
     remaining = set(wires) - visited
     while remaining:
@@ -700,7 +702,8 @@ def _rewire(
             cur = alpha[nxt]
             if cur == start:
                 break
-            assert cur in wires, "closed chain leaves the deleted zone"
+            if cur not in wires:
+                raise MalformedWeb("closed chain leaves the deleted zone")
     return new_sigma, new_alpha, new_out, loops
 
 

@@ -38,8 +38,9 @@ is only its half, extended the same way.  The matrix too is computed
 once per class of movies and kept in ``_INDUCED``; its key is read off
 the movie's moves renamed into canonical labels, so a cached matrix is
 found without building a movie (see ``induced_matrix``).  On a miss the
-movie is run once, relabeled so that it ends on its end web's canonical
-web, and the source halves are extended through that run.  The blocks
+movie and its slices are relabeled so that it ends on its end web's
+canonical web, with no move run again, and the source halves are
+extended through the relabeled movie.  The blocks
 are inverted through their Smith normal form (``algebra.smith_form``),
 so the whole path stays in integer arithmetic.  A singular or
 non-unimodular block is a hard error, never rounded away.
@@ -300,8 +301,10 @@ def induced_matrix(movie: FoamMovie) -> IntMatrix:
     canonical web.  The last part keeps apart movies whose end bases
     differ by an automorphism of the end web.  The key is read off the
     movie's moves and slices, so a hit builds no movie and renames no
-    web.  On a miss the movie is run once more on labels that send its
-    end web to its canonical web (``_class_matrix``)."""
+    web.  On a miss the movie is renamed onto labels that send its end
+    web to its canonical web, its slices renamed with it, so no move is
+    run again, and the source halves are extended through it
+    (``_class_matrix``)."""
     canonical, dart_map, loop_map = movie.start.canonical()
     created = [new_ids(mv) for mv in movie.moves]
     to_darts = _extended(dart_map, (d for darts, _ in created for d in darts), 1)
@@ -324,9 +327,8 @@ def induced_matrix(movie: FoamMovie) -> IntMatrix:
         loops = sorted({l for w in states for l in w.loop_ccw}, reverse=True)
         darts = _extended(end_darts, darts, 1)
         loops = _extended(end_loops, loops, -1)
-        run = FoamMovie(
-            movie.start.relabeled(darts, loops), _renamed_moves(movie, darts, loops)
-        )
+        slices = [w.relabeled(darts, loops) for w in states]
+        run = FoamMovie(slices[0], _renamed_moves(movie, darts, loops), slices)
         out = _INDUCED[key] = _class_matrix(
             run,
             state_space(movie.start),

@@ -19,6 +19,8 @@ from artifact.diagram import resolutions
 from artifact.selftest import cube_web, digon_chain_web, theta_web  # noqa: F401
 from artifact.web import Web
 
+from .oracles import run_movie
+
 
 def web_from_json_dict(data) -> Web:
     """Read back the dict ``Web.to_json_dict`` writes.
@@ -67,8 +69,9 @@ def move_from_json_dict(data) -> foam.Move:
 
 def movie_from_json_dict(data) -> foam.FoamMovie:
     """Read back the dict ``FoamMovie.to_json_dict`` writes (the
-    ``--dump-foams`` entries), checking its frame checksums."""
-    movie = foam.FoamMovie(
+    ``--dump-foams`` entries), checking its frame checksums against the
+    slices ``oracles.run_movie`` makes by surgery, zips included."""
+    movie = run_movie(
         web_from_json_dict(data["start"]),
         tuple(move_from_json_dict(m) for m in data["moves"]),
     )

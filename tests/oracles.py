@@ -1,8 +1,8 @@
 """Independent oracles used to fix expected values in the test suite.
 
 These helpers recompute target quantities by a second route so the tests
-compare two independent ones.  All but the replay, state-space and
-flattening oracles avoid importing the package under test.
+compare two independent ones.  All but the replay, state-space,
+zip and flattening oracles avoid importing the package under test.
 
 Flag-variety trace oracle
 -------------------------
@@ -74,6 +74,16 @@ web of the class with ``relabeled_movie``, which renames a movie's start
 web and moves and runs the renamed moves anew.  The package keeps only
 their halves and degrees.
 
+Zip oracle
+----------
+The package never zips by surgery: every zip it runs is the inverse of
+an unzip, given its slices.  ``apply_zip`` is that surgery, kept as the
+reference the package's zip slices must match: it cuts the two sites,
+adds the seam edge and its two vertices, and re-derives the faces, the
+nesting and the outer faces.  ``run_movie`` runs a movie's moves from
+its start web, zips by ``apply_zip`` and every other move by
+``foam.apply_move``, and hands the slices to ``FoamMovie``.
+
 Flattening oracle
 -----------------
 ``region_flatten`` flattens a diagram without any move: it traces every
@@ -107,11 +117,16 @@ from artifact.foam import (
     Dot,
     FoamMovie,
     MalformedMovie,
+    MoveError,
     PreFoam,
+    Zip,
     _DSU,
     _canonical_numbering,
+    _carry_faces,
     _facet_genera,
+    _make_renamer,
     _relabel_move,
+    _site_aligned,
     _sweep,
     apply_move,
     digon_movies,
@@ -634,13 +649,13 @@ def relabeled_movie(movie: FoamMovie, darts, loops) -> FoamMovie:
     ``loops`` (ids absent from a map kept): its start web and each move
     renamed, each move's regions and component keys read in the slice
     it starts from, and the renamed moves run anew from the renamed
-    start web."""
+    start web by ``run_movie``."""
     dmap = lambda d: darts.get(d, d)
     lmap = lambda l: loops.get(l, l)
     moves = [
         _relabel_move(mv, w, dmap, lmap) for mv, w in zip(movie.moves, movie.states())
     ]
-    return FoamMovie(movie.start.relabeled(darts, loops), moves)
+    return run_movie(movie.start.relabeled(darts, loops), moves)
 
 
 def _preparations(web: Web, basis) -> tuple[FoamMovie, ...]:
@@ -885,3 +900,213 @@ def region_flatten(d, bits: Bits) -> tuple[Web, dict[tuple[int, int], int]]:
 
     web = Web(sigma, alpha, frozenset(out_darts), loop_ccw, parent, outer_face)
     return web, loop_at
+
+
+# --------------------------------------------------------------------------
+# zip oracle
+# --------------------------------------------------------------------------
+
+
+def run_movie(start: Web, moves) -> FoamMovie:
+    """``FoamMovie(start, moves)`` with its slices made by surgery: each
+    zip by ``apply_zip``, every other move by ``foam.apply_move``."""
+    slices = [start]
+    for mv in moves:
+        if isinstance(mv, Zip):
+            slices.append(apply_zip(slices[-1], mv))
+        else:
+            slices.append(apply_move(slices[-1], mv)[0])
+    return FoamMovie(start, moves, slices)
+
+
+def _site_region_candidates(web: Web, site: int) -> tuple[Region, ...]:
+    if site < 0:
+        if site not in web.loop_ccw:
+            raise MoveError(f"loop {site} does not exist")
+        return (web.parent[site], ("inside", site))
+    if site not in web.sigma:
+        raise MoveError(f"dart {site} does not exist")
+    return (web.region_of_face(web.face_of(site)),)
+
+
+def apply_zip(web: Web, mv: Zip) -> Web:
+    """The web after zipping ``mv`` from ``web``, by surgery: the new
+    darts and vertices, the split or merged faces, the nesting and the
+    outer faces, as ``foam.Zip`` describes.  Invalid zips raise
+    ``MoveError``."""
+    region = mv.region
+    if region is not None and region not in web.regions():
+        raise MoveError(f"zip region {region!r} does not exist")
+    if mv.site_a == mv.site_b:
+        raise MoveError("zip sites must be distinct")
+    for site in (mv.site_a, mv.site_b):
+        if region not in _site_region_candidates(web, site):
+            raise MoveError(f"zip site {site} is not adjacent to region {region!r}")
+    al_a = _site_aligned(web, mv.site_a, region)
+    al_b = _site_aligned(web, mv.site_b, region)
+    if al_a == al_b:
+        raise MoveError(
+            "zip needs exactly one aligned site (a consistently oriented pair "
+            "cannot be zipped from this region)"
+        )
+    s_plus, s_minus = (mv.site_a, mv.site_b) if al_a else (mv.site_b, mv.site_a)
+
+    labels = mv.labels
+    m1, m2, in_p, out_p, in_m, out_m = labels
+    if len(set(labels)) != 6 or any(d in web.sigma or d <= 0 for d in labels):
+        raise MoveError(f"zip labels {labels} must be six fresh positive darts")
+
+    same_edge = s_plus > 0 and s_minus > 0 and web.alpha[s_plus] == s_minus
+
+    # ---- surgery on sigma/alpha/out -------------------------------------
+    sigma = dict(web.sigma)
+    alpha = dict(web.alpha)
+    out = set(web.out_darts)
+    loop_ccw = dict(web.loop_ccw)
+    consumed_loops: list[int] = []
+
+    if same_edge:
+        t, h = s_plus, s_minus
+        if mv.middle == "aligned_first":
+            pieces = [(t, in_p), (out_p, in_m), (out_m, h)]
+        elif mv.middle == "anti_first":
+            pieces = [(t, in_m), (out_m, in_p), (out_p, h)]
+        else:
+            raise MoveError(
+                "zip with both sites on one edge needs middle="
+                "'aligned_first' or 'anti_first'"
+            )
+        for a, b in pieces:
+            alpha[a] = b
+            alpha[b] = a
+    else:
+        if s_plus > 0:
+            t = s_plus
+            old_head = web.alpha[t]
+            alpha[t] = in_p
+            alpha[in_p] = t
+            alpha[out_p] = old_head
+            alpha[old_head] = out_p
+        else:
+            alpha[out_p] = in_p
+            alpha[in_p] = out_p
+            consumed_loops.append(s_plus)
+        if s_minus > 0:
+            h = s_minus
+            old_tail = web.alpha[h]
+            alpha[old_tail] = in_m
+            alpha[in_m] = old_tail
+            alpha[out_m] = h
+            alpha[h] = out_m
+        else:
+            alpha[out_m] = in_m
+            alpha[in_m] = out_m
+            consumed_loops.append(s_minus)
+    # new vertices: sink (m1, in_minus, in_plus), source (m2, out_plus, out_minus)
+    sigma[m1], sigma[in_m], sigma[in_p] = in_m, in_p, m1
+    sigma[m2], sigma[out_p], sigma[out_m] = out_p, out_m, m2
+    alpha[m1] = m2
+    alpha[m2] = m1
+    out |= {m2, out_p, out_m}
+    for lid in consumed_loops:
+        del loop_ccw[lid]
+
+    # ---- faces, components ----------------------------------------------
+    new_faces = _face_orbits(sigma, alpha)
+    new_face_of = {d: f for f, orbit in new_faces.items() for d in orbit}
+    new_comps = _component_split(sigma, alpha)
+    new_comp_of = {d: c for c, comp in new_comps.items() for d in comp}
+    carry = _carry_faces(web, new_face_of)
+
+    sink_face = new_face_of[in_m]  # pocket between the two tail pieces
+    source_face = new_face_of[out_p]  # pocket between the two head pieces
+    split = sink_face != source_face
+
+    old_comp_ids = {web.component_of(s) for s in (s_plus, s_minus) if s > 0}
+    new_comp_id = new_comp_of[m1]
+
+    parent: dict[int, Region] = {}
+    outer_face: dict[int, int] = {}
+    for c, f in web.outer_face.items():
+        if c not in old_comp_ids:
+            parent[c] = web.parent[c]
+            outer_face[c] = carry[f]
+    for l in loop_ccw:
+        parent[l] = web.parent[l]
+
+    if split:
+        # both sites lie on one face walk of one dart component
+        if len(old_comp_ids) != 1:
+            raise MalformedMovie("zip: a splitting walk must lie on one component")
+        c_old = next(iter(old_comp_ids))
+        c_parent = web.parent[c_old]
+        site_faces = {web.face_of(s) for s in (s_plus, s_minus) if s > 0}
+        face_was_outer = web.outer_face[c_old] in site_faces
+        parent[new_comp_id] = c_parent
+        if face_was_outer:
+            if mv.ceiling_side not in ("sink", "source"):
+                raise MoveError(
+                    "zip splitting a component's outer walk needs "
+                    "ceiling_side='sink' or 'source'"
+                )
+            if mv.ceiling_side == "sink":
+                outer_face[new_comp_id] = sink_face
+                pocket_face = source_face
+            else:
+                outer_face[new_comp_id] = source_face
+                pocket_face = sink_face
+            sink_region: Region = (
+                c_parent if mv.ceiling_side == "sink" else ("newface", pocket_face)
+            )
+            source_region: Region = (
+                c_parent if mv.ceiling_side == "source" else ("newface", pocket_face)
+            )
+        else:
+            outer_face[new_comp_id] = carry[web.outer_face[c_old]]
+            sink_region = ("newface", sink_face)
+            source_region = ("newface", source_face)
+        for item in list(parent):
+            if item != new_comp_id and parent[item] == region:
+                parent[item] = (
+                    sink_region if item in mv.children_to_sink else source_region
+                )
+    else:
+        # the two site walks merge into one; the region keeps its name
+        def encloses(site: int) -> bool:
+            if site < 0:
+                return region == ("inside", site)
+            return web.face_of(site) != web.outer_face[web.component_of(site)]
+
+        enc_plus = encloses(s_plus)
+        enc_minus = encloses(s_minus)
+        if enc_plus and enc_minus:
+            raise MalformedMovie("zip sites cannot both enclose the shared region")
+        if enc_plus or enc_minus:
+            enclosing = s_plus if enc_plus else s_minus
+            if enclosing > 0:
+                c_old = web.component_of(enclosing)
+                parent[new_comp_id] = web.parent[c_old]
+                outer_face[new_comp_id] = carry[web.outer_face[c_old]]
+            else:
+                far_dart = m2 if enclosing == s_plus else m1
+                parent[new_comp_id] = web.parent[enclosing]
+                outer_face[new_comp_id] = new_face_of[far_dart]
+        else:
+            parent[new_comp_id] = region
+            outer_face[new_comp_id] = sink_face
+
+    # interiors of consumed loops
+    override: dict[Region, Region] = {}
+    for lid in consumed_loops:
+        if region == ("inside", lid):
+            override[("inside", lid)] = ("newface", sink_face)
+        else:
+            if lid == s_plus:
+                interior_dart = out_p if web.loop_ccw[lid] else in_p
+            else:
+                interior_dart = out_m if web.loop_ccw[lid] else in_m
+            override[("inside", lid)] = ("newface", new_face_of[interior_dart])
+
+    rename = _make_renamer(carry, override, new_comp_of, outer_face, parent)
+    final_parent = {item: rename(r) for item, r in parent.items()}
+    return Web(sigma, alpha, out, loop_ccw, final_parent, outer_face)

@@ -21,7 +21,7 @@ from artifact.foam import MalformedMovie, Unzip, Zip
 from artifact.web import Web, kuperberg_bracket, link_bracket
 
 from .helpers import at_one, component_count
-from .oracles import region_flatten
+from .oracles import region_flatten, run_movie
 
 TREFOIL_R = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 HOPF_POS = "X(1,2,3,4) X(4,3,2,1)"
@@ -370,6 +370,22 @@ def test_every_fixture_edge_reproduces_its_target_flattening():
                 sign = d.signs[c]
                 mv = movie.moves[0]
                 assert isinstance(mv, Zip if sign == 1 else Unzip)
+
+
+def test_positive_edges_match_the_zip_oracle():
+    # a positive crossing's edge is a zip given the two cached
+    # flattenings as its slices; zip surgery from the source flattening
+    # must reach the target flattening exactly
+    checked = 0
+    for d in list(fixture_diagrams().values()) + [parse_pd(TORUS_5_1)]:
+        for bits in resolutions(d.n_crossings):
+            for c in range(d.n_crossings):
+                if bits[c] == 0 and d.signs[c] == 1:
+                    movie = resolution_edge_movie(d, bits, c)
+                    rerun = run_movie(movie.start, movie.moves)
+                    assert rerun.states() == movie.states(), (bits, c)
+                    checked += 1
+    assert checked > 180
 
 
 def _relabeled(d, rng, free_loops):

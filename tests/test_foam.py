@@ -49,11 +49,13 @@ from .helpers import (
     theta_with_loop_inside,
 )
 from .oracles import (
+    apply_zip,
     evaluate_bruteforce,
     evaluate_closed,
     extract_prefoam,
     flag_theta,
     relabeled_movie,
+    run_movie,
 )
 
 # --------------------------------------------------------------------------
@@ -141,7 +143,7 @@ def bubble_movie(a: int, b: int, c: int, outside: bool = False) -> FoamMovie:
     moves += [Dot(main)] * a + [Dot(bulge)] * b + [Dot(1)] * c
     moves += [Unzip(1, loop_id_aligned=aligned, loop_id_anti=anti)]
     moves += [Death(-2), Death(-1)]
-    return FoamMovie(Web(), moves)
+    return run_movie(Web(), moves)
 
 
 def test_bubble_movie_states():
@@ -215,7 +217,7 @@ def lens_movie(a: int, b: int, c: int) -> FoamMovie:
     moves += [Zip(-1, -2, None, (1, 2, 3, 4, 5, 6))]
     moves += [Dot(1)] * c
     moves += [Unzip(1, loop_id_aligned=-2, loop_id_anti=-1), Death(-1), Death(-2)]
-    return FoamMovie(Web(), moves)
+    return run_movie(Web(), moves)
 
 
 def test_lens_zip_web_structure():
@@ -267,7 +269,7 @@ def lens_half(a: int, b: int, c: int) -> FoamMovie:
     moves += [Dot(-1)] * a + [Dot(-2)] * b
     moves += [Zip(-1, -2, None, (1, 2, 3, 4, 5, 6))]
     moves += [Dot(1)] * c
-    return FoamMovie(Web(), moves)
+    return run_movie(Web(), moves)
 
 
 def _closed_samples() -> list[FoamMovie]:
@@ -654,10 +656,10 @@ def test_zip_self_parallel_rejected():
         parent={-1: None, -2: None},
     )
     with pytest.raises(MoveError):
-        apply_move(w, Zip(-1, -2, None, (1, 2, 3, 4, 5, 6)))
+        apply_zip(w, Zip(-1, -2, None, (1, 2, 3, 4, 5, 6)))
     # nested loops of opposite turning likewise
     with pytest.raises(MoveError):
-        apply_move(
+        apply_zip(
             nested_loops_web(), Zip(-1, -2, ("inside", -1), (1, 2, 3, 4, 5, 6))
         )
 
@@ -667,21 +669,21 @@ def test_zip_nested_same_turning():
         loop_ccw={-1: True, -2: True},
         parent={-1: None, -2: ("inside", -1)},
     )
-    after, _ = apply_move(w, Zip(-1, -2, ("inside", -1), (1, 2, 3, 4, 5, 6)))
+    after = apply_zip(w, Zip(-1, -2, ("inside", -1), (1, 2, 3, 4, 5, 6)))
     assert after.loop_ccw == {}
     assert len(after.faces()) == 3
-    m = FoamMovie(w, (Zip(-1, -2, ("inside", -1), (1, 2, 3, 4, 5, 6)),))
+    m = run_movie(w, (Zip(-1, -2, ("inside", -1), (1, 2, 3, 4, 5, 6)),))
     assert m.reflect().end == w
 
 
 def test_zip_loop_to_edge():
     w = theta_with_loop_inside()
     mv = Zip(-1, 4, ("face", 1), (11, 12, 13, 14, 15, 16))
-    after, _ = apply_move(w, mv)
+    after = apply_zip(w, mv)
     assert after.loop_ccw == {}
     assert len(after.sigma) == 12
     assert len(after.faces()) == 4
-    assert FoamMovie(w, (mv,)).reflect().end == w
+    assert run_movie(w, (mv,)).reflect().end == w
 
 
 # --------------------------------------------------------------------------
@@ -789,12 +791,12 @@ def test_fin_collapse_table():
         moves += [Dot(-1)] * a + [Dot(-2)] * b
         moves += [Zip(-1, -2, None, (1, 2, 3, 4, 5, 6))]
         moves += [Dot(1)] * c
-        fin = FoamMovie(Web(), moves)
+        fin = run_movie(Web(), moves)
         cap = cap_movies(fin.end, face)[1]
         assert [type(m) for m in cap.moves] == [Unzip, Death]
         (survivor,) = cap.end.loop_ccw
         moves += [*cap.moves, Death(survivor)]
-        return evaluate_closed(FoamMovie(Web(), moves))
+        return evaluate_closed(run_movie(Web(), moves))
 
     for face in (1, 2):
         for a, b, c in itertools.product(range(3), repeat=3):
@@ -813,7 +815,7 @@ def _sample_movies() -> list[FoamMovie]:
         lens_movie(0, 1, 2),
         cap_movies(theta_web(), 1)[0],
         square_split_movies(w, _bounded_square_faces(w)[0])[0],
-        FoamMovie(
+        run_movie(
             theta_with_loop_inside(),
             (Zip(-1, 4, ("face", 1), (11, 12, 13, 14, 15, 16)),),
         ),
@@ -864,15 +866,40 @@ def test_zip_validation():
     w = theta_with_loop_inside()
     fresh = (11, 12, 13, 14, 15, 16)
     with pytest.raises(MoveError):
-        apply_move(w, Zip(-1, -1, ("face", 1), fresh))  # sites not distinct
+        apply_zip(w, Zip(-1, -1, ("face", 1), fresh))  # sites not distinct
     with pytest.raises(MoveError):
-        apply_move(w, Zip(-1, 2, ("face", 1), fresh))  # site 2 not on that face
+        apply_zip(w, Zip(-1, 2, ("face", 1), fresh))  # site 2 not on that face
     with pytest.raises(MoveError):
-        apply_move(w, Zip(-1, 1, ("face", 1), fresh))  # both sites anti-aligned
+        apply_zip(w, Zip(-1, 1, ("face", 1), fresh))  # both sites anti-aligned
     with pytest.raises(MoveError):
-        apply_move(w, Zip(-1, 4, ("face", 3), fresh))  # region not shared
+        apply_zip(w, Zip(-1, 4, ("face", 3), fresh))  # region not shared
     with pytest.raises(MoveError):  # labels collide with existing darts
-        apply_move(w, Zip(-1, 4, ("face", 1), (1, 12, 13, 14, 15, 16)))
+        apply_zip(w, Zip(-1, 4, ("face", 1), (1, 12, 13, 14, 15, 16)))
+
+
+def test_a_zip_without_slices_raises():
+    # no zip surgery runs in the package: a zip is the inverse of an
+    # unzip, and runs only in a movie given its slices
+    w = theta_with_loop_inside()
+    mv = Zip(-1, 4, ("face", 1), (11, 12, 13, 14, 15, 16))
+    with pytest.raises(MoveError):
+        FoamMovie(w, (mv,)).states()
+    with pytest.raises(MoveError):
+        FoamMovie(w, (mv,)).instruction_stream()
+    with pytest.raises(MoveError):
+        apply_move(w, mv)
+    after = apply_zip(w, mv)
+    assert FoamMovie(w, (mv,), (w, after)).end is after
+
+
+def test_given_slices_must_fit_the_movie():
+    w = theta_with_loop_inside()
+    mv = Zip(-1, 4, ("face", 1), (11, 12, 13, 14, 15, 16))
+    after = apply_zip(w, mv)
+    with pytest.raises(MalformedMovie, match="slices"):
+        FoamMovie(w, (mv,), (w,))
+    with pytest.raises(MalformedMovie, match="slices"):
+        FoamMovie(w, (mv,), (theta_with_loop_inside(), after))
 
 
 def test_unzip_validation():
@@ -971,7 +998,7 @@ def test_inverse_move_pairs():
     w2, _ = apply_move(th, mv2)
     back = inverse_move(mv2, th, w2)
     assert isinstance(back, Zip)
-    assert apply_move(w2, back)[0] == th
+    assert apply_zip(w2, back) == th
     assert inverse_move(back, w2, th) == Unzip(
         3, loop_id_aligned=-10, loop_id_anti=-11
     )
@@ -988,4 +1015,4 @@ def test_inverse_of_a_splitting_unzip_routes_nothing():
         back = inverse_move(mv, w, after)
         assert back.children_to_sink == frozenset()
         assert back.ceiling_side is None
-        assert apply_move(after, back)[0] == w
+        assert apply_zip(after, back) == w

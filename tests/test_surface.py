@@ -14,7 +14,8 @@ reached by the language and are skipped.
 
 The package's arithmetic is also exact: no file in ``src/artifact``
 divides with ``/``, calls ``float`` or imports ``fractions`` or
-``decimal``.
+``decimal``.  Nor does it check anything with an ``assert`` statement,
+which ``python -O`` strips: a check the package relies on raises.
 """
 
 import ast
@@ -150,8 +151,9 @@ def test_allowlist_names_existing_definitions():
 
 
 def _inexact_uses(path: Path) -> list[str]:
-    """Every true division, ``float(`` call and import of ``fractions``
-    or ``decimal`` in one file, as ``file:line: what``, in line order."""
+    """Every true division, ``float(`` call, import of ``fractions`` or
+    ``decimal`` and ``assert`` statement in one file, as ``file:line:
+    what``, in line order."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     found = []
     for node in ast.walk(tree):
@@ -170,6 +172,8 @@ def _inexact_uses(path: Path) -> list[str]:
         elif isinstance(node, ast.ImportFrom):
             if (node.module or "").split(".")[0] in ("fractions", "decimal"):
                 what = "import of fractions or decimal"
+        elif isinstance(node, ast.Assert):
+            what = "assert statement"
         if what:
             found.append((node.lineno, f"{path.name}:{node.lineno}: {what}"))
     return [use for _, use in sorted(found)]
@@ -178,13 +182,15 @@ def _inexact_uses(path: Path) -> list[str]:
 def test_package_arithmetic_is_exact():
     # no floats or rationals in the package's arithmetic: every quantity
     # is an exact integer, and a result that is not one raises instead
-    # of rounding
+    # of rounding; no check is an assert, which python -O would strip
     found = [
         use
         for path in sorted((REPO_ROOT / "src" / "artifact").glob("*.py"))
         for use in _inexact_uses(path)
     ]
-    assert not found, "inexact arithmetic in src/artifact: " + ", ".join(found)
+    assert not found, "inexact arithmetic or assert in src/artifact: " + ", ".join(
+        found
+    )
 
 
 def test_exactness_check_sees_each_inexact_form(tmp_path):
@@ -195,7 +201,8 @@ def test_exactness_check_sees_each_inexact_form(tmp_path):
         "x = 1 / 2\n"
         "x /= 3\n"
         "y = float(4)\n"
-        "w = 7 // 2\n",
+        "w = 7 // 2\n"
+        "assert w, 'checked'\n",
         encoding="utf-8",
     )
     assert [use.split(": ", 1)[1] for use in _inexact_uses(sample)] == [
@@ -204,4 +211,5 @@ def test_exactness_check_sees_each_inexact_form(tmp_path):
         "true division",
         "true division",
         "float() call",
+        "assert statement",
     ]

@@ -27,6 +27,7 @@ from artifact.foam import (
 from artifact.web import Web, kuperberg_bracket
 from artifact.selftest import (
     check_edge_ring,
+    run_selftest,
     edge_dot_action,
     edge_sites,
     identity_matrix,
@@ -62,6 +63,7 @@ from .oracles import (
     fraction_solve,
     label_basis,
     relabeled_movie,
+    run_movie,
     scratch_matrix,
     served_basis,
 )
@@ -768,6 +770,29 @@ def test_extended_halves_equal_swept_halves_on_cube_edges(monkeypatch):
     # every class basis element and every pushed element was extended
     assert _check_extensions(calls) > 1000
     assert len(edges) > 180
+
+
+def test_reflected_movies_match_the_zip_oracle(monkeypatch):
+    # a reflected movie is given the forward slices reversed and runs no
+    # zip; zip surgery from scratch must give exactly those slices
+    _cold(monkeypatch)
+    reflected = []
+    real = FoamMovie.reflect
+
+    def recorded(self):
+        out = real(self)
+        reflected.append(out)
+        return out
+
+    monkeypatch.setattr(FoamMovie, "reflect", recorded)
+    for d in list(fixture_diagrams().values()) + [parse_pd(TORUS_5_1)]:
+        build_complex(d)
+    run_selftest()
+    zips = 0
+    for m in reflected:
+        assert run_movie(m.start, m.moves).states() == m.states()
+        zips += sum(isinstance(mv, foam.Zip) for mv in m.moves)
+    assert len(reflected) > 30 and zips > 40
 
 
 def test_served_halves_are_the_halves_of_the_class_movies():
