@@ -195,7 +195,8 @@ class _Cache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError, RecursionError):
+            # an unreadable, undecodable or too deeply nested entry is a miss
             return None
 
     def put(self, key: str, payload) -> None:

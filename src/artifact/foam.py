@@ -21,8 +21,8 @@ and a death (``square_split_movies``).  Every zip is an unzip read
 backwards (``inverse_move``), met in a reflected movie or on a positive
 cube edge, where its end slice is already known; so it runs only in a
 movie given its slices, and the unzip is the only surgery that rewires
-strands.  Tracking instructions read only the slice before a move
-(``move_instructions``).
+strands.  A sweep adds the surface of each move from the slice before
+it (``FoamState.track``), so it runs no surgery either.
 
 Vertices of the web slice are the endpoints of singular arcs in progress.
 ``Zip`` creates a vertex pair (one arc); ``Unzip`` annihilates a vertex
@@ -252,20 +252,8 @@ def _make_renamer(
     return rename
 
 
-# Tracking instructions handed to FoamState.  Surface-element keys are
-# ("dart", d) or ("loop", l).
-
-
-def _k_dart(d: int) -> tuple[str, int]:
-    return ("dart", d)
-
-
-def _k_loop(l: int) -> tuple[str, int]:
-    return ("loop", l)
-
-
 # ==========================================================================
-# move application: web surgery + tracking instructions
+# move application: web surgery
 # ==========================================================================
 
 
@@ -505,66 +493,17 @@ _APPLIERS = {
 }
 
 
-def apply_move(web: Web, move: Move) -> tuple[Web, list]:
-    """Apply one move by web surgery; returns the new web and tracking
-    instructions.  A ``Zip`` has no surgery and raises ``MoveError``: it
-    runs only in a ``FoamMovie`` given its slices."""
+def apply_move(web: Web, move: Move) -> Web:
+    """Apply one move by web surgery and return the new web.  A ``Zip``
+    has no surgery and raises ``MoveError``: it runs only in a
+    ``FoamMovie`` given its slices."""
     applier = _APPLIERS.get(type(move))
     if applier is None:
         raise MoveError(
             f"no web surgery for {type(move).__name__}: a zip runs only in "
             "a movie given its slices"
         )
-    return applier(web, move), move_instructions(web, move)
-
-
-def move_instructions(web: Web, mv: Move) -> list:
-    """The tracking instructions of ``mv`` run from the slice ``web``.
-
-    They read only the slice before the move, so a movie whose slices
-    are given sweeps with no surgery."""
-    if isinstance(mv, Birth):
-        return [("new_class", _k_loop(mv.loop_id)), ("chi", _k_loop(mv.loop_id), 1)]
-    if isinstance(mv, Death):
-        return [("chi", _k_loop(mv.loop_id), 1), ("unbind", _k_loop(mv.loop_id))]
-    if isinstance(mv, Dot):
-        return [("dot", _k_loop(mv.site) if mv.site < 0 else _k_dart(mv.site))]
-    if isinstance(mv, Zip):
-        al_a = _site_aligned(web, mv.site_a, mv.region)
-        s_plus, s_minus = (mv.site_a, mv.site_b) if al_a else (mv.site_b, mv.site_a)
-        m1, m2, in_p, out_p, in_m, out_m = mv.labels
-        like_p = _k_dart(s_plus) if s_plus > 0 else _k_loop(s_plus)
-        like_m = _k_dart(s_minus) if s_minus > 0 else _k_loop(s_minus)
-        instrs: list = [
-            ("new_class", _k_dart(m1)),
-            ("chi", _k_dart(m1), 1),
-            ("bind", _k_dart(m2), _k_dart(m1)),
-            ("bind", _k_dart(in_p), like_p),
-            ("bind", _k_dart(out_p), like_p),
-            ("bind", _k_dart(in_m), like_m),
-            ("bind", _k_dart(out_m), like_m),
-        ]
-        # a loop site is cut open into the new edges
-        instrs += [("unbind", _k_loop(l)) for l in (s_plus, s_minus) if l < 0]
-        seam = [(in_p, out_p), (in_m, out_m), (m1, m2)]
-        instrs.append(("seam_create", (m1, in_m, in_p), (m2, out_p, out_m), seam))
-        return instrs
-    if isinstance(mv, Unzip):
-        m1, m2, p, q, r, s = _unzip_arms(web, mv.seam)
-        lid_a, lid_b = _unzip_new_loop_ids(
-            web, mv, web.alpha[q] == r, web.alpha[p] == s
-        )
-        instrs = []
-        if lid_a is not None:
-            instrs.append(("bind", _k_loop(lid_a), _k_dart(q)))
-        if lid_b is not None:
-            instrs.append(("bind", _k_loop(lid_b), _k_dart(p)))
-        instrs.append(("fuse", _k_dart(q), _k_dart(r)))
-        instrs.append(("fuse", _k_dart(p), _k_dart(s)))
-        instrs.append(("seam_join", (m1, p, q), (m2, r, s), [(m1, m2), (p, s), (q, r)]))
-        instrs += [("unbind", _k_dart(d)) for d in (m1, m2, p, q, r, s)]
-        return instrs
-    raise MoveError(f"cannot track move {mv!r}")
+    return applier(web, move)
 
 
 # ==========================================================================
@@ -675,7 +614,7 @@ class FoamMovie:
     the slices come from running each move by surgery, once, when first
     asked for."""
 
-    __slots__ = ("start", "moves", "_states", "_instrs")
+    __slots__ = ("start", "moves", "_states")
 
     def __init__(
         self,
@@ -686,7 +625,6 @@ class FoamMovie:
         self.start = start
         self.moves = tuple(moves)
         self._states: Optional[list[Web]] = None
-        self._instrs: Optional[tuple] = None
         if slices is not None:
             if len(slices) != len(self.moves) + 1 or slices[0] is not start:
                 raise MalformedMovie(
@@ -699,16 +637,9 @@ class FoamMovie:
         if self._states is None:
             webs = [self.start]
             for mv in self.moves:
-                webs.append(apply_move(webs[-1], mv)[0])
+                webs.append(apply_move(webs[-1], mv))
             self._states = webs
         return self._states
-
-    def instruction_stream(self) -> tuple:
-        """The facet-tracking instruction list of each move, in order,
-        read off the slice before it (``move_instructions``)."""
-        if self._instrs is None:
-            self._instrs = tuple(map(move_instructions, self.states(), self.moves))
-        return self._instrs
 
     @property
     def end(self) -> Web:
@@ -851,8 +782,7 @@ class _DSU:
 
 class PreFoam(NamedTuple):
     """The evaluation-relevant shadow of a closed movie: facets with
-    their (genus, dots), and singular circles as cyclic facet triples.
-    A named tuple, so that the evaluation memo hashes it in C."""
+    their (genus, dots), and singular circles as cyclic facet triples."""
 
     facets: tuple[tuple[int, int], ...]
     circles: tuple[tuple[int, int, int], ...]
@@ -861,13 +791,17 @@ class PreFoam(NamedTuple):
 class FoamState:
     """Sweeps a movie, accumulating facet classes (Euler characteristic
     and dots), seam arcs with their boundary strips, and closed singular
-    circles."""
+    circles.
+
+    The sheet class of each strand of the current slice is keyed by the
+    strand's signed site, as in ``Dot.site``: a dart by itself, a free
+    loop by its negative id."""
 
     def __init__(self) -> None:
         self.facets = _DSU()
         self.chi: dict[int, int] = {}
         self.dots: dict[int, int] = {}
-        self.class_of: dict[tuple[str, int], int] = {}
+        self.class_of: dict[int, int] = {}
         self.strips = _DSU()
         self.strip_facet: dict[int, int] = {}
         self.strip_at: dict[tuple[int, int], int] = {}  # (vertex token, dart)
@@ -878,44 +812,75 @@ class FoamState:
         self.circles: list[tuple[int, int, int]] = []
         self._next_vertex = 0
 
-    def _node(self, key: tuple[str, int]) -> int:
-        if key not in self.class_of:
-            raise MalformedMovie(f"no sheet class bound to {key}")
-        return self.class_of[key]
+    def _node(self, site: int) -> int:
+        if site not in self.class_of:
+            raise MalformedMovie(f"no sheet class bound to site {site}")
+        return self.class_of[site]
 
-    def _root(self, key: tuple[str, int]) -> int:
-        return self.facets.find(self._node(key))
+    def _root(self, site: int) -> int:
+        return self.facets.find(self._node(site))
 
-    def apply(self, instrs: list) -> None:
-        for ins in instrs:
-            op = ins[0]
-            if op == "new_class":
-                node = self.facets.make()
-                self.chi[node] = 0
-                self.dots[node] = 0
-                self.class_of[ins[1]] = node
-            elif op == "bind":
-                self.class_of[ins[1]] = self._node(ins[2])
-            elif op == "unbind":
-                self.class_of.pop(ins[1], None)
-            elif op == "chi":
-                self.chi[self._root(ins[1])] += ins[2]
-            elif op == "dot":
-                self.dots[self._root(ins[1])] += 1
-            elif op == "fuse":
-                ra, rb = self._root(ins[1]), self._root(ins[2])
-                if ra != rb:
-                    keep = self.facets.union(ra, rb)
-                    drop = rb if keep == ra else ra
-                    self.chi[keep] += self.chi.pop(drop)
-                    self.dots[keep] += self.dots.pop(drop)
-                self.chi[self.facets.find(ra)] -= 1
-            elif op == "seam_create":
-                self._seam_create(ins[1], ins[2], ins[3])
-            elif op == "seam_join":
-                self._seam_join(ins[1], ins[2], ins[3])
-            else:
-                raise MalformedMovie(f"unknown tracking instruction {op!r}")
+    def track(self, web: Web, mv: Move) -> None:
+        """Add the surface ``mv`` sweeps from the slice ``web`` before it.
+
+        Only that slice is read, so a movie whose slices are given sweeps
+        with no surgery."""
+        if isinstance(mv, Birth):
+            self._new_disc(mv.loop_id)
+        elif isinstance(mv, Death):
+            self.chi[self._root(mv.loop_id)] += 1
+            del self.class_of[mv.loop_id]
+        elif isinstance(mv, Dot):
+            self.dots[self._root(mv.site)] += 1
+        elif isinstance(mv, Zip):
+            al_a = _site_aligned(web, mv.site_a, mv.region)
+            s_plus, s_minus = (mv.site_a, mv.site_b) if al_a else (mv.site_b, mv.site_a)
+            m1, m2, in_p, out_p, in_m, out_m = mv.labels
+            cls = self.class_of
+            cls[m2] = self._new_disc(m1)
+            cls[in_p] = cls[out_p] = self._node(s_plus)
+            cls[in_m] = cls[out_m] = self._node(s_minus)
+            # a loop site is cut open into the new edges
+            for l in (s_plus, s_minus):
+                if l < 0:
+                    cls.pop(l, None)
+            seam = ((in_p, out_p), (in_m, out_m), (m1, m2))
+            self._seam_create((m1, in_m, in_p), (m2, out_p, out_m), seam)
+        elif isinstance(mv, Unzip):
+            m1, m2, p, q, r, s = _unzip_arms(web, mv.seam)
+            lid_a, lid_b = _unzip_new_loop_ids(
+                web, mv, web.alpha[q] == r, web.alpha[p] == s
+            )
+            if lid_a is not None:
+                self.class_of[lid_a] = self._node(q)
+            if lid_b is not None:
+                self.class_of[lid_b] = self._node(p)
+            self._fuse(q, r)
+            self._fuse(p, s)
+            self._seam_join((m1, p, q), (m2, r, s), ((m1, m2), (p, s), (q, r)))
+            for d in (m1, m2, p, q, r, s):
+                self.class_of.pop(d, None)
+        else:
+            raise MoveError(f"cannot track move {mv!r}")
+
+    def _new_disc(self, site: int) -> int:
+        """A new facet class, a disc so far, bound to ``site``."""
+        node = self.facets.make()
+        self.chi[node] = 1
+        self.dots[node] = 0
+        self.class_of[site] = node
+        return node
+
+    def _fuse(self, a: int, b: int) -> None:
+        """Join the sheets of sites ``a`` and ``b`` across the saddle the
+        move sweeps, which lowers their Euler characteristic by one."""
+        ra, rb = self._root(a), self._root(b)
+        if ra != rb:
+            keep = self.facets.union(ra, rb)
+            drop = rb if keep == ra else ra
+            self.chi[keep] += self.chi.pop(drop)
+            self.dots[keep] += self.dots.pop(drop)
+        self.chi[self.facets.find(ra)] -= 1
 
     # -- seams -------------------------------------------------------------
 
@@ -926,7 +891,7 @@ class FoamState:
         for d in cycle:
             self.vertex_of_dart[d] = token
             strip = self.strips.make()
-            self.strip_facet[strip] = self._node(_k_dart(d))
+            self.strip_facet[strip] = self._node(d)
             self.strip_at[(token, d)] = strip
         return token
 
@@ -946,7 +911,7 @@ class FoamState:
         self,
         sink_cycle: tuple[int, int, int],
         source_cycle: tuple[int, int, int],
-        pairing: list,
+        pairing: Iterable[tuple[int, int]],
     ) -> None:
         v1 = self._new_vertex(sink_cycle, sink=True)
         v2 = self._new_vertex(source_cycle, sink=False)
@@ -960,7 +925,7 @@ class FoamState:
         self,
         sink_cycle: tuple[int, int, int],
         source_cycle: tuple[int, int, int],
-        pairing: list,
+        pairing: Iterable[tuple[int, int]],
     ) -> None:
         v1 = self.vertex_of_dart.get(sink_cycle[0])
         v2 = self.vertex_of_dart.get(source_cycle[0])
@@ -1006,12 +971,12 @@ def _sink_reading(cycle: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 def _sweep(movie: FoamMovie, state: Optional[FoamState] = None) -> FoamState:
-    """Run a movie's instruction stream into ``state``, seeded at its
-    start web, or into a fresh state for a movie from the empty web."""
+    """Track a movie's moves into ``state``, seeded at its start web, or
+    into a fresh state for a movie from the empty web."""
     if state is None:
         state = FoamState()
-    for instrs in movie.instruction_stream():
-        state.apply(instrs)
+    for web, mv in zip(movie.states(), movie.moves):
+        state.track(web, mv)
     return state
 
 
@@ -1128,10 +1093,8 @@ def _reduce(state: FoamState, web: Web) -> tuple[HalfFoam, Callable[[int], int]]
     def facet_of(node: int) -> int:
         return index[find(node)]
 
-    dart_facet = {d: facet_of(state._node(_k_dart(d))) for d in web.darts}
-    keys = tuple(dart_facet.values()) + tuple(
-        facet_of(state._node(_k_loop(l))) for l in web.loops
-    )
+    keys = tuple(facet_of(state._node(x)) for x in web.darts + web.loops)
+    dart_facet = dict(zip(web.darts, keys))
     twice_chi = [2 * state.chi[r] for r in roots]
     for t in web.out_darts:
         f = dart_facet[t]
@@ -1188,9 +1151,9 @@ def _seeded_state(
     for node in range(shape.size):
         state.facets.make()
         state.chi[node] = state.dots[node] = 0
-    keys = [_k_dart(dart_map.get(d, d)) for d in web.darts]
-    keys += [_k_loop(loop_map.get(l, l)) for l in web.loops]
-    state.class_of = dict(zip(keys, shape.keys))
+    sites = [dart_map.get(d, d) for d in web.darts]
+    sites += [loop_map.get(l, l) for l in web.loops]
+    state.class_of = dict(zip(sites, shape.keys))
     for f in shape.strip_facets:
         state.strip_facet[state.strips.make()] = f
     state.arcs.parent = {a: a for a in shape.arcs}
@@ -1634,7 +1597,7 @@ def square_split_movies(web: Web, face: int) -> tuple[FoamMovie, FoamMovie]:
         for seam in seams:
             lid = _fresh_loop_id(cur)
             mv = Unzip(seam, loop_id_aligned=lid, loop_id_anti=lid - 1)
-            cur, _ = apply_move(cur, mv)
+            cur = apply_move(cur, mv)
             moves.append(mv)
             if seam == seams[1]:
                 # the face lies left of its orbit darts, so its side of

@@ -205,7 +205,7 @@ def _preparations(web: Web) -> Tuple[List[HalfFoam], List[int], Trace]:
         lid = reduction.loop_id
         region = web.parent[lid]
         ccw = web.loop_ccw[lid]
-        smaller, _ = apply_move(web, Death(lid))
+        smaller = apply_move(web, Death(lid))
         grow = [(Birth(lid, region, ccw),) + (Dot(lid),) * dots for dots in range(3)]
         halves, degrees, sub = _extended_basis(
             smaller, *(FoamMovie(smaller, moves) for moves in grow)

@@ -666,7 +666,7 @@ def _preparations(web: Web, basis) -> tuple[FoamMovie, ...]:
         return (identity_movie(web),)
     if isinstance(reduction, FreeLoop):
         lid = reduction.loop_id
-        smaller, _ = apply_move(web, Death(lid))
+        smaller = apply_move(web, Death(lid))
         births = [
             FoamMovie(
                 smaller,
@@ -915,7 +915,7 @@ def run_movie(start: Web, moves) -> FoamMovie:
         if isinstance(mv, Zip):
             slices.append(apply_zip(slices[-1], mv))
         else:
-            slices.append(apply_move(slices[-1], mv)[0])
+            slices.append(apply_move(slices[-1], mv))
     return FoamMovie(start, moves, slices)
 
 

@@ -257,7 +257,12 @@ def test_homology_no_cache_writes_nothing(capsys, tmp_path, monkeypatch):
     assert not os.path.exists(cache_dir)
 
 
-def test_homology_corrupt_cache_entry_is_recomputed(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "damage",
+    [b"{not json", b"\xff\xfe\x00\x00{}", b"[" * 200000],
+    ids=["not-json", "not-utf8", "deeply-nested"],
+)
+def test_homology_corrupt_cache_entry_is_recomputed(capsys, tmp_path, damage):
     cache_dir = tmp_path / "cache"
     argv = [
         "--pd",
@@ -272,7 +277,7 @@ def test_homology_corrupt_cache_entry_is_recomputed(capsys, tmp_path):
     code1, out1, _ = run_cli(capsys, argv)
     assert code1 == 0
     (entry,) = cache_dir.iterdir()
-    entry.write_text("{not json", encoding="utf-8")
+    entry.write_bytes(damage)
     code2, out2, _ = run_cli(capsys, argv)
     assert code2 == 0
     assert out2 == out1

@@ -619,7 +619,7 @@ def test_extension_plan_faults_raise_for_every_half(monkeypatch):
 
 def test_unzip_center_edge_splits_side_by_side():
     w = theta_web()
-    after, _ = apply_move(w, Unzip(3, loop_id_aligned=-10, loop_id_anti=-11))
+    after = apply_move(w, Unzip(3, loop_id_aligned=-10, loop_id_anti=-11))
     assert after.sigma == {}
     assert after.loop_ccw == {-10: False, -11: True}
     assert after.parent == {-10: None, -11: None}
@@ -627,16 +627,16 @@ def test_unzip_center_edge_splits_side_by_side():
 
 def test_unzip_top_edge_splits_nested():
     w = theta_web()
-    after, _ = apply_move(w, Unzip(1, loop_id_aligned=-20, loop_id_anti=-21))
+    after = apply_move(w, Unzip(1, loop_id_aligned=-20, loop_id_anti=-21))
     assert after.loop_ccw == {-20: True, -21: True}
     assert after.parent == {-20: None, -21: ("inside", -20)}
 
 
 def test_unzip_interior_items_follow_faces():
     w = theta_with_loop_inside()  # free loop -1 in the face (1, 4)
-    after, _ = apply_move(w, Unzip(3, loop_id_aligned=-10, loop_id_anti=-11))
+    after = apply_move(w, Unzip(3, loop_id_aligned=-10, loop_id_anti=-11))
     assert after.parent[-1] == ("inside", -10)
-    after2, _ = apply_move(w, Unzip(1, loop_id_aligned=-20, loop_id_anti=-21))
+    after2 = apply_move(w, Unzip(1, loop_id_aligned=-20, loop_id_anti=-21))
     assert after2.parent[-1] == ("inside", -21)
 
 
@@ -769,7 +769,7 @@ def test_square_split_reflect_roundtrip():
 def test_unzip_merges_on_cube():
     w = cube_web()
     for tail in sorted(w.out_darts):
-        after, _ = apply_move(w, Unzip(tail))
+        after = apply_move(w, Unzip(tail))
         assert len(after.sigma) == 18
         assert len(after.out_darts) == 9
         assert len(after.faces()) == 5
@@ -849,7 +849,7 @@ def test_death_validation():
     w = nested_loops_web()
     with pytest.raises(MoveError):
         apply_move(w, Death(-1))  # interior not empty
-    after, _ = apply_move(w, Death(-2))
+    after = apply_move(w, Death(-2))
     assert after.loop_ccw == {-1: True}
     with pytest.raises(MoveError):
         apply_move(w, Death(-9))
@@ -885,7 +885,7 @@ def test_a_zip_without_slices_raises():
     with pytest.raises(MoveError):
         FoamMovie(w, (mv,)).states()
     with pytest.raises(MoveError):
-        FoamMovie(w, (mv,)).instruction_stream()
+        foam._sweep(FoamMovie(w, (mv,)))
     with pytest.raises(MoveError):
         apply_move(w, mv)
     after = apply_zip(w, mv)
@@ -900,6 +900,35 @@ def test_given_slices_must_fit_the_movie():
         FoamMovie(w, (mv,), (w,))
     with pytest.raises(MalformedMovie, match="slices"):
         FoamMovie(w, (mv,), (theta_with_loop_inside(), after))
+
+
+def test_a_sweep_rejects_a_site_its_slices_lack():
+    # the given slices have no loop -2, so the dot has no sheet to mark
+    w0 = Web()
+    w1 = apply_move(w0, Birth(-1, None, True))
+    m = FoamMovie(w0, (Birth(-1, None, True), Dot(-2)), (w0, w1, w1))
+    with pytest.raises(MalformedMovie, match="no sheet class"):
+        foam._sweep(m)
+
+
+def test_a_sweep_rejects_an_unzip_over_reversed_edges():
+    # the slice before the lens's unzip, with every edge reversed, puts
+    # the unzip's sink dart at the seam's source endpoint
+    m = lens_movie(0, 0, 0)
+    states = m.states()
+    k = next(i for i, mv in enumerate(m.moves) if isinstance(mv, Unzip))
+    w = states[k]
+    flipped = Web(
+        w.sigma,
+        w.alpha,
+        [w.alpha[d] for d in w.out_darts],
+        w.loop_ccw,
+        w.parent,
+        w.outer_face,
+    )
+    sweep = FoamMovie(m.start, m.moves[: k + 1], [*states[:k], flipped, states[k + 1]])
+    with pytest.raises(MalformedMovie, match="sink with a source"):
+        foam._sweep(sweep)
 
 
 def test_unzip_validation():
@@ -988,14 +1017,14 @@ def test_evaluation_cache_stable():
 def test_inverse_move_pairs():
     w0 = Web()
     mv = Birth(-1, None, True)
-    w1, _ = apply_move(w0, mv)
+    w1 = apply_move(w0, mv)
     assert inverse_move(mv, w0, w1) == Death(-1)
     assert inverse_move(Death(-1), w1, w0) == Birth(-1, None, True)
     assert inverse_move(Dot(-1), w1, w1) == Dot(-1)
 
     th = theta_web()
     mv2 = Unzip(3, loop_id_aligned=-10, loop_id_anti=-11)
-    w2, _ = apply_move(th, mv2)
+    w2 = apply_move(th, mv2)
     back = inverse_move(mv2, th, w2)
     assert isinstance(back, Zip)
     assert apply_zip(w2, back) == th
@@ -1011,7 +1040,7 @@ def test_inverse_of_a_splitting_unzip_routes_nothing():
     w = theta_with_loop_inside()
     for seam in (3, 5):
         mv = Unzip(seam, loop_id_aligned=-20, loop_id_anti=-21)
-        after, _ = apply_move(w, mv)
+        after = apply_move(w, mv)
         back = inverse_move(mv, w, after)
         assert back.children_to_sink == frozenset()
         assert back.ceiling_side is None
