@@ -37,7 +37,11 @@ determines:
 
 That data is a ``PreFoam``; ``evaluate`` turns it into an exact integer
 using the three-sheet circle rule and the closed-surface values of the
-algebra module.
+algebra module.  Only the twice-dotted sphere and the undotted torus
+have nonzero values, so the weight each facet must receive from its
+circles is forced, and a value is a sign, a product of -1s and 3s, and
+a signed count of the colourings of the circles that meet those needs,
+memoized by circles and needs across all foams.
 
 *Half foams.*  A movie from the empty web to a web ``W`` has a
 ``HalfFoam`` (``half_foam``, one sweep): its swept end state, reduced
@@ -47,16 +51,15 @@ state.  The shape (``HalfShape``) is the facet count,
 the facet of every dart and loop of ``W``, the circles already closed,
 and at every vertex of ``W`` the open seam arc ending there with its
 three strips.  The labels are each facet's twice Euler characteristic
-(less one per edge of ``W`` on it) and its dots.  ``glue(a, b)`` gives
-the ``PreFoam`` of ``a`` followed by the reflection of ``b`` without
-replaying either movie.  Everything that reads no label - one
-union-find over facets per dart and loop, one over seam arcs per
-vertex, each cycle of arcs a singular circle, the seam checks and the
-canonical numbering of the result - is a *glue plan*, built once per
-pair of shapes and kept in ``_GLUE_PLANS`` under the two shapes' small
-ids (``_intern_shape``, given once when a half is built), so finding a
-plan hashes no shape; ``glue`` only adds the two halves' labels through
-it and checks the resulting facets.
+(less one per edge of ``W`` on it) and its dots.  Two halves on one
+web glue into the closed foam of the first followed by the reflection
+of the second, without replaying either movie.  Everything that reads
+no label - one union-find over facets per dart and loop, one over seam
+arcs per vertex, each cycle of arcs a singular circle, the seam checks
+and the canonical numbering of the result - is a *glue plan*, built
+once per pair of shapes and kept in ``_GLUE_PLANS`` under the two
+shapes' small ids (``_intern_shape``, given once when a half is
+built), so finding a plan hashes no shape.
 
 A closed foam's value depends only on its plan and its summed labels,
 and the pairings of a Gram block or an induced matrix repeat few of
@@ -64,9 +67,11 @@ them.  ``pair_halves(lefts, rights)`` evaluates every pair of two lists
 of halves: it adds each half's labels through each plan it meets once
 per call (``_project``), and each pair only adds its two projections
 and looks the sum up in the plan's table of values.  A sum the table
-lacks is glued and evaluated, every check of ``glue`` included; one
-whose checks raise is never stored.  The tables live in the plans, so
-``clear_evaluation_cache`` empties them; ``evaluate`` keeps no memo.
+lacks is made into the foam's facets straight from those labels, with
+the checks that every facet is a closed orientable sheet, and
+evaluated; one whose checks raise is never stored.  The tables live in
+the plans, and ``evaluate``'s colouring counts in ``_COLOURINGS``;
+``clear_evaluation_cache`` empties both.
 
 Grading: a movie has a degree (birth/death -2, dot +2, zip/unzip +1);
 a closed movie of nonzero degree always evaluates to zero.
@@ -1067,8 +1072,8 @@ class HalfFoam(NamedTuple):
     swept so far and ``e`` the number of edges of ``web`` on it, so that
     the two halves of a closed foam add up to twice its Euler
     characteristic.  Many halves share a shape and differ only in their
-    labels, so ``glue`` plans the joining once per pair of shapes, found
-    by ``shape_id`` (``_intern_shape(shape)``)."""
+    labels, so gluing is planned once per pair of shapes (``_plan_of``),
+    found by ``shape_id`` (``_intern_shape(shape)``)."""
 
     web: Web
     shape: HalfShape
@@ -1334,19 +1339,10 @@ def _project(
     return tuple(out)
 
 
-def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
-    """The closed foam made of ``a`` followed by the reflection of ``b``,
-    glued along their shared end web.
-
-    The joining is planned once per pair of shapes (``_plan_of``); each
-    call then only adds the two halves' facet labels through the plan.
-    Mismatched end webs, every seam error of ``_glue_plan``, and a facet
-    that is not a closed orientable sheet raise ``MalformedMovie`` on
-    every offending call."""
-    _check_webs(a, b)
-    plan = _plan_of(a, b)
-    x, y = _project(plan, a.facets, 0), _project(plan, b.facets, a.shape.size)
-    labels = list(map(add, x, y))
+def _glued_prefoam(plan: _GluePlan, labels: Sequence[int]) -> PreFoam:
+    """The closed foam a glue plan makes of the summed labels of two
+    halves (``_project``).  A facet of odd Euler characteristic, then
+    one that is not a closed orientable sheet, raises ``MalformedMovie``."""
     twice_chi = labels[::2]
     for c in twice_chi:
         if c % 2:
@@ -1358,17 +1354,20 @@ def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
 def pair_halves(
     lefts: Sequence[HalfFoam], rights: Sequence[HalfFoam]
 ) -> list[list[int]]:
-    """``evaluate(glue(a, b))`` for every ``a`` in ``lefts`` (the rows)
-    and every ``b`` in ``rights`` (the columns).
+    """The value of the closed foam made of ``a`` followed by the
+    reflection of ``b``, glued along their shared end web, for every
+    ``a`` in ``lefts`` (the rows) and every ``b`` in ``rights`` (the
+    columns).
 
     A closed foam's value depends only on its glue plan and its summed
     labels, so within a call each half's labels are projected through
     each plan it meets once (``_project``), and a pair only adds its two
     projections and looks the sum up in the plan's value table.  A sum
-    the table lacks is glued and evaluated, so every check of ``glue``
-    runs on it; a sum whose checks raise is never stored and raises for
-    every pair that makes it.  End webs are compared first, once per
-    pair of web objects."""
+    the table lacks is made into the foam's facets straight from those
+    labels (``_glued_prefoam``) and evaluated; a sum whose checks raise
+    is never stored and raises for every pair that makes it.  End webs
+    are compared first, once per pair of web objects, and a pair of
+    shapes that does not glue raises when its plan is built."""
     right_webs = {id(b.web): b for b in rights}
     for a in {id(a.web): a for a in lefts}.values():
         for b in right_webs.values():
@@ -1390,7 +1389,7 @@ def pair_halves(
             labels = tuple(map(add, x, y))
             value = plan.values.get(labels)
             if value is None:
-                value = plan.values[labels] = evaluate(glue(a, b))
+                value = plan.values[labels] = evaluate(_glued_prefoam(plan, labels))
             row.append(value)
         out.append(row)
     return out
@@ -1411,93 +1410,126 @@ _SHAPE_IDS: dict[HalfShape, int] = {}
 _SHAPE_COUNTER = itertools.count()
 
 
+#: The signed colouring count of every (circles, need) met so far, for
+#: every plan and foam: see ``evaluate``.
+_COLOURINGS: dict[tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]], int] = {}
+
+
 def clear_evaluation_cache() -> None:
-    """Empty the glue plans, with their value tables, and the shape ids."""
+    """Empty the glue plans, with their value tables, the shape ids and
+    the colouring counts."""
     _GLUE_PLANS.clear()
     _SHAPE_IDS.clear()
+    _COLOURINGS.clear()
 
 
-#: Each way of giving the weights (0, 1, 2) to a circle's three sheets,
-#: with its sign.
-_SIGNED_PERMS = tuple(
-    (theta_symbol(*perm), perm)
-    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0), (1, 0, 2), (0, 2, 1))
+#: Each way a circle gives the weights (0, 1, 2) to its three sheets, as
+#: the complementary weights 2 - w the sheets receive, with its sign.
+_SIGNED_SHARES = tuple(
+    (theta_symbol(*perm), tuple(2 - w for w in perm))
+    for perm in itertools.permutations(range(3))
 )
+
+
+#: The weight a facet must receive from its circles, and its value then,
+#: for each (genus, dots) that can have a nonzero value: only the
+#: twice-dotted sphere and the undotted torus do.
+_FORCED = {
+    (g, d): (n, closed_surface_value(g, d + n))
+    for g, d, n in ((0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 0))
+}
 
 
 def evaluate(prefoam: PreFoam) -> int:
     """Exact integer value of a closed dotted singular surface.
 
-    Sums over all ways of assigning the weights (0, 1, 2) to the three
-    sheets around each singular circle (only arrangements using all
-    three survive: cyclic ones count +1, reversed ones -1), multiplying
-    each facet's closed-surface value at its own dots plus a
-    complementary weight (2 - i) per boundary slot, with a global sign
-    (-1) per circle.
+    The value sums over every way of giving the weights (0, 1, 2) to the
+    three sheets around each singular circle, cyclic orders counting +1
+    and reversed ones -1, with a global sign -1 per circle: each facet
+    contributes its closed-surface value at its dots plus the
+    complementary weight 2 - w of each of its boundary slots.  Since
+    only the twice-dotted sphere and the undotted torus are nonzero, the
+    weight a facet must receive is forced (this is the colouring-sum
+    form of foam evaluation; Robert--Wagner, arXiv 1702.04140, give it
+    for sl(N)):
+
+    * a facet *needs* 2 - d on a sphere with d <= 2 dots and 0 on an
+      undotted torus, and multiplies in the value it then has, -1 or 3
+      (``_FORCED``); any other facet, or a facet without slots that
+      needs more than 0, makes the value 0;
+    * each circle gives out 3 in all, so a total need other than 3 per
+      circle makes the value 0;
+    * what is left is ``N(circles, need)``, the signed number of ways to
+      meet every need exactly (``_count_colourings``), kept in one memo
+      for all foams, ``_COLOURINGS``.
     """
     facets, circles = prefoam
-    n = len(facets)
-    slots = [0] * n
+    slots = [0] * len(facets)
     for tri in circles:
         for f in tri:
             slots[f] += 1
-    for (g, d), b in zip(facets, slots):
-        if g >= 2 or (g == 1 and d > 0) or (g == 0 and d > 2):
+    value = -1 if len(circles) % 2 else 1
+    need = []
+    for facet, s in zip(facets, slots):
+        forced = _FORCED.get(facet)
+        if forced is None or (forced[0] and not s):
             return 0
-    # total dots must balance the total complementary weight the circles
-    # hand out, or every term dies
-    if sum(2 - 2 * g - b for (g, _), b in zip(facets, slots)) != sum(
-        d for _, d in facets
-    ):
+        value *= forced[1]
+        need.append(forced[0])
+    if sum(need) != 3 * len(circles):
         return 0
-    base = 1
-    for (g, d), b in zip(facets, slots):
-        if b == 0:
-            base *= closed_surface_value(g, d)
-            if base == 0:
-                return 0
-    close_at = [-1] * n
-    for idx, tri in enumerate(circles):
-        for f in tri:
-            close_at[f] = idx
-    sign = -1 if len(circles) % 2 else 1
-    memo: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+    while need and not slots[len(need) - 1]:
+        need.pop()
+    key = (circles, tuple(need))
+    count = _COLOURINGS.get(key)
+    if count is None:
+        count = _COLOURINGS[key] = _count_colourings(circles, key[1])
+    return value * count
 
-    def rec(idx: int, acc: tuple[tuple[int, int], ...]) -> int:
-        if idx == len(circles):
+
+def _count_colourings(
+    circles: Sequence[tuple[int, int, int]], need: tuple[int, ...]
+) -> int:
+    """The signed number of ways to give each circle's three sheets the
+    complementary weights (2, 1, 0) in some order, signed by that
+    order's ``_SIGNED_SHARES`` sign, so that facet ``f`` receives
+    exactly ``need[f]`` in all.
+
+    A recursion over the circles in order, memoized on the needs still
+    open; a branch dies as soon as a facet has received more than its
+    need or can no longer reach it with two per slot left."""
+    left = [0] * len(need)
+    caps = []
+    for x, y, z in reversed(circles):
+        caps.append((2 * left[x], 2 * left[y], 2 * left[z]))
+        left[x] += 1
+        left[y] += 1
+        left[z] += 1
+    caps.reverse()
+    last = len(circles)
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def rec(idx: int, rem: tuple[int, ...]) -> int:
+        if idx == last:
             return 1
-        key = (idx, acc)
+        key = (idx, rem)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        tri = circles[idx]
-        sheets = set(tri)
+        x, y, z = circles[idx]
+        cx, cy, cz = caps[idx]
         total = 0
-        for sgn, perm in _SIGNED_PERMS:
-            nxt = dict(acc)
-            for f, w in zip(tri, perm):
-                nxt[f] = nxt.get(f, 0) + (2 - w)
-            factor = sgn
-            dead = False
-            for f in sheets:
-                g, d = facets[f]
-                tot = d + nxt[f]
-                if close_at[f] == idx:
-                    factor *= closed_surface_value(g, tot)
-                    del nxt[f]
-                    if factor == 0:
-                        dead = True
-                        break
-                elif (g == 0 and tot > 2) or (g == 1 and tot > 0):
-                    dead = True
-                    break
-            if dead:
-                continue
-            total += factor * rec(idx + 1, tuple(sorted(nxt.items())))
+        for sign, (a, b, c) in _SIGNED_SHARES:
+            r = list(rem)
+            r[x] -= a
+            r[y] -= b
+            r[z] -= c
+            if 0 <= r[x] <= cx and 0 <= r[y] <= cy and 0 <= r[z] <= cz:
+                total += sign * rec(idx + 1, tuple(r))
         memo[key] = total
         return total
 
-    return sign * base * rec(0, ())
+    return rec(0, need)
 
 
 # ==========================================================================

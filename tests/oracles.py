@@ -1,8 +1,9 @@
 """Independent oracles used to fix expected values in the test suite.
 
 These helpers recompute target quantities by a second route so the tests
-compare two independent ones.  All but the replay, state-space,
-zip and flattening oracles avoid importing the package under test.
+compare two independent ones.  All but the replay, gluing,
+state-space, zip and flattening oracles avoid importing the package
+under test.
 
 Flag-variety trace oracle
 -------------------------
@@ -38,13 +39,28 @@ Exact solve oracle
 the rationals (``fractions.Fraction``), the reference for the package's
 Gram-block inverses, which go through the integer Smith normal form.
 
-Replay oracle
--------------
+Replay and gluing oracles
+-------------------------
 ``extract_prefoam`` runs a whole closed movie (empty web to empty web)
 through the package's sweep and reads its facets and singular circles
-off the final state, numbered by the same canonical numbering as
-``foam.glue``; ``evaluate_closed`` evaluates that.  Gluing two once-swept
-halves must give exactly what replaying their composite gives.
+off the final state, numbered by the same canonical numbering as the
+package's glue plans; ``evaluate_closed`` evaluates that.  ``glue``
+joins two once-swept halves into the ``PreFoam`` of one followed by the
+reflection of the other, through the package's glue plan, checking the
+end webs and every summed facet; it must give exactly what replaying
+their composite gives.  The package's pairing kernel never builds it:
+it makes the facets of a glued foam straight from the summed labels.
+
+Circle-recursion oracle
+-----------------------
+``evaluate_by_circles`` is the reference for ``foam.evaluate``: it sums
+over the weights (0, 1, 2) each singular circle gives its three sheets
+by a recursion over the circles, memoized within one foam on the
+weights each open facet has received, and multiplies in each facet's
+closed-surface value (``surface_value``) where its last circle closes
+it, each circle signed by ``flag_theta``.  It forces no
+weight and shares nothing between foams; the package forces each
+facet's weight and counts colourings in one memo for all foams.
 
 Dense cube oracle
 -----------------
@@ -116,6 +132,7 @@ from artifact.foam import (
     Death,
     Dot,
     FoamMovie,
+    HalfFoam,
     MalformedMovie,
     MoveError,
     PreFoam,
@@ -123,8 +140,11 @@ from artifact.foam import (
     _DSU,
     _canonical_numbering,
     _carry_faces,
+    _check_webs,
     _facet_genera,
     _make_renamer,
+    _plan_of,
+    _project,
     _relabel_move,
     _site_aligned,
     _sweep,
@@ -485,6 +505,110 @@ def extract_prefoam(movie: FoamMovie) -> PreFoam:
 def evaluate_closed(movie: FoamMovie) -> int:
     """Exact value of a closed movie (empty web to empty web), by replay."""
     return evaluate(extract_prefoam(movie))
+
+
+def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
+    """The closed foam made of ``a`` followed by the reflection of ``b``,
+    glued along their shared end web.
+
+    The joining comes from the package's glue plan of the two shapes;
+    the call adds the two halves' facet labels through it.  Mismatched
+    end webs, every seam error of the plan, and a facet that is not a
+    closed orientable sheet raise ``MalformedMovie`` on every offending
+    call."""
+    _check_webs(a, b)
+    plan = _plan_of(a, b)
+    x, y = _project(plan, a.facets, 0), _project(plan, b.facets, a.shape.size)
+    labels = [p + q for p, q in zip(x, y)]
+    twice_chi = labels[::2]
+    for c in twice_chi:
+        if c % 2:
+            raise MalformedMovie(f"glued facet has odd Euler characteristic {c}/2")
+    chi = [c // 2 for c in twice_chi]
+    return PreFoam(_facet_genera(chi, labels[1::2], plan.slots), plan.circles)
+
+
+#: Each way of giving the weights (0, 1, 2) to a circle's three sheets,
+#: with its sign.
+_SIGNED_PERMS = tuple(
+    (flag_theta(*perm), perm)
+    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0), (1, 0, 2), (0, 2, 1))
+)
+
+
+def evaluate_by_circles(prefoam: PreFoam) -> int:
+    """Exact integer value of a closed dotted singular surface.
+
+    Sums over all ways of assigning the weights (0, 1, 2) to the three
+    sheets around each singular circle (only arrangements using all
+    three survive: cyclic ones count +1, reversed ones -1), multiplying
+    each facet's closed-surface value at its own dots plus a
+    complementary weight (2 - i) per boundary slot, with a global sign
+    (-1) per circle.
+    """
+    facets, circles = prefoam
+    n = len(facets)
+    slots = [0] * n
+    for tri in circles:
+        for f in tri:
+            slots[f] += 1
+    for (g, d), b in zip(facets, slots):
+        if g >= 2 or (g == 1 and d > 0) or (g == 0 and d > 2):
+            return 0
+    # total dots must balance the total complementary weight the circles
+    # hand out, or every term dies
+    if sum(2 - 2 * g - b for (g, _), b in zip(facets, slots)) != sum(
+        d for _, d in facets
+    ):
+        return 0
+    base = 1
+    for (g, d), b in zip(facets, slots):
+        if b == 0:
+            base *= surface_value(g, d)
+            if base == 0:
+                return 0
+    close_at = [-1] * n
+    for idx, tri in enumerate(circles):
+        for f in tri:
+            close_at[f] = idx
+    sign = -1 if len(circles) % 2 else 1
+    memo: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+
+    def rec(idx: int, acc: tuple[tuple[int, int], ...]) -> int:
+        if idx == len(circles):
+            return 1
+        key = (idx, acc)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        tri = circles[idx]
+        sheets = set(tri)
+        total = 0
+        for sgn, perm in _SIGNED_PERMS:
+            nxt = dict(acc)
+            for f, w in zip(tri, perm):
+                nxt[f] = nxt.get(f, 0) + (2 - w)
+            factor = sgn
+            dead = False
+            for f in sheets:
+                g, d = facets[f]
+                tot = d + nxt[f]
+                if close_at[f] == idx:
+                    factor *= surface_value(g, tot)
+                    del nxt[f]
+                    if factor == 0:
+                        dead = True
+                        break
+                elif (g == 0 and tot > 2) or (g == 1 and tot > 0):
+                    dead = True
+                    break
+            if dead:
+                continue
+            total += factor * rec(idx + 1, tuple(sorted(nxt.items())))
+        memo[key] = total
+        return total
+
+    return sign * base * rec(0, ())
 
 
 Bits = tuple[int, ...]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import corpus, cube
+from artifact import corpus, cube, foam, webhom
 from artifact.algebra import LaurentPoly, quantum_integer
 from artifact.cube import (
     BigradedHomology,
@@ -29,7 +29,7 @@ from artifact.cube import (
     smith_diagonal,
     sparse_smith_diagonal,
 )
-from artifact.diagram import parse_pd
+from artifact.diagram import clear_flatten_cache, parse_pd
 from artifact.web import link_bracket
 
 from .helpers import at_one, cube_data, free_ranks
@@ -546,18 +546,40 @@ def _digest(matrix) -> str:
     return hashlib.sha256(json.dumps(matrix, separators=(",", ":")).encode()).hexdigest()
 
 
-def test_torus_knot_5_1_edge_maps_match_golden_digests():
-    # every edge matrix of 5_1, keyed "bits:crossing", against digests
-    # written from an earlier build: the edge maps stay byte-identical
-    golden = Path(__file__).parent / "golden" / "torus_5_1_edge_maps.json"
-    expected = json.loads(golden.read_text(encoding="utf-8"))
+def _torus_5_1_digests() -> dict[str, str]:
+    """The digest of every edge matrix of 5_1, keyed "bits:crossing"."""
     cx = build_complex(parse_pd(TORUS_5_1))
-    digests = {
+    return {
         "".join(map(str, bits)) + f":{c}": _digest(matrix)
         for (bits, c), matrix in cx.edge_maps.items()
     }
+
+
+def _golden_torus_5_1_digests() -> dict[str, str]:
+    golden = Path(__file__).parent / "golden" / "torus_5_1_edge_maps.json"
+    return json.loads(golden.read_text(encoding="utf-8"))
+
+
+def test_torus_knot_5_1_edge_maps_match_golden_digests():
+    # every edge matrix of 5_1 against digests written from an earlier
+    # build: the edge maps stay byte-identical
+    digests = _torus_5_1_digests()
     assert len(digests) == 80
-    assert digests == expected
+    assert digests == _golden_torus_5_1_digests()
+
+
+def test_cold_torus_5_1_builds_match_golden_digests_across_a_clear(monkeypatch):
+    # two cold builds, the second after clear_evaluation_cache() has
+    # emptied the colouring memo the first filled
+    expected = _golden_torus_5_1_digests()
+    for _ in range(2):
+        monkeypatch.setattr(webhom, "_SPACES", {})
+        monkeypatch.setattr(webhom, "_INDUCED", {})
+        clear_flatten_cache()
+        foam.clear_evaluation_cache()
+        assert not foam._COLOURINGS
+        assert _torus_5_1_digests() == expected
+        assert foam._COLOURINGS
 
 
 def test_torus_knot_5_1_euler_and_torsion():

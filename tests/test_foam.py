@@ -7,6 +7,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact import foam
 from artifact.algebra import quantum_integer, theta_symbol
@@ -31,7 +33,6 @@ from artifact.foam import (
     dot_movie,
     evaluate,
     extend_halves,
-    glue,
     half_foam,
     identity_movie,
     inverse_move,
@@ -51,9 +52,11 @@ from .helpers import (
 from .oracles import (
     apply_zip,
     evaluate_bruteforce,
+    evaluate_by_circles,
     evaluate_closed,
     extract_prefoam,
     flag_theta,
+    glue,
     relabeled_movie,
     run_movie,
 )
@@ -412,6 +415,18 @@ def test_clear_evaluation_cache_empties_glue_plans():
     assert (h.shape_id, h.shape_id) in _GLUE_PLANS
 
 
+def test_clear_evaluation_cache_empties_colouring_counts():
+    pre = glue(half_foam(lens_half(1, 0, 2)), half_foam(lens_half(0, 0, 0)))
+    value = evaluate(pre)
+    assert value == theta_symbol(0, 1, 2)
+    assert foam._COLOURINGS
+    clear_evaluation_cache()
+    assert not foam._COLOURINGS
+    assert evaluate(pre) == value
+    # one circle structure with one need per sheet
+    assert len(foam._COLOURINGS) == 1
+
+
 def _glue_unplanned(a: HalfFoam, b: HalfFoam):
     """``glue(a, b)`` through a freshly built plan, with no stored one."""
     saved = foam._GLUE_PLANS
@@ -481,21 +496,28 @@ def test_pair_halves_stores_one_value_per_glued_label_vector():
 
 
 def test_pair_halves_label_faults_raise_on_every_call_and_are_never_stored():
+    # a miss makes the foam's facets from the summed labels, with the
+    # label checks of the gluing oracle and its messages
     h = half_foam(lens_half(0, 0, 0))
     assert pair_halves([h], [h]) == [[theta_symbol(0, 0, 0)]]
     plan = _GLUE_PLANS[(h.shape_id, h.shape_id)]
-    warm = dict(plan.values)
+    warm, counts = dict(plan.values), dict(foam._COLOURINGS)
     odd, negative_genus = _relabelled(h, 0, 1), _relabelled(h, 0, 4)
+    faults = [
+        ("odd Euler characteristic", [h], [h, odd], (h, odd)),
+        ("odd Euler characteristic", [odd], [h], (odd, h)),
+        ("closed orientable sheet", [h, negative_genus], [h], (negative_genus, h)),
+        ("closed orientable sheet", [h], [negative_genus], (h, negative_genus)),
+    ]
     for _ in range(3):
-        with pytest.raises(MalformedMovie, match="odd Euler characteristic"):
-            pair_halves([h], [h, odd])
-        with pytest.raises(MalformedMovie, match="odd Euler characteristic"):
-            pair_halves([odd], [h])
-        with pytest.raises(MalformedMovie, match="closed orientable sheet"):
-            pair_halves([h, negative_genus], [h])
-        with pytest.raises(MalformedMovie, match="closed orientable sheet"):
-            pair_halves([h], [negative_genus])
+        for match, lefts, rights, pair in faults:
+            with pytest.raises(MalformedMovie, match=match) as paired:
+                pair_halves(lefts, rights)
+            with pytest.raises(MalformedMovie) as glued:
+                glue(*pair)
+            assert str(paired.value) == str(glued.value)
         assert plan.values == warm
+        assert foam._COLOURINGS == counts
     assert pair_halves([h], [h]) == [[theta_symbol(0, 0, 0)]]
 
 
@@ -1000,6 +1022,77 @@ def test_evaluate_matches_bruteforce_synthetic():
     ]
     for pre in cases:
         assert evaluate(pre) == evaluate_bruteforce(pre), pre
+
+
+@st.composite
+def prefoams(draw) -> PreFoam:
+    """A closed foam's shadow: 1 to 8 facets of genus 0 to 2 with 0 to 3
+    dots, and 0 to 4 singular circles, each any triple of facets, one
+    facet repeated within it included; facets on no circle have no
+    slots.  So that many values are nonzero, half the draws colour the
+    circles one by one, giving no facet more than two where a circle
+    can, and make each facet given at most two a sphere with the dots
+    that complete that to two, or leave a torus given nothing
+    undotted."""
+    n = draw(st.integers(1, 8))
+    any_triple = st.tuples(*[st.integers(0, n - 1)] * 3)
+    if n >= 3:
+        distinct = st.permutations(range(n)).map(lambda p: tuple(p[:3]))
+        any_triple = distinct | any_triple
+    circles = tuple(draw(st.lists(any_triple, max_size=4)))
+    genera = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=n, max_size=n))
+    dots = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        received = [0] * n
+        for tri in circles:
+            options = []
+            for weights in itertools.permutations((0, 1, 2)):
+                after = list(received)
+                for f, w in zip(tri, weights):
+                    after[f] += 2 - w
+                if max(after) <= 2:
+                    options.append(after)
+            received = draw(st.sampled_from(options)) if options else received
+        for f, (g, r) in enumerate(zip(genera, received)):
+            if g == 1 and r == 0:
+                dots[f] = 0
+            elif r <= 2:
+                genera[f], dots[f] = 0, 2 - r
+    return PreFoam(tuple(zip(genera, dots)), circles)
+
+
+@settings(max_examples=400, deadline=None)
+@given(prefoams(), st.data())
+def test_evaluate_matches_the_circle_recursion_on_random_foams(pre, data):
+    value = evaluate(pre)
+    assert value == evaluate_by_circles(pre)
+    if len(pre.circles) <= 2:
+        assert value == evaluate_bruteforce(pre)
+    # a second call is served by the colouring memo
+    assert evaluate(pre) == value
+    if pre.circles:
+        # reversing one circle's orientation reverses every colouring's
+        # cyclic order
+        i = data.draw(st.integers(0, len(pre.circles) - 1))
+        x, y, z = pre.circles[i]
+        flipped = pre.circles[:i] + ((x, z, y),) + pre.circles[i + 1 :]
+        assert evaluate(PreFoam(pre.facets, flipped)) == -value
+
+
+def test_random_foams_reach_nonzero_values():
+    # the property above says little if the drawn values were all zero;
+    # derandomized, so that the counts are the same on every run
+    circles_of_nonzero = []
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(prefoams())
+    def collect(pre):
+        if evaluate(pre):
+            circles_of_nonzero.append(len(pre.circles))
+
+    collect()
+    assert len(circles_of_nonzero) >= 40
+    assert sum(1 for c in circles_of_nonzero if c >= 2) >= 3
 
 
 def test_evaluation_cache_stable():

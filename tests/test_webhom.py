@@ -59,8 +59,10 @@ from .helpers import (
 from .oracles import (
     FrobeniusElement,
     class_basis,
+    evaluate_by_circles,
     evaluate_closed,
     fraction_solve,
+    glue,
     label_basis,
     relabeled_movie,
     run_movie,
@@ -879,10 +881,40 @@ def test_batched_pairings_equal_glued_evaluations_on_cube_edges(monkeypatch):
     # of every class matrix
     checked = 0
     for lefts, rights, out in calls:
-        assert out == [[foam.evaluate(foam.glue(a, b)) for b in rights] for a in lefts]
+        assert out == [[foam.evaluate(glue(a, b)) for b in rights] for a in lefts]
         checked += len(lefts) * len(rights)
     assert checked > 20000
     assert len(edges) > 180
+
+
+KNOT_6_1 = "X(1,7,2,6) X(3,10,4,11) X(5,3,6,2) X(7,1,8,12) X(9,4,10,5) X(11,9,12,8)"
+
+
+def test_every_glued_foam_evaluates_as_the_circle_recursion(monkeypatch):
+    # every closed foam that a cold build of the corpus, 5_1 and 6_1
+    # evaluates (each miss of a plan's value table), against the
+    # circle-recursion oracle; the colouring memo starts empty
+    _cold(monkeypatch)
+    monkeypatch.setattr(foam, "_GLUE_PLANS", {})
+    monkeypatch.setattr(foam, "_COLOURINGS", {})
+    glued = set()
+    real = foam.evaluate
+
+    def recorded(pre):
+        glued.add(pre)
+        return real(pre)
+
+    monkeypatch.setattr(foam, "evaluate", recorded)
+    diagrams = list(fixture_diagrams().values())
+    diagrams += [parse_pd(TORUS_5_1), parse_pd(KNOT_6_1)]
+    for d in diagrams:
+        build_complex(d)
+    for pre in glued:
+        assert real(pre) == evaluate_by_circles(pre), pre
+    # 29,213 distinct foams when this was written, many of several circles
+    assert len(glued) > 25000
+    assert max(len(pre.circles) for pre in glued) >= 4
+    assert 0 < len(foam._COLOURINGS) < len(glued)
 
 
 def test_cold_torus_build_evaluates_once_per_glued_label_vector(monkeypatch):
