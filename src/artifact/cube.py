@@ -10,20 +10,23 @@ crossing, crossings totally ordered by index) makes every square face of
 the cube anticommute, so the column sums form a differential with
 ``d*d = 0`` that preserves the shifted quantum degree.
 
-Homology is computed exactly over the integers: the complex is split by
-quantum degree, each block of the differential built sparse (a
-``{row: value}`` dict per column) in one walk over the edge maps that
-also checks every entry preserves the shifted degree, and ``d*d = 0``
-checked on every block and every column as a sparse product; either
-failure is a hard error.  Each block's Smith normal form yields free
-ranks and torsion orders; it is found by cancelling unit pivots first (the
-Gaussian elimination of Bar-Natan's "Fast Khovanov homology
-computations", smallest Markowitz cost first), which leaves a small
-remainder for the dense ``smith_diagonal``.  The graded Euler
-characteristic of the result must reproduce the diagram's bracket
-polynomial; tables of bigraded groups are invariant under the
-Reidemeister moves, which ``check_invariance`` verifies pairwise on
-diagrams.
+Homology is computed exactly over the integers.  The edge maps are
+sparse (``webhom.SparseColumns``), and the complex is split by quantum
+degree, each block of the differential built sparse (a ``{row: value}``
+dict per column) in one walk over the edge maps' nonzero entries that
+also checks every entry preserves the shifted degree; ``d*d = 0`` is
+checked on every block and every column as a sparse product.  Either
+failure is a hard error.  Each quantum degree is then reduced as one
+complex by the Gaussian elimination of Bar-Natan's "Fast Khovanov
+homology computations" (arXiv math/0606318): a unit entry of ``d_i``
+is cancelled by its Schur complement in ``d_i`` alone (smallest
+Markowitz cost first), and its two generators simply drop out of
+``d_{i-1}`` and ``d_{i+1}``.  Only the small remainders go through the
+dense ``smith_diagonal``, which yields the ranks and torsion orders.
+The graded Euler characteristic of the result must reproduce the
+diagram's bracket polynomial; tables of bigraded groups are invariant
+under the Reidemeister moves, which ``check_invariance`` verifies
+pairwise on diagrams.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from .algebra import LaurentPoly, smith_form
 from .diagram import LinkDiagram, resolution_edge_movie, resolutions
 from .web import link_bracket
-from .webhom import IntMatrix, induced_matrix, state_space
+from .webhom import SparseColumns, induced_matrix, state_space
 
 
 class ComplexError(Exception):
@@ -59,21 +62,22 @@ def smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
 SparseColumn = Dict[int, int]
 
 
-def sparse_smith_diagonal(columns: Sequence[Mapping[int, int]]) -> list[int]:
-    """``smith_diagonal`` of the matrix whose column ``c`` has the
-    nonzero entries ``columns[c]`` (``{row: value}``; not modified).
+def eliminate_units(
+    cols: Dict[int, SparseColumn],
+) -> Tuple[Dict[int, int], Dict[int, SparseColumn]]:
+    """Cancel unit entries of the matrix whose nonzero columns are
+    ``cols`` (``{col: {row: value}}``, consumed) until none is left.
 
     While some entry is a unit, the one with the smallest Markowitz
     cost ``(row count - 1) * (column count - 1)`` is cancelled: the
     pivot's row and column are removed and every other row of its
     column takes the exact integer row operation that clears it (the
-    Schur complement ``D - a u b`` with ``u = u**-1 = +-1``), recording a
-    diagonal 1.  Whatever is left is handed densely to
-    ``smith_diagonal``; 1 divides everything, so the result is still a
-    divisor chain.
+    Schur complement ``D - a u b`` with ``u = u**-1 = +-1``).  Returns
+    the pivots, each row to its column, and the nonzero rows of what is
+    left (``{row: {col: value}}``): the matrix has the Smith diagonal of
+    that remainder with one 1 put in front per pivot.
     """
 
-    cols = {c: dict(col) for c, col in enumerate(columns) if col}
     rows: Dict[int, SparseColumn] = {}
     for c, col in cols.items():
         for r, v in col.items():
@@ -89,7 +93,7 @@ def sparse_smith_diagonal(columns: Sequence[Mapping[int, int]]) -> list[int]:
         if v == 1 or v == -1
     ]
     heapq.heapify(heap)
-    units = 0
+    pivots: Dict[int, int] = {}
     while heap:
         cost, pr, pc = heapq.heappop(heap)
         prow = rows.get(pr)
@@ -99,7 +103,7 @@ def sparse_smith_diagonal(columns: Sequence[Mapping[int, int]]) -> list[int]:
         if now != cost:
             heapq.heappush(heap, (now, pr, pc))
             continue
-        units += 1
+        pivots[pr] = pc
         del rows[pr]
         pcol = cols.pop(pc)
         u = prow.pop(pc)
@@ -141,8 +145,15 @@ def sparse_smith_diagonal(columns: Sequence[Mapping[int, int]]) -> list[int]:
                 for r, v in col.items():
                     if (v == 1 or v == -1) and r not in pcol:
                         heapq.heappush(heap, ((len(rows[r]) - 1) * n, r, c))
-    rest = [[row.get(c, 0) for c in cols] for row in rows.values()]
-    return [1] * units + (smith_diagonal(rest) if rest else [])
+    return pivots, rows
+
+
+def dense_rows(rows: Mapping[int, SparseColumn]) -> List[List[int]]:
+    """The matrix with the given sparse rows (``{row: {col: value}}``)
+    as a dense list of rows, over the columns that some row reaches."""
+
+    cols = sorted({c for row in rows.values() for c in row})
+    return [[row.get(c, 0) for c in cols] for row in rows.values()]
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +198,7 @@ class GradedChainComplex:
                 hom_degree=weight - self.p_minus,
                 q_degrees=tuple(d + shift for d in space.degrees),
             )
-        self.edge_maps: Dict[Tuple[Tuple[int, ...], int], IntMatrix] = {
+        self.edge_maps: Dict[Tuple[Tuple[int, ...], int], SparseColumns] = {
             (bits, c): induced_matrix(resolution_edge_movie(diagram, bits, c))
             for bits in self.vertices
             for c in range(n)
@@ -249,9 +260,9 @@ def differential_blocks(
     each bidegree and, for each, the columns of ``d_i`` restricted to
     quantum degree ``j``: column ``c`` maps the rows (generators of
     ``(i + 1, j)``) it reaches to their signed edge-map entries.  Built
-    in one walk over the edge maps, which raises ``ComplexError`` if a
-    nonzero entry joins generators of different shifted quantum degree
-    (splitting by degree would lose it).
+    in one walk over the nonzero entries of the edge maps, which raises
+    ``ComplexError`` if one joins generators of different shifted
+    quantum degree (splitting by degree would lose it).
     """
 
     dims: Dict[Tuple[int, int], int] = {}
@@ -267,41 +278,63 @@ def differential_blocks(
     for (bits, c), mat in cx.edge_maps.items():
         v = cx.vertices[bits]
         sign = cx.edge_sign(bits, c)
-        src = [
-            blocks[(v.hom_degree, q)][n] for q, n in zip(v.q_degrees, number[bits])
-        ]
         target = bits[:c] + (1,) + bits[c + 1 :]
         dst = number[target]
-        src_q, dst_q = v.q_degrees, cx.vertices[target].q_degrees
+        dst_q = cx.vertices[target].q_degrees
         # each (source, target) generator pair lies on exactly one edge,
         # so every entry is written once
-        for r, row in enumerate(mat):
-            for k, entry in enumerate(row):
-                if entry:
-                    if dst_q[r] != src_q[k]:
-                        raise ComplexError(
-                            "edge map does not preserve shifted degree at "
-                            f"bits={bits}, crossing={c}"
-                        )
-                    src[k][dst[r]] = sign * entry
+        for q, n, col in zip(v.q_degrees, number[bits], mat):
+            out = blocks[(v.hom_degree, q)][n]
+            for r, entry in col:
+                if dst_q[r] != q:
+                    raise ComplexError(
+                        "edge map does not preserve shifted degree at "
+                        f"bits={bits}, crossing={c}"
+                    )
+                out[dst[r]] = sign * entry
     return dims, blocks
 
 
 def homology(cx: GradedChainComplex) -> BigradedHomology:
     """Exact integer homology of the cube complex, split by quantum
-    degree.
+    degree: ``block_homology`` of its sparse per-q differentials
+    (``differential_blocks``, whose walk also checks that every edge map
+    preserves the shifted degree)."""
 
-    The per-q differentials are built sparse (``differential_blocks``,
-    whose walk also checks that every edge map preserves the shifted
-    degree).
+    return block_homology(*differential_blocks(cx))
+
+
+def block_homology(
+    dims: Mapping[Tuple[int, int], int],
+    blocks: Mapping[Tuple[int, int], Sequence[Mapping[int, int]]],
+) -> BigradedHomology:
+    """Exact integer homology of a complex split by quantum degree, given
+    as ``differential_blocks`` returns it (not modified): the number of
+    generators of each bidegree ``(i, j)``, and the sparse columns of
+    ``d_i`` restricted to quantum degree ``j``.
+
     ``d_{i+1} d_i = 0`` is checked on every block and every column, as
     a sparse product, before anything else reads them; a nonzero entry
-    raises ``ComplexError``.  Each block is then diagonalized by
-    ``sparse_smith_diagonal``: unit pivots are cancelled first, and only
-    the remainder goes through the dense Smith normal form.
+    raises ``ComplexError``.  Each quantum degree is then walked as one
+    complex, from low to high ``i``:
+
+    1. the columns of ``d_i`` cancelled as rows of ``d_{i-1}`` drop out;
+    2. the unit entries of what is left are cancelled
+       (``eliminate_units``);
+    3. the columns cancelled there drop out of the remainder rows of
+       ``d_{i-1}``, which is then final and goes densely to
+       ``smith_diagonal``.
+
+    With ``d*d = 0`` a dropped column or row is a unit combination of
+    the others, so keeping it would change no table; dropping it keeps
+    the remainders small.
+
+    The free rank at ``i`` is the number of generators no pivot took,
+    less the ranks of the remainders of ``d_i`` and ``d_{i-1}``; the
+    torsion is read off the remainder of ``d_{i-1}``.  A negative free
+    rank raises ``ComplexError``.
     """
 
-    dims, blocks = differential_blocks(cx)
     for i, j in sorted(blocks, key=lambda key: (key[1], key[0])):
         after = blocks.get((i + 1, j))
         if after is None:
@@ -315,11 +348,33 @@ def homology(cx: GradedChainComplex) -> BigradedHomology:
                 raise ComplexError(
                     f"differential does not square to zero at (i={i}, j={j})"
                 )
-    snf = {key: sparse_smith_diagonal(cols) for key, cols in blocks.items()}
+    spans: Dict[int, List[int]] = {}
+    for i, j in dims:
+        spans.setdefault(j, []).append(i)
+    survivors: Dict[Tuple[int, int], int] = {}
+    snf: Dict[Tuple[int, int], List[int]] = {}
+    for j, degrees in spans.items():
+        # generators of degree i cancelled as rows of d_{i-1}, and the
+        # remainder rows of d_{i-1}
+        dropped: Dict[int, int] = {}
+        rest: Dict[int, SparseColumn] = {}
+        for i in range(min(degrees), max(degrees) + 2):
+            cols = {
+                c: dict(col)
+                for c, col in enumerate(blocks.get((i, j), ()))
+                if col and c not in dropped
+            }
+            pivots, rows = eliminate_units(cols)
+            for c in pivots.values():
+                rest.pop(c, None)
+            snf[(i - 1, j)] = smith_diagonal(dense_rows(rest)) if rest else []
+            if (i, j) in dims:
+                survivors[(i, j)] = dims[(i, j)] - len(dropped) - len(pivots)
+            dropped, rest = pivots, rows
     entries: List[Tuple[int, int, int, Tuple[int, ...]]] = []
-    for (i, j), dim in sorted(dims.items()):
-        incoming = snf.get((i - 1, j), [])
-        free = dim - len(snf[(i, j)]) - len(incoming)
+    for (i, j), n in sorted(survivors.items()):
+        incoming = snf[(i - 1, j)]
+        free = n - len(snf[(i, j)]) - len(incoming)
         if free < 0:
             raise ComplexError(
                 f"negative free rank at (i={i}, j={j}): check d*d = 0"

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import closed_surface_value, theta_symbol
-from .foam import PreFoam, digon_movies, dot_movie, evaluate, square_split_movies
+from .foam import (
+    FoamMovie,
+    PreFoam,
+    digon_movies,
+    dot_movie,
+    evaluate,
+    square_split_movies,
+)
 from .web import Web
 from .webhom import IntMatrix, StateSpaceError, induced_matrix, state_space
 
@@ -97,6 +104,17 @@ def mat_power(a: IntMatrix, n: int) -> IntMatrix:
     for _ in range(n):
         out = mat_mul(out, a)
     return out
+
+
+def dense_induced(movie: FoamMovie) -> IntMatrix:
+    """A dense copy of the movie's induced matrix (``induced_matrix``,
+    which is sparse), for the dense helpers above."""
+    columns = induced_matrix(movie)
+    rows = [[0] * len(columns) for _ in range(state_space(movie.end).dim)]
+    for j, col in enumerate(columns):
+        for k, x in col:
+            rows[k][j] = x
+    return tuple(map(tuple, rows))
 
 
 # --------------------------------------------------------------------------
@@ -499,23 +517,23 @@ def check_digon_identities(col: Optional[_Collector] = None) -> SelfTestReport:
         big = identity_matrix(state_space(web).dim)
         where = f"two-edge face {face} of {len(web.sigma) // 3}-vertex web"
         col.expect(
-            induced_matrix(lift_plain.compose(drop_dotted)), small, f"{where}: drop.lift = 1"
+            dense_induced(lift_plain.compose(drop_dotted)), small, f"{where}: drop.lift = 1"
         )
         col.expect(
-            mat_neg(induced_matrix(lift_dotted.compose(drop_plain))),
+            mat_neg(dense_induced(lift_dotted.compose(drop_plain))),
             small,
             f"{where}: -drop'.lift' = 1",
         )
         col.expect(
-            induced_matrix(lift_dotted.compose(drop_dotted)), zero, f"{where}: mixed drop.lift'"
+            dense_induced(lift_dotted.compose(drop_dotted)), zero, f"{where}: mixed drop.lift'"
         )
         col.expect(
-            induced_matrix(lift_plain.compose(drop_plain)), zero, f"{where}: mixed drop'.lift"
+            dense_induced(lift_plain.compose(drop_plain)), zero, f"{where}: mixed drop'.lift"
         )
         col.expect(
             mat_sub(
-                induced_matrix(drop_dotted.compose(lift_plain)),
-                induced_matrix(drop_plain.compose(lift_dotted)),
+                dense_induced(drop_dotted.compose(lift_plain)),
+                dense_induced(drop_plain.compose(lift_dotted)),
             ),
             big,
             f"{where}: lift.drop - lift'.drop' = 1",
@@ -535,29 +553,29 @@ def check_square_identities(col: Optional[_Collector] = None) -> SelfTestReport:
         n2 = state_space(split_second.end).dim
         where = f"four-edge face {face} of {len(web.sigma) // 3}-vertex web"
         col.expect(
-            induced_matrix(join_first.compose(split_first)),
+            dense_induced(join_first.compose(split_first)),
             mat_neg(identity_matrix(n1)),
             f"{where}: split.join (first) = -1",
         )
         col.expect(
-            induced_matrix(join_second.compose(split_second)),
+            dense_induced(join_second.compose(split_second)),
             mat_neg(identity_matrix(n2)),
             f"{where}: split.join (second) = -1",
         )
         col.expect(
-            induced_matrix(join_first.compose(split_second)),
+            dense_induced(join_first.compose(split_second)),
             zero_matrix(n2, n1),
             f"{where}: mixed split.join",
         )
         col.expect(
-            induced_matrix(join_second.compose(split_first)),
+            dense_induced(join_second.compose(split_first)),
             zero_matrix(n1, n2),
             f"{where}: mixed split.join (other)",
         )
         col.expect(
             mat_add(
-                induced_matrix(split_first.compose(join_first)),
-                induced_matrix(split_second.compose(join_second)),
+                dense_induced(split_first.compose(join_first)),
+                dense_induced(split_second.compose(join_second)),
             ),
             mat_neg(identity_matrix(state_space(web).dim)),
             f"{where}: join.split sum = -1",
@@ -568,7 +586,7 @@ def check_square_identities(col: Optional[_Collector] = None) -> SelfTestReport:
 def edge_dot_action(web: Web, site: int) -> IntMatrix:
     """The degree-2 endomorphism placing one dot on the sheet swept by
     ``site`` (a dart of an edge, or a negative free-loop id)."""
-    return induced_matrix(dot_movie(web, site))
+    return dense_induced(dot_movie(web, site))
 
 
 def edge_sites(web: Web) -> List[int]:

@@ -30,11 +30,14 @@ pairing has degree zero, so it vanishes unless the two degrees cancel
 and the Gram matrix is block anti-diagonal by degree: for each degree
 ``d`` only the square block between the basis elements of degree ``d``
 and those of degree ``-d`` is nonzero.  Each such block is unimodular
-and is inverted exactly once per class.  The matrix induced by any
-movie between webs is then obtained by pairing the movie's action on
-the source basis against the degree-matched target basis elements and
-multiplying by the inverse block: an integer product; a pushed element
-is only its half, extended the same way.  The matrix too is computed
+and is inverted exactly once per class; the inverse is kept sparse,
+as the nonzero entries of each of its columns.  The matrix induced by
+any movie between webs is then obtained by pairing the movie's action
+on the source basis against the degree-matched target basis elements
+and multiplying by the inverse block through the nonzero pairings
+only; a pushed element is only its half, extended the same way.  The
+matrix is sparse too (the nonzero entries of each column), and it is
+computed
 once per class of movies and kept in ``_INDUCED``; its key is read off
 the movie's moves renamed into canonical labels, so a cached matrix is
 found without building a movie (see ``induced_matrix``).  On a miss the
@@ -73,6 +76,9 @@ from .foam import (
 from .web import DigonFace, Empty, FreeLoop, SquareFace, Web, find_reduction
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
+#: A sparse integer matrix: the ``(row, value)`` pairs of each column's
+#: nonzero entries, rows increasing.
+SparseColumns = Tuple[Tuple[Tuple[int, int], ...], ...]
 
 #: Reduction trace nodes: ("empty",), ("loop", loop_id, sub),
 #: ("digon", face, sub), ("square", face, sub_first, sub_second).
@@ -100,16 +106,19 @@ def _degree_index(degrees: Sequence[int]) -> Dict[int, Tuple[int, ...]]:
 
 def _inverse_blocks(
     degrees: Sequence[int], gram: Sequence[Sequence[int]]
-) -> Dict[int, IntMatrix]:
+) -> Dict[int, SparseColumns]:
     """For each degree ``d``, the exact inverse of the Gram block whose
     rows are the basis elements of degree ``d`` and whose columns are
-    those of degree ``-d``.  A block that is not square, is singular or
-    has determinant other than ±1 raises.  The Gram matrix is symmetric,
-    so the block of ``-d`` is the transpose of that of ``d``, and so is
-    its inverse.  Each block is inverted through its Smith normal form
+    those of degree ``-d``, sparse: its column ``t`` (the pairing with
+    the ``t``-th basis element of degree ``d``) lists its nonzero
+    entries, each row named by its basis index, one of degree ``-d``.
+    A block that is not square, is singular or has determinant other
+    than ±1 raises.  The Gram matrix is symmetric, so the block of
+    ``-d`` is the transpose of that of ``d``, and so is its inverse.
+    Each block is inverted through its Smith normal form
     (``algebra.smith_form``)."""
     index = _degree_index(degrees)
-    out: Dict[int, IntMatrix] = {}
+    out: Dict[int, SparseColumns] = {}
     for d, rows in index.items():
         cols = index.get(-d, ())
         if len(cols) != len(rows):
@@ -117,8 +126,7 @@ def _inverse_blocks(
                 f"pairing matrix is singular: {len(rows)} basis elements of "
                 f"degree {d} against {len(cols)} of degree {-d}"
             )
-        if -d in out:
-            out[d] = tuple(zip(*out[-d]))
+        if d in out:
             continue
         block = [[gram[r][c] for c in cols] for r in rows]
         # p @ block @ q is diagonal; unimodular means that diagonal is
@@ -130,7 +138,14 @@ def _inverse_blocks(
             raise StateSpaceError(
                 f"pairing matrix has determinant ±{prod(diag)}, not ±1"
             )
-        out[d] = tuple(tuple(sum(map(mul, row, col)) for col in zip(*p)) for row in q)
+        inv = [[sum(map(mul, row, col)) for col in zip(*p)] for row in q]
+        out[d] = tuple(
+            tuple((k, x) for k, x in zip(cols, col) if x) for col in zip(*inv)
+        )
+        if d:
+            out[-d] = tuple(
+                tuple((k, x) for k, x in zip(rows, row) if x) for row in inv
+            )
     return out
 
 
@@ -144,17 +159,20 @@ class StateSpace:
 
     ``index[d]`` lists the basis indices of degree ``d``; ``inverse[d]``
     is the exact inverse of the Gram block ``gram[index[d]][index[-d]]``,
-    the only nonzero block in those rows.  Together they solve
-    ``gram @ X = R`` as ``X[index[-d]] = inverse[d] @ R[index[d]]``.
-    The trace names each reduction site in the canonical labels of the
-    class it reduces."""
+    the only nonzero block in those rows, kept only sparse: for each
+    pairing coordinate ``t`` (the basis element ``index[d][t]``), the
+    nonzero entries ``(k, value)`` of its column, ``k`` in
+    ``index[-d]``.  Together they solve ``gram @ X = R``: ``X[k]`` is
+    the sum of ``value * R[index[d][t]]`` over the entries ``(k,
+    value)`` of every column ``t``.  The trace names each reduction site
+    in the canonical labels of the class it reduces."""
 
     halves: Tuple[HalfFoam, ...]
     degrees: Tuple[int, ...]
     trace: Trace
     gram: IntMatrix
     index: Dict[int, Tuple[int, ...]] = field(compare=False, repr=False)
-    inverse: Dict[int, IntMatrix] = field(compare=False, repr=False)
+    inverse: Dict[int, SparseColumns] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -164,7 +182,7 @@ class StateSpace:
 #: One state space per relabeling class, by canonical web.
 _SPACES: Dict[str, StateSpace] = {}
 #: One induced matrix per class of movies; see ``induced_matrix``.
-_INDUCED: Dict[tuple, IntMatrix] = {}
+_INDUCED: Dict[tuple, SparseColumns] = {}
 
 
 def _extended(mapping: Dict[int, int], ids: Iterable[int], step: int) -> Dict[int, int]:
@@ -289,10 +307,11 @@ def _renamed_moves(
     )
 
 
-def induced_matrix(movie: FoamMovie) -> IntMatrix:
+def induced_matrix(movie: FoamMovie) -> SparseColumns:
     """The integer matrix of the movie's action, from the preparation
-    basis of its start web to that of its end web.  Homogeneous of the
-    movie's degree; columns index the source basis.
+    basis of its start web to that of its end web, sparse.  Homogeneous
+    of the movie's degree; columns index the source basis, rows the
+    target basis.
 
     The matrix is computed once per key: the start web's canonical
     web, the moves renamed into its canonical labels (the ids the moves
@@ -345,14 +364,16 @@ def _class_matrix(
     dst: StateSpace,
     start_darts: Dict[int, int],
     start_loops: Dict[int, int],
-) -> IntMatrix:
+) -> SparseColumns:
     """The matrix of ``run``, a movie from a relabeling of the canonical
     web of ``src`` to the canonical web of ``dst``, computed from
     scratch: each source basis element is pushed through the movie,
     paired against the degree-matched target basis and multiplied by
-    the inverse Gram block.  A pushed element is only its half: the
-    source half, renamed onto the run's start web by ``start_darts``
-    and ``start_loops``, extended through the run."""
+    the inverse Gram block, through its nonzero pairings only.  A pushed
+    element is only its half: the source half, renamed onto the run's
+    start web by ``start_darts`` and ``start_loops``, extended through
+    the run.  Every nonzero entry is checked to have the degree the
+    movie gives it."""
     shift = run.degree()
     # the pushed element has degree e, so it pairs only with the target
     # basis of degree -e, and its image lies in degree e
@@ -362,19 +383,23 @@ def _class_matrix(
     by_degree: Dict[int, list] = {}
     for j, half in zip(pushed, halves):
         by_degree.setdefault(src.degrees[j] + shift, []).append((j, half))
-    cols = [[0] * dst.dim for _ in range(src.dim)]
+    columns: List[Tuple[Tuple[int, int], ...]] = [()] * src.dim
     for e, group in by_degree.items():
         targets = [dst.halves[k] for k in dst.index[-e]]
+        inverse = dst.inverse[-e]
         block = pair_halves([half for _, half in group], targets)
         for (j, _), rhs in zip(group, block):
-            for k, inv_row in zip(dst.index[e], dst.inverse[-e]):
-                cols[j][k] = sum(map(mul, inv_row, rhs))
-    out = tuple(tuple(col[k] for col in cols) for k in range(dst.dim))
-    for k, row in enumerate(out):
-        for j, x in enumerate(row):
-            if x and dst.degrees[k] != src.degrees[j] + shift:
+            col: Dict[int, int] = {}
+            for x, entries in zip(rhs, inverse):
+                if x:
+                    for k, v in entries:
+                        col[k] = col.get(k, 0) + x * v
+            columns[j] = tuple(sorted((k, v) for k, v in col.items() if v))
+    for j, col in enumerate(columns):
+        for k, x in col:
+            if dst.degrees[k] != src.degrees[j] + shift:
                 raise StateSpaceError(
                     f"induced matrix entry ({k}, {j}) breaks degree "
                     f"homogeneity: {dst.degrees[k]} != {src.degrees[j]} + {shift}"
                 )
-    return out
+    return tuple(columns)

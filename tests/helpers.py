@@ -159,7 +159,23 @@ def fixture_webs():
     return list(webs.values())
 
 
+def dense(columns, n_rows: int) -> tuple:
+    """A sparse matrix with ``n_rows`` rows (``webhom.SparseColumns``:
+    the ``(row, value)`` pairs of each column) as a dense tuple of
+    rows."""
+    rows = [[0] * len(columns) for _ in range(n_rows)]
+    for j, col in enumerate(columns):
+        for k, x in col:
+            rows[k][j] = x
+    return tuple(map(tuple, rows))
+
+
 def cube_data(cx):
     """A built cube as plain data for the dense oracles in ``oracles``:
-    the shifted quantum degrees by choice vector, and the edge maps."""
-    return {bits: v.q_degrees for bits, v in cx.vertices.items()}, cx.edge_maps
+    the shifted quantum degrees by choice vector, and the edge maps,
+    densified."""
+    q_degrees = {bits: v.q_degrees for bits, v in cx.vertices.items()}
+    return q_degrees, {
+        (bits, c): dense(m, len(q_degrees[bits[:c] + (1,) + bits[c + 1 :]]))
+        for (bits, c), m in cx.edge_maps.items()
+    }

@@ -2,8 +2,8 @@
 
 These helpers recompute target quantities by a second route so the tests
 compare two independent ones.  All but the replay, gluing,
-state-space, zip and flattening oracles avoid importing the package
-under test.
+state-space, per-matrix Smith, zip and flattening oracles avoid
+importing the package under test.
 
 Flag-variety trace oracle
 -------------------------
@@ -73,6 +73,16 @@ here, independently of the package.  ``dense_differential`` assembles
 the full matrix between two weights (optionally one quantum degree of
 it), with generators ordered by ``bits`` then basis index;
 ``d_squared_is_zero`` and ``squares_anticommute`` multiply them densely.
+The package's edge maps are sparse; ``helpers.cube_data`` hands them
+over densified.
+
+Per-matrix Smith oracle
+-----------------------
+``sparse_smith_diagonal`` is the per-block path the package's homology
+took before it reduced each quantum degree as one complex: one matrix's
+unit pivots cancelled by the package's ``cube.eliminate_units``, and
+the remainder handed densely to ``cube.smith_diagonal``.  Homology read
+off it block by block is the reference for ``cube.block_homology``.
 
 State-space oracles
 -------------------
@@ -119,6 +129,7 @@ from collections import deque
 from fractions import Fraction
 from math import comb
 
+from artifact import cube
 from artifact.diagram import (
     _IN_SLOTS,
     _SMOOTH_EXIT,
@@ -693,6 +704,36 @@ def squares_anticommute(edge_maps) -> bool:
             ):
                 return False
     return True
+
+
+def sparse_smith_diagonal(columns) -> list[int]:
+    """``smith_diagonal`` of the matrix whose column ``c`` has the
+    nonzero entries ``columns[c]`` (``{row: value}``; not modified):
+    a 1 for each unit pivot ``cube.eliminate_units`` cancels, then the
+    dense Smith diagonal of what is left; 1 divides everything, so the
+    result is still a divisor chain."""
+    pivots, rows = cube.eliminate_units(
+        {c: dict(col) for c, col in enumerate(columns) if col}
+    )
+    rest = cube.dense_rows(rows)
+    return [1] * len(pivots) + (cube.smith_diagonal(rest) if rest else [])
+
+
+def per_block_homology(dims, blocks, diagonal=sparse_smith_diagonal) -> tuple:
+    """The homology table (``BigradedHomology.entries``) of a complex
+    given as ``cube.differential_blocks`` returns it, each block
+    diagonalized on its own by ``diagonal`` (applied to its sparse
+    columns): free rank ``dims - rank d_i - rank d_{i-1}``, torsion from
+    ``d_{i-1}``."""
+    snf = {key: diagonal(cols) for key, cols in blocks.items()}
+    entries = []
+    for (i, j), dim in sorted(dims.items()):
+        incoming = snf.get((i - 1, j), [])
+        free = dim - len(snf[(i, j)]) - len(incoming)
+        torsion = tuple(x for x in incoming if x > 1)
+        if free or torsion:
+            entries.append((i, j, free, torsion))
+    return tuple(entries)
 
 
 # --------------------------------------------------------------------------

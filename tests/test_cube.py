@@ -19,6 +19,7 @@ from artifact.cube import (
     BigradedHomology,
     ComplexError,
     GradedChainComplex,
+    block_homology,
     build_complex,
     check_invariance,
     differential_blocks,
@@ -27,7 +28,6 @@ from artifact.cube import (
     homology_json,
     link_homology,
     smith_diagonal,
-    sparse_smith_diagonal,
 )
 from artifact.diagram import clear_flatten_cache, parse_pd
 from artifact.web import link_bracket
@@ -37,6 +37,8 @@ from .oracles import (
     cube_generators,
     d_squared_is_zero,
     dense_differential,
+    per_block_homology,
+    sparse_smith_diagonal,
     squares_anticommute,
 )
 
@@ -124,7 +126,8 @@ def test_smith_first_entry_is_gcd_of_entries(mat):
 
 
 # ==========================================================================
-# sparse Smith normal form: unit pivots first, then the dense remainder
+# the per-matrix oracle: unit pivots first (``cube.eliminate_units``),
+# then the dense remainder
 # ==========================================================================
 
 
@@ -242,6 +245,175 @@ def test_sparse_blocks_match_dense_oracle(name):
 
 
 # ==========================================================================
+# homology by cancellation on the whole complex
+# ==========================================================================
+
+TORUS_5_1 = "X(1,6,2,7) X(3,8,4,9) X(5,10,6,1) X(7,2,8,3) X(9,4,10,5)"
+KNOT_6_1 = "X(1,7,2,6) X(3,10,4,11) X(5,3,6,2) X(7,1,8,12) X(9,4,10,5) X(11,9,12,8)"
+TORUS_7_1 = (
+    "X(1,8,2,9) X(3,10,4,11) X(5,12,6,13) X(7,14,8,1) X(9,2,10,3) "
+    "X(11,4,12,5) X(13,6,14,7)"
+)
+
+
+def _dense_block_smith(cols):
+    """``smith_diagonal`` of a block given by sparse columns, over the
+    rows they reach (a zero row changes no Smith diagonal)."""
+    rows = sorted({r for col in cols for r in col})
+    return smith_diagonal([[col.get(r, 0) for col in cols] for r in rows])
+
+
+#: The fixtures and three larger knots, by name.
+HOMOLOGY_DIAGRAMS = {
+    **corpus.fixture_diagrams(),
+    "5_1": parse_pd(TORUS_5_1),
+    "6_1": parse_pd(KNOT_6_1),
+    "7_1": parse_pd(TORUS_7_1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY_DIAGRAMS))
+def test_homology_matches_per_block_smith_references(name):
+    # the walk over the whole complex against each block diagonalized on
+    # its own, densely and through the per-matrix oracle
+    cx = build_complex(HOMOLOGY_DIAGRAMS[name])
+    dims, blocks = differential_blocks(cx)
+    table = homology(cx).entries
+    assert table == per_block_homology(dims, blocks, _dense_block_smith)
+    assert table == per_block_homology(dims, blocks)
+
+
+def _invariant_factors(orders) -> tuple:
+    """The invariant factors (a divisor chain, each > 1) of the sum of
+    cyclic groups of the given orders."""
+    by_prime: dict = {}
+    for q in _prime_powers(orders):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        by_prime.setdefault(p, []).append(q)
+    factors = []
+    for powers in by_prime.values():
+        for t, q in enumerate(sorted(powers, reverse=True)):
+            if t == len(factors):
+                factors.append(1)
+            factors[t] *= q
+    return tuple(sorted(factors))
+
+
+def _change_of_basis(rng, n):
+    """A random n x n unimodular matrix and its inverse, as dense rows:
+    random sign flips and elementary row operations, the inverse taking
+    the inverse column operations."""
+    u = [[int(r == c) for c in range(n)] for r in range(n)]
+    inv = [list(row) for row in u]
+    for a in range(n):
+        if rng.random() < 0.5:
+            u[a] = [-x for x in u[a]]
+            for row in inv:
+                row[a] = -row[a]
+    for _ in range(2 * n if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        u[a] = [x + f * y for x, y in zip(u[a], u[b])]
+        for row in inv:
+            row[b] -= f * row[a]
+    return u, inv
+
+
+@st.composite
+def planted_complexes(draw):
+    """A graded complex with planted homology, as ``(dims, blocks,
+    table)``: over a few quantum degrees, pieces ``Z --n--> Z`` (n in
+    +-1, 2, 3, 6) and free ``Z`` summands at scattered homological
+    degrees, so that some degrees in between stay empty, then each chain
+    group given a random unimodular change of basis."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    qs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+    dims, dense_d, planted = {}, {}, {}
+    for j in qs:
+        pieces = draw(
+            st.lists(
+                st.tuples(st.integers(-3, 3), st.sampled_from((0, 1, -1, 2, 3, 6))),
+                min_size=1,
+                max_size=10,
+            )
+        )
+        gens: dict = {}  # i -> number of generators
+        arrows = []  # (i, source generator, target generator, n)
+        for i, n in pieces:
+            src = gens.get(i, 0)
+            gens[i] = src + 1
+            if n:
+                dst = gens.get(i + 1, 0)
+                gens[i + 1] = dst + 1
+                arrows.append((i, src, dst, n))
+                if abs(n) > 1:
+                    planted.setdefault((i + 1, j), [0, []])[1].append(abs(n))
+            else:
+                planted.setdefault((i, j), [0, []])[0] += 1
+        for i, count in gens.items():
+            dims[(i, j)] = count
+            dense_d[(i, j)] = [[0] * count for _ in range(gens.get(i + 1, 0))]
+        for i, src, dst, n in arrows:
+            dense_d[(i, j)][dst][src] = n
+    # d_i becomes U_{i+1} d_i U_i^{-1}
+    change = {key: _change_of_basis(rng, n) for key, n in dims.items()}
+    blocks = {}
+    for (i, j), mat in dense_d.items():
+        if mat:
+            mat = _mul(_mul(change[(i + 1, j)][0], mat), change[(i, j)][1])
+        blocks[(i, j)] = _columns(mat, dims[(i, j)])
+    table = tuple(
+        (i, j, free, _invariant_factors(orders))
+        for (i, j), (free, orders) in sorted(planted.items())
+        if free or orders
+    )
+    return dims, blocks, table
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_complexes())
+def test_block_homology_recovers_planted_homology(complex_):
+    dims, blocks, table = complex_
+    before = {key: [dict(col) for col in cols] for key, cols in blocks.items()}
+    assert block_homology(dims, blocks).entries == table
+    assert blocks == before
+    assert per_block_homology(dims, blocks) == table
+
+
+def test_block_homology_drops_cancelled_generators(monkeypatch):
+    # d_1 d_0 = 0 makes a cancelled generator's column of d_i (row of
+    # d_{i-1}) a unit combination of the others, so keeping it would
+    # change no table, only what reaches smith_diagonal
+    calls = _recording_smith(monkeypatch)
+    dims = {(0, 0): 1, (1, 0): 2, (2, 0): 1}
+    # a -> b + c cancels b, whose column -2 of d_1 then drops out
+    blocks = {(0, 0): [{0: 1, 1: 1}], (1, 0): [{0: -2}, {0: 2}], (2, 0): [{}]}
+    assert block_homology(dims, blocks).entries == ((2, 0, 0, (2,)),)
+    assert calls == [[[2]]]
+    calls.clear()
+    # b -> e cancels b, whose row of the remainder 2b + 2c drops out
+    blocks = {(0, 0): [{0: 2, 1: 2}], (1, 0): [{0: 1}, {0: -1}], (2, 0): [{}]}
+    assert block_homology(dims, blocks).entries == ((1, 0, 0, (2,)),)
+    assert calls == [[[2]]]
+
+
+def test_block_homology_rejects_a_negative_free_rank():
+    # inconsistent input: a block with a column its generator count
+    # leaves out, so one pivot takes more generators than there are
+    dims = {(0, 0): 0, (1, 0): 1}
+    blocks = {(0, 0): [{0: 1}], (1, 0): [{}]}
+    with pytest.raises(ComplexError, match="negative free rank"):
+        block_homology(dims, blocks)
+
+
+def test_block_homology_rejects_d_squared_nonzero():
+    dims = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+    blocks = {(0, 0): [{0: 1}], (1, 0): [{0: 2}], (2, 0): [{}]}
+    with pytest.raises(ComplexError, match="does not square to zero"):
+        block_homology(dims, blocks)
+
+
+# ==========================================================================
 # cube structure
 # ==========================================================================
 
@@ -352,22 +524,24 @@ def test_chain_euler_equals_homology_euler():
     assert chain_euler == euler_characteristic(homology(cx))
 
 
+def _with_entry(mat, k, r, value):
+    """A sparse matrix with the entry at row ``r`` of column ``k`` set to
+    ``value`` (removed if 0)."""
+    col = dict(mat[k])
+    col[r] = value
+    col = tuple(sorted((row, x) for row, x in col.items() if x))
+    return mat[:k] + (col,) + mat[k + 1 :]
+
+
 def test_broken_edge_map_fails_the_d_squared_check():
     cx = build_complex(corpus.TREFOIL)
-    q_degrees, edge_maps = cube_data(cx)
+    edge_maps = cx.edge_maps
     for key in sorted(edge_maps):
         mat = edge_maps[key]
-        for r, row in enumerate(mat):
-            for k, entry in enumerate(row):
-                if not entry:
-                    continue
-                broken = dict(edge_maps)
-                broken[key] = tuple(
-                    tuple(-x if (rr, kk) == (r, k) else x for kk, x in enumerate(rw))
-                    for rr, rw in enumerate(mat)
-                )
-                if not d_squared_is_zero(q_degrees, broken):
-                    cx.edge_maps = broken
+        for k, col in enumerate(mat):
+            for r, entry in col:
+                cx.edge_maps = {**edge_maps, key: _with_entry(mat, k, r, -entry)}
+                if not d_squared_is_zero(*cube_data(cx)):
                     with pytest.raises(ComplexError, match="does not square to zero"):
                         homology(cx)
                     return
@@ -473,9 +647,6 @@ def test_mirror_homology_transposes_free_ranks():
     }
 
 
-TORUS_5_1 = "X(1,6,2,7) X(3,8,4,9) X(5,10,6,1) X(7,2,8,3) X(9,4,10,5)"
-
-
 def _prime_powers(orders) -> list:
     """The cyclic groups of prime-power order whose sum is the sum of
     cyclic groups of the given orders, as a sorted list of orders."""
@@ -551,7 +722,7 @@ def _torus_5_1_digests() -> dict[str, str]:
     cx = build_complex(parse_pd(TORUS_5_1))
     return {
         "".join(map(str, bits)) + f":{c}": _digest(matrix)
-        for (bits, c), matrix in cx.edge_maps.items()
+        for (bits, c), matrix in cube_data(cx)[1].items()
     }
 
 
@@ -691,10 +862,10 @@ def test_build_checks_degree_preservation():
     for (bits, c), mat in cx.edge_maps.items():
         src = cx.vertices[bits]
         dst = cx.vertices[tuple(1 if a == c else b for a, b in enumerate(bits))]
-        for r, row in enumerate(mat):
-            for k, entry in enumerate(row):
-                if entry:
-                    assert dst.q_degrees[r] == src.q_degrees[k]
+        for k, col in enumerate(mat):
+            for r, entry in col:
+                assert entry
+                assert dst.q_degrees[r] == src.q_degrees[k]
 
 
 def test_edge_map_entry_off_degree_fails_the_degree_check():
@@ -702,16 +873,15 @@ def test_edge_map_entry_off_degree_fails_the_degree_check():
     for (bits, c), mat in sorted(cx.edge_maps.items()):
         src = cx.vertices[bits].q_degrees
         dst = cx.vertices[bits[:c] + (1,) + bits[c + 1 :]].q_degrees
-        for r, row in enumerate(mat):
-            for k, entry in enumerate(row):
+        for k, col in enumerate(mat):
+            for r, entry in col:
                 off = [r2 for r2, q in enumerate(dst) if q != src[k]]
-                if not (entry and off):
+                if not off:
                     continue
                 # move the entry to a row of another shifted degree (that
                 # row's entry is zero, as the map preserves degree)
-                moved = [list(rw) for rw in mat]
-                moved[r][k], moved[off[0]][k] = 0, entry
-                cx.edge_maps[(bits, c)] = tuple(map(tuple, moved))
+                moved = _with_entry(_with_entry(mat, k, r, 0), k, off[0], entry)
+                cx.edge_maps[(bits, c)] = moved
                 with pytest.raises(ComplexError, match="does not preserve"):
                     homology(cx)
                 return

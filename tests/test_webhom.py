@@ -49,6 +49,7 @@ from artifact.webhom import (
 
 from .helpers import (
     cube_web,
+    dense,
     digon_chain_web,
     fixture_webs,
     graded_dimension,
@@ -121,9 +122,9 @@ def _rows(m):
 
 
 def _inverse(gram):
-    """The served inverse of a square ``gram``: its only block when
-    every basis element has degree 0."""
-    return _inverse_blocks((0,) * len(gram), gram)[0]
+    """The served inverse of a square ``gram``, densified: its only block
+    when every basis element has degree 0."""
+    return dense(_inverse_blocks((0,) * len(gram), gram)[0], len(gram))
 
 
 def _solve(gram, rhs):
@@ -197,10 +198,11 @@ def test_inverse_blocks_reject_bad_pairings():
         _inverse_blocks((2,), ((0,),))
     with pytest.raises(StateSpaceError, match="determinant"):
         _inverse_blocks((-1, 0, 1), ((0, 0, 1), (0, 2, 0), (1, 0, 0)))
+    # each pairing coordinate's nonzero entries, rows by basis index
     assert _inverse_blocks((-1, 0, 1), ((0, 0, 1), (0, -1, 0), (1, 0, 0))) == {
-        -1: ((1,),),
-        0: ((-1,),),
-        1: ((1,),),
+        -1: (((2, 1),),),
+        0: (((1, -1),),),
+        1: (((0, 1),),),
     }
 
 
@@ -351,8 +353,14 @@ def test_inverse_blocks_invert_the_gram_blocks():
         sp = state_space(w)
         assert sorted(sp.inverse) == sorted(sp.index)
         assert sorted(i for ix in sp.index.values() for i in ix) == list(range(sp.dim))
-        for d, inv in sp.inverse.items():
+        for d, sparse in sp.inverse.items():
             rows, cols = sp.index[d], sp.index[-d]
+            assert len(sparse) == len(rows)
+            assert all(k in cols and x for col in sparse for k, x in col)
+            # the inverse block: rows of degree -d, columns by pairing
+            # coordinate
+            inv = dense(sparse, sp.dim)
+            inv = tuple(inv[k] for k in cols)
             block = tuple(tuple(sp.gram[r][c] for c in cols) for r in rows)
             assert mat_mul(inv, block) == identity_matrix(len(cols))
             assert mat_mul(block, inv) == identity_matrix(len(rows))
@@ -363,10 +371,16 @@ def test_inverse_blocks_invert_the_gram_blocks():
 # --------------------------------------------------------------------------
 
 
+def _induced(movie: FoamMovie) -> tuple:
+    """``induced_matrix`` of the movie, densified."""
+    return dense(induced_matrix(movie), state_space(movie.end).dim)
+
+
+
 def test_identity_movie_induces_identity():
     for w in (circle_web(), theta_web(), digon_chain_web()):
         n = state_space(w).dim
-        assert induced_matrix(identity_movie(w)) == identity_matrix(n)
+        assert _induced(identity_movie(w)) == identity_matrix(n)
 
 
 def test_dot_action_on_circle_is_multiplication():
@@ -406,7 +420,7 @@ def _assert_solves_gram_system(movie: FoamMovie) -> None:
     rhs = tuple(
         tuple(pair_movies(p, v) for p in pushed) for v in served_basis(movie.end)
     )
-    assert mat_mul(state_space(movie.end).gram, induced_matrix(movie)) == rhs
+    assert mat_mul(state_space(movie.end).gram, _induced(movie)) == rhs
 
 
 def test_induced_matrices_solve_the_gram_system_on_cube_edges():
@@ -431,8 +445,8 @@ def test_functoriality_of_induced_matrices():
     c = circle_web()
     one_dot = dot_movie(c, -1)
     two_dots = one_dot.compose(dot_movie(c, -1))
-    assert induced_matrix(two_dots) == mat_mul(
-        induced_matrix(one_dot), induced_matrix(one_dot)
+    assert _induced(two_dots) == mat_mul(
+        _induced(one_dot), _induced(one_dot)
     )
 
     w = theta_web()
@@ -443,8 +457,8 @@ def test_functoriality_of_induced_matrices():
         (drop_plain, lift_dotted),
         (lift_plain, dot_movie(w, 2)),
     ]:
-        assert induced_matrix(a.compose(b)) == mat_mul(
-            induced_matrix(b), induced_matrix(a)
+        assert _induced(a.compose(b)) == mat_mul(
+            _induced(b), _induced(a)
         )
 
 
@@ -468,14 +482,14 @@ def _assert_digon_identities(w: Web, face: int) -> None:
     eye = identity_matrix(n)
     zero = zero_matrix(n, n)
     # composites written movie-first: "lift then drop"
-    assert induced_matrix(lift_plain.compose(drop_dotted)) == eye
-    assert mat_neg(induced_matrix(lift_dotted.compose(drop_plain))) == eye
-    assert induced_matrix(lift_dotted.compose(drop_dotted)) == zero
-    assert induced_matrix(lift_plain.compose(drop_plain)) == zero
+    assert _induced(lift_plain.compose(drop_dotted)) == eye
+    assert mat_neg(_induced(lift_dotted.compose(drop_plain))) == eye
+    assert _induced(lift_dotted.compose(drop_dotted)) == zero
+    assert _induced(lift_plain.compose(drop_plain)) == zero
     big = identity_matrix(state_space(w).dim)
     neck = mat_sub(
-        induced_matrix(drop_dotted.compose(lift_plain)),
-        induced_matrix(drop_plain.compose(lift_dotted)),
+        _induced(drop_dotted.compose(lift_plain)),
+        _induced(drop_plain.compose(lift_dotted)),
     )
     assert neck == big
 
@@ -532,17 +546,17 @@ def test_square_identities(make_web, face):
     join_first, join_second = split_first.reflect(), split_second.reflect()
     n1 = state_space(split_first.end).dim
     n2 = state_space(split_second.end).dim
-    assert induced_matrix(join_first.compose(split_first)) == mat_neg(
+    assert _induced(join_first.compose(split_first)) == mat_neg(
         identity_matrix(n1)
     )
-    assert induced_matrix(join_second.compose(split_second)) == mat_neg(
+    assert _induced(join_second.compose(split_second)) == mat_neg(
         identity_matrix(n2)
     )
-    assert induced_matrix(join_first.compose(split_second)) == zero_matrix(n2, n1)
-    assert induced_matrix(join_second.compose(split_first)) == zero_matrix(n1, n2)
+    assert _induced(join_first.compose(split_second)) == zero_matrix(n2, n1)
+    assert _induced(join_second.compose(split_first)) == zero_matrix(n1, n2)
     total = mat_add(
-        induced_matrix(split_first.compose(join_first)),
-        induced_matrix(split_second.compose(join_second)),
+        _induced(split_first.compose(join_first)),
+        _induced(split_second.compose(join_second)),
     )
     assert total == mat_neg(identity_matrix(state_space(w).dim))
 
@@ -555,11 +569,11 @@ def test_square_joins_and_negated_splits_are_mutually_inverse():
     n1 = state_space(split_first.end).dim
     joins = tuple(
         ja + jb
-        for ja, jb in zip(induced_matrix(join_first), induced_matrix(join_second))
+        for ja, jb in zip(_induced(join_first), _induced(join_second))
     )
     # stacked negated splits, one block per reduced web
-    splits = tuple(mat_neg(induced_matrix(split_first))) + tuple(
-        mat_neg(induced_matrix(split_second))
+    splits = tuple(mat_neg(_induced(split_first))) + tuple(
+        mat_neg(_induced(split_second))
     )
     assert mat_mul(joins, splits) == identity_matrix(n)
     assert mat_mul(splits, joins) == identity_matrix(n1 + state_space(split_second.end).dim)
@@ -627,7 +641,7 @@ def _check_served_edges(diagrams) -> int:
                 movie, served_basis(movie.start), served_basis(movie.end)
             )
             assert gram == state_space(movie.end).gram, (bits, c)
-            assert induced_matrix(movie) == matrix, (bits, c)
+            assert _induced(movie) == matrix, (bits, c)
             checked += 1
     return checked
 
@@ -663,7 +677,7 @@ def test_label_keyed_reference_agrees_up_to_a_unimodular_change_of_basis():
                 movie, label_basis(movie.start), label_basis(movie.end)
             )
             assert mat_mul(by_label, change(movie.start)) == mat_mul(
-                change(movie.end), induced_matrix(movie)
+                change(movie.end), _induced(movie)
             ), (bits, c)
             checked += 1
     assert checked > 100
