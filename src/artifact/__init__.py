@@ -13,6 +13,7 @@ foam      Movie presentations of dotted singular cobordisms between webs and
           their exact integer evaluation when closed.
 webhom    Graded integer bases of cobordism spaces from the empty web to a
           given web; exact matrices of movie-induced linear maps.
+memo      Every table kept from one call to the next, and their ``clear()``.
 cube      The binary resolution hypercube of a diagram, its bigraded integer
           homology, and the Reidemeister-invariance checker.
 corpus    Fixture diagrams and the Reidemeister pairs used for invariance

@@ -31,10 +31,11 @@ is minus the smallest port dart it passes.
 Every flattening is built from the one that bridges every crossing, by
 unzipping the bridge of each smoothed crossing in turn: the flattening
 at a choice vector is the unzip of its last smoothed crossing's bridge
-in the (cached) flattening that bridges that crossing.  So the nesting,
-outer faces and loop winding flags of a flattening come from the same
+in the flattening that bridges that crossing.  So the nesting, outer
+faces and loop winding flags of a flattening come from the same
 ``Unzip`` surgery as the cube edges, and equal inputs always produce
-identical webs.
+identical webs.  Each flattening is built once per diagram and choice
+vector and kept in ``memo.FLATTENINGS``.
 
 ``resolution_edge_movie`` returns, for any choice vector and any
 crossing sitting at choice 0, the one-move cobordism that carries the
@@ -52,9 +53,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
+from . import memo
 from .foam import (
     FoamMovie,
     MalformedMovie,
@@ -210,13 +211,16 @@ class LinkDiagram:
 
     def mirror(self) -> "LinkDiagram":
         """The diagram with every crossing's over- and under-strand
-        exchanged; all signs flip."""
+        exchanged; all signs flip.  Each old under-strand is pinned as
+        the new over-strand (``over_in``), so a component that passes
+        only under keeps its orientation."""
 
         flipped = []
         for x, sign in zip(self.crossings, self.signs):
             a, b, c, d = x
             flipped.append((b, c, d, a) if sign == 1 else ((d, a, b, c)))
-        return LinkDiagram.from_crossings(flipped, free_loops=self.free_loops)
+        over_in = [3 if s == 1 else 1 for s in self.signs]
+        return LinkDiagram.from_crossings(flipped, over_in, self.free_loops)
 
     # -- flattenings -------------------------------------------------------
 
@@ -547,20 +551,25 @@ def _smoothed_loops(d: LinkDiagram, smoothed: set[int]) -> dict[tuple[int, int],
     return loop_at
 
 
-@lru_cache(maxsize=None)
 def _flatten_state(d: LinkDiagram, bits: tuple[int, ...]) -> _FlatState:
     """The flattening at ``bits``: the all-bridged web when no crossing
     is smoothed, else the unzip of the last smoothed crossing's bridge
-    in the cached flattening that bridges it."""
+    in the cached flattening that bridges it.  Kept in
+    ``memo.FLATTENINGS`` by ``(d, bits)``."""
 
-    smoothed = [c for c, b in enumerate(bits) if (b == 1) != (d.signs[c] == 1)]
-    loop_at = _smoothed_loops(d, set(smoothed))
-    if not smoothed:
-        return _FlatState(_bridged_web(d), loop_at)
-    c = smoothed[-1]
-    bridged = _flatten_state(d, bits[:c] + (1 - bits[c],) + bits[c + 1 :])
-    unzip = _bridge_unzip(c, bridged.web, loop_at, d.n_crossings)
-    return _FlatState(apply_move(bridged.web, unzip), loop_at)
+    state = memo.FLATTENINGS.get((d, bits))
+    if state is None:
+        smoothed = [c for c, b in enumerate(bits) if (b == 1) != (d.signs[c] == 1)]
+        loop_at = _smoothed_loops(d, set(smoothed))
+        if smoothed:
+            c = smoothed[-1]
+            bridged = _flatten_state(d, bits[:c] + (1 - bits[c],) + bits[c + 1 :])
+            unzip = _bridge_unzip(c, bridged.web, loop_at, d.n_crossings)
+            web = apply_move(bridged.web, unzip)
+        else:
+            web = _bridged_web(d)
+        state = memo.FLATTENINGS[d, bits] = _FlatState(web, loop_at)
+    return state
 
 
 # --------------------------------------------------------------------------
@@ -639,7 +648,3 @@ def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
             f"failed to reproduce the target flattening"
         )
     return FoamMovie(source_state.web, (move,), (source_state.web, target_state.web))
-
-
-def clear_flatten_cache() -> None:
-    _flatten_state.cache_clear()

@@ -57,21 +57,16 @@ of the second, without replaying either movie.  Everything that reads
 no label - one union-find over facets per dart and loop, one over seam
 arcs per vertex, each cycle of arcs a singular circle, the seam checks
 and the canonical numbering of the result - is a *glue plan*, built
-once per pair of shapes and kept in ``_GLUE_PLANS`` under the two
+once per pair of shapes and kept in ``memo.GLUE_PLANS`` under the two
 shapes' small ids (``_intern_shape``, given once when a half is
 built), so finding a plan hashes no shape.
 
 A closed foam's value depends only on its plan and its summed labels,
 and the pairings of a Gram block or an induced matrix repeat few of
-them.  ``pair_halves(lefts, rights)`` evaluates every pair of two lists
-of halves: it adds each half's labels through each plan it meets once
-per call (``_project``), and each pair only adds its two projections
-and looks the sum up in the plan's table of values.  A sum the table
-lacks is made into the foam's facets straight from those labels, with
-the checks that every facet is a closed orientable sheet, and
-evaluated; one whose checks raise is never stored.  The tables live in
-the plans, and ``evaluate``'s colouring counts in ``_COLOURINGS``;
-``clear_evaluation_cache`` empties both.
+them: ``pair_halves`` evaluates every pair of two lists of halves
+through their plans, and each plan keeps the value of every summed
+label vector it has made.  The plans, the shape ids and ``evaluate``'s
+colouring counts are tables of ``memo``, which ``memo.clear`` empties.
 
 Grading: a movie has a degree (birth/death -2, dot +2, zip/unzip +1);
 a closed movie of nonzero degree always evaluates to zero.
@@ -85,6 +80,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
+from . import memo
 from .algebra import closed_surface_value, theta_symbol
 from .web import Region, Web, _component_split, _face_orbits
 
@@ -762,10 +758,12 @@ def move_to_json(m: Move) -> dict:
 
 
 class _DSU:
+    """Union-find over ints; each class's root is its least member."""
+
     __slots__ = ("parent",)
 
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
+    def __init__(self, n: int = 0) -> None:
+        self.parent: dict[int, int] = {x: x for x in range(n)}
 
     def make(self) -> int:
         n = len(self.parent)
@@ -773,16 +771,18 @@ class _DSU:
         return n
 
     def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
     def union(self, a: int, b: int) -> int:
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-        return min(ra, rb)
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return ra
 
 
 class PreFoam(NamedTuple):
@@ -1222,33 +1222,12 @@ def extend_halves(
 
 def _intern_shape(shape: HalfShape) -> int:
     """The id of ``shape``: equal shapes get one id until
-    ``clear_evaluation_cache()``, and an id is never given to another
-    shape, even after a clear."""
-    sid = _SHAPE_IDS.get(shape)
+    ``memo.clear()``, and an id is never given to another shape, even
+    after a clear."""
+    sid = memo.SHAPE_IDS.get(shape)
     if sid is None:
-        sid = _SHAPE_IDS[shape] = next(_SHAPE_COUNTER)
+        sid = memo.SHAPE_IDS[shape] = next(memo.SHAPE_COUNTER)
     return sid
-
-
-def _join(n: int, pairs: Iterable[tuple[int, int]], shift: int) -> list[int]:
-    """The classes of ``0 .. n-1`` under the unions of ``x`` with ``y +
-    shift`` for each ``(x, y)`` in ``pairs``: entry ``i`` is the smallest
-    member of the class of ``i``."""
-    parent = list(range(n))
-    for x, y in pairs:
-        y += shift
-        while parent[x] != x:
-            x = parent[x]
-        while parent[y] != y:
-            y = parent[y]
-        if x < y:
-            parent[y] = x
-        elif y < x:
-            parent[x] = y
-    # every link points to a smaller index, so one ascending pass flattens
-    for i in range(n):
-        parent[i] = parent[parent[i]]
-    return parent
 
 
 class _GluePlan(NamedTuple):
@@ -1275,8 +1254,16 @@ def _glue_plan(a: HalfShape, b: HalfShape) -> _GluePlan:
     cycle without a sink raise ``MalformedMovie``."""
     if a.sinks != b.sinks:
         raise MalformedMovie("half foams do not glue: seam endpoints disagree")
+
+    def classes(n: int, pairs: Iterable[tuple[int, int]], shift: int) -> list[int]:
+        # the least member of the class of each of 0 .. n-1, x ~ y + shift
+        dsu = _DSU(n)
+        for x, y in pairs:
+            dsu.union(x, y + shift)
+        return [dsu.find(x) for x in range(n)]
+
     nf = a.size
-    facet = _join(nf + b.size, set(zip(a.keys, b.keys)), nf)
+    facet = classes(nf + b.size, set(zip(a.keys, b.keys)), nf)
     ns = len(a.strip_facets)
     strip_facet = [facet[f] for f in a.strip_facets]
     strip_facet += [facet[nf + f] for f in b.strip_facets]
@@ -1285,9 +1272,9 @@ def _glue_plan(a: HalfShape, b: HalfShape) -> _GluePlan:
             "seam strips on different sheets were glued; the foam is "
             "geometrically inconsistent"
         )
-    strip = _join(len(strip_facet), zip(a.strips, b.strips), ns)
+    strip = classes(len(strip_facet), zip(a.strips, b.strips), ns)
     nv = len(a.arcs)
-    arc = _join(2 * nv, zip(a.arcs, b.arcs), nv)
+    arc = classes(2 * nv, zip(a.arcs, b.arcs), nv)
 
     circles = [(facet[x], facet[y], facet[z]) for x, y, z in a.circles]
     circles += [(facet[nf + x], facet[nf + y], facet[nf + z]) for x, y, z in b.circles]
@@ -1316,12 +1303,12 @@ def _check_webs(a: HalfFoam, b: HalfFoam) -> None:
 
 def _plan_of(a: HalfFoam, b: HalfFoam) -> _GluePlan:
     """The glue plan of the two halves' shapes, built on first use and
-    kept in ``_GLUE_PLANS`` by shape ids; a plan whose build raises is
-    not kept."""
+    kept in ``memo.GLUE_PLANS`` by shape ids; a plan whose build raises
+    is not kept."""
     key = (a.shape_id, b.shape_id)
-    plan = _GLUE_PLANS.get(key)
+    plan = memo.GLUE_PLANS.get(key)
     if plan is None:
-        plan = _GLUE_PLANS[key] = _glue_plan(a.shape, b.shape)
+        plan = memo.GLUE_PLANS[key] = _glue_plan(a.shape, b.shape)
     return plan
 
 
@@ -1399,30 +1386,6 @@ def pair_halves(
 # evaluation
 # ==========================================================================
 
-#: One glue plan per (first, second) pair of half shape ids glued so
-#: far, each with the values of the closed foams it has made.
-_GLUE_PLANS: dict[tuple[int, int], _GluePlan] = {}
-#: The id of every half shape built since the last clear.  Ids come from
-#: a counter that never restarts, so a half cached before a clear keeps
-#: an id no later shape has: its glues can miss, never find another
-#: shape's plan.
-_SHAPE_IDS: dict[HalfShape, int] = {}
-_SHAPE_COUNTER = itertools.count()
-
-
-#: The signed colouring count of every (circles, need) met so far, for
-#: every plan and foam: see ``evaluate``.
-_COLOURINGS: dict[tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]], int] = {}
-
-
-def clear_evaluation_cache() -> None:
-    """Empty the glue plans, with their value tables, the shape ids and
-    the colouring counts."""
-    _GLUE_PLANS.clear()
-    _SHAPE_IDS.clear()
-    _COLOURINGS.clear()
-
-
 #: Each way a circle gives the weights (0, 1, 2) to its three sheets, as
 #: the complementary weights 2 - w the sheets receive, with its sign.
 _SIGNED_SHARES = tuple(
@@ -1461,7 +1424,7 @@ def evaluate(prefoam: PreFoam) -> int:
       circle makes the value 0;
     * what is left is ``N(circles, need)``, the signed number of ways to
       meet every need exactly (``_count_colourings``), kept in one memo
-      for all foams, ``_COLOURINGS``.
+      for all foams, ``memo.COLOURINGS``.
     """
     facets, circles = prefoam
     slots = [0] * len(facets)
@@ -1481,9 +1444,9 @@ def evaluate(prefoam: PreFoam) -> int:
     while need and not slots[len(need) - 1]:
         need.pop()
     key = (circles, tuple(need))
-    count = _COLOURINGS.get(key)
+    count = memo.COLOURINGS.get(key)
     if count is None:
-        count = _COLOURINGS[key] = _count_colourings(circles, key[1])
+        count = memo.COLOURINGS[key] = _count_colourings(circles, key[1])
     return value * count
 
 

@@ -1,0 +1,42 @@
+"""Every table the engine keeps from one call to the next.
+
+Each table is a plain dict that one function reads and, on a miss,
+fills.  Nothing bounds any of them but ``clear()``, which empties all
+seven in place.
+
+* ``BRACKETS``: a connected dart component's key (``web._component_bfs``)
+  to its bracket; filled by ``web._bracket_component``.
+* ``FLATTENINGS``: ``(diagram, bits)`` to the flattening there, with the
+  loop ids of its smoothed crossings; filled by ``diagram._flatten_state``.
+* ``SHAPE_IDS``: a ``foam.HalfShape`` to its small id, drawn from
+  ``SHAPE_COUNTER``; filled by ``foam._intern_shape``.  The counter never
+  restarts, so a half built before a clear keeps an id no later shape
+  gets: its glues can miss, never find another shape's plan.
+* ``GLUE_PLANS``: a pair of shape ids to their ``foam._GluePlan``;
+  filled by ``foam._plan_of``.  Each plan carries the value of every
+  summed label vector it has made, filled by ``foam.pair_halves``.
+* ``COLOURINGS``: a closed foam's ``(circles, need)`` to its signed
+  colouring count; filled by ``foam.evaluate``.
+* ``SPACES``: a canonical web's exact key to the ``webhom.StateSpace``
+  of its relabeling class; filled by ``webhom.state_space``.
+* ``INDUCED``: a class of movies (keyed as ``webhom.induced_matrix``
+  says) to its sparse matrix; filled by ``webhom.induced_matrix``.
+"""
+
+import itertools
+
+BRACKETS: dict = {}
+FLATTENINGS: dict = {}
+SHAPE_IDS: dict = {}
+SHAPE_COUNTER = itertools.count()
+GLUE_PLANS: dict = {}
+COLOURINGS: dict = {}
+SPACES: dict = {}
+INDUCED: dict = {}
+
+
+def clear() -> None:
+    """Empty every table; the shape-id counter runs on."""
+    tables = BRACKETS, FLATTENINGS, SHAPE_IDS, GLUE_PLANS, COLOURINGS, SPACES, INDUCED
+    for table in tables:
+        table.clear()

@@ -34,7 +34,7 @@ and the parent assignment forms a forest rooted at ``None``.
 the canonical web of a web's relabeling class and the maps onto it: two
 webs are relabelings of one another exactly when their canonical webs
 are equal.  It is built on the breadth-first component key that also
-keys the bracket memo.
+keys the bracket memo, ``memo.BRACKETS``.
 
 The bracket of a web is the Laurent polynomial fixed by: empty web
 ``1``; disjoint circle ``[3]``; collapsing a two-edge (digon) face
@@ -51,6 +51,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
+from . import memo
 from .algebra import LaurentPoly, quantum_integer
 
 Region = Optional[tuple[str, int]]
@@ -515,13 +516,6 @@ def find_reduction(web: Web) -> Reduction:
 # the bracket
 # --------------------------------------------------------------------------
 
-_BRACKET_MEMO: dict[tuple, LaurentPoly] = {}
-
-
-def clear_bracket_cache() -> None:
-    _BRACKET_MEMO.clear()
-
-
 def _component_bfs(
     sigma: Mapping[int, int],
     alpha: Mapping[int, int],
@@ -773,9 +767,10 @@ def _bracket_component(
 
     Any two-edge or four-edge face may be used (on the sphere the choice
     does not matter); the smallest face key is taken for determinism.
+    The result is kept in ``memo.BRACKETS`` by the component's key.
     """
     key = _component_bfs(sigma, alpha, out, sigma.keys())[0]
-    cached = _BRACKET_MEMO.get(key)
+    cached = memo.BRACKETS.get(key)
     if cached is not None:
         return cached
     faces = _face_orbits(sigma, alpha)
@@ -801,7 +796,7 @@ def _bracket_component(
         raise MalformedWeb(
             "component admits no two- or four-edge face; not a valid closed web"
         )
-    _BRACKET_MEMO[key] = result
+    memo.BRACKETS[key] = result
     return result
 
 

@@ -10,7 +10,7 @@ rewirings (degree 0).
 
 A state space depends on its web only up to relabeling, so it is
 computed once per relabeling class (``StateSpace``), on the class's
-canonical web (``Web.canonical``), and kept in ``_SPACES`` by that web;
+canonical web (``Web.canonical``), and kept in ``memo.SPACES`` by that web;
 every web of the class is served that space.  A preparation is read
 only through the closed-foam pairing, so the space keeps each one as
 its half foam (``foam.HalfFoam``) and its degree, not as a movie.
@@ -37,14 +37,14 @@ on the source basis against the degree-matched target basis elements
 and multiplying by the inverse block through the nonzero pairings
 only; a pushed element is only its half, extended the same way.  The
 matrix is sparse too (the nonzero entries of each column), and it is
-computed
-once per class of movies and kept in ``_INDUCED``; its key is read off
-the movie's moves renamed into canonical labels, so a cached matrix is
-found without building a movie (see ``induced_matrix``).  On a miss the
-movie and its slices are relabeled so that it ends on its end web's
-canonical web, with no move run again, and the source halves are
-extended through the relabeled movie.  The blocks
-are inverted through their Smith normal form (``algebra.smith_form``),
+computed once per class of movies and kept in ``memo.INDUCED``; its
+key is read off the movie's moves renamed into canonical labels, so a
+cached matrix is found without building a movie (see
+``induced_matrix``).  On a miss the movie and its slices are relabeled
+so that it ends on its end web's canonical web, with no move run
+again, and the source halves are extended through the relabeled
+movie.  The blocks are inverted through their Smith normal form
+(``algebra.smith_form``),
 so the whole path stays in integer arithmetic.  A singular or
 non-unimodular block is a hard error, never rounded away.
 """
@@ -56,6 +56,7 @@ from math import prod
 from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from . import memo
 from .algebra import smith_form
 from .foam import (
     Birth,
@@ -179,12 +180,6 @@ class StateSpace:
         return len(self.degrees)
 
 
-#: One state space per relabeling class, by canonical web.
-_SPACES: Dict[str, StateSpace] = {}
-#: One induced matrix per class of movies; see ``induced_matrix``.
-_INDUCED: Dict[tuple, SparseColumns] = {}
-
-
 def _extended(mapping: Dict[int, int], ids: Iterable[int], step: int) -> Dict[int, int]:
     """``mapping`` extended to ``ids``: each id it leaves out, in the
     given order, goes to the next id past all of its values, counting up
@@ -288,9 +283,9 @@ def state_space(web: Web) -> StateSpace:
     computed once, on the class's canonical web; see ``StateSpace``."""
     canonical = web.canonical()[0]
     key = canonical.exact_key()
-    space = _SPACES.get(key)
+    space = memo.SPACES.get(key)
     if space is None:
-        space = _SPACES[key] = _class_space(canonical)
+        space = memo.SPACES[key] = _class_space(canonical)
     return space
 
 
@@ -337,7 +332,7 @@ def induced_matrix(movie: FoamMovie) -> SparseColumns:
         tuple(sorted(rel_darts.items())),
         tuple(sorted(rel_loops.items())),
     )
-    out = _INDUCED.get(key)
+    out = memo.INDUCED.get(key)
     if out is None:
         # every id on some slice of the movie, its start web's included,
         # renamed so that the end web's ids go to its canonical ones
@@ -348,7 +343,7 @@ def induced_matrix(movie: FoamMovie) -> SparseColumns:
         loops = _extended(end_loops, loops, -1)
         slices = [w.relabeled(darts, loops) for w in states]
         run = FoamMovie(slices[0], _renamed_moves(movie, darts, loops), slices)
-        out = _INDUCED[key] = _class_matrix(
+        out = memo.INDUCED[key] = _class_matrix(
             run,
             state_space(movie.start),
             state_space(movie.end),

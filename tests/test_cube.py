@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import corpus, cube, foam, webhom
+from artifact import corpus, cube, memo
 from artifact.algebra import LaurentPoly, quantum_integer
 from artifact.cube import (
     BigradedHomology,
@@ -29,7 +29,7 @@ from artifact.cube import (
     link_homology,
     smith_diagonal,
 )
-from artifact.diagram import clear_flatten_cache, parse_pd
+from artifact.diagram import parse_pd
 from artifact.web import link_bracket
 
 from .helpers import at_one, cube_data, free_ranks
@@ -739,18 +739,50 @@ def test_torus_knot_5_1_edge_maps_match_golden_digests():
     assert digests == _golden_torus_5_1_digests()
 
 
-def test_cold_torus_5_1_builds_match_golden_digests_across_a_clear(monkeypatch):
-    # two cold builds, the second after clear_evaluation_cache() has
-    # emptied the colouring memo the first filled
+def test_cold_torus_5_1_builds_match_golden_digests_across_a_clear():
+    # two cold builds, the second after memo.clear() has emptied the
+    # colouring memo the first filled
     expected = _golden_torus_5_1_digests()
     for _ in range(2):
-        monkeypatch.setattr(webhom, "_SPACES", {})
-        monkeypatch.setattr(webhom, "_INDUCED", {})
-        clear_flatten_cache()
-        foam.clear_evaluation_cache()
-        assert not foam._COLOURINGS
+        memo.clear()
+        assert not memo.COLOURINGS
         assert _torus_5_1_digests() == expected
-        assert foam._COLOURINGS
+        assert memo.COLOURINGS
+
+
+#: The size of each memo table after a cold 5_1 homology build, counted
+#: when the tables moved into ``memo``; "plan values" sums the value
+#: tables that the glue plans carry.
+TORUS_5_1_MEMO_SIZES = {
+    "SPACES": 9,
+    "INDUCED": 15,
+    "GLUE_PLANS": 23,
+    "plan values": 883,
+    "COLOURINGS": 422,
+    "SHAPE_IDS": 23,
+    "BRACKETS": 5,
+    "FLATTENINGS": 32,
+}
+
+
+def _memo_sizes() -> dict[str, int]:
+    """The size of each of the seven memo tables, and the plan values."""
+    tables = [name for name in TORUS_5_1_MEMO_SIZES if name != "plan values"]
+    sizes = {name: len(getattr(memo, name)) for name in tables}
+    sizes["plan values"] = sum(len(plan.values) for plan in memo.GLUE_PLANS.values())
+    return sizes
+
+
+def test_clear_empties_every_memo_table_and_a_rebuild_refills_them():
+    d = parse_pd(TORUS_5_1)
+    memo.clear()
+    homology_json(d)
+    assert _memo_sizes() == TORUS_5_1_MEMO_SIZES
+    memo.clear()
+    assert _memo_sizes() == dict.fromkeys(TORUS_5_1_MEMO_SIZES, 0)
+    homology_json(d)
+    assert _torus_5_1_digests() == _golden_torus_5_1_digests()
+    assert _memo_sizes() == TORUS_5_1_MEMO_SIZES
 
 
 def test_torus_knot_5_1_euler_and_torsion():

@@ -5,12 +5,11 @@ import random
 
 import pytest
 
-from artifact import diagram
+from artifact import diagram, memo
 from artifact.algebra import quantum_integer
 from artifact.diagram import (
     LinkDiagram,
     MalformedDiagram,
-    clear_flatten_cache,
     diagram_from_json,
     parse_pd,
     resolution_edge_movie,
@@ -84,6 +83,15 @@ def test_trefoil_mirror_has_all_negative_crossings():
     assert m.signs == (-1, -1, -1)
     assert sum(m.signs) == -3
     assert m.mirror().crossings == d.crossings
+
+
+def test_mirror_of_every_fixture_negates_every_sign_and_mirrors_back():
+    # a component that passes only under (as in both push-throughs)
+    # keeps its orientation in the mirror
+    for name, d in fixture_diagrams().items():
+        m = d.mirror()
+        assert m.signs == tuple(-s for s in d.signs), name
+        assert m.mirror() == d, name
 
 
 def test_bracket_and_whitespace_tuple_syntax():
@@ -270,7 +278,7 @@ def test_every_flattening_of_every_fixture_is_a_valid_web():
 
 
 def test_flatten_results_are_cached_by_value():
-    clear_flatten_cache()
+    memo.clear()
     a = parse_pd(KINK_POS).flatten((1,))
     b = parse_pd(KINK_POS).flatten((1,))
     assert a is b
@@ -453,7 +461,7 @@ def test_edge_movie_rejects_an_unzip_that_misses_its_flattening(monkeypatch):
 
 def test_a_swapped_unzip_flattens_away_from_the_reference(monkeypatch):
     _swapped_loop_ids(monkeypatch)
-    clear_flatten_cache()
+    memo.clear()
     try:
         # each kink's smoothing closes two loops in one unzip
         for pd, smoothing in ((KINK_POS, (0,)), (KINK_NEG, (1,))):
@@ -461,7 +469,7 @@ def test_a_swapped_unzip_flattens_away_from_the_reference(monkeypatch):
             web, loop_at = region_flatten(d, smoothing)
             assert d.flatten(smoothing).exact_key() != web.exact_key()
     finally:
-        clear_flatten_cache()
+        memo.clear()
 
 
 def test_edge_move_argument_errors():

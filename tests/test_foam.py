@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import foam
+from artifact import foam, memo
 from artifact.algebra import quantum_integer, theta_symbol
 from artifact.foam import (
     Birth,
@@ -23,12 +23,9 @@ from artifact.foam import (
     PreFoam,
     Unzip,
     Zip,
-    _GLUE_PLANS,
-    _SHAPE_IDS,
     _intern_shape,
     apply_move,
     cap_movies,
-    clear_evaluation_cache,
     digon_movies,
     dot_movie,
     evaluate,
@@ -378,7 +375,7 @@ def test_glue_rejects_odd_euler_characteristic():
 def test_glue_plan_does_not_skip_label_checks():
     h = half_foam(lens_half(0, 0, 0))
     assert evaluate(glue(h, h)) == theta_symbol(0, 0, 0)
-    assert (h.shape_id, h.shape_id) in _GLUE_PLANS
+    assert (h.shape_id, h.shape_id) in memo.GLUE_PLANS
     # same shapes as the glue above, so these reuse its plan
     with pytest.raises(MalformedMovie, match="odd Euler characteristic"):
         glue(h, _relabelled(h, 0, 1))
@@ -400,41 +397,38 @@ def test_malformed_shape_raises_on_every_call():
             glue(h, flipped)
         with pytest.raises(MalformedMovie, match="no sink"):
             glue(sinkless, sinkless)
-    assert (h.shape_id, flipped.shape_id) not in _GLUE_PLANS
-    assert (sinkless.shape_id, sinkless.shape_id) not in _GLUE_PLANS
+    assert (h.shape_id, flipped.shape_id) not in memo.GLUE_PLANS
+    assert (sinkless.shape_id, sinkless.shape_id) not in memo.GLUE_PLANS
 
 
-def test_clear_evaluation_cache_empties_glue_plans():
+def test_clear_empties_glue_plans_and_shape_ids():
     h = half_foam(lens_half(1, 0, 2))
     before = glue(h, h)
-    assert (h.shape_id, h.shape_id) in _GLUE_PLANS
-    clear_evaluation_cache()
-    assert not _GLUE_PLANS
-    assert not _SHAPE_IDS
+    assert (h.shape_id, h.shape_id) in memo.GLUE_PLANS
+    memo.clear()
+    assert not memo.GLUE_PLANS
+    assert not memo.SHAPE_IDS
     assert glue(h, h) == before
-    assert (h.shape_id, h.shape_id) in _GLUE_PLANS
+    assert (h.shape_id, h.shape_id) in memo.GLUE_PLANS
 
 
-def test_clear_evaluation_cache_empties_colouring_counts():
+def test_clear_empties_colouring_counts():
     pre = glue(half_foam(lens_half(1, 0, 2)), half_foam(lens_half(0, 0, 0)))
     value = evaluate(pre)
     assert value == theta_symbol(0, 1, 2)
-    assert foam._COLOURINGS
-    clear_evaluation_cache()
-    assert not foam._COLOURINGS
+    assert memo.COLOURINGS
+    memo.clear()
+    assert not memo.COLOURINGS
     assert evaluate(pre) == value
     # one circle structure with one need per sheet
-    assert len(foam._COLOURINGS) == 1
+    assert len(memo.COLOURINGS) == 1
 
 
 def _glue_unplanned(a: HalfFoam, b: HalfFoam):
-    """``glue(a, b)`` through a freshly built plan, with no stored one."""
-    saved = foam._GLUE_PLANS
-    foam._GLUE_PLANS = {}
-    try:
-        return glue(a, b)
-    finally:
-        foam._GLUE_PLANS = saved
+    """``glue(a, b)`` through a freshly built plan: every memo table is
+    emptied first."""
+    memo.clear()
+    return glue(a, b)
 
 
 def test_shape_ids_are_equal_for_equal_shapes():
@@ -445,10 +439,10 @@ def test_shape_ids_are_equal_for_equal_shapes():
 
 
 def test_half_cached_before_a_clear_never_finds_another_shapes_plan():
-    clear_evaluation_cache()
+    memo.clear()
     old = half_foam(lens_half(1, 0, 2))
     assert glue(old, old) == _glue_unplanned(old, old)
-    clear_evaluation_cache()
+    memo.clear()
     # the first shape interned after the clear: a restarted counter
     # would give it the id ``old`` still carries
     new = half_foam(FoamMovie(Web(), (Birth(-1, None, True),)))
@@ -484,15 +478,15 @@ def test_pair_halves_is_evaluate_of_glue_on_every_pair():
 
 
 def test_pair_halves_stores_one_value_per_glued_label_vector():
-    clear_evaluation_cache()
+    memo.clear()
     halves = _lens_halves()
     pair_halves(halves, halves)
     h = halves[0]
     assert all(x.shape_id == h.shape_id for x in halves)
-    assert list(_GLUE_PLANS) == [(h.shape_id, h.shape_id)]
+    assert list(memo.GLUE_PLANS) == [(h.shape_id, h.shape_id)]
     # 729 pairs of one shape, whose glued foams differ only in the dots
     # on their three sheets: 0 to 4 on each
-    assert len(_GLUE_PLANS[(h.shape_id, h.shape_id)].values) == 5**3
+    assert len(memo.GLUE_PLANS[(h.shape_id, h.shape_id)].values) == 5**3
 
 
 def test_pair_halves_label_faults_raise_on_every_call_and_are_never_stored():
@@ -500,8 +494,8 @@ def test_pair_halves_label_faults_raise_on_every_call_and_are_never_stored():
     # label checks of the gluing oracle and its messages
     h = half_foam(lens_half(0, 0, 0))
     assert pair_halves([h], [h]) == [[theta_symbol(0, 0, 0)]]
-    plan = _GLUE_PLANS[(h.shape_id, h.shape_id)]
-    warm, counts = dict(plan.values), dict(foam._COLOURINGS)
+    plan = memo.GLUE_PLANS[(h.shape_id, h.shape_id)]
+    warm, counts = dict(plan.values), dict(memo.COLOURINGS)
     odd, negative_genus = _relabelled(h, 0, 1), _relabelled(h, 0, 4)
     faults = [
         ("odd Euler characteristic", [h], [h, odd], (h, odd)),
@@ -517,7 +511,7 @@ def test_pair_halves_label_faults_raise_on_every_call_and_are_never_stored():
                 glue(*pair)
             assert str(paired.value) == str(glued.value)
         assert plan.values == warm
-        assert foam._COLOURINGS == counts
+        assert memo.COLOURINGS == counts
     assert pair_halves([h], [h]) == [[theta_symbol(0, 0, 0)]]
 
 
@@ -528,7 +522,7 @@ def test_pair_halves_seam_faults_raise_on_every_call():
     for _ in range(3):
         with pytest.raises(MalformedMovie, match="disagree"):
             pair_halves([h], [h, flipped])
-    assert (h.shape_id, flipped.shape_id) not in _GLUE_PLANS
+    assert (h.shape_id, flipped.shape_id) not in memo.GLUE_PLANS
 
 
 def test_pair_halves_rejects_different_end_webs():

@@ -16,6 +16,11 @@ The package's arithmetic is also exact: no file in ``src/artifact``
 divides with ``/``, calls ``float`` or imports ``fractions`` or
 ``decimal``.  Nor does it check anything with an ``assert`` statement,
 which ``python -O`` strips: a check the package relies on raises.
+
+Every table kept from one call to the next lives in ``memo``, which
+``memo.clear()`` empties: no other file of the package uses
+``functools.lru_cache`` or ``functools.cache``, or binds an empty
+``{}``, ``[]``, ``set()`` or ``dict()`` at module level.
 """
 
 import ast
@@ -27,10 +32,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Definitions kept on purpose although no program code names them.
 ALLOWED = {
-    # cache resets for long-lived callers and for tests
-    "clear_bracket_cache",
-    "clear_evaluation_cache",
-    "clear_flatten_cache",
+    # memo.clear(): empties every memo table, for long-lived callers and tests
+    "clear",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -212,4 +215,83 @@ def test_exactness_check_sees_each_inexact_form(tmp_path):
         "true division",
         "float() call",
         "assert statement",
+    ]
+
+
+_CACHES = ("lru_cache", "cache")
+
+
+def _is_empty_table(node: Optional[ast.expr]) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "dict")
+        and not node.args
+        and not node.keywords
+    )
+
+
+def _tables_outside_memo(path: Path) -> list[str]:
+    """Every use of ``functools.lru_cache`` or ``functools.cache`` and
+    every module-level binding of an empty ``{}``, ``[]``, ``set()`` or
+    ``dict()`` in one file, as ``file:line: what``, in line order."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(a.name in _CACHES for a in node.names):
+                found.append((node.lineno, "functools cache import"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in _CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            found.append((node.lineno, f"functools.{node.attr}"))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_empty_table(node.value):
+            found.append((node.lineno, "module-level empty table"))
+    return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
+
+
+def test_every_memo_table_lives_in_memo():
+    package, _ = _program_files()
+    found = [
+        use
+        for path in package
+        if path.name != "memo.py"
+        for use in _tables_outside_memo(path)
+    ]
+    assert not found, "a memo table outside memo.py: " + ", ".join(found)
+
+
+def test_memo_table_check_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import functools\n"
+        "from functools import lru_cache, reduce\n"
+        "A = {}\n"
+        "B: list = []\n"
+        "C = set()\n"
+        "D = E = dict()\n"
+        "F = {1: 2}\n"
+        "G = dict(a=1)\n"
+        "H: dict\n"
+        "@functools.cache\n"
+        "def f():\n"
+        "    local = {}\n"
+        "    return local\n",
+        encoding="utf-8",
+    )
+    assert [use.split(": ", 1)[1] for use in _tables_outside_memo(sample)] == [
+        "functools cache import",
+        "module-level empty table",
+        "module-level empty table",
+        "module-level empty table",
+        "module-level empty table",
+        "functools.cache",
     ]

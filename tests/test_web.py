@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import memo
 from artifact.algebra import LaurentPoly, quantum_integer
 from artifact.web import (
     DigonFace,
@@ -19,7 +20,6 @@ from artifact.web import (
     Web,
     _component_bfs,
     _reduce_digon,
-    clear_bracket_cache,
     crossing_weight,
     find_reduction,
     kuperberg_bracket,
@@ -213,7 +213,7 @@ def test_bracket_ignores_labels():
 
 
 def test_bracket_cube_web():
-    clear_bracket_cache()
+    memo.clear()
     p = kuperberg_bracket(cube_web())
     assert p == p.mirror(), f"cube web bracket {p} should be palindromic"
     assert all(c > 0 for _, c in p.items()), "bracket coefficients must be positive"

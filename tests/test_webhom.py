@@ -10,9 +10,9 @@ import pytest
 
 from artifact.algebra import LaurentPoly, quantum_integer
 from artifact.corpus import fixture_diagrams
-from artifact import foam, webhom
+from artifact import foam, memo, webhom
 from artifact.cube import build_complex
-from artifact.diagram import clear_flatten_cache, parse_pd, resolution_edge_movie, resolutions
+from artifact.diagram import parse_pd, resolution_edge_movie, resolutions
 from artifact.foam import (
     Birth,
     Dot,
@@ -684,9 +684,7 @@ def test_label_keyed_reference_agrees_up_to_a_unimodular_change_of_basis():
 
 
 def test_cold_torus_build_computes_one_space_and_one_matrix_per_class(monkeypatch):
-    monkeypatch.setattr(webhom, "_SPACES", {})
-    monkeypatch.setattr(webhom, "_INDUCED", {})
-    clear_flatten_cache()
+    memo.clear()
     counts = {"_class_space": 0, "_class_matrix": 0}
     for name in counts:
         real = getattr(webhom, name)
@@ -726,12 +724,6 @@ def test_warm_induced_matrices_rename_no_web(monkeypatch):
 # --------------------------------------------------------------------------
 
 
-def _cold(monkeypatch) -> None:
-    monkeypatch.setattr(webhom, "_SPACES", {})
-    monkeypatch.setattr(webhom, "_INDUCED", {})
-    clear_flatten_cache()
-
-
 def _recorded_extensions(monkeypatch) -> list:
     """Record every ``extend_halves`` call of ``webhom`` from now on, as
     (halves, movie, dart map, loop map, extended halves)."""
@@ -756,7 +748,7 @@ def _check_extensions(calls) -> int:
     values of the call's loop map."""
     prefix = {
         id(h): b
-        for space in webhom._SPACES.values()
+        for space in memo.SPACES.values()
         for h, b in zip(space.halves, class_basis(space.halves[0].web))
     }
     checked = 0
@@ -777,7 +769,7 @@ def _check_extensions(calls) -> int:
 
 
 def test_extended_halves_equal_swept_halves_on_cube_edges(monkeypatch):
-    _cold(monkeypatch)
+    memo.clear()
     calls = _recorded_extensions(monkeypatch)
     diagrams = list(fixture_diagrams().values()) + [parse_pd(TORUS_5_1)]
     edges = [movie for d in diagrams for _, _, movie in _cube_edges(d)]
@@ -791,7 +783,7 @@ def test_extended_halves_equal_swept_halves_on_cube_edges(monkeypatch):
 def test_reflected_movies_match_the_zip_oracle(monkeypatch):
     # a reflected movie is given the forward slices reversed and runs no
     # zip; zip surgery from scratch must give exactly those slices
-    _cold(monkeypatch)
+    memo.clear()
     reflected = []
     real = FoamMovie.reflect
 
@@ -842,18 +834,17 @@ def _movies_in(x) -> bool:
     return False
 
 
-def test_cold_torus_state_spaces_hold_no_movies(monkeypatch):
-    _cold(monkeypatch)
+def test_cold_torus_state_spaces_hold_no_movies():
+    memo.clear()
     build_complex(parse_pd(TORUS_5_1))
-    assert webhom._SPACES
-    for space in webhom._SPACES.values():
+    assert memo.SPACES
+    for space in memo.SPACES.values():
         for f in dataclasses.fields(space):
             assert not _movies_in(getattr(space, f.name)), f.name
 
 
 def test_cold_torus_build_sweeps_once_per_half_shape(monkeypatch):
-    _cold(monkeypatch)
-    monkeypatch.setattr(foam, "_SHAPE_IDS", {})
+    memo.clear()
     sweeps = []
     real = foam._sweep
 
@@ -868,7 +859,7 @@ def test_cold_torus_build_sweeps_once_per_half_shape(monkeypatch):
     assert len(sweeps) <= 40
     # 23 distinct half shapes; extending pushed halves through renamed
     # copies of the edge movies would add more
-    assert len(foam._SHAPE_IDS) <= 25
+    assert len(memo.SHAPE_IDS) <= 25
 
 
 # --------------------------------------------------------------------------
@@ -877,7 +868,7 @@ def test_cold_torus_build_sweeps_once_per_half_shape(monkeypatch):
 
 
 def test_batched_pairings_equal_glued_evaluations_on_cube_edges(monkeypatch):
-    _cold(monkeypatch)
+    memo.clear()
     calls = []
     real = webhom.pair_halves
 
@@ -908,9 +899,7 @@ def test_every_glued_foam_evaluates_as_the_circle_recursion(monkeypatch):
     # every closed foam that a cold build of the corpus, 5_1 and 6_1
     # evaluates (each miss of a plan's value table), against the
     # circle-recursion oracle; the colouring memo starts empty
-    _cold(monkeypatch)
-    monkeypatch.setattr(foam, "_GLUE_PLANS", {})
-    monkeypatch.setattr(foam, "_COLOURINGS", {})
+    memo.clear()
     glued = set()
     real = foam.evaluate
 
@@ -928,12 +917,11 @@ def test_every_glued_foam_evaluates_as_the_circle_recursion(monkeypatch):
     # 29,213 distinct foams when this was written, many of several circles
     assert len(glued) > 25000
     assert max(len(pre.circles) for pre in glued) >= 4
-    assert 0 < len(foam._COLOURINGS) < len(glued)
+    assert 0 < len(memo.COLOURINGS) < len(glued)
 
 
 def test_cold_torus_build_evaluates_once_per_glued_label_vector(monkeypatch):
-    _cold(monkeypatch)
-    monkeypatch.setattr(foam, "_GLUE_PLANS", {})
+    memo.clear()
     closed = []
     real = foam._facet_genera
 
