@@ -16,10 +16,8 @@ Contents
     The table of closed connected orientable dotted surfaces by genus and
     dot count.
 ``smith_form``
-    The Smith normal form of an integer matrix with its unimodular row
-    and column transforms: the one dense elimination, used for the
-    diagonal of a homology block and for the exact inverse of a
-    unimodular Gram block.
+    The diagonal of the Smith normal form of an integer matrix, which
+    finishes each homology block after its unit pivots are cancelled.
 
 No floating point is used anywhere in this module.
 """
@@ -255,24 +253,20 @@ def theta_symbol(a: int, b: int, c: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def smith_form(
-    mat: Sequence[Sequence[int]],
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Smith normal form of an integer matrix, with its transforms.
+def smith_form(mat: Sequence[Sequence[int]]) -> list[int]:
+    """The nonzero diagonal of the Smith normal form of an integer
+    matrix: positive entries, each dividing the next, as many as the
+    rank.
 
-    Returns ``(diag, p, q)``: ``p`` (rows by rows) and ``q`` (columns by
-    columns) are unimodular, and ``p @ mat @ q`` is zero except for
-    ``diag`` down its diagonal.  Entries of ``diag`` are positive and
-    each divides the next; their count is the rank.  Every row
-    operation is also applied to ``p`` and every column operation to
-    ``q``, which start as identities.
+    Each step moves the smallest nonzero entry of the trailing block to
+    the pivot, clears its row and column by integer division, and adds
+    in a row with an entry the pivot does not divide until none is
+    left.
     """
 
     a = [list(row) for row in mat]
     n_rows = len(a)
     n_cols = len(a[0]) if a else 0
-    p = [[int(i == j) for j in range(n_rows)] for i in range(n_rows)]
-    q = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
     diag: list[int] = []
     t = 0
     while t < min(n_rows, n_cols):
@@ -292,14 +286,10 @@ def smith_form(
                 return False
             i0, j0 = best
             a[t], a[i0] = a[i0], a[t]
-            p[t], p[i0] = p[i0], p[t]
             for row in a:
-                row[t], row[j0] = row[j0], row[t]
-            for row in q:
                 row[t], row[j0] = row[j0], row[t]
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
-                p[t] = [-x for x in p[t]]
             return True
 
         if not repivot():
@@ -312,7 +302,6 @@ def smith_form(
                     f = a[i][t] // piv
                     if f:
                         a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-                        p[i] = [x - f * y for x, y in zip(p[i], p[t])]
                     if a[i][t]:
                         clean = False
             for j in range(t + 1, n_cols):
@@ -320,8 +309,6 @@ def smith_form(
                     f = a[t][j] // piv
                     if f:
                         for row in a:
-                            row[j] -= f * row[t]
-                        for row in q:
                             row[j] -= f * row[t]
                     if a[t][j]:
                         clean = False
@@ -339,7 +326,6 @@ def smith_form(
             if offender is None:
                 break
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            p[t] = [x + y for x, y in zip(p[t], p[offender])]
         diag.append(a[t][t])
         t += 1
-    return diag, p, q
+    return diag

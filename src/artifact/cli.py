@@ -220,8 +220,9 @@ class _Cache:
 def _resolve_cache(args: argparse.Namespace) -> _Cache:
     if args.no_cache:
         return _Cache(None)
+    # an empty flag or variable is unset, not the current directory
     directory = args.cache_dir or os.environ.get(CACHE_ENV)
-    if directory is None:
+    if not directory:
         directory = os.path.join(os.path.expanduser("~"), ".cache", "sl3web")
     return _Cache(directory)
 
@@ -347,9 +348,12 @@ def _mode_homology(args, out) -> int:
     diagram = d.to_json_dict()
     key = _homology_key(diagram)
     payload = cache.get(key)
-    if not _is_homology_payload(payload, diagram):
+    # a report whose Euler check failed is never kept, and one found is
+    # recomputed
+    if not _is_homology_payload(payload, diagram) or not payload["euler_check"]:
         payload = homology_json(d)
-        cache.put(key, payload)
+        if payload["euler_check"]:
+            cache.put(key, payload)
     if args.format == "json":
         _emit_json(payload, out)
     else:

@@ -52,10 +52,10 @@ class ComplexError(Exception):
 
 def smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form of an integer matrix
-    (``algebra.smith_form`` without its transforms): positive entries,
-    each dividing the next, as many as the rank."""
+    (``algebra.smith_form``): positive entries, each dividing the next,
+    as many as the rank."""
 
-    return smith_form(mat)[0]
+    return smith_form(mat)
 
 
 #: A sparse integer column: its nonzero entries by row index.

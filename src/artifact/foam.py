@@ -65,8 +65,13 @@ A closed foam's value depends only on its plan and its summed labels,
 and the pairings of a Gram block or an induced matrix repeat few of
 them: ``pair_halves`` evaluates every pair of two lists of halves
 through their plans, and each plan keeps the value of every summed
-label vector it has made.  The plans, the shape ids and ``evaluate``'s
-colouring counts are tables of ``memo``, which ``memo.clear`` empties.
+label vector it has made.  A half's labels go through a plan packed
+into one int, one 16-bit field per label, so a pair is one int
+addition and one lookup; only a sum the plan has not met is read as
+labels, and its value comes straight from them (``_glued_value``),
+with no ``PreFoam``, through the same forced-weight core as
+``evaluate``.  The plans, the shape ids and the colouring counts are
+tables of ``memo``, which ``memo.clear`` empties.
 
 Grading: a movie has a degree (birth/death -2, dot +2, zip/unzip +1);
 a closed movie of nonzero degree always evaluates to zero.
@@ -76,8 +81,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import struct
 from dataclasses import dataclass
-from operator import add
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import memo
@@ -1234,13 +1239,17 @@ class _GluePlan(NamedTuple):
     """How two half shapes glue, whatever their labels: the output facet
     of each input facet (those of the first half, then of the second),
     the boundary-slot count of each output facet, the canonical
-    singular circles, and the value of every glued label vector met so
-    far (see ``_project``)."""
+    singular circles, how to pack a projected label vector (its
+    ``struct`` packer, and the top bit of every field), and the value
+    of every glued label vector met so far, keyed by its packed form
+    (see ``_project``)."""
 
     facet_map: tuple[int, ...]
     slots: tuple[int, ...]
     circles: tuple[tuple[int, int, int], ...]
-    values: dict[tuple[int, ...], int]
+    pack: Callable[..., bytes]
+    top_bits: int
+    values: dict[int, int]
 
 
 def _glue_plan(a: HalfShape, b: HalfShape) -> _GluePlan:
@@ -1292,7 +1301,10 @@ def _glue_plan(a: HalfShape, b: HalfShape) -> _GluePlan:
         raise MalformedMovie("half foams do not glue: a seam cycle has no sink")
 
     index, slots, out = _canonical_numbering(set(facet), circles)
-    return _GluePlan(tuple(index[r] for r in facet), slots, out, {})
+    fields = 2 * len(slots)
+    pack = struct.Struct(f"<{fields}H").pack
+    top_bits = int.from_bytes(b"\0\x80" * fields, "little")
+    return _GluePlan(tuple(index[r] for r in facet), slots, out, pack, top_bits, {})
 
 
 def _check_webs(a: HalfFoam, b: HalfFoam) -> None:
@@ -1312,30 +1324,60 @@ def _plan_of(a: HalfFoam, b: HalfFoam) -> _GluePlan:
     return plan
 
 
+#: A projected label ``v`` must satisfy ``|v| < _LABEL_BOUND``.  It is
+#: packed as ``v + _LABEL_BOUND``, one unsigned 16-bit field whose top
+#: bit is clear (``_project``), so two such fields add up to less than
+#: ``2 ** 16``: the sum of two packed projections has one field per
+#: entry and no carry between them, and one packed sum is one summed
+#: label vector.
+_LABEL_BOUND = 1 << 14
+
+
 def _project(
     plan: _GluePlan, facets: Sequence[tuple[int, int]], offset: int
-) -> tuple[int, ...]:
+) -> tuple[int, tuple[int, ...]]:
     """One half's labels added through the plan, as input facets
     ``offset, offset + 1, ...``: entry ``2 f`` is the twice Euler
     characteristic and entry ``2 f + 1`` the dots it gives output facet
-    ``f``.  A closed foam's labels are the sum of its two halves'."""
-    out = [0] * (2 * len(plan.slots))
+    ``f``.  A closed foam's labels are the sum of its two halves'.
+
+    Returned twice, each entry plus ``_LABEL_BOUND``: packed into one
+    int, entry ``k`` in bits ``16 k`` to ``16 k + 15``, so that two
+    halves sum by one int addition, and as a tuple, which only a sum
+    whose value is not yet known reads.  An entry of size
+    ``_LABEL_BOUND`` or more could make packed sums collide, and raises
+    ``MalformedMovie``: as a field it is below zero, which does not
+    pack, ``2 ** 15`` or more, which sets a top bit, or zero."""
+    out = [_LABEL_BOUND] * (2 * len(plan.slots))
     for f, (c, d) in zip(plan.facet_map[offset:], facets):
         out[2 * f] += c
         out[2 * f + 1] += d
-    return tuple(out)
+    try:
+        packed = int.from_bytes(plan.pack(*out), "little")
+    except struct.error:
+        packed = None
+    if packed is None or packed & plan.top_bits or 0 in out:
+        v = next(v for v in out if not 0 < v < 2 * _LABEL_BOUND) - _LABEL_BOUND
+        raise MalformedMovie(
+            f"a half's projected label {v} is out of range: labels must be "
+            f"less than {_LABEL_BOUND} in size"
+        )
+    return packed, tuple(out)
 
 
-def _glued_prefoam(plan: _GluePlan, labels: Sequence[int]) -> PreFoam:
-    """The closed foam a glue plan makes of the summed labels of two
-    halves (``_project``).  A facet of odd Euler characteristic, then
-    one that is not a closed orientable sheet, raises ``MalformedMovie``."""
+def _glued_value(plan: _GluePlan, labels: Sequence[int]) -> int:
+    """The value of the closed foam a glue plan makes of the summed
+    labels of two halves (``_project``), read straight off the labels:
+    a facet of odd Euler characteristic, then one that is not a closed
+    orientable sheet, raises ``MalformedMovie``; then the facets' genera
+    and dots go to the forced-weight evaluation (``_forced_value``)."""
     twice_chi = labels[::2]
     for c in twice_chi:
         if c % 2:
             raise MalformedMovie(f"glued facet has odd Euler characteristic {c}/2")
     chi = [c // 2 for c in twice_chi]
-    return PreFoam(_facet_genera(chi, labels[1::2], plan.slots), plan.circles)
+    facets = _facet_genera(chi, labels[1::2], plan.slots)
+    return _forced_value(facets, plan.slots, plan.circles)
 
 
 def pair_halves(
@@ -1349,34 +1391,36 @@ def pair_halves(
     A closed foam's value depends only on its glue plan and its summed
     labels, so within a call each half's labels are projected through
     each plan it meets once (``_project``), and a pair only adds its two
-    projections and looks the sum up in the plan's value table.  A sum
-    the table lacks is made into the foam's facets straight from those
-    labels (``_glued_prefoam``) and evaluated; a sum whose checks raise
-    is never stored and raises for every pair that makes it.  End webs
-    are compared first, once per pair of web objects, and a pair of
-    shapes that does not glue raises when its plan is built."""
+    packed projections and looks the sum up in the plan's value table.
+    Only a sum the table lacks adds the two label tuples, and its value
+    is read straight off them (``_glued_value``), with no ``PreFoam``; a
+    sum whose checks raise is never stored and raises for every pair
+    that makes it.  End webs are compared first, once per pair of web
+    objects, and a pair of shapes that does not glue raises when its
+    plan is built."""
     right_webs = {id(b.web): b for b in rights}
     for a in {id(a.web): a for a in lefts}.values():
         for b in right_webs.values():
             _check_webs(a, b)
-    right_seen: list[dict[int, tuple[int, ...]]] = [{} for _ in rights]
+    right_seen: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in rights]
     out = []
     for a in lefts:
-        planned: dict[int, tuple[_GluePlan, tuple[int, ...]]] = {}
+        planned: dict[int, tuple[_GluePlan, tuple[int, tuple[int, ...]]]] = {}
         row = []
         for b, seen in zip(rights, right_seen):
             hit = planned.get(b.shape_id)
             if hit is None:
                 plan = _plan_of(a, b)
                 hit = planned[b.shape_id] = (plan, _project(plan, a.facets, 0))
-            plan, x = hit
+            plan, (x, x_labels) = hit
             y = seen.get(a.shape_id)
             if y is None:
                 y = seen[a.shape_id] = _project(plan, b.facets, a.shape.size)
-            labels = tuple(map(add, x, y))
-            value = plan.values.get(labels)
+            key = x + y[0]
+            value = plan.values.get(key)
             if value is None:
-                value = plan.values[labels] = evaluate(_glued_prefoam(plan, labels))
+                labels = [p + q - 2 * _LABEL_BOUND for p, q in zip(x_labels, y[1])]
+                value = plan.values[key] = _glued_value(plan, labels)
             row.append(value)
         out.append(row)
     return out
@@ -1425,12 +1469,28 @@ def evaluate(prefoam: PreFoam) -> int:
     * what is left is ``N(circles, need)``, the signed number of ways to
       meet every need exactly (``_count_colourings``), kept in one memo
       for all foams, ``memo.COLOURINGS``.
+
+    Everything after counting each facet's boundary slots is
+    ``_forced_value``, which ``pair_halves`` also reaches, from the
+    summed labels of two halves.
     """
     facets, circles = prefoam
     slots = [0] * len(facets)
     for tri in circles:
         for f in tri:
             slots[f] += 1
+    return _forced_value(facets, slots, circles)
+
+
+def _forced_value(
+    facets: Sequence[tuple[int, int]],
+    slots: Sequence[int],
+    circles: tuple[tuple[int, int, int], ...],
+) -> int:
+    """The forced-weight core of ``evaluate``: the value of the closed
+    foam with these ``(genus, dots)`` facets, boundary-slot counts and
+    singular circles.  ``pair_halves`` reaches it from the summed labels
+    of two halves, ``evaluate`` from a ``PreFoam``."""
     value = -1 if len(circles) % 2 else 1
     need = []
     for facet, s in zip(facets, slots):

@@ -12,11 +12,15 @@ seven in place.
   ``SHAPE_COUNTER``; filled by ``foam._intern_shape``.  The counter never
   restarts, so a half built before a clear keeps an id no later shape
   gets: its glues can miss, never find another shape's plan.
-* ``GLUE_PLANS``: a pair of shape ids to their ``foam._GluePlan``;
-  filled by ``foam._plan_of``.  Each plan carries the value of every
-  summed label vector it has made, filled by ``foam.pair_halves``.
+* ``GLUE_PLANS``: the pair of shape ids of a left and a right half to
+  their ``foam._GluePlan``; filled by ``foam._plan_of``.  Each plan
+  carries the value of every summed label vector it has made, keyed by
+  the packed int of the labels (``foam._project``), filled by
+  ``foam.pair_halves``.
 * ``COLOURINGS``: a closed foam's ``(circles, need)`` to its signed
-  colouring count; filled by ``foam.evaluate``.
+  colouring count; filled by ``foam._forced_value``, the evaluation
+  that ``foam.evaluate`` runs on a ``PreFoam`` and ``foam.pair_halves``
+  on each summed label vector a plan has not met.
 * ``SPACES``: a canonical web's exact key to the ``webhom.StateSpace``
   of its relabeling class; filled by ``webhom.state_space``.
 * ``INDUCED``: a class of movies (keyed as ``webhom.induced_matrix``

@@ -43,21 +43,18 @@ cached matrix is found without building a movie (see
 ``induced_matrix``).  On a miss the movie and its slices are relabeled
 so that it ends on its end web's canonical web, with no move run
 again, and the source halves are extended through the relabeled
-movie.  The blocks are inverted through their Smith normal form
-(``algebra.smith_form``),
-so the whole path stays in integer arithmetic.  A singular or
+movie.  The blocks are inverted by one sparse Gauss-Jordan pass over
+the integers (``_unimodular_inverse``), so the whole path stays in
+integer arithmetic and never densifies a block.  A singular or
 non-unimodular block is a hard error, never rounded away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
-from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import memo
-from .algebra import smith_form
 from .foam import (
     Birth,
     Death,
@@ -105,6 +102,77 @@ def _degree_index(degrees: Sequence[int]) -> Dict[int, Tuple[int, ...]]:
     return {d: tuple(ix) for d, ix in index.items()}
 
 
+def _unimodular_inverse(block: Sequence[Sequence[int]]) -> List[Dict[int, int]]:
+    """The rows of the exact inverse of a square integer block, each as
+    its nonzero entries ``{column: value}``, by one sparse Gauss-Jordan
+    pass over the integers with row operations only.
+
+    Each step pivots on the entry of smallest size in the rows not yet
+    pivoted.  Euclid steps first clear the pivot's column in those rows,
+    down to their gcd; a unimodular block leaves a unit there, which
+    then clears its column in every other row too.  A step with no
+    entry left raises "singular".  The pivots multiply to the
+    determinant up to sign, so a pivot that is not a unit raises once
+    every step is done, unless a later step finds the block singular."""
+    n = len(block)
+    rows = [{c: x for c, x in enumerate(row) if x} for row in block]
+    ops: List[Dict[int, int]] = [{r: 1} for r in range(n)]
+
+    def add_multiple(target: int, source: int, factor: int) -> None:
+        # row ``target`` += factor * row ``source``, in both halves
+        for part in (rows, ops):
+            into = part[target]
+            for c, x in part[source].items():
+                v = into.get(c, 0) + factor * x
+                if v:
+                    into[c] = v
+                else:
+                    del into[c]
+
+    open_rows = list(range(n))
+    pivot_row: Dict[int, int] = {}  # column -> the row pivoted on it
+    det = 1
+    while open_rows:
+        best = None
+        for r in open_rows:
+            for c, x in rows[r].items():
+                if best is None or abs(x) < best[0]:
+                    best = (abs(x), r, c)
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            raise StateSpaceError("pairing matrix is singular")
+        _, r, c = best
+        while True:
+            others = [s for s in open_rows if s != r and c in rows[s]]
+            if not others:
+                break
+            for s in others:
+                add_multiple(s, r, -(rows[s][c] // rows[r][c]))
+            held = [s for s in others if c in rows[s]]
+            if held:
+                r = min(held, key=lambda s: abs(rows[s][c]))
+        open_rows.remove(r)
+        pivot = rows[r][c]
+        if pivot not in (1, -1):
+            det *= abs(pivot)
+            continue
+        pivot_row[c] = r
+        for s in range(n):
+            if s != r and c in rows[s]:
+                add_multiple(s, r, -rows[s][c] * pivot)
+    if det != 1:
+        raise StateSpaceError(f"pairing matrix has determinant ±{det}, not ±1")
+    # every row is now a signed unit vector: row r has ``rows[r][c]`` at
+    # column c, so row c of the inverse is that sign times ``ops[r]``
+    out = []
+    for c in range(n):
+        r = pivot_row[c]
+        sign = rows[r][c]
+        out.append({t: sign * x for t, x in ops[r].items()})
+    return out
+
+
 def _inverse_blocks(
     degrees: Sequence[int], gram: Sequence[Sequence[int]]
 ) -> Dict[int, SparseColumns]:
@@ -116,8 +184,8 @@ def _inverse_blocks(
     A block that is not square, is singular or has determinant other
     than ±1 raises.  The Gram matrix is symmetric, so the block of
     ``-d`` is the transpose of that of ``d``, and so is its inverse.
-    Each block is inverted through its Smith normal form
-    (``algebra.smith_form``)."""
+    Each block is inverted by sparse integer elimination
+    (``_unimodular_inverse``)."""
     index = _degree_index(degrees)
     out: Dict[int, SparseColumns] = {}
     for d, rows in index.items():
@@ -129,23 +197,17 @@ def _inverse_blocks(
             )
         if d in out:
             continue
-        block = [[gram[r][c] for c in cols] for r in rows]
-        # p @ block @ q is diagonal; unimodular means that diagonal is
-        # the identity, and then the inverse is q @ p
-        diag, p, q = smith_form(block)
-        if len(diag) < len(rows):
-            raise StateSpaceError("pairing matrix is singular")
-        if diag[-1] != 1:
-            raise StateSpaceError(
-                f"pairing matrix has determinant ±{prod(diag)}, not ±1"
-            )
-        inv = [[sum(map(mul, row, col)) for col in zip(*p)] for row in q]
-        out[d] = tuple(
-            tuple((k, x) for k, x in zip(cols, col) if x) for col in zip(*inv)
-        )
+        inv = _unimodular_inverse([[gram[r][c] for c in cols] for r in rows])
+        # inv[k] holds the entries (t, x) of row k, k counting ``cols``
+        # and t counting ``rows``
+        by_column: List[List[Tuple[int, int]]] = [[] for _ in rows]
+        for k, row in zip(cols, inv):
+            for t, x in row.items():
+                by_column[t].append((k, x))
+        out[d] = tuple(map(tuple, by_column))
         if d:
             out[-d] = tuple(
-                tuple((k, x) for k, x in zip(rows, row) if x) for row in inv
+                tuple((rows[t], x) for t, x in sorted(row.items())) for row in inv
             )
     return out
 
@@ -165,8 +227,10 @@ class StateSpace:
     nonzero entries ``(k, value)`` of its column, ``k`` in
     ``index[-d]``.  Together they solve ``gram @ X = R``: ``X[k]`` is
     the sum of ``value * R[index[d][t]]`` over the entries ``(k,
-    value)`` of every column ``t``.  The trace names each reduction site
-    in the canonical labels of the class it reduces."""
+    value)`` of every column ``t``.  Each block is inverted exactly by
+    sparse integer elimination (``_inverse_blocks``).  The trace names
+    each reduction site in the canonical labels of the class it
+    reduces."""
 
     halves: Tuple[HalfFoam, ...]
     degrees: Tuple[int, ...]

@@ -37,7 +37,14 @@ Exact solve oracle
 ------------------
 ``fraction_solve`` solves ``G @ X = R`` by Gauss-Jordan elimination over
 the rationals (``fractions.Fraction``), the reference for the package's
-Gram-block inverses, which go through the integer Smith normal form.
+Gram-block inverses, which eliminate over the integers.
+
+Smith transform oracle
+----------------------
+``smith_form_with_transforms`` is the package's dense Smith normal form
+with its unimodular row and column transforms kept, so that tests can
+check ``P @ M @ Q`` against the diagonal; the package keeps only the
+diagonal.
 
 Replay and gluing oracles
 -------------------------
@@ -48,8 +55,11 @@ package's glue plans; ``evaluate_closed`` evaluates that.  ``glue``
 joins two once-swept halves into the ``PreFoam`` of one followed by the
 reflection of the other, through the package's glue plan, checking the
 end webs and every summed facet; it must give exactly what replaying
-their composite gives.  The package's pairing kernel never builds it:
-it makes the facets of a glued foam straight from the summed labels.
+their composite gives.  It sums the labels as plain tuples
+(``glued_prefoam`` makes the foam of a summed tuple), not through the
+package's packed projections.  The package's pairing kernel never
+builds the foam: it evaluates a glued foam straight from the summed
+labels.
 
 Circle-recursion oracle
 -----------------------
@@ -155,7 +165,6 @@ from artifact.foam import (
     _facet_genera,
     _make_renamer,
     _plan_of,
-    _project,
     _relabel_move,
     _site_aligned,
     _sweep,
@@ -488,6 +497,92 @@ def fraction_solve(gram, rhs) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def smith_form_with_transforms(
+    mat,
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Smith normal form of an integer matrix, with its transforms.
+
+    Returns ``(diag, p, q)``: ``p`` (rows by rows) and ``q`` (columns by
+    columns) are unimodular, and ``p @ mat @ q`` is zero except for
+    ``diag`` down its diagonal.  Entries of ``diag`` are positive and
+    each divides the next; their count is the rank.  The elimination is
+    the package's ``algebra.smith_form``, with every row operation also
+    applied to ``p`` and every column operation to ``q``, which start as
+    identities.
+    """
+    a = [list(row) for row in mat]
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
+    p = [[int(i == j) for j in range(n_rows)] for i in range(n_rows)]
+    q = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
+    diag: list[int] = []
+    t = 0
+    while t < min(n_rows, n_cols):
+
+        def repivot() -> bool:
+            best = None
+            for i in range(t, n_rows):
+                for j in range(t, n_cols):
+                    v = a[i][j]
+                    if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+                if best is not None and abs(a[best[0]][best[1]]) == 1:
+                    break
+            if best is None:
+                return False
+            i0, j0 = best
+            a[t], a[i0] = a[i0], a[t]
+            p[t], p[i0] = p[i0], p[t]
+            for row in a:
+                row[t], row[j0] = row[j0], row[t]
+            for row in q:
+                row[t], row[j0] = row[j0], row[t]
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+                p[t] = [-x for x in p[t]]
+            return True
+
+        if not repivot():
+            break
+        while True:
+            piv = a[t][t]
+            clean = True
+            for i in range(t + 1, n_rows):
+                if a[i][t]:
+                    f = a[i][t] // piv
+                    if f:
+                        a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                        p[i] = [x - f * y for x, y in zip(p[i], p[t])]
+                    if a[i][t]:
+                        clean = False
+            for j in range(t + 1, n_cols):
+                if a[t][j]:
+                    f = a[t][j] // piv
+                    if f:
+                        for row in a:
+                            row[j] -= f * row[t]
+                        for row in q:
+                            row[j] -= f * row[t]
+                    if a[t][j]:
+                        clean = False
+            if not clean:
+                repivot()
+                continue
+            offender = None
+            if piv != 1:
+                for i in range(t + 1, n_rows):
+                    if any(a[i][j] % piv for j in range(t + 1, n_cols)):
+                        offender = i
+                        break
+            if offender is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            p[t] = [x + y for x, y in zip(p[t], p[offender])]
+        diag.append(a[t][t])
+        t += 1
+    return diag, p, q
+
+
 def extract_prefoam(movie: FoamMovie) -> PreFoam:
     """Run the movie and return its facet/circle shadow.
 
@@ -529,8 +624,18 @@ def glue(a: HalfFoam, b: HalfFoam) -> PreFoam:
     call."""
     _check_webs(a, b)
     plan = _plan_of(a, b)
-    x, y = _project(plan, a.facets, 0), _project(plan, b.facets, a.shape.size)
-    labels = [p + q for p, q in zip(x, y)]
+    labels = [0] * (2 * len(plan.slots))
+    for f, (c, d) in zip(plan.facet_map, a.facets + b.facets):
+        labels[2 * f] += c
+        labels[2 * f + 1] += d
+    return glued_prefoam(plan, labels)
+
+
+def glued_prefoam(plan, labels) -> PreFoam:
+    """The closed foam a glue plan makes of summed labels: entry ``2 f``
+    is output facet ``f``'s twice Euler characteristic, entry ``2 f +
+    1`` its dots.  A facet of odd Euler characteristic, then one that is
+    not a closed orientable sheet, raises ``MalformedMovie``."""
     twice_chi = labels[::2]
     for c in twice_chi:
         if c % 2:

@@ -1,6 +1,7 @@
 """Tests for the exact algebra layer: Laurent polynomials, the rank-3
 Frobenius algebra oracle, the three-sheet circle evaluation, the table
-of closed surfaces and the Smith normal form with its transforms."""
+of closed surfaces and the Smith normal form, whose transforms the
+oracle keeps."""
 
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .oracles import (
     flag_theta,
     fraction_solve,
     handle_operator,
+    smith_form_with_transforms,
     trace,
 )
 
@@ -330,12 +332,13 @@ def test_theta_symbol_known_values():
 
 
 # --------------------------------------------------------------------------
-# Smith normal form with transforms
+# Smith normal form; the oracle keeps its transforms
 # --------------------------------------------------------------------------
 
 
 def _check_smith_form(mat):
-    diag, p, q = smith_form(mat)
+    diag, p, q = smith_form_with_transforms(mat)
+    assert smith_form(mat) == diag
     n_rows, n_cols = len(mat), len(mat[0]) if mat else 0
     assert len(p) == n_rows and len(q) == n_cols
     want = tuple(
@@ -360,7 +363,8 @@ def test_smith_form_transforms_on_small_matrices():
     assert _check_smith_form([[2, 0], [0, 2], [0, 0]]) == [2, 2]
     assert _check_smith_form([[0, 0], [0, 0]]) == []
     assert _check_smith_form([[2, 3], [3, 5]]) == [1, 1]
-    assert smith_form([]) == ([], [], [])
+    assert smith_form_with_transforms([]) == ([], [], [])
+    assert smith_form([]) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -257,6 +257,62 @@ def test_homology_no_cache_writes_nothing(capsys, tmp_path, monkeypatch):
     assert not os.path.exists(cache_dir)
 
 
+def test_homology_empty_cache_env_var_means_the_default_directory(
+    capsys, tmp_path, monkeypatch
+):
+    # an empty SL3WEB_CACHE_DIR is unset: entries go to the default
+    # directory, never to or from the current one
+    home, work = tmp_path / "home", tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv(cli.CACHE_ENV, "")
+    monkeypatch.chdir(work)
+    argv = ["--pd", KINK_PD, "--mode", "homology", "--format", "json"]
+    first = run_cli(capsys, argv)
+    assert first[0] == 0
+    assert list(work.iterdir()) == []
+    (entry,) = (home / ".cache" / "sl3web").iterdir()
+    # a stale entry of the same name in the current directory is not read
+    (work / entry.name).write_text('{"stale": true}', encoding="utf-8")
+    assert run_cli(capsys, argv) == first
+    assert (home / ".cache" / "sl3web" / entry.name).read_text(
+        encoding="utf-8"
+    ) == entry.read_text(encoding="utf-8")
+
+
+def test_homology_with_a_failed_euler_check_is_never_cached(
+    capsys, tmp_path, monkeypatch
+):
+    cache_dir = tmp_path / "cache"
+    argv = ["--pd", KINK_PD, "--mode", "homology", "--format", "json"]
+    argv += ["--cache-dir", str(cache_dir)]
+    real = cli.homology_json
+    calls = []
+
+    def failing(d):
+        calls.append(d)
+        return {**real(d), "euler_check": False}
+
+    monkeypatch.setattr(cli, "homology_json", failing)
+    for n in (1, 2):
+        code, out, _err = run_cli(capsys, argv)
+        assert code == 2 and json.loads(out)["euler_check"] is False
+        assert len(calls) == n
+        assert not cache_dir.exists() or list(cache_dir.iterdir()) == []
+    # an entry that says the check failed, written by an older version,
+    # is a miss: recomputed, and replaced once the check passes
+    monkeypatch.setattr(cli, "homology_json", real)
+    good = run_cli(capsys, argv)
+    assert good[0] == 0
+    (entry,) = cache_dir.iterdir()
+    kept = entry.read_text(encoding="utf-8")
+    entry.write_text(
+        json.dumps({**json.loads(kept), "euler_check": False}), encoding="utf-8"
+    )
+    assert run_cli(capsys, argv) == good
+    assert entry.read_text(encoding="utf-8") == kept
+
+
 @pytest.mark.parametrize(
     "damage",
     [b"{not json", b"\xff\xfe\x00\x00{}", b"[" * 200000],

@@ -334,11 +334,14 @@ def _reshaped(h: HalfFoam, **fields) -> HalfFoam:
     return h._replace(shape=shape, shape_id=_intern_shape(shape))
 
 
-def _relabelled(h: HalfFoam, facet: int, twice_chi_shift: int) -> HalfFoam:
-    """``h`` with ``twice_chi_shift`` added to the first label of one facet."""
+def _relabelled(
+    h: HalfFoam, facet: int, twice_chi_shift: int, dots_shift: int = 0
+) -> HalfFoam:
+    """``h`` with ``twice_chi_shift`` added to the first label of one
+    facet and ``dots_shift`` to its second."""
     facets = list(h.facets)
     twice_chi, dots = facets[facet]
-    facets[facet] = (twice_chi + twice_chi_shift, dots)
+    facets[facet] = (twice_chi + twice_chi_shift, dots + dots_shift)
     return h._replace(facets=tuple(facets))
 
 
@@ -513,6 +516,62 @@ def test_pair_halves_label_faults_raise_on_every_call_and_are_never_stored():
         assert plan.values == warm
         assert memo.COLOURINGS == counts
     assert pair_halves([h], [h]) == [[theta_symbol(0, 0, 0)]]
+
+
+def test_pair_halves_rejects_labels_outside_the_packed_range():
+    # a pair adds two packed projections, one 16-bit field per label; two
+    # unchecked fields of 2 ** 15 or more would carry into the next field
+    # and find the stored value of another foam, so a label of size
+    # ``_LABEL_BOUND`` or more raises on every call and is never stored
+    memo.clear()
+    h = half_foam(lens_half(0, 0, 0))
+    bound = foam._LABEL_BOUND
+    twice_chi, dots = h.facets[0]
+
+    def at(new_twice_chi: int, new_dots: int) -> HalfFoam:
+        return _relabelled(h, 0, new_twice_chi - twice_chi, new_dots - dots)
+
+    dotted = at(twice_chi, dots + 1)
+    expected = [[evaluate(glue(h, h)), evaluate(glue(h, dotted))]]
+    assert pair_halves([h], [h, dotted]) == expected
+    plan = memo.GLUE_PLANS[(h.shape_id, h.shape_id)]
+    warm = dict(plan.values)
+    # unchecked, this pair's sum would carry one into the dots field of
+    # facet 0, whose dots it lowers by one: the packed sum of (h, h)
+    carry_left = at(twice_chi + (1 << 15), dots)
+    carry_right = at(twice_chi + (1 << 15), dots - 1)
+    faults = [
+        at(twice_chi + (1 << 16), dots),
+        at(twice_chi - (1 << 16), dots),
+        at(twice_chi, bound),
+        at(twice_chi, -bound),
+        at(bound, dots),
+        at(-bound, dots),
+    ]
+    for _ in range(2):
+        for half in faults:
+            with pytest.raises(MalformedMovie, match="out of range"):
+                pair_halves([h], [half])
+            with pytest.raises(MalformedMovie, match="out of range"):
+                pair_halves([half], [h, dotted])
+        with pytest.raises(MalformedMovie, match="out of range"):
+            pair_halves([carry_left], [carry_right])
+        assert plan.values == warm
+    # labels just inside the range pair as the gluing oracle glues them:
+    # to the same value, or to the same error
+    def outcome(evaluation):
+        try:
+            return evaluation()
+        except MalformedMovie as exc:
+            return str(exc)
+
+    inside = [at(twice_chi, bound - 1), at(twice_chi, 1 - bound)]
+    inside += [at(bound - 1, dots), at(1 - bound, dots), at(bound - 2, dots)]
+    for half in inside:
+        assert outcome(lambda: pair_halves([h], [half])[0][0]) == outcome(
+            lambda: evaluate(glue(h, half))
+        )
+    assert pair_halves([h], [h, dotted]) == expected
 
 
 def test_pair_halves_seam_faults_raise_on_every_call():

@@ -7,6 +7,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.algebra import LaurentPoly, quantum_integer
 from artifact.corpus import fixture_diagrams
@@ -64,6 +66,7 @@ from .oracles import (
     evaluate_closed,
     fraction_solve,
     glue,
+    glued_prefoam,
     label_basis,
     relabeled_movie,
     run_movie,
@@ -204,6 +207,79 @@ def test_inverse_blocks_reject_bad_pairings():
         0: (((1, -1),),),
         1: (((0, 1),),),
     }
+
+
+@st.composite
+def _scrambled_blocks(draw, middle=st.just(1)):
+    """A square integer block ``L @ D @ R`` and the entry ``m`` of ``D``
+    that is not 1: ``D`` is the identity but for one diagonal entry
+    drawn from ``middle``, and ``L`` and ``R`` are products of drawn
+    elementary operations (add a multiple of one row to another, negate
+    a row) with their rows shuffled, so the block's determinant is
+    ``±m``, and it is seldom symmetric."""
+    n = draw(st.integers(min_value=1, max_value=7))
+
+    def unimodular():
+        m = [list(row) for row in identity_matrix(n)]
+        steps = st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3)
+        )
+        for i, j, c in draw(st.lists(steps, max_size=4 * n)):
+            if i == j:
+                m[i] = [-x for x in m[i]]
+            else:
+                m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        return [m[k] for k in draw(st.permutations(range(n)))]
+
+    k = draw(st.integers(0, n - 1))
+    d = [[int(i == j) for j in range(n)] for i in range(n)]
+    d[k][k] = m = draw(middle)
+    return [list(row) for row in mat_mul(mat_mul(unimodular(), d), unimodular())], m
+
+
+def _paired_gram(block):
+    """A Gram matrix whose degree-1 elements pair with its degree -1 ones
+    by ``block`` (and the transpose the other way), and its degrees."""
+    n = len(block)
+    zero = [0] * n
+    top = [zero + list(row) for row in block]
+    bottom = [list(col) + zero for col in zip(*block)]
+    return (1,) * n + (-1,) * n, tuple(map(tuple, top + bottom))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scrambled_blocks())
+def test_inverse_blocks_invert_random_unimodular_blocks(drawn):
+    block, _ = drawn
+    n = len(block)
+    degrees, gram = _paired_gram(block)
+    inverse = _inverse_blocks(degrees, gram)
+    # column t of inverse[1] has its entries on the degree -1 elements,
+    # basis indices n .. 2n - 1
+    inv = dense(inverse[1], 2 * n)[n:]
+    assert mat_mul(block, inv) == mat_mul(inv, block) == identity_matrix(n)
+    transposed = dense(inverse[-1], n)
+    assert mat_mul(_rows(zip(*block)), transposed) == identity_matrix(n)
+    # one block of degree 0, the same block on its own
+    assert dense(_inverse_blocks((0,) * n, block)[0], n) == inv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scrambled_blocks(middle=st.sampled_from((0, 2, -2, 3, 6))))
+def test_inverse_blocks_reject_random_singular_and_non_unimodular_blocks(drawn):
+    block, m = drawn
+    match = "singular" if m == 0 else f"determinant ±{abs(m)}, not ±1"
+    for degrees, gram in (((0,) * len(block), block), _paired_gram(block)):
+        with pytest.raises(StateSpaceError, match=match):
+            _inverse_blocks(degrees, gram)
+
+
+def test_inverse_blocks_invert_a_block_with_no_unit_entry():
+    block = ((2, 3), (3, 5))
+    assert _inverse_blocks((0, 0), block) == {0: (((0, 5), (1, -3)), ((0, -3), (1, 2)))}
+    degrees, gram = _paired_gram(block)
+    inverse = _inverse_blocks(degrees, gram)
+    assert dense(inverse[1], 4)[2:] == ((5, -3), (-3, 2))
 
 
 # --------------------------------------------------------------------------
@@ -897,23 +973,26 @@ KNOT_6_1 = "X(1,7,2,6) X(3,10,4,11) X(5,3,6,2) X(7,1,8,12) X(9,4,10,5) X(11,9,12
 
 def test_every_glued_foam_evaluates_as_the_circle_recursion(monkeypatch):
     # every closed foam that a cold build of the corpus, 5_1 and 6_1
-    # evaluates (each miss of a plan's value table), against the
-    # circle-recursion oracle; the colouring memo starts empty
+    # evaluates (each miss of a plan's value table, valued straight from
+    # its summed labels), made into a foam by the oracle and checked
+    # against the circle-recursion oracle; the colouring memo starts
+    # empty
     memo.clear()
-    glued = set()
-    real = foam.evaluate
+    glued = {}
+    real = foam._glued_value
 
-    def recorded(pre):
-        glued.add(pre)
-        return real(pre)
+    def recorded(plan, labels):
+        value = real(plan, labels)
+        glued[glued_prefoam(plan, labels)] = value
+        return value
 
-    monkeypatch.setattr(foam, "evaluate", recorded)
+    monkeypatch.setattr(foam, "_glued_value", recorded)
     diagrams = list(fixture_diagrams().values())
     diagrams += [parse_pd(TORUS_5_1), parse_pd(KNOT_6_1)]
     for d in diagrams:
         build_complex(d)
-    for pre in glued:
-        assert real(pre) == evaluate_by_circles(pre), pre
+    for pre, value in glued.items():
+        assert value == evaluate_by_circles(pre) == foam.evaluate(pre), pre
     # 29,213 distinct foams when this was written, many of several circles
     assert len(glued) > 25000
     assert max(len(pre.circles) for pre in glued) >= 4
@@ -922,15 +1001,16 @@ def test_every_glued_foam_evaluates_as_the_circle_recursion(monkeypatch):
 
 def test_cold_torus_build_evaluates_once_per_glued_label_vector(monkeypatch):
     memo.clear()
-    closed = []
-    real = foam._facet_genera
+    misses = []
+    real = foam._glued_value
 
-    def counted(*args):
-        closed.append(args)
-        return real(*args)
+    def counted(plan, labels):
+        misses.append((id(plan), tuple(labels)))
+        return real(plan, labels)
 
-    monkeypatch.setattr(foam, "_facet_genera", counted)
+    monkeypatch.setattr(foam, "_glued_value", counted)
     build_complex(parse_pd(TORUS_5_1))
     # one glued foam per distinct (glue plan, label vector) pair; gluing
     # every pairing takes 7,094
-    assert len(closed) <= 1000
+    assert len(misses) <= 1000
+    assert len(set(misses)) == len(misses)
