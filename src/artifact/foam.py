@@ -267,7 +267,7 @@ def _apply_birth(web: Web, mv: Birth) -> Web:
     lid = mv.loop_id
     if lid >= 0 or lid in web.loop_ccw:
         raise MoveError(f"birth needs a fresh negative loop id, got {lid}")
-    if mv.region not in web.regions():
+    if not web.has_region(mv.region):
         raise MoveError(f"birth region {mv.region!r} does not exist")
     loop_ccw = dict(web.loop_ccw)
     loop_ccw[lid] = mv.ccw
@@ -1201,7 +1201,7 @@ def extend_halves(
         plan = plans.get(half.shape_id)
         if plan is None:
             renamed = half.web.relabeled(dart_map, loop_map)
-            if renamed.exact_key() != movie.start.exact_key():
+            if renamed != movie.start:
                 raise MalformedMovie("a half extends only through a movie from its web")
             state = _sweep(movie, _seeded_state(half, dart_map, loop_map))
             base, facet_of = _reduce(state, movie.end)
@@ -1214,7 +1214,7 @@ def extend_halves(
             base = base._replace(facets=tuple(zip(twice_chi, dots)))
             plan = plans[half.shape_id] = (half.web, base, facet_map)
         web, base, facet_map = plan
-        if half.web is not web and half.web.exact_key() != web.exact_key():
+        if half.web is not web and half.web != web:
             raise MalformedMovie("a half extends only through a movie from its web")
         twice_chi = [c for c, _ in base.facets]
         dots = [d for _, d in base.facets]
@@ -1309,7 +1309,7 @@ def _glue_plan(a: HalfShape, b: HalfShape) -> _GluePlan:
 
 def _check_webs(a: HalfFoam, b: HalfFoam) -> None:
     """Raise ``MalformedMovie`` unless the two halves end at one web."""
-    if a.web is not b.web and a.web.exact_key() != b.web.exact_key():
+    if a.web is not b.web and a.web != b.web:
         raise MalformedMovie("half foams do not glue: their end webs differ")
 
 

@@ -30,6 +30,14 @@ bounded.  Regions are written in the normal form
 
 and the parent assignment forms a forest rooted at ``None``.
 
+``Web(...)`` checks its input in time linear in its size.  The maps are
+checked before faces and components are derived, since a face walk on
+maps that are not a trivalent map need not end; the Euler
+characteristics, the outer faces and the nesting come after, and any
+failure raises ``MalformedWeb``.  Two webs are equal when their six maps
+are; ``exact_key`` serializes the same maps into the string that keys
+the state-space and edge-map memos and the web dumps.
+
 ``Web.relabeled`` renames darts and loop ids.  ``Web.canonical`` gives
 the canonical web of a web's relabeling class and the maps onto it: two
 webs are relabelings of one another exactly when their canonical webs
@@ -96,17 +104,15 @@ def _component_split(sigma: Mapping[int, int], alpha: Mapping[int, int]) -> dict
     for start in sorted(sigma):
         if start in seen:
             continue
-        stack = [start]
-        comp: set[int] = set()
-        while stack:
-            d = stack.pop()
-            if d in comp:
-                continue
-            comp.add(d)
-            stack.append(sigma[d])
-            stack.append(alpha[d])
-        seen |= comp
-        comps[min(comp)] = frozenset(comp)
+        # the darts below ``start`` are all seen, so it is the smallest
+        seen.add(start)
+        comp = [start]
+        for d in comp:
+            for nb in (sigma[d], alpha[d]):
+                if nb not in seen:
+                    seen.add(nb)
+                    comp.append(nb)
+        comps[start] = frozenset(comp)
     return comps
 
 
@@ -118,8 +124,9 @@ def _component_split(sigma: Mapping[int, int], alpha: Mapping[int, int]) -> dict
 class Web:
     """A closed oriented trivalent plane graph with free loops and nesting.
 
-    Instances validate on construction (a ``relabeled`` copy of a valid
-    web is valid by construction) and should be treated as immutable;
+    Instances validate on construction, maps checked before faces and
+    components are derived (a ``relabeled`` copy of a valid web is
+    valid by construction), and should be treated as immutable;
     operations that change a web build a new instance.
     """
 
@@ -147,22 +154,33 @@ class Web:
         parent: Optional[Mapping[int, Region]] = None,
         outer_face: Optional[Mapping[int, int]] = None,
     ) -> None:
-        self._build(sigma, alpha, out_darts, loop_ccw, parent, outer_face)
-        self.validate()
+        self._store(sigma, alpha, out_darts, loop_ccw)
+        self._check_maps()
+        self._derive(parent, outer_face)
+        self._check_embedding()
 
-    def _build(
+    def _store(
         self,
         sigma: Mapping[int, int],
         alpha: Mapping[int, int],
         out_darts: Iterable[int],
         loop_ccw: Mapping[int, bool],
-        parent: Optional[Mapping[int, Region]],
-        outer_face: Optional[Mapping[int, int]],
     ) -> None:
         self.sigma = dict(sigma)
         self.alpha = dict(alpha)
         self.out_darts = frozenset(out_darts)
         self.loop_ccw = dict(loop_ccw)
+        self._key: Optional[str] = None
+        self._canon: Optional[tuple[Web, dict[int, int], dict[int, int]]] = None
+
+    def _derive(
+        self,
+        parent: Optional[Mapping[int, Region]],
+        outer_face: Optional[Mapping[int, int]],
+    ) -> None:
+        """Walk the faces and components of the stored maps, which must
+        already be a trivalent map: on other maps a face walk need not
+        end."""
         self._faces = _face_orbits(self.sigma, self.alpha) if self.sigma else {}
         self._face_of = {d: f for f, orbit in self._faces.items() for d in orbit}
         self._comps = _component_split(self.sigma, self.alpha) if self.sigma else {}
@@ -174,8 +192,6 @@ class Web:
             # default: everything side by side in the root region
             self.parent = {c: None for c in self._comps}
             self.parent.update({l: None for l in self.loop_ccw})
-        self._key: Optional[str] = None
-        self._canon: Optional[tuple[Web, dict[int, int], dict[int, int]]] = None
 
     # -- inspection --------------------------------------------------------
 
@@ -235,15 +251,19 @@ class Web:
             return self.parent[comp]
         return ("face", face)
 
-    def regions(self) -> tuple[Region, ...]:
-        out: list[Region] = [None]
-        for comp, f_out in sorted(self.outer_face.items()):
-            for f in sorted(self._faces):
-                if self._comp_of[f] == comp and f != f_out:
-                    out.append(("face", f))
-        for l in sorted(self.loop_ccw):
-            out.append(("inside", l))
-        return tuple(out)
+    def has_region(self, region: object) -> bool:
+        """Whether ``region`` names a region of this web in the normal
+        form: ``None``, a bounded face or the inside of a loop."""
+        if region is None:
+            return True
+        if not isinstance(region, tuple) or len(region) != 2:
+            return False
+        kind, key = region
+        if not isinstance(key, int):
+            return False
+        if kind == "face":
+            return key in self._faces and self.outer_face[self._comp_of[key]] != key
+        return kind == "inside" and key in self.loop_ccw
 
     def children_of(self, region: Region) -> tuple[int, ...]:
         """Component ids and loop ids whose parent is ``region``."""
@@ -251,79 +271,92 @@ class Web:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self) -> None:
-        sigma, alpha = self.sigma, self.alpha
+    def _check_maps(self) -> None:
+        """The checks on the stored maps alone, run before any face or
+        component is walked: the darts are positive ints, sigma permutes
+        them in cycles of length 3, alpha is a fixed-point-free
+        involution, every vertex is a source or a sink, every edge has
+        one tail and joins two vertices, and loop ids are negative ints."""
+        sigma, alpha, out = self.sigma, self.alpha, self.out_darts
         darts = set(sigma)
         if set(alpha) != darts:
             raise MalformedWeb("sigma and alpha must act on the same darts")
         for d in darts:
             if not isinstance(d, int) or d <= 0:
                 raise MalformedWeb(f"darts must be positive ints, got {d!r}")
-        if sorted(sigma.values()) != sorted(darts):
+        # sigma has as many values as darts
+        if set(sigma.values()) != darts:
             raise MalformedWeb("sigma is not a permutation")
         for d in darts:
             a = alpha[d]
             if a == d or a not in darts or alpha[a] != d:
                 raise MalformedWeb(f"alpha is not a fixed-point-free involution at {d}")
-        # trivalent vertices
         for d in darts:
-            if self.sigma[self.sigma[self.sigma[d]]] != d or self.sigma[d] == d:
+            s = sigma[d]
+            t = sigma[s]
+            if sigma[t] != d or s == d or t == d:
                 raise MalformedWeb(f"sigma cycle through {d} does not have length 3")
-            if self.sigma[self.sigma[d]] == d:
-                raise MalformedWeb(f"sigma cycle through {d} does not have length 3")
-        # orientation: vertices all-in or all-out; each edge one tail
-        if not self.out_darts <= darts:
+        if not out <= darts:
             raise MalformedWeb("out_darts must be a subset of the darts")
         for d in darts:
-            if (d in self.out_darts) != (sigma[d] in self.out_darts):
+            s = sigma[d]
+            tail = d in out
+            if tail != (s in out):
                 raise MalformedWeb(
                     f"vertex of {d} mixes tail and head darts (must be a source or a sink)"
                 )
-            if (d in self.out_darts) == (alpha[d] in self.out_darts):
+            a = alpha[d]
+            if tail == (a in out):
                 raise MalformedWeb(f"edge of {d} needs exactly one tail dart")
-            if self._comp_of[d] == self._comp_of[alpha[d]] and self.vertex_of(
-                d
-            ) == self.vertex_of(alpha[d]):
+            if a == s or a == sigma[s]:
                 raise MalformedWeb(f"edge of {d} joins a vertex to itself")
-        # loops
         for l in self.loop_ccw:
             if not isinstance(l, int) or l >= 0:
                 raise MalformedWeb(f"loop ids must be negative ints, got {l!r}")
-        # per-component planarity: V - E + F = 2
-        for c, comp in self._comps.items():
-            v = sum(1 for d in comp if min(self.vertex_of(d)) == d)
-            e = sum(1 for d in comp if d < alpha[d])
-            f = sum(1 for key in self._faces if self._comp_of[key] == c)
-            if v - e + f != 2:
+
+    def _check_embedding(self) -> None:
+        """The checks on the derived faces and components: each component
+        is planar, names one of its faces as its outer face, and the
+        parent regions form a forest rooted at ``None``."""
+        comps, comp_of = self._comps, self._comp_of
+        # V - E + F = 2, where a component of n darts has n/3 vertices
+        # and n/2 edges
+        chi = {c: len(comp) // 3 - len(comp) // 2 for c, comp in comps.items()}
+        for f in self._faces:
+            chi[comp_of[f]] += 1
+        for c, x in chi.items():
+            if x != 2:
                 raise MalformedWeb(
-                    f"component {c} has Euler characteristic {v - e + f}, not 2: "
+                    f"component {c} has Euler characteristic {x}, not 2: "
                     "the rotation system is not planar"
                 )
-        # outer faces
-        if set(self.outer_face) != set(self._comps):
+        if self.outer_face.keys() != comps.keys():
             raise MalformedWeb("outer_face must assign exactly one face per component")
         for c, f in self.outer_face.items():
-            if f not in self._faces or self._comp_of[f] != c:
+            if f not in self._faces or comp_of[f] != c:
                 raise MalformedWeb(f"outer face {f} is not a face of component {c}")
-        # nesting forest
-        expected_keys = set(self._comps) | set(self.loop_ccw)
-        if set(self.parent) != expected_keys:
+        parent = self.parent
+        if parent.keys() != comps.keys() | self.loop_ccw.keys():
             raise MalformedWeb(
                 "parent must assign a region to every component and loop"
             )
-        valid_regions = set(self.regions())
-        for k, r in self.parent.items():
-            if r not in valid_regions:
+        for k, r in parent.items():
+            if not self.has_region(r):
                 raise MalformedWeb(f"parent region {r!r} of {k} does not exist")
-        for k in self.parent:
-            seen = {k}
-            cur = self.parent[k]
+        # an item is rooted once the walk up from it has reached None
+        rooted: set[int] = set()
+        for k in parent:
+            path = {k}
+            cur = parent[k]
             while cur is not None:
-                owner = self._comp_of[cur[1]] if cur[0] == "face" else cur[1]
-                if owner in seen:
+                owner = comp_of[cur[1]] if cur[0] == "face" else cur[1]
+                if owner in rooted:
+                    break
+                if owner in path:
                     raise MalformedWeb(f"nesting of {k} is cyclic")
-                seen.add(owner)
-                cur = self.parent[owner]
+                path.add(owner)
+                cur = parent[owner]
+            rooted |= path
 
     # -- value semantics ---------------------------------------------------
 
@@ -384,7 +417,7 @@ class Web:
         a dart to a non-positive id or a loop to a non-negative one raise
         ``MalformedWeb``.  Face keys, component keys and nesting
         references are recomputed consistently.  A one-to-one renaming
-        of a valid web is valid, so the copy skips ``validate``.
+        of a valid web is valid, so the copy skips the checks.
         """
         dmap: Callable[[int], int] = lambda d: dart_map.get(d, d) if dart_map else d
         lmap: Callable[[int], int] = lambda l: loop_map.get(l, l) if loop_map else l
@@ -405,7 +438,8 @@ class Web:
             for c, f in self.outer_face.items()
         }
         out = Web.__new__(Web)
-        out._build(new_sigma, new_alpha, new_out, new_loop_ccw, new_parent, new_outer)
+        out._store(new_sigma, new_alpha, new_out, new_loop_ccw)
+        out._derive(new_parent, new_outer)
         return out
 
     def relabel_item(
@@ -527,37 +561,51 @@ def _component_bfs(
 
     For each possible start dart, darts are renamed in breadth-first
     discovery order (children visited sigma first, then alpha) and the
-    structure serialized; the smallest serialization wins.  Starts that
-    tie with it differ by an automorphism of the component's map; their
-    discovery orders are returned too, so that the full canonical form
-    (``Web.canonical``) can break the tie by outer face and nesting.
+    structure serialized; the smallest serialization wins.  A dart's
+    entry is final once the dart is visited, so each start is compared
+    with the best one entry by entry, and dropped at the first entry that
+    is larger.  Starts that tie with it differ by an automorphism of the
+    component's map; their discovery orders are returned too, so that
+    the full canonical form (``Web.canonical``) can break the tie by
+    outer face and nesting.
     """
-    best: Optional[tuple] = None
+    best: Optional[list[tuple[int, int, bool]]] = None
     orders: list[list[int]] = []
     # a start's first entry is (1, 2, start in out), so only head darts
     # can attain the smallest serialization
     for start in sorted(d for d in darts if d not in out):
         label = {start: 0}
         order = [start]
-        i = 0
-        while i < len(order):
-            d = order[i]
-            i += 1
-            for nb in (sigma[d], alpha[d]):
-                if nb not in label:
-                    label[nb] = len(order)
-                    order.append(nb)
-        key = tuple(
-            (label[sigma[d]], label[alpha[d]], d in out) for d in order
-        )
-        if best is None or key < best:
-            best = key
-            orders = [order]
-        elif key == best:
-            orders.append(order)
+        key: list[tuple[int, int, bool]] = []
+        # whether the key so far equals the best key's prefix
+        tied = best is not None
+        # the loop visits the darts that it appends to ``order``
+        for d in order:
+            s = sigma[d]
+            a = alpha[d]
+            if s not in label:
+                label[s] = len(order)
+                order.append(s)
+            if a not in label:
+                label[a] = len(order)
+                order.append(a)
+            entry = (label[s], label[a], d in out)
+            if tied:
+                rival = best[len(key)]
+                if entry != rival:
+                    if entry > rival:
+                        break
+                    tied = False
+            key.append(entry)
+        else:
+            if tied:
+                orders.append(order)
+            else:
+                best = key
+                orders = [order]
     if best is None:
         raise MalformedWeb("a dart component has no head dart")
-    return best, orders
+    return tuple(best), orders
 
 
 def _canonical_form(web: "Web") -> tuple["Web", dict[int, int], dict[int, int]]:

@@ -2,7 +2,7 @@
 
 These helpers recompute target quantities by a second route so the tests
 compare two independent ones.  All but the replay, gluing,
-state-space, per-matrix Smith, zip and flattening oracles avoid
+state-space, per-matrix Smith, zip, web and flattening oracles avoid
 importing the package under test.
 
 Flag-variety trace oracle
@@ -120,6 +120,17 @@ nesting and the outer faces.  ``run_movie`` runs a movie's moves from
 its start web, zips by ``apply_zip`` and every other move by
 ``foam.apply_move``, and hands the slices to ``FoamMovie``.
 
+Web oracles
+-----------
+``validate_by_walks`` is the reference for the checks ``Web(...)``
+makes: it checks the maps dart by dart, then counts each component's
+vertices by walking sigma cycles and its faces by scanning every face,
+and looks each parent region up in the list that ``regions`` makes by
+scanning the faces; the package counts in one pass and tests a region
+by ``Web.has_region``.  ``component_bfs_unpruned`` is the reference for
+``web._component_bfs``: it serializes every start in full before
+comparing, where the package drops a start at its first larger entry.
+
 Flattening oracle
 -----------------
 ``region_flatten`` flattens a diagram without any move: it traces every
@@ -178,6 +189,7 @@ from artifact.web import (
     DigonFace,
     Empty,
     FreeLoop,
+    MalformedWeb,
     Region,
     SquareFace,
     Web,
@@ -1205,7 +1217,7 @@ def apply_zip(web: Web, mv: Zip) -> Web:
     outer faces, as ``foam.Zip`` describes.  Invalid zips raise
     ``MoveError``."""
     region = mv.region
-    if region is not None and region not in web.regions():
+    if region is not None and region not in regions(web):
         raise MoveError(f"zip region {region!r} does not exist")
     if mv.site_a == mv.site_b:
         raise MoveError("zip sites must be distinct")
@@ -1380,3 +1392,151 @@ def apply_zip(web: Web, mv: Zip) -> Web:
     rename = _make_renamer(carry, override, new_comp_of, outer_face, parent)
     final_parent = {item: rename(r) for item, r in parent.items()}
     return Web(sigma, alpha, out, loop_ccw, final_parent, outer_face)
+
+
+# --------------------------------------------------------------------------
+# web oracles
+# --------------------------------------------------------------------------
+
+
+def _region_list(faces, comp_of, outer_face, loop_ccw) -> tuple[Region, ...]:
+    out: list[Region] = [None]
+    for c, f_out in sorted(outer_face.items()):
+        out += [("face", f) for f in sorted(faces) if comp_of[f] == c and f != f_out]
+    out += [("inside", l) for l in sorted(loop_ccw)]
+    return tuple(out)
+
+
+def regions(web: Web) -> tuple[Region, ...]:
+    """Every region of ``web`` in normal form, found by scanning its
+    faces: ``None``, then the bounded faces of each component, then the
+    inside of each loop.  The reference for ``Web.has_region``."""
+    faces = web.faces()
+    comp_of = {f: web.component_of(f) for f in faces}
+    return _region_list(faces, comp_of, web.outer_face, web.loop_ccw)
+
+
+def validate_by_walks(
+    sigma, alpha, out_darts=(), loop_ccw=(), parent=None, outer_face=None
+) -> None:
+    """Raise ``MalformedWeb`` with the message that ``Web`` raises on the
+    same arguments, or return if they describe a valid web.
+
+    The maps are checked first, so that the face and component walks
+    that follow end; planarity counts the vertices of each component by
+    walking sigma cycles, its edges by alpha and its faces by scanning
+    every face, and a parent region must be in the list of regions."""
+    sigma, alpha, loop_ccw = dict(sigma), dict(alpha), dict(loop_ccw)
+    out = frozenset(out_darts)
+    darts = set(sigma)
+    if set(alpha) != darts:
+        raise MalformedWeb("sigma and alpha must act on the same darts")
+    for d in darts:
+        if not isinstance(d, int) or d <= 0:
+            raise MalformedWeb(f"darts must be positive ints, got {d!r}")
+    if sorted(sigma.values()) != sorted(darts):
+        raise MalformedWeb("sigma is not a permutation")
+    for d in darts:
+        a = alpha[d]
+        if a == d or a not in darts or alpha[a] != d:
+            raise MalformedWeb(f"alpha is not a fixed-point-free involution at {d}")
+    for d in darts:
+        if sigma[sigma[sigma[d]]] != d or sigma[d] == d:
+            raise MalformedWeb(f"sigma cycle through {d} does not have length 3")
+        if sigma[sigma[d]] == d:
+            raise MalformedWeb(f"sigma cycle through {d} does not have length 3")
+
+    def vertex_of(d: int) -> tuple[int, int, int]:
+        a, b, c = d, sigma[d], sigma[sigma[d]]
+        while a != min(a, b, c):
+            a, b, c = b, c, a
+        return (a, b, c)
+
+    faces = _face_orbits(sigma, alpha) if sigma else {}
+    comp_of: dict[int, int] = {}
+    comps: dict[int, set[int]] = {}
+    for start in sorted(sigma):
+        if start in comp_of:
+            continue
+        stack, comp = [start], set()
+        while stack:
+            d = stack.pop()
+            if d not in comp:
+                comp.add(d)
+                stack += [sigma[d], alpha[d]]
+        comps[min(comp)] = comp
+        comp_of.update(dict.fromkeys(comp, min(comp)))
+    if not out <= darts:
+        raise MalformedWeb("out_darts must be a subset of the darts")
+    for d in darts:
+        if (d in out) != (sigma[d] in out):
+            raise MalformedWeb(
+                f"vertex of {d} mixes tail and head darts (must be a source or a sink)"
+            )
+        if (d in out) == (alpha[d] in out):
+            raise MalformedWeb(f"edge of {d} needs exactly one tail dart")
+        if comp_of[d] == comp_of[alpha[d]] and vertex_of(d) == vertex_of(alpha[d]):
+            raise MalformedWeb(f"edge of {d} joins a vertex to itself")
+    for l in loop_ccw:
+        if not isinstance(l, int) or l >= 0:
+            raise MalformedWeb(f"loop ids must be negative ints, got {l!r}")
+    for c, comp in comps.items():
+        v = sum(1 for d in comp if min(vertex_of(d)) == d)
+        e = sum(1 for d in comp if d < alpha[d])
+        f = sum(1 for key in faces if comp_of[key] == c)
+        if v - e + f != 2:
+            raise MalformedWeb(
+                f"component {c} has Euler characteristic {v - e + f}, not 2: "
+                "the rotation system is not planar"
+            )
+    outer_face = dict(outer_face) if outer_face is not None else {}
+    if set(outer_face) != set(comps):
+        raise MalformedWeb("outer_face must assign exactly one face per component")
+    for c, f in outer_face.items():
+        if f not in faces or comp_of[f] != c:
+            raise MalformedWeb(f"outer face {f} is not a face of component {c}")
+    if parent is None:
+        parent = {k: None for k in [*comps, *loop_ccw]}
+    parent = dict(parent)
+    if set(parent) != set(comps) | set(loop_ccw):
+        raise MalformedWeb("parent must assign a region to every component and loop")
+    listed = _region_list(faces, comp_of, outer_face, loop_ccw)
+    for k, r in parent.items():
+        if r not in listed:
+            raise MalformedWeb(f"parent region {r!r} of {k} does not exist")
+    for k in parent:
+        seen = {k}
+        cur = parent[k]
+        while cur is not None:
+            owner = comp_of[cur[1]] if cur[0] == "face" else cur[1]
+            if owner in seen:
+                raise MalformedWeb(f"nesting of {k} is cyclic")
+            seen.add(owner)
+            cur = parent[owner]
+
+
+def component_bfs_unpruned(sigma, alpha, out, darts) -> tuple[tuple, list[list[int]]]:
+    """``web._component_bfs`` without pruning: every head start is
+    serialized in full, then compared with the best so far."""
+    best = None
+    orders: list[list[int]] = []
+    for start in sorted(d for d in darts if d not in out):
+        label = {start: 0}
+        order = [start]
+        i = 0
+        while i < len(order):
+            d = order[i]
+            i += 1
+            for nb in (sigma[d], alpha[d]):
+                if nb not in label:
+                    label[nb] = len(order)
+                    order.append(nb)
+        key = tuple((label[sigma[d]], label[alpha[d]], d in out) for d in order)
+        if best is None or key < best:
+            best = key
+            orders = [order]
+        elif key == best:
+            orders.append(order)
+    if best is None:
+        raise MalformedWeb("a dart component has no head dart")
+    return best, orders

@@ -30,7 +30,7 @@ from artifact.cube import (
     smith_diagonal,
 )
 from artifact.diagram import parse_pd
-from artifact.web import link_bracket
+from artifact.web import Web, link_bracket
 
 from .helpers import at_one, cube_data, free_ranks
 from .oracles import (
@@ -783,6 +783,20 @@ def test_clear_empties_every_memo_table_and_a_rebuild_refills_them():
     homology_json(d)
     assert _torus_5_1_digests() == _golden_torus_5_1_digests()
     assert _memo_sizes() == TORUS_5_1_MEMO_SIZES
+
+
+def test_cold_torus_5_1_serializes_only_the_memo_keys(monkeypatch):
+    # the movie checks compare webs by their maps, so only the canonical
+    # webs that key the state-space and edge-map memos are serialized;
+    # comparing serializations there would serialize 121 webs
+    serialized = []
+    to_json_dict = Web.to_json_dict
+    monkeypatch.setattr(
+        Web, "to_json_dict", lambda web: serialized.append(web) or to_json_dict(web)
+    )
+    memo.clear()
+    homology_json(parse_pd(TORUS_5_1))
+    assert len({id(web) for web in serialized}) <= 40
 
 
 def test_torus_knot_5_1_euler_and_torsion():

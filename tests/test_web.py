@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import memo
+from artifact import web as web_module
 from artifact.algebra import LaurentPoly, quantum_integer
+from artifact.diagram import parse_pd, resolutions
 from artifact.web import (
     DigonFace,
     Empty,
@@ -36,7 +38,33 @@ from .helpers import (
     theta_with_loop_inside,
     web_from_json_dict,
 )
-from .oracles import count_edge_3_colorings
+from .oracles import (
+    component_bfs_unpruned,
+    count_edge_3_colorings,
+    regions,
+    validate_by_walks,
+)
+from .test_diagram import KNOT_6_1, TORUS_5_1
+
+
+def _flattenings(pd: str) -> list[Web]:
+    d = parse_pd(pd)
+    return [d.flatten(bits) for bits in resolutions(d.n_crossings)]
+
+
+#: The corpus flattenings, the 5_1 flattenings and the selftest's webs.
+VALIDATED_WEBS = (
+    [web for _label, web in fixture_webs()]
+    + _flattenings(TORUS_5_1)
+    + [theta_web(), digon_chain_web(), cube_web(), theta_with_loop_inside(), nested_loops_web()]
+)
+
+#: The corpus, 5_1 and 6_1 flattenings.
+BFS_WEBS = (
+    [web for _label, web in fixture_webs()]
+    + _flattenings(TORUS_5_1)
+    + _flattenings(KNOT_6_1)
+)
 
 # --------------------------------------------------------------------------
 # structure
@@ -55,7 +83,10 @@ def test_theta_regions():
     w = theta_web()
     assert w.region_of_face(2) is None, "the outer face bounds the parent region"
     assert w.region_of_face(1) == ("face", 1)
-    assert w.regions() == (None, ("face", 1), ("face", 3))
+    assert regions(w) == (None, ("face", 1), ("face", 3))
+    assert all(w.has_region(r) for r in regions(w))
+    for r in (("face", 2), ("face", 7), ("inside", -1), ["face", 1], ("face", [1])):
+        assert not w.has_region(r)
     assert w.children_of(None) == (1,)
     assert w.children_of(("face", 1)) == ()
 
@@ -147,6 +178,130 @@ def test_validate_rejects_positive_loop_id():
         Web(loop_ccw={1: True}, parent={1: None})
 
 
+def _maps(web: Web) -> dict:
+    """The six maps of ``web``, as fresh mutable copies."""
+    return dict(
+        sigma=dict(web.sigma),
+        alpha=dict(web.alpha),
+        out_darts=set(web.out_darts),
+        loop_ccw=dict(web.loop_ccw),
+        parent=dict(web.parent),
+        outer_face=dict(web.outer_face),
+    )
+
+
+_THETA = _maps(theta_with_loop_inside())
+
+#: Maps that are checked before any face or component is walked: a walk
+#: on the first would not end, and the others would fail with a KeyError
+#: or a TypeError instead of ``MalformedWeb``.
+MALFORMED_MAPS = {
+    "alpha not an involution": (
+        {**_THETA, "alpha": {1: 4, 4: 2, 2: 5, 5: 2, 3: 6, 6: 3}},
+        "alpha is not a fixed-point-free involution at 1",
+    ),
+    "sigma value outside the darts": (
+        {**_THETA, "sigma": {**_THETA["sigma"], 5: 7}},
+        "sigma is not a permutation",
+    ),
+    "alpha value outside the darts": (
+        {**_THETA, "alpha": {**_THETA["alpha"], 5: 9}},
+        "alpha is not a fixed-point-free involution at 5",
+    ),
+    "list-valued parent region": (
+        {**_THETA, "parent": {1: None, -1: ["face", 1]}},
+        r"parent region \['face', 1\] of -1 does not exist",
+    ),
+    "list-valued face key": (
+        {**_THETA, "parent": {1: None, -1: ("face", [1])}},
+        r"parent region \('face', \[1\]\) of -1 does not exist",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MAPS.values(), ids=MALFORMED_MAPS)
+def test_validate_checks_maps_before_walking_faces(case):
+    maps, message = case
+    with pytest.raises(MalformedWeb, match=message):
+        Web(**maps)
+
+
+@st.composite
+def mutated_maps(draw):
+    """The maps of a valid web of ``VALIDATED_WEBS`` after one random
+    mutation, which may leave them valid."""
+    web = draw(st.sampled_from(VALIDATED_WEBS))
+    maps = _maps(web)
+    darts = web.darts
+    two_darts = st.lists(st.sampled_from(darts), min_size=2, max_size=2, unique=True)
+    kinds = ["re-parent"]
+    if darts:
+        kinds += ["swap sigma", "flip out", "re-pair alpha", "move outer"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "swap sigma":
+        a, b = draw(two_darts)
+        sigma = maps["sigma"]
+        sigma[a], sigma[b] = sigma[b], sigma[a]
+    elif kind == "flip out":
+        maps["out_darts"] ^= {draw(st.sampled_from(darts))}
+    elif kind == "re-pair alpha":
+        # both ends re-paired keep alpha an involution; one end does not
+        a, b = draw(two_darts)
+        alpha = maps["alpha"]
+        pa, pb = alpha[a], alpha[b]
+        alpha[a] = b
+        if draw(st.booleans()) and b != pa:
+            alpha[b], alpha[pa], alpha[pb] = a, pb, pa
+    elif kind == "re-parent":
+        item = draw(st.sampled_from(sorted(maps["parent"])))
+        # every face, outer ones included, every loop, and two that do
+        # not exist
+        targets = [None, ("face", max(darts, default=0) + 1)]
+        targets += [("inside", l) for l in (*web.loops, min(web.loops, default=0) - 1)]
+        targets += [("face", f) for f in web.faces()]
+        maps["parent"][item] = draw(st.sampled_from(targets))
+    else:
+        comp = draw(st.sampled_from(sorted(maps["outer_face"])))
+        # any dart: a face key of this or another component, or none
+        maps["outer_face"][comp] = draw(st.sampled_from(darts))
+    return maps
+
+
+def _outcome(check, maps: dict):
+    """``None`` if ``check(**maps)`` returns, else its ``MalformedWeb``
+    message."""
+    try:
+        check(**maps)
+    except MalformedWeb as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_maps())
+def test_validate_agrees_with_walk_oracle(maps):
+    assert _outcome(Web, maps) == _outcome(validate_by_walks, maps)
+
+
+def test_validate_rejects_edge_joining_a_vertex_to_itself():
+    # darts 1 and 3 of the mixed vertex (1, 2, 3) form an edge; dart 1,
+    # checked first, agrees in orientation with dart 2
+    maps = dict(
+        sigma={1: 2, 2: 3, 3: 1, 4: 5, 5: 6, 6: 4},
+        alpha={1: 3, 3: 1, 2: 5, 5: 2, 4: 6, 6: 4},
+        out_darts={1, 2, 4},
+    )
+    assert _outcome(Web, maps) == "edge of 1 joins a vertex to itself"
+    assert _outcome(validate_by_walks, maps) == _outcome(Web, maps)
+
+
+def test_validate_accepts_the_webs_the_oracle_accepts():
+    for web in VALIDATED_WEBS:
+        maps = _maps(web)
+        assert _outcome(validate_by_walks, maps) is None
+        assert Web(**maps) == web
+
+
 # --------------------------------------------------------------------------
 # reduction search
 # --------------------------------------------------------------------------
@@ -233,6 +388,28 @@ def test_digon_reduction_of_theta_leaves_one_loop():
     )
     assert sigma == {} and alpha == {} and out == set()
     assert nloops == 1
+
+
+def test_pruned_component_bfs_matches_unpruned(monkeypatch):
+    for web in BFS_WEBS:
+        for comp in web.components().values():
+            args = (web.sigma, web.alpha, web.out_darts, comp)
+            assert _component_bfs(*args) == component_bfs_unpruned(*args)
+    # every sub-component that the bracket recursion meets
+    met = []
+
+    def recorded(*args):
+        met.append(args)
+        return component_bfs(*args)
+
+    component_bfs = web_module._component_bfs
+    monkeypatch.setattr(web_module, "_component_bfs", recorded)
+    memo.clear()
+    for web in BFS_WEBS:
+        kuperberg_bracket(web)
+    assert len(met) > len(BFS_WEBS)
+    for args in met:
+        assert component_bfs(*args) == component_bfs_unpruned(*args)
 
 
 def test_canonical_component_key_is_label_invariant():
@@ -337,7 +514,7 @@ def test_canonical_form_is_relabeling_invariant(case):
 @given(st.data())
 def test_canonical_form_tells_nesting_and_orientation_apart(data):
     web = data.draw(st.sampled_from(CANONICAL_WEBS))
-    region = data.draw(st.sampled_from(web.regions()[1:] or [None]))
+    region = data.draw(st.sampled_from(regions(web)[1:] or [None]))
     ccw = data.draw(st.booleans())
     here = _with_loop(web, region, ccw)
 
