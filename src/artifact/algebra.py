@@ -15,16 +15,13 @@ Contents
 ``closed_surface_value``
     The table of closed connected orientable dotted surfaces by genus and
     dot count.
-``smith_form``
-    The diagonal of the Smith normal form of an integer matrix, which
-    finishes each homology block after its unit pivots are cancelled.
 
 No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 # --------------------------------------------------------------------------
 # Laurent polynomials
@@ -246,86 +243,3 @@ def theta_symbol(a: int, b: int, c: int) -> int:
     if t in _ANTICYCLIC:
         return -1
     return 0
-
-
-# --------------------------------------------------------------------------
-# integer Smith normal form
-# --------------------------------------------------------------------------
-
-
-def smith_form(mat: Sequence[Sequence[int]]) -> list[int]:
-    """The nonzero diagonal of the Smith normal form of an integer
-    matrix: positive entries, each dividing the next, as many as the
-    rank.
-
-    Each step moves the smallest nonzero entry of the trailing block to
-    the pivot, clears its row and column by integer division, and adds
-    in a row with an entry the pivot does not divide until none is
-    left.
-    """
-
-    a = [list(row) for row in mat]
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    diag: list[int] = []
-    t = 0
-    while t < min(n_rows, n_cols):
-
-        def repivot() -> bool:
-            # the smallest nonzero entry of the trailing block; a unit
-            # cannot be beaten, so the search stops at the first one
-            best = None
-            for i in range(t, n_rows):
-                for j in range(t, n_cols):
-                    v = a[i][j]
-                    if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-                if best is not None and abs(a[best[0]][best[1]]) == 1:
-                    break
-            if best is None:
-                return False
-            i0, j0 = best
-            a[t], a[i0] = a[i0], a[t]
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            return True
-
-        if not repivot():
-            break
-        while True:
-            piv = a[t][t]
-            clean = True
-            for i in range(t + 1, n_rows):
-                if a[i][t]:
-                    f = a[i][t] // piv
-                    if f:
-                        a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        clean = False
-            for j in range(t + 1, n_cols):
-                if a[t][j]:
-                    f = a[t][j] // piv
-                    if f:
-                        for row in a:
-                            row[j] -= f * row[t]
-                    if a[t][j]:
-                        clean = False
-            if not clean:
-                repivot()
-                continue
-            # a unit divides everything left; otherwise an entry the
-            # pivot does not divide is added into the pivot row
-            offender = None
-            if piv != 1:
-                for i in range(t + 1, n_rows):
-                    if any(a[i][j] % piv for j in range(t + 1, n_cols)):
-                        offender = i
-                        break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-        diag.append(a[t][t])
-        t += 1
-    return diag

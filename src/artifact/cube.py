@@ -35,7 +35,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .algebra import LaurentPoly, smith_form
+from .algebra import LaurentPoly
 from .diagram import LinkDiagram, resolution_edge_movie, resolutions
 from .web import link_bracket
 from .webhom import SparseColumns, induced_matrix, state_space
@@ -51,11 +51,81 @@ class ComplexError(Exception):
 
 
 def smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero diagonal of the Smith normal form of an integer matrix
-    (``algebra.smith_form``): positive entries, each dividing the next,
-    as many as the rank."""
+    """The nonzero diagonal of the Smith normal form of an integer
+    matrix: positive entries, each dividing the next, as many as the
+    rank.
 
-    return smith_form(mat)
+    Each step moves the smallest nonzero entry of the trailing block to
+    the pivot, clears its row and column by integer division, and adds
+    in a row with an entry the pivot does not divide until none is
+    left.
+    """
+
+    a = [list(row) for row in mat]
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
+    diag: list[int] = []
+    t = 0
+    while t < min(n_rows, n_cols):
+
+        def repivot() -> bool:
+            # the smallest nonzero entry of the trailing block; a unit
+            # cannot be beaten, so the search stops at the first one
+            best = None
+            for i in range(t, n_rows):
+                for j in range(t, n_cols):
+                    v = a[i][j]
+                    if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+                if best is not None and abs(a[best[0]][best[1]]) == 1:
+                    break
+            if best is None:
+                return False
+            i0, j0 = best
+            a[t], a[i0] = a[i0], a[t]
+            for row in a:
+                row[t], row[j0] = row[j0], row[t]
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            return True
+
+        if not repivot():
+            break
+        while True:
+            piv = a[t][t]
+            clean = True
+            for i in range(t + 1, n_rows):
+                if a[i][t]:
+                    f = a[i][t] // piv
+                    if f:
+                        a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        clean = False
+            for j in range(t + 1, n_cols):
+                if a[t][j]:
+                    f = a[t][j] // piv
+                    if f:
+                        for row in a:
+                            row[j] -= f * row[t]
+                    if a[t][j]:
+                        clean = False
+            if not clean:
+                repivot()
+                continue
+            # a unit divides everything left; otherwise an entry the
+            # pivot does not divide is added into the pivot row
+            offender = None
+            if piv != 1:
+                for i in range(t + 1, n_rows):
+                    if any(a[i][j] % piv for j in range(t + 1, n_cols)):
+                        offender = i
+                        break
+            if offender is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+        diag.append(a[t][t])
+        t += 1
+    return diag
 
 
 #: A sparse integer column: its nonzero entries by row index.
@@ -163,11 +233,9 @@ def dense_rows(rows: Mapping[int, SparseColumn]) -> List[List[int]]:
 
 @dataclass(frozen=True)
 class CubeVertex:
-    """One flattening in the cube: its choice vector, web, quantum shift
-    and homological degree, with the shifted degrees of its basis."""
+    """One flattening in the cube: its homological degree and the
+    shifted quantum degrees of its basis."""
 
-    bits: Tuple[int, ...]
-    shift: int
     hom_degree: int
     q_degrees: Tuple[int, ...]
 
@@ -183,7 +251,6 @@ class GradedChainComplex:
     """
 
     def __init__(self, diagram: LinkDiagram) -> None:
-        self.diagram = diagram
         n = diagram.n_crossings
         self.p_plus = diagram.positive_count
         self.p_minus = diagram.negative_count
@@ -193,8 +260,6 @@ class GradedChainComplex:
             shift = 3 * self.p_minus - 2 * self.p_plus - weight
             space = state_space(diagram.flatten(bits))
             self.vertices[bits] = CubeVertex(
-                bits=bits,
-                shift=shift,
                 hom_degree=weight - self.p_minus,
                 q_degrees=tuple(d + shift for d in space.degrees),
             )
@@ -408,8 +473,6 @@ def euler_characteristic(h: BigradedHomology) -> LaurentPoly:
 class InvarianceReport:
     """Pairwise comparison of two diagrams' homology tables."""
 
-    first: BigradedHomology
-    second: BigradedHomology
     passed: bool
     differences: Tuple[Tuple[Tuple[int, int], Tuple[int, Tuple[int, ...]], Tuple[int, Tuple[int, ...]]], ...]
 
@@ -443,9 +506,7 @@ def check_invariance(d1: LinkDiagram, d2: LinkDiagram) -> InvarianceReport:
         b = (h2.rank(*ij), h2.torsion(*ij))
         if a != b:
             diffs.append((ij, a, b))
-    return InvarianceReport(
-        first=h1, second=h2, passed=not diffs, differences=tuple(diffs)
-    )
+    return InvarianceReport(passed=not diffs, differences=tuple(diffs))
 
 
 def homology_json(d: LinkDiagram) -> dict:

@@ -36,7 +36,10 @@ from .foam import (
     square_split_movies,
 )
 from .web import Web
-from .webhom import IntMatrix, StateSpaceError, induced_matrix, state_space
+from .webhom import StateSpaceError, induced_matrix, state_space
+
+#: A dense integer matrix, as a tuple of rows.
+IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)

@@ -154,10 +154,15 @@ class Web:
         parent: Optional[Mapping[int, Region]] = None,
         outer_face: Optional[Mapping[int, int]] = None,
     ) -> None:
-        self._store(sigma, alpha, out_darts, loop_ccw)
-        self._check_maps()
-        self._derive(parent, outer_face)
-        self._check_embedding()
+        try:
+            self._store(sigma, alpha, out_darts, loop_ccw)
+            self._check_maps()
+            self._derive(parent, outer_face)
+            self._check_embedding()
+        except TypeError as exc:
+            # an unhashable dart, loop id or face (a list, say) fails at
+            # the first set or dict it meets
+            raise MalformedWeb(f"web maps must hold ints: {exc}") from exc
 
     def _store(
         self,

@@ -19,7 +19,7 @@ Sub-webs met while reducing are themselves looked up by class.
 The closed-surface evaluation pairs two preparations to an integer: it
 glues their half foams along the shared web, instead of replaying the
 closed movie of one followed by the reflection of the other.  Pairings
-are made in batches (``foam.pair_halves``): one call per Gram block,
+are made in batches (``foam.pair_halves``): one call per pairing block,
 and one per pushed degree of an induced matrix, evaluates one closed
 foam per distinct glued label vector, not one per pair.  A preparation
 is a sub-class element followed by one movie, so its half is that
@@ -29,9 +29,11 @@ canonical relabeling and extended through the movie
 pairing has degree zero, so it vanishes unless the two degrees cancel
 and the Gram matrix is block anti-diagonal by degree: for each degree
 ``d`` only the square block between the basis elements of degree ``d``
-and those of degree ``-d`` is nonzero.  Each such block is unimodular
-and is inverted exactly once per class; the inverse is kept sparse,
-as the nonzero entries of each of its columns.  The matrix induced by
+and those of degree ``-d`` is nonzero.  The pairing is symmetric, so
+only the blocks of ``d <= 0`` are paired.  Each is unimodular, and is
+inverted exactly once per class and then dropped: the Gram matrix is
+never assembled, and only the inverses are kept, sparse, as the
+nonzero entries of each of their columns.  The matrix induced by
 any movie between webs is then obtained by pairing the movie's action
 on the source basis against the degree-matched target basis elements
 and multiplying by the inverse block through the nonzero pairings
@@ -73,14 +75,9 @@ from .foam import (
 )
 from .web import DigonFace, Empty, FreeLoop, SquareFace, Web, find_reduction
 
-IntMatrix = Tuple[Tuple[int, ...], ...]
 #: A sparse integer matrix: the ``(row, value)`` pairs of each column's
 #: nonzero entries, rows increasing.
 SparseColumns = Tuple[Tuple[Tuple[int, int], ...], ...]
-
-#: Reduction trace nodes: ("empty",), ("loop", loop_id, sub),
-#: ("digon", face, sub), ("square", face, sub_first, sub_second).
-Trace = tuple
 
 
 class StateSpaceError(Exception):
@@ -174,20 +171,20 @@ def _unimodular_inverse(block: Sequence[Sequence[int]]) -> List[Dict[int, int]]:
 
 
 def _inverse_blocks(
-    degrees: Sequence[int], gram: Sequence[Sequence[int]]
+    index: Dict[int, Tuple[int, ...]], blocks: Dict[int, Sequence[Sequence[int]]]
 ) -> Dict[int, SparseColumns]:
-    """For each degree ``d``, the exact inverse of the Gram block whose
-    rows are the basis elements of degree ``d`` and whose columns are
-    those of degree ``-d``, sparse: its column ``t`` (the pairing with
-    the ``t``-th basis element of degree ``d``) lists its nonzero
-    entries, each row named by its basis index, one of degree ``-d``.
-    A block that is not square, is singular or has determinant other
-    than ±1 raises.  The Gram matrix is symmetric, so the block of
-    ``-d`` is the transpose of that of ``d``, and so is its inverse.
-    Each block is inverted by sparse integer elimination
-    (``_unimodular_inverse``)."""
-    index = _degree_index(degrees)
-    out: Dict[int, SparseColumns] = {}
+    """The exact inverses of the pairing blocks, sparse.  ``index[d]``
+    lists the basis indices of degree ``d``; for each ``d <= 0`` in it,
+    ``blocks[d]`` pairs those (rows) with the basis elements of degree
+    ``-d`` (columns).  A degree whose count differs from that of its
+    opposite, or a block that is singular or has determinant other than
+    ±1, raises.  Each block is inverted once, by sparse integer
+    elimination (``_unimodular_inverse``); the pairing is symmetric, so
+    the block of ``d > 0`` is the transpose of that of ``-d``, and so is
+    its inverse.  ``inverse[d]`` has one column per pairing coordinate
+    ``t`` (the pairing with the ``t``-th basis element of degree ``d``)
+    listing its nonzero entries, each row named by its basis index, one
+    of degree ``-d``."""
     for d, rows in index.items():
         cols = index.get(-d, ())
         if len(cols) != len(rows):
@@ -195,9 +192,10 @@ def _inverse_blocks(
                 f"pairing matrix is singular: {len(rows)} basis elements of "
                 f"degree {d} against {len(cols)} of degree {-d}"
             )
-        if d in out:
-            continue
-        inv = _unimodular_inverse([[gram[r][c] for c in cols] for r in rows])
+    out: Dict[int, SparseColumns] = {}
+    for d, block in blocks.items():
+        rows, cols = index[d], index[-d]
+        inv = _unimodular_inverse(block)
         # inv[k] holds the entries (t, x) of row k, k counting ``cols``
         # and t counting ``rows``
         by_column: List[List[Tuple[int, int]]] = [[] for _ in rows]
@@ -216,26 +214,24 @@ def _inverse_blocks(
 class StateSpace:
     """The graded state space of one relabeling class of closed webs, on
     the class's canonical web (``Web.canonical``): the half foam and the
-    degree of each preparation, the reduction trace and the pairing
-    matrix.  A preparation is read only through its half, so no movie is
+    degree of each preparation, and the inverses of the pairing blocks.
+    A preparation is read only through its half, so no movie is kept,
+    and the pairing only through those inverses, so no Gram matrix is
     kept.
 
     ``index[d]`` lists the basis indices of degree ``d``; ``inverse[d]``
-    is the exact inverse of the Gram block ``gram[index[d]][index[-d]]``,
-    the only nonzero block in those rows, kept only sparse: for each
-    pairing coordinate ``t`` (the basis element ``index[d][t]``), the
-    nonzero entries ``(k, value)`` of its column, ``k`` in
-    ``index[-d]``.  Together they solve ``gram @ X = R``: ``X[k]`` is
-    the sum of ``value * R[index[d][t]]`` over the entries ``(k,
-    value)`` of every column ``t``.  Each block is inverted exactly by
-    sparse integer elimination (``_inverse_blocks``).  The trace names
-    each reduction site in the canonical labels of the class it
-    reduces."""
+    is the exact inverse of the block pairing ``index[d]`` (rows) with
+    ``index[-d]`` (columns), the only nonzero block in those rows, kept
+    only sparse: for each pairing coordinate ``t`` (the basis element
+    ``index[d][t]``), the nonzero entries ``(k, value)`` of its column,
+    ``k`` in ``index[-d]``.  Together they solve ``G @ X = R`` for the
+    Gram matrix ``G``: ``X[k]`` is the sum of ``value * R[index[d][t]]``
+    over the entries ``(k, value)`` of every column ``t``.  Each block
+    is inverted exactly by sparse integer elimination
+    (``_inverse_blocks``)."""
 
     halves: Tuple[HalfFoam, ...]
     degrees: Tuple[int, ...]
-    trace: Trace
-    gram: IntMatrix
     index: Dict[int, Tuple[int, ...]] = field(compare=False, repr=False)
     inverse: Dict[int, SparseColumns] = field(compare=False, repr=False)
 
@@ -259,11 +255,11 @@ def _extended(mapping: Dict[int, int], ids: Iterable[int], step: int) -> Dict[in
 
 def _extended_basis(
     sub_web: Web, *thens: FoamMovie
-) -> Tuple[List[HalfFoam], List[int], Trace]:
+) -> Tuple[List[HalfFoam], List[int]]:
     """The halves and degrees of each basis element of ``sub_web``
-    followed by each of ``thens``, and the trace of ``sub_web``: the
-    class halves, renamed onto ``sub_web``, are extended through each
-    movie, so no preparation is swept from the empty web."""
+    followed by each of ``thens``: the class halves, renamed onto
+    ``sub_web``, are extended through each movie, so no preparation is
+    swept from the empty web."""
     sub = state_space(sub_web)
     _, dart_map, loop_map = sub_web.canonical()
     to_darts = {c: d for d, c in dart_map.items()}
@@ -271,37 +267,30 @@ def _extended_basis(
     grown = [extend_halves(sub.halves, then, to_darts, to_loops) for then in thens]
     halves = [h for hs in zip(*grown) for h in hs]
     degrees = [d + then.degree() for d in sub.degrees for then in thens]
-    return halves, degrees, sub.trace
+    return halves, degrees
 
 
-def _preparations(web: Web) -> Tuple[List[HalfFoam], List[int], Trace]:
+def _preparations(web: Web) -> Tuple[List[HalfFoam], List[int]]:
     reduction = find_reduction(web)
     if isinstance(reduction, Empty):
-        return [half_foam(identity_movie(web))], [0], ("empty",)
+        return [half_foam(identity_movie(web))], [0]
     if isinstance(reduction, FreeLoop):
         lid = reduction.loop_id
         region = web.parent[lid]
         ccw = web.loop_ccw[lid]
         smaller = apply_move(web, Death(lid))
         grow = [(Birth(lid, region, ccw),) + (Dot(lid),) * dots for dots in range(3)]
-        halves, degrees, sub = _extended_basis(
-            smaller, *(FoamMovie(smaller, moves) for moves in grow)
-        )
-        return halves, degrees, ("loop", lid, sub)
+        return _extended_basis(smaller, *(FoamMovie(smaller, moves) for moves in grow))
     if isinstance(reduction, DigonFace):
-        face = reduction.face
-        lift_plain, lift_dotted, _, _ = digon_movies(web, face)
-        halves, degrees, sub = _extended_basis(lift_plain.start, lift_plain, lift_dotted)
-        return halves, degrees, ("digon", face, sub)
+        lift_plain, lift_dotted, _, _ = digon_movies(web, reduction.face)
+        return _extended_basis(lift_plain.start, lift_plain, lift_dotted)
     if isinstance(reduction, SquareFace):
-        face = reduction.face
-        halves, degrees, traces = [], [], []
-        for branch in square_split_movies(web, face):
-            more, shifted, sub = _extended_basis(branch.end, branch.reflect())
+        halves, degrees = [], []
+        for branch in square_split_movies(web, reduction.face):
+            more, shifted = _extended_basis(branch.end, branch.reflect())
             halves += more
             degrees += shifted
-            traces.append(sub)
-        return halves, degrees, ("square", face, traces[0], traces[1])
+        return halves, degrees
     raise StateSpaceError(f"unhandled reduction {reduction!r}")
 
 
@@ -319,26 +308,20 @@ def pair_movies(u: FoamMovie, v: FoamMovie) -> int:
 
 def _class_space(web: Web) -> StateSpace:
     """The state space of a canonical web, computed from scratch."""
-    halves, degrees, trace = _preparations(web)
+    halves, degrees = _preparations(web)
     index = _degree_index(degrees)
-    n = len(halves)
-    gram_rows = [[0] * n for _ in range(n)]
-    for d, rows in index.items():
-        if d > 0:
-            continue
-        cols = index.get(-d, ())
-        block = pair_halves([halves[j] for j in rows], [halves[k] for k in cols])
-        for j, values in zip(rows, block):
-            for k, val in zip(cols, values):
-                gram_rows[j][k] = gram_rows[k][j] = val
-    gram = tuple(map(tuple, gram_rows))
+    blocks = {
+        d: pair_halves(
+            [halves[j] for j in rows], [halves[k] for k in index.get(-d, ())]
+        )
+        for d, rows in index.items()
+        if d <= 0
+    }
     return StateSpace(
         halves=tuple(halves),
         degrees=tuple(degrees),
-        trace=trace,
-        gram=gram,
         index=index,
-        inverse=_inverse_blocks(degrees, gram),
+        inverse=_inverse_blocks(index, blocks),
     )
 
 

@@ -42,9 +42,9 @@ Gram-block inverses, which eliminate over the integers.
 Smith transform oracle
 ----------------------
 ``smith_form_with_transforms`` is the package's dense Smith normal form
-with its unimodular row and column transforms kept, so that tests can
-check ``P @ M @ Q`` against the diagonal; the package keeps only the
-diagonal.
+(``cube.smith_diagonal``) with its unimodular row and column transforms
+kept, so that tests can check ``P @ M @ Q`` against the diagonal; the
+package keeps only the diagonal.
 
 Replay and gluing oracles
 -------------------------
@@ -108,7 +108,9 @@ as movies: the preparations of the class's canonical web, built on the
 served bases of the smaller webs; ``served_basis`` renames it onto a
 web of the class with ``relabeled_movie``, which renames a movie's start
 web and moves and runs the renamed moves anew.  The package keeps only
-their halves and degrees.
+their halves and degrees.  ``gram`` is the Gram matrix of a served
+state space, dense: the package pairs its blocks to invert them, and
+keeps only the inverses.
 
 Zip oracle
 ----------
@@ -183,6 +185,7 @@ from artifact.foam import (
     digon_movies,
     evaluate,
     identity_movie,
+    pair_halves,
     square_split_movies,
 )
 from artifact.web import (
@@ -197,7 +200,7 @@ from artifact.web import (
     _face_orbits,
     find_reduction,
 )
-from artifact.webhom import _extended, pair_movies
+from artifact.webhom import StateSpace, _extended, pair_movies
 
 # A polynomial in Z[x1, x2] is a dict {(i, j): coefficient} for x1^i * x2^j.
 FlagPoly = dict[tuple[int, int], int]
@@ -518,7 +521,7 @@ def smith_form_with_transforms(
     columns) are unimodular, and ``p @ mat @ q`` is zero except for
     ``diag`` down its diagonal.  Entries of ``diag`` are positive and
     each divides the next; their count is the rank.  The elimination is
-    the package's ``algebra.smith_form``, with every row operation also
+    the package's ``cube.smith_diagonal``, with every row operation also
     applied to ``p`` and every column operation to ``q``, which start as
     identities.
     """
@@ -879,6 +882,23 @@ def scratch_matrix(movie: FoamMovie, source, target) -> tuple[tuple, tuple]:
         for c, row in zip(cols, fraction_solve(block, rhs)):
             out[c] = list(row)
     return gram, tuple(tuple(row) for row in out)
+
+
+def gram(space: StateSpace) -> tuple[tuple[int, ...], ...]:
+    """The Gram matrix of ``space``'s basis, dense: each half paired
+    with those of the opposite degree by the package's ``pair_halves``,
+    both blocks of every pair of opposite degrees paired, and every
+    other entry 0."""
+    out = [[0] * space.dim for _ in range(space.dim)]
+    for d, rows in space.index.items():
+        cols = space.index.get(-d, ())
+        block = pair_halves(
+            [space.halves[j] for j in rows], [space.halves[k] for k in cols]
+        )
+        for j, values in zip(rows, block):
+            for k, x in zip(cols, values):
+                out[j][k] = x
+    return tuple(map(tuple, out))
 
 
 _LABEL_BASES: dict[str, tuple[FoamMovie, ...]] = {}

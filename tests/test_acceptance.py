@@ -49,7 +49,7 @@ from artifact.web import kuperberg_bracket, link_bracket
 from artifact.webhom import state_space
 
 from .helpers import cube_data, fixture_webs, graded_dimension
-from .oracles import d_squared_is_zero, squares_anticommute
+from .oracles import d_squared_is_zero, gram, squares_anticommute
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -144,7 +144,7 @@ def test_criterion_05_graded_ranks_and_gram_unimodularity():
             sp = state_space(web)
             assert graded_dimension(sp) == kuperberg_bracket(web), label
             if sp.dim:
-                diag = smith_diagonal([list(row) for row in sp.gram])
+                diag = smith_diagonal([list(row) for row in gram(sp)])
                 assert len(diag) == sp.dim, (label, diag)
                 assert all(entry == 1 for entry in diag), (label, diag)
 

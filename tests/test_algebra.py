@@ -1,7 +1,7 @@
 """Tests for the exact algebra layer: Laurent polynomials, the rank-3
 Frobenius algebra oracle, the three-sheet circle evaluation, the table
-of closed surfaces and the Smith normal form, whose transforms the
-oracle keeps."""
+of closed surfaces, and the cube's dense Smith normal form
+(``cube.smith_diagonal``), whose transforms the oracle keeps."""
 
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ from artifact.algebra import (
     LaurentPoly,
     closed_surface_value,
     quantum_integer,
-    smith_form,
     theta_symbol,
 )
+from artifact.cube import smith_diagonal
 from artifact.selftest import identity_matrix, mat_mul
 from .helpers import at_one
 from .oracles import (
@@ -338,7 +338,7 @@ def test_theta_symbol_known_values():
 
 def _check_smith_form(mat):
     diag, p, q = smith_form_with_transforms(mat)
-    assert smith_form(mat) == diag
+    assert smith_diagonal(mat) == diag
     n_rows, n_cols = len(mat), len(mat[0]) if mat else 0
     assert len(p) == n_rows and len(q) == n_cols
     want = tuple(
@@ -364,7 +364,7 @@ def test_smith_form_transforms_on_small_matrices():
     assert _check_smith_form([[0, 0], [0, 0]]) == []
     assert _check_smith_form([[2, 3], [3, 5]]) == [1, 1]
     assert smith_form_with_transforms([]) == ([], [], [])
-    assert smith_form([]) == []
+    assert smith_diagonal([]) == []
 
 
 @settings(max_examples=60, deadline=None)

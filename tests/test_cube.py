@@ -31,6 +31,7 @@ from artifact.cube import (
 )
 from artifact.diagram import parse_pd
 from artifact.web import Web, link_bracket
+from artifact.webhom import state_space
 
 from .helpers import at_one, cube_data, free_ranks
 from .oracles import (
@@ -428,14 +429,24 @@ def _graded_dimensions(cx):
     return out
 
 
+def _shift(diagram, cx, bits):
+    """The quantum shift of the vertex ``bits`` of ``cx``, the cube of
+    ``diagram``: each of its ``q_degrees`` less the degree of the same
+    basis element of its flattening's state space."""
+    degrees = state_space(diagram.flatten(bits)).degrees
+    shifts = {q - d for q, d in zip(cx.vertices[bits].q_degrees, degrees)}
+    assert len(shifts) == 1
+    return shifts.pop()
+
+
 def test_positive_kink_chain_groups():
     cx = build_complex(corpus.UNKNOT_KINK_POS)
     assert (-cx.p_minus, cx.p_plus) == (0, 1)
     graded = _graded_dimensions(cx)
     assert at_one(graded[0]) == 9
     assert at_one(graded[1]) == 6
-    assert cx.vertices[(0,)].shift == -2
-    assert cx.vertices[(1,)].shift == -3
+    assert _shift(corpus.UNKNOT_KINK_POS, cx, (0,)) == -2
+    assert _shift(corpus.UNKNOT_KINK_POS, cx, (1,)) == -3
     assert sorted(cx.vertices[(0,)].q_degrees) == [-6, -4, -4, -2, -2, -2, 0, 0, 2]
     assert sorted(cx.vertices[(1,)].q_degrees) == [-6, -4, -4, -2, -2, 0]
 
@@ -446,8 +457,8 @@ def test_negative_kink_chain_groups():
     graded = _graded_dimensions(cx)
     assert at_one(graded[-1]) == 6
     assert at_one(graded[0]) == 9
-    assert cx.vertices[(0,)].shift == 3
-    assert cx.vertices[(1,)].shift == 2
+    assert _shift(corpus.UNKNOT_KINK_NEG, cx, (0,)) == 3
+    assert _shift(corpus.UNKNOT_KINK_NEG, cx, (1,)) == 2
 
 
 def test_hom_ranges_follow_crossing_signs():

@@ -12,6 +12,13 @@ name, never the method.  Code that only tests reach belongs in ``tests/`` as an 
 or nowhere; this check keeps it from growing back.  Dunder methods are
 reached by the language and are skipped.
 
+Every field of a package class is read by the program too: a name
+annotated in a class body (a dataclass or ``NamedTuple`` field) or an
+attribute that ``__init__`` sets on ``self`` counts as read when some
+file in ``src/artifact`` or ``perfbench`` reads it as an attribute.  A
+field that is only written, passed to a constructor or read by tests
+is kept for nothing.
+
 The package's arithmetic is also exact: no file in ``src/artifact``
 divides with ``/``, calls ``float`` or imports ``fractions`` or
 ``decimal``.  Nor does it check anything with an ``assert`` statement,
@@ -139,6 +146,89 @@ def test_reach_check_sees_each_form(tmp_path):
         "sample.py: Box.by_bare_name",
         "sample.py: Box.by_bare_string",
         "sample.py: unnamed",
+    ]
+
+
+def _unread_fields(package: list[Path], others: list[Path]) -> list[str]:
+    """Every field of a class in the ``package`` files that no package
+    or ``others`` file reads as an attribute, as ``file: Class.field``,
+    sorted.  A field is a name annotated in the class body or an
+    attribute that ``__init__`` sets on ``self``."""
+    fields: set[tuple[str, str, str]] = set()  # (file, class, name)
+    read: set[str] = set()
+    for path in package + others:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif path in package and isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(
+                        item.target, ast.Name
+                    ):
+                        fields.add((path.name, node.name, item.target.id))
+                    elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                        fields.update(
+                            (path.name, node.name, target.attr)
+                            for target in ast.walk(item)
+                            if isinstance(target, ast.Attribute)
+                            and isinstance(target.ctx, ast.Store)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"
+                        )
+    return sorted(
+        f"{where}: {cls}.{name}" for where, cls, name in fields if name not in read
+    )
+
+
+def test_every_field_is_read_by_program_code():
+    unread = _unread_fields(*_program_files())
+    assert not unread, "fields read only by tests, or never: " + ", ".join(unread)
+
+
+def test_field_check_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    read_here: int\n"
+        "    read_elsewhere: int\n"
+        "    only_constructed: int\n"
+        "    LIMIT = 3\n"
+        "    def total(self):\n"
+        "        local: int = self.read_here\n"
+        "        return local\n"
+        "class Pair(NamedTuple):\n"
+        "    left: int\n"
+        "    right: int\n"
+        "class Holder:\n"
+        "    def __init__(self, x):\n"
+        "        self.kept = x\n"
+        "        self.first, self.second = x, x\n"
+        "        self.counted = 0\n"
+        "        other = Holder\n"
+        "        other.elsewhere = x\n"
+        "    def bump(self):\n"
+        "        self.counted += 1\n"
+        "        self.later = self.first\n"
+        "Record(1, 2, only_constructed=3)\n"
+        "NAME = 'Pair.right'\n",
+        encoding="utf-8",
+    )
+    user = tmp_path / "user.py"
+    user.write_text(
+        "from sample import Holder, Pair, Record\n"
+        "print(Record(1, 2, 3).read_elsewhere, Pair(1, 2).left)\n"
+        "Holder(1).kept = Holder(2).kept\n",
+        encoding="utf-8",
+    )
+    assert _unread_fields([sample], [user]) == [
+        "sample.py: Holder.counted",
+        "sample.py: Holder.second",
+        "sample.py: Pair.right",
+        "sample.py: Record.only_constructed",
     ]
 
 

@@ -226,6 +226,22 @@ def test_validate_checks_maps_before_walking_faces(case):
         Web(**maps)
 
 
+#: Maps holding a list where an int belongs: each would fail a set or
+#: dict lookup with a ``TypeError``.
+UNHASHABLE_MAPS = {
+    "list-valued sigma image": {**_THETA, "sigma": {**_THETA["sigma"], 5: [1]}},
+    "list-valued alpha image": {**_THETA, "alpha": {**_THETA["alpha"], 5: [6]}},
+    "list-valued out dart": {**_THETA, "out_darts": [*_THETA["out_darts"], [2]]},
+    "list-valued outer face": {**_THETA, "outer_face": {1: [2]}},
+}
+
+
+@pytest.mark.parametrize("maps", UNHASHABLE_MAPS.values(), ids=UNHASHABLE_MAPS)
+def test_unhashable_map_values_raise_malformed_web(maps):
+    with pytest.raises(MalformedWeb, match="unhashable type: 'list'"):
+        Web(**maps)
+
+
 @st.composite
 def mutated_maps(draw):
     """The maps of a valid web of ``VALIDATED_WEBS`` after one random

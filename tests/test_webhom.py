@@ -17,16 +17,25 @@ from artifact.cube import build_complex
 from artifact.diagram import parse_pd, resolution_edge_movie, resolutions
 from artifact.foam import (
     Birth,
+    Death,
     Dot,
     FoamMovie,
     MalformedMovie,
+    apply_move,
     digon_movies,
     dot_movie,
     half_foam,
     identity_movie,
     square_split_movies,
 )
-from artifact.web import Web, kuperberg_bracket
+from artifact.web import (
+    DigonFace,
+    Empty,
+    FreeLoop,
+    Web,
+    find_reduction,
+    kuperberg_bracket,
+)
 from artifact.selftest import (
     check_edge_ring,
     run_selftest,
@@ -43,6 +52,7 @@ from artifact.selftest import (
 )
 from artifact.webhom import (
     StateSpaceError,
+    _degree_index,
     _inverse_blocks,
     induced_matrix,
     pair_movies,
@@ -67,6 +77,7 @@ from .oracles import (
     fraction_solve,
     glue,
     glued_prefoam,
+    gram,
     label_basis,
     relabeled_movie,
     run_movie,
@@ -124,15 +135,29 @@ def _rows(m):
     return tuple(tuple(row) for row in m)
 
 
-def _inverse(gram):
-    """The served inverse of a square ``gram``, densified: its only block
+def _sliced_inverse_blocks(degrees, matrix):
+    """``_inverse_blocks`` of the Gram matrix ``matrix`` on a basis of
+    the given degrees, fed the blocks the package pairs: for each degree
+    ``d <= 0``, the rows of degree ``d`` against the columns of degree
+    ``-d``."""
+    index = _degree_index(degrees)
+    blocks = {
+        d: [[matrix[r][c] for c in index.get(-d, ())] for r in rows]
+        for d, rows in index.items()
+        if d <= 0
+    }
+    return _inverse_blocks(index, blocks)
+
+
+def _inverse(matrix):
+    """The served inverse of a square ``matrix``, densified: its only block
     when every basis element has degree 0."""
-    return dense(_inverse_blocks((0,) * len(gram), gram)[0], len(gram))
+    return dense(_sliced_inverse_blocks((0,) * len(matrix), matrix)[0], len(matrix))
 
 
-def _solve(gram, rhs):
-    """``gram @ X = rhs`` through the served inverse."""
-    return mat_mul(_inverse(gram), _rows(rhs))
+def _solve(matrix, rhs):
+    """``matrix @ X = rhs`` through the served inverse."""
+    return mat_mul(_inverse(matrix), _rows(rhs))
 
 
 def test_solve_unimodular_rejects_bad_pairings():
@@ -164,14 +189,14 @@ def test_integer_solve_matches_fraction_oracle():
     rng = random.Random(20260304)
     for n in range(1, 13):
         for _ in range(4):
-            gram = _random_unimodular(rng, n)
+            matrix = _random_unimodular(rng, n)
             cols = rng.randint(1, 4)
             rhs = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(n)]
-            x = _solve(gram, rhs)
-            assert x == fraction_solve(gram, rhs)
-            assert mat_mul(_rows(gram), x) == _rows(rhs)
-            inverse = _inverse(gram)
-            assert inverse == fraction_solve(gram, identity_matrix(n))
+            x = _solve(matrix, rhs)
+            assert x == fraction_solve(matrix, rhs)
+            assert mat_mul(_rows(matrix), x) == _rows(rhs)
+            inverse = _inverse(matrix)
+            assert inverse == fraction_solve(matrix, identity_matrix(n))
 
 
 def test_integer_solve_rejects_singular_and_non_unimodular():
@@ -185,24 +210,24 @@ def test_integer_solve_rejects_singular_and_non_unimodular():
                     for i in range(n)
                 ]
                 left, right = _random_unimodular(rng, n), _random_unimodular(rng, n)
-                gram = mat_mul(mat_mul(_rows(left), _rows(diag)), right)
+                matrix = mat_mul(mat_mul(_rows(left), _rows(diag)), right)
                 rhs = identity_matrix(n)
                 with pytest.raises(StateSpaceError, match=match):
-                    _solve(gram, rhs)
+                    _solve(matrix, rhs)
                 with pytest.raises(ArithmeticError, match=match):
-                    fraction_solve(gram, rhs)
+                    fraction_solve(matrix, rhs)
 
 
 def test_inverse_blocks_reject_bad_pairings():
     # two basis elements of degree 1 against one of degree -1
     with pytest.raises(StateSpaceError, match="singular"):
-        _inverse_blocks((1, 1, -1), ((0, 0, 1), (0, 0, 1), (1, 1, 0)))
+        _sliced_inverse_blocks((1, 1, -1), ((0, 0, 1), (0, 0, 1), (1, 1, 0)))
     with pytest.raises(StateSpaceError, match="singular"):
-        _inverse_blocks((2,), ((0,),))
+        _sliced_inverse_blocks((2,), ((0,),))
     with pytest.raises(StateSpaceError, match="determinant"):
-        _inverse_blocks((-1, 0, 1), ((0, 0, 1), (0, 2, 0), (1, 0, 0)))
+        _sliced_inverse_blocks((-1, 0, 1), ((0, 0, 1), (0, 2, 0), (1, 0, 0)))
     # each pairing coordinate's nonzero entries, rows by basis index
-    assert _inverse_blocks((-1, 0, 1), ((0, 0, 1), (0, -1, 0), (1, 0, 0))) == {
+    assert _sliced_inverse_blocks((-1, 0, 1), ((0, 0, 1), (0, -1, 0), (1, 0, 0))) == {
         -1: (((2, 1),),),
         0: (((1, -1),),),
         1: (((0, 1),),),
@@ -252,8 +277,8 @@ def _paired_gram(block):
 def test_inverse_blocks_invert_random_unimodular_blocks(drawn):
     block, _ = drawn
     n = len(block)
-    degrees, gram = _paired_gram(block)
-    inverse = _inverse_blocks(degrees, gram)
+    degrees, matrix = _paired_gram(block)
+    inverse = _sliced_inverse_blocks(degrees, matrix)
     # column t of inverse[1] has its entries on the degree -1 elements,
     # basis indices n .. 2n - 1
     inv = dense(inverse[1], 2 * n)[n:]
@@ -261,7 +286,7 @@ def test_inverse_blocks_invert_random_unimodular_blocks(drawn):
     transposed = dense(inverse[-1], n)
     assert mat_mul(_rows(zip(*block)), transposed) == identity_matrix(n)
     # one block of degree 0, the same block on its own
-    assert dense(_inverse_blocks((0,) * n, block)[0], n) == inv
+    assert dense(_sliced_inverse_blocks((0,) * n, block)[0], n) == inv
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,16 +294,18 @@ def test_inverse_blocks_invert_random_unimodular_blocks(drawn):
 def test_inverse_blocks_reject_random_singular_and_non_unimodular_blocks(drawn):
     block, m = drawn
     match = "singular" if m == 0 else f"determinant ±{abs(m)}, not ±1"
-    for degrees, gram in (((0,) * len(block), block), _paired_gram(block)):
+    for degrees, matrix in (((0,) * len(block), block), _paired_gram(block)):
         with pytest.raises(StateSpaceError, match=match):
-            _inverse_blocks(degrees, gram)
+            _sliced_inverse_blocks(degrees, matrix)
 
 
 def test_inverse_blocks_invert_a_block_with_no_unit_entry():
     block = ((2, 3), (3, 5))
-    assert _inverse_blocks((0, 0), block) == {0: (((0, 5), (1, -3)), ((0, -3), (1, 2)))}
-    degrees, gram = _paired_gram(block)
-    inverse = _inverse_blocks(degrees, gram)
+    assert _sliced_inverse_blocks((0, 0), block) == {
+        0: (((0, 5), (1, -3)), ((0, -3), (1, 2)))
+    }
+    degrees, matrix = _paired_gram(block)
+    inverse = _sliced_inverse_blocks(degrees, matrix)
     assert dense(inverse[1], 4)[2:] == ((5, -3), (-3, 2))
 
 
@@ -291,8 +318,8 @@ def test_empty_web_space():
     sp = state_space(Web())
     assert sp.dim == 1
     assert sp.degrees == (0,)
-    assert sp.gram == ((1,),)
-    assert sp.trace == ("empty",)
+    assert gram(sp) == ((1,),)
+    assert find_reduction(Web()) == Empty()
     assert served_basis(Web())[0].moves == ()
 
 
@@ -300,8 +327,11 @@ def test_circle_space():
     sp = state_space(circle_web())
     assert sp.dim == 3
     assert sp.degrees == (-2, 0, 2)
-    assert sp.gram == ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
-    assert sp.trace == ("loop", -1, ("empty",))
+    assert gram(sp) == ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
+    # the class's canonical web reduces at its loop, to the empty web
+    canonical = circle_web().canonical()[0]
+    assert find_reduction(canonical) == FreeLoop(-1)
+    assert find_reduction(apply_move(canonical, Death(-1))) == Empty()
     assert graded_dimension(state_space(circle_web())) == quantum_integer(3)
 
 
@@ -309,14 +339,20 @@ def test_circle_space_clockwise():
     sp = state_space(circle_web(ccw=False))
     assert sp.dim == 3
     assert sp.degrees == (-2, 0, 2)
-    assert sp.gram == ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
+    assert gram(sp) == ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
 
 
 def test_theta_space():
     sp = state_space(theta_web())
     assert sp.dim == 6
     assert sp.degrees == (-3, -1, -1, 1, 1, 3)
-    assert sp.trace == ("digon", 1, ("loop", -1, ("empty",)))
+    # the class's canonical web reduces at its digon face 1, to a loop
+    # whose class reduces at loop -1, to the empty web
+    canonical = theta_web().canonical()[0]
+    assert find_reduction(canonical) == DigonFace(1)
+    loop = digon_movies(canonical, 1)[0].start.canonical()[0]
+    assert find_reduction(loop) == FreeLoop(-1)
+    assert find_reduction(apply_move(loop, Death(-1))) == Empty()
     expected = (
         LaurentPoly.monomial(3)
         + 2 * LaurentPoly.monomial(1)
@@ -361,13 +397,14 @@ def test_basis_movies_end_at_their_web():
 def test_pairing_is_symmetric_and_degree_sparse():
     sp = state_space(theta_web())
     basis = served_basis(theta_web())
+    paired = gram(sp)
     for j, k in itertools.combinations(range(sp.dim), 2):
         assert pair_movies(basis[j], basis[k]) == pair_movies(basis[k], basis[j])
         if sp.degrees[j] + sp.degrees[k] != 0:
             # the shortcut result agrees with the full evaluation
             direct = evaluate_closed(basis[j].compose(basis[k].reflect()))
             assert direct == 0
-            assert sp.gram[j][k] == 0
+            assert paired[j][k] == 0
 
 
 def _replayed(u: FoamMovie, v: FoamMovie) -> int:
@@ -420,13 +457,15 @@ def test_gram_matrices_are_unimodular():
     # these spaces is the check.
     for w in (theta_web(), digon_chain_web(), cube_web()):
         sp = state_space(w)
-        assert sp.gram == tuple(map(tuple, sp.gram))
-        assert len(sp.gram) == sp.dim
+        paired = gram(sp)
+        assert len(paired) == sp.dim
+        assert paired == tuple(zip(*paired))
 
 
 def test_inverse_blocks_invert_the_gram_blocks():
     for w in _all_webs():
         sp = state_space(w)
+        paired = gram(sp)
         assert sorted(sp.inverse) == sorted(sp.index)
         assert sorted(i for ix in sp.index.values() for i in ix) == list(range(sp.dim))
         for d, sparse in sp.inverse.items():
@@ -437,7 +476,7 @@ def test_inverse_blocks_invert_the_gram_blocks():
             # coordinate
             inv = dense(sparse, sp.dim)
             inv = tuple(inv[k] for k in cols)
-            block = tuple(tuple(sp.gram[r][c] for c in cols) for r in rows)
+            block = tuple(tuple(paired[r][c] for c in cols) for r in rows)
             assert mat_mul(inv, block) == identity_matrix(len(cols))
             assert mat_mul(block, inv) == identity_matrix(len(rows))
 
@@ -496,7 +535,7 @@ def _assert_solves_gram_system(movie: FoamMovie) -> None:
     rhs = tuple(
         tuple(pair_movies(p, v) for p in pushed) for v in served_basis(movie.end)
     )
-    assert mat_mul(state_space(movie.end).gram, _induced(movie)) == rhs
+    assert mat_mul(gram(state_space(movie.end)), _induced(movie)) == rhs
 
 
 def test_induced_matrices_solve_the_gram_system_on_cube_edges():
@@ -702,8 +741,8 @@ def test_served_gram_matrices_match_the_moved_bases():
         sp, basis = state_space(w), served_basis(w)
         assert all(b.start.is_empty() and b.end == w for b in basis)
         assert tuple(b.degree() for b in basis) == sp.degrees
-        gram, identity = scratch_matrix(identity_movie(w), basis, basis)
-        assert gram == sp.gram
+        paired, identity = scratch_matrix(identity_movie(w), basis, basis)
+        assert paired == gram(sp)
         assert identity == identity_matrix(sp.dim)
 
 
@@ -713,10 +752,10 @@ def _check_served_edges(diagrams) -> int:
     checked = 0
     for d in diagrams:
         for bits, c, movie in _cube_edges(d):
-            gram, matrix = scratch_matrix(
+            paired, matrix = scratch_matrix(
                 movie, served_basis(movie.start), served_basis(movie.end)
             )
-            assert gram == state_space(movie.end).gram, (bits, c)
+            assert paired == gram(state_space(movie.end)), (bits, c)
             assert _induced(movie) == matrix, (bits, c)
             checked += 1
     return checked
