@@ -69,16 +69,6 @@ class LaurentPoly:
         """The single-term polynomial ``coefficient * q**exponent``."""
         return cls({exponent: coefficient})
 
-    # -- inspection --------------------------------------------------------
-
-    def items(self) -> tuple[tuple[int, int], ...]:
-        """Terms as ``(exponent, coefficient)`` pairs, ascending exponent."""
-        return tuple(sorted(self._coeffs.items()))
-
-    def mirror(self) -> "LaurentPoly":
-        """The image under ``q -> q**-1`` (all exponents negated)."""
-        return LaurentPoly({-e: c for e, c in self._coeffs.items()})
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

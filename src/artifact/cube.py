@@ -19,19 +19,18 @@ checked on every block and every column as a sparse product.  Either
 failure is a hard error.  Each quantum degree is then reduced as one
 complex by the Gaussian elimination of Bar-Natan's "Fast Khovanov
 homology computations" (arXiv math/0606318): a unit entry of ``d_i``
-is cancelled by its Schur complement in ``d_i`` alone (smallest
-Markowitz cost first), and its two generators simply drop out of
-``d_{i-1}`` and ``d_{i+1}``.  Only the small remainders go through the
-dense ``smith_diagonal``, which yields the ranks and torsion orders.
-The graded Euler characteristic of the result must reproduce the
-diagram's bracket polynomial; tables of bigraded groups are invariant
-under the Reidemeister moves, which ``check_invariance`` verifies
-pairwise on diagrams.
+is cancelled by its Schur complement in ``d_i`` alone (sweeping the
+columns in order, each column's unit on the shortest row), and its two
+generators simply drop out of ``d_{i-1}`` and ``d_{i+1}``.  Only the
+small remainders go through the dense ``smith_diagonal``, which yields
+the ranks and torsion orders.  The graded Euler characteristic of the
+result must reproduce the diagram's bracket polynomial; tables of
+bigraded groups are invariant under the Reidemeister moves, which
+``check_invariance`` verifies pairwise on diagrams.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -138,83 +137,60 @@ def eliminate_units(
     """Cancel unit entries of the matrix whose nonzero columns are
     ``cols`` (``{col: {row: value}}``, consumed) until none is left.
 
-    While some entry is a unit, the one with the smallest Markowitz
-    cost ``(row count - 1) * (column count - 1)`` is cancelled: the
-    pivot's row and column are removed and every other row of its
-    column takes the exact integer row operation that clears it (the
-    Schur complement ``D - a u b`` with ``u = u**-1 = +-1``).  Returns
-    the pivots, each row to its column, and the nonzero rows of what is
-    left (``{row: {col: value}}``): the matrix has the Smith diagonal of
-    that remainder with one 1 put in front per pivot.
+    The columns are swept in increasing order, and in each the unit
+    entry on the shortest row is cancelled: the pivot's row and column
+    are removed and every other row of its column takes the exact
+    integer row operation that clears it (the Schur complement
+    ``D - a u b`` with ``u = u**-1 = +-1``).  An update can make a unit
+    in a column already passed, so the sweep repeats until one cancels
+    nothing.  Returns the pivots, each row to its column, and the
+    nonzero rows of what is left (``{row: {col: value}}``): the matrix
+    has the Smith diagonal of that remainder with one 1 put in front
+    per pivot.
     """
 
     rows: Dict[int, SparseColumn] = {}
     for c, col in cols.items():
         for r, v in col.items():
             rows.setdefault(r, {})[c] = v
-    # (cost, row, col) for every unit entry, with cost at most its
-    # Markowitz cost: an entry is pushed again when its cost falls or its
-    # value changes, and when it is popped with a cost that has since
-    # risen; items of entries gone or no longer units are dropped
-    heap = [
-        ((len(row) - 1) * (len(cols[c]) - 1), r, c)
-        for r, row in rows.items()
-        for c, v in row.items()
-        if v == 1 or v == -1
-    ]
-    heapq.heapify(heap)
     pivots: Dict[int, int] = {}
-    while heap:
-        cost, pr, pc = heapq.heappop(heap)
-        prow = rows.get(pr)
-        if prow is None or prow.get(pc) not in (1, -1):
-            continue
-        now = (len(prow) - 1) * (len(cols[pc]) - 1)
-        if now != cost:
-            heapq.heappush(heap, (now, pr, pc))
-            continue
-        pivots[pr] = pc
-        del rows[pr]
-        pcol = cols.pop(pc)
-        u = prow.pop(pc)
-        del pcol[pr]
-        row_len = {r: len(rows[r]) for r in pcol}
-        col_len = {c: len(cols[c]) for c in prow}
-        for c in prow:
-            del cols[c][pr]
-        for r, a in pcol.items():
-            row = rows[r]
-            del row[pc]
-            f = a * u
-            for c, b in prow.items():
-                col = cols[c]
-                x = row.get(c, 0) - f * b
-                if x:
-                    row[c] = col[r] = x
-                else:
-                    del row[c], col[r]
-        # costs change only in the pivot's rows and columns: every entry
-        # where both meet has a new value, the others a lower cost only
-        # if their row (column) got shorter
-        for r in pcol:
-            row = rows[r]
-            if not row:
-                del rows[r]
+    swept = -1
+    while len(pivots) > swept:
+        swept = len(pivots)
+        for pc in sorted(cols):
+            pcol = cols.get(pc)
+            if pcol is None:
                 continue
-            moved = len(row) < row_len[r]
-            n = len(row) - 1
-            for c, v in row.items():
-                if (v == 1 or v == -1) and (moved or c in prow):
-                    heapq.heappush(heap, (n * (len(cols[c]) - 1), r, c))
-        for c in prow:
-            col = cols[c]
-            if not col:
-                del cols[c]
-            elif len(col) < col_len[c]:
-                n = len(col) - 1
-                for r, v in col.items():
-                    if (v == 1 or v == -1) and r not in pcol:
-                        heapq.heappush(heap, ((len(rows[r]) - 1) * n, r, c))
+            pr = min(
+                (r for r, v in pcol.items() if v == 1 or v == -1),
+                key=lambda r: len(rows[r]),
+                default=None,
+            )
+            if pr is None:
+                continue
+            pivots[pr] = pc
+            del cols[pc]
+            prow = rows.pop(pr)
+            u = prow.pop(pc)
+            del pcol[pr]
+            for c in prow:
+                del cols[c][pr]
+            for r, a in pcol.items():
+                row = rows[r]
+                del row[pc]
+                f = a * u
+                for c, b in prow.items():
+                    col = cols[c]
+                    x = row.get(c, 0) - f * b
+                    if x:
+                        row[c] = col[r] = x
+                    else:
+                        del row[c], col[r]
+                if not row:
+                    del rows[r]
+            for c in prow:
+                if not cols[c]:
+                    del cols[c]
     return pivots, rows
 
 

@@ -1530,13 +1530,13 @@ def _count_colourings(
         left[z] += 1
     caps.reverse()
     last = len(circles)
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    seen: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def rec(idx: int, rem: tuple[int, ...]) -> int:
         if idx == last:
             return 1
         key = (idx, rem)
-        hit = memo.get(key)
+        hit = seen.get(key)
         if hit is not None:
             return hit
         x, y, z = circles[idx]
@@ -1549,7 +1549,7 @@ def _count_colourings(
             r[z] -= c
             if 0 <= r[x] <= cx and 0 <= r[y] <= cy and 0 <= r[z] <= cz:
                 total += sign * rec(idx + 1, tuple(r))
-        memo[key] = total
+        seen[key] = total
         return total
 
     return rec(0, need)
@@ -1646,24 +1646,25 @@ def square_split_movies(web: Web, face: int) -> tuple[FoamMovie, FoamMovie]:
 
     def branch(first: int) -> FoamMovie:
         moves: list[Move] = []
-        cur = web
+        slices = [web]
         seams = sorted((orbit[first], orbit[first + 2]))
         middle = None
         for seam in seams:
-            lid = _fresh_loop_id(cur)
+            lid = _fresh_loop_id(slices[-1])
             mv = Unzip(seam, loop_id_aligned=lid, loop_id_anti=lid - 1)
-            cur = apply_move(cur, mv)
+            slices.append(apply_move(slices[-1], mv))
             moves.append(mv)
             if seam == seams[1]:
                 # the face lies left of its orbit darts, so its side of
                 # this seam is the aligned flank exactly when the orbit
                 # dart points out of the source vertex
                 middle = lid if seam in web.out_darts else lid - 1
-        if middle not in cur.loop_ccw:
+        if middle not in slices[-1].loop_ccw:
             raise MalformedMovie(
                 f"second unzip of face {face} did not close the middle circle"
             )
         moves.append(Death(middle))
-        return FoamMovie(web, tuple(moves))
+        slices.append(apply_move(slices[-1], moves[-1]))
+        return FoamMovie(web, moves, slices)
 
     return branch(0), branch(1)

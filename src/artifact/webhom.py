@@ -280,7 +280,9 @@ def _preparations(web: Web) -> Tuple[List[HalfFoam], List[int]]:
         ccw = web.loop_ccw[lid]
         smaller = apply_move(web, Death(lid))
         grow = [(Birth(lid, region, ccw),) + (Dot(lid),) * dots for dots in range(3)]
-        return _extended_basis(smaller, *(FoamMovie(smaller, moves) for moves in grow))
+        # the birth undoes the death, so every later slice is ``web``
+        movies = [FoamMovie(smaller, m, [smaller] + [web] * len(m)) for m in grow]
+        return _extended_basis(smaller, *movies)
     if isinstance(reduction, DigonFace):
         lift_plain, lift_dotted, _, _ = digon_movies(web, reduction.face)
         return _extended_basis(lift_plain.start, lift_plain, lift_dotted)

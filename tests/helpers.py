@@ -19,7 +19,7 @@ from artifact.diagram import resolutions
 from artifact.selftest import cube_web, digon_chain_web, theta_web  # noqa: F401
 from artifact.web import Web
 
-from .oracles import run_movie
+from .oracles import poly_items, run_movie
 
 
 def web_from_json_dict(data) -> Web:
@@ -113,7 +113,7 @@ CUBE_EDGES = [
 
 def at_one(p) -> int:
     """A Laurent polynomial at ``q = 1``: the sum of its coefficients."""
-    return sum(c for _, c in p.items())
+    return sum(c for _, c in poly_items(p))
 
 
 def component_count(d) -> int:
@@ -179,3 +179,35 @@ def cube_data(cx):
         (bits, c): dense(m, len(q_degrees[bits[:c] + (1,) + bits[c + 1 :]]))
         for (bits, c), m in cx.edge_maps.items()
     }
+
+
+def braid_pd(word) -> str:
+    """The PD code of the closure of a braid word: letter ``i`` is the
+    generator sigma_i, ``-i`` its inverse, on ``max |i| + 1`` strands.
+
+    The strands start with labels ``1..s`` at positions ``1..s``.  Each
+    letter takes the labels ``a, b`` at positions ``i, i + 1`` and two
+    fresh labels ``n, n + 1``, writes ``X(a,b,n+1,n)`` for sigma_i and
+    ``X(b,n+1,n,a)`` for its inverse, and puts ``n, n + 1`` at positions
+    ``i, i + 1``.  The labels left at positions ``1..s`` are then renamed
+    to ``1..s``, which closes the braid.  A strand that no letter
+    touches would be a split unknot, which a PD code cannot carry, so
+    such a word raises ``ValueError``.
+    """
+    strands = max(abs(x) for x in word) + 1
+    if not {abs(x) for x in word} >= set(range(1, strands)):
+        raise ValueError(f"a strand of {word} is not touched")
+    pos = list(range(1, strands + 1))
+    crossings = []
+    n = strands + 1
+    for x in word:
+        i = abs(x) - 1
+        a, b = pos[i], pos[i + 1]
+        crossings.append((a, b, n + 1, n) if x > 0 else (b, n + 1, n, a))
+        pos[i], pos[i + 1] = n, n + 1
+        n += 2
+    rename = {label: k for k, label in enumerate(pos, 1)}
+    return " ".join(
+        "X({})".format(",".join(str(rename.get(a, a)) for a in x))
+        for x in crossings
+    )

@@ -1,9 +1,15 @@
 """Independent oracles used to fix expected values in the test suite.
 
 These helpers recompute target quantities by a second route so the tests
-compare two independent ones.  All but the replay, gluing,
-state-space, per-matrix Smith, zip, web and flattening oracles avoid
-importing the package under test.
+compare two independent ones.  All but the Laurent polynomial, replay,
+gluing, state-space, per-matrix Smith, zip, web and flattening oracles
+avoid importing the package under test.
+
+Laurent polynomial oracles
+--------------------------
+``poly_items`` lists a ``LaurentPoly``'s terms and ``poly_mirror``
+negates its exponents (``q -> q**-1``).  Only tests read a polynomial
+term by term or mirror one; the package prints polynomials whole.
 
 Flag-variety trace oracle
 -------------------------
@@ -153,6 +159,7 @@ from fractions import Fraction
 from math import comb
 
 from artifact import cube
+from artifact.algebra import LaurentPoly
 from artifact.diagram import (
     _IN_SLOTS,
     _SMOOTH_EXIT,
@@ -201,6 +208,22 @@ from artifact.web import (
     find_reduction,
 )
 from artifact.webhom import StateSpace, _extended, pair_movies
+
+# --------------------------------------------------------------------------
+# Laurent polynomial oracles
+# --------------------------------------------------------------------------
+
+
+def poly_items(p: LaurentPoly) -> tuple[tuple[int, int], ...]:
+    """The terms of ``p`` as ``(exponent, coefficient)`` pairs, ascending
+    exponent."""
+    return tuple(sorted(p._coeffs.items()))
+
+
+def poly_mirror(p: LaurentPoly) -> LaurentPoly:
+    """The image of ``p`` under ``q -> q**-1`` (all exponents negated)."""
+    return LaurentPoly({-e: c for e, c in p._coeffs.items()})
+
 
 # A polynomial in Z[x1, x2] is a dict {(i, j): coefficient} for x1^i * x2^j.
 FlagPoly = dict[tuple[int, int], int]

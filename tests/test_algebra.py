@@ -27,6 +27,8 @@ from .oracles import (
     flag_theta,
     fraction_solve,
     handle_operator,
+    poly_items,
+    poly_mirror,
     smith_form_with_transforms,
     trace,
 )
@@ -104,10 +106,10 @@ def test_laurent_text_form_golden():
 
 def test_laurent_monomial_and_accessors():
     p = LaurentPoly.monomial(-2, 5)
-    assert dict(p.items()).get(-2, 0) == 5
-    assert dict(p.items()).get(0, 0) == 0
-    assert p.items() == ((-2, 5),)
-    assert (p * LaurentPoly.monomial(3)).items() == ((1, 5),)
+    assert dict(poly_items(p)).get(-2, 0) == 5
+    assert dict(poly_items(p)).get(0, 0) == 0
+    assert poly_items(p) == ((-2, 5),)
+    assert poly_items(p * LaurentPoly.monomial(3)) == ((1, 5),)
     assert at_one(p) == 5
 
 
@@ -131,8 +133,8 @@ def test_laurent_ring_laws(a, b, c):
 
 @given(laurents, laurents)
 def test_laurent_mirror_is_multiplicative(a, b):
-    assert (a * b).mirror() == a.mirror() * b.mirror()
-    assert a.mirror().mirror() == a
+    assert poly_mirror(a * b) == poly_mirror(a) * poly_mirror(b)
+    assert poly_mirror(poly_mirror(a)) == a
 
 
 @given(laurents, st.integers(min_value=0, max_value=5))
@@ -156,7 +158,7 @@ def test_quantum_integers():
     assert quantum_integer(2) ** 2 == quantum_integer(3) + quantum_integer(1)
     for n in range(7):
         q = quantum_integer(n)
-        assert q == q.mirror(), f"[{n}] should be palindromic"
+        assert q == poly_mirror(q), f"[{n}] should be palindromic"
         assert at_one(q) == n
 
 

@@ -22,7 +22,9 @@ from artifact.cube import (
     block_homology,
     build_complex,
     check_invariance,
+    dense_rows,
     differential_blocks,
+    eliminate_units,
     euler_characteristic,
     homology,
     homology_json,
@@ -33,7 +35,7 @@ from artifact.diagram import parse_pd
 from artifact.web import Web, link_bracket
 from artifact.webhom import state_space
 
-from .helpers import at_one, cube_data, free_ranks
+from .helpers import at_one, braid_pd, cube_data, free_ranks
 from .oracles import (
     cube_generators,
     d_squared_is_zero,
@@ -231,6 +233,38 @@ def test_sparse_smith_known_small_cases(monkeypatch):
     assert calls == []
 
 
+def test_eliminate_units_sweeps_again_for_a_unit_made_behind_it():
+    # column 0 has no unit until column 1's pivot turns its 3 into a 1
+    pivots, rest = eliminate_units({0: {0: 2, 1: 3}, 1: {0: 1, 1: 1}})
+    assert len(pivots) == 2
+    assert rest == {}
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A random integer matrix with entries 0, +-1, +-2, +-3 and 6."""
+    n_rows = draw(st.integers(min_value=0, max_value=8))
+    n_cols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3, 6))
+    return [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_eliminate_units_contract(mat):
+    cols = {c: col for c, col in enumerate(_columns(mat)) if col}
+    pivots, rest = eliminate_units(cols)
+    # the pivots pair distinct rows with distinct columns
+    assert len(set(pivots.values())) == len(pivots)
+    # no unit is left, nor any pivot's row or column
+    assert not set(rest) & set(pivots)
+    for row in rest.values():
+        assert row
+        assert all(v not in (0, 1, -1) for v in row.values())
+        assert not set(row) & set(pivots.values())
+    assert [1] * len(pivots) + smith_diagonal(dense_rows(rest)) == smith_diagonal(mat)
+
+
 @pytest.mark.parametrize("name", sorted(corpus.fixture_diagrams()))
 def test_sparse_blocks_match_dense_oracle(name):
     cx = build_complex(corpus.fixture_diagrams()[name])
@@ -282,6 +316,40 @@ def test_homology_matches_per_block_smith_references(name):
     table = homology(cx).entries
     assert table == per_block_homology(dims, blocks, _dense_block_smith)
     assert table == per_block_homology(dims, blocks)
+
+
+def test_braid_pd_gives_the_torus_knot_and_the_small_knots():
+    assert braid_pd([1, 2] * 5) == (
+        "X(1,2,5,4) X(5,3,7,6) X(4,6,9,8) X(9,7,11,10) X(8,10,13,12) "
+        "X(13,11,15,14) X(12,14,17,16) X(17,15,19,18) X(16,18,21,1) X(21,19,3,2)"
+    )
+    for word, d in [
+        ([1, 1, 1], corpus.TREFOIL),
+        ([-1, -1, -1], corpus.TREFOIL_MIRROR),
+        ([1, -2, 1, -2], corpus.FIGURE_EIGHT),
+    ]:
+        assert link_bracket(parse_pd(braid_pd(word))) == link_bracket(d), word
+    with pytest.raises(ValueError):
+        braid_pd([2, 2])
+
+
+#: Braid words of at most six crossings, none of them a torus knot.
+BRAID_WORDS = [
+    [1, 1, -2, 1, -2],
+    [1, 1, -2, 1, -2, -2],
+    [1, 2, -1, 2, -3, -2],
+    [1, -2, 3, -2, 1, 3],
+]
+
+
+@pytest.mark.parametrize("word", BRAID_WORDS, ids=str)
+def test_braid_closure_homology_matches_per_block_smith(word):
+    d = parse_pd(braid_pd(word))
+    cx = build_complex(d)
+    dims, blocks = differential_blocks(cx)
+    h = homology(cx)
+    assert h.entries == per_block_homology(dims, blocks, _dense_block_smith)
+    assert euler_characteristic(h) == link_bracket(d)
 
 
 def _invariant_factors(orders) -> tuple:

@@ -12,6 +12,13 @@ name, never the method.  Code that only tests reach belongs in ``tests/`` as an 
 or nowhere; this check keeps it from growing back.  Dunder methods are
 reached by the language and are skipped.
 
+The check goes by name alone, not by the object a name is read on, so
+it cannot see a method that shares its name with an attribute used
+elsewhere: ``LaurentPoly.mirror`` and ``LaurentPoly.items`` counted as
+reached, through ``LinkDiagram.mirror`` and ``dict.items``, while only
+tests called them.  Only a traced run of the program shows such a
+method unused.
+
 Every field of a package class is read by the program too: a name
 annotated in a class body (a dataclass or ``NamedTuple`` field) or an
 attribute that ``__init__`` sets on ``self`` counts as read when some
