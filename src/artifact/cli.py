@@ -35,6 +35,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from . import corpus
+from .algebra import LaurentPoly
 from .cube import ComplexError, check_invariance, homology_json
 from .diagram import (
     LinkDiagram,
@@ -256,8 +257,9 @@ def _is_homology_row(row) -> bool:
 def _is_homology_payload(payload, diagram: dict) -> bool:
     """Whether a cache entry is a homology report of ``diagram``: the
     four report keys and no other, a bracket string, a boolean Euler
-    check and a list of ``i``/``j``/``rank``/``torsion`` rows.  Any
-    other entry (damaged, or another diagram's) is a miss."""
+    check and a list of ``i``/``j``/``rank``/``torsion`` rows whose
+    graded Euler characteristic prints as that bracket.  Any other entry
+    (damaged, or another diagram's) is a miss."""
     return (
         isinstance(payload, dict)
         and payload.keys() == _HOMOLOGY_FIELDS
@@ -266,7 +268,12 @@ def _is_homology_payload(payload, diagram: dict) -> bool:
         and isinstance(payload["euler_check"], bool)
         and isinstance(payload["homology"], list)
         and all(_is_homology_row(row) for row in payload["homology"])
+        and str(_euler_characteristic(payload["homology"])) == payload["bracket"]
     )
+
+
+def _euler_characteristic(rows) -> LaurentPoly:
+    return LaurentPoly((r["j"], -r["rank"] if r["i"] % 2 else r["rank"]) for r in rows)
 
 
 # --------------------------------------------------------------------------

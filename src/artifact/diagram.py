@@ -62,7 +62,7 @@ from .foam import (
     Unzip,
     _DSU,
     _unzip_arms,
-    apply_move,
+    apply_unzip,
     inverse_move,
 )
 from .web import Web, _component_split
@@ -565,7 +565,7 @@ def _flatten_state(d: LinkDiagram, bits: tuple[int, ...]) -> _FlatState:
             c = smoothed[-1]
             bridged = _flatten_state(d, bits[:c] + (1 - bits[c],) + bits[c + 1 :])
             unzip = _bridge_unzip(c, bridged.web, loop_at, d.n_crossings)
-            web = apply_move(bridged.web, unzip)
+            web = apply_unzip(bridged.web, unzip)
         else:
             web = _bridged_web(d)
         state = memo.FLATTENINGS[d, bits] = _FlatState(web, loop_at)
@@ -636,12 +636,12 @@ def resolution_edge_movie(d: LinkDiagram, bits, crossing: int) -> FoamMovie:
         unzip = _bridge_unzip(crossing, target_state.web, source_state.loop_at, n)
         move = inverse_move(unzip, target_state.web, source_state.web)
         exact = (
-            apply_move(target_state.web, unzip) == source_state.web
+            apply_unzip(target_state.web, unzip) == source_state.web
             and inverse_move(move, source_state.web, target_state.web) == unzip
         )
     else:
         move = _bridge_unzip(crossing, source_state.web, target_state.loop_at, n)
-        exact = apply_move(source_state.web, move) == target_state.web
+        exact = apply_unzip(source_state.web, move) == target_state.web
     if not exact:
         raise MalformedMovie(
             f"internal: resolution move at crossing {crossing} of {bits!r} "

@@ -17,12 +17,12 @@ piece of surface:
 The pipeline needs nothing else: collapsing a two-edge face is an unzip
 of one of its edges followed by the death of the circle its other edge
 closes into (``cap_movies``), and a four-edge face splits by two unzips
-and a death (``square_split_movies``).  Every zip is an unzip read
-backwards (``inverse_move``), met in a reflected movie or on a positive
-cube edge, where its end slice is already known; so it runs only in a
-movie given its slices, and the unzip is the only surgery that rewires
-strands.  A sweep adds the surface of each move from the slice before
-it (``FoamState.track``), so it runs no surgery either.
+and a death (``square_split_movies``).  The code that builds a movie
+runs these two surgeries (``apply_unzip``, ``apply_death``) and hands it
+its slices (``FoamMovie``); a birth or a dot changes no strand, and a
+zip is an unzip read backwards (``inverse_move``), in a reflection or on
+a positive cube edge, whose slices are known.  A sweep adds each move's
+surface from the slice before it (``FoamState.track``): no surgery.
 
 Vertices of the web slice are the endpoints of singular arcs in progress.
 ``Zip`` creates a vertex pair (one arc); ``Unzip`` annihilates a vertex
@@ -263,20 +263,8 @@ def _make_renamer(
 # ==========================================================================
 
 
-def _apply_birth(web: Web, mv: Birth) -> Web:
-    lid = mv.loop_id
-    if lid >= 0 or lid in web.loop_ccw:
-        raise MoveError(f"birth needs a fresh negative loop id, got {lid}")
-    if not web.has_region(mv.region):
-        raise MoveError(f"birth region {mv.region!r} does not exist")
-    loop_ccw = dict(web.loop_ccw)
-    loop_ccw[lid] = mv.ccw
-    parent = dict(web.parent)
-    parent[lid] = mv.region
-    return Web(web.sigma, web.alpha, web.out_darts, loop_ccw, parent, web.outer_face)
-
-
-def _apply_death(web: Web, mv: Death) -> Web:
+def apply_death(web: Web, mv: Death) -> Web:
+    """The web after the death ``mv`` of a free loop that holds nothing."""
     lid = mv.loop_id
     if lid not in web.loop_ccw:
         raise MoveError(f"death: loop {lid} does not exist")
@@ -287,15 +275,6 @@ def _apply_death(web: Web, mv: Death) -> Web:
     parent = dict(web.parent)
     del parent[lid]
     return Web(web.sigma, web.alpha, web.out_darts, loop_ccw, parent, web.outer_face)
-
-
-def _apply_dot(web: Web, mv: Dot) -> Web:
-    if mv.site < 0:
-        if mv.site not in web.loop_ccw:
-            raise MoveError(f"dot: loop {mv.site} does not exist")
-    elif mv.site not in web.sigma:
-        raise MoveError(f"dot: dart {mv.site} does not exist")
-    return web
 
 
 def _unzip_arms(web: Web, seam: int) -> tuple[int, int, int, int, int, int]:
@@ -329,7 +308,8 @@ def _unzip_new_loop_ids(
     return lid_a, lid_b
 
 
-def _apply_unzip(web: Web, mv: Unzip) -> Web:
+def apply_unzip(web: Web, mv: Unzip) -> Web:
+    """The web after the unzip ``mv`` (see ``Unzip``)."""
     m1, m2, p, q, r, s = _unzip_arms(web, mv.seam)
     deleted = {m1, m2, p, q, r, s}
     if len(deleted) != 6:
@@ -489,29 +469,6 @@ def _apply_unzip(web: Web, mv: Unzip) -> Web:
     return Web(sigma, alpha, out, loop_ccw, final_parent, outer_face)
 
 
-#: Web surgery per move type.  A zip has none: every zip is the inverse
-#: of an unzip, so its end slice is always known where it runs.
-_APPLIERS = {
-    Birth: _apply_birth,
-    Death: _apply_death,
-    Dot: _apply_dot,
-    Unzip: _apply_unzip,
-}
-
-
-def apply_move(web: Web, move: Move) -> Web:
-    """Apply one move by web surgery and return the new web.  A ``Zip``
-    has no surgery and raises ``MoveError``: it runs only in a
-    ``FoamMovie`` given its slices."""
-    applier = _APPLIERS.get(type(move))
-    if applier is None:
-        raise MoveError(
-            f"no web surgery for {type(move).__name__}: a zip runs only in "
-            "a movie given its slices"
-        )
-    return applier(web, move)
-
-
 # ==========================================================================
 # inverse moves (time reversal)
 # ==========================================================================
@@ -613,38 +570,26 @@ class FoamMovie:
     """A start web and a sequence of moves; the presented cobordism goes
     from the start web to the final web.
 
-    ``slices``, when given, are the web slices from the start web to the
-    final web, one more than the moves, and are kept as the movie's
-    slices: the caller knows them, so no surgery runs.  A zip is only
-    ever run that way (``apply_move`` has no zip surgery).  Otherwise
-    the slices come from running each move by surgery, once, when first
-    asked for."""
+    ``slices`` are the web slices from the start web to the final web,
+    one more than the moves, from the code that builds the movie: it ran
+    ``apply_unzip`` and ``apply_death`` or knew them (a reflection, a
+    composition, a cube edge), so a movie never runs a move."""
 
     __slots__ = ("start", "moves", "_states")
 
     def __init__(
-        self,
-        start: Web,
-        moves: Sequence[Move] = (),
-        slices: Optional[Sequence[Web]] = None,
+        self, start: Web, moves: Sequence[Move], slices: Sequence[Web]
     ) -> None:
         self.start = start
         self.moves = tuple(moves)
-        self._states: Optional[list[Web]] = None
-        if slices is not None:
-            if len(slices) != len(self.moves) + 1 or slices[0] is not start:
-                raise MalformedMovie(
-                    "a movie's slices run from its start web, one per move after it"
-                )
-            self._states = list(slices)
+        if len(slices) != len(self.moves) + 1 or slices[0] is not start:
+            raise MalformedMovie(
+                "a movie's slices run from its start web, one per move after it"
+            )
+        self._states = list(slices)
 
     def states(self) -> list[Web]:
         """All web slices, from the start web to the final web."""
-        if self._states is None:
-            webs = [self.start]
-            for mv in self.moves:
-                webs.append(apply_move(webs[-1], mv))
-            self._states = webs
         return self._states
 
     @property
@@ -1561,11 +1506,26 @@ def _count_colourings(
 
 
 def identity_movie(web: Web) -> FoamMovie:
-    return FoamMovie(web, ())
+    return FoamMovie(web, (), (web,))
 
 
 def dot_movie(web: Web, site: int) -> FoamMovie:
-    return FoamMovie(web, (Dot(site),))
+    return FoamMovie(web, (Dot(site),), (web, web))
+
+
+def _projected_face(web: Web, face: int, sides: str, name: str) -> tuple[int, ...]:
+    """The dart orbit of ``face``, checked to exist, have ``sides``
+    sides, be bounded and hold nothing; otherwise ``MoveError``."""
+    orbit = web.faces().get(face)
+    if orbit is None:
+        raise MoveError(f"{name}: no face with key {face}")
+    if len(orbit) != {"two": 2, "four": 4}[sides]:
+        raise MoveError(f"{name}: face {face} is not {sides}-sided")
+    if face == web.outer_face[web.component_of(orbit[0])]:
+        raise MoveError(f"{name}: the face must be bounded")
+    if web.children_of(("face", face)):
+        raise MoveError(f"{name}: the face must have an empty interior")
+    return orbit
 
 
 def cap_movies(web: Web, face: int) -> tuple[FoamMovie, FoamMovie]:
@@ -1579,7 +1539,8 @@ def cap_movies(web: Web, face: int) -> tuple[FoamMovie, FoamMovie]:
     when they are one edge (a theta-like web) they close into a free
     loop with the web's first fresh loop id (``_fresh_loop_id``) and
     the bulge circle takes the next one, otherwise the bulge circle
-    takes the first.
+    takes the first.  The unzip and the death run once, and both movies
+    are given the slices they make.
 
     The dotted cap puts its dot on the bulge sheet, before the unzip,
     while the dotted lift of ``digon_movies`` marks the chord sheet.
@@ -1587,17 +1548,9 @@ def cap_movies(web: Web, face: int) -> tuple[FoamMovie, FoamMovie]:
     "plain lift then dotted cap" induce plus the identity; the
     two-edge-face identity tests pin it.  A face that is missing, not
     two-sided, a component's outer face or not empty raises
-    ``MoveError``."""
-    orbit = web.faces().get(face)
-    if orbit is None:
-        raise MoveError(f"cap: no face with key {face}")
-    if len(orbit) != 2:
-        raise MoveError(f"cap: face {face} is not two-sided")
+    ``MoveError`` (``_projected_face``)."""
+    orbit = _projected_face(web, face, "two", "cap")
     d_a = orbit[0] if orbit[0] not in web.out_darts else orbit[1]
-    if face == web.outer_face[web.component_of(d_a)]:
-        raise MoveError("cap: the face must be bounded")
-    if web.children_of(("face", face)):
-        raise MoveError("cap: the face must have an empty interior")
     bulge = web.sigma[d_a]
     lid = _fresh_loop_id(web)
     outer = None
@@ -1605,7 +1558,10 @@ def cap_movies(web: Web, face: int) -> tuple[FoamMovie, FoamMovie]:
     if web.alpha[web.sigma[bulge]] == web.sigma[web.alpha[d_a]]:
         outer, lid = lid, _fresh_loop_id(web, (lid,))
     cap = (Unzip(d_a, loop_id_aligned=outer, loop_id_anti=lid), Death(lid))
-    return FoamMovie(web, (Dot(bulge),) + cap), FoamMovie(web, cap)
+    unzipped = apply_unzip(web, cap[0])
+    slices = (web, unzipped, apply_death(unzipped, cap[1]))
+    dotted = FoamMovie(web, (Dot(bulge),) + cap, (web,) + slices)
+    return dotted, FoamMovie(web, cap, slices)
 
 
 def digon_movies(
@@ -1638,11 +1594,11 @@ def square_split_movies(web: Web, face: int) -> tuple[FoamMovie, FoamMovie]:
     other edge pair, fused by the first unzip, closes into a circle at
     the second unzip and is capped off.  Any further circles the
     rewiring closes belong to the reduced web and survive.  The branch
-    whose pair contains the face's smallest dart comes first.
+    whose pair contains the face's smallest dart comes first.  Each
+    branch is given the slices of its two unzips and its death; a face
+    ``_projected_face`` refuses raises ``MoveError`` before any surgery.
     """
-    orbit = web.faces()[face]
-    if len(orbit) != 4:
-        raise MoveError(f"face {face} is not four-sided")
+    orbit = _projected_face(web, face, "four", "square")
 
     def branch(first: int) -> FoamMovie:
         moves: list[Move] = []
@@ -1652,7 +1608,7 @@ def square_split_movies(web: Web, face: int) -> tuple[FoamMovie, FoamMovie]:
         for seam in seams:
             lid = _fresh_loop_id(slices[-1])
             mv = Unzip(seam, loop_id_aligned=lid, loop_id_anti=lid - 1)
-            slices.append(apply_move(slices[-1], mv))
+            slices.append(apply_unzip(slices[-1], mv))
             moves.append(mv)
             if seam == seams[1]:
                 # the face lies left of its orbit darts, so its side of
@@ -1664,7 +1620,7 @@ def square_split_movies(web: Web, face: int) -> tuple[FoamMovie, FoamMovie]:
                 f"second unzip of face {face} did not close the middle circle"
             )
         moves.append(Death(middle))
-        slices.append(apply_move(slices[-1], moves[-1]))
+        slices.append(apply_death(slices[-1], moves[-1]))
         return FoamMovie(web, moves, slices)
 
     return branch(0), branch(1)

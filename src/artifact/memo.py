@@ -1,13 +1,14 @@
 """Every table the engine keeps from one call to the next.
 
 Each table is a plain dict that one function reads and, on a miss,
-fills.  Nothing bounds any of them but ``clear()``, which empties all
-seven in place.
+fills.  Nothing bounds them but ``clear()``, which empties all seven in
+place for long-lived callers and tests; a CLI run never calls it.
 
 * ``BRACKETS``: a connected dart component's key (``web._component_bfs``)
   to its bracket; filled by ``web._bracket_component``.
 * ``FLATTENINGS``: ``(diagram, bits)`` to the flattening there, with the
-  loop ids of its smoothed crossings; filled by ``diagram._flatten_state``.
+  loop ids of its smoothed crossings; filled by ``diagram._flatten_state``
+  with one unzip of a cached flattening (the only surgery cube edges need).
 * ``SHAPE_IDS``: a ``foam.HalfShape`` to its small id, drawn from
   ``SHAPE_COUNTER``; filled by ``foam._intern_shape``.  The counter never
   restarts, so a half built before a clear keeps an id no later shape

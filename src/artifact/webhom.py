@@ -64,7 +64,7 @@ from .foam import (
     FoamMovie,
     HalfFoam,
     _relabel_move,
-    apply_move,
+    apply_death,
     digon_movies,
     extend_halves,
     half_foam,
@@ -276,10 +276,9 @@ def _preparations(web: Web) -> Tuple[List[HalfFoam], List[int]]:
         return [half_foam(identity_movie(web))], [0]
     if isinstance(reduction, FreeLoop):
         lid = reduction.loop_id
-        region = web.parent[lid]
-        ccw = web.loop_ccw[lid]
-        smaller = apply_move(web, Death(lid))
-        grow = [(Birth(lid, region, ccw),) + (Dot(lid),) * dots for dots in range(3)]
+        birth = Birth(lid, web.parent[lid], web.loop_ccw[lid])
+        smaller = apply_death(web, Death(lid))
+        grow = [(birth,) + (Dot(lid),) * dots for dots in range(3)]
         # the birth undoes the death, so every later slice is ``web``
         movies = [FoamMovie(smaller, m, [smaller] + [web] * len(m)) for m in grow]
         return _extended_basis(smaller, *movies)
@@ -294,18 +293,6 @@ def _preparations(web: Web) -> Tuple[List[HalfFoam], List[int]]:
             degrees += shifted
         return halves, degrees
     raise StateSpaceError(f"unhandled reduction {reduction!r}")
-
-
-def pair_movies(u: FoamMovie, v: FoamMovie) -> int:
-    """The closed evaluation of u glued to the reflection of v.  Both
-    movies must start at the empty web and end at the same web; end webs
-    that differ raise ``MalformedMovie``.  The value vanishes unless the
-    degrees cancel.  It is the one-by-one case of ``foam.pair_halves``
-    on the two movies' halves, each swept once from the empty web
-    (``foam.half_foam``)."""
-    if u.degree() + v.degree() != 0:
-        return 0
-    return pair_halves([half_foam(u)], [half_foam(v)])[0][0]
 
 
 def _class_space(web: Web) -> StateSpace:

@@ -102,8 +102,11 @@ off it block by block is the reference for ``cube.block_homology``.
 
 State-space oracles
 -------------------
+``pair_movies`` is the one-by-one pairing of two preparation movies:
+each swept to its half, the pair evaluated by the package's
+``foam.pair_halves``, which pairs whole lists of halves at once.
 ``scratch_matrix`` computes the matrix of a movie between two given
-bases from nothing but the package's ``pair_movies``: the Gram matrix
+bases from nothing but ``pair_movies``: the Gram matrix
 of the target basis, the pairings of the pushed source basis against
 it, and ``fraction_solve`` on each degree block.  ``label_basis`` is the
 label-keyed reference for the package's class-shared bases: the
@@ -118,15 +121,19 @@ their halves and degrees.  ``gram`` is the Gram matrix of a served
 state space, dense: the package pairs its blocks to invert them, and
 keeps only the inverses.
 
-Zip oracle
-----------
-The package never zips by surgery: every zip it runs is the inverse of
-an unzip, given its slices.  ``apply_zip`` is that surgery, kept as the
-reference the package's zip slices must match: it cuts the two sites,
-adds the seam edge and its two vertices, and re-derives the faces, the
-nesting and the outer faces.  ``run_movie`` runs a movie's moves from
-its start web, zips by ``apply_zip`` and every other move by
-``foam.apply_move``, and hands the slices to ``FoamMovie``.
+Zip and birth oracles
+---------------------
+The package never zips or births by surgery: every zip it runs is the
+inverse of an unzip, and every birth undoes a death, given its slices.
+``apply_zip`` is that zip surgery, kept as the reference the package's
+zip slices must match: it cuts the two sites, adds the seam edge and
+its two vertices, and re-derives the faces, the nesting and the outer
+faces.  ``apply_birth`` adds a free loop to a region.  ``run_movie``
+runs a movie's moves from its start web, zips by ``apply_zip``, births
+by ``apply_birth``, deaths and unzips by the package's
+``foam.apply_death`` and ``foam.apply_unzip``, and hands the slices to
+``FoamMovie``; a test that builds a movie from its moves alone builds
+it this way.
 
 Web oracles
 -----------
@@ -177,6 +184,7 @@ from artifact.foam import (
     MalformedMovie,
     MoveError,
     PreFoam,
+    Unzip,
     Zip,
     _DSU,
     _canonical_numbering,
@@ -188,9 +196,11 @@ from artifact.foam import (
     _relabel_move,
     _site_aligned,
     _sweep,
-    apply_move,
+    apply_death,
+    apply_unzip,
     digon_movies,
     evaluate,
+    half_foam,
     identity_movie,
     pair_halves,
     square_split_movies,
@@ -207,7 +217,7 @@ from artifact.web import (
     _face_orbits,
     find_reduction,
 )
-from artifact.webhom import StateSpace, _extended, pair_movies
+from artifact.webhom import StateSpace, _extended
 
 # --------------------------------------------------------------------------
 # Laurent polynomial oracles
@@ -884,6 +894,18 @@ def per_block_homology(dims, blocks, diagonal=sparse_smith_diagonal) -> tuple:
 # --------------------------------------------------------------------------
 
 
+def pair_movies(u: FoamMovie, v: FoamMovie) -> int:
+    """The closed evaluation of u glued to the reflection of v.  Both
+    movies must start at the empty web and end at the same web; end webs
+    that differ raise ``MalformedMovie``.  The value vanishes unless the
+    degrees cancel.  It is the one-by-one case of ``foam.pair_halves``
+    on the two movies' halves, each swept once from the empty web
+    (``foam.half_foam``)."""
+    if u.degree() + v.degree() != 0:
+        return 0
+    return pair_halves([half_foam(u)], [half_foam(v)])[0][0]
+
+
 def scratch_matrix(movie: FoamMovie, source, target) -> tuple[tuple, tuple]:
     """``(gram, matrix)``: the Gram matrix of the ``target`` basis and
     the matrix of ``movie`` from the ``source`` basis to it, both from
@@ -991,9 +1013,9 @@ def _preparations(web: Web, basis) -> tuple[FoamMovie, ...]:
         return (identity_movie(web),)
     if isinstance(reduction, FreeLoop):
         lid = reduction.loop_id
-        smaller = apply_move(web, Death(lid))
+        smaller = apply_death(web, Death(lid))
         births = [
-            FoamMovie(
+            run_movie(
                 smaller,
                 (Birth(lid, web.parent[lid], web.loop_ccw[lid]),) + (Dot(lid),) * dots,
             )
@@ -1228,20 +1250,45 @@ def region_flatten(d, bits: Bits) -> tuple[Web, dict[tuple[int, int], int]]:
 
 
 # --------------------------------------------------------------------------
-# zip oracle
+# zip and birth oracles
 # --------------------------------------------------------------------------
 
 
 def run_movie(start: Web, moves) -> FoamMovie:
-    """``FoamMovie(start, moves)`` with its slices made by surgery: each
-    zip by ``apply_zip``, every other move by ``foam.apply_move``."""
+    """``FoamMovie(start, moves, slices)`` with its slices made by
+    surgery: each zip by ``apply_zip``, each birth by ``apply_birth``,
+    each death and unzip by the package's ``foam.apply_death`` and
+    ``foam.apply_unzip``; a dot keeps its slice."""
     slices = [start]
     for mv in moves:
+        web = slices[-1]
         if isinstance(mv, Zip):
-            slices.append(apply_zip(slices[-1], mv))
-        else:
-            slices.append(apply_move(slices[-1], mv))
+            web = apply_zip(web, mv)
+        elif isinstance(mv, Birth):
+            web = apply_birth(web, mv)
+        elif isinstance(mv, Death):
+            web = apply_death(web, mv)
+        elif isinstance(mv, Unzip):
+            web = apply_unzip(web, mv)
+        slices.append(web)
     return FoamMovie(start, moves, slices)
+
+
+def apply_birth(web: Web, mv: Birth) -> Web:
+    """The web after a free loop is born in ``mv.region``, by surgery.
+    The package builds no birth this way: a birth it runs undoes the
+    death of a loop (a free-loop preparation, a reflected cap), so its
+    end slice is known."""
+    lid = mv.loop_id
+    if lid >= 0 or lid in web.loop_ccw:
+        raise MoveError(f"birth needs a fresh negative loop id, got {lid}")
+    if not web.has_region(mv.region):
+        raise MoveError(f"birth region {mv.region!r} does not exist")
+    loop_ccw = dict(web.loop_ccw)
+    loop_ccw[lid] = mv.ccw
+    parent = dict(web.parent)
+    parent[lid] = mv.region
+    return Web(web.sigma, web.alpha, web.out_darts, loop_ccw, parent, web.outer_face)
 
 
 def _site_region_candidates(web: Web, site: int) -> tuple[Region, ...]:

@@ -397,6 +397,47 @@ def test_homology_cache_entry_with_damaged_values_is_recomputed(
     assert entry.read_text(encoding="utf-8") == good
 
 
+def _tampered_rank(payload):
+    rows = [dict(row) for row in payload["homology"]]
+    rows[0]["rank"] += 5
+    return {**payload, "homology": rows}
+
+
+def _tampered_parity(payload):
+    rows = [dict(row) for row in payload["homology"]]
+    rows[0]["i"] += 1
+    return {**payload, "homology": rows}
+
+
+_CONTRADICTIONS = {
+    "rank-plus-five": _tampered_rank,
+    "row-moved-to-odd-i": _tampered_parity,
+    "bracket-replaced": lambda payload: {**payload, "bracket": "q^2 + 1 + q^-2"},
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("tamper", sorted(_CONTRADICTIONS))
+def test_homology_cache_entry_contradicting_its_bracket_is_recomputed(
+    capsys, tmp_path, fmt, tamper
+):
+    # a well-formed entry whose rows' graded Euler characteristic is not
+    # its bracket is a miss: never printed, recomputed and rewritten
+    cache_dir = tmp_path / "cache"
+    argv = ["--pd", TREFOIL_PD, "--mode", "homology", "--format", fmt]
+    clean = run_cli(capsys, [*argv, "--no-cache"])
+    assert clean[0] == 0
+    argv += ["--cache-dir", str(cache_dir)]
+    assert run_cli(capsys, argv) == clean
+    (entry,) = cache_dir.iterdir()
+    good = entry.read_text(encoding="utf-8")
+    tampered = _CONTRADICTIONS[tamper](json.loads(good))
+    assert tampered["euler_check"] is True
+    entry.write_text(json.dumps(tampered), encoding="utf-8")
+    assert run_cli(capsys, argv) == clean
+    assert entry.read_text(encoding="utf-8") == good
+
+
 @pytest.mark.parametrize("failing", ["replace", "write"])
 def test_homology_failed_cache_write_leaves_no_temp_file(
     capsys, tmp_path, monkeypatch, failing

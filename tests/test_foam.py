@@ -24,7 +24,8 @@ from artifact.foam import (
     Unzip,
     Zip,
     _intern_shape,
-    apply_move,
+    apply_death,
+    apply_unzip,
     cap_movies,
     digon_movies,
     dot_movie,
@@ -47,6 +48,7 @@ from .helpers import (
     theta_with_loop_inside,
 )
 from .oracles import (
+    apply_birth,
     apply_zip,
     evaluate_bruteforce,
     evaluate_by_circles,
@@ -78,7 +80,7 @@ def test_move_degrees():
 
 def sphere_movie(dots: int) -> FoamMovie:
     moves = [Birth(-1, None, True)] + [Dot(-1)] * dots + [Death(-1)]
-    return FoamMovie(Web(), moves)
+    return run_movie(Web(), moves)
 
 
 def test_sphere_values():
@@ -112,7 +114,7 @@ def test_two_spheres_multiply():
         + [Dot(-2)] * 2
         + [Death(-1), Death(-2)]
     )
-    m = FoamMovie(Web(), moves)
+    m = run_movie(Web(), moves)
     pre = extract_prefoam(m)
     assert pre == PreFoam(((0, 2), (0, 2)), ())
     assert evaluate(pre) == 1  # (-1) * (-1)
@@ -314,8 +316,8 @@ def test_glued_lens_matches_replay_and_theta_table():
 
 
 def test_glue_rejects_different_end_webs():
-    ccw = FoamMovie(Web(), (Birth(-1, None, True),))
-    cw = FoamMovie(Web(), (Birth(-1, None, False),))
+    ccw = run_movie(Web(), (Birth(-1, None, True),))
+    cw = run_movie(Web(), (Birth(-1, None, False),))
     with pytest.raises(MalformedMovie):
         glue(half_foam(ccw), half_foam(cw))
     with pytest.raises(MalformedMovie):
@@ -437,7 +439,7 @@ def _glue_unplanned(a: HalfFoam, b: HalfFoam):
 def test_shape_ids_are_equal_for_equal_shapes():
     a, b = half_foam(lens_half(1, 0, 2)), half_foam(lens_half(0, 2, 0))
     assert a.shape == b.shape and a.shape_id == b.shape_id
-    loop = half_foam(FoamMovie(Web(), (Birth(-1, None, True),)))
+    loop = half_foam(run_movie(Web(), (Birth(-1, None, True),)))
     assert loop.shape != a.shape and loop.shape_id != a.shape_id
 
 
@@ -448,7 +450,7 @@ def test_half_cached_before_a_clear_never_finds_another_shapes_plan():
     memo.clear()
     # the first shape interned after the clear: a restarted counter
     # would give it the id ``old`` still carries
-    new = half_foam(FoamMovie(Web(), (Birth(-1, None, True),)))
+    new = half_foam(run_movie(Web(), (Birth(-1, None, True),)))
     assert new.shape != old.shape and new.shape_id != old.shape_id
     assert glue(old, old) == _glue_unplanned(old, old)
     assert glue(new, new) == _glue_unplanned(new, new)
@@ -462,7 +464,7 @@ def test_half_cached_before_a_clear_never_finds_another_shapes_plan():
 
 def _loop_halves() -> list[HalfFoam]:
     births = [(Birth(-1, None, True),) + (Dot(-1),) * k for k in range(3)]
-    return [half_foam(FoamMovie(Web(), moves)) for moves in births]
+    return [half_foam(run_movie(Web(), moves)) for moves in births]
 
 
 def _lens_halves() -> list[HalfFoam]:
@@ -585,9 +587,9 @@ def test_pair_halves_seam_faults_raise_on_every_call():
 
 
 def test_pair_halves_rejects_different_end_webs():
-    ccw = half_foam(FoamMovie(Web(), (Birth(-1, None, True), Dot(-1), Dot(-1))))
-    plain = half_foam(FoamMovie(Web(), (Birth(-1, None, True),)))
-    cw = half_foam(FoamMovie(Web(), (Birth(-1, None, False),)))
+    ccw = half_foam(run_movie(Web(), (Birth(-1, None, True), Dot(-1), Dot(-1))))
+    plain = half_foam(run_movie(Web(), (Birth(-1, None, True),)))
+    cw = half_foam(run_movie(Web(), (Birth(-1, None, False),)))
     # equal end webs held by different objects pair
     assert plain.web is not ccw.web
     assert pair_halves([plain], [ccw]) == [[evaluate(glue(plain, ccw))]]
@@ -653,14 +655,14 @@ def test_extended_halves_equal_swept_halves(monkeypatch):
 
 def test_extension_rejects_a_movie_from_another_web():
     h = half_foam(lens_half(0, 0, 0))
-    loop = FoamMovie(Web(), (Birth(-1, None, True),))
+    loop = run_movie(Web(), (Birth(-1, None, True),))
     with pytest.raises(MalformedMovie, match="from its web"):
         extend_halves([h], dot_movie(loop.end, -1), {}, {})
     # a renaming that does not carry the half's web onto the movie's start
     with pytest.raises(MalformedMovie, match="from its web"):
         extend_halves([h], dot_movie(h.web, 1), {1: 11}, {})
     # a second half of the first one's shape, on another web
-    other = half_foam(FoamMovie(Web(), (Birth(-2, None, True),)))
+    other = half_foam(run_movie(Web(), (Birth(-2, None, True),)))
     assert other.shape_id == half_foam(loop).shape_id
     with pytest.raises(MalformedMovie, match="from its web"):
         extend_halves([half_foam(loop), other], dot_movie(loop.end, -1), {}, {})
@@ -694,7 +696,7 @@ def test_extension_plan_faults_raise_for_every_half(monkeypatch):
 
 def test_unzip_center_edge_splits_side_by_side():
     w = theta_web()
-    after = apply_move(w, Unzip(3, loop_id_aligned=-10, loop_id_anti=-11))
+    after = apply_unzip(w, Unzip(3, loop_id_aligned=-10, loop_id_anti=-11))
     assert after.sigma == {}
     assert after.loop_ccw == {-10: False, -11: True}
     assert after.parent == {-10: None, -11: None}
@@ -702,23 +704,23 @@ def test_unzip_center_edge_splits_side_by_side():
 
 def test_unzip_top_edge_splits_nested():
     w = theta_web()
-    after = apply_move(w, Unzip(1, loop_id_aligned=-20, loop_id_anti=-21))
+    after = apply_unzip(w, Unzip(1, loop_id_aligned=-20, loop_id_anti=-21))
     assert after.loop_ccw == {-20: True, -21: True}
     assert after.parent == {-20: None, -21: ("inside", -20)}
 
 
 def test_unzip_interior_items_follow_faces():
     w = theta_with_loop_inside()  # free loop -1 in the face (1, 4)
-    after = apply_move(w, Unzip(3, loop_id_aligned=-10, loop_id_anti=-11))
+    after = apply_unzip(w, Unzip(3, loop_id_aligned=-10, loop_id_anti=-11))
     assert after.parent[-1] == ("inside", -10)
-    after2 = apply_move(w, Unzip(1, loop_id_aligned=-20, loop_id_anti=-21))
+    after2 = apply_unzip(w, Unzip(1, loop_id_aligned=-20, loop_id_anti=-21))
     assert after2.parent[-1] == ("inside", -21)
 
 
 def test_unzip_reflect_restores_theta():
     w = theta_web()
     for seam in (1, 3, 5):
-        m = FoamMovie(w, (Unzip(seam, loop_id_aligned=-10, loop_id_anti=-11),))
+        m = run_movie(w, (Unzip(seam, loop_id_aligned=-10, loop_id_anti=-11),))
         r = m.reflect()
         assert r.end == w
 
@@ -844,11 +846,11 @@ def test_square_split_reflect_roundtrip():
 def test_unzip_merges_on_cube():
     w = cube_web()
     for tail in sorted(w.out_darts):
-        after = apply_move(w, Unzip(tail))
+        after = apply_unzip(w, Unzip(tail))
         assert len(after.sigma) == 18
         assert len(after.out_darts) == 9
         assert len(after.faces()) == 5
-        m = FoamMovie(w, (Unzip(tail),))
+        m = run_movie(w, (Unzip(tail),))
         assert m.reflect().end == w
 
 
@@ -913,28 +915,30 @@ def test_movie_json_roundtrip():
 def test_birth_validation():
     w = Web(loop_ccw={-1: True}, parent={-1: None})
     with pytest.raises(MoveError):
-        apply_move(w, Birth(-1, None, True))  # id taken
+        apply_birth(w, Birth(-1, None, True))  # id taken
     with pytest.raises(MoveError):
-        apply_move(w, Birth(2, None, True))  # not negative
+        apply_birth(w, Birth(2, None, True))  # not negative
     with pytest.raises(MoveError):
-        apply_move(w, Birth(-2, ("face", 9), True))  # no such region
+        apply_birth(w, Birth(-2, ("face", 9), True))  # no such region
 
 
 def test_death_validation():
     w = nested_loops_web()
     with pytest.raises(MoveError):
-        apply_move(w, Death(-1))  # interior not empty
-    after = apply_move(w, Death(-2))
+        apply_death(w, Death(-1))  # interior not empty
+    after = apply_death(w, Death(-2))
     assert after.loop_ccw == {-1: True}
     with pytest.raises(MoveError):
-        apply_move(w, Death(-9))
+        apply_death(w, Death(-9))
 
 
 def test_dot_validation():
-    with pytest.raises(MoveError):
-        apply_move(theta_web(), Dot(7))
-    with pytest.raises(MoveError):
-        apply_move(theta_web(), Dot(-1))
+    # a dot changes no slice, so it is checked where the sheet it marks
+    # is looked up: a site the slice lacks has none
+    theta = half_foam(lens_half(0, 0, 0))
+    for site in (7, -1):
+        with pytest.raises(MalformedMovie, match="no sheet class"):
+            extend_halves([theta], dot_movie(theta.web, site), {}, {})
 
 
 def test_zip_validation():
@@ -953,16 +957,12 @@ def test_zip_validation():
 
 
 def test_a_zip_without_slices_raises():
-    # no zip surgery runs in the package: a zip is the inverse of an
-    # unzip, and runs only in a movie given its slices
+    # no movie runs a move: a zip is the inverse of an unzip, and every
+    # movie is handed its slices by the code that builds it
     w = theta_with_loop_inside()
     mv = Zip(-1, 4, ("face", 1), (11, 12, 13, 14, 15, 16))
-    with pytest.raises(MoveError):
-        FoamMovie(w, (mv,)).states()
-    with pytest.raises(MoveError):
-        foam._sweep(FoamMovie(w, (mv,)))
-    with pytest.raises(MoveError):
-        apply_move(w, mv)
+    with pytest.raises(TypeError):
+        FoamMovie(w, (mv,))
     after = apply_zip(w, mv)
     assert FoamMovie(w, (mv,), (w, after)).end is after
 
@@ -980,7 +980,7 @@ def test_given_slices_must_fit_the_movie():
 def test_a_sweep_rejects_a_site_its_slices_lack():
     # the given slices have no loop -2, so the dot has no sheet to mark
     w0 = Web()
-    w1 = apply_move(w0, Birth(-1, None, True))
+    w1 = apply_birth(w0, Birth(-1, None, True))
     m = FoamMovie(w0, (Birth(-1, None, True), Dot(-2)), (w0, w1, w1))
     with pytest.raises(MalformedMovie, match="no sheet class"):
         foam._sweep(m)
@@ -1008,11 +1008,11 @@ def test_a_sweep_rejects_an_unzip_over_reversed_edges():
 
 def test_unzip_validation():
     with pytest.raises(MoveError):
-        apply_move(theta_web(), Unzip(9))
+        apply_unzip(theta_web(), Unzip(9))
     with pytest.raises(MoveError):
-        apply_move(theta_web(), Unzip(1, loop_id_aligned=-1, loop_id_anti=-1))
+        apply_unzip(theta_web(), Unzip(1, loop_id_aligned=-1, loop_id_anti=-1))
     with pytest.raises(MoveError):  # both sides close, and neither has an id
-        apply_move(theta_web(), Unzip(1))
+        apply_unzip(theta_web(), Unzip(1))
 
 
 def test_cup_validation():
@@ -1044,16 +1044,55 @@ def test_square_split_validation():
         square_split_movies(theta_web(), 1)
 
 
+def _cube_with_loop_in_face_2() -> Web:
+    w = cube_web()
+    parent = {2: None, -1: ("face", 2)}
+    return Web(w.sigma, w.alpha, w.out_darts, {-1: True}, parent, w.outer_face)
+
+
+@pytest.mark.parametrize("name", ["cap", "square"])
+def test_projections_check_their_face_before_any_surgery(monkeypatch, name):
+    # both projections refuse the same faults, with the same messages,
+    # before they unzip anything
+    project, sides, web, wrong, inside = {
+        "cap": (cap_movies, "two", theta_web(), cube_web(), theta_with_loop_inside()),
+        "square": (
+            square_split_movies,
+            "four",
+            cube_web(),
+            theta_web(),
+            _cube_with_loop_in_face_2(),
+        ),
+    }[name]
+    surgeries = []
+    for surgery in ("apply_unzip", "apply_death"):
+        monkeypatch.setattr(foam, surgery, lambda *a, s=surgery: surgeries.append(s))
+    cases = [
+        (web, 99, "no face with key 99"),
+        (wrong, min(wrong.faces()), f"face {min(wrong.faces())} is not {sides}-sided"),
+        (web, web.outer_face[min(web.outer_face)], "the face must be bounded"),
+        (
+            inside,
+            next(f for f in sorted(inside.faces()) if inside.children_of(("face", f))),
+            "the face must have an empty interior",
+        ),
+    ]
+    for w, face, message in cases:
+        with pytest.raises(MoveError, match=f"^{name}: {message}$"):
+            project(w, face)
+    assert surgeries == []
+
+
 def test_compose_mismatch():
     with pytest.raises(MalformedMovie):
-        sphere_movie(0).compose(FoamMovie(theta_web(), ()))
+        sphere_movie(0).compose(identity_movie(theta_web()))
 
 
 def test_extract_requires_closed():
     with pytest.raises(MalformedMovie):
         extract_prefoam(identity_movie(theta_web()))
     with pytest.raises(MalformedMovie):
-        extract_prefoam(FoamMovie(Web(), (Birth(-1, None, True),)))
+        extract_prefoam(run_movie(Web(), (Birth(-1, None, True),)))
 
 
 # --------------------------------------------------------------------------
@@ -1163,14 +1202,14 @@ def test_evaluation_cache_stable():
 def test_inverse_move_pairs():
     w0 = Web()
     mv = Birth(-1, None, True)
-    w1 = apply_move(w0, mv)
+    w1 = apply_birth(w0, mv)
     assert inverse_move(mv, w0, w1) == Death(-1)
     assert inverse_move(Death(-1), w1, w0) == Birth(-1, None, True)
     assert inverse_move(Dot(-1), w1, w1) == Dot(-1)
 
     th = theta_web()
     mv2 = Unzip(3, loop_id_aligned=-10, loop_id_anti=-11)
-    w2 = apply_move(th, mv2)
+    w2 = apply_unzip(th, mv2)
     back = inverse_move(mv2, th, w2)
     assert isinstance(back, Zip)
     assert apply_zip(w2, back) == th
@@ -1186,7 +1225,7 @@ def test_inverse_of_a_splitting_unzip_routes_nothing():
     w = theta_with_loop_inside()
     for seam in (3, 5):
         mv = Unzip(seam, loop_id_aligned=-20, loop_id_anti=-21)
-        after = apply_move(w, mv)
+        after = apply_unzip(w, mv)
         back = inverse_move(mv, w, after)
         assert back.children_to_sink == frozenset()
         assert back.ceiling_side is None

@@ -16,8 +16,13 @@ The check goes by name alone, not by the object a name is read on, so
 it cannot see a method that shares its name with an attribute used
 elsewhere: ``LaurentPoly.mirror`` and ``LaurentPoly.items`` counted as
 reached, through ``LinkDiagram.mirror`` and ``dict.items``, while only
-tests called them.  Only a traced run of the program shows such a
-method unused.
+tests called them.  Nor can it see a function that program code only
+names without calling: ``foam._apply_birth`` counted through a dispatch
+table, and ``webhom.pair_movies`` through the benchmark's span list.
+A traced run covers that blind spot: every CLI mode runs under
+``sys.setprofile`` in a fresh interpreter, and every function of the
+package must be entered, apart from ``UNTRACED``, which says why each
+of its entries is not.
 
 Every field of a package class is read by the program too: a name
 annotated in a class body (a dataclass or ``NamedTuple`` field) or an
@@ -38,7 +43,11 @@ Every table kept from one call to the next lives in ``memo``, which
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -48,6 +57,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     # memo.clear(): empties every memo table, for long-lived callers and tests
     "clear",
+}
+
+#: Functions no traced run of the CLI enters, as ``file: qualified
+#: name``, each with the reason it is kept.
+UNTRACED = {
+    "memo.py: clear": "empties every memo table, for long-lived callers and "
+    "for tests that want a cold build; one CLI run never needs it",
+    "corpus.py: fixture_diagrams": "the named fixtures as one table, which "
+    "the benchmark and the tests read; the CLI takes --pd or --input",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -392,3 +410,116 @@ def test_memo_table_check_sees_each_form(tmp_path):
         "module-level empty table",
         "functools.cache",
     ]
+
+
+#: One run of the CLI per mode, format and a few small diagrams, with
+#: the disk cache missed, then hit, then off, and one usage error.
+_TRACED_RUN = r"""
+import io, json, sys
+
+entered = set()
+
+
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+
+sys.setprofile(hook)
+from artifact import cli
+
+sink = io.StringIO()
+sys.stdout = sys.stderr = sink
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+seen = sorted({(c.co_filename, c.co_firstlineno, c.co_name) for c in entered})
+print(json.dumps({"codes": codes, "entered": seen}))
+"""
+
+_TRACED_PDS = (
+    "",
+    "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)",
+    "X(1,2,3,4) X(4,3,2,1)",
+    "X(7,5,1,2) X(2,3,4,8) X(3,1,5,6) X(6,7,8,4)",
+)
+
+
+def _traced_runs(tmp: Path) -> list[list[str]]:
+    diagram = tmp / "trefoil.json"
+    diagram.write_text(
+        '{"crossings": [[1,4,2,5],[3,6,4,1],[5,2,6,3]], "over_in": [1,1,1]}',
+        encoding="utf-8",
+    )
+    pairs = tmp / "pairs.json"
+    pairs.write_text(
+        '[{"name": "kink", "first": "X(1,2,2,1)", "second": "X(1,1,2,2)"}]',
+        encoding="utf-8",
+    )
+    cache = ["--cache-dir", str(tmp / "cache")]
+    modes = [
+        ["bracket"],
+        ["webs", "--dump-webs", "--dump-foams"],
+        ["homology", *cache],
+        ["homology", *cache],
+        ["homology", "--no-cache"],
+    ]
+    runs = [["--mode", *mode, "--pd", pd] for pd in _TRACED_PDS for mode in modes]
+    runs += [
+        ["--mode", "homology", "--no-cache", "--input", str(diagram)],
+        ["--mode", "selftest", "--closures", "2"],
+        ["--mode", "invariance", "--input", str(pairs)],
+    ]
+    return [run + ["--format", fmt] for fmt in ("text", "json") for run in runs] + [
+        ["--mode", "nonsense"]
+    ]
+
+
+def _functions(package: list[Path]) -> dict[tuple[str, int, str], str]:
+    """Every function and method defined in the ``package`` files, keyed
+    as its code object names it (file, first line, name), as ``file:
+    qualified name``."""
+    out = {}
+
+    def visit(node: ast.AST, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFS):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    # a decorated function's code starts at its first decorator
+                    lines = [child.lineno] + [d.lineno for d in child.decorator_list]
+                    key = (str(path.resolve()), min(lines), child.name)
+                    out[key] = f"{path.name}: {name}"
+                visit(child, path, name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in package:
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path, "")
+    return out
+
+
+def test_every_function_is_entered_by_a_traced_run(tmp_path):
+    runs = _traced_runs(tmp_path)
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    report = json.loads(done.stdout)
+    assert report["codes"] == [0] * (len(runs) - 1) + [1]
+    entered = {(str(Path(f).resolve()), n, name) for f, n, name in report["entered"]}
+    functions = _functions(_program_files()[0])
+    missed = {
+        where
+        for key, where in functions.items()
+        if key not in entered and not _is_dunder(key[2])
+    }
+    assert missed <= UNTRACED.keys(), "never entered: " + ", ".join(
+        sorted(missed - UNTRACED.keys())
+    )
+    # an entry for a function that is gone, or that a run now enters, is stale
+    assert UNTRACED.keys() <= missed

@@ -2,9 +2,11 @@
 the two-edge-face and four-edge-face identity suites, and the edge-ring
 relations."""
 
+import collections
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from artifact.foam import (
     Dot,
     FoamMovie,
     MalformedMovie,
-    apply_move,
+    apply_death,
     digon_movies,
     dot_movie,
     half_foam,
@@ -55,7 +57,6 @@ from artifact.webhom import (
     _degree_index,
     _inverse_blocks,
     induced_matrix,
-    pair_movies,
     state_space,
 )
 
@@ -79,6 +80,7 @@ from .oracles import (
     glued_prefoam,
     gram,
     label_basis,
+    pair_movies,
     relabeled_movie,
     run_movie,
     scratch_matrix,
@@ -331,7 +333,7 @@ def test_circle_space():
     # the class's canonical web reduces at its loop, to the empty web
     canonical = circle_web().canonical()[0]
     assert find_reduction(canonical) == FreeLoop(-1)
-    assert find_reduction(apply_move(canonical, Death(-1))) == Empty()
+    assert find_reduction(apply_death(canonical, Death(-1))) == Empty()
     assert graded_dimension(state_space(circle_web())) == quantum_integer(3)
 
 
@@ -352,7 +354,7 @@ def test_theta_space():
     assert find_reduction(canonical) == DigonFace(1)
     loop = digon_movies(canonical, 1)[0].start.canonical()[0]
     assert find_reduction(loop) == FreeLoop(-1)
-    assert find_reduction(apply_move(loop, Death(-1))) == Empty()
+    assert find_reduction(apply_death(loop, Death(-1))) == Empty()
     expected = (
         LaurentPoly.monomial(3)
         + 2 * LaurentPoly.monomial(1)
@@ -445,8 +447,8 @@ def test_glued_pushed_pairings_match_the_replayed_closed_movies():
 
 
 def test_pairing_rejects_different_end_webs():
-    ccw = FoamMovie(Web(), (Birth(-1, None, True), Dot(-1), Dot(-1)))
-    cw = FoamMovie(Web(), (Birth(-1, None, False),))
+    ccw = run_movie(Web(), (Birth(-1, None, True), Dot(-1), Dot(-1)))
+    cw = run_movie(Web(), (Birth(-1, None, False),))
     assert ccw.degree() + cw.degree() == 0
     with pytest.raises(MalformedMovie):
         pair_movies(ccw, cw)
@@ -895,27 +897,51 @@ def test_extended_halves_equal_swept_halves_on_cube_edges(monkeypatch):
     assert len(edges) > 180
 
 
-def test_reflected_movies_match_the_zip_oracle(monkeypatch):
-    # a reflected movie is given the forward slices reversed and runs no
-    # zip; zip surgery from scratch must give exactly those slices
+#: The movie builders of the package, by the function that constructs
+#: the movie (for a reflection or a composition, the function that
+#: asked for it, then the method).
+_BUILDERS = {
+    "cap_movies": "cap",
+    "digon_movies.reflect": "digon",
+    "digon_movies.compose": "digon",
+    "branch": "square",
+    "_preparations": "free-loop",
+    "dot_movie": "dot",
+    "resolution_edge_movie": "edge",
+}
+
+
+def test_every_built_movie_matches_surgery_from_scratch(monkeypatch):
+    # every movie is built with its slices, and no movie runs a move:
+    # surgery from scratch, zips included, must give exactly the slices
+    # each movie was given while the fixtures and 5_1 build their
+    # complexes and the selftest runs
     memo.clear()
-    reflected = []
-    real = FoamMovie.reflect
+    built = []
+    real = FoamMovie.__init__
 
-    def recorded(self):
-        out = real(self)
-        reflected.append(out)
-        return out
+    def recorded(self, *args):
+        real(self, *args)
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension
+            caller = caller.f_back
+        name = caller.f_code.co_name
+        if name in ("reflect", "compose"):
+            name = f"{caller.f_back.f_code.co_name}.{name}"
+        built.append((self, _BUILDERS.get(name, "derived")))
 
-    monkeypatch.setattr(FoamMovie, "reflect", recorded)
+    monkeypatch.setattr(FoamMovie, "__init__", recorded)
     for d in list(fixture_diagrams().values()) + [parse_pd(TORUS_5_1)]:
         build_complex(d)
     run_selftest()
+    monkeypatch.undo()
+    counts = collections.Counter(kind for _, kind in built)
     zips = 0
-    for m in reflected:
+    for m, _ in built:
         assert run_movie(m.start, m.moves).states() == m.states()
         zips += sum(isinstance(mv, foam.Zip) for mv in m.moves)
-    assert len(reflected) > 30 and zips > 40
+    assert all(counts[kind] for kind in set(_BUILDERS.values())), counts
+    assert zips > 40
 
 
 def test_served_halves_are_the_halves_of_the_class_movies():
