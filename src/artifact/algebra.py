@@ -15,6 +15,9 @@ Contents
 ``closed_surface_value``
     The table of closed connected orientable dotted surfaces by genus and
     dot count.
+``VALUE_EQUALITY``
+    Type-aware ``__eq__``, ``__ne__`` and ``__hash__`` for the package's
+    ``NamedTuple`` value types.
 
 No floating point is used anywhere in this module.
 """
@@ -233,3 +236,21 @@ def theta_symbol(a: int, b: int, c: int) -> int:
     if t in _ANTICYCLIC:
         return -1
     return 0
+
+
+# --------------------------------------------------------------------------
+# Equality of value types
+# --------------------------------------------------------------------------
+
+
+def _same_type_eq(self: tuple, other: object) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+#: ``__eq__``, ``__ne__`` and ``__hash__`` of the package's ``NamedTuple``
+#: value types, assigned in each class body.  A value equals only a value
+#: of its own type, where a plain ``NamedTuple`` equals any tuple with the
+#: same entries (``Death(-1) == Dot(-1)``).  ``object.__ne__`` negates that
+#: ``__eq__``, where ``tuple.__ne__`` would ignore it.  Equal values hash
+#: alike, by the tuple hash of their fields.
+VALUE_EQUALITY = (_same_type_eq, object.__ne__, tuple.__hash__)

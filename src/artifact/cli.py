@@ -28,7 +28,6 @@ failure, 3 invariance-check failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -229,6 +228,8 @@ def _resolve_cache(args: argparse.Namespace) -> _Cache:
 
 
 def _homology_key(diagram: dict) -> str:
+    import hashlib  # here, not at import: it loads OpenSSL
+
     canonical = json.dumps(diagram, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(f"homology|v1|{canonical}".encode()).hexdigest()
 

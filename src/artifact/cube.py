@@ -31,10 +31,9 @@ bigraded groups are invariant under the Reidemeister moves, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .algebra import LaurentPoly
+from .algebra import VALUE_EQUALITY, LaurentPoly
 from .diagram import LinkDiagram, resolution_edge_movie, resolutions
 from .web import link_bracket
 from .webhom import SparseColumns, induced_matrix, state_space
@@ -207,13 +206,14 @@ def dense_rows(rows: Mapping[int, SparseColumn]) -> List[List[int]]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CubeVertex:
+class CubeVertex(NamedTuple):
     """One flattening in the cube: its homological degree and the
     shifted quantum degrees of its basis."""
 
     hom_degree: int
     q_degrees: Tuple[int, ...]
+
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
 
 class GradedChainComplex:
@@ -264,13 +264,14 @@ def build_complex(d: LinkDiagram) -> GradedChainComplex:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BigradedHomology:
+class BigradedHomology(NamedTuple):
     """Integer homology groups by (homological, quantum) bidegree:
     ``entries`` lists ``(i, j, free_rank, torsion_orders)`` for the
     nonzero groups, sorted by bidegree."""
 
     entries: Tuple[Tuple[int, int, int, Tuple[int, ...]], ...]
+
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
     def rank(self, i: int, j: int) -> int:
         for ei, ej, r, _t in self.entries:
@@ -445,12 +446,13 @@ def euler_characteristic(h: BigradedHomology) -> LaurentPoly:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     """Pairwise comparison of two diagrams' homology tables."""
 
     passed: bool
     differences: Tuple[Tuple[Tuple[int, int], Tuple[int, Tuple[int, ...]], Tuple[int, Tuple[int, ...]]], ...]
+
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
     def to_json_dict(self) -> dict:
         return {

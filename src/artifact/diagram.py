@@ -52,10 +52,10 @@ ever run by surgery.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from . import memo
+from .algebra import VALUE_EQUALITY
 from .foam import (
     FoamMovie,
     MalformedMovie,
@@ -152,8 +152,7 @@ class _ParityUnionFind:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
+class LinkDiagram(NamedTuple):
     """An oriented link diagram: validated crossing tuples with their
     signs, plus a number of crossing-free unknotted circles drawn side
     by side next to the crossing part.
@@ -165,6 +164,8 @@ class LinkDiagram:
     crossings: tuple[tuple[int, int, int, int], ...]
     signs: tuple[int, ...]
     free_loops: int = 0
+
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
     # -- construction ------------------------------------------------------
 

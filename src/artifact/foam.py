@@ -79,14 +79,12 @@ a closed movie of nonzero degree always evaluates to zero.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import struct
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import memo
-from .algebra import closed_surface_value, theta_symbol
+from .algebra import VALUE_EQUALITY, closed_surface_value, theta_symbol
 from .web import Region, Web, _component_split, _face_orbits
 
 
@@ -103,32 +101,34 @@ class MalformedMovie(Exception):
 # ==========================================================================
 
 
-@dataclass(frozen=True)
-class Birth:
+class Birth(NamedTuple):
     """A free loop appears in ``region``."""
 
     loop_id: int
     region: Region
     ccw: bool
 
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
-@dataclass(frozen=True)
-class Death:
+
+class Death(NamedTuple):
     """A free loop with empty interior disappears."""
 
     loop_id: int
 
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
-@dataclass(frozen=True)
-class Dot:
+
+class Dot(NamedTuple):
     """A dot on the sheet swept by an edge (``site`` = any of its darts)
     or by a free loop (``site`` = its negative id)."""
 
     site: int
 
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
-@dataclass(frozen=True)
-class Zip:
+
+class Zip(NamedTuple):
     """Merge two strand sites across ``region`` along a new seam.
 
     A site is a dart (a point on that dart's edge, approached from the
@@ -166,9 +166,10 @@ class Zip:
     ceiling_side: Optional[str] = None
     middle: Optional[str] = None
 
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
-@dataclass(frozen=True)
-class Unzip:
+
+class Unzip(NamedTuple):
     """Collapse the fin along the seam edge containing dart ``seam``.
 
     The seam's two vertices annihilate and the four arm strands fuse in
@@ -179,6 +180,8 @@ class Unzip:
     seam: int
     loop_id_aligned: Optional[int] = None
     loop_id_anti: Optional[int] = None
+
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
 
 Move = Birth | Death | Dot | Zip | Unzip
@@ -629,6 +632,8 @@ class FoamMovie:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        import hashlib  # here, not at import: it loads OpenSSL
+
         return {
             "start": self.start.to_json_dict(),
             "moves": [move_to_json(m) for m in self.moves],
@@ -690,7 +695,7 @@ def _relabel_move(move: Move, before: Web, dmap, lmap) -> Move:
 
 def move_to_json(m: Move) -> dict:
     d: dict = {"type": type(m).__name__}
-    for name in m.__dataclass_fields__:  # type: ignore[union-attr]
+    for name in m._fields:
         v = getattr(m, name)
         if name == "region":
             v = None if v is None else [v[0], v[1]]

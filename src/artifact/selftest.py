@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import closed_surface_value, theta_symbol
+from .algebra import VALUE_EQUALITY, closed_surface_value, theta_symbol
 from .foam import (
     FoamMovie,
     PreFoam,
@@ -42,13 +41,14 @@ from .webhom import StateSpaceError, induced_matrix, state_space
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
+class SelfTestReport(NamedTuple):
     """Outcome of a verification run: how many elementary checks ran and
     the messages for any that failed."""
 
     checks: int
     failures: Tuple[str, ...]
+
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
     @property
     def passed(self) -> bool:

@@ -56,11 +56,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import memo
-from .algebra import LaurentPoly, quantum_integer
+from .algebra import VALUE_EQUALITY, LaurentPoly, quantum_integer
 
 Region = Optional[tuple[str, int]]
 
@@ -487,30 +486,34 @@ class Web:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Empty:
+class Empty(NamedTuple):
     """The web has no darts and no loops."""
 
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
-@dataclass(frozen=True)
-class FreeLoop:
+
+class FreeLoop(NamedTuple):
     """A free loop whose interior region is empty."""
 
     loop_id: int
 
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
-@dataclass(frozen=True)
-class DigonFace:
+
+class DigonFace(NamedTuple):
     """A bounded two-edge face with nothing nested inside it."""
 
     face: int
 
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
-@dataclass(frozen=True)
-class SquareFace:
+
+class SquareFace(NamedTuple):
     """A bounded four-edge face with nothing nested inside it."""
 
     face: int
+
+    __eq__, __ne__, __hash__ = VALUE_EQUALITY
 
 
 Reduction = Empty | FreeLoop | DigonFace | SquareFace

@@ -53,8 +53,7 @@ non-unimodular block is a hard error, never rounded away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import memo
 from .foam import (
@@ -210,8 +209,7 @@ def _inverse_blocks(
     return out
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(NamedTuple):
     """The graded state space of one relabeling class of closed webs, on
     the class's canonical web (``Web.canonical``): the half foam and the
     degree of each preparation, and the inverses of the pairing blocks.
@@ -228,12 +226,15 @@ class StateSpace:
     Gram matrix ``G``: ``X[k]`` is the sum of ``value * R[index[d][t]]``
     over the entries ``(k, value)`` of every column ``t``.  Each block
     is inverted exactly by sparse integer elimination
-    (``_inverse_blocks``)."""
+    (``_inverse_blocks``).
+
+    Nothing compares or hashes a state space (its dict fields would make
+    ``hash`` raise): ``memo.SPACES`` stores each under its web's key."""
 
     halves: Tuple[HalfFoam, ...]
     degrees: Tuple[int, ...]
-    index: Dict[int, Tuple[int, ...]] = field(compare=False, repr=False)
-    inverse: Dict[int, SparseColumns] = field(compare=False, repr=False)
+    index: Dict[int, Tuple[int, ...]]
+    inverse: Dict[int, SparseColumns]
 
     @property
     def dim(self) -> int:

@@ -55,7 +55,7 @@ def move_from_json_dict(data) -> foam.Move:
     """Read back the dict ``foam.move_to_json`` writes."""
     t = _MOVE_TYPES[data["type"]]
     kwargs = {}
-    for name in t.__dataclass_fields__:
+    for name in t._fields:
         v = data[name]
         if name == "region":
             v = None if v is None else (v[0], v[1])

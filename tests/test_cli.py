@@ -4,6 +4,8 @@ exit codes, the disk cache, and input handling."""
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -681,6 +683,40 @@ def test_console_script_entry_point(tmp_path, monkeypatch):
     eps = importlib.metadata.entry_points(group="console_scripts")
     names = {ep.name: ep.value for ep in eps}
     assert names.get("sl3web") == "artifact.cli:main"
+
+
+# --------------------------------------------------------------------------
+# start-up
+# --------------------------------------------------------------------------
+
+#: Modules that ``import artifact.cli`` must not load: ``dataclasses``
+#: pulls in ``inspect`` (with ``ast``, ``dis`` and ``tokenize``), and
+#: ``hashlib`` loads OpenSSL through ``_hashlib``.  Only the cache key
+#: and the ``--dump-foams`` checksums hash, and they import ``hashlib``
+#: when they run.
+HEAVY_AT_IMPORT = {"dataclasses", "inspect", "hashlib", "_hashlib"}
+
+_NEW_MODULES = """
+import sys
+bare = set(sys.modules)
+import artifact.cli
+artifact.cli.build_parser()
+print(" ".join(sorted(set(sys.modules) - bare)))
+"""
+
+
+def test_cli_import_loads_no_heavy_module():
+    done = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    added = set(done.stdout.split())
+    assert "artifact.cli" in added
+    assert not added & HEAVY_AT_IMPORT, sorted(added & HEAVY_AT_IMPORT)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact import corpus, cube, memo
@@ -921,6 +921,128 @@ def test_euler_characteristic_equals_bracket(name):
 
 def test_slide_sides_present_the_same_link_as_hopf():
     assert link_homology(corpus.SLIDE_SIDE_A).entries == link_homology(corpus.HOPF).entries
+
+
+# ==========================================================================
+# invariance under Markov moves of braid closures
+# ==========================================================================
+
+#: The most crossings a moved braid word may have.
+MARKOV_CROSSINGS = 6
+
+MARKOV_KINDS = ("rotate", "conjugate", "commute", "cancel", "braid", "stabilize")
+
+
+def _from(at: int, count: int) -> list:
+    """``0 .. count - 1``, starting at ``at`` and wrapping round."""
+    return [(at + k) % count for k in range(count)]
+
+
+def _markov_move(word: list, kind: str, at: int, sign: int) -> list:
+    """``word`` after one Markov move, which changes the closure's
+    diagram but not its link; ``word`` itself where the move finds no
+    place or would pass ``MARKOV_CROSSINGS``.  ``at`` picks the place
+    and the generator, ``sign`` the sign of a new letter.
+
+    * ``rotate``: conjugation by the first ``at`` letters;
+    * ``conjugate``: conjugation by a generator, ``x w x^-1``;
+    * ``commute``: far commutation of neighbours ``s_i s_j``, ``|i - j| > 1``;
+    * ``cancel``: insertion of ``s_i s_i^-1`` (Reidemeister II);
+    * ``braid``: ``s_i s_j s_i -> s_j s_i s_j`` for ``|i - j| = 1``, all
+      of one sign (Reidemeister III);
+    * ``stabilize``: one more strand, crossed once by ``s_n^±1``
+      (Reidemeister I), anywhere in the word: that is the stabilization
+      of a rotated word, rotated back.
+    """
+    n, strands = len(word), max(map(abs, word)) + 1
+    x = sign * (1 + at % (strands - 1))
+    if kind == "rotate":
+        return word[at % n :] + word[: at % n]
+    if kind == "commute":
+        for k in _from(at, n - 1):
+            a, b = word[k], word[k + 1]
+            if abs(abs(a) - abs(b)) > 1:
+                return word[:k] + [b, a] + word[k + 2 :]
+        return word
+    if kind == "braid":
+        for k in _from(at, n - 2) if n > 2 else []:
+            a, b, c = word[k : k + 3]
+            if a == c and abs(abs(a) - abs(b)) == 1 and (a > 0) == (b > 0):
+                return word[:k] + [b, a, b] + word[k + 3 :]
+        return word
+    k = at % (n + 1)
+    if kind == "conjugate":
+        moved = [x] + word + [-x]
+    elif kind == "cancel":
+        moved = word[:k] + [x, -x] + word[k:]
+    else:
+        moved = word[:k] + [sign * strands] + word[k:]
+    return moved if len(moved) <= MARKOV_CROSSINGS else word
+
+
+_BRAID_HOMOLOGY: dict = {}
+
+
+def _braid_homology(word: list) -> tuple:
+    key = tuple(word)
+    if key not in _BRAID_HOMOLOGY:
+        _BRAID_HOMOLOGY[key] = link_homology(parse_pd(braid_pd(word))).entries
+    return _BRAID_HOMOLOGY[key]
+
+
+def test_markov_moves_change_the_word_as_stated():
+    assert _markov_move([1, 2, 1, 2], "rotate", 1, 1) == [2, 1, 2, 1]
+    assert _markov_move([1, 1, 2], "conjugate", 1, -1) == [-2, 1, 1, 2, 2]
+    assert _markov_move([1, -2, 1, 3], "commute", 0, 1) == [1, -2, 3, 1]
+    assert _markov_move([1, -2], "cancel", 1, 1) == [1, 2, -2, -2]
+    assert _markov_move([1, 2, 1, -2], "braid", 1, 1) == [2, 1, 2, -2]
+    assert _markov_move([-1, -2, -1], "braid", 0, 1) == [-2, -1, -2]
+    assert _markov_move([1, -2, 1], "stabilize", 3, -1) == [1, -2, 1, -3]
+    assert _markov_move([1, -2, 1], "stabilize", 1, 1) == [1, 3, -2, 1]
+    # no place for the move, or too many crossings: the word is kept
+    assert _markov_move([1, 2, -1], "braid", 0, 1) == [1, 2, -1]
+    assert _markov_move([1, 2, 1], "commute", 0, 1) == [1, 2, 1]
+    assert _markov_move([1, 2, 1, 2, 1], "cancel", 0, 1) == [1, 2, 1, 2, 1]
+
+
+#: Three-strand words of two to four letters that touch both strand
+#: gaps: an untouched strand is a split unknot, which a PD code cannot
+#: carry.  Braid-relation triples are drawn as one piece, so that the
+#: ``braid`` move finds a place.
+_THREE_STRAND_WORDS = (
+    st.lists(
+        st.sampled_from(
+            [[1], [-1], [2], [-2], [1, 2, 1], [2, 1, 2], [-1, -2, -1], [-2, -1, -2]]
+        ),
+        min_size=1,
+        max_size=3,
+    )
+    .map(lambda pieces: [x for piece in pieces for x in piece])
+    .filter(lambda w: 2 <= len(w) <= 4 and {abs(x) for x in w} == {1, 2})
+)
+
+_MARKOV_MOVES = st.lists(
+    st.tuples(st.sampled_from(MARKOV_KINDS), st.integers(0, 5), st.sampled_from([1, -1])),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(word=_THREE_STRAND_WORDS, moves=_MARKOV_MOVES)
+@example(word=[1, 2, 1, 2], moves=[("braid", 0, 1)])
+@example(word=[1, -2, 1], moves=[("stabilize", 3, 1), ("commute", 2, 1)])
+@example(word=[1, 1, 2], moves=[("conjugate", 1, -1)])
+@example(word=[1, -2], moves=[("cancel", 1, 1), ("rotate", 3, 1)])
+@example(word=[-1, -1, -2], moves=[("stabilize", 1, -1), ("rotate", 1, 1)])
+def test_homology_is_invariant_under_markov_moves(word, moves):
+    # Markov's theorem: closures of words related by these moves present
+    # the same link, so their homology tables agree
+    moved = word
+    for kind, at, sign in moves:
+        moved = _markov_move(moved, kind, at, sign)
+    assert len(moved) <= MARKOV_CROSSINGS
+    assert _braid_homology(moved) == _braid_homology(word), (word, moved)
 
 
 # ==========================================================================
