@@ -34,8 +34,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from . import corpus
-from .algebra import LaurentPoly
-from .cube import ComplexError, check_invariance, homology_json
+from .cube import ComplexError, check_invariance, euler_characteristic, homology_json
 from .diagram import (
     LinkDiagram,
     MalformedDiagram,
@@ -243,6 +242,9 @@ def _is_int(x) -> bool:
 
 
 def _is_homology_row(row) -> bool:
+    """Whether ``row`` is a row as ``block_homology`` writes it: integer
+    ``i`` and ``j``, a rank ``>= 0``, torsion orders ``> 1`` each
+    dividing the next, and a positive rank or some torsion."""
     return (
         isinstance(row, dict)
         and row.keys() == _ROW_FIELDS
@@ -252,29 +254,41 @@ def _is_homology_row(row) -> bool:
         and row["rank"] >= 0
         and isinstance(row["torsion"], list)
         and all(_is_int(t) and t > 1 for t in row["torsion"])
+        and (row["rank"] > 0 or bool(row["torsion"]))
+        and all(b % a == 0 for a, b in zip(row["torsion"], row["torsion"][1:]))
     )
 
 
 def _is_homology_payload(payload, diagram: dict) -> bool:
-    """Whether a cache entry is a homology report of ``diagram``: the
-    four report keys and no other, a bracket string, a boolean Euler
-    check and a list of ``i``/``j``/``rank``/``torsion`` rows whose
-    graded Euler characteristic prints as that bracket.  Any other entry
-    (damaged, or another diagram's) is a miss."""
-    return (
+    """Whether a cache entry is a homology report of ``diagram`` in the
+    shape the engine writes: the four report keys and no other, a
+    bracket string, a boolean Euler check, and nonzero
+    ``i``/``j``/``rank``/``torsion`` rows, strictly increasing by
+    ``(i, j)``, whose graded Euler characteristic prints as that
+    bracket.  Any other entry (damaged, or another diagram's) is a miss.
+
+    Each row is checked once, as it is read.  An edit of the ranks that
+    keeps this shape and the Euler characteristic (say one more rank at
+    ``(0, 0)`` and a new rank-1 row at ``(1, 0)``) is still served: only
+    a recomputation can catch it."""
+    if not (
         isinstance(payload, dict)
         and payload.keys() == _HOMOLOGY_FIELDS
         and payload["diagram"] == diagram
         and isinstance(payload["bracket"], str)
         and isinstance(payload["euler_check"], bool)
         and isinstance(payload["homology"], list)
-        and all(_is_homology_row(row) for row in payload["homology"])
-        and str(_euler_characteristic(payload["homology"])) == payload["bracket"]
-    )
-
-
-def _euler_characteristic(rows) -> LaurentPoly:
-    return LaurentPoly((r["j"], -r["rank"] if r["i"] % 2 else r["rank"]) for r in rows)
+    ):
+        return False
+    entries = []
+    for row in payload["homology"]:
+        if not _is_homology_row(row):
+            return False
+        entry = (row["i"], row["j"], row["rank"], row["torsion"])
+        if entries and entry[:2] <= entries[-1][:2]:
+            return False
+        entries.append(entry)
+    return str(euler_characteristic(entries)) == payload["bracket"]
 
 
 # --------------------------------------------------------------------------

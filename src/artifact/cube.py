@@ -10,18 +10,19 @@ crossing, crossings totally ordered by index) makes every square face of
 the cube anticommute, so the column sums form a differential with
 ``d*d = 0`` that preserves the shifted quantum degree.
 
-Homology is computed exactly over the integers.  The edge maps are
-sparse (``webhom.SparseColumns``), and the complex is split by quantum
-degree, each block of the differential built sparse (a ``{row: value}``
-dict per column) in one walk over the edge maps' nonzero entries that
-also checks every entry preserves the shifted degree; ``d*d = 0`` is
-checked on every block and every column as a sparse product.  Either
-failure is a hard error.  Each quantum degree is then reduced as one
-complex by the Gaussian elimination of Bar-Natan's "Fast Khovanov
-homology computations" (arXiv math/0606318): a unit entry of ``d_i``
-is cancelled by its Schur complement in ``d_i`` alone (sweeping the
-columns in order, each column's unit on the shortest row), and its two
-generators simply drop out of ``d_{i-1}`` and ``d_{i+1}``.  Only the
+Homology is computed exactly over the integers.  ``differential_blocks``
+walks the cube once, from the diagram to the differential: every vertex
+state space, then every edge's sparse matrix (``webhom.SparseColumns``),
+written straight into the block of its quantum degree (a
+``{row: value}`` dict per column) with a check that every entry
+preserves the shifted degree; ``d*d = 0`` is checked on every block and
+every column as a sparse product.  Either failure is a hard error.
+Each quantum degree is then reduced as one complex by the Gaussian
+elimination of Bar-Natan's "Fast Khovanov homology computations"
+(arXiv math/0606318): a unit entry of ``d_i`` is cancelled by its
+Schur complement in ``d_i`` alone (sweeping the columns in order, each
+column's unit on the shortest row), and its two generators simply drop
+out of ``d_{i-1}`` and ``d_{i+1}``.  Only the
 small remainders go through the dense ``smith_diagonal``, which yields
 the ranks and torsion orders.  The graded Euler characteristic of the
 result must reproduce the diagram's bracket polynomial; tables of
@@ -31,12 +32,12 @@ bigraded groups are invariant under the Reidemeister moves, which
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .algebra import VALUE_EQUALITY, LaurentPoly
 from .diagram import LinkDiagram, resolution_edge_movie, resolutions
 from .web import link_bracket
-from .webhom import SparseColumns, induced_matrix, state_space
+from .webhom import induced_matrix, state_space
 
 
 class ComplexError(Exception):
@@ -206,57 +207,65 @@ def dense_rows(rows: Mapping[int, SparseColumn]) -> List[List[int]]:
 # --------------------------------------------------------------------------
 
 
-class CubeVertex(NamedTuple):
-    """One flattening in the cube: its homological degree and the
-    shifted quantum degrees of its basis."""
+def differential_blocks(
+    d: LinkDiagram,
+) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple[int, int], List[SparseColumn]]]:
+    """The signed resolution cube of a diagram as its per-quantum-degree
+    differentials, sparse.
 
-    hom_degree: int
-    q_degrees: Tuple[int, ...]
-
-    __eq__, __ne__, __hash__ = VALUE_EQUALITY
-
-
-class GradedChainComplex:
-    """The totalized, signed resolution cube of a diagram.
-
-    The generators at homological degree ``i`` are the basis elements of
-    the state spaces of the flattenings with ``i + p_minus`` choice-1
-    crossings.  ``differential_blocks`` numbers them and assembles the
-    integer differential, which acts between consecutive degrees and
-    preserves the shifted quantum degree.
+    Every vertex state space is computed first, by weight, then every
+    edge matrix, its vertices by weight and then by crossing.
+    Generators of bidegree ``(i, j)`` are numbered ``0, 1, ...`` by
+    ``bits``, then basis index.  Returns the number of generators of
+    each bidegree and, for each, the columns of ``d_i`` restricted to
+    quantum degree ``j``: column ``c`` maps the rows (generators of
+    ``(i + 1, j)``) it reaches to their signed edge-map entries.  Each
+    edge matrix is written straight into its blocks, which raises
+    ``ComplexError`` if an entry joins generators of different shifted
+    quantum degree (splitting by degree would lose it).
     """
 
-    def __init__(self, diagram: LinkDiagram) -> None:
-        n = diagram.n_crossings
-        self.p_plus = diagram.positive_count
-        self.p_minus = diagram.negative_count
-        self.vertices: Dict[Tuple[int, ...], CubeVertex] = {}
-        for bits in sorted(resolutions(n), key=sum):
-            weight = sum(bits)
-            shift = 3 * self.p_minus - 2 * self.p_plus - weight
-            space = state_space(diagram.flatten(bits))
-            self.vertices[bits] = CubeVertex(
-                hom_degree=weight - self.p_minus,
-                q_degrees=tuple(d + shift for d in space.degrees),
-            )
-        self.edge_maps: Dict[Tuple[Tuple[int, ...], int], SparseColumns] = {
-            (bits, c): induced_matrix(resolution_edge_movie(diagram, bits, c))
-            for bits in self.vertices
-            for c in range(n)
-            if bits[c] == 0
-        }
-
-    # -- structure ---------------------------------------------------------
-
-    @staticmethod
-    def edge_sign(bits: Tuple[int, ...], c: int) -> int:
-        return -1 if sum(bits[:c]) % 2 else 1
-
-
-def build_complex(d: LinkDiagram) -> GradedChainComplex:
-    """Assemble the signed resolution cube of a diagram."""
-
-    return GradedChainComplex(d)
+    n = d.n_crossings
+    # each vertex: its homological degree and its basis's shifted q-degrees
+    vertices: Dict[Tuple[int, ...], Tuple[int, Tuple[int, ...]]] = {}
+    for bits in sorted(resolutions(n), key=sum):
+        weight = sum(bits)
+        shift = 3 * d.negative_count - 2 * d.positive_count - weight
+        space = state_space(d.flatten(bits))
+        vertices[bits] = (
+            weight - d.negative_count,
+            tuple(q + shift for q in space.degrees),
+        )
+    dims: Dict[Tuple[int, int], int] = {}
+    number: Dict[Tuple[int, ...], List[int]] = {}
+    for bits in sorted(vertices):
+        i, q_degrees = vertices[bits]
+        local = number[bits] = []
+        for q in q_degrees:
+            local.append(dims.get((i, q), 0))
+            dims[(i, q)] = local[-1] + 1
+    blocks = {key: [{} for _ in range(k)] for key, k in dims.items()}
+    for bits, (i, q_degrees) in vertices.items():
+        for c in range(n):
+            if bits[c]:
+                continue
+            mat = induced_matrix(resolution_edge_movie(d, bits, c))
+            sign = -1 if sum(bits[:c]) % 2 else 1
+            target = bits[:c] + (1,) + bits[c + 1 :]
+            dst = number[target]
+            dst_q = vertices[target][1]
+            # each (source, target) generator pair lies on exactly one
+            # edge, so every entry is written once
+            for q, k, col in zip(q_degrees, number[bits], mat):
+                out = blocks[(i, q)][k]
+                for r, entry in col:
+                    if dst_q[r] != q:
+                        raise ComplexError(
+                            "edge map does not preserve shifted degree at "
+                            f"bits={bits}, crossing={c}"
+                        )
+                    out[dst[r]] = sign * entry
+    return dims, blocks
 
 
 # --------------------------------------------------------------------------
@@ -290,60 +299,6 @@ class BigradedHomology(NamedTuple):
             {"i": i, "j": j, "rank": r, "torsion": list(t)}
             for i, j, r, t in self.entries
         ]
-
-
-def differential_blocks(
-    cx: GradedChainComplex,
-) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple[int, int], List[SparseColumn]]]:
-    """The per-quantum-degree differentials of the cube, sparse.
-
-    Generators of bidegree ``(i, j)`` are numbered ``0, 1, ...`` by
-    ``bits``, then basis index.  Returns the number of generators of
-    each bidegree and, for each, the columns of ``d_i`` restricted to
-    quantum degree ``j``: column ``c`` maps the rows (generators of
-    ``(i + 1, j)``) it reaches to their signed edge-map entries.  Built
-    in one walk over the nonzero entries of the edge maps, which raises
-    ``ComplexError`` if one joins generators of different shifted
-    quantum degree (splitting by degree would lose it).
-    """
-
-    dims: Dict[Tuple[int, int], int] = {}
-    number: Dict[Tuple[int, ...], List[int]] = {}
-    for bits in sorted(cx.vertices):
-        v = cx.vertices[bits]
-        local = number[bits] = []
-        for q in v.q_degrees:
-            key = (v.hom_degree, q)
-            local.append(dims.get(key, 0))
-            dims[key] = local[-1] + 1
-    blocks = {key: [{} for _ in range(n)] for key, n in dims.items()}
-    for (bits, c), mat in cx.edge_maps.items():
-        v = cx.vertices[bits]
-        sign = cx.edge_sign(bits, c)
-        target = bits[:c] + (1,) + bits[c + 1 :]
-        dst = number[target]
-        dst_q = cx.vertices[target].q_degrees
-        # each (source, target) generator pair lies on exactly one edge,
-        # so every entry is written once
-        for q, n, col in zip(v.q_degrees, number[bits], mat):
-            out = blocks[(v.hom_degree, q)][n]
-            for r, entry in col:
-                if dst_q[r] != q:
-                    raise ComplexError(
-                        "edge map does not preserve shifted degree at "
-                        f"bits={bits}, crossing={c}"
-                    )
-                out[dst[r]] = sign * entry
-    return dims, blocks
-
-
-def homology(cx: GradedChainComplex) -> BigradedHomology:
-    """Exact integer homology of the cube complex, split by quantum
-    degree: ``block_homology`` of its sparse per-q differentials
-    (``differential_blocks``, whose walk also checks that every edge map
-    preserves the shifted degree)."""
-
-    return block_homology(*differential_blocks(cx))
 
 
 def block_homology(
@@ -428,17 +383,15 @@ def block_homology(
 
 
 def link_homology(d: LinkDiagram) -> BigradedHomology:
-    return homology(build_complex(d))
+    return block_homology(*differential_blocks(d))
 
 
-def euler_characteristic(h: BigradedHomology) -> LaurentPoly:
-    """Alternating graded-rank sum; equals the diagram's bracket."""
+def euler_characteristic(entries: Iterable[Tuple[int, int, int, object]]) -> LaurentPoly:
+    """The alternating graded-rank sum of homology entries
+    ``(i, j, rank, torsion)``, such as ``BigradedHomology.entries``;
+    equals the diagram's bracket."""
 
-    total = LaurentPoly.zero()
-    for i, j, r, _t in h.entries:
-        term = LaurentPoly.monomial(j, r)
-        total = total + (term if i % 2 == 0 else -term)
-    return total
+    return LaurentPoly((j, -r if i % 2 else r) for i, j, r, _t in entries)
 
 
 # --------------------------------------------------------------------------
@@ -498,5 +451,5 @@ def homology_json(d: LinkDiagram) -> dict:
         "diagram": d.to_json_dict(),
         "bracket": str(bracket),
         "homology": h.to_json_list(),
-        "euler_check": euler_characteristic(h) == bracket,
+        "euler_check": euler_characteristic(h.entries) == bracket,
     }

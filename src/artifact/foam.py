@@ -621,11 +621,6 @@ class FoamMovie:
         ]
         return FoamMovie(self.end, tuple(reversed(inv)), states[::-1])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FoamMovie):
-            return NotImplemented
-        return self.start == other.start and self.moves == other.moves
-
     def __repr__(self) -> str:
         return f"<FoamMovie {len(self.moves)} moves>"
 

@@ -15,9 +15,10 @@ import hashlib
 from artifact import foam
 from artifact.algebra import LaurentPoly
 from artifact.corpus import fixture_diagrams
-from artifact.diagram import resolutions
+from artifact.diagram import resolution_edge_movie, resolutions
 from artifact.selftest import cube_web, digon_chain_web, theta_web  # noqa: F401
 from artifact.web import Web
+from artifact.webhom import induced_matrix, state_space
 
 from .oracles import poly_items, run_movie
 
@@ -170,14 +171,30 @@ def dense(columns, n_rows: int) -> tuple:
     return tuple(map(tuple, rows))
 
 
-def cube_data(cx):
-    """A built cube as plain data for the dense oracles in ``oracles``:
-    the shifted quantum degrees by choice vector, and the edge maps,
-    densified."""
-    q_degrees = {bits: v.q_degrees for bits, v in cx.vertices.items()}
+def cube_data(d):
+    """The signed resolution cube of a diagram as plain data for the
+    dense oracles in ``oracles``: the shifted quantum degrees by choice
+    vector (``3*p_minus - 2*p_plus - |bits|`` added to each state-space
+    degree), and the edge maps, densified.  Built from ``state_space``,
+    ``induced_matrix`` and ``resolution_edge_movie`` alone, apart from
+    the package's own walk in ``cube.differential_blocks``, and in its
+    order: vertices by weight, then crossing."""
+    cube = sorted(resolutions(d.n_crossings), key=sum)
+    q_degrees = {
+        bits: tuple(
+            q + 3 * d.negative_count - 2 * d.positive_count - sum(bits)
+            for q in state_space(d.flatten(bits)).degrees
+        )
+        for bits in cube
+    }
     return q_degrees, {
-        (bits, c): dense(m, len(q_degrees[bits[:c] + (1,) + bits[c + 1 :]]))
-        for (bits, c), m in cx.edge_maps.items()
+        (bits, c): dense(
+            induced_matrix(resolution_edge_movie(d, bits, c)),
+            len(q_degrees[bits[:c] + (1,) + bits[c + 1 :]]),
+        )
+        for bits in cube
+        for c in range(d.n_crossings)
+        if bits[c] == 0
     }
 
 
@@ -190,12 +207,14 @@ def braid_pd(word) -> str:
     fresh labels ``n, n + 1``, writes ``X(a,b,n+1,n)`` for sigma_i and
     ``X(b,n+1,n,a)`` for its inverse, and puts ``n, n + 1`` at positions
     ``i, i + 1``.  The labels left at positions ``1..s`` are then renamed
-    to ``1..s``, which closes the braid.  A strand that no letter
-    touches would be a split unknot, which a PD code cannot carry, so
-    such a word raises ``ValueError``.
+    to ``1..s``, which closes the braid.  A word whose letters skip a
+    generator ``i`` closes to the split union of the strands on either
+    side of it.  A strand that no letter touches would be a split
+    unknot, which a PD code cannot carry, so such a word raises
+    ``ValueError``.
     """
     strands = max(abs(x) for x in word) + 1
-    if not {abs(x) for x in word} >= set(range(1, strands)):
+    if {abs(x) + k for x in word for k in (0, 1)} != set(range(1, strands + 1)):
         raise ValueError(f"a strand of {word} is not touched")
     pos = list(range(1, strands + 1))
     crossings = []

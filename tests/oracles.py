@@ -89,8 +89,9 @@ here, independently of the package.  ``dense_differential`` assembles
 the full matrix between two weights (optionally one quantum degree of
 it), with generators ordered by ``bits`` then basis index;
 ``d_squared_is_zero`` and ``squares_anticommute`` multiply them densely.
-The package's edge maps are sparse; ``helpers.cube_data`` hands them
-over densified.
+``helpers.cube_data`` builds this data from a diagram, with the
+package's sparse edge maps densified; the package itself keeps no cube
+and writes each edge map straight into ``cube.differential_blocks``.
 
 Per-matrix Smith oracle
 -----------------------

@@ -440,6 +440,57 @@ def test_homology_cache_entry_contradicting_its_bracket_is_recomputed(
     assert entry.read_text(encoding="utf-8") == good
 
 
+def _rows_swapped(rows):
+    return [rows[1], rows[0], *rows[2:]]
+
+
+def _bidegree_repeated(rows):
+    # the torsion of a second (0, 0) row leaves the Euler characteristic
+    return [*rows, {"i": 0, "j": 0, "rank": 0, "torsion": [3]}]
+
+
+def _zero_row_added(rows):
+    return [*rows, {"i": 5, "j": 9, "rank": 0, "torsion": []}]
+
+
+def _torsion_not_a_chain(rows):
+    return [{**rows[0], "torsion": [2, 3]}, *rows[1:]]
+
+
+_SHAPE_VIOLATIONS = {
+    "rows-out-of-order": _rows_swapped,
+    "bidegree-repeated": _bidegree_repeated,
+    "zero-row": _zero_row_added,
+    "torsion-not-a-divisor-chain": _torsion_not_a_chain,
+}
+
+
+@pytest.mark.parametrize("violation", sorted(_SHAPE_VIOLATIONS))
+def test_homology_cache_entry_not_shaped_as_the_engine_writes_is_recomputed(
+    capsys, tmp_path, violation
+):
+    """An entry whose rows keep their Euler characteristic, so that it
+    still prints as the bracket, but are not as ``block_homology`` emits
+    them is a miss: recomputed and rewritten.  The engine writes nonzero
+    rows, strictly increasing by ``(i, j)``, with torsion orders that each
+    divide the next.  An edit of the ranks that keeps that shape and the
+    Euler characteristic is not caught by this check; only recomputing
+    the table can catch it (ROADMAP item 6)."""
+    cache_dir = tmp_path / "cache"
+    argv = ["--pd", KINK_PD, "--mode", "homology", "--format", "json"]
+    clean = run_cli(capsys, [*argv, "--no-cache"])
+    assert clean[0] == 0
+    argv += ["--cache-dir", str(cache_dir)]
+    assert run_cli(capsys, argv) == clean
+    (entry,) = cache_dir.iterdir()
+    good = entry.read_text(encoding="utf-8")
+    payload = json.loads(good)
+    payload["homology"] = _SHAPE_VIOLATIONS[violation](payload["homology"])
+    entry.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(capsys, argv) == clean
+    assert entry.read_text(encoding="utf-8") == good
+
+
 @pytest.mark.parametrize("failing", ["replace", "write"])
 def test_homology_failed_cache_write_leaves_no_temp_file(
     capsys, tmp_path, monkeypatch, failing

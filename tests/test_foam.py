@@ -903,7 +903,7 @@ def test_movie_json_roundtrip():
     """The written movie form (``--dump-foams``) determines the movie."""
     for m in _sample_movies():
         m2 = movie_from_json_dict(json.loads(json.dumps(m.to_json_dict())))
-        assert m2 == m
+        assert (m2.start, m2.moves) == (m.start, m.moves)
         assert m2.end == m.end
 
 

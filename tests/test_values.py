@@ -5,16 +5,16 @@ The package's small value types are ``NamedTuple`` classes that take
 A plain ``NamedTuple`` would equal any tuple with the same entries, so
 ``Death(-1) == Dot(-1)`` would hold and a ``Death`` key would find a
 ``Dot`` entry of ``memo.INDUCED``; and ``tuple.__ne__`` would ignore an
-overridden ``__eq__``.  Moves are compared by ``FoamMovie.__eq__`` and
-by the ``inverse_move`` self-check of ``resolution_edge_movie``, and
-reduction sites by the tests of ``find_reduction``.
+overridden ``__eq__``.  Moves are compared by the ``inverse_move``
+self-check of ``resolution_edge_movie``, and reduction sites by the
+tests of ``find_reduction``.
 """
 
 import itertools
 
 import pytest
 
-from artifact.cube import BigradedHomology, CubeVertex, InvarianceReport
+from artifact.cube import BigradedHomology, InvarianceReport
 from artifact.diagram import parse_pd
 from artifact.foam import Birth, Death, Dot, Unzip, Zip
 from artifact.selftest import SelfTestReport
@@ -70,7 +70,6 @@ def test_values_of_distinct_types_with_equal_fields_differ(first, second):
         DigonFace(3),
         SquareFace(7),
         parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"),
-        CubeVertex(0, (1, 3)),
         BigradedHomology(((0, 2, 1, ()),)),
         InvarianceReport(True, ()),
         SelfTestReport(3, ()),

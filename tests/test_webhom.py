@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from artifact.algebra import LaurentPoly, quantum_integer
 from artifact.corpus import fixture_diagrams
-from artifact import foam, memo, webhom
-from artifact.cube import build_complex
+from artifact import cube, foam, memo, webhom
+from artifact.cube import differential_blocks
 from artifact.diagram import parse_pd, resolution_edge_movie, resolutions
 from artifact.foam import (
     Birth,
@@ -810,8 +810,13 @@ def test_cold_torus_build_computes_one_space_and_one_matrix_per_class(monkeypatc
             return _real(*args)
 
         monkeypatch.setattr(webhom, name, counted)
-    cx = build_complex(parse_pd(TORUS_5_1))
-    assert len(cx.edge_maps) == 80
+    edges = []
+    induced = cube.induced_matrix
+    monkeypatch.setattr(
+        cube, "induced_matrix", lambda movie: edges.append(movie) or induced(movie)
+    )
+    differential_blocks(parse_pd(TORUS_5_1))
+    assert len(edges) == 80
     # 63 webs (32 flattenings and their reductions) and 80 edges
     assert counts["_class_space"] <= 15
     assert counts["_class_matrix"] <= 20
@@ -931,7 +936,7 @@ def test_every_built_movie_matches_surgery_from_scratch(monkeypatch):
 
     monkeypatch.setattr(FoamMovie, "__init__", recorded)
     for d in list(fixture_diagrams().values()) + [parse_pd(TORUS_5_1)]:
-        build_complex(d)
+        differential_blocks(d)
     run_selftest()
     monkeypatch.undo()
     counts = collections.Counter(kind for _, kind in built)
@@ -976,7 +981,7 @@ def _movies_in(x) -> bool:
 
 def test_cold_torus_state_spaces_hold_no_movies():
     memo.clear()
-    build_complex(parse_pd(TORUS_5_1))
+    differential_blocks(parse_pd(TORUS_5_1))
     assert memo.SPACES
     for space in memo.SPACES.values():
         for name in space._fields:
@@ -993,7 +998,7 @@ def test_cold_torus_build_sweeps_once_per_half_shape(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(foam, "_sweep", counted)
-    build_complex(parse_pd(TORUS_5_1))
+    differential_blocks(parse_pd(TORUS_5_1))
     # one sweep per (half shape, movie) pair, seeded or from the empty
     # web; sweeping every half from the empty web takes 594
     assert len(sweeps) <= 40
@@ -1054,7 +1059,7 @@ def test_every_glued_foam_evaluates_as_the_circle_recursion(monkeypatch):
     diagrams = list(fixture_diagrams().values())
     diagrams += [parse_pd(TORUS_5_1), parse_pd(KNOT_6_1)]
     for d in diagrams:
-        build_complex(d)
+        differential_blocks(d)
     for pre, value in glued.items():
         assert value == evaluate_by_circles(pre) == foam.evaluate(pre), pre
     # 29,213 distinct foams when this was written, many of several circles
@@ -1073,7 +1078,7 @@ def test_cold_torus_build_evaluates_once_per_glued_label_vector(monkeypatch):
         return real(plan, labels)
 
     monkeypatch.setattr(foam, "_glued_value", counted)
-    build_complex(parse_pd(TORUS_5_1))
+    differential_blocks(parse_pd(TORUS_5_1))
     # one glued foam per distinct (glue plan, label vector) pair; gluing
     # every pairing takes 7,094
     assert len(misses) <= 1000
