@@ -2,15 +2,18 @@
 
 A diagram is a list of crossings, each recorded as a 4-tuple of arc
 labels listed counterclockwise starting from the incoming under-strand.
-Arc orientations are recovered by constraint propagation: every arc
-needs exactly one inflow end and one outflow end.  Components that never
-pass under (so their direction is not forced) take an optional explicit
-hint, defaulting to "over-strand enters at the second tuple position"
-for the lowest-numbered crossing involved.  A crossing is positive when
-a quarter turn counterclockwise carries the under-strand's direction to
-the over-strand's direction, negative otherwise; equivalently, the
-over-strand of a positive crossing enters at the second tuple position
-and that of a negative crossing at the fourth.
+Arc orientations come from one walk per link component: the walk enters
+a crossing at slot ``s``, leaves it at slot ``s + 2`` and follows the
+arc to its other end.  It runs with the orientation exactly when it
+enters its under passes at slot 0.  A component that never passes under
+takes its direction from the optional hints (the slot at which the
+over-strand enters a crossing), and without one its lowest-numbered
+crossing's over-strand enters at the second tuple position.  A crossing
+is positive when a quarter turn counterclockwise carries the
+under-strand's direction to the over-strand's direction, negative
+otherwise; equivalently, the over-strand of a positive crossing enters
+at the second tuple position and that of a negative crossing at the
+fourth.
 
 A flattening replaces every crossing with one of its two local pictures:
 
@@ -35,7 +38,11 @@ in the flattening that bridges that crossing.  So the nesting, outer
 faces and loop winding flags of a flattening come from the same
 ``Unzip`` surgery as the cube edges, and equal inputs always produce
 identical webs.  Each flattening is built once per diagram and choice
-vector and kept in ``memo.FLATTENINGS``.
+vector and kept in ``memo.FLATTENINGS``.  A diagram builds its
+all-bridged flattening when it is made, as its planarity check: bridging
+a crossing adds one vertex and one edge but no face, so each piece of
+that web has the Euler characteristic of the PD graph's piece, and
+``Web`` rejects any piece whose characteristic is not 2.
 
 ``resolution_edge_movie`` returns, for any choice vector and any
 crossing sitting at choice 0, the one-move cobordism that carries the
@@ -51,6 +58,7 @@ ever run by surgery.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import NamedTuple, Optional, Sequence
 
@@ -60,12 +68,11 @@ from .foam import (
     FoamMovie,
     MalformedMovie,
     Unzip,
-    _DSU,
     _unzip_arms,
     apply_unzip,
     inverse_move,
 )
-from .web import Web, _component_split
+from .web import MalformedWeb, Web, _component_split
 
 
 class MalformedDiagram(Exception):
@@ -120,33 +127,6 @@ def _bridge_tables(sign: int, a: tuple[int, int, int, int], m1: int, m2: int):
     return (m1, a3, a0), (a1, a2, m2)
 
 
-class _ParityUnionFind:
-    """Union-find over binary variables tracking relative parity."""
-
-    def __init__(self, size: int) -> None:
-        self._parent = list(range(size))
-        self._parity = [0] * size
-
-    def find(self, x: int) -> tuple[int, int]:
-        parity = 0
-        while self._parent[x] != x:
-            parity ^= self._parity[x]
-            x = self._parent[x]
-        return x, parity
-
-    def union(self, a: int, b: int, relative_parity: int) -> bool:
-        """Impose ``value(a) xor value(b) == relative_parity``; returns
-        whether that is consistent with previous constraints."""
-
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return (pa ^ pb) == relative_parity
-        self._parent[rb] = ra
-        self._parity[rb] = pa ^ pb ^ relative_parity
-        return True
-
-
 # --------------------------------------------------------------------------
 # the diagram type
 # --------------------------------------------------------------------------
@@ -176,12 +156,15 @@ class LinkDiagram(NamedTuple):
         over_in: Optional[Sequence[Optional[int]]] = None,
         free_loops: int = 0,
     ) -> "LinkDiagram":
-        """Validate crossing tuples and derive signs.
+        """Validate crossing tuples, derive signs and check planarity.
 
         ``over_in`` optionally pins, per crossing, the slot (1 or 3) at
         which the over-strand enters; ``None`` entries leave the choice
-        to propagation.  ``free_loops`` adds that many crossing-free
-        circles next to the diagram.
+        to the component walk (:func:`_derive_signs`).  ``free_loops``
+        adds that many crossing-free circles next to the diagram.  The
+        PD data is planar when the flattening that bridges every
+        crossing is a valid ``Web``; that flattening is kept in
+        ``memo.FLATTENINGS``, and every other one is built from it.
         """
 
         xs = _check_tuples(crossings)
@@ -191,10 +174,13 @@ class LinkDiagram(NamedTuple):
             or free_loops < 0
         ):
             raise MalformedDiagram("free_loops must be a non-negative integer")
-        occ = _occurrences(xs)
-        signs = _derive_signs(xs, occ, over_in)
-        _check_planarity(xs, occ)
-        return cls(crossings=xs, signs=signs, free_loops=free_loops)
+        signs = _derive_signs(xs, _occurrences(xs), over_in)
+        d = cls(crossings=xs, signs=signs, free_loops=free_loops)
+        try:
+            _flatten_state(d, tuple(int(s == 1) for s in signs))
+        except MalformedWeb as exc:
+            raise MalformedDiagram(f"non-planar PD data: {exc}") from exc
+        return d
 
     # -- basic data --------------------------------------------------------
 
@@ -353,13 +339,15 @@ def _arc_other(xs, occ, c: int, s: int) -> tuple[int, int]:
 
 
 def _derive_signs(xs, occ, over_in) -> tuple[int, ...]:
-    """Derive crossing signs by orienting every arc consistently.
+    """Derive crossing signs by walking each link component once.
 
-    Encodes, per crossing ``c``, the binary unknown ``x_c`` ("the
-    over-strand enters at slot 3") and solves the parity constraints
-    coming from each arc having one inflow and one outflow end.  Slot 0
-    is always inflow and slot 2 always outflow; slot 1 is inflow exactly
-    when ``x_c`` is 0 and slot 3 exactly when ``x_c`` is 1.
+    The walk enters a crossing at slot ``s`` and leaves at ``s + 2``;
+    a component runs with it when its under passes are entered at slot
+    0, against it when at slot 2, and is inconsistent when both occur.
+    No walk passes one strand both ways, as no arc joins a slot to itself.
+    A component with no under pass follows its lowest hinted crossing,
+    else enters its lowest-numbered crossing at slot 1.  A crossing is
+    positive when its over-strand enters at slot 1.
     """
 
     n = len(xs)
@@ -376,107 +364,36 @@ def _derive_signs(xs, occ, over_in) -> tuple[int, ...]:
                 raise MalformedDiagram(
                     f"over_in entries must be 1, 3 or null, got {v!r}"
                 )
-    anchor = n
-    uf = _ParityUnionFind(n + 1)
-
-    def inflow_term(c: int, s: int):
-        """The inflow indicator of slot ``s`` at ``c``: either a constant
-        or ``x_c`` xor a constant."""
-
-        if s == 0:
-            return ("const", 1)
-        if s == 2:
-            return ("const", 0)
-        return ("var", c, 1 if s == 1 else 0)
-
-    for lab in sorted(occ):
-        (c1, s1), (c2, s2) = occ[lab]
-        t1, t2 = inflow_term(c1, s1), inflow_term(c2, s2)
-        if t1[0] == "const" and t2[0] == "const":
-            if t1[1] ^ t2[1] != 1:
-                raise MalformedDiagram(
-                    f"inconsistent orientation: arc {lab} has two "
-                    f"{'inflow' if t1[1] else 'outflow'} ends"
-                )
-        elif t1[0] == "const" or t2[0] == "const":
-            const, var = (t1, t2) if t1[0] == "const" else (t2, t1)
-            # const ^ (x_c ^ p) == 1
-            value = 1 ^ const[1] ^ var[2]
-            if not uf.union(var[1], anchor, value):
-                raise MalformedDiagram(
-                    f"inconsistent orientation: arc {lab} over-constrains "
-                    f"crossing {var[1]}"
-                )
+    hints = over_in or [None] * n
+    entry: dict[tuple[int, int], int] = {}
+    for start in itertools.product(range(n), (0, 1)):
+        if start in entry:
+            continue
+        walk = [start]
+        c, s = _arc_other(xs, occ, start[0], start[1] + 2)
+        while (c, s) != start:
+            walk.append((c, s))
+            c, s = _arc_other(xs, occ, c, (s + 2) % 4)
+        under = {s for c, s in walk if s % 2 == 0}
+        if len(under) == 2:
+            raise MalformedDiagram(
+                f"inconsistent orientation: the component through crossing "
+                f"{start[0]} enters its under passes both ways"
+            )
+        if under:
+            (turn,) = under
         else:
-            parity = 1 ^ t1[2] ^ t2[2]
-            if not uf.union(t1[1], t2[1], parity):
-                raise MalformedDiagram(
-                    f"inconsistent orientation: arc {lab} closes an "
-                    f"inconsistent cycle"
-                )
-    if over_in is not None:
-        for c, v in enumerate(over_in):
-            if v is None:
-                continue
-            if not uf.union(c, anchor, 0 if v == 1 else 1):
+            c, s = min(((c, s) for c, s in walk if hints[c]), default=min(walk))
+            turn = 0 if s == (hints[c] or 1) else 2
+        for c, s in walk:
+            s = (s + turn) % 4
+            if s % 2 and hints[c] not in (None, s):
                 raise MalformedDiagram(
                     f"orientation hint for crossing {c} conflicts with the "
                     f"arcs"
                 )
-    # Components that never pass under leave their class unanchored; give
-    # the lowest-numbered crossing of each such class over-in slot 1.
-    root_anchor, _ = uf.find(anchor)
-    for c in range(n):
-        root, _ = uf.find(c)
-        if root != root_anchor:
-            uf.union(c, anchor, 0)
-            root_anchor, _ = uf.find(anchor)
-    signs = []
-    for c in range(n):
-        _, parity = uf.find(c)
-        _, base = uf.find(anchor)
-        signs.append(-1 if parity ^ base else 1)
-    return tuple(signs)
-
-
-def _check_planarity(xs, occ) -> None:
-    """Verify the PD data embeds in the plane: each connected piece of
-    the 4-valent graph must satisfy V - E + F = 2 for the face count
-    determined by the counterclockwise slot order."""
-
-    n = len(xs)
-    if n == 0:
-        return
-    piece = _DSU()
-    for _ in range(n):
-        piece.make()
-    for lab in occ:
-        (c1, _), (c2, _) = occ[lab]
-        piece.union(c1, c2)
-    face_seen: set[tuple[int, int]] = set()
-    faces_of_piece: dict[int, int] = {}
-    for c in range(n):
-        for s in range(4):
-            if (c, s) in face_seen:
-                continue
-            cur = (c, s)
-            while cur not in face_seen:
-                face_seen.add(cur)
-                c2, s2 = _arc_other(xs, occ, *cur)
-                cur = (c2, (s2 - 1) % 4)
-            root = piece.find(c)
-            faces_of_piece[root] = faces_of_piece.get(root, 0) + 1
-    sizes: dict[int, int] = {}
-    for c in range(n):
-        root = piece.find(c)
-        sizes[root] = sizes.get(root, 0) + 1
-    for root, v in sizes.items():
-        f = faces_of_piece[root]
-        if v - 2 * v + f != 2:
-            raise MalformedDiagram(
-                f"non-planar PD data: a connected piece with {v} crossings "
-                f"closes into {f} faces instead of {v + 2}"
-            )
+            entry[c, s % 2] = s
+    return tuple(1 if entry[c, 1] == 1 else -1 for c in range(n))
 
 
 # --------------------------------------------------------------------------

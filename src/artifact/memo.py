@@ -9,6 +9,9 @@ place for long-lived callers and tests; a CLI run never calls it.
 * ``FLATTENINGS``: ``(diagram, bits)`` to the flattening there, with the
   loop ids of its smoothed crossings; filled by ``diagram._flatten_state``
   with one unzip of a cached flattening (the only surgery cube edges need).
+  Every diagram made holds its all-bridged flattening here, even when
+  nothing else is flattened: ``LinkDiagram.from_crossings`` builds it as
+  the planarity check.
 * ``SHAPE_IDS``: a ``foam.HalfShape`` to its small id, drawn from
   ``SHAPE_COUNTER``; filled by ``foam._intern_shape``.  The counter never
   restarts, so a half built before a clear keeps an id no later shape

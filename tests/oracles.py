@@ -2,8 +2,9 @@
 
 These helpers recompute target quantities by a second route so the tests
 compare two independent ones.  All but the Laurent polynomial, replay,
-gluing, state-space, per-matrix Smith, zip, web and flattening oracles
-avoid importing the package under test.
+gluing, state-space, per-matrix Smith, zip, web, flattening,
+orientation and planarity oracles avoid importing the package under
+test.
 
 Laurent polynomial oracles
 --------------------------
@@ -157,6 +158,17 @@ smoothings glue them into region classes, and a breadth-first search
 from each piece's quadrant 0 places every component and loop.  The
 package builds the same webs by unzipping bridges one crossing at a
 time, and must agree with this on every flattening.
+
+Orientation and planarity oracles
+---------------------------------
+``parity_signs`` derives crossing signs from one binary unknown per
+crossing ("the over-strand enters at slot 3"), solving the parity
+constraints of every arc having one inflow and one outflow end in a
+``_ParityUnionFind``.  ``face_walk_planarity`` walks the faces of the PD
+graph and checks V - E + F = 2 on each connected piece.  The package
+orients each link component by one walk and checks planarity on the
+flattening that bridges every crossing; both must accept and reject the
+same PD data, with the same signs.
 """
 
 from __future__ import annotations
@@ -169,6 +181,7 @@ from math import comb
 from artifact import cube
 from artifact.algebra import LaurentPoly
 from artifact.diagram import (
+    MalformedDiagram,
     _IN_SLOTS,
     _SMOOTH_EXIT,
     _arc_other,
@@ -1248,6 +1261,165 @@ def region_flatten(d, bits: Bits) -> tuple[Web, dict[tuple[int, int], int]]:
 
     web = Web(sigma, alpha, frozenset(out_darts), loop_ccw, parent, outer_face)
     return web, loop_at
+
+
+# --------------------------------------------------------------------------
+# orientation and planarity oracles
+# --------------------------------------------------------------------------
+
+
+class _ParityUnionFind:
+    """Union-find over binary variables tracking relative parity."""
+
+    def __init__(self, size: int) -> None:
+        self._parent = list(range(size))
+        self._parity = [0] * size
+
+    def find(self, x: int) -> tuple[int, int]:
+        parity = 0
+        while self._parent[x] != x:
+            parity ^= self._parity[x]
+            x = self._parent[x]
+        return x, parity
+
+    def union(self, a: int, b: int, relative_parity: int) -> bool:
+        """Impose ``value(a) xor value(b) == relative_parity``; returns
+        whether that is consistent with previous constraints."""
+
+        ra, pa = self.find(a)
+        rb, pb = self.find(b)
+        if ra == rb:
+            return (pa ^ pb) == relative_parity
+        self._parent[rb] = ra
+        self._parity[rb] = pa ^ pb ^ relative_parity
+        return True
+
+
+def parity_signs(xs, occ, over_in) -> tuple[int, ...]:
+    """Derive crossing signs by orienting every arc consistently.
+
+    Encodes, per crossing ``c``, the binary unknown ``x_c`` ("the
+    over-strand enters at slot 3") and solves the parity constraints
+    coming from each arc having one inflow and one outflow end.  Slot 0
+    is always inflow and slot 2 always outflow; slot 1 is inflow exactly
+    when ``x_c`` is 0 and slot 3 exactly when ``x_c`` is 1.
+    """
+
+    n = len(xs)
+    if over_in is not None:
+        if not isinstance(over_in, (list, tuple)):
+            raise MalformedDiagram(f"over_in must be a list, got {over_in!r}")
+        if len(over_in) != n:
+            raise MalformedDiagram(
+                f"over_in must list one entry per crossing ({n}), got "
+                f"{len(over_in)}"
+            )
+        for v in over_in:
+            if isinstance(v, bool) or v not in (None, 1, 3):
+                raise MalformedDiagram(
+                    f"over_in entries must be 1, 3 or null, got {v!r}"
+                )
+    anchor = n
+    uf = _ParityUnionFind(n + 1)
+
+    def inflow_term(c: int, s: int):
+        """The inflow indicator of slot ``s`` at ``c``: either a constant
+        or ``x_c`` xor a constant."""
+
+        if s == 0:
+            return ("const", 1)
+        if s == 2:
+            return ("const", 0)
+        return ("var", c, 1 if s == 1 else 0)
+
+    for lab in sorted(occ):
+        (c1, s1), (c2, s2) = occ[lab]
+        t1, t2 = inflow_term(c1, s1), inflow_term(c2, s2)
+        if t1[0] == "const" and t2[0] == "const":
+            if t1[1] ^ t2[1] != 1:
+                raise MalformedDiagram(
+                    f"inconsistent orientation: arc {lab} has two "
+                    f"{'inflow' if t1[1] else 'outflow'} ends"
+                )
+        elif t1[0] == "const" or t2[0] == "const":
+            const, var = (t1, t2) if t1[0] == "const" else (t2, t1)
+            # const ^ (x_c ^ p) == 1
+            value = 1 ^ const[1] ^ var[2]
+            if not uf.union(var[1], anchor, value):
+                raise MalformedDiagram(
+                    f"inconsistent orientation: arc {lab} over-constrains "
+                    f"crossing {var[1]}"
+                )
+        else:
+            parity = 1 ^ t1[2] ^ t2[2]
+            if not uf.union(t1[1], t2[1], parity):
+                raise MalformedDiagram(
+                    f"inconsistent orientation: arc {lab} closes an "
+                    f"inconsistent cycle"
+                )
+    if over_in is not None:
+        for c, v in enumerate(over_in):
+            if v is None:
+                continue
+            if not uf.union(c, anchor, 0 if v == 1 else 1):
+                raise MalformedDiagram(
+                    f"orientation hint for crossing {c} conflicts with the "
+                    f"arcs"
+                )
+    # Components that never pass under leave their class unanchored; give
+    # the lowest-numbered crossing of each such class over-in slot 1.
+    root_anchor, _ = uf.find(anchor)
+    for c in range(n):
+        root, _ = uf.find(c)
+        if root != root_anchor:
+            uf.union(c, anchor, 0)
+            root_anchor, _ = uf.find(anchor)
+    signs = []
+    for c in range(n):
+        _, parity = uf.find(c)
+        _, base = uf.find(anchor)
+        signs.append(-1 if parity ^ base else 1)
+    return tuple(signs)
+
+
+def face_walk_planarity(xs, occ) -> None:
+    """Verify the PD data embeds in the plane: each connected piece of
+    the 4-valent graph must satisfy V - E + F = 2 for the face count
+    determined by the counterclockwise slot order."""
+
+    n = len(xs)
+    if n == 0:
+        return
+    piece = _DSU()
+    for _ in range(n):
+        piece.make()
+    for lab in occ:
+        (c1, _), (c2, _) = occ[lab]
+        piece.union(c1, c2)
+    face_seen: set[tuple[int, int]] = set()
+    faces_of_piece: dict[int, int] = {}
+    for c in range(n):
+        for s in range(4):
+            if (c, s) in face_seen:
+                continue
+            cur = (c, s)
+            while cur not in face_seen:
+                face_seen.add(cur)
+                c2, s2 = _arc_other(xs, occ, *cur)
+                cur = (c2, (s2 - 1) % 4)
+            root = piece.find(c)
+            faces_of_piece[root] = faces_of_piece.get(root, 0) + 1
+    sizes: dict[int, int] = {}
+    for c in range(n):
+        root = piece.find(c)
+        sizes[root] = sizes.get(root, 0) + 1
+    for root, v in sizes.items():
+        f = faces_of_piece[root]
+        if v - 2 * v + f != 2:
+            raise MalformedDiagram(
+                f"non-planar PD data: a connected piece with {v} crossings "
+                f"closes into {f} faces instead of {v + 2}"
+            )
 
 
 # --------------------------------------------------------------------------

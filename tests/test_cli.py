@@ -676,6 +676,14 @@ def test_malformed_diagram_json_exits_1(capsys, tmp_path, text):
         assert err.startswith("sl3web: error: ")
 
 
+@pytest.mark.parametrize("pd", ["X(1,2,1,2)", "X(1,2,3,4) X(1,4,3,2)"])
+def test_nonplanar_or_misoriented_pd_exits_1(capsys, pd):
+    for mode in ("bracket", "homology"):
+        code, out, err = run_cli(capsys, ["--mode", mode, "--pd", pd, "--no-cache"])
+        assert (code, out) == (1, "")
+        assert err.startswith("sl3web: error: ")
+
+
 def test_threads_flag_is_a_usage_error(capsys):
     code, out, err = run_cli(
         capsys, ["--pd", "", "--mode", "homology", "--threads", "2", "--no-cache"]

@@ -19,8 +19,14 @@ from artifact.corpus import fixture_diagrams
 from artifact.foam import MalformedMovie, Unzip, Zip
 from artifact.web import Web, kuperberg_bracket, link_bracket
 
-from .helpers import at_one, component_count
-from .oracles import poly_mirror, region_flatten, run_movie
+from .helpers import at_one, braid_pd, component_count
+from .oracles import (
+    face_walk_planarity,
+    parity_signs,
+    poly_mirror,
+    region_flatten,
+    run_movie,
+)
 
 TREFOIL_R = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 HOPF_POS = "X(1,2,3,4) X(4,3,2,1)"
@@ -201,6 +207,76 @@ def test_bad_hints_and_free_loops_are_rejected():
         LinkDiagram.from_crossings([(1, 2, 2, 1)], over_in=[3])
     with pytest.raises(MalformedDiagram, match="free_loops"):
         LinkDiagram.from_crossings([], free_loops=-1)
+
+
+def _outcome(build):
+    """What ``build()`` returns, or ``None`` when it raises
+    ``MalformedDiagram``."""
+    try:
+        return build()
+    except MalformedDiagram:
+        return None
+
+
+def _package_signs(xs, over_in=None):
+    return _outcome(lambda: LinkDiagram.from_crossings(xs, over_in).signs)
+
+
+def _oracle_signs(xs, over_in=None):
+    return _outcome(lambda: parity_signs(xs, diagram._occurrences(xs), over_in))
+
+
+def test_component_walk_orients_like_the_parity_oracle():
+    # Braid closures, as given and with every crossing tuple rotated by
+    # one or three slots (which keeps planarity but mostly breaks the
+    # orientation), with no hints and with random partial hints.
+    rng = random.Random(31)
+    words = accepted = rejected = 0
+    while words < 1000:
+        strands = rng.randint(2, 4)
+        letters = [k * i for i in range(1, strands) for k in (1, -1)]
+        word = [rng.choice(letters) for _ in range(rng.randint(1, 9))]
+        try:
+            text = braid_pd(word)
+        except ValueError:
+            continue
+        words += 1
+        xs = parse_pd(text).crossings
+        for turn in (0, 1, 3):
+            ys = [x[turn:] + x[:turn] for x in xs]
+            hint_draws = [[rng.choice((None, 1, 3)) for _ in ys] for _ in range(3)]
+            for over_in in [None, *hint_draws]:
+                signs = _oracle_signs(ys, over_in)
+                assert _package_signs(ys, over_in) == signs, (ys, over_in)
+                accepted += signs is not None
+                rejected += signs is None
+    memo.clear()
+    assert accepted > 1000 and rejected > 1000
+
+
+def test_bridged_web_rejects_what_the_face_walk_rejects():
+    # random label pairings that orient: the bridged flattening is a
+    # valid web exactly when the PD graph's faces make every piece a
+    # sphere
+    rng = random.Random(31)
+    planar = nonplanar = 0
+    while planar + nonplanar < 5000:
+        n = rng.randint(1, 5)
+        labels = [lab for lab in range(1, 2 * n + 1) for _ in (0, 1)]
+        rng.shuffle(labels)
+        xs = [tuple(labels[4 * c : 4 * c + 4]) for c in range(n)]
+        signs = _oracle_signs(xs)
+        if signs is None:
+            continue
+        try:
+            face_walk_planarity(xs, diagram._occurrences(xs))
+        except MalformedDiagram:
+            signs = None
+        assert _package_signs(xs) == signs, xs
+        planar += signs is not None
+        nonplanar += signs is None
+    memo.clear()
+    assert planar > 1000 and nonplanar > 1000
 
 
 def test_bad_resolution_vectors_are_rejected():
