@@ -18,13 +18,16 @@ Contents
 ``VALUE_EQUALITY``
     Type-aware ``__eq__``, ``__ne__`` and ``__hash__`` for the package's
     ``NamedTuple`` value types.
+``row_reduce``
+    Sparse integer row reduction, the one exact elimination behind the
+    Gram-block inverses and the Smith diagonals.
 
 No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 # --------------------------------------------------------------------------
 # Laurent polynomials
@@ -254,3 +257,68 @@ def _same_type_eq(self: tuple, other: object) -> bool:
 #: ``__eq__``, where ``tuple.__ne__`` would ignore it.  Equal values hash
 #: alike, by the tuple hash of their fields.
 VALUE_EQUALITY = (_same_type_eq, object.__ne__, tuple.__hash__)
+
+
+# --------------------------------------------------------------------------
+# Sparse integer row reduction
+# --------------------------------------------------------------------------
+
+
+def row_reduce(
+    rows: List[Dict[int, int]], *tracked: List[Dict[int, int]]
+) -> List[Tuple[int, int]]:
+    """Reduce the integer matrix whose rows are ``rows`` (each its
+    nonzero entries ``{column: value}``, changed in place) by row
+    operations only, and return the ``(row, column)`` of each pivot.
+
+    Each step pivots on the entry of smallest size in the rows not yet
+    pivoted.  Euclid steps clear the pivot's column in those rows, down
+    to their gcd; then the pivot's column is reduced by floor division
+    in every other row, which clears it exactly for a unit pivot.  Every
+    row operation is also applied to each list in ``tracked``.  When the
+    steps run out, every row left without a pivot is empty: the pivots
+    count the rank, and each pivot row is zero in the columns of the
+    pivots before it, so ``rows`` is triangular in pivot order."""
+    parts = (rows,) + tracked
+
+    def add_multiple(target: int, source: int, factor: int) -> None:
+        # row ``target`` += factor * row ``source``, in every part
+        for part in parts:
+            into = part[target]
+            for c, x in part[source].items():
+                v = into.get(c, 0) + factor * x
+                if v:
+                    into[c] = v
+                else:
+                    del into[c]
+
+    open_rows = list(range(len(rows)))
+    pivots: List[Tuple[int, int]] = []
+    while open_rows:
+        best = None
+        for r in open_rows:
+            for c, x in rows[r].items():
+                if best is None or abs(x) < best[0]:
+                    best = (abs(x), r, c)
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, r, c = best
+        while True:
+            others = [s for s in open_rows if s != r and c in rows[s]]
+            if not others:
+                break
+            for s in others:
+                add_multiple(s, r, -(rows[s][c] // rows[r][c]))
+            held = [s for s in others if c in rows[s]]
+            if held:
+                r = min(held, key=lambda s: abs(rows[s][c]))
+        open_rows.remove(r)
+        pivots.append((r, c))
+        pivot = rows[r][c]
+        for s, row in enumerate(rows):
+            f = row.get(c, 0) // pivot
+            if f and s != r:
+                add_multiple(s, r, -f)
+    return pivots

@@ -22,19 +22,22 @@ elimination of Bar-Natan's "Fast Khovanov homology computations"
 (arXiv math/0606318): a unit entry of ``d_i`` is cancelled by its
 Schur complement in ``d_i`` alone (sweeping the columns in order, each
 column's unit on the shortest row), and its two generators simply drop
-out of ``d_{i-1}`` and ``d_{i+1}``.  Only the
-small remainders go through the dense ``smith_diagonal``, which yields
-the ranks and torsion orders.  The graded Euler characteristic of the
-result must reproduce the diagram's bracket polynomial; tables of
-bigraded groups are invariant under the Reidemeister moves, which
-``check_invariance`` verifies pairwise on diagrams.
+out of ``d_{i-1}`` and ``d_{i+1}``.  Only the small remainders go
+through ``smith_diagonal``, which reduces their rows and columns in
+turn by the package's one exact elimination (``algebra.row_reduce``)
+and yields the ranks and torsion orders.  The graded Euler
+characteristic of the result must reproduce the diagram's bracket
+polynomial; tables of bigraded groups are invariant under the
+Reidemeister moves, which ``check_invariance`` verifies pairwise on
+diagrams.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .algebra import VALUE_EQUALITY, LaurentPoly
+from .algebra import VALUE_EQUALITY, LaurentPoly, row_reduce
 from .diagram import LinkDiagram, resolution_edge_movie, resolutions
 from .web import link_bracket
 from .webhom import induced_matrix, state_space
@@ -54,76 +57,24 @@ def smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
     matrix: positive entries, each dividing the next, as many as the
     rank.
 
-    Each step moves the smallest nonzero entry of the trailing block to
-    the pivot, clears its row and column by integer division, and adds
-    in a row with an entry the pivot does not divide until none is
-    left.
+    The rows and then the columns are reduced in turn
+    (``algebra.row_reduce``), each round keeping only the pivot rows of
+    the last, until every pivot is alone in its row and column.  The
+    pivots are then merged into a divisor chain pair by pair, as
+    ``Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b)``.
     """
 
-    a = [list(row) for row in mat]
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    diag: list[int] = []
-    t = 0
-    while t < min(n_rows, n_cols):
-
-        def repivot() -> bool:
-            # the smallest nonzero entry of the trailing block; a unit
-            # cannot be beaten, so the search stops at the first one
-            best = None
-            for i in range(t, n_rows):
-                for j in range(t, n_cols):
-                    v = a[i][j]
-                    if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-                if best is not None and abs(a[best[0]][best[1]]) == 1:
-                    break
-            if best is None:
-                return False
-            i0, j0 = best
-            a[t], a[i0] = a[i0], a[t]
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            return True
-
-        if not repivot():
+    rows = [{c: x for c, x in enumerate(row) if x} for row in mat]
+    while True:
+        rows = [rows[r] for r, _ in row_reduce(rows)]
+        if all(len(row) == 1 for row in rows):
             break
-        while True:
-            piv = a[t][t]
-            clean = True
-            for i in range(t + 1, n_rows):
-                if a[i][t]:
-                    f = a[i][t] // piv
-                    if f:
-                        a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        clean = False
-            for j in range(t + 1, n_cols):
-                if a[t][j]:
-                    f = a[t][j] // piv
-                    if f:
-                        for row in a:
-                            row[j] -= f * row[t]
-                    if a[t][j]:
-                        clean = False
-            if not clean:
-                repivot()
-                continue
-            # a unit divides everything left; otherwise an entry the
-            # pivot does not divide is added into the pivot row
-            offender = None
-            if piv != 1:
-                for i in range(t + 1, n_rows):
-                    if any(a[i][j] % piv for j in range(t + 1, n_cols)):
-                        offender = i
-                        break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-        diag.append(a[t][t])
-        t += 1
+        cols = sorted({c for row in rows for c in row})
+        rows = [{r: row[c] for r, row in enumerate(rows) if c in row} for c in cols]
+    diag = [abs(x) for row in rows for x in row.values()]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     return diag
 
 

@@ -179,7 +179,11 @@ class LinkDiagram(NamedTuple):
         try:
             _flatten_state(d, tuple(int(s == 1) for s in signs))
         except MalformedWeb as exc:
-            raise MalformedDiagram(f"non-planar PD data: {exc}") from exc
+            # a piece is keyed by its smallest dart, the slot-0 port
+            # ``4c + 1`` of its lowest crossing c
+            key = exc.component
+            at = "" if key is None else f" at crossing {(key - 1) // 4}"
+            raise MalformedDiagram(f"non-planar PD data{at}: {exc}") from exc
         return d
 
     # -- basic data --------------------------------------------------------

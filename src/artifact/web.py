@@ -65,7 +65,10 @@ Region = Optional[tuple[str, int]]
 
 
 class MalformedWeb(Exception):
-    """Raised when data does not describe a valid closed plane web."""
+    """Raised when data does not describe a valid closed plane web.
+    ``component`` is the key of the component found not planar, if any."""
+
+    component = None
 
 
 # --------------------------------------------------------------------------
@@ -330,10 +333,12 @@ class Web:
             chi[comp_of[f]] += 1
         for c, x in chi.items():
             if x != 2:
-                raise MalformedWeb(
+                exc = MalformedWeb(
                     f"component {c} has Euler characteristic {x}, not 2: "
                     "the rotation system is not planar"
                 )
+                exc.component = c
+                raise exc
         if self.outer_face.keys() != comps.keys():
             raise MalformedWeb("outer_face must assign exactly one face per component")
         for c, f in self.outer_face.items():

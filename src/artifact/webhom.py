@@ -45,17 +45,20 @@ cached matrix is found without building a movie (see
 ``induced_matrix``).  On a miss the movie and its slices are relabeled
 so that it ends on its end web's canonical web, with no move run
 again, and the source halves are extended through the relabeled
-movie.  The blocks are inverted by one sparse Gauss-Jordan pass over
-the integers (``_unimodular_inverse``), so the whole path stays in
-integer arithmetic and never densifies a block.  A singular or
+movie.  Each block is inverted by the package's one sparse integer
+row reduction (``algebra.row_reduce``), which carries an identity
+through the same row operations, so the whole path stays in integer
+arithmetic and never densifies a block.  A singular or
 non-unimodular block is a hard error, never rounded away.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import memo
+from .algebra import row_reduce
 from .foam import (
     Birth,
     Death,
@@ -98,77 +101,6 @@ def _degree_index(degrees: Sequence[int]) -> Dict[int, Tuple[int, ...]]:
     return {d: tuple(ix) for d, ix in index.items()}
 
 
-def _unimodular_inverse(block: Sequence[Sequence[int]]) -> List[Dict[int, int]]:
-    """The rows of the exact inverse of a square integer block, each as
-    its nonzero entries ``{column: value}``, by one sparse Gauss-Jordan
-    pass over the integers with row operations only.
-
-    Each step pivots on the entry of smallest size in the rows not yet
-    pivoted.  Euclid steps first clear the pivot's column in those rows,
-    down to their gcd; a unimodular block leaves a unit there, which
-    then clears its column in every other row too.  A step with no
-    entry left raises "singular".  The pivots multiply to the
-    determinant up to sign, so a pivot that is not a unit raises once
-    every step is done, unless a later step finds the block singular."""
-    n = len(block)
-    rows = [{c: x for c, x in enumerate(row) if x} for row in block]
-    ops: List[Dict[int, int]] = [{r: 1} for r in range(n)]
-
-    def add_multiple(target: int, source: int, factor: int) -> None:
-        # row ``target`` += factor * row ``source``, in both halves
-        for part in (rows, ops):
-            into = part[target]
-            for c, x in part[source].items():
-                v = into.get(c, 0) + factor * x
-                if v:
-                    into[c] = v
-                else:
-                    del into[c]
-
-    open_rows = list(range(n))
-    pivot_row: Dict[int, int] = {}  # column -> the row pivoted on it
-    det = 1
-    while open_rows:
-        best = None
-        for r in open_rows:
-            for c, x in rows[r].items():
-                if best is None or abs(x) < best[0]:
-                    best = (abs(x), r, c)
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            raise StateSpaceError("pairing matrix is singular")
-        _, r, c = best
-        while True:
-            others = [s for s in open_rows if s != r and c in rows[s]]
-            if not others:
-                break
-            for s in others:
-                add_multiple(s, r, -(rows[s][c] // rows[r][c]))
-            held = [s for s in others if c in rows[s]]
-            if held:
-                r = min(held, key=lambda s: abs(rows[s][c]))
-        open_rows.remove(r)
-        pivot = rows[r][c]
-        if pivot not in (1, -1):
-            det *= abs(pivot)
-            continue
-        pivot_row[c] = r
-        for s in range(n):
-            if s != r and c in rows[s]:
-                add_multiple(s, r, -rows[s][c] * pivot)
-    if det != 1:
-        raise StateSpaceError(f"pairing matrix has determinant ±{det}, not ±1")
-    # every row is now a signed unit vector: row r has ``rows[r][c]`` at
-    # column c, so row c of the inverse is that sign times ``ops[r]``
-    out = []
-    for c in range(n):
-        r = pivot_row[c]
-        sign = rows[r][c]
-        out.append({t: sign * x for t, x in ops[r].items()})
-    return out
-
-
 def _inverse_blocks(
     index: Dict[int, Tuple[int, ...]], blocks: Dict[int, Sequence[Sequence[int]]]
 ) -> Dict[int, SparseColumns]:
@@ -177,13 +109,13 @@ def _inverse_blocks(
     ``blocks[d]`` pairs those (rows) with the basis elements of degree
     ``-d`` (columns).  A degree whose count differs from that of its
     opposite, or a block that is singular or has determinant other than
-    ±1, raises.  Each block is inverted once, by sparse integer
-    elimination (``_unimodular_inverse``); the pairing is symmetric, so
-    the block of ``d > 0`` is the transpose of that of ``-d``, and so is
-    its inverse.  ``inverse[d]`` has one column per pairing coordinate
-    ``t`` (the pairing with the ``t``-th basis element of degree ``d``)
-    listing its nonzero entries, each row named by its basis index, one
-    of degree ``-d``."""
+    ±1, raises.  Each block is inverted once, by sparse integer row
+    reduction (``algebra.row_reduce``) carrying an identity; the pairing
+    is symmetric, so the block of ``d > 0`` is the transpose of that of
+    ``-d``, and so is its inverse.  ``inverse[d]`` has one column per
+    pairing coordinate ``t`` (the pairing with the ``t``-th basis
+    element of degree ``d``) listing its nonzero entries, each row named
+    by its basis index, one of degree ``-d``."""
     for d, rows in index.items():
         cols = index.get(-d, ())
         if len(cols) != len(rows):
@@ -194,7 +126,21 @@ def _inverse_blocks(
     out: Dict[int, SparseColumns] = {}
     for d, block in blocks.items():
         rows, cols = index[d], index[-d]
-        inv = _unimodular_inverse(block)
+        reduced = [{c: x for c, x in enumerate(row) if x} for row in block]
+        ops: List[Dict[int, int]] = [{r: 1} for r in range(len(block))]
+        pivots = row_reduce(reduced, ops)
+        if len(pivots) < len(block):
+            raise StateSpaceError("pairing matrix is singular")
+        # the pivots multiply to the determinant up to sign; unit pivots
+        # leave each row r the signed unit vector at its pivot column c,
+        # so row c of the inverse is that sign times ``ops[r]``
+        det = prod(abs(reduced[r][c]) for r, c in pivots)
+        if det != 1:
+            raise StateSpaceError(f"pairing matrix has determinant ±{det}, not ±1")
+        inv = [
+            {t: reduced[r][c] * x for t, x in ops[r].items()}
+            for r, c in sorted(pivots, key=lambda rc: rc[1])
+        ]
         # inv[k] holds the entries (t, x) of row k, k counting ``cols``
         # and t counting ``rows``
         by_column: List[List[Tuple[int, int]]] = [[] for _ in rows]

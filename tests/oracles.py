@@ -44,14 +44,18 @@ Exact solve oracle
 ------------------
 ``fraction_solve`` solves ``G @ X = R`` by Gauss-Jordan elimination over
 the rationals (``fractions.Fraction``), the reference for the package's
-Gram-block inverses, which eliminate over the integers.
+Gram-block inverses, which its sparse row reduction
+(``algebra.row_reduce``) computes over the integers.
 
 Smith transform oracle
 ----------------------
-``smith_form_with_transforms`` is the package's dense Smith normal form
-(``cube.smith_diagonal``) with its unimodular row and column transforms
-kept, so that tests can check ``P @ M @ Q`` against the diagonal; the
-package keeps only the diagonal.
+``smith_form_with_transforms`` is a dense Smith normal form with its
+unimodular row and column transforms kept, so that tests can check
+``P @ M @ Q`` against the diagonal.  It moves the smallest entry of the
+trailing block to the pivot, one pivot at a time, and is independent
+of the package's ``cube.smith_diagonal``, which alternates sparse row
+reductions of the matrix and its transpose and keeps only the
+diagonal.
 
 Replay and gluing oracles
 -------------------------
@@ -107,8 +111,10 @@ State-space oracles
 ``pair_movies`` is the one-by-one pairing of two preparation movies:
 each swept to its half, the pair evaluated by the package's
 ``foam.pair_halves``, which pairs whole lists of halves at once.
+``pair_swept`` is the same pairing of movies already ``swept`` to their
+halves and degrees, so a movie paired many times is swept once.
 ``scratch_matrix`` computes the matrix of a movie between two given
-bases from nothing but ``pair_movies``: the Gram matrix
+bases from nothing but those one-by-one pairings: the Gram matrix
 of the target basis, the pairings of the pushed source basis against
 it, and ``fraction_solve`` on each degree block.  ``label_basis`` is the
 label-keyed reference for the package's class-shared bases: the
@@ -567,10 +573,12 @@ def smith_form_with_transforms(
     Returns ``(diag, p, q)``: ``p`` (rows by rows) and ``q`` (columns by
     columns) are unimodular, and ``p @ mat @ q`` is zero except for
     ``diag`` down its diagonal.  Entries of ``diag`` are positive and
-    each divides the next; their count is the rank.  The elimination is
-    the package's ``cube.smith_diagonal``, with every row operation also
-    applied to ``p`` and every column operation to ``q``, which start as
-    identities.
+    each divides the next; their count is the rank.  Each step moves the
+    smallest nonzero entry of the trailing block to the pivot, clears
+    its row and column by integer division, and adds in a row with an
+    entry the pivot does not divide until none is left.  Every row
+    operation is also applied to ``p`` and every column operation to
+    ``q``, which start as identities.
     """
     a = [list(row) for row in mat]
     n_rows = len(a)
@@ -920,24 +928,36 @@ def pair_movies(u: FoamMovie, v: FoamMovie) -> int:
     return pair_halves([half_foam(u)], [half_foam(v)])[0][0]
 
 
+def swept(movies) -> list:
+    """Each movie as its half, swept once from the empty web
+    (``foam.half_foam``), and its degree: what ``pair_swept`` reads."""
+    return [(half_foam(m), m.degree()) for m in movies]
+
+
+def pair_swept(u, v) -> int:
+    """``pair_movies`` of two movies given as ``swept`` gives them: 0
+    unless the degrees cancel, else the one-by-one ``pair_halves``."""
+    (a, da), (b, db) = u, v
+    return pair_halves([a], [b])[0][0] if da + db == 0 else 0
+
+
 def scratch_matrix(movie: FoamMovie, source, target) -> tuple[tuple, tuple]:
     """``(gram, matrix)``: the Gram matrix of the ``target`` basis and
     the matrix of ``movie`` from the ``source`` basis to it, both from
-    plain pairings.  The Gram matrix pairs degree ``d`` only with degree
-    ``-d``, so ``gram @ X = R`` is solved one degree block at a time."""
-    gram = tuple(
-        tuple(pair_movies(v, w) if v.degree() + w.degree() == 0 else 0 for w in target)
-        for v in target
-    )
-    pushed = [u.compose(movie) for u in source]
+    plain pairings, each movie swept once.  The Gram matrix pairs degree
+    ``d`` only with degree ``-d``, so ``gram @ X = R`` is solved one
+    degree block at a time."""
+    targets = swept(target)
+    gram = tuple(tuple(pair_swept(v, w) for w in targets) for v in targets)
+    pushed = swept(u.compose(movie) for u in source)
     by_degree: dict[int, list[int]] = {}
-    for k, v in enumerate(target):
-        by_degree.setdefault(v.degree(), []).append(k)
+    for k, (_, d) in enumerate(targets):
+        by_degree.setdefault(d, []).append(k)
     out = [[0] * len(source) for _ in target]
     for d, rows in by_degree.items():
         cols = by_degree.get(-d, [])
         block = [[gram[r][c] for c in cols] for r in rows]
-        rhs = [[pair_movies(p, target[r]) for p in pushed] for r in rows]
+        rhs = [[pair_swept(p, targets[r]) for p in pushed] for r in rows]
         for c, row in zip(cols, fraction_solve(block, rhs)):
             out[c] = list(row)
     return gram, tuple(tuple(row) for row in out)

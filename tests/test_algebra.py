@@ -1,7 +1,9 @@
 """Tests for the exact algebra layer: Laurent polynomials, the rank-3
 Frobenius algebra oracle, the three-sheet circle evaluation, the table
-of closed surfaces, and the cube's dense Smith normal form
-(``cube.smith_diagonal``), whose transforms the oracle keeps."""
+of closed surfaces, the sparse integer row reduction
+(``algebra.row_reduce``), and the cube's Smith diagonal
+(``cube.smith_diagonal``) against a dense oracle that keeps its
+transforms."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from artifact.algebra import (
     LaurentPoly,
     closed_surface_value,
     quantum_integer,
+    row_reduce,
     theta_symbol,
 )
 from artifact.cube import smith_diagonal
@@ -379,3 +382,91 @@ def test_smith_form_transforms_on_small_matrices():
 )
 def test_smith_form_transforms_on_random_matrices(mat):
     _check_smith_form(mat)
+
+
+# --------------------------------------------------------------------------
+# sparse integer row reduction
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Integer matrices of up to 6 x 6 with entries up to 30 in size;
+    a drawn flag makes the last row a combination of the others, so
+    singular matrices come up often."""
+    n_cols = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=-30, max_value=30) | st.just(0)
+    row = st.lists(entry, min_size=n_cols, max_size=n_cols)
+    mat = draw(st.lists(row, min_size=1, max_size=6))
+    if len(mat) > 1 and draw(st.booleans()):
+        k = len(mat) - 1
+        f = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        mat[-1] = [sum(a * row[c] for a, row in zip(f, mat)) for c in range(n_cols)]
+    return mat
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """A product of elementary integer row operations and sign flips:
+    ``(i, j, f)`` adds ``f`` times row ``j`` to row ``i``, or negates
+    row ``i`` when ``i == j``."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    mat = [list(row) for row in identity_matrix(n)]
+    index = st.integers(min_value=0, max_value=n - 1)
+    ops = st.tuples(index, index, st.integers(min_value=-3, max_value=3))
+    for i, j, f in draw(st.lists(ops, max_size=4 * n)):
+        if i == j:
+            mat[i] = [-x for x in mat[i]]
+        else:
+            mat[i] = [x + f * y for x, y in zip(mat[i], mat[j])]
+    return mat
+
+
+def _check_row_reduce(mat):
+    """Reduce ``mat`` tracking an identity and check what the kernel
+    promises; return the reduced rows and the pivots."""
+    n_rows, n_cols = len(mat), len(mat[0])
+    rows = [{c: x for c, x in enumerate(row) if x} for row in mat]
+    ops = [{r: 1} for r in range(n_rows)]
+    pivots = row_reduce(rows, ops)
+    transform = tuple(tuple(op.get(t, 0) for t in range(n_rows)) for op in ops)
+    reduced = tuple(tuple(row.get(c, 0) for c in range(n_cols)) for row in rows)
+    assert mat_mul(transform, mat) == reduced
+    # the tracked rows are unimodular: the rational oracle inverts them
+    fraction_solve(transform, identity_matrix(n_rows))
+    assert len({c for _, c in pivots}) == len(pivots)
+    pivoted = {r for r, _ in pivots}
+    assert all(not row for r, row in enumerate(rows) if r not in pivoted)
+    for k, (r, c) in enumerate(pivots):
+        assert all(earlier not in rows[r] for _, earlier in pivots[:k])
+        if abs(rows[r][c]) == 1:
+            assert all(c not in row for s, row in enumerate(rows) if s != r)
+    return rows, pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices())
+def test_row_reduce_tracks_its_operations_and_leaves_pivots_triangular(mat):
+    _check_row_reduce(mat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unimodular_matrices())
+def test_row_reduce_of_a_unimodular_matrix_has_only_unit_pivots(mat):
+    rows, pivots = _check_row_reduce(mat)
+    assert len(pivots) == len(mat)
+    assert all(rows[r][c] in (1, -1) for r, c in pivots)
+
+
+def test_row_reduce_known_cases():
+    assert row_reduce([]) == []
+    # Euclid steps end on the gcd 2 in the last row and empty the other
+    rows = [{}, {0: 4, 1: 6}, {0: 6, 1: 9}]
+    assert row_reduce(rows) == [(2, 0)]
+    assert rows == [{}, {}, {0: 2, 1: 3}]
+    # a non-unit pivot reduces the rows pivoted before it by floor division
+    rows = [{0: 1, 1: 5}, {0: 3, 1: 1}]
+    ops = [{0: 1}, {1: 1}]
+    assert row_reduce(rows, ops) == [(0, 0), (1, 1)]
+    assert rows == [{0: 1, 1: -9}, {1: -14}]
+    assert ops == [{0: -2, 1: 1}, {0: -3, 1: 1}]

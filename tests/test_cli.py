@@ -676,7 +676,14 @@ def test_malformed_diagram_json_exits_1(capsys, tmp_path, text):
         assert err.startswith("sl3web: error: ")
 
 
-@pytest.mark.parametrize("pd", ["X(1,2,1,2)", "X(1,2,3,4) X(1,4,3,2)"])
+@pytest.mark.parametrize(
+    "pd",
+    [
+        "X(1,2,1,2)",
+        "X(1,2,3,4) X(1,4,3,2)",
+        "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) X(7,8,7,8)",
+    ],
+)
 def test_nonplanar_or_misoriented_pd_exits_1(capsys, pd):
     for mode in ("bracket", "homology"):
         code, out, err = run_cli(capsys, ["--mode", mode, "--pd", pd, "--no-cache"])

@@ -38,6 +38,7 @@ from .oracles import (
     d_squared_is_zero,
     dense_differential,
     per_block_homology,
+    smith_form_with_transforms,
     sparse_smith_diagonal,
     squares_anticommute,
 )
@@ -66,6 +67,43 @@ def test_smith_known_small_cases():
     assert smith_diagonal([[0, 5]]) == [5]
     assert smith_diagonal([[6, 10, 15]]) == [1]
     assert smith_diagonal([[2, 0], [0, 2], [0, 0]]) == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "mat, diag",
+    [
+        # reducing only the rows not yet pivoted, the alternation of row
+        # and column reductions cycles here
+        ([[-8, 4, 3], [-5, 7, 3], [-9, -5, 0]], [1, 1, 36]),
+        # diagonal, but not a divisor chain until the pivots are merged
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30]),
+        ([[4, 0], [0, 6]], [2, 12]),
+        # five rounds of alternation
+        ([[-247, 30], [617, 0]], [1, 18510]),
+    ],
+)
+def test_smith_pinned_cases_agree_with_the_dense_oracle(mat, diag):
+    assert smith_diagonal(mat) == diag
+    assert smith_form_with_transforms(mat)[0] == diag
+
+
+wide_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n_cols: st.lists(
+        st.lists(
+            st.just(0) | st.integers(min_value=-1000, max_value=1000),
+            min_size=n_cols,
+            max_size=n_cols,
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_matrices)
+def test_smith_agrees_with_the_dense_oracle(mat):
+    assert smith_diagonal(mat) == smith_form_with_transforms(mat)[0]
 
 
 def _rank_over_rationals(mat):

@@ -194,8 +194,16 @@ def test_inconsistent_orientation_is_rejected():
 
 
 def test_nonplanar_pd_is_rejected():
-    with pytest.raises(MalformedDiagram, match="non-planar"):
-        parse_pd("X(1,2,1,2)")
+    # the error names the lowest crossing of the non-planar piece; in the
+    # second case a trefoil sits next to the non-planar curl, crossing 3
+    for pd, crossing in (
+        ("X(1,2,1,2)", 0),
+        ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) X(7,8,7,8)", 3),
+    ):
+        with pytest.raises(
+            MalformedDiagram, match=f"non-planar PD data at crossing {crossing}:"
+        ):
+            parse_pd(pd)
 
 
 def test_bad_hints_and_free_loops_are_rejected():

@@ -80,10 +80,12 @@ from .oracles import (
     gram,
     label_basis,
     pair_movies,
+    pair_swept,
     relabeled_movie,
     run_movie,
     scratch_matrix,
     served_basis,
+    swept,
 )
 
 
@@ -531,11 +533,10 @@ def test_induced_matrices_are_degree_homogeneous():
 def _assert_solves_gram_system(movie: FoamMovie) -> None:
     """gram(end) @ induced_matrix(movie) equals the pairing of the
     movie's action on the source basis against the target basis,
-    computed entry by entry."""
-    pushed = [u.compose(movie) for u in served_basis(movie.start)]
-    rhs = tuple(
-        tuple(pair_movies(p, v) for p in pushed) for v in served_basis(movie.end)
-    )
+    computed entry by entry, each movie swept once."""
+    pushed = swept(u.compose(movie) for u in served_basis(movie.start))
+    targets = swept(served_basis(movie.end))
+    rhs = tuple(tuple(pair_swept(p, v) for p in pushed) for v in targets)
     assert mat_mul(gram(state_space(movie.end)), _induced(movie)) == rhs
 
 
