@@ -118,7 +118,7 @@ def _diagram_from_text(text: str) -> LinkDiagram:
     if stripped.startswith("{") or stripped.startswith("["):
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedDiagram(f"invalid JSON diagram: {exc}") from exc
         return diagram_from_json(data)
     return parse_pd(text)
@@ -131,7 +131,7 @@ def _load_diagram(args: argparse.Namespace) -> LinkDiagram:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 return _diagram_from_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read {args.input}: {exc}") from exc
     raise _UsageError("this mode needs --pd or --input")
 
@@ -150,9 +150,9 @@ def _load_pairs(args: argparse.Namespace) -> List[Tuple[str, LinkDiagram, LinkDi
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedDiagram(f"invalid JSON pair list: {exc}") from exc
     if not isinstance(data, list):
         raise MalformedDiagram("pair list must be a JSON array")

@@ -17,13 +17,22 @@ convention in the package:
 
 Every check is an exact integer comparison counted individually; any
 mismatch is collected as a failure message, never tolerated.
+
+Each family fills the ``_Collector`` it is given and returns ``None``.
+``check_triple_disc_table(col)``, ``check_closed_surfaces(col)``,
+``check_digon_identities(col)``, ``check_square_identities(col)`` and
+``check_edge_rings(col)`` take only the collector.  The five randomized
+families of ``RANDOMIZED_FAMILIES`` take ``(col, rng, closures)``: a
+``random.Random`` to draw from and the number of closures to draw.
+``run_selftest(closures, seed)`` runs every family, the k-th randomized
+one on ``random.Random(seed + k)``, and returns the report.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .algebra import VALUE_EQUALITY, closed_surface_value, theta_symbol
 from .foam import (
@@ -245,12 +254,10 @@ def _expected_triple(a: int, b: int, c: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def check_triple_disc_table(col: Optional[_Collector] = None) -> SelfTestReport:
+def check_triple_disc_table(col: _Collector) -> None:
     """All triple-disc values for dot counts up to three, their cyclic
     symmetry, order-reversal antisymmetry, and agreement with the
     algebraic trace form."""
-
-    col = col or _Collector()
     for a, b, c in itertools.product(range(4), repeat=3):
         val = evaluate(triple_disc(a, b, c))
         col.expect(val, _expected_triple(a, b, c), f"triple-disc({a},{b},{c})")
@@ -261,15 +268,12 @@ def check_triple_disc_table(col: Optional[_Collector] = None) -> SelfTestReport:
         col.expect(
             evaluate(triple_disc(a, c, b)), -val, f"order reversal ({a},{b},{c})"
         )
-    return col.report()
 
 
-def check_closed_surfaces(col: Optional[_Collector] = None) -> SelfTestReport:
+def check_closed_surfaces(col: _Collector) -> None:
     """Closed connected dotted surfaces through the foam evaluator: the
     twice-dotted sphere is -1, the dotless torus is 3, everything else
     vanishes; agreement with the algebraic trace."""
-
-    col = col or _Collector()
     for dots in range(6):
         col.expect(
             _ev([(0, dots)], []), -1 if dots == 2 else 0, f"sphere with {dots} dots"
@@ -288,7 +292,6 @@ def check_closed_surfaces(col: Optional[_Collector] = None) -> SelfTestReport:
                 closed_surface_value(genus, dots),
                 f"surface trace form (genus {genus}, {dots} dots)",
             )
-    return col.report()
 
 
 def _random_closure(rng: random.Random, min_facets: int = 1):
@@ -310,13 +313,10 @@ def _with_dots(facets, extra: dict) -> list:
     return out
 
 
-def check_surgery(closures: int = 120, seed: int = 0, col: Optional[_Collector] = None) -> SelfTestReport:
+def check_surgery(col: _Collector, rng: random.Random, closures: int) -> None:
     """Separating-neck surgery: splitting any facet into two pieces,
     with an arbitrary distribution of its genus, dots and annuli, equals
     minus the sum over the three dot splits."""
-
-    col = col or _Collector()
-    rng = random.Random(seed)
     for trial in range(closures):
         facets, circles = _random_closure(rng)
         n = len(facets)
@@ -337,15 +337,11 @@ def check_surgery(closures: int = 120, seed: int = 0, col: Optional[_Collector] 
                 cs[ci][k] = n
             rhs -= _ev(split, cs)
         col.expect(_ev(facets, circles), rhs, f"surgery splice (trial {trial})")
-    return col.report()
 
 
-def check_genus_reduction(closures: int = 120, seed: int = 1, col: Optional[_Collector] = None) -> SelfTestReport:
+def check_genus_reduction(col: _Collector, rng: random.Random, closures: int) -> None:
     """A handle on any facet equals -3 times the facet with the handle
     removed and two extra dots."""
-
-    col = col or _Collector()
-    rng = random.Random(seed)
     for trial in range(closures):
         facets, circles = _random_closure(rng)
         f = rng.randrange(len(facets))
@@ -356,17 +352,15 @@ def check_genus_reduction(closures: int = 120, seed: int = 1, col: Optional[_Col
             -3 * _ev(_with_dots(facets, {f: 2}), circles),
             f"genus reduction (trial {trial})",
         )
-    return col.report()
 
 
-def check_circle_dot_relations(closures: int = 120, seed: int = 2, col: Optional[_Collector] = None) -> SelfTestReport:
+def check_circle_dot_relations(
+    col: _Collector, rng: random.Random, closures: int
+) -> None:
     """At any singular circle the three elementary symmetric dot sums
     vanish; three dots kill any facet; a circle visiting the same facet
     twice evaluates to zero; nonzero evaluations force zero punctured
     Euler characteristic."""
-
-    col = col or _Collector()
-    rng = random.Random(seed)
     for trial in range(closures):
         facets, circles = _random_closure(rng, min_facets=3)
         n = len(facets)
@@ -413,7 +407,6 @@ def check_circle_dot_relations(closures: int = 120, seed: int = 2, col: Optional
             col.expect(
                 _ev(facets, circles), 0, f"nonzero Euler characteristic (trial {trial})"
             )
-    return col.report()
 
 
 #: bursting a bubble with (p, q) dots on its two caps, attached to an
@@ -432,12 +425,9 @@ BUBBLE_TABLE = {
 }
 
 
-def check_bubble_bursting(closures: int = 120, seed: int = 3, col: Optional[_Collector] = None) -> SelfTestReport:
+def check_bubble_bursting(col: _Collector, rng: random.Random, closures: int) -> None:
     """A two-cap bubble on a facet reduces to a signed dot multiple of
     that facet, for every cap-dot pattern up to two dots per cap."""
-
-    col = col or _Collector()
-    rng = random.Random(seed)
     for trial in range(closures):
         facets, circles = _random_closure(rng)
         n = len(facets)
@@ -452,17 +442,13 @@ def check_bubble_bursting(closures: int = 120, seed: int = 3, col: Optional[_Col
                 coeff, extra = rule
                 rhs = coeff * _ev(_with_dots(facets, {f: extra}), circles)
             col.expect(lhs, rhs, f"bubble ({p},{q}) (trial {trial})")
-    return col.report()
 
 
-def check_disc_removal(closures: int = 120, seed: int = 4, col: Optional[_Collector] = None) -> SelfTestReport:
+def check_disc_removal(col: _Collector, rng: random.Random, closures: int) -> None:
     """Removing a disc cap from a singular circle: with the circle in
     cyclic order (disc, A, B), a dotless disc gives dot(A) - dot(B) on
     the sealed remainder; one and two dots on the disc give the shifted
     analogues."""
-
-    col = col or _Collector()
-    rng = random.Random(seed)
     for trial in range(closures):
         facets, circles = _random_closure(rng, min_facets=2)
         n = len(facets)
@@ -483,7 +469,6 @@ def check_disc_removal(closures: int = 120, seed: int = 4, col: Optional[_Collec
         col.expect(
             with_disc(2), sealed(2, 1) - sealed(1, 2), f"two-dot disc (trial {trial})"
         )
-    return col.report()
 
 
 # --------------------------------------------------------------------------
@@ -508,11 +493,9 @@ def square_identity_sites() -> List[Tuple[Web, int]]:
     return [(w, f) for w in (digon_chain_web(), cube_web()) for f in _bounded_faces(w, 4)]
 
 
-def check_digon_identities(col: Optional[_Collector] = None) -> SelfTestReport:
+def check_digon_identities(col: _Collector) -> None:
     """The five two-edge-face identities, as exact matrices, at every
     bounded two-edge face of the reference webs."""
-
-    col = col or _Collector()
     for web, face in digon_identity_sites():
         lift_plain, lift_dotted, drop_dotted, drop_plain = digon_movies(web, face)
         small = identity_matrix(state_space(lift_plain.start).dim)
@@ -541,14 +524,11 @@ def check_digon_identities(col: Optional[_Collector] = None) -> SelfTestReport:
             big,
             f"{where}: lift.drop - lift'.drop' = 1",
         )
-    return col.report()
 
 
-def check_square_identities(col: Optional[_Collector] = None) -> SelfTestReport:
+def check_square_identities(col: _Collector) -> None:
     """The five four-edge-face identities, as exact matrices, at every
     bounded four-edge face of the reference webs."""
-
-    col = col or _Collector()
     for web, face in square_identity_sites():
         split_first, split_second = square_split_movies(web, face)
         join_first, join_second = split_first.reflect(), split_second.reflect()
@@ -583,7 +563,6 @@ def check_square_identities(col: Optional[_Collector] = None) -> SelfTestReport:
             mat_neg(identity_matrix(state_space(web).dim)),
             f"{where}: join.split sum = -1",
         )
-    return col.report()
 
 
 def edge_dot_action(web: Web, site: int) -> IntMatrix:
@@ -631,43 +610,40 @@ def check_edge_ring(web: Web) -> None:
             raise StateSpaceError(f"dot action at {site} is not nilpotent of order 3")
 
 
-def check_edge_rings(
-    webs: Optional[Iterable[Web]] = None, col: Optional[_Collector] = None
-) -> SelfTestReport:
-    """Edge-ring relations on the given webs (reference webs by
-    default): symmetric sums vanish at each vertex and every dot action
-    cubes to zero."""
-
-    col = col or _Collector()
-    if webs is None:
-        webs = (theta_web(), digon_chain_web(), cube_web())
-    for web in webs:
+def check_edge_rings(col: _Collector) -> None:
+    """Edge-ring relations on the reference webs: symmetric sums vanish
+    at each vertex and every dot action cubes to zero."""
+    for web in (theta_web(), digon_chain_web(), cube_web()):
         label = f"web with {len(web.sigma) // 3} vertices, {len(web.loops)} loops"
         col.checks += 1
         try:
             check_edge_ring(web)
         except StateSpaceError as exc:
             col.failures.append(f"edge ring on {label}: {exc}")
-    return col.report()
 
 
 # --------------------------------------------------------------------------
 # the aggregate run
 # --------------------------------------------------------------------------
 
+#: The randomized families: the k-th draws from ``random.Random(seed + k)``.
+RANDOMIZED_FAMILIES = (
+    check_surgery,
+    check_genus_reduction,
+    check_circle_dot_relations,
+    check_bubble_bursting,
+    check_disc_removal,
+)
 
-def run_selftest(closures: int = 120, seed: int = 0) -> SelfTestReport:
+
+def run_selftest(closures: int, seed: int) -> SelfTestReport:
     """The whole identity suite; report with total check count."""
-
     col = _Collector()
     check_triple_disc_table(col)
     check_closed_surfaces(col)
-    check_surgery(closures, seed, col)
-    check_genus_reduction(closures, seed + 1, col)
-    check_circle_dot_relations(closures, seed + 2, col)
-    check_bubble_bursting(closures, seed + 3, col)
-    check_disc_removal(closures, seed + 4, col)
+    for k, family in enumerate(RANDOMIZED_FAMILIES):
+        family(col, random.Random(seed + k), closures)
     check_digon_identities(col)
     check_square_identities(col)
-    check_edge_rings(None, col)
+    check_edge_rings(col)
     return col.report()

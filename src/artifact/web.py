@@ -416,11 +416,9 @@ class Web:
     # -- relabeling --------------------------------------------------------
 
     def relabeled(
-        self,
-        dart_map: Optional[Mapping[int, int]] = None,
-        loop_map: Optional[Mapping[int, int]] = None,
+        self, dart_map: Mapping[int, int], loop_map: Mapping[int, int]
     ) -> "Web":
-        """A copy with darts and/or loop ids renamed by the given bijections.
+        """A copy with darts and loop ids renamed by the given bijections.
 
         Ids absent from a map are kept; maps that send two ids to one,
         a dart to a non-positive id or a loop to a non-negative one raise
@@ -428,8 +426,8 @@ class Web:
         references are recomputed consistently.  A one-to-one renaming
         of a valid web is valid, so the copy skips the checks.
         """
-        dmap: Callable[[int], int] = lambda d: dart_map.get(d, d) if dart_map else d
-        lmap: Callable[[int], int] = lambda l: loop_map.get(l, l) if loop_map else l
+        dmap: Callable[[int], int] = lambda d: dart_map.get(d, d)
+        lmap: Callable[[int], int] = lambda l: loop_map.get(l, l)
         new_sigma = {dmap(d): dmap(s) for d, s in self.sigma.items()}
         new_alpha = {dmap(d): dmap(a) for d, a in self.alpha.items()}
         new_out = {dmap(d) for d in self.out_darts}

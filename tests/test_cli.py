@@ -597,6 +597,16 @@ def test_selftest_real_run(capsys):
     assert checks > 100
 
 
+def test_selftest_draws_at_a_second_setting(capsys):
+    # check_circle_dot_relations checks one Euler-characteristic case
+    # only on closures that need it, so the count pins which stream
+    # each randomized family draws from
+    argv = ["--mode", "selftest", "--format", "json", "--closures", "7", "--seed", "3"]
+    code, out, _err = run_cli(capsys, argv)
+    assert code == 0
+    assert out == '{"checks":511,"failures":[],"passed":true}\n'
+
+
 def test_selftest_json_wiring(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "run_selftest", lambda closures, seed: SelfTestReport(checks=7, failures=())
@@ -647,6 +657,25 @@ def test_unreadable_input_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("mode", ["bracket", "invariance"])
+def test_non_utf8_input_exits_1(capsys, tmp_path, mode):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe[\x00]\x00")
+    code, out, err = run_cli(capsys, ["--mode", mode, "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("sl3web: error: cannot read")
+
+
+@pytest.mark.parametrize("mode", ["bracket", "invariance"])
+@pytest.mark.parametrize("prefix, suffix", [("", ""), ('{"crossings": ', "}")])
+def test_deeply_nested_json_input_exits_1(capsys, tmp_path, mode, prefix, suffix):
+    path = tmp_path / "deep.json"
+    path.write_text(prefix + "[" * 100000 + "]" * 100000 + suffix, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["--mode", mode, "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("sl3web: error: invalid JSON ")
 
 
 def test_bad_json_input_exits_1(capsys, tmp_path):

@@ -31,6 +31,16 @@ file in ``src/artifact`` or ``perfbench`` reads it as an attribute.  A
 field that is only written, passed to a constructor or read by tests
 is kept for nothing.
 
+Every default of a package function is left out by some program call:
+a defaulted parameter of a module-level function or method in
+``src/artifact`` counts as used when a call in ``src/artifact`` or
+``perfbench`` that names the function (``__init__`` by its class name)
+passes too few positional arguments to reach it and no keyword of its
+name.  A default that only tests leave out is one the program does not
+need.  Like the reach check it goes by name alone, so a same-named call
+elsewhere can count as leaving a default out.  ``KEPT_DEFAULTS`` names
+its one exception, ``Web.__init__``, with the reason.
+
 The package's arithmetic is also exact: no file in ``src/artifact``
 divides with ``/``, calls ``float`` or imports ``fractions`` or
 ``decimal``.  Nor does it check anything with an ``assert`` statement,
@@ -254,6 +264,146 @@ def test_field_check_sees_each_form(tmp_path):
         "sample.py: Holder.second",
         "sample.py: Pair.right",
         "sample.py: Record.only_constructed",
+    ]
+
+
+#: Functions whose defaults no program call leaves out, as ``file:
+#: Class.name``, each with the reason the defaults are kept.
+KEPT_DEFAULTS = {
+    "web.py: Web.__init__": "the program's constructions pass every map, but "
+    "tests and oracles build empty, loop-only and keyword-subset webs in "
+    "about 60 places; required maps would move ``parent=None, "
+    "outer_face={}`` into each of them and change nothing in the package",
+}
+
+
+def _defaults(tree: ast.Module):
+    """Every defaulted parameter of a module-level function or method in
+    one parsed file, as (class or None, function, parameter, index),
+    where ``index`` counts the positional arguments a call passes
+    before it (after ``self`` or ``cls``) and is None for a keyword-only
+    parameter."""
+    functions = [(None, node) for node in tree.body]
+    functions += [
+        (node.name, item)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+    ]
+    for cls, node in functions:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        static = any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list
+        )
+        if cls is not None and not static:
+            positional = positional[1:]
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            yield cls, node.name, arg.arg, index
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield cls, node.name, arg.arg, None
+
+
+def _leaves_out(call: ast.Call, param: str, index: Optional[int]) -> bool:
+    """Whether ``call`` leaves out the defaulted ``param`` (positional
+    ``index``, None when keyword-only)."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return False
+    if any(k.arg in (None, param) for k in call.keywords):
+        return False
+    return index is None or len(call.args) <= index
+
+
+def _kept_defaults(package: list[Path], others: list[Path]) -> list[str]:
+    """Every defaulted parameter of a function in the ``package`` files
+    that no call in a ``package`` or ``others`` file leaves out, as
+    ``file: Class.name(param)``, sorted.  A call names a function by its
+    bare or attribute name, and ``__init__`` by its class name; it
+    leaves a default out when it passes too few positional arguments to
+    reach it and no keyword of its name.  A call with ``*args`` or
+    ``**kwargs`` leaves out nothing."""
+    defaults = []
+    calls: dict[str, list[ast.Call]] = {}
+    for path in package + others:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path in package:
+            defaults += [(path.name, *found) for found in _defaults(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return sorted(
+        f"{where}: {cls + '.' if cls else ''}{name}({param})"
+        for where, cls, name, param, index in defaults
+        if not any(
+            _leaves_out(call, param, index)
+            for call in calls.get(cls if name == "__init__" else name, ())
+        )
+    )
+
+
+def test_every_default_is_left_out_by_program_code():
+    kept = _kept_defaults(*_program_files())
+    offenders = [use for use in kept if use.split("(", 1)[0] not in KEPT_DEFAULTS]
+    assert not offenders, "defaults that only tests leave out: " + ", ".join(offenders)
+    # an entry for a function whose defaults a program call now leaves
+    # out, or that is gone, is stale
+    assert KEPT_DEFAULTS.keys() <= {use.split("(", 1)[0] for use in kept}
+
+
+def test_default_check_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "class Box:\n"
+        "    def __init__(self, size=1, label=None):\n"
+        "        pass\n"
+        "    def fill(self, amount=0, color=None):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def make(cls, count=2, shape=None):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def tag(text='x'):\n"
+        "        pass\n"
+        "def scale(x, factor=2, offset=0):\n"
+        "    pass\n"
+        "def clip(x, *, low=0, high=9):\n"
+        "    pass\n"
+        "def only_tests(x, y=1):\n"
+        "    pass\n"
+        "def spread(x, y=1):\n"
+        "    pass\n"
+        "def splat(x, y=1):\n"
+        "    pass\n"
+        "scale(1, 3)\n"
+        "spread(*[1, 2])\n"
+        "splat(**{'x': 1})\n",
+        encoding="utf-8",
+    )
+    user = tmp_path / "user.py"
+    user.write_text(
+        "from sample import Box, clip\n"
+        "Box(label='a').fill(5)\n"
+        "Box.make(shape=1)\n"
+        "Box.tag('y')\n"
+        "clip(1, high=3)\n",
+        encoding="utf-8",
+    )
+    assert _kept_defaults([sample], [user]) == [
+        "sample.py: Box.__init__(label)",
+        "sample.py: Box.fill(amount)",
+        "sample.py: Box.make(shape)",
+        "sample.py: Box.tag(text)",
+        "sample.py: clip(high)",
+        "sample.py: only_tests(y)",
+        "sample.py: scale(factor)",
+        "sample.py: splat(y)",
+        "sample.py: spread(y)",
     ]
 
 

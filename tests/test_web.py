@@ -381,7 +381,7 @@ def test_bracket_theta_with_nested_loop():
 
 
 def test_bracket_ignores_labels():
-    w = theta_web().relabeled(dart_map={d: d + 40 for d in range(1, 7)})
+    w = theta_web().relabeled({d: d + 40 for d in range(1, 7)}, {})
     assert kuperberg_bracket(w) == kuperberg_bracket(theta_web())
 
 
@@ -432,7 +432,7 @@ def test_pruned_component_bfs_matches_unpruned(monkeypatch):
 
 def test_canonical_component_key_is_label_invariant():
     w1 = theta_web()
-    w2 = w1.relabeled(dart_map={1: 9, 2: 14, 3: 21, 4: 3, 5: 77, 6: 50})
+    w2 = w1.relabeled({1: 9, 2: 14, 3: 21, 4: 3, 5: 77, 6: 50}, {})
     k1, _ = _component_bfs(w1.sigma, w1.alpha, w1.out_darts, w1.darts)
     k2, _ = _component_bfs(w2.sigma, w2.alpha, w2.out_darts, w2.darts)
     assert k1 == k2
@@ -466,11 +466,11 @@ def test_relabeled_loops_and_regions():
 
 def test_relabeled_rejects_maps_that_merge_ids():
     with pytest.raises(MalformedWeb, match="two ids to one"):
-        theta_web().relabeled(dart_map={1: 2})
+        theta_web().relabeled({1: 2}, {})
     with pytest.raises(MalformedWeb, match="two ids to one"):
-        nested_loops_web().relabeled(loop_map={-1: -2})
+        nested_loops_web().relabeled({}, {-1: -2})
     with pytest.raises(MalformedWeb, match="positive"):
-        theta_web().relabeled(dart_map={1: -7})
+        theta_web().relabeled({1: -7}, {})
 
 
 # --------------------------------------------------------------------------

@@ -938,7 +938,7 @@ def test_every_built_movie_matches_surgery_from_scratch(monkeypatch):
     monkeypatch.setattr(FoamMovie, "__init__", recorded)
     for d in list(fixture_diagrams().values()) + [parse_pd(TORUS_5_1)]:
         differential_blocks(d)
-    run_selftest()
+    run_selftest(120, 0)
     monkeypatch.undo()
     counts = collections.Counter(kind for _, kind in built)
     zips = 0
